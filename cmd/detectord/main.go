@@ -97,7 +97,6 @@ func main() {
 		shardServe = flag.Bool("shard-serve", false, "run as one controller shard service instead of the front-end")
 		listen     = flag.String("listen", "127.0.0.1:7117", "shard service listen address (with -shard-serve)")
 		wire       = flag.String("wire", shardrpc.WireAuto, "shard transport codec: auto (negotiate at ping time), json, or binary; 'binary' also switches pinger reports to the v2 frame")
-		compress   = flag.String("shard-compress", shardrpc.CompressAuto, "localize-path compression: auto (negotiate at ping time), off, or gzip")
 		partition  = flag.String("partition", string(shard.PartitionExact), "diagnosis plane partition policy: exact (bit-identical merge) or approx (cut server-edge links for real server-level sharding)")
 		repBatch   = flag.Int("report-batch", 1, "report windows each pinger pre-aggregates locally before shipping one payload")
 		repTopK    = flag.Int("report-topk", 0, "ship kind-6 summary frames keeping full signals for the K worst paths (0 = full per-path reports; needs -wire binary)")
@@ -116,12 +115,6 @@ func main() {
 	case shardrpc.WireAuto, shardrpc.WireJSON, shardrpc.WireBinary:
 	default:
 		fmt.Fprintf(os.Stderr, "detectord: -wire %q must be auto, json or binary\n", *wire)
-		os.Exit(2)
-	}
-	switch *compress {
-	case shardrpc.CompressAuto, shardrpc.CompressOff, shardrpc.CompressGzip:
-	default:
-		fmt.Fprintf(os.Stderr, "detectord: -shard-compress %q must be auto, off or gzip\n", *compress)
 		os.Exit(2)
 	}
 	if _, err := shard.ParsePartitionPolicy(*partition); err != nil {
@@ -158,20 +151,19 @@ func main() {
 		cfg.DownLinks = append(cfg.DownLinks, topo.LinkID(id))
 	}
 	c, err := cluster.Start(cluster.Options{
-		K:                *k,
-		Control:          cfg,
-		Window:           *window,
-		ProbeTimeout:     400 * time.Millisecond,
-		Shards:           *shards,
-		RemoteShards:     *remote,
-		ShardEndpoints:   eps,
-		ShardWire:        *wire,
-		ShardCompression: *compress,
-		Partition:        *partition,
-		ReportWire:       reportWire(*wire),
-		ReportBatch:      *repBatch,
-		ReportTopK:       *repTopK,
-		StreamReports:    *repStream,
+		K:              *k,
+		Control:        cfg,
+		Window:         *window,
+		ProbeTimeout:   400 * time.Millisecond,
+		Shards:         *shards,
+		RemoteShards:   *remote,
+		ShardEndpoints: eps,
+		ShardWire:      *wire,
+		Partition:      *partition,
+		ReportWire:     reportWire(*wire),
+		ReportBatch:    *repBatch,
+		ReportTopK:     *repTopK,
+		StreamReports:  *repStream,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detectord:", err)
@@ -187,12 +179,8 @@ func main() {
 			coord.NumShards(), coord.Components(), st.Partition)
 		for _, si := range st.Shards {
 			if si.Codec != "" {
-				comp := si.Compression
-				if comp == "" {
-					comp = shardrpc.CompressionIdentity
-				}
-				fmt.Printf("  shard %d @ %s (%d components, %s wire, %s localize)\n",
-					si.ID, si.Addr, len(si.Components), si.Codec, comp)
+				fmt.Printf("  shard %d @ %s (%d components, %s wire)\n",
+					si.ID, si.Addr, len(si.Components), si.Codec)
 				continue
 			}
 			fmt.Printf("  shard %d @ %s (%d components)\n", si.ID, si.Addr, len(si.Components))

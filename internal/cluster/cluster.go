@@ -68,10 +68,6 @@ type Options struct {
 	// ping time). Applies to RemoteShards boots and ShardEndpoints
 	// fleets alike, for the controller and the diagnoser both.
 	ShardWire string
-	// ShardCompression selects localize-path compression for remote
-	// shards (shardrpc.CompressAuto/CompressOff/CompressGzip; default
-	// auto-negotiate at ping time). Same scope as ShardWire.
-	ShardCompression string
 	// Partition selects the diagnosis plane's ownership policy ("exact"
 	// default, or "approx" to cut server-edge links — see shard.Plane).
 	// Applies to the controller's coordinator and the diagnoser both.
@@ -195,7 +191,6 @@ func Start(opts Options) (*Cluster, error) {
 	if len(c.ShardURLs) > 0 {
 		opts.Control.ShardEndpoints = c.ShardURLs
 		opts.Control.ShardWire = opts.ShardWire
-		opts.Control.ShardCompression = opts.ShardCompression
 	}
 	opts.Control.Partition = opts.Partition
 
@@ -237,15 +232,14 @@ func Start(opts Options) (*Cluster, error) {
 		return fail(fmt.Errorf("cluster: %w", err))
 	}
 	c.Diagnoser = diag.New(diag.Options{
-		Window:           opts.Window,
-		PLL:              pllCfg,
-		Topo:             f.Topology,
-		Shards:           opts.Shards,
-		ShardEndpoints:   c.ShardURLs,
-		ShardWire:        opts.ShardWire,
-		ShardCompression: opts.ShardCompression,
-		Partition:        partition,
-		LinkCounters:     counters,
+		Window:         opts.Window,
+		PLL:            pllCfg,
+		Topo:           f.Topology,
+		Shards:         opts.Shards,
+		ShardEndpoints: c.ShardURLs,
+		ShardWire:      opts.ShardWire,
+		Partition:      partition,
+		LinkCounters:   counters,
 	})
 	srv, url, err = serveHTTP(c.Diagnoser.Handler())
 	if err != nil {

@@ -79,11 +79,6 @@ type Config struct {
 	// WireJSON, or WireBinary. GET /shards reports the codec each shard
 	// actually negotiated.
 	ShardWire string
-	// ShardCompression selects localize-path compression for
-	// ShardEndpoints clients: shardrpc.CompressAuto (default — negotiate
-	// per shard at ping time), CompressOff, or CompressGzip. GET /shards
-	// reports the scheme each shard actually negotiated.
-	ShardCompression string
 	// Partition selects the diagnosis plane's ownership derivation:
 	// "exact" (default — connected components over every link) or
 	// "approx" (components over interior links only, cutting server-edge
@@ -238,8 +233,7 @@ func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 	if len(c.Cfg.ShardEndpoints) > 0 {
 		opt.Shards = 0
 		for i, ep := range c.Cfg.ShardEndpoints {
-			opt.Clients = append(opt.Clients, shardrpc.Dial(i, ep, shardrpc.ClientOptions{
-				Wire: c.Cfg.ShardWire, Compress: c.Cfg.ShardCompression}))
+			opt.Clients = append(opt.Clients, shardrpc.Dial(i, ep, shardrpc.ClientOptions{Wire: c.Cfg.ShardWire}))
 		}
 	}
 	coord, err := shard.New(ps, c.F.NumLinks(), opt)

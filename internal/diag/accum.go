@@ -36,7 +36,6 @@ type pathSlot struct {
 	slowSent, slowLost int       // long-window (SlowEvery) accumulation
 	hist               []float64 // per-window loss rates, flap detection
 	rttBase            int64     // healthy-baseline mean RTT (min-tracked)
-	engineHas          bool      // path is present in the incremental engine
 	idle               int       // windows since last report, for pruning
 }
 

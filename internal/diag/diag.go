@@ -103,24 +103,21 @@ type Options struct {
 	// suggests 10-minute windows against 30-second fast windows, i.e.
 	// SlowEvery = 20).
 	SlowEvery int
-	// Shards, when > 1, runs each localization pass on the sharded
-	// diagnosis plane: observations route to per-shard PLL localizers by
-	// path owner (connected component of the probe matrix) and the
-	// verdicts merge — bit-identical to one global pll.Localize.
+	// Shards is how many shards the diagnosis plane (shard.Plane) spreads
+	// the matrix over; 0 and 1 are the plane with one shard, whose part is
+	// the matrix itself. With more, observations route to per-shard PLL
+	// engines by path owner (connected component of the probe matrix) and
+	// the verdicts merge — bit-identical to one global pll.Localize.
 	Shards int
 	// ShardEndpoints lists remote shard service URLs (internal/shardrpc).
 	// When set, each shard's localization pass dispatches over the
 	// transport instead of running locally (falling back to local
-	// execution — same algorithm, same verdicts — when a service fails
+	// execution — same engine, same verdicts — when a service fails
 	// mid-window); Shards is implied (= len(ShardEndpoints)).
 	ShardEndpoints []string
 	// ShardWire selects the transport codec for ShardEndpoints clients
 	// (shardrpc.WireAuto/WireJSON/WireBinary; default auto-negotiate).
 	ShardWire string
-	// ShardCompression selects localize-path compression for ShardEndpoints
-	// clients (shardrpc.CompressAuto/CompressOff/CompressGzip; default
-	// auto-negotiate).
-	ShardCompression string
 	// Partition selects how the diagnosis plane derives path ownership:
 	// shard.PartitionExact (default — connected components over every link,
 	// bit-identical merge) or shard.PartitionApprox (components over
@@ -151,18 +148,13 @@ type Options struct {
 	// fall off the front. The diagnoser runs for months — an unbounded
 	// append is a slow leak.
 	MaxAlerts int
-	// DisableIncremental forces the full PLL recompute every window even on
-	// the unsharded path. The incremental engine is bit-identical (pinned
-	// by TestIncrementalMatchesFull); this switch exists for that pin and
-	// for emergencies.
-	DisableIncremental bool
 }
 
 // Diagnoser aggregates reports and localizes per window.
 type Diagnoser struct {
 	opts    Options
 	client  *http.Client
-	shards  int // effective shard count (Shards or len(ShardEndpoints))
+	shards  int // effective shard count (Shards or len(ShardEndpoints), at least 1)
 	clients map[int]shard.ShardClient
 	tr      *obs.Tracer
 
@@ -176,12 +168,10 @@ type Diagnoser struct {
 	mu           sync.Mutex
 	matrix       *route.Probes
 	version      int
-	planeCache   shard.PlaneCache // lazily built per matrix signature when opts.Shards > 1
-	inc          *pll.Incremental // standing PLL engine (unsharded path)
-	incFor       *route.Probes
-	accVersion   int  // matrix version the accumulator's slots belong to
-	accVersionOK bool // accVersion has been adopted (first window seen)
-	slowWindows  int  // fast windows since last slow pass
+	planeCache   shard.PlaneCache // the diagnosis plane, built once per served matrix
+	accVersion   int              // matrix version the accumulator's slots belong to
+	accVersionOK bool             // accVersion has been adopted (first window seen)
+	slowWindows  int              // fast windows since last slow pass
 	alerts       []Alert
 	stopped      bool
 	stopChan     chan struct{}
@@ -207,7 +197,7 @@ func New(opts Options) *Diagnoser {
 	}
 	d := &Diagnoser{
 		opts: opts, client: client,
-		shards:   opts.Shards,
+		shards:   max(opts.Shards, 1),
 		tr:       obs.NewTracer("diag", 16),
 		accum:    newAccumulator(),
 		maxBody:  maxBody,
@@ -217,8 +207,7 @@ func New(opts Options) *Diagnoser {
 		d.shards = len(opts.ShardEndpoints)
 		d.clients = make(map[int]shard.ShardClient, d.shards)
 		for i, ep := range opts.ShardEndpoints {
-			d.clients[i] = shardrpc.Dial(i, ep, shardrpc.ClientOptions{
-				Wire: opts.ShardWire, Compress: opts.ShardCompression})
+			d.clients[i] = shardrpc.Dial(i, ep, shardrpc.ClientOptions{Wire: opts.ShardWire})
 		}
 		d.negotiateCodecs()
 	}
@@ -449,13 +438,19 @@ func (d *Diagnoser) Handler() http.Handler {
 	mux.HandleFunc("/statusz", obs.StatuszHandler("diag", d.tr, func() any {
 		d.mu.Lock()
 		defer d.mu.Unlock()
-		return map[string]any{
+		st := map[string]any{
 			"version": d.version,
 			"reports": d.reports.Load(),
 			"alerts":  len(d.alerts),
 			"paths":   d.accum.paths(),
 			"shards":  d.shards,
 		}
+		if pl := d.planeCache.Cached(); pl != nil {
+			// The last transport failure per shard: those windows were
+			// localized by the local fallback, so nothing else says why.
+			st["shard_errors"] = pl.RemoteErrors()
+		}
+		return st
 	}))
 	return mux
 }
@@ -604,22 +599,8 @@ func (d *Diagnoser) RunWindow() *Alert {
 		// counters merged across the transition) is stale. Prune it all and
 		// start the new construction cycle clean.
 		d.accum.reset()
-		d.inc, d.incFor = nil, nil
 	}
 	d.accVersion, d.accVersionOK = version, true
-	// The incremental engine runs the unsharded path only; the sharded
-	// plane keeps the full per-window recompute (its observations are
-	// partitioned per shard, a different execution shape).
-	var inc *pll.Incremental
-	if matrix != nil && d.shards <= 1 && len(d.clients) == 0 && !d.opts.DisableIncremental {
-		if d.inc == nil || d.incFor != matrix {
-			d.inc = pll.NewIncremental(matrix, cfg)
-			d.incFor = matrix
-		}
-		inc = d.inc
-	} else {
-		d.inc, d.incFor = nil, nil
-	}
 	slowDue := false
 	if d.opts.SlowEvery > 0 {
 		d.slowWindows++
@@ -630,12 +611,11 @@ func (d *Diagnoser) RunWindow() *Alert {
 	}
 	d.mu.Unlock()
 
-	// Walk the stripes: snapshot touched slots into observations, roll the
-	// cross-window state forward in place, zero the window section, and
-	// keep the incremental engine in lockstep (silent paths leave it, so a
-	// pass sees exactly this window's observation multiset). Slots idle
-	// past the history horizon are deleted — the accumulator is bounded by
-	// the live path population.
+	// Walk the stripes: snapshot touched slots into observations (one per
+	// matrix row — the plane's window contract), roll the cross-window
+	// state forward in place and zero the window section. Slots idle past
+	// the history horizon are deleted — the accumulator is bounded by the
+	// live path population.
 	observations := make([]pll.Observation, 0, 1024)
 	var slowObs []pll.Observation
 	// sig snapshots the cross-window context as it stood BEFORE this
@@ -674,10 +654,6 @@ func (d *Diagnoser) RunWindow() *Alert {
 				}
 				if inMatrix {
 					observations = append(observations, o)
-					if inc != nil {
-						inc.Update(o)
-						c.engineHas = true
-					}
 				}
 				if inMatrix && len(c.hist) > 0 {
 					sig.History[o.Path] = append([]float64(nil), c.hist...)
@@ -706,12 +682,6 @@ func (d *Diagnoser) RunWindow() *Alert {
 				c.acked, c.rttW, c.rttSum, c.jitSum, c.ecnSum = 0, 0, 0, 0, 0
 				c.touched = false
 			} else {
-				if inc != nil && c.engineHas {
-					if row, ok := matrix.RowOf(pathID); ok {
-						inc.Remove(row)
-					}
-				}
-				c.engineHas = false
 				c.idle++
 			}
 			if slowDue && c.slowSent > 0 {
@@ -739,28 +709,28 @@ func (d *Diagnoser) RunWindow() *Alert {
 	if matrix == nil {
 		return nil
 	}
-	alert := d.localizeAlert(cy, matrix, version, observations, cfg, false, sig, inc)
+	alert := d.localizeAlert(cy, matrix, version, observations, cfg, false, sig)
 	if slowDue && len(slowObs) > 0 {
 		// The slow pass is the low-rate loss net; it pools too many windows
-		// for the time-series signals to mean anything, and it always runs
-		// the full recompute (its multiset is not the engine's window).
-		d.localizeAlert(cy, matrix, version, slowObs, cfg, true, nil, nil)
+		// for the time-series signals to mean anything.
+		d.localizeAlert(cy, matrix, version, slowObs, cfg, true, nil)
 	}
 	return alert
 }
 
 // shardPlane returns the diagnosis plane for matrix, rebuilding it when
-// the served matrix changes (one partition per construction cycle). The
-// cache keys on the matrix's content signature, not pointer identity —
-// the /matrix fetch allocates a fresh Probes every window, so an
-// unchanged served matrix must not rebuild the owner and local maps
-// every 30 seconds. The plane is derived from the matrix alone, over all
-// configured shard slots rather than the coordinator's live set: the
-// diagnoser is a separate service that only sees the controller's HTTP
-// surface, and since it executes every slot's localizer locally, a dead
-// controller shard costs nothing here — construction failover is the
-// coordinator's job (Coordinator.BuildPlane is the liveness-aware
-// variant for in-process embedders).
+// the served matrix changes (one partition, and one engine per part, per
+// construction cycle). A matrix handed over by SetMatrix hits the cache on
+// pointer identity; the /matrix fetch allocates a fresh Probes every
+// window, and for that path the cache compares content, so an unchanged
+// served matrix does not rebuild anything every 30 seconds. The plane is
+// derived from the matrix alone, over all configured shard slots rather
+// than the coordinator's live set: the diagnoser is a separate service
+// that only sees the controller's HTTP surface, and since it can execute
+// every slot's engine locally, a dead controller shard costs nothing here
+// — construction failover is the coordinator's job
+// (Coordinator.BuildPlane is the liveness-aware variant for in-process
+// embedders).
 func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 	alive := make([]int, d.shards)
 	for i := range alive {
@@ -776,38 +746,20 @@ func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 	return pl.UseClients(d.clients)
 }
 
-// localizeAlert runs one PLL pass — routed across the shard plane when
-// configured — and records the alert. The fast pass (sig non-nil) places
-// every localized link in the verdict lattice: congestion and delay
-// verdicts become Soft advisories instead of Bad alerts, and the
-// signal-localization pass adds soft links whose faults lose nothing.
-func (d *Diagnoser) localizeAlert(cy *obs.Cycle, matrix *route.Probes, version int, observations []pll.Observation, cfg pll.Config, slow bool, sig *pll.Signals, inc *pll.Incremental) *Alert {
+// localizeAlert runs one PLL pass on the diagnosis plane and records the
+// alert. The fast pass (sig non-nil) places every localized link in the
+// verdict lattice: congestion and delay verdicts become Soft advisories
+// instead of Bad alerts, and the signal-localization pass adds soft links
+// whose faults lose nothing.
+func (d *Diagnoser) localizeAlert(cy *obs.Cycle, matrix *route.Probes, version int, observations []pll.Observation, cfg pll.Config, slow bool, sig *pll.Signals) *Alert {
 	if len(observations) == 0 {
 		return nil
 	}
-	var res *pll.Result
-	var err error
-	// The plane runs whenever localization is sharded OR remote: a single
-	// remote shard still gets its windows over the transport. The standing
-	// incremental engine (already fed by the window close) covers the
-	// unsharded fast pass; pll.Incremental pins it bit-identical to the
-	// full recompute.
-	if inc != nil {
-		sp := cy.Span("localize")
-		res, err = inc.Pass(cfg)
-		sp.EndErr(err)
-	} else if d.shards > 1 || len(d.clients) > 0 {
-		var ms shard.MergeStats
-		res, ms, err = d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
-		cutLinkDisagreements.Add(int64(ms.Disagreements))
-	} else {
-		sp := cy.Span("localize")
-		res, err = pll.Localize(matrix, observations, cfg)
-		sp.EndErr(err)
-	}
+	res, ms, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
 	if err != nil {
 		return nil
 	}
+	cutLinkDisagreements.Add(int64(ms.Disagreements))
 	alert := Alert{
 		Time: time.Now(), Version: version,
 		LossyPaths: res.LossyPaths, Unexplained: res.UnexplainedPaths,

@@ -3,15 +3,18 @@ package diag
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
 	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/pinger"
+	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shardrpc"
@@ -298,7 +301,7 @@ func servedMatrix(t *testing.T, ps route.PathSet, numLinks int) *route.Probes {
 // fleetWindow synthesizes one window of per-node reports over the matrix:
 // every path reports sent=200, paths crossing a bad link lose 60%, and
 // paths are sharded over nodes round-robin. silentNodes drop their reports
-// entirely (path churn for the incremental engine).
+// entirely (rows absent from the window).
 func fleetWindow(m *route.Probes, nodes int, badLinks map[topo.LinkID]bool, silentNodes map[int]bool) []pinger.Report {
 	reps := make([]pinger.Report, nodes)
 	for n := range reps {
@@ -329,8 +332,8 @@ func fleetWindow(m *route.Probes, nodes int, badLinks map[topo.LinkID]bool, sile
 }
 
 // windowScript returns per-window fault/churn settings: the bad-link set
-// moves and some nodes go silent, exercising incremental update/remove and
-// reclassification.
+// moves and some nodes go silent, so windows differ in both their lossy
+// and their absent rows.
 func windowScript(m *route.Probes, nodes int) []struct {
 	bad    map[topo.LinkID]bool
 	silent map[int]bool
@@ -349,12 +352,54 @@ func windowScript(m *route.Probes, nodes int) []struct {
 	}
 }
 
-// TestIncrementalMatchesFull pins the tentpole invariant on served
-// matrices: a diagnoser running the standing incremental engine produces
-// bit-identical alerts to one forced onto the full per-window recompute,
-// across windows with fault churn and vanishing pingers, on Fattree(8) and
-// BCube(4,1).
-func TestIncrementalMatchesFull(t *testing.T) {
+// windowObservations is the window a fleet's reports add up to, as the
+// full-recompute oracle takes it: one observation per reported row.
+func windowObservations(reps []pinger.Report, into map[int]pll.Observation) []pll.Observation {
+	var obs []pll.Observation
+	for _, rep := range reps {
+		for _, r := range rep.Results {
+			o := pll.Observation{Path: int(r.PathID), Sent: r.Sent, Lost: r.Lost}
+			obs = append(obs, o)
+			if into != nil {
+				b := into[o.Path]
+				into[o.Path] = pll.Observation{Path: o.Path, Sent: b.Sent + o.Sent, Lost: b.Lost + o.Lost}
+			}
+		}
+	}
+	return obs
+}
+
+// mustMatchOracle requires an alert to carry exactly the full recompute's
+// verdicts over obs: same links, bit-identical rates, same path counters.
+func mustMatchOracle(t *testing.T, what string, a *Alert, m *route.Probes, obs []pll.Observation) {
+	t.Helper()
+	want, err := pll.Localize(m, obs, pll.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == nil {
+		t.Fatalf("%s: no alert, oracle says %+v", what, want.Bad)
+	}
+	got := append(append([]LinkVerdict(nil), a.Bad...), a.Soft...)
+	sort.Slice(got, func(i, j int) bool { return got[i].Link < got[j].Link })
+	if len(got) != len(want.Bad) || a.LossyPaths != want.LossyPaths || a.Unexplained != want.UnexplainedPaths {
+		t.Fatalf("%s: alert %+v diverges from the full recompute %+v", what, a, want)
+	}
+	for i, v := range want.Bad {
+		if got[i].Link != v.Link || got[i].Rate != v.Rate {
+			t.Fatalf("%s: verdict %d = %+v, full recompute says %+v", what, i, got[i], v)
+		}
+	}
+}
+
+// TestDiagnoserMatchesFullRecompute pins the tentpole invariant on served
+// matrices: the diagnoser, which localizes every window on the plane's
+// sparse engine, raises exactly the alerts of a full pll.Localize over the
+// same window — across windows with fault churn and vanishing pingers, for
+// the fast pass and the pooled slow pass, on Fattree(8) and BCube(4,1).
+// The alert hashes are the ones the incremental-vs-full pin printed before
+// the engines were unified.
+func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("served-matrix differential is not -short")
 	}
@@ -364,39 +409,51 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		name     string
 		ps       route.PathSet
 		numLinks int
+		wantHash uint64
 	}{
-		{"Fattree8", route.NewFattreePaths(f8), f8.NumLinks()},
-		{"BCube41", route.NewBCubePaths(b41), b41.NumLinks()},
+		{"Fattree8", route.NewFattreePaths(f8), f8.NumLinks(), 0xee38b0dd8d8fa4bc},
+		{"BCube41", route.NewBCubePaths(b41), b41.NumLinks(), 0xab52d2f3f4337d62},
 	}
 	const nodes = 48
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			m := servedMatrix(t, c.ps, c.numLinks)
-			dInc := New(Options{Window: time.Hour})
-			dFull := New(Options{Window: time.Hour, DisableIncremental: true})
-			dInc.SetMatrix(m, 1)
-			dFull.SetMatrix(m, 1)
+			d := New(Options{Window: time.Hour})
+			dSlow := New(Options{Window: time.Hour, SlowEvery: 2})
+			d.SetMatrix(m, 1)
+			dSlow.SetMatrix(m, 1)
 
+			pooled := make(map[int]pll.Observation)
+			slowAlerts := 0
 			for w, sc := range windowScript(m, nodes) {
-				for _, rep := range fleetWindow(m, nodes, sc.bad, sc.silent) {
-					rep := rep
-					dInc.Ingest(&rep)
-					dFull.Ingest(&rep)
+				reps := fleetWindow(m, nodes, sc.bad, sc.silent)
+				for i := range reps {
+					d.Ingest(&reps[i])
+					dSlow.Ingest(&reps[i])
 				}
-				aInc := dInc.RunWindow()
-				aFull := dFull.RunWindow()
-				if (aInc == nil) != (aFull == nil) {
-					t.Fatalf("window %d: inc=%v full=%v", w, aInc, aFull)
+				obs := windowObservations(reps, pooled)
+				mustMatchOracle(t, fmt.Sprintf("window %d", w), d.RunWindow(), m, obs)
+				dSlow.RunWindow()
+				if w%2 == 1 {
+					slow := dSlow.Alerts()
+					last := slow[len(slow)-1]
+					if !last.Slow {
+						t.Fatalf("window %d: no slow pass ran", w)
+					}
+					var pool []pll.Observation
+					for _, o := range pooled {
+						pool = append(pool, o)
+					}
+					mustMatchOracle(t, fmt.Sprintf("slow pass at window %d", w), &last, m, pool)
+					pooled = make(map[int]pll.Observation)
+					slowAlerts++
 				}
 			}
-			hInc := alertsHash(t, dInc.Alerts())
-			hFull := alertsHash(t, dFull.Alerts())
-			if hInc != hFull {
-				t.Fatalf("incremental alerts diverge from full recompute:\n inc  %x %+v\n full %x %+v",
-					hInc, strippedAlerts(dInc.Alerts()), hFull, strippedAlerts(dFull.Alerts()))
+			if slowAlerts == 0 {
+				t.Fatal("no slow pass was checked")
 			}
-			if len(dInc.Alerts()) == 0 {
-				t.Fatal("script produced no alerts — the pin is vacuous")
+			if h := alertsHash(t, d.Alerts()); h != c.wantHash {
+				t.Fatalf("alert hash %x, pinned %x: %+v", h, c.wantHash, strippedAlerts(d.Alerts()))
 			}
 		})
 	}
@@ -481,8 +538,8 @@ func postOK(t *testing.T, url, contentType string, body []byte) {
 
 // TestMixedFleetIngest is the acceptance pin: a fleet split between JSON
 // POSTs, per-report binary frames, and streamed summary frames produces
-// alerts hash-identical to an all-JSON fleet into a full-recompute
-// diagnoser, on served Fattree(8) and BCube(4,1) matrices. Summary frames
+// alerts hash-identical to an all-JSON fleet ingested in process, on
+// served Fattree(8) and BCube(4,1) matrices. Summary frames
 // keep every path's counters (worst + residue), so loss localization is
 // exactly the JSON outcome regardless of transport.
 func TestMixedFleetIngest(t *testing.T) {
@@ -509,7 +566,7 @@ func TestMixedFleetIngest(t *testing.T) {
 			srv := httptest.NewServer(dMixed.Handler())
 			defer srv.Close()
 
-			dRef := New(Options{Window: time.Hour, DisableIncremental: true})
+			dRef := New(Options{Window: time.Hour})
 			dRef.SetMatrix(m, 1)
 
 			for _, sc := range windowScript(m, nodes) {
@@ -526,7 +583,7 @@ func TestMixedFleetIngest(t *testing.T) {
 			hMixed := alertsHash(t, dMixed.Alerts())
 			hRef := alertsHash(t, dRef.Alerts())
 			if hMixed != hRef {
-				t.Fatalf("mixed-fleet alerts diverge from all-JSON full recompute:\n mixed %x %+v\n ref   %x %+v",
+				t.Fatalf("mixed-fleet alerts diverge from the all-JSON fleet's:\n mixed %x %+v\n ref   %x %+v",
 					hMixed, strippedAlerts(dMixed.Alerts()), hRef, strippedAlerts(dRef.Alerts()))
 			}
 			if len(dMixed.Alerts()) == 0 {

@@ -10,18 +10,25 @@ import (
 	"net/http"
 )
 
-// ErrorBody is the wire shape of every error response.
+// ErrorBody is the wire shape of every error response. Code is set only
+// on errors a client is expected to act on by kind rather than report.
 type ErrorBody struct {
 	Error string `json:"error"`
+	Code  string `json:"code,omitempty"`
 }
 
 // Error writes a JSON error body with the given status code.
-func Error(w http.ResponseWriter, code int, format string, args ...any) {
+func Error(w http.ResponseWriter, status int, format string, args ...any) {
+	ErrorCode(w, status, "", format, args...)
+}
+
+// ErrorCode is Error with a machine-readable code in the body.
+func ErrorCode(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
+	w.WriteHeader(status)
 	// Encoding a flat struct cannot fail; ignore the writer's error as
 	// net/http handlers conventionally do.
-	_ = json.NewEncoder(w).Encode(ErrorBody{Error: fmt.Sprintf(format, args...)})
+	_ = json.NewEncoder(w).Encode(ErrorBody{Error: fmt.Sprintf(format, args...), Code: code})
 }
 
 // RequireMethod enforces the handler's method, answering 405 with an Allow

@@ -106,27 +106,39 @@ func preprocess(p *route.Probes, obs []Observation, cfg Config) (lossy []Observa
 		if o.Sent <= 0 || o.Path < 0 || o.Path >= p.NumPaths() {
 			continue
 		}
-		if cfg.Unhealthy != nil {
-			if cfg.Unhealthy[p.Src[o.Path]] || cfg.Unhealthy[p.Dst[o.Path]] {
-				continue
-			}
+		if cfg.unhealthyPath(p, o.Path) {
+			continue
 		}
-		ratio := float64(o.Lost) / float64(o.Sent)
-		isLossy := o.Lost >= cfg.MinLoss && ratio >= cfg.LossRatioFloor
-		if isLossy && cfg.BaselineRate > 0 {
-			sig := cfg.Significance
-			if sig <= 0 {
-				sig = 1e-3
-			}
-			isLossy = SignificantLoss(o.Sent, o.Lost, cfg.BaselineRate, sig)
-		}
-		if isLossy {
+		if cfg.lossy(o) {
 			lossy = append(lossy, o)
 		} else {
 			cleanPaths = append(cleanPaths, o.Path)
 		}
 	}
 	return lossy, cleanPaths
+}
+
+// unhealthyPath reports whether either endpoint of a path is a server the
+// watchdog flagged: its observations are outliers (paper §5.1).
+func (cfg Config) unhealthyPath(p *route.Probes, path int) bool {
+	return cfg.Unhealthy != nil && (cfg.Unhealthy[p.Src[path]] || cfg.Unhealthy[p.Dst[path]])
+}
+
+// lossy classifies one observation with Sent > 0 against the loss floor
+// and, when BaselineRate is set, the binomial significance test.
+func (cfg Config) lossy(o Observation) bool {
+	ratio := float64(o.Lost) / float64(o.Sent)
+	if o.Lost < cfg.MinLoss || ratio < cfg.LossRatioFloor {
+		return false
+	}
+	if cfg.BaselineRate > 0 {
+		sig := cfg.Significance
+		if sig <= 0 {
+			sig = 1e-3
+		}
+		return SignificantLoss(o.Sent, o.Lost, cfg.BaselineRate, sig)
+	}
+	return true
 }
 
 // Localize runs PLL on one window of observations.
@@ -153,7 +165,7 @@ func Localize(p *route.Probes, obs []Observation, cfg Config) (*Result, error) {
 // localizeCore runs Steps 2-5 of PLL over an already-preprocessed lossy
 // set: candidate links by hit ratio, decomposition into components, the
 // per-component greedy in parallel, and the final link-ID sort. It is
-// shared by the one-shot Localize and the Incremental engine — the
+// shared by the one-shot Localize and the Engine — the
 // bit-identical-verdicts guarantee between them rests on this being the
 // same code path. The verdicts depend only on the lossy SET (and
 // pathsThrough), not its order: candidates are walked in link-ID order,

@@ -30,13 +30,15 @@ type ShardClient interface {
 	// returns for the same slice on the same matrix — the coordinator
 	// verifies intent via req.MatrixSig and merges by sorted union.
 	Construct(req ConstructRequest) (*pmc.Result, error)
-	// Localize runs one PLL pass over a routed sub-matrix and its
-	// window of observations (link IDs stay in the global space, so the
-	// verdicts need no translation). cycle is the caller's observability
-	// cycle ID (0 when untraced); transport clients propagate it to the
-	// shard service in the X-Detector-Cycle header so server-side spans
-	// file under the caller's timeline.
-	Localize(cycle uint64, sub *route.Probes, obs []pll.Observation, cfg pll.Config) (*pll.Result, error)
+	// Localize runs one PLL pass over a plane part and one window of its
+	// exceptions; the verdicts must be exactly part.Engine.Localize(w, cfg)
+	// (link IDs stay in the global space, so they need no translation).
+	// Transport clients name the part's matrix by part.Sig and ship it only
+	// when the shard service does not hold it. cycle is the caller's
+	// observability cycle ID (0 when untraced); transport clients
+	// propagate it to the shard service in the X-Detector-Cycle header so
+	// server-side spans file under the caller's timeline.
+	Localize(cycle uint64, part *Part, w pll.Window, cfg pll.Config) (*pll.Result, error)
 	// Close releases transport resources. The coordinator owns its
 	// clients and closes them on Stop.
 	Close() error
@@ -78,14 +80,6 @@ type MatrixChecker interface {
 // Status, so a fleet stuck on the fallback codec after an upgrade is
 // visible at GET /shards instead of only in payload-size graphs.
 type CodecReporter interface{ Codec() string }
-
-// CompressionReporter is implemented by transport clients that know which
-// per-message compression their localize requests travel under ("gzip",
-// "identity" — negotiated at ping time alongside the codec). Surfaced per
-// shard in Status for the same reason as the codec: a fleet silently
-// stuck uncompressed after an upgrade should be visible at GET /shards,
-// not only in wire-byte graphs.
-type CompressionReporter interface{ Compression() string }
 
 // Killer is implemented by shard clients that can simulate a crash for
 // tests and drills (the in-process shard). Remote shards die for real:

@@ -764,9 +764,9 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 // BuildPlane partitions a served probe matrix across the currently alive
 // shards for report routing and per-shard localization, dispatched over
 // the same transport clients (see Plane). The partition policy comes from
-// Options.Partition; the union-find partition is cached by matrix content
-// signature, so successive cycles over an unchanged served matrix (and an
-// unchanged alive set) reuse the same plane.
+// Options.Partition; the plane (partition, sub-matrices, engines) is cached
+// per matrix, so successive cycles over an unchanged served matrix (and an
+// unchanged alive set) reuse it.
 func (c *Coordinator) BuildPlane(p *route.Probes) *Plane {
 	c.mu.Lock()
 	alive := c.aliveLocked()
@@ -791,10 +791,6 @@ type ShardInfo struct {
 	// Codec is the negotiated wire codec for transport-backed shards
 	// (CodecReporter); empty for in-process shards, which have no wire.
 	Codec string `json:"codec,omitempty"`
-	// Compression is the negotiated localize-path compression for
-	// transport-backed shards (CompressionReporter); empty for in-process
-	// shards, which have no wire.
-	Compression string `json:"compression,omitempty"`
 	// Components are the component indices the shard currently owns.
 	Components []int `json:"components"`
 }
@@ -865,9 +861,6 @@ func (c *Coordinator) Status() Status {
 		}
 		if cr, ok := c.clients[i].(CodecReporter); ok {
 			info.Codec = cr.Codec()
-		}
-		if cr, ok := c.clients[i].(CompressionReporter); ok {
-			info.Compression = cr.Compression()
 		}
 		st.Shards = append(st.Shards, info)
 	}

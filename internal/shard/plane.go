@@ -35,8 +35,8 @@ var planeLocalFallbacks = metrics.NewCounter("shard_plane_local_fallbacks")
 var planeCutLinks = obs.NewGauge("shard_plane_cut_links",
 	"Links whose observed paths the diagnosis plane splits across shards (0 = exact partition).")
 
-// planeCacheHits counts plane builds avoided because the served matrix's
-// content signature (route.ProbesSignature) matched the cached partition.
+// planeCacheHits counts plane builds avoided because the served matrix was
+// the cached one (same pointer, or same route.ProbesSignature content).
 var planeCacheHits = metrics.NewCounter("shard_plane_cache_hits")
 
 // PartitionPolicy selects how the diagnosis plane derives path ownership.
@@ -101,8 +101,10 @@ type MergeStats struct {
 }
 
 // Plane is the diagnosis side of the sharded plane: a partition of a served
-// probe matrix across shards, with probe-report routing by path ID and a
-// cluster-wide verdict merge.
+// probe matrix across shards, each shard's part owning one PLL engine, with
+// probe-report routing by path ID and a cluster-wide verdict merge. It is
+// the one way a window gets localized: an unsharded diagnoser runs the
+// plane with one shard, whose part is the matrix itself.
 //
 // Under the Exact policy the partition unit is a connected component of
 // the probe matrix itself (links connected through shared probe paths):
@@ -116,24 +118,52 @@ type MergeStats struct {
 // ratios on the cut links in exchange for spreading the matrix — the cut
 // set and its replication counts are exported so the accuracy loss is a
 // measured bound, not a hope.
+//
+// Window contract, enforced on every Localize: at most one observation per
+// matrix row. The diagnoser's accumulator emits exactly that; a duplicate
+// is an error, not a silent double count.
 type Plane struct {
-	alive   []int
-	policy  PartitionPolicy
-	owner   []int32 // global path index -> owning shard id
-	local   []int32 // global path index -> row in the owner's sub-matrix
-	subs    map[int]*planeShard
+	alive  []int
+	policy PartitionPolicy
+	owner  []int32 // global path index -> owning shard id
+	local  []int32 // global path index -> row in the owner's sub-matrix
+	subs   map[int]*Part
+	// whole is the shard whose part is the plane's matrix itself (it owns
+	// every row, so a window needs no routing), or -1.
+	whole   int
 	clients map[int]ShardClient // optional: dispatch localization over the transport
 
 	parts   int                 // partition count before shard assignment
 	cuts    []route.CutLink     // shard-level cut links, ascending
 	cutRepl map[topo.LinkID]int // cut link -> shards sharing it
+
+	errMu      sync.Mutex
+	remoteErrs map[int]RemoteError
 }
 
-// planeShard is one shard's slice of the matrix: the sub-matrix over its
-// paths (global link-ID space preserved, so verdicts need no translation).
-type planeShard struct {
-	probes *route.Probes
-	global []int32 // local row -> global path index
+// Part is one shard's slice of a plane: a PLL engine over the sub-matrix of
+// the paths the shard owns (global link-ID space preserved, so verdicts
+// need no translation) and the content address that names that sub-matrix
+// on the wire. A shard that owns every path gets the plane's matrix itself,
+// not a copy.
+type Part struct {
+	Engine *pll.Engine
+	// Sig is route.RowsSignature of the engine's matrix, computed once when
+	// the plane is built.
+	Sig uint64
+}
+
+func newPart(m *route.Probes) *Part {
+	return &Part{Engine: pll.NewEngine(m), Sig: route.RowsSignature(m)}
+}
+
+// RemoteError is the last failure of a shard's transport client on this
+// plane, as served at the diagnoser's /statusz: the window itself was
+// localized by the local fallback, so without this a shard that rejects
+// every request is visible only as a ticking fallback counter.
+type RemoteError struct {
+	Time  time.Time `json:"time"`
+	Error string    `json:"error"`
 }
 
 // NewPlane partitions p across the alive shard ids (must be non-empty,
@@ -164,7 +194,8 @@ func NewPlaneWithPolicy(p *route.Probes, alive []int, policy PartitionPolicy) *P
 		policy: policy,
 		owner:  make([]int32, n),
 		local:  make([]int32, n),
-		subs:   make(map[int]*planeShard, len(alive)),
+		subs:   make(map[int]*Part, len(alive)),
+		whole:  -1,
 		parts:  len(keys),
 	}
 	for i := 0; i < n; i++ {
@@ -177,7 +208,21 @@ func NewPlaneWithPolicy(p *route.Probes, alive []int, policy PartitionPolicy) *P
 		}
 		pl.owner[i] = owners[pathPart[i]]
 	}
+	owned := make(map[int32]int, len(alive))
+	for _, o := range pl.owner {
+		owned[o]++
+	}
 	for _, id := range alive {
+		switch owned[int32(id)] {
+		case 0:
+			continue
+		case n:
+			for i := range pl.local {
+				pl.local[i] = int32(i)
+			}
+			pl.subs[id], pl.whole = newPart(p), id
+			continue
+		}
 		var pathLinks [][]topo.LinkID
 		var global []int32
 		for i := 0; i < n; i++ {
@@ -188,14 +233,11 @@ func NewPlaneWithPolicy(p *route.Probes, alive []int, policy PartitionPolicy) *P
 			global = append(global, int32(i))
 			pathLinks = append(pathLinks, p.PathLinks[i])
 		}
-		if len(global) == 0 {
-			continue
-		}
 		sub := route.NewProbesFromLinks(pathLinks, p.NumLinks)
 		for li, gi := range global {
 			sub.Src[li], sub.Dst[li] = p.Src[gi], p.Dst[gi]
 		}
-		pl.subs[id] = &planeShard{probes: sub, global: global}
+		pl.subs[id] = newPart(sub)
 	}
 	pl.findCuts(p)
 	planeCutLinks.Set(int64(len(pl.cuts)))
@@ -283,8 +325,8 @@ func (pl *Plane) findCuts(p *route.Probes) {
 
 // UseClients attaches transport clients keyed by shard id: Localize then
 // dispatches each shard's pass through its client instead of running it
-// locally, falling back to local execution (same algorithm, same
-// sub-matrix, hence the same verdicts) when a client fails mid-window.
+// locally, falling back to local execution (the same engine on the same
+// window, hence the same verdicts) when a client fails mid-window.
 // Returns pl for chaining.
 func (pl *Plane) UseClients(clients map[int]ShardClient) *Plane {
 	pl.clients = clients
@@ -355,40 +397,87 @@ func (pl *Plane) Route(obs []pll.Observation) map[int][]pll.Observation {
 	return out
 }
 
+// windows reduces one window of observations to each owning shard's
+// exceptions, shard ids ascending. The part that is the whole matrix takes
+// the observations as they are; otherwise they route by path owner first.
+func (pl *Plane) windows(observations []pll.Observation, cfg pll.Config) ([]int, []pll.Window, error) {
+	if pl.whole >= 0 {
+		w, err := pl.subs[pl.whole].Engine.Sparsify(observations, cfg)
+		return []int{pl.whole}, []pll.Window{w}, err
+	}
+	routed := pl.Route(observations)
+	ids := make([]int, 0, len(routed))
+	for id := range routed {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	ws := make([]pll.Window, len(ids))
+	for k, id := range ids {
+		var err error
+		if ws[k], err = pl.subs[id].Engine.Sparsify(routed[id], cfg); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", id, err)
+		}
+	}
+	return ids, ws, nil
+}
+
 // localizeShard runs shard id's PLL pass: through the transport client
-// when one is attached, locally otherwise — and locally as a fallback when
-// the client fails, so one flapping shard service degrades a window to
-// local compute instead of losing it.
-func (pl *Plane) localizeShard(cycle uint64, id int, obs []pll.Observation, cfg pll.Config) (*pll.Result, error) {
+// when one is attached, on the part's own engine otherwise — and on it as
+// a fallback when the client fails, so one flapping shard service degrades
+// a window to local compute instead of losing it. The remote failure is
+// not lost with it: it ends the shard's span and is kept for RemoteErrors.
+func (pl *Plane) localizeShard(cy *obs.Cycle, id int, w pll.Window, cfg pll.Config) (*pll.Result, error) {
+	part := pl.subs[id]
+	sp := cy.ShardSpan("localize", id)
+	var remoteErr error
 	if cl := pl.clients[id]; cl != nil {
-		if res, err := cl.Localize(cycle, pl.subs[id].probes, obs, cfg); err == nil {
+		var res *pll.Result
+		if res, remoteErr = cl.Localize(cy.ID(), part, w, cfg); remoteErr == nil {
+			sp.End()
 			return res, nil
 		}
 		planeLocalFallbacks.Inc()
+		pl.errMu.Lock()
+		if pl.remoteErrs == nil {
+			pl.remoteErrs = make(map[int]RemoteError)
+		}
+		pl.remoteErrs[id] = RemoteError{Time: time.Now(), Error: remoteErr.Error()}
+		pl.errMu.Unlock()
 	}
-	return pll.Localize(pl.subs[id].probes, obs, cfg)
-}
-
-// Localize routes the window to the owning shards, runs one PLL pass per
-// shard concurrently, and merges the verdicts: bad links are the sorted
-// union, and the lossy/unexplained counters sum.
-func (pl *Plane) Localize(observations []pll.Observation, cfg pll.Config) (*pll.Result, error) {
-	return pl.LocalizeCycle(nil, observations, cfg)
-}
-
-// LocalizeCycle is Localize under an observability cycle; see
-// LocalizeCycleStats for the merge bookkeeping.
-func (pl *Plane) LocalizeCycle(cy *obs.Cycle, observations []pll.Observation, cfg pll.Config) (*pll.Result, error) {
-	res, _, err := pl.LocalizeCycleStats(cy, observations, cfg)
+	res, err := part.Engine.Localize(w, cfg)
+	if err != nil {
+		sp.EndErr(err)
+	} else {
+		sp.EndErr(remoteErr)
+	}
 	return res, err
 }
 
-// LocalizeCycleStats runs one merged localization and reports what the
-// merge reconciled. Each shard's PLL pass gets a shard-tagged span on cy,
-// the merged pass feeds the "localize" stage histogram, and the cycle ID
-// rides to remote shards in the X-Detector-Cycle header so their
-// server-side spans file under the same timeline. A nil cy traces nothing
-// and propagates cycle ID 0.
+// RemoteErrors returns the last transport failure per shard since the
+// plane was built; empty when every remote pass succeeded.
+func (pl *Plane) RemoteErrors() map[int]RemoteError {
+	pl.errMu.Lock()
+	defer pl.errMu.Unlock()
+	out := make(map[int]RemoteError, len(pl.remoteErrs))
+	for id, e := range pl.remoteErrs {
+		out[id] = e
+	}
+	return out
+}
+
+// Localize runs one merged localization; see LocalizeCycleStats.
+func (pl *Plane) Localize(observations []pll.Observation, cfg pll.Config) (*pll.Result, error) {
+	res, _, err := pl.LocalizeCycleStats(nil, observations, cfg)
+	return res, err
+}
+
+// LocalizeCycleStats reduces the window to each owning shard's exceptions,
+// runs one PLL pass per shard concurrently, merges the verdicts and
+// reports what the merge reconciled. Each shard's pass gets a shard-tagged
+// span on cy, the merged pass feeds the "localize" stage histogram, and
+// the cycle ID rides to remote shards in the X-Detector-Cycle header so
+// their server-side spans file under the same timeline. A nil cy traces
+// nothing and propagates cycle ID 0.
 //
 // The merge is a sorted union of bad links with a reconciliation pass for
 // cut links: a link flagged by several shards keeps the maximum observed
@@ -399,12 +488,10 @@ func (pl *Plane) LocalizeCycle(cy *obs.Cycle, observations []pll.Observation, cf
 func (pl *Plane) LocalizeCycleStats(cy *obs.Cycle, observations []pll.Observation, cfg pll.Config) (*pll.Result, MergeStats, error) {
 	start := time.Now()
 	defer func() { stageLocalize.Observe(time.Since(start)) }()
-	routed := pl.Route(observations)
-	ids := make([]int, 0, len(routed))
-	for id := range routed {
-		ids = append(ids, id)
+	ids, windows, err := pl.windows(observations, cfg)
+	if err != nil {
+		return nil, MergeStats{}, err
 	}
-	sort.Ints(ids)
 
 	results := make([]*pll.Result, len(ids))
 	errs := make([]error, len(ids))
@@ -413,9 +500,7 @@ func (pl *Plane) LocalizeCycleStats(cy *obs.Cycle, observations []pll.Observatio
 		wg.Add(1)
 		go func(k, id int) {
 			defer wg.Done()
-			sp := cy.ShardSpan("localize", id)
-			results[k], errs[k] = pl.localizeShard(cy.ID(), id, routed[id], cfg)
-			sp.EndErr(errs[k])
+			results[k], errs[k] = pl.localizeShard(cy, id, windows[k], cfg)
 		}(k, id)
 	}
 	wg.Wait()
@@ -464,14 +549,16 @@ func (pl *Plane) LocalizeCycleStats(cy *obs.Cycle, observations []pll.Observatio
 	return merged, ms, nil
 }
 
-// PlaneCache memoizes the most recent plane by served-matrix content
-// signature: the diagnoser re-fetches the matrix every window and gets a
-// fresh allocation each time, so without the signature an unchanged matrix
-// rebuilt the union-find partition and every sub-matrix once per window.
-// The cache invalidates on any change to the matrix content, the alive
-// shard set, or the policy.
+// PlaneCache memoizes the most recent plane. A diagnoser handed its matrix
+// in process sees the same pointer every window and hits on identity, for
+// free; one that re-fetches /matrix gets a fresh allocation each window,
+// and for that path alone the cache falls back to the content signature,
+// so an unchanged matrix still does not rebuild the partition, the
+// sub-matrices and their engines. The cache invalidates on any change to
+// the matrix content, the alive shard set, or the policy.
 type PlaneCache struct {
 	mu     sync.Mutex
+	matrix *route.Probes // the matrix of the last hit or build; never mutated once served
 	sig    uint64
 	alive  []int
 	policy PartitionPolicy
@@ -486,10 +573,16 @@ func (pc *PlaneCache) Get(p *route.Probes, alive []int, policy PartitionPolicy) 
 	if policy == "" {
 		policy = PartitionExact
 	}
-	sig := route.ProbesSignature(p)
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.plane != nil && pc.sig == sig && pc.policy == policy && equalInts(pc.alive, alive) {
+	sameShape := pc.plane != nil && pc.policy == policy && equalInts(pc.alive, alive)
+	if sameShape && pc.matrix == p {
+		planeCacheHits.Inc()
+		return pc.plane, false
+	}
+	sig := route.ProbesSignature(p)
+	pc.matrix = p
+	if sameShape && pc.sig == sig {
 		planeCacheHits.Inc()
 		return pc.plane, false
 	}

@@ -120,13 +120,13 @@ func (s *Shard) Construct(req ConstructRequest) (*pmc.Result, error) {
 // MemoStats exposes the shard's warm-start cache counters.
 func (s *Shard) MemoStats() pmc.MemoStats { return s.memo.Stats() }
 
-// Localize runs PLL over a routed sub-matrix. The cycle ID is unused
+// Localize runs the part's engine over the window. The cycle ID is unused
 // in-process: the caller's own span already covers this call.
-func (s *Shard) Localize(_ uint64, sub *route.Probes, obs []pll.Observation, cfg pll.Config) (*pll.Result, error) {
+func (s *Shard) Localize(_ uint64, part *Part, w pll.Window, cfg pll.Config) (*pll.Result, error) {
 	if err := s.Ping(); err != nil {
 		return nil, err
 	}
-	return pll.Localize(sub, obs, cfg)
+	return part.Engine.Localize(w, cfg)
 }
 
 // Kill simulates a crash: every subsequent Ping, Construct and Localize

@@ -524,36 +524,37 @@ func decodeConstructRespBinary(data []byte, maxPayload int64) (*ConstructRespons
 // ---------------------------------------------------------------------------
 // LocalizeRequest.
 
+// Payload: version, signature (fixed 8 bytes), hit ratio, the absent rows
+// (ascending deltas), the lossy rows (row deltas interleaved with their
+// counters), then a presence byte and, when set, the matrix: link-ID
+// space, path count, each path's route-ordered links as zigzag deltas.
+
 func (r *LocalizeRequest) encodeBinary() []byte {
 	var b []byte
 	b = binary.AppendUvarint(b, uint64(r.V))
-	b = binary.AppendUvarint(b, uint64(r.NumLinks))
-	b = binary.AppendUvarint(b, uint64(len(r.Paths)))
-	for _, p := range r.Paths {
-		b = appendZigzagDelta(b, linksToInt64(p.Links))
-		b = binary.AppendUvarint(b, uint64(p.Src))
-		b = binary.AppendUvarint(b, uint64(p.Dst))
+	b = binary.LittleEndian.AppendUint64(b, r.Sig)
+	b = appendF64(b, r.HitRatio)
+	absent := make([]int64, len(r.Absent))
+	for i, row := range r.Absent {
+		absent[i] = int64(row)
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Obs)))
-	// Observations usually arrive in path order; zigzag deltas make the
-	// common ascending case one byte.
-	var pathEnc zigzagEnc
-	for _, o := range r.Obs {
-		b = pathEnc.append(b, int64(o.Path))
+	b = appendAscDelta(b, absent)
+	b = binary.AppendUvarint(b, uint64(len(r.Lossy)))
+	var rowEnc zigzagEnc
+	for _, o := range r.Lossy {
+		b = rowEnc.append(b, int64(o.Row))
 		b = binary.AppendUvarint(b, uint64(o.Sent))
 		b = binary.AppendUvarint(b, uint64(o.Lost))
 	}
-	b = appendF64(b, r.Cfg.HitRatio)
-	b = appendF64(b, r.Cfg.LossRatioFloor)
-	b = appendF64(b, r.Cfg.BaselineRate)
-	b = appendF64(b, r.Cfg.Significance)
-	b = binary.AppendUvarint(b, uint64(r.Cfg.MinLoss))
-	b = binary.AppendUvarint(b, uint64(r.Cfg.Workers))
-	unh := make([]int64, len(r.Cfg.Unhealthy))
-	for i, n := range r.Cfg.Unhealthy {
-		unh[i] = int64(n)
+	if r.Matrix == nil {
+		return sealFrame(kindLocalizeReq, append(b, 0))
 	}
-	b = appendAscDelta(b, unh)
+	b = append(b, 1)
+	b = binary.AppendUvarint(b, uint64(r.Matrix.NumLinks))
+	b = binary.AppendUvarint(b, uint64(len(r.Matrix.Paths)))
+	for _, links := range r.Matrix.Paths {
+		b = appendZigzagDelta(b, linksToInt64(links))
+	}
 	return sealFrame(kindLocalizeReq, b)
 }
 
@@ -567,80 +568,72 @@ func decodeLocalizeBinary(data []byte, maxPayload int64) (*LocalizeRequest, erro
 	if req.V, err = r.uint31(); err != nil {
 		return nil, err
 	}
-	if req.NumLinks, err = r.uint31(); err != nil {
+	if req.Sig, err = r.u64(); err != nil {
 		return nil, err
 	}
-	npaths, err := r.seqLen()
+	if req.HitRatio, err = r.f64(); err != nil {
+		return nil, err
+	}
+	absent, err := r.ascDelta()
+	if err != nil {
+		return nil, fmt.Errorf("absent rows: %w", err)
+	}
+	if absent != nil {
+		req.Absent = make([]int32, len(absent))
+		for i, row := range absent {
+			req.Absent[i] = int32(row)
+		}
+	}
+	nlossy, err := r.seqLen()
 	if err != nil {
 		return nil, err
 	}
-	if npaths > 0 {
-		req.Paths = make([]Path, npaths)
-		for i := range req.Paths {
+	if nlossy > 0 {
+		req.Lossy = make([]LossyRow, nlossy)
+		var rowDec zigzagDec
+		for i := range req.Lossy {
+			row, err := rowDec.next(r)
+			if err != nil {
+				return nil, fmt.Errorf("lossy row %d: %w", i, err)
+			}
+			req.Lossy[i].Row = int(row)
+			if req.Lossy[i].Sent, err = r.uint31(); err != nil {
+				return nil, err
+			}
+			if req.Lossy[i].Lost, err = r.uint31(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if r.remaining() < 1 {
+		return nil, errors.New("truncated matrix presence byte")
+	}
+	present := r.buf[r.off]
+	r.off++
+	switch present {
+	case 0:
+	case 1:
+		m := &Matrix{}
+		if m.NumLinks, err = r.uint31(); err != nil {
+			return nil, err
+		}
+		npaths, err := r.seqLen()
+		if err != nil {
+			return nil, err
+		}
+		if npaths > 0 {
+			m.Paths = make([][]topo.LinkID, npaths)
+		}
+		for i := range m.Paths {
 			links, err := r.zigzagDelta()
 			if err != nil {
-				return nil, fmt.Errorf("path %d links: %w", i, err)
+				return nil, fmt.Errorf("matrix path %d links: %w", i, err)
 			}
-			req.Paths[i].Links = int64ToLinks(links)
-			src, err := r.uint31()
-			if err != nil {
-				return nil, err
-			}
-			dst, err := r.uint31()
-			if err != nil {
-				return nil, err
-			}
-			req.Paths[i].Src, req.Paths[i].Dst = topo.NodeID(src), topo.NodeID(dst)
+			m.Paths[i] = int64ToLinks(links)
 		}
-	}
-	nobs, err := r.seqLen()
-	if err != nil {
-		return nil, err
-	}
-	if nobs > 0 {
-		req.Obs = make([]Observation, nobs)
-		var pathDec zigzagDec
-		for i := range req.Obs {
-			p, err := pathDec.next(r)
-			if err != nil {
-				return nil, fmt.Errorf("observation %d path: %w", i, err)
-			}
-			req.Obs[i].Path = int(p)
-			if req.Obs[i].Sent, err = r.uint31(); err != nil {
-				return nil, err
-			}
-			if req.Obs[i].Lost, err = r.uint31(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if req.Cfg.HitRatio, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Cfg.LossRatioFloor, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Cfg.BaselineRate, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Cfg.Significance, err = r.f64(); err != nil {
-		return nil, err
-	}
-	if req.Cfg.MinLoss, err = r.uint31(); err != nil {
-		return nil, err
-	}
-	if req.Cfg.Workers, err = r.uint31(); err != nil {
-		return nil, err
-	}
-	unh, err := r.ascDelta()
-	if err != nil {
-		return nil, fmt.Errorf("unhealthy set: %w", err)
-	}
-	if unh != nil {
-		req.Cfg.Unhealthy = make([]topo.NodeID, len(unh))
-		for i, n := range unh {
-			req.Cfg.Unhealthy[i] = topo.NodeID(n)
-		}
+		req.Matrix = m
+	default:
+		return nil, fmt.Errorf("matrix presence byte %d, want 0 or 1", present)
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%d trailing payload bytes", r.remaining())

@@ -83,40 +83,25 @@ func randConstructResponse(r *rand.Rand) ConstructResponse {
 func randLocalizeRequest(r *rand.Rand) LocalizeRequest {
 	req := LocalizeRequest{
 		V:        SchemaVersion,
-		NumLinks: 1 + r.Intn(1<<20),
-		Cfg: PLLConfig{
-			HitRatio:       r.Float64(),
-			LossRatioFloor: r.Float64() / 100,
-			MinLoss:        r.Intn(10),
-			BaselineRate:   r.Float64() / 1000,
-			Significance:   r.Float64(),
-			Workers:        r.Intn(8),
-		},
+		Sig:      r.Uint64(),
+		HitRatio: r.Float64(),
 	}
-	for p := r.Intn(8); p > 0; p-- {
-		// Route-ordered links: no ordering guarantee on the wire.
-		links := make([]topo.LinkID, 1+r.Intn(8))
-		for i := range links {
-			links[i] = topo.LinkID(r.Intn(math.MaxInt32))
-		}
-		req.Paths = append(req.Paths, Path{
-			Links: links,
-			Src:   topo.NodeID(r.Intn(math.MaxInt32)),
-			Dst:   topo.NodeID(r.Intn(math.MaxInt32)),
-		})
+	for _, row := range randAscending(r, r.Intn(6), math.MaxInt32) {
+		req.Absent = append(req.Absent, int32(row))
 	}
-	if len(req.Paths) > 0 {
-		for o := r.Intn(12); o > 0; o-- {
-			sent := r.Intn(1000)
-			req.Obs = append(req.Obs, Observation{
-				Path: r.Intn(len(req.Paths)), Sent: sent, Lost: r.Intn(sent + 1),
-			})
-		}
+	for _, row := range randAscending(r, r.Intn(12), math.MaxInt32) {
+		sent := r.Intn(1000)
+		req.Lossy = append(req.Lossy, LossyRow{Row: int(row), Sent: sent, Lost: r.Intn(sent + 1)})
 	}
-	if unh := randAscending(r, r.Intn(5), math.MaxInt32); len(unh) > 0 {
-		req.Cfg.Unhealthy = make([]topo.NodeID, len(unh))
-		for i, n := range unh {
-			req.Cfg.Unhealthy[i] = topo.NodeID(n)
+	if r.Intn(2) == 0 {
+		req.Matrix = &Matrix{NumLinks: 1 + r.Intn(1<<20)}
+		for p := r.Intn(8); p > 0; p-- {
+			// Route-ordered links: no ordering guarantee on the wire.
+			links := make([]topo.LinkID, 1+r.Intn(8))
+			for i := range links {
+				links[i] = topo.LinkID(r.Intn(math.MaxInt32))
+			}
+			req.Matrix.Paths = append(req.Matrix.Paths, links)
 		}
 	}
 	return req
@@ -263,20 +248,26 @@ func TestBinaryGoldenEdgeCases(t *testing.T) {
 	}
 
 	// The float that famously does not survive a decimal detour at low
-	// precision; the codec carries raw bits, so equality is exact.
-	lr := LocalizeRequest{V: SchemaVersion, NumLinks: 1, Cfg: PLLConfig{
-		HitRatio: 0.1 + 0.2, LossRatioFloor: math.SmallestNonzeroFloat64,
-		BaselineRate: math.MaxFloat64, Significance: -0.0,
-	}}
-	gotLR, err := decodeLocalizeBinary(lr.encodeBinary(), 0)
-	if err != nil {
-		t.Fatalf("float localize: %v", err)
-	}
-	if math.Float64bits(gotLR.Cfg.HitRatio) != math.Float64bits(lr.Cfg.HitRatio) ||
-		math.Float64bits(gotLR.Cfg.LossRatioFloor) != math.Float64bits(lr.Cfg.LossRatioFloor) ||
-		math.Float64bits(gotLR.Cfg.BaselineRate) != math.Float64bits(lr.Cfg.BaselineRate) ||
-		math.Float64bits(gotLR.Cfg.Significance) != math.Float64bits(lr.Cfg.Significance) {
-		t.Fatalf("float bits perturbed: %+v vs %+v", gotLR.Cfg, lr.Cfg)
+	// precision; the codec carries raw bits, so equality is exact. The
+	// empty window, with and without an (empty) matrix section, round
+	// trips as itself.
+	for _, lr := range []LocalizeRequest{
+		{V: SchemaVersion, Sig: math.MaxUint64, HitRatio: 0.1 + 0.2},
+		{V: SchemaVersion, HitRatio: math.SmallestNonzeroFloat64, Matrix: &Matrix{NumLinks: math.MaxInt32}},
+		{V: SchemaVersion, HitRatio: math.Copysign(0, -1),
+			Absent: []int32{0, math.MaxInt32 - 1},
+			Lossy:  []LossyRow{{Row: math.MaxInt32, Sent: math.MaxInt32, Lost: math.MaxInt32}}},
+	} {
+		gotLR, err := decodeLocalizeBinary(lr.encodeBinary(), 0)
+		if err != nil {
+			t.Fatalf("localize %+v: %v", lr, err)
+		}
+		if math.Float64bits(gotLR.HitRatio) != math.Float64bits(lr.HitRatio) {
+			t.Fatalf("float bits perturbed: %v vs %v", gotLR.HitRatio, lr.HitRatio)
+		}
+		if !reflect.DeepEqual(*gotLR, lr) {
+			t.Fatalf("localize round trip:\ngot:  %+v\nwant: %+v", *gotLR, lr)
+		}
 	}
 
 	// Report extremes: signed latency fields at the int64 edges (malformed
@@ -392,7 +383,7 @@ func TestBinaryFramesRejected(t *testing.T) {
 		}
 	})
 	t.Run("wrongKind", func(t *testing.T) {
-		lr := LocalizeRequest{V: SchemaVersion, NumLinks: 1, Cfg: PLLConfig{HitRatio: 0.6}}
+		lr := LocalizeRequest{V: SchemaVersion, HitRatio: 0.6}
 		resp := postBody(t, ts.URL+"/v1/construct", ContentTypeBinary, lr.encodeBinary())
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("localize frame at construct endpoint: status %d, want 400", resp.StatusCode)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -14,10 +15,10 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
+	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
-	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shard"
 )
 
@@ -37,6 +38,17 @@ var (
 	clientBytesOut    = obs.NewCounterVec("shardrpc_client_bytes_out", "Bytes sent to the shard (wire truth with the built-in transport).", "shard", maxShardSeries)
 	clientConnsOpened = obs.NewCounterVec("shardrpc_client_conns_opened", "New TCP connections dialed to the shard.", "shard", maxShardSeries)
 	clientConnsReused = obs.NewCounterVec("shardrpc_client_conns_reused", "Requests served over a kept-alive connection.", "shard", maxShardSeries)
+)
+
+// localizeWireBytes counts the localize request bodies shipped, install
+// frames included. matrixInstalls counts the requests repeated with the
+// matrix attached after a server answered CodeUnknownMatrix — once per
+// matrix version and server in steady state, more when a server restarts
+// or evicts; it is the expected extra round trip, kept apart from the
+// plane's fallback counter so it is not mistaken for a fault.
+var (
+	localizeWireBytes = metrics.NewCounter("shardrpc_localize_wire_bytes")
+	matrixInstalls    = metrics.NewCounter("shardrpc_matrix_installs")
 )
 
 // Wire policies for ClientOptions.Wire.
@@ -77,13 +89,6 @@ type ClientOptions struct {
 	// coordinator memory through an unbounded response body. Default
 	// DefaultLimits().MaxBodyBytes.
 	MaxResponseBytes int64
-	// Compress selects per-message compression for the localize path:
-	// CompressAuto (default — negotiate at ping time, identity until the
-	// shard advertises gzip), CompressOff, or CompressGzip. Construct
-	// payloads are untouched: the varint-delta codec already strips their
-	// redundancy, while localize's route-ordered link lists are where
-	// entropy coding pays (ARCHITECTURE.md has the measured ratio).
-	Compress string
 }
 
 // Client drives one remote shard service and implements shard.ShardClient,
@@ -92,24 +97,22 @@ type ClientOptions struct {
 // opened/reused) register in internal/metrics and surface at every
 // service's GET /metrics.
 type Client struct {
-	id       int
-	base     string
-	hc       *http.Client
-	att      int
-	wire     string
-	compress string
-	maxResp  int64
+	id      int
+	base    string
+	hc      *http.Client
+	att     int
+	wire    string
+	maxResp int64
 	// wireCount is true when the client owns a counting transport: the
 	// byte counters then measure actual wire traffic — headers, bodies,
 	// failed attempts, pings — not just successfully posted payloads.
 	wireCount bool
 
-	mu             sync.Mutex
-	negotiated     string // codec chosen by the last ping under WireAuto
-	negotiatedComp string // compression chosen by the last ping under CompressAuto
-	expectSet      bool
-	expectSig      uint64
-	expectLinks    int
+	mu          sync.Mutex
+	negotiated  string // codec chosen by the last ping under WireAuto
+	expectSet   bool
+	expectSig   uint64
+	expectLinks int
 
 	requests    *obs.Counter
 	retries     *obs.Counter
@@ -155,26 +158,18 @@ func Dial(id int, baseURL string, opt ClientOptions) *Client {
 		panic(fmt.Sprintf("shardrpc: unknown wire policy %q (want %q, %q or %q)",
 			opt.Wire, WireAuto, WireJSON, WireBinary))
 	}
-	switch opt.Compress {
-	case "", CompressAuto, CompressOff, CompressGzip:
-	default:
-		panic(fmt.Sprintf("shardrpc: unknown compression policy %q (want %q, %q or %q)",
-			opt.Compress, CompressAuto, CompressOff, CompressGzip))
-	}
 	slot := strconv.Itoa(id)
 	c := &Client{
 		id: id, base: baseURL,
-		wire:           opt.Wire,
-		compress:       opt.Compress,
-		negotiated:     CodecJSON,
-		negotiatedComp: CompressionIdentity,
-		maxResp:        opt.MaxResponseBytes,
-		requests:       clientRequests.With(slot),
-		retries:        clientRetries.With(slot),
-		bytesIn:        clientBytesIn.With(slot),
-		bytesOut:       clientBytesOut.With(slot),
-		connsOpened:    clientConnsOpened.With(slot),
-		connsReused:    clientConnsReused.With(slot),
+		wire:        opt.Wire,
+		negotiated:  CodecJSON,
+		maxResp:     opt.MaxResponseBytes,
+		requests:    clientRequests.With(slot),
+		retries:     clientRetries.With(slot),
+		bytesIn:     clientBytesIn.With(slot),
+		bytesOut:    clientBytesOut.With(slot),
+		connsOpened: clientConnsOpened.With(slot),
+		connsReused: clientConnsReused.With(slot),
 	}
 	if c.maxResp <= 0 {
 		c.maxResp = DefaultLimits().MaxBodyBytes
@@ -229,22 +224,6 @@ func (c *Client) Codec() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.negotiated
-}
-
-// Compression reports the scheme the next localize request would use: the
-// forced policy, or the outcome of the last ping negotiation under
-// CompressAuto. The controller's /shards view surfaces it per shard next
-// to the codec.
-func (c *Client) Compression() string {
-	switch c.compress {
-	case CompressOff:
-		return CompressionIdentity
-	case CompressGzip:
-		return CompressionGzip
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.negotiatedComp
 }
 
 // Close releases idle connections.
@@ -341,7 +320,6 @@ func (c *Client) Ping() error {
 	}
 	c.mu.Lock()
 	c.negotiated = negotiated
-	c.negotiatedComp = negotiateCompression(pr.Compressions)
 	expectSet, expectSig, expectLinks := c.expectSet, c.expectSig, c.expectLinks
 	c.mu.Unlock()
 	if expectSet && (pr.MatrixSig != expectSig || pr.NumLinks != expectLinks) {
@@ -390,40 +368,39 @@ func decodeResponse(resp *http.Response, body []byte, respKind byte, maxPayload 
 	return json.Unmarshal(body, out)
 }
 
+// statusError is a structured error response from the shard: the service
+// spoke, and what it said is final for this request.
+type statusError struct {
+	shard  int
+	path   string
+	status int
+	text   string // resp.Status
+	code   string // httpx.ErrorBody.Code, when the body carried one
+	msg    string // httpx.ErrorBody.Error, when the body carried one
+}
+
+func (e *statusError) Error() string {
+	if e.msg != "" {
+		return fmt.Sprintf("shardrpc %d: %s: %s: %s", e.shard, e.path, e.text, e.msg)
+	}
+	return fmt.Sprintf("shardrpc %d: %s: status %s", e.shard, e.path, e.text)
+}
+
 // post runs one idempotent round trip with bounded retries, in the codec
 // negotiation selected. A transport failure retries; any HTTP response —
-// success or structured error — is final, because the shard has already
-// spoken. Responses are bounded by MaxResponseBytes: an oversized one is
-// a final error, like any other corrupt response. A nonzero cycle rides in
-// the X-Detector-Cycle header — observability only, never in the payload.
-//
-// compressible marks the payload as eligible for the negotiated
-// compression scheme (the localize path). When active, the request body
-// ships gzip above compressMinBytes with Content-Encoding set, and the
-// request carries an explicit Accept-Encoding: gzip — which switches off
-// Go's transparent response decompression, so this client owns both
-// directions: the wire counters then measure what actually crossed, not
-// what the transport silently inflated.
-func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, compressible bool, out any) error {
+// success or structured error (a *statusError) — is final, because the
+// shard has already spoken. Responses are bounded by MaxResponseBytes: an
+// oversized one is a final error, like any other corrupt response. A
+// nonzero cycle rides in the X-Detector-Cycle header — observability only,
+// never in the payload. wireBytes, when non-nil, counts the encoded
+// request body.
+func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, wireBytes *metrics.Counter, out any) error {
 	body, contentType, err := c.encodeRequest(reqBody)
 	if err != nil {
 		return fmt.Errorf("shardrpc %d: encode %s: %w", c.id, path, err)
 	}
-	gz := compressible && c.Compression() == CompressionGzip
-	encoding := ""
-	if gz {
-		rawLen := int64(len(body))
-		if rawLen >= compressMinBytes {
-			body = gzipBytes(body)
-			encoding = CompressionGzip
-		}
-		localizeRawBytes.Add(rawLen)
-		localizeWireBytes.Add(int64(len(body)))
-	} else if compressible {
-		// Compression off or never negotiated: raw == wire, so the
-		// counter pair still yields a truthful (1.0) ratio.
-		localizeRawBytes.Add(int64(len(body)))
-		localizeWireBytes.Add(int64(len(body)))
+	if wireBytes != nil {
+		wireBytes.Add(int64(len(body)))
 	}
 	var lastErr error
 	for attempt := 0; attempt < c.att; attempt++ {
@@ -437,12 +414,6 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, com
 			return fmt.Errorf("shardrpc %d: %s: %w", c.id, path, err)
 		}
 		req.Header.Set("Content-Type", contentType)
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
-		if gz {
-			req.Header.Set("Accept-Encoding", CompressionGzip)
-		}
 		if cycle != 0 {
 			req.Header.Set(obs.CycleHeader, strconv.FormatUint(cycle, 10))
 		}
@@ -471,20 +442,12 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, com
 				c.id, path, c.maxResp)
 		}
 		if resp.StatusCode != http.StatusOK {
+			se := &statusError{shard: c.id, path: path, status: resp.StatusCode, text: resp.Status}
 			var eb httpx.ErrorBody
-			if json.Unmarshal(respBody, &eb) == nil && eb.Error != "" {
-				return fmt.Errorf("shardrpc %d: %s: %s: %s", c.id, path, resp.Status, eb.Error)
+			if json.Unmarshal(respBody, &eb) == nil {
+				se.code, se.msg = eb.Code, eb.Error
 			}
-			return fmt.Errorf("shardrpc %d: %s: status %s", c.id, path, resp.Status)
-		}
-		if resp.Header.Get("Content-Encoding") == CompressionGzip {
-			// Only reachable when this client sent Accept-Encoding itself
-			// (transparent transport decompression strips the header), so
-			// the bound mirrors the request-side bomb guard.
-			respBody, err = gunzipBounded(respBody, c.maxResp)
-			if err != nil {
-				return fmt.Errorf("shardrpc %d: %s: decompress response: %w", c.id, path, err)
-			}
+			return se
 		}
 		if err := decodeResponse(resp, respBody, respKind, c.maxResp, out); err != nil {
 			return fmt.Errorf("shardrpc %d: %s: decode response: %w", c.id, path, err)
@@ -498,7 +461,7 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, com
 // coordinator's cycle ID (req.Cycle) travels as a header, not payload.
 func (c *Client) Construct(req shard.ConstructRequest) (*pmc.Result, error) {
 	var resp ConstructResponse
-	if err := c.post("/v1/construct", req.Cycle, encodeConstruct(req), kindConstructResp, false, &resp); err != nil {
+	if err := c.post("/v1/construct", req.Cycle, encodeConstruct(req), kindConstructResp, nil, &resp); err != nil {
 		return nil, err
 	}
 	if resp.V != SchemaVersion {
@@ -515,11 +478,24 @@ func (c *Client) Construct(req shard.ConstructRequest) (*pmc.Result, error) {
 	}, nil
 }
 
-// Localize ships one routed sub-matrix window to the shard and decodes the
-// verdicts. The caller's cycle ID travels as a header, not payload.
-func (c *Client) Localize(cycle uint64, sub *route.Probes, observations []pll.Observation, cfg pll.Config) (*pll.Result, error) {
+// Localize ships one part's window to the shard and decodes the verdicts.
+// The request names the part's matrix by signature; a shard that does not
+// hold it (first window of a matrix version, a restarted or evicting
+// server) says so, and the same request goes again with the matrix
+// attached — one extra round trip, no session to resynchronize. The
+// caller's cycle ID travels as a header, not payload.
+func (c *Client) Localize(cycle uint64, part *shard.Part, w pll.Window, cfg pll.Config) (*pll.Result, error) {
+	req := encodeLocalize(part.Sig, w, cfg)
 	var resp LocalizeResponse
-	if err := c.post("/v1/localize", cycle, encodeLocalize(sub, observations, cfg), kindLocalizeResp, true, &resp); err != nil {
+	err := c.post("/v1/localize", cycle, req, kindLocalizeResp, localizeWireBytes, &resp)
+	var se *statusError
+	if errors.As(err, &se) && se.status == http.StatusConflict && se.code == CodeUnknownMatrix {
+		matrixInstalls.Inc()
+		m := part.Engine.Matrix()
+		req.Matrix = &Matrix{NumLinks: m.NumLinks, Paths: m.PathLinks}
+		err = c.post("/v1/localize", cycle, req, kindLocalizeResp, localizeWireBytes, &resp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if resp.V != SchemaVersion {
@@ -537,9 +513,8 @@ func (c *Client) Localize(cycle uint64, sub *route.Probes, observations []pll.Ob
 }
 
 // Interface conformance: a Client is a shard.ShardClient that reports its
-// wire codec and compression scheme.
+// wire codec.
 var (
-	_ shard.ShardClient         = (*Client)(nil)
-	_ shard.CodecReporter       = (*Client)(nil)
-	_ shard.CompressionReporter = (*Client)(nil)
+	_ shard.ShardClient   = (*Client)(nil)
+	_ shard.CodecReporter = (*Client)(nil)
 )

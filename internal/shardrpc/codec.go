@@ -13,6 +13,11 @@
 // the only traffic — the candidate matrix itself never moves. Both ends
 // derive it independently from the topology and agree via
 // route.MatrixSignature, which every construction request carries.
+// Localization is content-addressed the same way: a request names its
+// plane part's sub-matrix by route.RowsSignature and carries only the
+// window's exceptions (the rows that did not report, the rows that lost);
+// the rows themselves ship once per matrix, when the service answers that
+// it does not hold them.
 //
 // Wire schemas are versioned (SchemaVersion) and every decoded payload is
 // bounded and validated (Limits): a truncated, oversized or out-of-range
@@ -22,11 +27,9 @@ package shardrpc
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
-	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -34,7 +37,7 @@ import (
 // SchemaVersion is the wire-schema version stamped on every request and
 // response. A server answers a mismatched version with 400 rather than
 // guessing at field semantics.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Limits bounds every payload a server will decode. The zero value is
 // unusable; use DefaultLimits.
@@ -43,16 +46,24 @@ type Limits struct {
 	MaxBodyBytes int64
 	// MaxComponents caps components per construction request.
 	MaxComponents int
-	// MaxPaths caps probe paths per localization request.
+	// MaxPaths caps the probe paths of a matrix installed by a
+	// localization request.
 	MaxPaths int
 	// MaxLinksPerPath caps the link set of one probe path.
 	MaxLinksPerPath int
-	// MaxObservations caps observations per localization request.
+	// MaxObservations caps the rows (absent plus lossy) one localization
+	// request may name.
 	MaxObservations int
-	// MaxNumLinks caps a localize request's link-ID space: decode
+	// MaxNumLinks caps an installed matrix's link-ID space: the engine
 	// allocates O(num_links) index memory, so the field cannot be left to
 	// the sender.
 	MaxNumLinks int
+	// MaxEngines and MaxEngineBytes bound the localization engines a
+	// server keeps, by count and by estimated resident bytes; the least
+	// recently used are evicted past either. A single matrix estimated
+	// above MaxEngineBytes is refused with 413.
+	MaxEngines     int
+	MaxEngineBytes int64
 	// MaxPMCElements caps the MaxElements a construct request may carry:
 	// that option sizes the shard's refinement universe, so an unbounded
 	// value would let a sick coordinator disable the engine's own memory
@@ -72,6 +83,8 @@ func DefaultLimits() Limits {
 		MaxLinksPerPath: 64,
 		MaxObservations: 1 << 24,
 		MaxNumLinks:     1 << 24,
+		MaxEngines:      16,
+		MaxEngineBytes:  256 << 20,
 		MaxPMCElements:  pmc.DefaultMaxElements,
 	}
 }
@@ -88,11 +101,6 @@ type PingResponse struct {
 	// this is the whole negotiation: the server advertises, the client
 	// picks the cheapest codec both ends speak.
 	Codecs []string `json:"codecs,omitempty"`
-	// Compressions lists the per-message compressions the shard accepts
-	// on the localize path ("gzip"); identity is always implied. Same
-	// ladder as Codecs: an older service omits the field and the client
-	// ships identity.
-	Compressions []string `json:"compressions,omitempty"`
 }
 
 // Component is one independent subproblem on the wire: global link IDs and
@@ -143,43 +151,42 @@ type ConstructResponse struct {
 	Stats    Stats `json:"stats"`
 }
 
-// Path is one probe path of a routed sub-matrix: global link IDs plus the
-// endpoints PLL needs for its unhealthy-server filter.
-type Path struct {
-	Links []topo.LinkID `json:"links"`
-	Src   topo.NodeID   `json:"src"`
-	Dst   topo.NodeID   `json:"dst"`
-}
-
-// Observation is one probe path's window counters.
-type Observation struct {
-	Path int `json:"path"`
+// LossyRow is one lossy row of a localize window: the row of the part's
+// sub-matrix and its window counters.
+type LossyRow struct {
+	Row  int `json:"row"`
 	Sent int `json:"sent"`
 	Lost int `json:"lost"`
 }
 
-// PLLConfig is pll.Config on the wire; Unhealthy is the sorted slice form
-// of the set.
-type PLLConfig struct {
-	HitRatio       float64       `json:"hit_ratio"`
-	LossRatioFloor float64       `json:"loss_ratio_floor"`
-	MinLoss        int           `json:"min_loss"`
-	BaselineRate   float64       `json:"baseline_rate,omitempty"`
-	Significance   float64       `json:"significance,omitempty"`
-	Unhealthy      []topo.NodeID `json:"unhealthy,omitempty"`
-	Workers        int           `json:"workers,omitempty"`
+// Matrix is the install section of a localize request: the rows of the
+// part's sub-matrix as global link IDs. It is what route.RowsSignature
+// covers, so the server can check it against the signature it was sent
+// under.
+type Matrix struct {
+	NumLinks int             `json:"num_links"`
+	Paths    [][]topo.LinkID `json:"paths"`
 }
 
-// LocalizeRequest ships one shard's routed window: the sub-matrix it owns
-// plus the observations routed to it. Unlike construction, localization
-// needs no matrix signature — the sub-matrix travels inline.
+// LocalizeRequest is one plane part's window as its exceptions against the
+// all-clean baseline (see pll.Window): the rows that did not report and
+// the rows that classified lossy, both strictly ascending. Sig names the
+// sub-matrix the rows index. Matrix is present only on the repeat of a
+// request the server answered with CodeUnknownMatrix.
 type LocalizeRequest struct {
-	V        int           `json:"v"`
-	NumLinks int           `json:"num_links"`
-	Paths    []Path        `json:"paths"`
-	Obs      []Observation `json:"obs"`
-	Cfg      PLLConfig     `json:"cfg"`
+	V        int        `json:"v"`
+	Sig      uint64     `json:"sig,string"`
+	HitRatio float64    `json:"hit_ratio"`
+	Absent   []int32    `json:"absent,omitempty"`
+	Lossy    []LossyRow `json:"lossy,omitempty"`
+	Matrix   *Matrix    `json:"matrix,omitempty"`
 }
+
+// CodeUnknownMatrix is the error code of the 409 a server answers when a
+// localize request names a signature it holds no engine for — a restarted
+// or evicting server, or a new matrix version. It is not a fault: the
+// client repeats the request with the matrix attached.
+const CodeUnknownMatrix = "unknown_matrix"
 
 // Verdict is one localized link on the wire.
 type Verdict struct {
@@ -270,94 +277,76 @@ func (r *ConstructRequest) validate(lim Limits, numLinks, numPaths int) error {
 	return nil
 }
 
-// validate bounds a localization request.
+// validate bounds a localization request. The window's rows are checked
+// against the engine they index (pll.ErrBadWindow), once it is known.
 func (r *LocalizeRequest) validate(lim Limits) error {
 	if r.V != SchemaVersion {
 		return fmt.Errorf("unsupported schema version %d (want %d)", r.V, SchemaVersion)
 	}
-	if r.NumLinks <= 0 || r.NumLinks > lim.MaxNumLinks {
-		return fmt.Errorf("num_links %d outside [1,%d]", r.NumLinks, lim.MaxNumLinks)
+	if !(r.HitRatio > 0 && r.HitRatio <= 1) {
+		return fmt.Errorf("hit_ratio %v outside (0,1]", r.HitRatio)
 	}
-	if len(r.Paths) > lim.MaxPaths {
-		return fmt.Errorf("%d paths exceed limit %d", len(r.Paths), lim.MaxPaths)
+	if n := len(r.Absent) + len(r.Lossy); n > lim.MaxObservations {
+		return fmt.Errorf("%d window rows exceed limit %d", n, lim.MaxObservations)
 	}
-	if len(r.Obs) > lim.MaxObservations {
-		return fmt.Errorf("%d observations exceed limit %d", len(r.Obs), lim.MaxObservations)
+	m := r.Matrix
+	if m == nil {
+		return nil
 	}
-	for i, p := range r.Paths {
-		if len(p.Links) > lim.MaxLinksPerPath {
-			return fmt.Errorf("path %d: %d links exceed limit %d", i, len(p.Links), lim.MaxLinksPerPath)
+	if m.NumLinks <= 0 || m.NumLinks > lim.MaxNumLinks {
+		return fmt.Errorf("matrix: num_links %d outside [1,%d]", m.NumLinks, lim.MaxNumLinks)
+	}
+	if len(m.Paths) > lim.MaxPaths {
+		return fmt.Errorf("matrix: %d paths exceed limit %d", len(m.Paths), lim.MaxPaths)
+	}
+	for i, links := range m.Paths {
+		if len(links) > lim.MaxLinksPerPath {
+			return fmt.Errorf("matrix: path %d: %d links exceed limit %d", i, len(links), lim.MaxLinksPerPath)
 		}
-		for _, l := range p.Links {
-			if l < 0 || int(l) >= r.NumLinks {
-				return fmt.Errorf("path %d: link %d out of range [0,%d)", i, l, r.NumLinks)
+		for _, l := range links {
+			if l < 0 || int(l) >= m.NumLinks {
+				return fmt.Errorf("matrix: path %d: link %d out of range [0,%d)", i, l, m.NumLinks)
 			}
-		}
-	}
-	for i, o := range r.Obs {
-		if o.Path < 0 || o.Path >= len(r.Paths) {
-			return fmt.Errorf("observation %d: path %d out of range [0,%d)", i, o.Path, len(r.Paths))
-		}
-		if o.Sent < 0 || o.Lost < 0 || o.Lost > o.Sent {
-			return fmt.Errorf("observation %d (path %d): impossible counters sent=%d lost=%d",
-				i, o.Path, o.Sent, o.Lost)
 		}
 	}
 	return nil
 }
 
-// encodeLocalize translates a routed sub-matrix window to the wire.
-func encodeLocalize(sub *route.Probes, obs []pll.Observation, cfg pll.Config) LocalizeRequest {
+// engineBytes estimates what an engine over m keeps resident: the rows,
+// the probe matrix's inverted index over them, and the per-link counts.
+func (m *Matrix) engineBytes() int64 {
+	const linkID, sliceHeader, endpoints = 4, 24, 8
+	total := int64(m.NumLinks) * (4 + sliceHeader)
+	for _, links := range m.Paths {
+		total += int64(len(links))*2*linkID + sliceHeader + endpoints
+	}
+	return total
+}
+
+// encodeLocalize translates one part's window to the wire, without the
+// matrix.
+func encodeLocalize(sig uint64, w pll.Window, cfg pll.Config) LocalizeRequest {
 	req := LocalizeRequest{
-		V:        SchemaVersion,
-		NumLinks: sub.NumLinks,
-		Paths:    make([]Path, sub.NumPaths()),
-		Obs:      make([]Observation, len(obs)),
-		Cfg: PLLConfig{
-			HitRatio: cfg.HitRatio, LossRatioFloor: cfg.LossRatioFloor,
-			MinLoss: cfg.MinLoss, BaselineRate: cfg.BaselineRate,
-			Significance: cfg.Significance, Workers: cfg.Workers,
-		},
+		V: SchemaVersion, Sig: sig, HitRatio: cfg.HitRatio,
+		Absent: w.Absent,
 	}
-	for i := range req.Paths {
-		req.Paths[i] = Path{Links: sub.PathLinks[i], Src: sub.Src[i], Dst: sub.Dst[i]}
-	}
-	for i, o := range obs {
-		req.Obs[i] = Observation{Path: o.Path, Sent: o.Sent, Lost: o.Lost}
-	}
-	for n := range cfg.Unhealthy {
-		if cfg.Unhealthy[n] {
-			req.Cfg.Unhealthy = append(req.Cfg.Unhealthy, n)
+	if len(w.Lossy) > 0 {
+		req.Lossy = make([]LossyRow, len(w.Lossy))
+		for i, o := range w.Lossy {
+			req.Lossy[i] = LossyRow{Row: o.Path, Sent: o.Sent, Lost: o.Lost}
 		}
 	}
-	sort.Slice(req.Cfg.Unhealthy, func(i, j int) bool { return req.Cfg.Unhealthy[i] < req.Cfg.Unhealthy[j] })
 	return req
 }
 
-// decode rebuilds the localization inputs from the wire.
-func (r *LocalizeRequest) decode() (*route.Probes, []pll.Observation, pll.Config) {
-	links := make([][]topo.LinkID, len(r.Paths))
-	for i, p := range r.Paths {
-		links[i] = p.Links
-	}
-	sub := route.NewProbesFromLinks(links, r.NumLinks)
-	for i, p := range r.Paths {
-		sub.Src[i], sub.Dst[i] = p.Src, p.Dst
-	}
-	obs := make([]pll.Observation, len(r.Obs))
-	for i, o := range r.Obs {
-		obs[i] = pll.Observation{Path: o.Path, Sent: o.Sent, Lost: o.Lost}
-	}
-	cfg := pll.Config{
-		HitRatio: r.Cfg.HitRatio, LossRatioFloor: r.Cfg.LossRatioFloor,
-		MinLoss: r.Cfg.MinLoss, BaselineRate: r.Cfg.BaselineRate,
-		Significance: r.Cfg.Significance, Workers: r.Cfg.Workers,
-	}
-	if len(r.Cfg.Unhealthy) > 0 {
-		cfg.Unhealthy = make(map[topo.NodeID]bool, len(r.Cfg.Unhealthy))
-		for _, n := range r.Cfg.Unhealthy {
-			cfg.Unhealthy[n] = true
+// window rebuilds the engine's inputs from the wire.
+func (r *LocalizeRequest) window() (pll.Window, pll.Config) {
+	w := pll.Window{Absent: r.Absent}
+	if len(r.Lossy) > 0 {
+		w.Lossy = make([]pll.Observation, len(r.Lossy))
+		for i, o := range r.Lossy {
+			w.Lossy[i] = pll.Observation{Path: o.Row, Sent: o.Sent, Lost: o.Lost}
 		}
 	}
-	return sub, obs, cfg
+	return w, pll.Config{HitRatio: r.HitRatio}
 }

@@ -88,9 +88,9 @@ func TestOversizedPayloadRejected(t *testing.T) {
 }
 
 // TestValidationRejectsBadPayloads sweeps the schema guards: wrong
-// version, out-of-range links/paths, non-canonical component order, and
-// impossible observation counters all answer 400; a mismatched matrix
-// signature answers 409.
+// version, out-of-range links/paths and non-canonical component order all
+// answer 400; a mismatched or unknown matrix signature answers 409. (The
+// localize window's own guards are in localize_test.go.)
 func TestValidationRejectsBadPayloads(t *testing.T) {
 	srv, ts := testServer(t, DefaultLimits())
 	sig := srv.MatrixSig()
@@ -116,20 +116,16 @@ func TestValidationRejectsBadPayloads(t *testing.T) {
 			ConstructRequest{V: SchemaVersion, MatrixSig: sig, NumLinks: srv.numLinks,
 				Comps: []Component{{Links: []topo.LinkID{0}, Paths: []int32{1 << 30}}}}, 400},
 		{"localize/version", "/v1/localize",
-			LocalizeRequest{V: 0, NumLinks: 4}, 400},
+			LocalizeRequest{V: 0, HitRatio: 0.6}, 400},
+		{"localize/hitRatio", "/v1/localize",
+			LocalizeRequest{V: SchemaVersion, HitRatio: 1.5}, 400},
+		{"localize/unknownMatrix", "/v1/localize",
+			LocalizeRequest{V: SchemaVersion, Sig: 42, HitRatio: 0.6}, 409},
 		{"localize/numLinksUnbounded", "/v1/localize",
-			LocalizeRequest{V: SchemaVersion, NumLinks: 1 << 40,
-				Cfg: PLLConfig{HitRatio: 0.6}}, 400},
-		{"localize/obsCounters", "/v1/localize",
-			LocalizeRequest{V: SchemaVersion, NumLinks: 4,
-				Paths: []Path{{Links: []topo.LinkID{0}}},
-				Obs:   []Observation{{Path: 0, Sent: 10, Lost: 11}},
-				Cfg:   PLLConfig{HitRatio: 0.6}}, 400},
-		{"localize/obsRange", "/v1/localize",
-			LocalizeRequest{V: SchemaVersion, NumLinks: 4,
-				Paths: []Path{{Links: []topo.LinkID{0}}},
-				Obs:   []Observation{{Path: 5, Sent: 10}},
-				Cfg:   PLLConfig{HitRatio: 0.6}}, 400},
+			LocalizeRequest{V: SchemaVersion, HitRatio: 0.6, Matrix: &Matrix{NumLinks: 1 << 40}}, 400},
+		{"localize/linkRange", "/v1/localize",
+			LocalizeRequest{V: SchemaVersion, HitRatio: 0.6,
+				Matrix: &Matrix{NumLinks: 4, Paths: [][]topo.LinkID{{4}}}}, 400},
 	}
 	for _, tc := range cases {
 		body, err := json.Marshal(tc.req)

@@ -23,6 +23,15 @@ var (
 	serverRejected = metrics.NewCounter("shardrpc_server_rejected")
 )
 
+// Engine-cache counters: a hit is a localize request whose signature named
+// a held engine, a miss one answered CodeUnknownMatrix (the client then
+// installs), an eviction an engine dropped to stay inside Limits.
+var (
+	engineCacheHits      = metrics.NewCounter("shardrpc_engine_cache_hits")
+	engineCacheMisses    = metrics.NewCounter("shardrpc_engine_cache_misses")
+	engineCacheEvictions = metrics.NewCounter("shardrpc_engine_cache_evictions")
+)
+
 // serverOps times each RPC handler end to end (decode through encode). A
 // shard server keeps its own op family instead of writing into obs.Stages:
 // loopback clusters run shard servers in the coordinator's process, and the
@@ -47,8 +56,9 @@ func requestCycle(r *http.Request) uint64 {
 
 // Server is one controller shard as a network service: it owns a full
 // materialization of the candidate matrix (derived locally from the
-// topology, never shipped) and executes construction and localization work
-// orders against it.
+// topology, never shipped) and executes construction work orders against
+// it; localization runs on engines over the served sub-matrices its
+// clients install, held in a small cache keyed by content signature.
 //
 //	GET  /v1/ping       → PingResponse (liveness + engine fingerprint)
 //	POST /v1/construct  → ConstructResponse
@@ -59,10 +69,11 @@ func requestCycle(r *http.Request) uint64 {
 // the response mirrors the request's codec and /v1/ping advertises both,
 // which is how clients negotiate. Errors are structured (httpx.ErrorBody,
 // always JSON): 400 for malformed or out-of-bounds payloads, 409 for a
-// matrix-signature mismatch, 413 for an oversized body, 415 for an
-// unknown media type, 422 for an engine rejection. A coordinator treats
-// any of them as a dispatch failure and fails the work over to surviving
-// shards.
+// matrix-signature mismatch (on localize: CodeUnknownMatrix, which the
+// client answers by installing the matrix), 413 for an oversized body or
+// matrix, 415 for an unknown media type or any content encoding, 422 for
+// an engine rejection. A coordinator treats any other of them as a
+// dispatch failure and fails the work over to surviving shards.
 type Server struct {
 	ps       route.PathSet
 	csr      *route.CSR
@@ -76,6 +87,8 @@ type Server struct {
 	// verbatim. Selections are deterministic per content, so the memo
 	// never changes a response.
 	memo *pmc.Memo
+	// engines holds the localization engines clients installed.
+	engines *engineCache
 }
 
 // NewServer builds a shard service over its own materialization of ps.
@@ -94,6 +107,7 @@ func NewServerLimits(ps route.PathSet, numLinks int, lim Limits) *Server {
 		lim:      lim,
 		tr:       obs.NewTracer("shard", 32),
 		memo:     pmc.NewMemo(0),
+		engines:  &engineCache{maxEntries: lim.MaxEngines, maxBytes: lim.MaxEngineBytes},
 	}
 }
 
@@ -123,11 +137,10 @@ func requestCodec(r *http.Request) string {
 
 // decodeBody reads and decodes a bounded request body in the codec its
 // Content-Type selects, mapping failures to the right status: 413 when
-// the body (or a binary frame's declared length, or a gzip body's
-// decompressed size) exceeds MaxBodyBytes, 400 for anything undecodable
-// (truncation included), 415 for an unknown media type or content
-// encoding. Both codecs and both encodings pass through the same Limits;
-// compactness is never laxity.
+// the body (or a binary frame's declared length) exceeds MaxBodyBytes,
+// 400 for anything undecodable (truncation included), 415 for an unknown
+// media type or a content encoding — bodies travel as they are. Both
+// codecs pass through the same Limits; compactness is never laxity.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v any) (string, bool) {
 	codec := requestCodec(r)
 	if codec == "" {
@@ -137,23 +150,13 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v
 			r.Header.Get("Content-Type"), contentTypeJSON, ContentTypeBinary)
 		return codec, false
 	}
-	encoding := r.Header.Get("Content-Encoding")
-	switch encoding {
-	case "", CompressionIdentity, CompressionGzip:
-	default:
+	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
 		serverRejected.Inc()
-		httpx.Error(w, http.StatusUnsupportedMediaType,
-			"unsupported content encoding %q (want %s or %s)",
-			encoding, CompressionIdentity, CompressionGzip)
+		httpx.Error(w, http.StatusUnsupportedMediaType, "unsupported content encoding %q", enc)
 		return codec, false
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.lim.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
-	if err == nil && encoding == CompressionGzip {
-		// The wire bytes are already bounded above; the bomb guard bounds
-		// what they inflate to.
-		data, err = gunzipBounded(data, s.lim.MaxBodyBytes)
-	}
 	if err == nil {
 		if codec == CodecJSON {
 			err = json.Unmarshal(data, v)
@@ -164,7 +167,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v
 	if err != nil {
 		serverRejected.Inc()
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, errFrameTooLarge) || errors.Is(err, errDecompressTooLarge) {
+		if errors.As(err, &tooBig) || errors.Is(err, errFrameTooLarge) {
 			httpx.Error(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", s.lim.MaxBodyBytes)
 			return codec, false
@@ -218,38 +221,38 @@ func writeReply(w http.ResponseWriter, codec string, v any) {
 	_, _ = w.Write(frame)
 }
 
-// writeReplyMaybeCompressed is writeReply for the localize path: when the
-// request's Accept-Encoding admits gzip and the body clears the
-// compression floor, the reply ships gzip with Content-Encoding set.
-// (The client sets Accept-Encoding explicitly, which also switches off
-// net/http's transparent response decompression — both ends own the
-// encoding, so the wire-byte counters measure truth.)
-func writeReplyMaybeCompressed(w http.ResponseWriter, r *http.Request, codec string, v any) {
-	if !acceptsGzip(r.Header.Get("Accept-Encoding")) {
-		writeReply(w, codec, v)
-		return
-	}
-	var body []byte
-	contentType := contentTypeJSON
-	switch resp := v.(type) {
-	case LocalizeResponse:
-		if codec == CodecBinary {
-			body, contentType = resp.encodeBinary(), ContentTypeBinary
+// engineFor resolves a localize request to its engine: the cached one its
+// signature names, or — when the request carries the matrix — a new one,
+// checked against the claimed signature before it is cached. It answers
+// the request itself when it cannot.
+func (s *Server) engineFor(w http.ResponseWriter, req *LocalizeRequest) (*pll.Engine, bool) {
+	if req.Matrix == nil {
+		if e := s.engines.get(req.Sig); e != nil {
+			engineCacheHits.Inc()
+			return e, true
 		}
+		engineCacheMisses.Inc()
+		httpx.ErrorCode(w, http.StatusConflict, CodeUnknownMatrix,
+			"no engine for matrix %#016x — repeat the request with the matrix attached", req.Sig)
+		return nil, false
 	}
-	if body == nil {
-		var err error
-		if body, err = json.Marshal(v); err != nil {
-			httpx.Error(w, http.StatusInternalServerError, "encode response: %v", err)
-			return
-		}
+	size := req.Matrix.engineBytes()
+	if size > s.lim.MaxEngineBytes {
+		serverRejected.Inc()
+		httpx.Error(w, http.StatusRequestEntityTooLarge,
+			"matrix needs an estimated %d engine bytes, limit %d", size, s.lim.MaxEngineBytes)
+		return nil, false
 	}
-	w.Header().Set("Content-Type", contentType)
-	if len(body) >= compressMinBytes {
-		w.Header().Set("Content-Encoding", CompressionGzip)
-		body = gzipBytes(body)
+	sub := route.NewProbesFromLinks(req.Matrix.Paths, req.Matrix.NumLinks)
+	if got := route.RowsSignature(sub); got != req.Sig {
+		serverRejected.Inc()
+		httpx.Error(w, http.StatusBadRequest,
+			"matrix hashes to %#016x, not the claimed %#016x", got, req.Sig)
+		return nil, false
 	}
-	_, _ = w.Write(body)
+	e := pll.NewEngine(sub)
+	engineCacheEvictions.Add(int64(s.engines.put(req.Sig, e, size)))
+	return e, true
 }
 
 // Handler serves the shard RPC surface plus the standard GET /metrics.
@@ -264,8 +267,7 @@ func (s *Server) Handler() http.Handler {
 		httpx.WriteJSON(w, PingResponse{
 			V: SchemaVersion, MatrixSig: s.sig,
 			NumLinks: s.numLinks, Paths: s.ps.Len(),
-			Codecs:       []string{CodecJSON, CodecBinary},
-			Compressions: []string{CompressionGzip},
+			Codecs: []string{CodecJSON, CodecBinary},
 		})
 	})
 	mux.HandleFunc("/v1/construct", func(w http.ResponseWriter, r *http.Request) {
@@ -337,13 +339,23 @@ func (s *Server) Handler() http.Handler {
 			httpx.Error(w, http.StatusBadRequest, "invalid localize request: %v", err)
 			return
 		}
-		sub, observations, cfg := req.decode()
+		engine, ok := s.engineFor(w, &req)
+		if !ok {
+			return
+		}
+		window, cfg := req.window()
 		sp := s.tr.Join(requestCycle(r), "remote").Span("localize")
-		res, err := pll.Localize(sub, observations, cfg)
+		res, err := engine.Localize(window, cfg)
 		sp.EndErr(err)
 		if err != nil {
+			// validate already vetted the hit ratio, so what the engine
+			// refuses is the window's shape.
 			serverRejected.Inc()
-			httpx.Error(w, http.StatusUnprocessableEntity, "localization failed: %v", err)
+			status := http.StatusUnprocessableEntity
+			if errors.Is(err, pll.ErrBadWindow) {
+				status = http.StatusBadRequest
+			}
+			httpx.Error(w, status, "localization failed: %v", err)
 			return
 		}
 		resp := LocalizeResponse{
@@ -355,7 +367,7 @@ func (s *Server) Handler() http.Handler {
 		for _, v := range res.Bad {
 			resp.Bad = append(resp.Bad, Verdict{Link: v.Link, Rate: v.Rate, Explained: v.Explained})
 		}
-		writeReplyMaybeCompressed(w, r, codec, resp)
+		writeReply(w, codec, resp)
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if !httpx.RequireMethod(w, r, http.MethodGet) {
@@ -372,11 +384,11 @@ func (s *Server) Handler() http.Handler {
 	}))
 	mux.HandleFunc("/statusz", obs.StatuszHandler("shard", s.tr, func() any {
 		return map[string]any{
-			"matrix_sig":   strconv.FormatUint(s.sig, 10),
-			"num_links":    s.numLinks,
-			"paths":        s.ps.Len(),
-			"codecs":       []string{CodecJSON, CodecBinary},
-			"compressions": []string{CompressionGzip},
+			"matrix_sig": strconv.FormatUint(s.sig, 10),
+			"num_links":  s.numLinks,
+			"paths":      s.ps.Len(),
+			"codecs":     []string{CodecJSON, CodecBinary},
+			"engines":    s.engines.len(),
 		}
 	}))
 	return mux
