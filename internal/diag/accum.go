@@ -1,76 +1,131 @@
 package diag
 
-// The report accumulator, rebuilt for streaming ingest. The original
-// diagnoser kept four parallel maps (window counters, slow-window counters,
-// loss history, RTT baseline) under the one Diagnoser mutex and reallocated
-// the window map every close — at fleet scale that is a fresh allocation
-// per path per window and a single lock every report frame fights for.
+// The window state: everything the diagnoser holds about probe paths, dense
+// and indexed by matrix row, bound to one served matrix version. Wire path
+// IDs are translated to rows once, at ingest; after that every structure is
+// a slice the window close scans linearly, zeroes and rolls forward in
+// place, so a steady-state window allocates nothing per path and the state
+// is bounded by the matrix, not by what was ever reported. SetMatrix swaps
+// the whole state on a version change, so nothing about the old version's
+// paths carries over.
 //
-// The accumulator replaces them with one persistent slot per path, sharded
-// over lock stripes by path ID. Ingest locks only the slot's stripe; the
-// window close walks the stripes one at a time and ZEROES the window
-// section of each slot instead of reallocating, so a steady-state fleet
-// ingests with no per-report allocation at all. Cross-window state (loss
-// history, RTT baseline, slow-window counters) lives in the same slot, and
-// slots idle past the history horizon are deleted — the maps are bounded by
-// the live path population, not by everything ever reported.
+// Two sections, two locking rules:
+//
+//   - ingest section (win): row r is guarded by locks[r>>stripeShift].
+//     Report handlers lock only the stripes their rows fall in and never
+//     take a diagnoser-wide lock; the close locks one stripe at a time.
+//   - close section (everything from straddled down): touched only by
+//     RunWindow, which Diagnoser.closeMu serialises.
 
-import "sync"
+import (
+	"sync"
 
-// numStripes is the lock-stripe fan-out (power of two; path IDs of one
-// pinger are consecutive, so ID & mask spreads one frame's results evenly).
-const numStripes = 64
+	"github.com/detector-net/detector/internal/pll"
+	"github.com/detector-net/detector/internal/route"
+)
 
-// pathSlot is one path's standing accumulator state.
-type pathSlot struct {
-	// Window section: this window's merged counters and delivered-weighted
-	// signal sums, zeroed (not reallocated) at window close.
+// stripeShift sets the ingest lock granularity: 128 consecutive rows share
+// a lock. One pinger's paths are mostly consecutive rows, so a report frame
+// holds one lock over a run of results instead of taking one per result,
+// and frames of different pingers fall in different stripes.
+const stripeShift = 7
+
+// rowCounters is one row's open window: merged counters and
+// delivered-weighted signal sums, zeroed (not reallocated) at window close.
+type rowCounters struct {
 	sent, lost     int
 	acked, rttW    float64
 	rttSum, jitSum float64
 	ecnSum         float64
-	// touched marks the slot as having received a report this window.
+	// touched marks the row as having received a report this window.
 	touched bool
-
-	// Cross-window section.
-	slowSent, slowLost int       // long-window (SlowEvery) accumulation
-	hist               []float64 // per-window loss rates, flap detection
-	rttBase            int64     // healthy-baseline mean RTT (min-tracked)
-	idle               int       // windows since last report, for pruning
 }
 
-type stripe struct {
-	mu    sync.Mutex
-	slots map[uint32]*pathSlot
+type windowState struct {
+	matrix  *route.Probes
+	version int
+
+	locks []sync.Mutex
+	win   []rowCounters
+
+	// straddled marks the first window of a state that replaced another:
+	// its reports straddle the version change and the close discards them.
+	straddled bool
+	// obs is the window last closed, row-indexed (obs[r].Path == r, Sent == 0
+	// for a silent row) and rewritten by every close.
+	obs []pll.Observation
+	// slow banks obs' counters for the long-window pass in the same layout;
+	// nil when the pass is off.
+	slow []pll.Observation
+	// sig is the cross-window context as of the window before obs: each
+	// row's loss-rate history and min-tracked healthy RTT baseline.
+	sig pll.Signals
+	// idle[r] counts the windows since row r last reported; 0 marks a row
+	// that reported in obs. Past horizon (Options.HistoryWindows) the row
+	// forgets its history and baseline.
+	idle    []int32
+	horizon int32
 }
 
-// accumulator is the sharded ingest state. Ingest paths lock one stripe at
-// a time; the window close serializes with them stripe by stripe.
-type accumulator struct {
-	stripes [numStripes]stripe
-}
-
-func newAccumulator() *accumulator {
-	a := &accumulator{}
-	for i := range a.stripes {
-		a.stripes[i].slots = make(map[uint32]*pathSlot)
+func newWindowState(m *route.Probes, version int, opts *Options, straddled bool) *windowState {
+	rows, horizon := m.NumPaths(), opts.HistoryWindows
+	if horizon <= 0 {
+		horizon = 12
 	}
-	return a
+	s := &windowState{
+		matrix: m, version: version, straddled: straddled,
+		locks: make([]sync.Mutex, (rows>>stripeShift)+1),
+		win:   make([]rowCounters, rows),
+		obs:   make([]pll.Observation, rows),
+		sig: pll.Signals{
+			History:   pll.NewHistory(rows, horizon),
+			BaseRTTNS: make([]int64, rows),
+			Counters:  opts.LinkCounters,
+		},
+		idle:    make([]int32, rows),
+		horizon: int32(horizon),
+	}
+	if opts.SlowEvery > 0 {
+		s.slow = make([]pll.Observation, rows)
+		for r := range s.slow {
+			s.slow[r].Path = r
+		}
+	}
+	return s
+}
+
+// ingest merges the results of one report frame into a window state,
+// holding the current stripe's lock across consecutive results that share
+// it. Zero value plus st is ready; done must be called when the frame ends.
+type ingest struct {
+	st      *windowState
+	held    *sync.Mutex
+	unknown int64
 }
 
 // merge folds one path's window counters (and, when acked > 0 with a
-// positive RTT, its delivered-weighted signals) into the path's slot.
+// positive RTT, its delivered-weighted signals) into the path's row.
 // Multiple reports for one path — several pingers probing the same path, or
-// several batched sub-windows — accumulate into honest weighted means,
-// exactly as the old map-based Ingest did.
-func (a *accumulator) merge(pathID uint32, sent, lost int, meanRTTNS, jitterNS int64, ecnFrac float64) {
-	s := &a.stripes[pathID&(numStripes-1)]
-	s.mu.Lock()
-	c := s.slots[pathID]
-	if c == nil {
-		c = &pathSlot{}
-		s.slots[pathID] = c
+// several batched sub-windows — accumulate into honest weighted means. A
+// path ID the bound matrix does not carry (a path retired by churn, a stale
+// pinger, or no matrix bound yet) is counted and dropped.
+func (in *ingest) merge(pathID uint32, sent, lost int, meanRTTNS, jitterNS int64, ecnFrac float64) {
+	row, ok := 0, false
+	if in.st != nil {
+		row, ok = in.st.matrix.RowOf(pathID)
 	}
+	if !ok {
+		in.unknown++
+		return
+	}
+	if mu := &in.st.locks[row>>stripeShift]; mu != in.held {
+		if in.held != nil {
+			in.held.Unlock()
+		}
+		mu.Lock()
+		in.held = mu
+	}
+	c := &in.st.win[row]
 	c.touched = true
 	c.sent += sent
 	c.lost += lost
@@ -83,29 +138,73 @@ func (a *accumulator) merge(pathID uint32, sent, lost int, meanRTTNS, jitterNS i
 			c.jitSum += float64(jitterNS) * del
 		}
 	}
-	s.mu.Unlock()
 }
 
-// reset drops every slot — the matrix version changed, so path IDs index a
-// different probe matrix and all standing state (histories, baselines, slow
-// counters, window counters) is about paths that no longer exist.
-func (a *accumulator) reset() {
-	for i := range a.stripes {
-		s := &a.stripes[i]
-		s.mu.Lock()
-		s.slots = make(map[uint32]*pathSlot)
-		s.mu.Unlock()
+func (in *ingest) done() {
+	if in.held != nil {
+		in.held.Unlock()
+	}
+	if in.unknown > 0 {
+		unknownPathResults.Add(in.unknown)
 	}
 }
 
-// paths counts live slots (tests and /statusz).
-func (a *accumulator) paths() int {
-	n := 0
-	for i := range a.stripes {
-		s := &a.stripes[i]
-		s.mu.Lock()
-		n += len(s.slots)
-		s.mu.Unlock()
+// close turns the open window into s.obs and zeroes it, stripe by stripe,
+// banking the counters for the slow pass. It returns how many rows
+// reported. History and baselines are not touched: the verdicts of this
+// window read them as they stood before it (see rollForward).
+func (s *windowState) close() (reported int) {
+	for k := range s.locks {
+		lo := k << stripeShift
+		hi := min(lo+1<<stripeShift, len(s.win))
+		s.locks[k].Lock()
+		for r := lo; r < hi; r++ {
+			c, o := &s.win[r], pll.Observation{Path: r}
+			if c.touched && !s.straddled {
+				o.Sent, o.Lost = c.sent, c.lost
+				if c.acked > 0 {
+					o.ECNFrac = c.ecnSum / c.acked
+				}
+				if c.rttW > 0 {
+					o.MeanRTTNS = int64(c.rttSum / c.rttW)
+					o.JitterNS = int64(c.jitSum / c.rttW)
+				}
+				if s.slow != nil {
+					s.slow[r].Sent += c.sent
+					s.slow[r].Lost += c.lost
+				}
+				s.idle[r] = 0
+				reported++
+			} else {
+				s.idle[r]++
+			}
+			if c.touched {
+				*c = rowCounters{}
+			}
+			s.obs[r] = o
+		}
+		s.locks[k].Unlock()
 	}
-	return n
+	s.straddled = false
+	return reported
+}
+
+// rollForward folds the closed window into the cross-window state, after
+// its verdicts were classified: rows that reported append their loss rate
+// and min-track the RTT baseline; a row silent past the horizon forgets
+// both, unless it still banks counters for a pending slow pass.
+func (s *windowState) rollForward() {
+	for r := range s.obs {
+		o := &s.obs[r]
+		switch {
+		case s.idle[r] == 0:
+			s.sig.History.Append(r, float64(o.Lost)/float64(max(o.Sent, 1)))
+			if o.MeanRTTNS > 0 && (s.sig.BaseRTTNS[r] == 0 || o.MeanRTTNS < s.sig.BaseRTTNS[r]) {
+				s.sig.BaseRTTNS[r] = o.MeanRTTNS
+			}
+		case s.idle[r] > s.horizon && (s.slow == nil || s.slow[r].Sent == 0):
+			s.sig.History.Forget(r)
+			s.sig.BaseRTTNS[r] = 0
+		}
+	}
 }

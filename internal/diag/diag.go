@@ -42,6 +42,15 @@ var malformedReports = metrics.NewCounter("diag_malformed_reports")
 // often the cut-link accuracy bound is actually being leaned on.
 var cutLinkDisagreements = metrics.NewCounter("diag_cut_link_disagreements")
 
+// unknownPathResults counts results dropped at ingest: the bound matrix
+// carries no such path ID (retired by churn, stale pinger), or none is bound.
+var unknownPathResults = metrics.NewCounter("diag_unknown_path_results")
+
+// localizeErrors counts windows the diagnosis plane failed to localize.
+// Such a window raises no alert; /statusz keeps the last error so it is
+// not mistaken for a quiet one.
+var localizeErrors = metrics.NewCounter("diag_localize_errors")
+
 // Diagnoser stage histograms: the window pipeline's per-cycle timing
 // (report ingest, window close-out, verdict classification; the localize
 // stage is observed by the shard plane it runs on).
@@ -136,9 +145,10 @@ type Options struct {
 	// deltas (the SNMP side channel) so the lattice can split observed
 	// loss into counted (lossy) and silent (gray).
 	LinkCounters pll.LinkCounters
-	// HistoryWindows bounds the per-path loss-rate history kept for flap
-	// detection (default 12 windows). It also bounds accumulator slots: a
-	// path silent for more than this many windows is pruned entirely.
+	// HistoryWindows is the depth of the per-row loss-rate history kept for
+	// flap detection (default 12 windows). It is also the silence horizon: a
+	// row that has not reported for more than this many windows forgets its
+	// history and RTT baseline and starts over when it reports again.
 	HistoryWindows int
 	// MaxBodyBytes caps a single report body — JSON or binary — answered
 	// with 413 past the cap (default shardrpc.DefaultLimits().MaxBodyBytes).
@@ -158,24 +168,28 @@ type Diagnoser struct {
 	clients map[int]shard.ShardClient
 	tr      *obs.Tracer
 
-	// accum is the striped report accumulator: ingest paths touch only
-	// their stripe, never d.mu, so report frames from many streams merge
-	// concurrently. reports counts payloads atomically for the same reason.
-	accum   *accumulator
+	// state is the window state of the served matrix (nil before the first
+	// SetMatrix). Ingest paths load it and touch only its lock stripes,
+	// never d.mu, so report frames from many streams merge concurrently.
+	// reports counts payloads atomically for the same reason.
+	state   atomic.Pointer[windowState]
 	reports atomic.Int64
 	maxBody int64
 
-	mu           sync.Mutex
-	matrix       *route.Probes
-	version      int
-	planeCache   shard.PlaneCache // the diagnosis plane, built once per served matrix
-	accVersion   int              // matrix version the accumulator's slots belong to
-	accVersionOK bool             // accVersion has been adopted (first window seen)
-	slowWindows  int              // fast windows since last slow pass
-	alerts       []Alert
-	stopped      bool
-	stopChan     chan struct{}
-	done         sync.WaitGroup
+	// closeMu serialises RunWindow: the state's close section and
+	// slowWindows belong to whoever holds it.
+	closeMu     sync.Mutex
+	slowWindows int // fast windows since last slow pass
+
+	mu         sync.Mutex
+	planeCache shard.PlaneCache // the diagnosis plane, built once per served matrix
+	// alerts is a ring once MaxAlerts are held: alertHead indexes the oldest.
+	alerts          []Alert
+	alertHead       int
+	lastLocalizeErr string
+	stopped         bool
+	stopChan        chan struct{}
+	done            sync.WaitGroup
 }
 
 // New creates a diagnoser; call Run to start the window loop, or drive
@@ -199,7 +213,6 @@ func New(opts Options) *Diagnoser {
 		opts: opts, client: client,
 		shards:   max(opts.Shards, 1),
 		tr:       obs.NewTracer("diag", 16),
-		accum:    newAccumulator(),
 		maxBody:  maxBody,
 		stopChan: make(chan struct{}),
 	}
@@ -228,20 +241,26 @@ func (d *Diagnoser) negotiateCodecs() {
 }
 
 // SetMatrix injects the probe matrix directly (in-process alternative to
-// the /matrix fetch).
+// the /matrix fetch). A new version swaps in a fresh window state — path IDs
+// now index a different matrix — and the window that straddles the change
+// is discarded. The same version again is the same matrix (the fetch path
+// re-delivers it every window) and changes nothing.
 func (d *Diagnoser) SetMatrix(m *route.Probes, version int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.matrix = m
-	d.version = version
+	old := d.state.Load()
+	if old == nil || old.version != version {
+		d.state.Store(newWindowState(m, version, &d.opts, old != nil))
+	}
 }
 
 // MatrixVersion reports the controller cycle version of the matrix the
 // diagnoser currently localizes against.
 func (d *Diagnoser) MatrixVersion() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.version
+	if st := d.state.Load(); st != nil {
+		return st.version
+	}
+	return 0
 }
 
 // Tracer exposes the diagnoser's window tracer (the /statusz source).
@@ -251,21 +270,25 @@ func (d *Diagnoser) Tracer() *obs.Tracer { return d.tr }
 func (d *Diagnoser) Ingest(rep *pinger.Report) {
 	start := time.Now()
 	d.reports.Add(1)
+	in := ingest{st: d.state.Load()}
 	for _, r := range rep.Results {
-		d.accum.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
+		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
 	}
+	in.done()
 	stageIngest.Observe(time.Since(start))
 }
 
 // ingestWire merges one decoded binary report frame, with no conversion to
 // the JSON struct: the stream path decodes into a reused shardrpc.Report
-// and merges straight into the stripes.
+// and merges straight into the window state.
 func (d *Diagnoser) ingestWire(rep *shardrpc.Report) {
 	start := time.Now()
 	d.reports.Add(1)
+	in := ingest{st: d.state.Load()}
 	for _, r := range rep.Results {
-		d.accum.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
+		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
 	}
+	in.done()
 	stageIngest.Observe(time.Since(start))
 }
 
@@ -276,12 +299,14 @@ func (d *Diagnoser) ingestWire(rep *shardrpc.Report) {
 func (d *Diagnoser) ingestSummary(s *shardrpc.SummaryReport) {
 	start := time.Now()
 	d.reports.Add(1)
+	in := ingest{st: d.state.Load()}
 	for _, r := range s.Worst {
-		d.accum.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
+		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
 	}
 	for _, r := range s.Residue {
-		d.accum.merge(r.PathID, r.Sent, r.Lost, 0, 0, 0)
+		in.merge(r.PathID, r.Sent, r.Lost, 0, 0, 0)
 	}
+	in.done()
 	stageIngest.Observe(time.Since(start))
 }
 
@@ -427,23 +452,29 @@ func (d *Diagnoser) Handler() http.Handler {
 	})
 	mux.HandleFunc("/healthz", obs.HealthzHandler(func() obs.Health {
 		h := obs.Health{Status: "ok", Service: "diag"}
-		d.mu.Lock()
-		if d.matrix == nil {
+		if d.state.Load() == nil {
 			h.Status = "degraded"
 			h.Detail = "no probe matrix yet"
 		}
-		d.mu.Unlock()
 		return h
 	}))
 	mux.HandleFunc("/statusz", obs.StatuszHandler("diag", d.tr, func() any {
 		d.mu.Lock()
 		defer d.mu.Unlock()
 		st := map[string]any{
-			"version": d.version,
+			"version": d.MatrixVersion(),
 			"reports": d.reports.Load(),
 			"alerts":  len(d.alerts),
-			"paths":   d.accum.paths(),
+			"paths":   0,
 			"shards":  d.shards,
+			// Results dropped at ingest: no such path in the bound matrix.
+			"unknown_path_results": unknownPathResults.Value(),
+		}
+		if ws := d.state.Load(); ws != nil {
+			st["paths"] = ws.matrix.NumPaths()
+		}
+		if d.lastLocalizeErr != "" {
+			st["last_localize_error"] = d.lastLocalizeErr
 		}
 		if pl := d.planeCache.Cached(); pl != nil {
 			// The last transport failure per shard: those windows were
@@ -490,7 +521,7 @@ func (d *Diagnoser) ingestFrame(frame []byte) error {
 
 // serveStream drains one persistent report connection: back-to-back
 // self-delimiting frames, decoded into reused structs and merged into the
-// stripes with no per-frame allocation once warm. It returns the number of
+// window state with no per-frame allocation once warm. It returns the number of
 // frames ingested; a nil error is a clean end of stream. The first
 // malformed frame kills the connection — framing errors are not locally
 // recoverable on a byte stream.
@@ -567,8 +598,13 @@ func (d *Diagnoser) Stop() {
 	}
 }
 
-// RunWindow executes one localization pass over the accumulated reports.
+// RunWindow executes one localization pass over the accumulated reports:
+// close the open window into the state's row-indexed observation buffer,
+// localize and classify it against the history and baselines of the windows
+// before it, and only then roll those forward.
 func (d *Diagnoser) RunWindow() *Alert {
+	d.closeMu.Lock()
+	defer d.closeMu.Unlock()
 	cy := d.tr.StartCycle("window")
 	defer cy.End()
 	// Refresh matrix and watchdog data if remote.
@@ -584,23 +620,15 @@ func (d *Diagnoser) RunWindow() *Alert {
 		}
 	}
 
-	histCap := d.opts.HistoryWindows
-	if histCap <= 0 {
-		histCap = 12
+	st := d.state.Load()
+	if st == nil {
+		return nil // no matrix bound: nothing could be ingested
 	}
 	closeStart := time.Now()
 	closeSpan := cy.Span("window_close")
-	d.mu.Lock()
-	matrix := d.matrix
-	version := d.version
-	if d.accVersionOK && version != d.accVersion {
-		// Matrix version changed: path IDs index a different probe matrix,
-		// so every standing slot (history, baseline, slow counters, and any
-		// counters merged across the transition) is stale. Prune it all and
-		// start the new construction cycle clean.
-		d.accum.reset()
-	}
-	d.accVersion, d.accVersionOK = version, true
+	reported := st.close()
+	closeSpan.End()
+	stageWindowClose.Observe(time.Since(closeStart))
 	slowDue := false
 	if d.opts.SlowEvery > 0 {
 		d.slowWindows++
@@ -609,112 +637,26 @@ func (d *Diagnoser) RunWindow() *Alert {
 			slowDue = true
 		}
 	}
-	d.mu.Unlock()
 
-	// Walk the stripes: snapshot touched slots into observations (one per
-	// matrix row — the plane's window contract), roll the cross-window
-	// state forward in place and zero the window section. Slots idle past
-	// the history horizon are deleted — the accumulator is bounded by the
-	// live path population.
-	observations := make([]pll.Observation, 0, 1024)
-	var slowObs []pll.Observation
-	// sig snapshots the cross-window context as it stood BEFORE this
-	// window: flap detection appends the current rate itself, and the RTT
-	// baseline must not learn from the window it is judging.
-	sig := &pll.Signals{
-		History:   make(map[int][]float64),
-		BaseRTTNS: make(map[int]int64),
-		Counters:  d.opts.LinkCounters,
+	var alert *Alert
+	if reported > 0 {
+		alert = d.localizeAlert(cy, st, st.obs, cfg, &st.sig)
 	}
-	for i := range d.accum.stripes {
-		s := &d.accum.stripes[i]
-		s.mu.Lock()
-		for pathID, c := range s.slots {
-			if c.touched {
-				c.idle = 0
-				// Wire path IDs are sparse and stable across churn; the
-				// localizer works in matrix rows, so translate here (the
-				// identity for dense matrices). An ID the matrix does not
-				// carry — a path retired by churn, or a stale pinger — is
-				// dropped exactly as an out-of-range ID was before.
-				o := pll.Observation{Path: int(pathID), Sent: c.sent, Lost: c.lost}
-				inMatrix := matrix == nil
-				if matrix != nil {
-					if row, ok := matrix.RowOf(pathID); ok {
-						o.Path = row
-						inMatrix = true
-					}
-				}
-				if c.acked > 0 {
-					o.ECNFrac = c.ecnSum / c.acked
-				}
-				if c.rttW > 0 {
-					o.MeanRTTNS = int64(c.rttSum / c.rttW)
-					o.JitterNS = int64(c.jitSum / c.rttW)
-				}
-				if inMatrix {
-					observations = append(observations, o)
-				}
-				if inMatrix && len(c.hist) > 0 {
-					sig.History[o.Path] = append([]float64(nil), c.hist...)
-				}
-				if inMatrix && c.rttBase > 0 {
-					sig.BaseRTTNS[o.Path] = c.rttBase
-				}
-				// Roll the history and the min-tracked RTT baseline forward.
-				c.hist = append(c.hist, float64(c.lost)/float64(max(c.sent, 1)))
-				if len(c.hist) > histCap {
-					copy(c.hist, c.hist[len(c.hist)-histCap:])
-					c.hist = c.hist[:histCap]
-				}
-				if o.MeanRTTNS > 0 && (c.rttBase == 0 || o.MeanRTTNS < c.rttBase) {
-					c.rttBase = o.MeanRTTNS
-				}
-				// Feed the long-window accumulator and zero the window
-				// section. With the slow pass disabled the counters would
-				// bank forever and pin idle slots past pruning, so only an
-				// enabled pass accumulates.
-				if d.opts.SlowEvery > 0 {
-					c.slowSent += c.sent
-					c.slowLost += c.lost
-				}
-				c.sent, c.lost = 0, 0
-				c.acked, c.rttW, c.rttSum, c.jitSum, c.ecnSum = 0, 0, 0, 0, 0
-				c.touched = false
-			} else {
-				c.idle++
-			}
-			if slowDue && c.slowSent > 0 {
-				row, ok := int(pathID), matrix == nil
-				if matrix != nil {
-					row, ok = matrix.RowOf(pathID)
-				}
-				if ok {
-					slowObs = append(slowObs, pll.Observation{
-						Path: row, Sent: c.slowSent, Lost: c.slowLost})
-				}
-				c.slowSent, c.slowLost = 0, 0
-			}
-			// Prune slots idle past the history horizon, but never one still
-			// carrying counters for a pending slow pass.
-			if c.idle > histCap && c.slowSent == 0 {
-				delete(s.slots, pathID)
-			}
-		}
-		s.mu.Unlock()
-	}
-	closeSpan.End()
-	stageWindowClose.Observe(time.Since(closeStart))
-
-	if matrix == nil {
-		return nil
-	}
-	alert := d.localizeAlert(cy, matrix, version, observations, cfg, false, sig)
-	if slowDue && len(slowObs) > 0 {
+	if slowDue {
 		// The slow pass is the low-rate loss net; it pools too many windows
 		// for the time-series signals to mean anything.
-		d.localizeAlert(cy, matrix, version, slowObs, cfg, true, nil)
+		banked := false
+		for r := range st.slow {
+			banked = banked || st.slow[r].Sent > 0
+		}
+		if banked {
+			d.localizeAlert(cy, st, st.slow, cfg, nil)
+		}
+		for r := range st.slow {
+			st.slow[r].Sent, st.slow[r].Lost = 0, 0
+		}
 	}
+	st.rollForward()
 	return alert
 }
 
@@ -746,25 +688,28 @@ func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 	return pl.UseClients(d.clients)
 }
 
-// localizeAlert runs one PLL pass on the diagnosis plane and records the
-// alert. The fast pass (sig non-nil) places every localized link in the
-// verdict lattice: congestion and delay verdicts become Soft advisories
-// instead of Bad alerts, and the signal-localization pass adds soft links
-// whose faults lose nothing.
-func (d *Diagnoser) localizeAlert(cy *obs.Cycle, matrix *route.Probes, version int, observations []pll.Observation, cfg pll.Config, slow bool, sig *pll.Signals) *Alert {
-	if len(observations) == 0 {
-		return nil
-	}
+// localizeAlert runs one PLL pass on the diagnosis plane over a row-indexed
+// window of st's matrix and records the alert. The fast pass (sig non-nil)
+// places every localized link in the verdict lattice: congestion and delay
+// verdicts become Soft advisories instead of Bad alerts, and the
+// signal-localization pass adds soft links whose faults lose nothing. The
+// slow pass (sig nil) marks its alert Slow.
+func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, observations []pll.Observation, cfg pll.Config, sig *pll.Signals) *Alert {
+	matrix := st.matrix
 	res, ms, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
 	if err != nil {
+		localizeErrors.Inc()
+		d.mu.Lock()
+		d.lastLocalizeErr = err.Error()
+		d.mu.Unlock()
 		return nil
 	}
 	cutLinkDisagreements.Add(int64(ms.Disagreements))
 	alert := Alert{
-		Time: time.Now(), Version: version,
+		Time: time.Now(), Version: st.version,
 		LossyPaths: res.LossyPaths, Unexplained: res.UnexplainedPaths,
 		ElapsedMS: float64(res.Elapsed.Microseconds()) / 1000,
-		Slow:      slow,
+		Slow:      sig == nil,
 	}
 	name := func(lv *LinkVerdict) {
 		if d.opts.Topo != nil {
@@ -809,20 +754,19 @@ func (d *Diagnoser) localizeAlert(cy *obs.Cycle, matrix *route.Probes, version i
 		maxAlerts = 1024
 	}
 	d.mu.Lock()
-	d.alerts = append(d.alerts, alert)
-	if len(d.alerts) > maxAlerts {
-		// Ring semantics in place: shift down and reslice, so the backing
-		// array never grows past maxAlerts+1.
-		n := copy(d.alerts, d.alerts[len(d.alerts)-maxAlerts:])
-		d.alerts = d.alerts[:n]
+	if len(d.alerts) < maxAlerts {
+		d.alerts = append(d.alerts, alert)
+	} else {
+		d.alerts[d.alertHead] = alert
+		d.alertHead = (d.alertHead + 1) % maxAlerts
 	}
 	d.mu.Unlock()
 	return &alert
 }
 
-// Alerts returns all alerts so far.
+// Alerts returns the retained alerts, oldest first.
 func (d *Diagnoser) Alerts() []Alert {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]Alert(nil), d.alerts...)
+	return append(append(make([]Alert, 0, len(d.alerts)), d.alerts[d.alertHead:]...), d.alerts[:d.alertHead]...)
 }

@@ -111,9 +111,14 @@ func TestEmptyWindowNoAlert(t *testing.T) {
 
 func TestNoMatrixNoCrash(t *testing.T) {
 	d := New(Options{Window: time.Hour})
+	before := unknownPathResults.Value()
 	d.Ingest(&pinger.Report{Node: 1, Results: []pinger.PathReport{{PathID: 0, Sent: 5, Lost: 5}}})
 	if alert := d.RunWindow(); alert != nil {
 		t.Fatalf("alert without a matrix: %+v", alert)
+	}
+	// With no matrix bound the result has no row to land in: dropped, counted.
+	if got := unknownPathResults.Value() - before; got != 1 {
+		t.Fatalf("diag_unknown_path_results moved by %d, want 1", got)
 	}
 }
 

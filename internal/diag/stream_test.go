@@ -221,40 +221,103 @@ func TestAlertsRing(t *testing.T) {
 	}
 }
 
-// TestSlotPruning: a path that stops reporting is deleted once it has been
-// idle past the history horizon, so vanished paths cannot grow the
-// accumulator forever.
-func TestSlotPruning(t *testing.T) {
-	d := New(Options{Window: time.Hour, HistoryWindows: 3})
-	d.SetMatrix(testMatrix(), 1)
-	d.Ingest(&pinger.Report{Node: 1, Results: []pinger.PathReport{{PathID: 0, Sent: 10, Lost: 0}}})
-	d.RunWindow()
-	if got := d.accum.paths(); got != 1 {
-		t.Fatalf("slots = %d, want 1", got)
-	}
-	for w := 0; w < 4; w++ {
+// TestSilenceHorizon: a row silent for more than HistoryWindows windows
+// forgets its loss history and RTT baseline and starts over when it reports
+// again; a row still banking counters for a pending slow pass keeps
+// everything until that pass has drained them.
+func TestSilenceHorizon(t *testing.T) {
+	report := func(d *Diagnoser) {
+		d.Ingest(&pinger.Report{Node: 1, Results: []pinger.PathReport{{PathID: 0, Sent: 10, Lost: 1, MeanRTTNS: 5000}}})
 		d.RunWindow()
 	}
-	if got := d.accum.paths(); got != 0 {
-		t.Fatalf("idle slot survived pruning: %d", got)
+	history := func(d *Diagnoser) int { return len(d.state.Load().sig.History.Series(nil, 0)) }
+	baseline := func(d *Diagnoser) int64 { return d.state.Load().sig.BaseRTTNS[0] }
+
+	d := New(Options{Window: time.Hour, HistoryWindows: 3})
+	d.SetMatrix(testMatrix(), 1)
+	report(d)
+	for w := 0; w < 3; w++ {
+		d.RunWindow()
+	}
+	if history(d) != 1 || baseline(d) != 5000 {
+		t.Fatalf("row forgotten inside the horizon: history %d, baseline %d", history(d), baseline(d))
+	}
+	d.RunWindow() // silent for HistoryWindows+1 windows now
+	if history(d) != 0 || baseline(d) != 0 {
+		t.Fatalf("row silent past the horizon kept history %d, baseline %d", history(d), baseline(d))
+	}
+	report(d)
+	if history(d) != 1 || baseline(d) != 5000 {
+		t.Fatalf("row did not start over: history %d, baseline %d", history(d), baseline(d))
+	}
+
+	// With a slow pass pending the banked counters pin the row: nothing is
+	// forgotten at the horizon, the pass still sees the counters, and the
+	// row is forgotten once the pass has drained them.
+	d = New(Options{Window: time.Hour, HistoryWindows: 3, SlowEvery: 8})
+	d.SetMatrix(testMatrix(), 1)
+	report(d)
+	for w := 0; w < 6; w++ {
+		d.RunWindow()
+	}
+	if slow := d.state.Load().slow[0]; slow.Sent != 10 || slow.Lost != 1 {
+		t.Fatalf("pending slow counters lost: %+v", slow)
+	}
+	if history(d) != 1 || baseline(d) != 5000 {
+		t.Fatalf("row with pending slow counters forgotten: history %d, baseline %d", history(d), baseline(d))
+	}
+	d.RunWindow() // window 8: the slow pass runs and drains the counters
+	alerts := d.Alerts()
+	if last := alerts[len(alerts)-1]; !last.Slow || last.LossyPaths != 1 {
+		t.Fatalf("slow pass did not see the banked counters: %+v", last)
+	}
+	if history(d) != 0 || baseline(d) != 0 || d.state.Load().slow[0].Sent != 0 {
+		t.Fatalf("drained row past the horizon kept history %d, baseline %d", history(d), baseline(d))
 	}
 }
 
-// TestMatrixVersionPrune: a matrix version change drops every standing slot
-// — histories and baselines keyed by old path IDs must not leak into the
-// new construction cycle.
+// TestMatrixVersionPrune: a matrix version change swaps the whole window
+// state. The window that straddles the change is discarded on both sides of
+// it, and nothing learned under version 1 — counters, histories, baselines —
+// is visible under version 2.
 func TestMatrixVersionPrune(t *testing.T) {
-	d := New(Options{Window: time.Hour})
+	d := New(Options{Window: time.Hour, SlowEvery: 100})
 	d.SetMatrix(testMatrix(), 1)
-	d.Ingest(&pinger.Report{Node: 1, Results: []pinger.PathReport{{PathID: 0, Sent: 10, Lost: 5}}})
-	d.RunWindow()
-	if d.accum.paths() == 0 {
-		t.Fatal("no slots after first window")
+	lossy := &pinger.Report{Node: 1, Results: []pinger.PathReport{
+		{PathID: 0, Sent: 10, Lost: 5, MeanRTTNS: 5000}, {PathID: 1, Sent: 10, Lost: 5, MeanRTTNS: 5000}}}
+	d.Ingest(lossy)
+	if d.RunWindow() == nil {
+		t.Fatal("no alert under version 1")
 	}
+	v1 := d.state.Load()
+
+	d.Ingest(lossy) // before the swap: lands in version 1's state
 	d.SetMatrix(testMatrix(), 2)
-	d.RunWindow()
-	if got := d.accum.paths(); got != 0 {
-		t.Fatalf("stale slots survived the version change: %d", got)
+	d.Ingest(lossy) // after it: same window, still discarded
+	if alert := d.RunWindow(); alert != nil {
+		t.Fatalf("the window straddling the version change raised %+v", alert)
+	}
+	v2 := d.state.Load()
+	if v2 == v1 || v2.version != 2 || d.MatrixVersion() != 2 {
+		t.Fatalf("state not swapped: version %d", v2.version)
+	}
+	for r := range v2.obs {
+		if v2.obs[r].Sent != 0 || v2.slow[r].Sent != 0 || v2.sig.BaseRTTNS[r] != 0 ||
+			len(v2.sig.History.Series(nil, r)) != 0 {
+			t.Fatalf("row %d carries state across the version change", r)
+		}
+	}
+
+	d.Ingest(lossy)
+	alert := d.RunWindow()
+	if alert == nil || alert.Version != 2 || len(alert.Bad) != 1 {
+		t.Fatalf("first full window under version 2: %+v", alert)
+	}
+	// Re-delivering the served version (the /matrix fetch does, every
+	// window) keeps the state.
+	d.SetMatrix(testMatrix(), 2)
+	if d.state.Load() != v2 {
+		t.Fatal("same version swapped the state")
 	}
 }
 
@@ -287,7 +350,7 @@ func alertsHash(t *testing.T, alerts []Alert) uint64 {
 
 // servedMatrix builds the pmc-selected probe matrix for a topology — the
 // production shape, not a hand fixture.
-func servedMatrix(t *testing.T, ps route.PathSet, numLinks int) *route.Probes {
+func servedMatrix(t testing.TB, ps route.PathSet, numLinks int) *route.Probes {
 	t.Helper()
 	res, err := pmc.Construct(ps, numLinks, pmc.Options{
 		Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true,
@@ -615,12 +678,14 @@ func benchFrames(nodes, resultsPerFrame int) [][]byte {
 }
 
 // BenchmarkIngestThroughput measures the streaming hot path — frame decode
-// (reused struct), validation, and striped merge — and reports per-path
+// (reused struct), validation, ID-to-row translation and merge under the
+// row stripes' locks — and reports per-path
 // report throughput. The acceptance floor is 1e6 reports/sec.
 func BenchmarkIngestThroughput(b *testing.B) {
 	const resultsPerFrame = 64
 	d := New(Options{Window: time.Hour})
 	frames := benchFrames(256, resultsPerFrame)
+	d.SetMatrix(route.NewProbesFromLinks(make([][]topo.LinkID, len(frames)*resultsPerFrame), 1), 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -646,24 +711,27 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowClose measures the close-out a fleet-scale window pays:
-// walking ~16k populated slots, rolling history, feeding the incremental
-// engine and localizing. The acceptance ceiling is one second.
+// BenchmarkWindowClose measures what a fleet-scale window pays after its
+// last report: the linear close of the window state, localization,
+// classification of the flagged link and the roll-forward, on ~16k rows
+// (the served Fattree(8) selection repeated, so set-up stays cheap). The
+// acceptance ceiling is 2 ms a window; the map-of-slots close this state
+// replaced took about 6 ms here.
 func BenchmarkWindowClose(b *testing.B) {
 	f8 := topo.MustFattree(8)
-	ps := route.NewFattreePaths(f8)
-	res, err := pmc.Construct(ps, f8.NumLinks(), pmc.Options{
-		Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true,
-	})
-	if err != nil {
-		b.Fatal(err)
+	served := servedMatrix(b, route.NewFattreePaths(f8), f8.NumLinks())
+	var rows [][]topo.LinkID
+	for i := 0; i < 112; i++ {
+		rows = append(rows, served.PathLinks...)
 	}
-	m := route.NewProbes(ps, res.Selected, f8.NumLinks())
+	m := route.NewProbesFromLinks(rows, f8.NumLinks())
 	d := New(Options{Window: time.Hour})
 	d.SetMatrix(m, 1)
 	bad := m.PathLinks[0][len(m.PathLinks[0])/2]
 
 	refill := func() {
+		in := ingest{st: d.state.Load()}
+		defer in.done()
 		for path := 0; path < m.NumPaths(); path++ {
 			lost := 0
 			for _, l := range m.PathLinks[path] {
@@ -672,9 +740,11 @@ func BenchmarkWindowClose(b *testing.B) {
 					break
 				}
 			}
-			d.accum.merge(uint32(path), 200, lost, 1_000_000, 1000, 0)
+			in.merge(uint32(path), 200, lost, 1_000_000, 1000, 0)
 		}
 	}
+	refill()
+	d.RunWindow() // builds the plane: paid once per served matrix, not per window
 	b.ResetTimer()
 	var total time.Duration
 	for i := 0; i < b.N; i++ {
@@ -691,8 +761,8 @@ func BenchmarkWindowClose(b *testing.B) {
 	if b.N > 0 {
 		perWindow := total / time.Duration(b.N)
 		b.ReportMetric(perWindow.Seconds()*1000, "ms/window")
-		if perWindow > time.Second {
-			b.Fatalf("window close %v exceeds the sub-second budget", perWindow)
+		if perWindow > 2*time.Millisecond {
+			b.Fatalf("window close %v exceeds the 2 ms budget", perWindow)
 		}
 	}
 }

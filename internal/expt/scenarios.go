@@ -78,11 +78,13 @@ func scenarioCell(f *topo.Fattree, probes *route.Probes, mode sim.FaultMode, num
 		// Healthy warmup on a clean network: baselines and history sample 0.
 		healthy := sim.NewNetwork(f.Topology, nil)
 		warm := sim.SimulateSignalWindow(healthy, probes, sim.SignalWindowConfig{ProbesPerPath: probesPerPath}, rng)
-		sigs := &pll.Signals{History: make(map[int][]float64), BaseRTTNS: make(map[int]int64)}
+		// Depth 6 keeps every recorded window: the warmup and up to four
+		// fault windows before the verdict window.
+		sigs := &pll.Signals{History: pll.NewHistory(probes.NumPaths(), 6), BaseRTTNS: make([]int64, probes.NumPaths())}
 		record := func(obs []pll.Observation, baseline bool) {
 			for _, o := range obs {
 				if o.Sent > 0 {
-					sigs.History[o.Path] = append(sigs.History[o.Path], float64(o.Lost)/float64(o.Sent))
+					sigs.History.Append(o.Path, float64(o.Lost)/float64(o.Sent))
 				}
 				if baseline && o.MeanRTTNS > 0 {
 					sigs.BaseRTTNS[o.Path] = o.MeanRTTNS

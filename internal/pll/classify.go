@@ -43,9 +43,9 @@ func (c LossClass) String() string {
 	}
 }
 
-// Classify infers the loss class of a localized link from the window's
-// observations. The decision works on the per-path loss ratios of observed
-// paths through the link:
+// Classify infers the loss class of a localized link from the row-indexed
+// window (see rowObservation). The decision works on the per-path loss
+// ratios of observed paths through the link:
 //
 //   - pooled ratio >= fullThreshold on every path → ClassFull;
 //   - otherwise, if the across-path dispersion of ratios is far above
@@ -56,15 +56,12 @@ func (c LossClass) String() string {
 func Classify(p *route.Probes, obs []Observation, link topo.LinkID) LossClass {
 	const fullThreshold = 0.95
 
-	onLink := make(map[int]bool)
-	for _, pi := range p.PathsThrough(link) {
-		onLink[int(pi)] = true
-	}
 	var ratios []float64
 	var sentTotal, lostTotal int
 	minRatio, maxRatio := 1.0, 0.0
-	for _, o := range obs {
-		if o.Sent <= 0 || !onLink[o.Path] {
+	for _, row := range p.PathsThrough(link) {
+		o, ok := rowObservation(obs, row)
+		if !ok {
 			continue
 		}
 		r := float64(o.Lost) / float64(o.Sent)

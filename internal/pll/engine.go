@@ -72,7 +72,7 @@ func (e *Engine) Matrix() *route.Probes { return e.p }
 // nothing and are never lossy.
 //
 // The window contract is enforced here: at most one observation per row.
-// The diagnoser's accumulator emits exactly that; a duplicate would be
+// The diagnoser's window state emits exactly that; a duplicate would be
 // double-counted by Localize and is an error, not a silent merge.
 func (e *Engine) Sparsify(obs []Observation, cfg Config) (Window, error) {
 	n := e.p.NumPaths()
@@ -88,7 +88,8 @@ func (e *Engine) Sparsify(obs []Observation, cfg Config) (Window, error) {
 		}
 		seen[o.Path] = true
 		reported++
-		if len(e.p.PathLinks[o.Path]) == 0 || cfg.unhealthyPath(e.p, o.Path) || !cfg.lossy(o) {
+		// Counters first: a clean row, the common case, never touches the matrix.
+		if !cfg.lossy(o) || len(e.p.PathLinks[o.Path]) == 0 || cfg.unhealthyPath(e.p, o.Path) {
 			continue
 		}
 		w.Lossy = append(w.Lossy, Observation{Path: o.Path, Sent: o.Sent, Lost: o.Lost})

@@ -37,6 +37,20 @@ type Observation struct {
 	ECNFrac float64
 }
 
+// rowObservation reads row's entry of a row-indexed window: obs[r] is the
+// observation of matrix row r (Path == r), Sent == 0 where the row did not
+// report, and rows at or past len(obs) did not report either. The
+// diagnoser's window state and the simulator both emit this layout; it lets
+// a link's evidence be read through Probes.PathsThrough, in ascending row
+// order, without scanning the window. ok is false for a row with no report.
+func rowObservation(obs []Observation, row int32) (o Observation, ok bool) {
+	if int(row) >= len(obs) {
+		return o, false
+	}
+	o = obs[row]
+	return o, o.Sent > 0 && o.Path == int(row)
+}
+
 // Config tunes PLL. The zero value is unusable; use DefaultConfig.
 type Config struct {
 	// HitRatio is the threshold on lossyPaths(l)/pathsThrough(l) above

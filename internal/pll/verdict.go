@@ -129,40 +129,93 @@ func (c SignalConfig) norm() SignalConfig {
 // backs it with the SNMP baseline's poll deltas.
 type LinkCounters func(l topo.LinkID) (delta int64, ok bool)
 
+// History is every matrix row's recent loss rates, for flap detection: a
+// fixed-depth ring per row in one flat slice, appended in place. The layout
+// is slot-major (ring[slot*rows+row]), so a fleet whose rows all report
+// every window appends one contiguous run per window.
+type History struct {
+	rows, depth int
+	// n[row] counts the samples appended since the row was last forgotten,
+	// folded back by depth at 2*depth: min(n, depth) samples are live and
+	// the next lands in slot n%depth.
+	n    []int32
+	ring []float64
+}
+
+// NewHistory holds up to depth samples for each of rows rows.
+func NewHistory(rows, depth int) *History {
+	return &History{rows: rows, depth: depth, n: make([]int32, rows), ring: make([]float64, rows*depth)}
+}
+
+// Append records row's loss rate for the window just closed, dropping the
+// oldest sample once depth are held.
+func (h *History) Append(row int, rate float64) {
+	n := int(h.n[row])
+	h.ring[n%h.depth*h.rows+row] = rate
+	if n++; n == 2*h.depth {
+		n = h.depth
+	}
+	h.n[row] = int32(n)
+}
+
+// Forget drops row's samples.
+func (h *History) Forget(row int) { h.n[row] = 0 }
+
+// Series appends row's samples to buf, oldest first. A nil History, or a
+// row it does not hold, has none.
+func (h *History) Series(buf []float64, row int) []float64 {
+	if h == nil || row >= h.rows {
+		return buf
+	}
+	n := int(h.n[row])
+	for k := max(n-h.depth, 0); k < n; k++ {
+		buf = append(buf, h.ring[k%h.depth*h.rows+row])
+	}
+	return buf
+}
+
 // Signals carries the cross-window context the lattice needs beyond one
-// window's observations. Any field may be nil/empty; the verdict degrades
-// to what the remaining signals support.
+// window's observations, as row-indexed views the diagnoser's standing
+// state is read through in place. Any field may be nil/empty; the verdict
+// degrades to what the remaining signals support.
 type Signals struct {
-	// History holds each path's loss rates of the preceding windows,
-	// oldest first, excluding the current window.
-	History map[int][]float64
-	// BaseRTTNS holds each path's healthy-baseline mean RTT.
-	BaseRTTNS map[int]int64
+	// History holds each row's loss rates of the preceding windows,
+	// excluding the current window.
+	History *History
+	// BaseRTTNS[r] is row r's healthy-baseline mean RTT; zero, or a row past
+	// the slice, has none.
+	BaseRTTNS []int64
 	// Counters exposes per-link switch drop-counter deltas.
 	Counters LinkCounters
 }
 
+func (s *Signals) baseRTT(row int) int64 {
+	if row < len(s.BaseRTTNS) {
+		return s.BaseRTTNS[row]
+	}
+	return 0
+}
+
 // ClassifyVerdict places one localized link in the verdict lattice using
-// the window's observations plus the cross-window signals. Decision order
-// encodes signal priority: a flapping series trumps everything (any single
-// window misreads it), ECN marks trump loss (tail drops are a symptom of
-// the queue), latency inflation without loss is a delay fault, and
-// remaining persistent loss splits on whether the switch counted it.
+// the row-indexed window (see rowObservation) plus the cross-window signals
+// of the paths through the link. Decision order encodes signal priority: a
+// flapping series trumps everything (any single window misreads it), ECN
+// marks trump loss (tail drops are a symptom of the queue), latency
+// inflation without loss is a delay fault, and remaining persistent loss
+// splits on whether the switch counted it.
 func ClassifyVerdict(p *route.Probes, obs []Observation, link topo.LinkID, sig *Signals, cfg SignalConfig) VerdictClass {
 	cfg = cfg.norm()
 	if sig == nil {
 		sig = &Signals{}
 	}
-	onLink := make(map[int]bool)
-	for _, pi := range p.PathsThrough(link) {
-		onLink[int(pi)] = true
-	}
 
 	var sentTotal, lostTotal, delivered int
 	var ecnWeighted, rttRatioWeighted, rttWeight float64
 	flapPaths, observedPaths := 0, 0
-	for _, o := range obs {
-		if o.Sent <= 0 || !onLink[o.Path] {
+	var series []float64
+	for _, row := range p.PathsThrough(link) {
+		o, ok := rowObservation(obs, row)
+		if !ok {
 			continue
 		}
 		observedPaths++
@@ -172,11 +225,11 @@ func ClassifyVerdict(p *route.Probes, obs []Observation, link topo.LinkID, sig *
 		delivered += del
 		ecnWeighted += o.ECNFrac * float64(del)
 
-		rate := float64(o.Lost) / float64(o.Sent)
-		if flapTransitions(append(append([]float64(nil), sig.History[o.Path]...), rate), cfg) >= cfg.FlapTransitions {
+		series = append(sig.History.Series(series[:0], o.Path), float64(o.Lost)/float64(o.Sent))
+		if flapTransitions(series, cfg) >= cfg.FlapTransitions {
 			flapPaths++
 		}
-		if base := sig.BaseRTTNS[o.Path]; base > 0 && del > 0 && o.MeanRTTNS > 0 {
+		if base := sig.baseRTT(o.Path); base > 0 && del > 0 && o.MeanRTTNS > 0 {
 			rttRatioWeighted += float64(o.MeanRTTNS) / float64(base) * float64(del)
 			rttWeight += float64(del)
 		}
@@ -268,61 +321,63 @@ type SignalResult struct {
 // onto pseudo loss observations — ECN-marked probes "lost" for the
 // congestion pass, RTT-inflated paths fully "lost" for the delay pass —
 // and reuses the PLL greedy on them, so the localization math (hit
-// ratios, component decomposition) is shared with the loss path.
+// ratios, component decomposition) is shared with the loss path. A pass
+// whose signal no row carries builds nothing: on a fleet with no marks and
+// no inflation the cost is two scans of the window.
 func LocalizeSignals(p *route.Probes, obs []Observation, sig *Signals, scfg SignalConfig, cfg Config) SignalResult {
 	scfg = scfg.norm()
 	if sig == nil {
 		sig = &Signals{}
 	}
+	// localize runs PLL over the window with each path's losses replaced
+	// by pseudoLost, if any path has some.
+	localize := func(pseudoLost func(*Observation) int) []Verdict {
+		any := false
+		for i := range obs {
+			if any = pseudoLost(&obs[i]) > 0; any {
+				break
+			}
+		}
+		if !any {
+			return nil
+		}
+		pseudo := make([]Observation, len(obs))
+		for i := range obs {
+			pseudo[i] = Observation{Path: obs[i].Path, Sent: obs[i].Sent, Lost: pseudoLost(&obs[i])}
+		}
+		r, err := Localize(p, pseudo, cfg)
+		if err != nil {
+			return nil
+		}
+		return r.Bad
+	}
 	var res SignalResult
 
 	// Congestion pass: a path's marked probes become its losses.
-	congObs := make([]Observation, 0, len(obs))
-	anyCong := false
-	for _, o := range obs {
-		del := o.Sent - o.Lost
-		pseudo := Observation{Path: o.Path, Sent: o.Sent}
-		if del > 0 && o.ECNFrac >= scfg.ECNFloor {
-			pseudo.Lost = int(math.Round(o.ECNFrac * float64(del)))
-			if pseudo.Lost < 1 {
-				pseudo.Lost = 1
-			}
-			anyCong = true
-		}
-		congObs = append(congObs, pseudo)
-	}
 	congested := make(map[topo.LinkID]bool)
-	if anyCong {
-		if r, err := Localize(p, congObs, cfg); err == nil {
-			for _, v := range r.Bad {
-				congested[v.Link] = true
-				res.Congested = append(res.Congested, SoftVerdict{Link: v.Link, Class: VerdictCongested, Level: v.Rate})
-			}
+	for _, v := range localize(func(o *Observation) int {
+		del := o.Sent - o.Lost
+		if del <= 0 || o.ECNFrac < scfg.ECNFloor {
+			return 0
 		}
+		return max(int(math.Round(o.ECNFrac*float64(del))), 1)
+	}) {
+		congested[v.Link] = true
+		res.Congested = append(res.Congested, SoftVerdict{Link: v.Link, Class: VerdictCongested, Level: v.Rate})
 	}
 
 	// Delay pass: an inflated, unmarked path counts as fully lost.
-	delayObs := make([]Observation, 0, len(obs))
-	anyDelay := false
-	for _, o := range obs {
-		del := o.Sent - o.Lost
-		pseudo := Observation{Path: o.Path, Sent: o.Sent}
-		base := sig.BaseRTTNS[o.Path]
-		if del > 0 && base > 0 && o.MeanRTTNS > 0 && o.ECNFrac < scfg.ECNFloor &&
-			float64(o.MeanRTTNS) >= scfg.RTTInflation*float64(base) {
-			pseudo.Lost = o.Sent
-			anyDelay = true
+	for _, v := range localize(func(o *Observation) int {
+		if o.MeanRTTNS <= 0 || o.Sent-o.Lost <= 0 || o.ECNFrac >= scfg.ECNFloor {
+			return 0
 		}
-		delayObs = append(delayObs, pseudo)
-	}
-	if anyDelay {
-		if r, err := Localize(p, delayObs, cfg); err == nil {
-			for _, v := range r.Bad {
-				if congested[v.Link] {
-					continue
-				}
-				res.Delayed = append(res.Delayed, SoftVerdict{Link: v.Link, Class: VerdictDelayed, Level: v.Rate})
-			}
+		if base := sig.baseRTT(o.Path); base > 0 && float64(o.MeanRTTNS) >= scfg.RTTInflation*float64(base) {
+			return o.Sent
+		}
+		return 0
+	}) {
+		if !congested[v.Link] {
+			res.Delayed = append(res.Delayed, SoftVerdict{Link: v.Link, Class: VerdictDelayed, Level: v.Rate})
 		}
 	}
 	sort.Slice(res.Congested, func(i, j int) bool { return res.Congested[i].Link < res.Congested[j].Link })

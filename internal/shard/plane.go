@@ -120,7 +120,7 @@ type MergeStats struct {
 // measured bound, not a hope.
 //
 // Window contract, enforced on every Localize: at most one observation per
-// matrix row. The diagnoser's accumulator emits exactly that; a duplicate
+// matrix row. The diagnoser's window state emits exactly that; a duplicate
 // is an error, not a silent double count.
 type Plane struct {
 	alive  []int
