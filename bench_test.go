@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/detector-net/detector/internal/control"
 	"github.com/detector-net/detector/internal/expt"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
@@ -51,46 +52,64 @@ func benchPMC(b *testing.B, opt pmc.Options) {
 }
 
 func BenchmarkTable2PMCStrawman(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1})
+	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoDecompose | pmc.NoLazy | pmc.NoSymmetry})
 }
 
 func BenchmarkTable2PMCDecompose(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true})
+	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoLazy | pmc.NoSymmetry})
 }
 
 func BenchmarkTable2PMCLazy(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true})
+	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
 }
 
 func BenchmarkTable2PMCSymmetry(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Symmetry: true})
+	benchPMC(b, pmc.Options{Alpha: 2, Beta: 1})
 }
 
 // β=2 construction benches: the Table 5 configuration (1,2) running on the
 // exact incremental scoring engine — refine.SplitAffected reports exact
 // affected links for the virtual pair universe, so cached scores survive
 // selections at β=2 exactly as they do at β=1. Fattree(8) keeps the
-// per-commit cost low; the Fattree(16) variant is the ARCHITECTURE.md
-// headline measurement and the CI smoke target.
+// per-commit cost low; BenchmarkServedCycle has the Fattree(16) case.
 func BenchmarkBeta2PMCLazy(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true})
+	benchPMC(b, pmc.Options{Alpha: 1, Beta: 2, Ablate: pmc.NoSymmetry})
 }
 
 func BenchmarkBeta2PMCStrawman(b *testing.B) {
-	benchPMC(b, pmc.Options{Alpha: 1, Beta: 2, Decompose: true})
+	benchPMC(b, pmc.Options{Alpha: 1, Beta: 2, Ablate: pmc.NoLazy | pmc.NoSymmetry})
 }
 
-func BenchmarkBeta2ConstructFattree16(b *testing.B) {
-	f := topo.MustFattree(16)
-	ps := route.NewFattreePaths(f)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-			Alpha: 1, Beta: 2, Decompose: true, Lazy: true, Symmetry: true,
-		}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkServedCycle is a cold construction cycle as the controller
+// serves it: control.New + RunCycle(nil), everything from path enumeration
+// to built pinglists. Fattree(16) at (1,2) is the case bench/ cannot hold
+// at its parent's 13 s a cycle.
+func BenchmarkServedCycle(b *testing.B) {
+	for _, c := range []struct {
+		name           string
+		k, alpha, beta int
+	}{
+		{"Fattree16-a3b1", 16, 3, 1},
+		{"Fattree12-a1b2", 12, 1, 2},
+		{"Fattree16-a1b2", 16, 1, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := topo.MustFattree(c.k)
+			cfg := control.DefaultConfig()
+			cfg.Alpha, cfg.Beta = c.alpha, c.beta
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ctl := control.New(f, cfg)
+				err := ctl.RunCycle(nil)
+				st := ctl.PMCStats()
+				ctl.Close()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(st.Selected), "paths")
+				b.ReportMetric(float64(st.ScoreEvals), "score-evals")
+			}
+		})
 	}
 }
 
@@ -207,7 +226,7 @@ func BenchmarkPingerThroughput(b *testing.B) {
 func BenchmarkPLLLocalize(b *testing.B) {
 	f := topo.MustFattree(16)
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true, Symmetry: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 1, Beta: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,14 +257,16 @@ func BenchmarkPLLLocalize(b *testing.B) {
 // BenchmarkAblationLazy isolates the CELF lazy-update speedup at fixed
 // decomposition (compare Off/On ns/op).
 func BenchmarkAblationLazy(b *testing.B) {
-	b.Run("Off", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true}) })
-	b.Run("On", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true}) })
+	b.Run("Off", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoLazy | pmc.NoSymmetry}) })
+	b.Run("On", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}) })
 }
 
 // BenchmarkAblationDecompose isolates Observation 1 at fixed lazy updates.
 func BenchmarkAblationDecompose(b *testing.B) {
-	b.Run("Off", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Lazy: true}) })
-	b.Run("On", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true}) })
+	b.Run("Off", func(b *testing.B) {
+		benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoDecompose | pmc.NoSymmetry})
+	})
+	b.Run("On", func(b *testing.B) { benchPMC(b, pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}) })
 }
 
 // BenchmarkAblationSymmetry isolates Observation 3 on a larger instance
@@ -253,19 +274,17 @@ func BenchmarkAblationDecompose(b *testing.B) {
 func BenchmarkAblationSymmetry(b *testing.B) {
 	f := topo.MustFattree(12)
 	ps := route.NewFattreePaths(f)
-	run := func(b *testing.B, sym bool) {
+	run := func(b *testing.B, ablate pmc.Ablation) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-				Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Symmetry: sym,
-			})
+			_, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: ablate})
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	b.Run("Off", func(b *testing.B) { run(b, false) })
-	b.Run("On", func(b *testing.B) { run(b, true) })
+	b.Run("Off", func(b *testing.B) { run(b, pmc.NoSymmetry) })
+	b.Run("On", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkAblationHitRatio sweeps PLL's hit-ratio threshold; tau = 1.0
@@ -274,7 +293,7 @@ func BenchmarkAblationSymmetry(b *testing.B) {
 func BenchmarkAblationHitRatio(b *testing.B) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 3, Beta: 1, Decompose: true, Lazy: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 3, Beta: 1, Ablate: pmc.NoSymmetry})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,7 +375,7 @@ func BenchmarkAblationEvenness(b *testing.B) {
 		gap := 0
 		for i := 0; i < b.N; i++ {
 			res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-				Alpha: 2, Beta: 1, Decompose: true, Lazy: true, NoEvenness: noEvenness,
+				Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry, NoEvenness: noEvenness,
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -77,10 +77,17 @@ func main() {
 		fatal(fmt.Errorf("unknown topology %q", *topoKind))
 	}
 
-	res, err := pmc.Construct(paths, tp.NumLinks(), pmc.Options{
-		Alpha: *alpha, Beta: *beta,
-		Decompose: !*noDecomp, Lazy: !*noLazy, Symmetry: !*noSym,
-	})
+	var ablate pmc.Ablation
+	if *noDecomp {
+		ablate |= pmc.NoDecompose
+	}
+	if *noLazy {
+		ablate |= pmc.NoLazy
+	}
+	if *noSym {
+		ablate |= pmc.NoSymmetry
+	}
+	res, err := pmc.Construct(paths, tp.NumLinks(), pmc.Options{Alpha: *alpha, Beta: *beta, Ablate: ablate})
 	fatal(err)
 
 	st := tp.Stats()

@@ -28,7 +28,7 @@
 //	f := detector.MustFattree(8)
 //	paths := detector.NewFattreePaths(f)
 //	res, _ := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{
-//		Alpha: 3, Beta: 1, Decompose: true, Lazy: true,
+//		Alpha: 3, Beta: 1,
 //	})
 //	probes := detector.NewProbes(paths, res.Selected, f.NumLinks())
 //	// ... collect per-path loss observations, then:

@@ -31,10 +31,7 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "matrix\tpaths\t1 failure\t4\t8\t16")
 	for _, cfg := range configs {
-		res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{
-			Alpha: cfg.alpha, Beta: cfg.beta,
-			Decompose: true, Lazy: true, Symmetry: true,
-		})
+		res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{Alpha: cfg.alpha, Beta: cfg.beta})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,10 +29,7 @@ func main() {
 		f := detector.MustFattree(k)
 		paths := detector.NewFattreePaths(f)
 		for _, cfg := range configs {
-			res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{
-				Alpha: cfg.alpha, Beta: cfg.beta,
-				Decompose: true, Lazy: true, Symmetry: true,
-			})
+			res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{Alpha: cfg.alpha, Beta: cfg.beta})
 			if err != nil {
 				log.Fatal(err)
 			}

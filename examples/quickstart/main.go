@@ -18,10 +18,7 @@ func main() {
 	// 2. PMC selects a probe matrix with 3-coverage and 1-identifiability
 	//    using all three of the paper's speedups.
 	paths := detector.NewFattreePaths(f)
-	res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{
-		Alpha: 3, Beta: 1,
-		Decompose: true, Lazy: true, Symmetry: true,
-	})
+	res, err := detector.ConstructProbeMatrix(paths, f.NumLinks(), detector.PMCOptions{Alpha: 3, Beta: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func buildDetector(t testing.TB, f *topo.Fattree) *Detector {
 	t.Helper()
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 3, Beta: 1, Decompose: true, Lazy: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 3, Beta: 1, Ablate: pmc.NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 	opt := shard.Options{
 		Shards:          c.Cfg.Shards,
 		TTL:             c.Cfg.ShardTTL,
-		PMC:             pmc.Options{Alpha: c.Cfg.Alpha, Beta: c.Cfg.Beta, Lazy: true},
+		PMC:             pmc.Options{Alpha: c.Cfg.Alpha, Beta: c.Cfg.Beta},
 		DownLinks:       c.Cfg.DownLinks,
 		ReuseSelections: true,
 		Partition:       partition,

@@ -353,7 +353,7 @@ func alertsHash(t *testing.T, alerts []Alert) uint64 {
 func servedMatrix(t testing.TB, ps route.PathSet, numLinks int) *route.Probes {
 	t.Helper()
 	res, err := pmc.Construct(ps, numLinks, pmc.Options{
-		Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true,
+		Alpha: 1, Beta: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,9 +92,7 @@ func pct(x float64) string { return fmt.Sprintf("%.2f%%", 100*x) }
 // buildMatrix constructs and materializes a probe matrix for a Fattree.
 func buildMatrix(f *topo.Fattree, alpha, beta int) (*route.Probes, *pmc.Result, error) {
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-		Alpha: alpha, Beta: beta, Decompose: true, Lazy: true, Symmetry: true,
-	})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: alpha, Beta: beta})
 	if err != nil {
 		return nil, nil, err
 	}

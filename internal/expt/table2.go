@@ -89,23 +89,23 @@ func Table2(w io.Writer, p Params) ([]Table2Row, error) {
 		}
 		var err error
 		if c.paths.Len() <= strawmanPathCap {
-			if row.Strawman, err = runOne(pmc.Options{Alpha: 2, Beta: 1}); err != nil {
+			if row.Strawman, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoDecompose | pmc.NoLazy | pmc.NoSymmetry}); err != nil {
 				return nil, err
 			}
 		} else {
 			row.SkippedStrawman = true
 		}
 		if c.paths.Len() <= decompOnlyCap {
-			if row.Decompose, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Decompose: true}); err != nil {
+			if row.Decompose, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoLazy | pmc.NoSymmetry}); err != nil {
 				return nil, err
 			}
 		} else {
 			row.SkippedDecompose = true
 		}
-		if row.Lazy, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true}); err != nil {
+		if row.Lazy, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}); err != nil {
 			return nil, err
 		}
-		if row.Symmetry, err = runOne(pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Symmetry: true}); err != nil {
+		if row.Symmetry, err = runOne(pmc.Options{Alpha: 2, Beta: 1}); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)

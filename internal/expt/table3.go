@@ -46,10 +46,7 @@ func Table3(w io.Writer, p Params) ([]Table3Row, error) {
 	for _, c := range cases {
 		row := Table3Row{Name: c.name, Original: c.paths.Len()}
 		for i, cfg := range Table3Configs {
-			res, err := pmc.Construct(c.paths, c.topo.NumLinks(), pmc.Options{
-				Alpha: cfg[0], Beta: cfg[1],
-				Decompose: true, Lazy: true, Symmetry: true,
-			})
+			res, err := pmc.Construct(c.paths, c.topo.NumLinks(), pmc.Options{Alpha: cfg[0], Beta: cfg[1]})
 			if err != nil {
 				return nil, fmt.Errorf("table3 %s (%d,%d): %w", c.name, cfg[0], cfg[1], err)
 			}

@@ -85,10 +85,7 @@ func Table4(w io.Writer, p Params) ([]Table4Row, error) {
 	rng := p.rng()
 	var rows []Table4Row
 	for _, cfg := range configs {
-		res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-			Alpha: cfg[0], Beta: cfg[1],
-			Decompose: true, Lazy: true, Symmetry: true,
-		})
+		res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: cfg[0], Beta: cfg[1]})
 		if err != nil {
 			return nil, fmt.Errorf("table4 (%d,%d): %w", cfg[0], cfg[1], err)
 		}
@@ -143,10 +140,7 @@ func Table5(w io.Writer, p Params) ([]Table5Row, error) {
 		return nil, err
 	}
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{
-		Alpha: 1, Beta: beta,
-		Decompose: true, Lazy: true, Symmetry: true,
-	})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 1, Beta: beta})
 	if err != nil {
 		return nil, err
 	}

@@ -177,7 +177,7 @@ func TestEngineDifferentialServed(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			res, err := pmc.Construct(c.ps, c.numLinks, pmc.Options{
-				Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true,
+				Alpha: 1, Beta: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

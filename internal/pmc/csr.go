@@ -21,18 +21,25 @@ func (b bitset) fill() {
 }
 
 // compArena is one component's candidate paths flattened into a CSR arena
-// of *local* link indices, plus the inverted link→rows index. Rows are
-// candidate positions (0..len(pathIDs)-1) in ascending global path order,
-// so row order and path-index order agree everywhere. After the arena is
-// built, the greedy loops never call PathSet.AppendLinks, never translate a
-// global link id, and never touch a map: scoring walks links[offsets[r]:
-// offsets[r+1]], and dirty propagation walks invRows[invOff[l]:invOff[l+1]].
+// of *local* link indices, plus an inverted link→rows index over the rows
+// the running greedy pass scores. Rows are candidate positions
+// (0..len(pathIDs)-1) in ascending global path order, so row order and
+// path-index order agree everywhere. After the arena is built, the greedy
+// loops never call PathSet.AppendLinks, never translate a global link id,
+// and never touch a map: scoring walks links[offsets[r]:offsets[r+1]], and
+// dirty propagation walks invRows[invOff[l]:invOff[l+1]].
+//
+// Only rows whose cached score a pass reads need to be reachable through
+// the inverted index — the orbit pass scores images fresh — so index covers
+// the pass's candidates, not the component: on a Fattree that is one row in
+// k, and the scatter over the rest is the part of the build that is skipped.
 type compArena struct {
-	pathIDs []int32 // row -> global path index (== Component.Paths)
-	offsets []int32 // len(pathIDs)+1; row r spans [offsets[r], offsets[r+1])
-	links   []int32 // local link indices, concatenated rows
-	invOff  []int32 // local link -> start into invRows; len = numLocal+1
-	invRows []int32 // rows through each link, ascending within a link
+	pathIDs  []int32 // row -> global path index (== Component.Paths)
+	offsets  []int32 // len(pathIDs)+1; row r spans [offsets[r], offsets[r+1])
+	links    []int32 // local link indices, concatenated rows
+	linkRows []int32 // local link -> number of component rows through it
+	invOff   []int32 // local link -> start into invRows; len = numLocal+1
+	invRows  []int32 // indexed rows through each link, ascending within a link
 }
 
 func (a *compArena) numRows() int { return len(a.pathIDs) }
@@ -64,45 +71,59 @@ func (a *compArena) rowOf(path int32) int32 {
 }
 
 // buildArena translates the component's slice of the materialized matrix
-// into local link indices and builds the inverted index with a counting
-// sort: one pass to size, one prefix sum, one pass to fill.
-func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena {
+// into local link indices. A path with a link outside the component means
+// the caller's partition does not match the matrix; it is reported, not
+// trusted.
+func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compArena, error) {
 	n := len(comp.Paths)
-	numLocal := len(comp.Links)
 	total := 0
 	for _, pid := range comp.Paths {
 		total += int(csr.Offsets[pid+1] - csr.Offsets[pid])
 	}
 	a := &compArena{
-		pathIDs: comp.Paths,
-		offsets: make([]int32, n+1),
-		links:   make([]int32, total),
-		invOff:  make([]int32, numLocal+1),
+		pathIDs:  comp.Paths,
+		offsets:  make([]int32, n+1),
+		links:    make([]int32, total),
+		linkRows: make([]int32, len(comp.Links)),
 	}
 	pos := int32(0)
 	for r, pid := range comp.Paths {
 		for _, gl := range csr.Row(int(pid)) {
 			li := localOf[gl]
-			if li < 0 {
-				panic(fmt.Sprintf("pmc: path %d leaves its component (link %d)", pid, gl))
+			// localOf is shared by every component of the request: an
+			// index that is not this component's is another one's.
+			if li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
+				return nil, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
 			}
 			a.links[pos] = li
-			a.invOff[li+1]++
+			a.linkRows[li]++
 			pos++
 		}
 		a.offsets[r+1] = pos
 	}
+	return a, nil
+}
+
+// index rebuilds the inverted index over rows (ascending) with a counting
+// sort: one pass to size, one prefix sum, one pass to fill.
+func (a *compArena) index(rows []int32) {
+	numLocal := len(a.linkRows)
+	a.invOff = make([]int32, numLocal+1)
+	for _, r := range rows {
+		for _, li := range a.row(r) {
+			a.invOff[li+1]++
+		}
+	}
 	for l := 0; l < numLocal; l++ {
 		a.invOff[l+1] += a.invOff[l]
 	}
-	a.invRows = make([]int32, total)
+	a.invRows = make([]int32, a.invOff[numLocal])
 	fill := make([]int32, numLocal)
 	copy(fill, a.invOff[:numLocal])
-	for r := 0; r < n; r++ {
-		for _, li := range a.links[a.offsets[r]:a.offsets[r+1]] {
-			a.invRows[fill[li]] = int32(r)
+	for _, r := range rows {
+		for _, li := range a.row(r) {
+			a.invRows[fill[li]] = r
 			fill[li]++
 		}
 	}
-	return a
 }

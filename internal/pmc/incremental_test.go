@@ -37,10 +37,10 @@ type pinnedCase struct {
 // table2Combos is the paper's cumulative speedup progression at (2,1).
 func table2Combos(nSt, nDe, nLa, nSy int, hSt, hDe, hLa, hSy uint64) []pinnedCase {
 	return []pinnedCase{
-		{"strawman", Options{Alpha: 2, Beta: 1}, nSt, hSt},
-		{"decompose", Options{Alpha: 2, Beta: 1, Decompose: true}, nDe, hDe},
-		{"lazy", Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true}, nLa, hLa},
-		{"symmetry", Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Symmetry: true}, nSy, hSy},
+		{"strawman", Options{Alpha: 2, Beta: 1, Ablate: NoDecompose | NoLazy | NoSymmetry}, nSt, hSt},
+		{"decompose", Options{Alpha: 2, Beta: 1, Ablate: NoLazy | NoSymmetry}, nDe, hDe},
+		{"lazy", Options{Alpha: 2, Beta: 1, Ablate: NoSymmetry}, nLa, hLa},
+		{"symmetry", Options{Alpha: 2, Beta: 1}, nSy, hSy},
 	}
 }
 
@@ -135,19 +135,19 @@ func TestBetaTwoPinnedSelections(t *testing.T) {
 		wantHash uint64
 	}{
 		{"Fattree4/lazy", route.NewFattreePaths(f4), f4.NumLinks(),
-			Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true}, 36, 0xb9d6fc211f489025},
+			Options{Alpha: 1, Beta: 2, Ablate: NoSymmetry}, 36, 0xb9d6fc211f489025},
 		{"Fattree4/strawman", route.NewFattreePaths(f4), f4.NumLinks(),
-			Options{Alpha: 1, Beta: 2}, 26, 0x5073a9e61652f167},
+			Options{Alpha: 1, Beta: 2, Ablate: NoDecompose | NoLazy | NoSymmetry}, 26, 0x5073a9e61652f167},
 		{"Fattree8/lazy", route.NewFattreePaths(f8), f8.NumLinks(),
-			Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true}, 332, 0xfa104b2db949eb75},
+			Options{Alpha: 1, Beta: 2, Ablate: NoSymmetry}, 332, 0xfa104b2db949eb75},
 		{"Fattree8/strawman", route.NewFattreePaths(f8), f8.NumLinks(),
-			Options{Alpha: 1, Beta: 2, Decompose: true}, 184, 0xb665975a0e70ce75},
+			Options{Alpha: 1, Beta: 2, Ablate: NoLazy | NoSymmetry}, 184, 0xb665975a0e70ce75},
 		{"Fattree8/symmetry", route.NewFattreePaths(f8), f8.NumLinks(),
-			Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true, Symmetry: true}, 304, 0x18cbb10da39d9b65},
+			Options{Alpha: 1, Beta: 2}, 304, 0x18cbb10da39d9b65},
 		{"BCube41/lazy", route.NewBCubePaths(b41), b41.NumLinks(),
-			Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true}, 39, 0x14723add889e1e8a},
+			Options{Alpha: 1, Beta: 2, Ablate: NoSymmetry}, 39, 0x14723add889e1e8a},
 		{"BCube41/strawman", route.NewBCubePaths(b41), b41.NumLinks(),
-			Options{Alpha: 1, Beta: 2}, 26, 0x0188f84219f46a60},
+			Options{Alpha: 1, Beta: 2, Ablate: NoDecompose | NoLazy | NoSymmetry}, 26, 0x0188f84219f46a60},
 	}
 	evals := make(map[string]int64)
 	for _, c := range cases {

@@ -3,21 +3,34 @@
 // α-coverage and β-identifiability from a topology's candidate path set,
 // approximately minimizing the number of probe paths.
 //
-// The three speedups of §4.3 are independently switchable so that Table 2's
-// strawman → decomposition → lazy update → symmetry reduction progression
-// can be measured:
+// The three observations of §4.3 are one algorithm, and the zero Options
+// runs all of it. Per independent component of the routing matrix
+// (Observation 1, solved in parallel), construction is two passes of one
+// CELF-style lazy greedy (Observation 2):
 //
-//   - Decompose splits the routing matrix into independent components
-//     (Observation 1) solved in parallel.
-//   - Lazy uses CELF-style deferred score updates on a min-heap
-//     (Observation 2). The paper argues scores are monotone; package refine
-//     documents a counterexample, so the implementation re-validates every
-//     popped candidate and parks zero-gain candidates for later reseeding —
-//     the resulting matrix always passes the Verify checks even where
-//     monotonicity fails.
-//   - Symmetry restricts scoring to orbit representatives under the
-//     family's automorphism shift generator and batch-selects orbit images
-//     whose marginal gain is still positive (Observation 3).
+//   - The orbit pass scores only orbit representatives under the family's
+//     automorphism shift generator and batch-selects, with each pick, the
+//     orbit images present in the component that still have positive
+//     marginal gain (Observation 3). PathSets without a shift generator
+//     have no representatives and skip it.
+//   - The completion pass runs the same greedy over every row, and only if
+//     the orbit pass left α or β unmet. On a pristine component the
+//     automorphism maps the component onto itself, the orbit pass meets the
+//     targets, and completion is a no-op. On a component a down-link mask
+//     has cut into, orbit images are missing and what is left is not
+//     symmetric: there the orbit pass is a heuristic head start and the
+//     completion pass is what guarantees the contract.
+//
+// Neither pass asks whether the component is pristine, so the selection is
+// a function of (component content, options) alone.
+//
+// The paper argues scores are monotone; package refine documents a
+// counterexample, so the lazy greedy re-validates every popped candidate
+// and parks zero-gain candidates for later reseeding — the resulting matrix
+// always passes the Verify checks even where monotonicity fails.
+//
+// Table 2's strawman → decomposition → lazy update → symmetry reduction
+// progression is measured by leaving observations out (Options.Ablate).
 //
 // # Scoring engine
 //
@@ -61,13 +74,9 @@ type Options struct {
 	// Alpha is the required link coverage (>= 1 unless Beta >= 1 carries
 	// the run). Beta is the required identifiability level (0..3).
 	Alpha, Beta int
-	// Decompose enables Observation 1 (independent subproblems).
-	Decompose bool
-	// Lazy enables Observation 2 (CELF-style deferred updates).
-	Lazy bool
-	// Symmetry enables Observation 3 (orbit-representative scoring);
-	// requires the PathSet to implement route.Symmetric.
-	Symmetry bool
+	// Ablate leaves observations of §4.3 out of the run, for Table 2. The
+	// zero value is the paper's full algorithm.
+	Ablate Ablation
 	// Workers bounds component-level parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// MaxElements caps the per-component refinement universe
@@ -81,6 +90,22 @@ type Options struct {
 	NoEvenness bool
 }
 
+// Ablation is a set of §4.3 observations to run without.
+type Ablation uint8
+
+const (
+	// NoDecompose solves the whole matrix as one component (without
+	// Observation 1). Only Construct reads it: ConstructComponents is
+	// handed its partition.
+	NoDecompose Ablation = 1 << iota
+	// NoLazy rescans the candidates on every pick instead of deferring
+	// score updates on a heap (without Observation 2).
+	NoLazy
+	// NoSymmetry skips the orbit pass, so every row is scored (without
+	// Observation 3).
+	NoSymmetry
+)
+
 // DefaultMaxElements bounds refinement memory to roughly 1 GiB: each
 // element costs 12 bytes of partition state (group id + intrusive
 // membership links) plus 4 (pair) or 6 (triple) bytes of decode table at
@@ -90,7 +115,7 @@ const DefaultMaxElements = 64 << 20
 // Stats reports how the construction went.
 type Stats struct {
 	Components  int
-	Candidates  int   // candidate paths scored (orbit representatives when Symmetry)
+	Candidates  int   // rows offered to the greedy: orbit representatives, plus every row where completion ran
 	ScoreEvals  int64 // total score computations
 	Reseeds     int   // lazy-mode park-list rescans
 	Selected    int
@@ -112,12 +137,12 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 	start := time.Now()
 	csr := route.MaterializeCSR(ps)
 	var comps []route.Component
-	if opt.Decompose {
+	if opt.Ablate&NoDecompose == 0 {
 		comps = route.DecomposeCSR(csr, numLinks)
 	} else {
 		comps = []route.Component{route.SingleComponentCSR(csr, numLinks)}
 	}
-	return constructComponents(ps, csr, comps, numLinks, opt, start)
+	return constructComponents(ps, csr, comps, numLinks, opt, nil, start)
 }
 
 // ConstructComponents runs the PMC greedy over an explicit subset of
@@ -129,28 +154,21 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 // is sorted, concatenating the selections of any partition of the component
 // set and re-sorting reproduces Construct's output bit for bit.
 //
-// opt.Decompose is ignored: the caller has already chosen the partition.
-func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options) (*Result, error) {
-	return constructComponents(ps, csr, comps, numLinks, opt, time.Now())
+// A non-nil memo answers components whose exact content it has solved
+// before with the remembered selection — bit-identical, because a selection
+// is a function of content and options — and remembers the rest.
+func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo) (*Result, error) {
+	return constructComponents(ps, csr, comps, numLinks, opt, memo, time.Now())
 }
 
 // prepareComponents validates options against the component set and
-// resolves the symmetry provider. Shared by the cold and warm-start
-// construction entry points so they reject identical inputs identically.
+// resolves the shift generator the orbit pass uses, nil when there is none.
 func prepareComponents(ps route.PathSet, comps []route.Component, opt Options) (route.Symmetric, error) {
 	if opt.Alpha < 0 || opt.Beta < 0 || opt.Beta > refine.MaxBeta {
 		return nil, fmt.Errorf("pmc: invalid (alpha,beta) = (%d,%d)", opt.Alpha, opt.Beta)
 	}
 	if opt.Alpha == 0 && opt.Beta == 0 {
 		return nil, fmt.Errorf("pmc: alpha and beta cannot both be zero")
-	}
-	var sym route.Symmetric
-	if opt.Symmetry {
-		s, ok := ps.(route.Symmetric)
-		if !ok {
-			return nil, fmt.Errorf("pmc: symmetry requested but %T has no shift generator", ps)
-		}
-		sym = s
 	}
 	maxElems := opt.MaxElements
 	if maxElems == 0 {
@@ -170,52 +188,74 @@ func prepareComponents(ps route.PathSet, comps []route.Component, opt Options) (
 				len(c.Links), 32767, opt.Beta)
 		}
 	}
+	var sym route.Symmetric
+	if opt.Ablate&NoSymmetry == 0 {
+		sym, _ = ps.(route.Symmetric)
+	}
 	return sym, nil
 }
 
-func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, start time.Time) (*Result, error) {
+func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo, start time.Time) (*Result, error) {
 	sym, err := prepareComponents(ps, comps, opt)
 	if err != nil {
 		return nil, err
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(comps) {
-		workers = len(comps)
-	}
-
-	// Every link belongs to exactly one component, so one shared
-	// global→local translation array serves all workers read-only.
-	localOf := make([]int32, numLinks)
-	for i := range localOf {
-		localOf[i] = -1
-	}
-	for ci := range comps {
-		for li, l := range comps[ci].Links {
-			localOf[l] = int32(li)
-		}
-	}
-
 	results := make([]*componentResult, len(comps))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	errs := make([]error, len(comps))
-	for i := range comps {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = solveComponent(sym, csr, &comps[i], localOf, opt)
-		}(i)
+	key := optKeyOf(opt)
+	hashes := make([]uint64, len(comps))
+	miss := make([]int, 0, len(comps))
+	for ci := range comps {
+		if memo != nil {
+			hashes[ci] = contentHash(&comps[ci], key)
+			if results[ci] = memo.get(&comps[ci], key, hashes[ci]); results[ci] != nil {
+				continue
+			}
+		}
+		miss = append(miss, ci)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+
+	if len(miss) > 0 {
+		workers := opt.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if workers > len(miss) {
+			workers = len(miss)
+		}
+
+		// Every link belongs to at most one component, so one shared
+		// global→local translation array serves all workers read-only.
+		localOf := make([]int32, numLinks)
+		for i := range localOf {
+			localOf[i] = -1
+		}
+		for _, ci := range miss {
+			for li, l := range comps[ci].Links {
+				localOf[l] = int32(li)
+			}
+		}
+
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, workers)
+		errs := make([]error, len(comps))
+		for _, ci := range miss {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(ci int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				results[ci], errs[ci] = solveComponent(sym, csr, &comps[ci], localOf, opt)
+				if errs[ci] == nil && memo != nil {
+					memo.store(&comps[ci], key, hashes[ci], results[ci])
+				}
+			}(ci)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
 		}
 	}
 
@@ -290,8 +330,11 @@ type componentState struct {
 	evals int64
 }
 
-func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, opt Options) *componentState {
-	ar := buildArena(csr, comp, localOf)
+func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, opt Options) (*componentState, error) {
+	ar, err := buildArena(csr, comp, localOf)
+	if err != nil {
+		return nil, err
+	}
 	n := ar.numRows()
 	cs := &componentState{
 		opt:      opt,
@@ -305,11 +348,10 @@ func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, o
 		dirty:    newBitset(n),
 		linkMark: make([]int32, len(comp.Links)),
 	}
-	cs.dirty.fill() // caches start unpopulated
 	if opt.Alpha > 0 {
 		cs.uncovered = len(comp.Links)
 	}
-	return cs
+	return cs, nil
 }
 
 // isDirty reports whether row r must be rescored before its cache is used.
@@ -401,20 +443,21 @@ func (cs *componentState) sel(r int32) {
 	cs.nSelected++
 }
 
-// endStep dirties every row whose cached score may have changed: rows
-// sharing an accumulated link, found through the inverted index. When a
-// step saturates the component — the inverted rows to visit outnumber the
+// endStep dirties every indexed row whose cached score may have changed:
+// rows sharing an accumulated link, found through the inverted index. When
+// a step saturates the component — the rows through its links outnumber the
 // rows themselves, as happens while refinement groups are still large — a
-// single bitset fill is cheaper than walking the index. Over-dirtying only
-// costs recomputes that return the cached value; it never changes a
-// selection.
+// single bitset fill is cheaper than walking the index. The test counts
+// rows of the whole component, not of the index, so which rows a pass
+// indexes never shows in Stats.ScoreEvals. Over-dirtying only costs
+// recomputes that return the cached value; it never changes a selection.
 func (cs *componentState) endStep() {
 	if !cs.exact {
 		return
 	}
 	total := 0
 	for _, li := range cs.stepLinks {
-		total += int(cs.ar.invOff[li+1] - cs.ar.invOff[li])
+		total += int(cs.ar.linkRows[li])
 	}
 	if total >= cs.ar.numRows() {
 		cs.dirty.fill()
@@ -435,8 +478,9 @@ func (cs *componentState) done() bool {
 	return cs.opt.Beta == 0 || cs.part.Done()
 }
 
-// selectWithOrbit commits row r and, when symmetry is active, every orbit
-// image that still has positive marginal gain. Orbit images are scored
+// selectWithOrbit commits row r and, in the orbit pass, every orbit image
+// present in the component that still has positive marginal gain. An image
+// is absent when a down-link mask removed its path. Orbit images are scored
 // fresh (not from cache) because earlier selections in the same step change
 // their scores before the step's dirty propagation runs.
 func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf []int) []int {
@@ -446,10 +490,7 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 		orbitBuf = sym.AppendOrbit(int(cs.ar.pathIDs[r]), orbitBuf[:0])
 		for _, img := range orbitBuf {
 			ir := cs.ar.rowOf(int32(img))
-			if ir < 0 {
-				panic(fmt.Sprintf("pmc: orbit image %d leaves its component", img))
-			}
-			if cs.selected.get(ir) {
+			if ir < 0 || cs.selected.get(ir) {
 				continue
 			}
 			if _, marginalGain := cs.scoreRow(ir); marginalGain {
@@ -461,29 +502,44 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 	return orbitBuf
 }
 
-func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options) (*componentResult, error) {
-	cs := newComponentState(csr, comp, localOf, opt)
+// pass runs one greedy over candRows, ascending rows of the component: it
+// indexes them, forgets any cached score (rows outside an earlier pass's
+// index were never kept current) and selects until the targets are met or
+// no candidate makes progress.
+func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds int) {
+	cs.ar.index(candRows)
+	cs.dirty.fill()
+	if cs.opt.Ablate&NoLazy != 0 {
+		strawmanGreedy(cs, sym, candRows)
+		return 0
+	}
+	return lazyGreedy(cs, sym, candRows)
+}
 
-	var candRows []int32
+func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options) (*componentResult, error) {
+	cs, err := newComponentState(csr, comp, localOf, opt)
+	if err != nil {
+		return nil, err
+	}
+	cr := &componentResult{}
+
 	if sym != nil {
-		candRows = make([]int32, 0, len(comp.Paths)/2)
+		reps := make([]int32, 0, len(comp.Paths)/2)
 		for r, pid := range comp.Paths {
 			if sym.IsRepresentative(int(pid)) {
-				candRows = append(candRows, int32(r))
+				reps = append(reps, int32(r))
 			}
 		}
-	} else {
-		candRows = make([]int32, len(comp.Paths))
-		for r := range candRows {
-			candRows[r] = int32(r)
-		}
+		cr.candidates += len(reps)
+		cr.reseeds += cs.pass(sym, reps)
 	}
-
-	cr := &componentResult{candidates: len(candRows)}
-	if opt.Lazy {
-		cr.reseeds = lazyGreedy(cs, sym, candRows)
-	} else {
-		strawmanGreedy(cs, sym, candRows)
+	if !cs.done() {
+		all := make([]int32, len(comp.Paths))
+		for r := range all {
+			all[r] = int32(r)
+		}
+		cr.candidates += len(all)
+		cr.reseeds += cs.pass(nil, all)
 	}
 
 	cr.evals = cs.evals
@@ -546,8 +602,10 @@ func strawmanGreedy(cs *componentState, sym route.Symmetric, candRows []int32) {
 }
 
 // lazyGreedy is the CELF-style variant: candidates are seeded at score -1
-// (the exact initial score when every element shares one group) and marked
-// dirty, and a popped candidate is rescored only when dirty — a clean pop's
+// (the exact initial score when every element shares one group; on a
+// completion pass, where selections already stand, merely a key no row
+// undercuts without a gain larger than its weight) and marked dirty, and a
+// popped candidate is rescored only when dirty — a clean pop's
 // cached key is exact and, being the heap minimum, wins immediately. Dirty
 // pops are re-pushed when their fresh score falls behind the next key.
 // Zero-marginal candidates are parked; if the heap drains before the

@@ -19,7 +19,7 @@ func fig3PathSet() *route.SlicePathSet {
 
 func TestConstructFig3Example(t *testing.T) {
 	ps := fig3PathSet()
-	res, err := Construct(ps, 3, Options{Alpha: 1, Beta: 1})
+	res, err := Construct(ps, 3, Options{Alpha: 1, Beta: 1, Ablate: NoDecompose | NoLazy | NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +53,16 @@ func TestConstructInvalidOptions(t *testing.T) {
 	if _, err := Construct(ps, 3, Options{Alpha: 1, Beta: 4}); err == nil {
 		t.Error("beta above MaxBeta accepted")
 	}
-	if _, err := Construct(ps, 3, Options{Alpha: 1, Beta: 1, Symmetry: true}); err == nil {
-		t.Error("symmetry accepted for a PathSet without a shift generator")
-	}
 	if _, err := Construct(ps, 3, Options{Alpha: 1, Beta: 2, MaxElements: 2}); err == nil {
 		t.Error("MaxElements cap not enforced")
 	}
 }
 
-// allOptionCombos enumerates the 2^3 speedup combinations.
+// allOptionCombos enumerates the 2^3 ablation combinations.
 func allOptionCombos(alpha, beta int) []Options {
 	var out []Options
-	for _, dec := range []bool{false, true} {
-		for _, lazy := range []bool{false, true} {
-			for _, sym := range []bool{false, true} {
-				out = append(out, Options{Alpha: alpha, Beta: beta, Decompose: dec, Lazy: lazy, Symmetry: sym})
-			}
-		}
+	for ab := Ablation(0); ab <= NoDecompose|NoLazy|NoSymmetry; ab++ {
+		out = append(out, Options{Alpha: alpha, Beta: beta, Ablate: ab})
 	}
 	return out
 }
@@ -108,7 +101,7 @@ func TestFattree4AllCombosVerified(t *testing.T) {
 func TestFattree4TwoIdentImpossible(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
-	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true})
+	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 2, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +124,8 @@ func TestFattree8OneIdent(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	lower := f.K * f.K * f.K / 5 // 102
 	for _, opt := range []Options{
-		{Alpha: 1, Beta: 1, Decompose: true, Lazy: true},
-		{Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true},
+		{Alpha: 1, Beta: 1, Ablate: NoSymmetry},
+		{Alpha: 1, Beta: 1},
 	} {
 		res, err := Construct(ps, f.NumLinks(), opt)
 		if err != nil {
@@ -157,7 +150,7 @@ func TestFattree8OneIdent(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
-	opt := Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Workers: 4}
+	opt := Options{Alpha: 2, Beta: 1, Ablate: NoSymmetry, Workers: 4}
 	a, err := Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +175,11 @@ func TestDeterminism(t *testing.T) {
 func TestLazyMatchesStrawmanProperties(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	straw, err := Construct(ps, f.NumLinks(), Options{Alpha: 2, Beta: 1, Decompose: true})
+	straw, err := Construct(ps, f.NumLinks(), Options{Alpha: 2, Beta: 1, Ablate: NoLazy | NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := Construct(ps, f.NumLinks(), Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true})
+	lazy, err := Construct(ps, f.NumLinks(), Options{Alpha: 2, Beta: 1, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +206,7 @@ func TestLazyMatchesStrawmanProperties(t *testing.T) {
 func TestBetaTwoOnFattree8(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 2, Decompose: true, Lazy: true})
+	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 2, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +229,7 @@ func TestBetaTwoOnFattree8(t *testing.T) {
 func TestCrossComponentIdentifiability(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
-	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 3, Beta: 1, Decompose: true, Lazy: true})
+	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 3, Beta: 1, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +307,11 @@ func TestBCubeConstruction(t *testing.T) {
 func TestSymmetrySelectsFewerCandidates(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	plain, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 1, Decompose: true, Lazy: true})
+	plain, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 1, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 1, Decompose: true, Lazy: true, Symmetry: true})
+	sym, err := Construct(ps, f.NumLinks(), Options{Alpha: 1, Beta: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +327,7 @@ func TestSymmetrySelectsFewerCandidates(t *testing.T) {
 func TestAlphaOnlyCoverage(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
-	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 3, Beta: 0, Decompose: true, Lazy: true})
+	res, err := Construct(ps, f.NumLinks(), Options{Alpha: 3, Beta: 0, Ablate: NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +341,7 @@ func TestAlphaOnlyCoverage(t *testing.T) {
 func BenchmarkConstructFattree8Lazy(b *testing.B) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true}
+	opt := Options{Alpha: 2, Beta: 1, Ablate: NoSymmetry}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -361,7 +354,7 @@ func BenchmarkConstructFattree8Lazy(b *testing.B) {
 func BenchmarkConstructFattree8Symmetry(b *testing.B) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true, Symmetry: true}
+	opt := Options{Alpha: 2, Beta: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -380,7 +373,7 @@ func TestEvennessTermSpreadsCoverage(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	gapOf := func(noEvenness bool) int {
 		res, err := Construct(ps, f.NumLinks(), Options{
-			Alpha: 2, Beta: 1, Decompose: true, Lazy: true, NoEvenness: noEvenness,
+			Alpha: 2, Beta: 1, Ablate: NoSymmetry, NoEvenness: noEvenness,
 		})
 		if err != nil {
 			t.Fatal(err)

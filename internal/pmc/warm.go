@@ -1,36 +1,25 @@
 package pmc
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
-	"time"
 
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// Warm-start support for topology churn. The greedy selection for a
-// component is a deterministic function of its exact content (links + paths)
-// and the selection-relevant options, so the only reuse that preserves
-// bit-identical output is content-identical reuse: a component that returns
-// to a previously solved form (a link flapping down and back up) hits the
-// memo and skips construction entirely. Seeding a *changed* component from a
-// related prior selection cannot reproduce the cold greedy's picks without
-// re-running it, so seeded replay is a separate, explicitly approximate mode
-// (Memo.EnableSeeding): selections are replayed as pre-picks and the greedy
-// repairs coverage/identifiability on top. Seeded results always satisfy the
-// same α/β targets (the greedy runs to completion) but may differ from — and
-// be slightly larger than — a cold construction; it is kept off every path
-// that promises bit-identical recompute.
+// The greedy selection for a component is a deterministic function of its
+// exact content (links + paths) and the selection-relevant options, so
+// content-identical reuse is bit-identical: a component that returns to a
+// previously solved form (a link flapping down and back up, a component
+// moving between shards) hits the memo and skips construction entirely. A
+// *changed* component is solved from scratch — nothing in its selection
+// depends on what the engine solved before.
 
 // MemoStats reports memo effectiveness.
 type MemoStats struct {
 	Hits    int64 // component solved by exact content reuse
-	Misses  int64 // component solved cold (or seeded)
-	Seeded  int64 // misses that warm-started from a related selection
+	Misses  int64 // component solved from scratch
 	Entries int   // current cached components
 	Bytes   int64 // approximate retained bytes
 }
@@ -38,23 +27,22 @@ type MemoStats struct {
 // memoOptKey is the selection-relevant subset of Options: two runs with
 // equal keys and equal component content make identical picks.
 type memoOptKey struct {
-	alpha, beta             int
-	lazy, symmetry, noEeven bool
+	alpha, beta int
+	ablate      Ablation // without NoDecompose: the partition is the content
+	noEven      bool
 }
 
 func optKeyOf(opt Options) memoOptKey {
-	return memoOptKey{opt.Alpha, opt.Beta, opt.Lazy, opt.Symmetry, opt.NoEvenness}
+	return memoOptKey{opt.Alpha, opt.Beta, opt.Ablate &^ NoDecompose, opt.NoEvenness}
 }
 
 type memoEntry struct {
-	hash        uint64
-	key         memoOptKey
-	links       []topo.LinkID
-	paths       []int32
-	selected    []int
-	coverageMet bool
-	identMet    bool
-	bytes       int64
+	hash  uint64
+	key   memoOptKey
+	links []topo.LinkID
+	paths []int32
+	res   componentResult // selection and target flags only
+	bytes int64
 }
 
 // Memo is a bounded cache of per-component selections keyed by exact
@@ -67,9 +55,8 @@ type Memo struct {
 	maxEnts  int
 	maxBytes int64
 	bytes    int64
-	seeding  bool
 
-	hits, misses, seeded int64
+	hits, misses int64
 }
 
 // DefaultMemoBytes bounds retained component content to 256 MiB.
@@ -84,310 +71,68 @@ func NewMemo(maxEntries int) *Memo {
 	return &Memo{maxEnts: maxEntries, maxBytes: DefaultMemoBytes}
 }
 
-// EnableSeeding turns on the approximate related-component warm start: when
-// a component misses the memo but its link set is a subset or superset of a
-// cached component's (same options), the cached selection seeds the greedy.
-// Results then meet the α/β targets but are not guaranteed bit-identical to
-// a cold construction — do not enable on paths that promise that.
-func (m *Memo) EnableSeeding() {
-	m.mu.Lock()
-	m.seeding = true
-	m.mu.Unlock()
-}
-
 // Stats returns a snapshot of memo counters.
 func (m *Memo) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return MemoStats{Hits: m.hits, Misses: m.misses, Seeded: m.seeded, Entries: len(m.entries), Bytes: m.bytes}
+	return MemoStats{Hits: m.hits, Misses: m.misses, Entries: len(m.entries), Bytes: m.bytes}
 }
 
 // contentHash digests the selection-relevant identity of a subproblem.
 func contentHash(comp *route.Component, key memoOptKey) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	var h route.Hash
+	h.Word(uint64(key.alpha))
+	h.Word(uint64(key.beta))
+	flags := uint64(key.ablate)
+	if key.noEven {
+		flags |= 1 << 8
 	}
-	put(uint64(key.alpha))
-	put(uint64(key.beta))
-	flags := uint64(0)
-	if key.lazy {
-		flags |= 1
-	}
-	if key.symmetry {
-		flags |= 2
-	}
-	if key.noEeven {
-		flags |= 4
-	}
-	put(flags)
-	put(uint64(len(comp.Links)))
-	for _, l := range comp.Links {
-		put(uint64(l))
-	}
-	put(uint64(len(comp.Paths)))
+	h.Word(flags)
+	h.Links(comp.Links)
+	h.Word(uint64(len(comp.Paths)))
 	for _, p := range comp.Paths {
-		put(uint64(p))
+		h.Word(uint64(p))
 	}
 	return h.Sum64()
 }
 
-func linksEqual(a, b []topo.LinkID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func pathsEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// get returns the cached result for an exactly matching component, or nil.
-func (m *Memo) get(comp *route.Component, key memoOptKey, hash uint64) *memoEntry {
+// get returns the remembered result for an exactly matching component, or
+// nil.
+func (m *Memo) get(comp *route.Component, key memoOptKey, hash uint64) *componentResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range m.entries {
-		if e.hash == hash && e.key == key && linksEqual(e.links, comp.Links) && pathsEqual(e.paths, comp.Paths) {
+		if e.hash == hash && e.key == key && slices.Equal(e.links, comp.Links) && slices.Equal(e.paths, comp.Paths) {
 			m.hits++
-			return e
+			return &e.res
 		}
 	}
 	m.misses++
 	return nil
 }
 
-// seedFor returns a related prior selection for an approximate warm start:
-// the most recently cached entry (same options) whose link set is a subset
-// or superset of comp's. Nil when seeding is disabled or nothing relates.
-func (m *Memo) seedFor(comp *route.Component, key memoOptKey) []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.seeding {
-		return nil
-	}
-	for i := len(m.entries) - 1; i >= 0; i-- {
-		e := m.entries[i]
-		if e.key != key {
-			continue
-		}
-		if linkSubset(e.links, comp.Links) || linkSubset(comp.Links, e.links) {
-			return e.selected
-		}
-	}
-	return nil
-}
-
-// linkSubset reports whether sorted a ⊆ sorted b.
-func linkSubset(a, b []topo.LinkID) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
-		}
-		if j == len(b) || b[j] != x {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
 // store caches a freshly solved component, evicting oldest entries beyond
 // the entry/byte budgets.
 func (m *Memo) store(comp *route.Component, key memoOptKey, hash uint64, cr *componentResult) {
 	e := &memoEntry{
-		hash:        hash,
-		key:         key,
-		links:       append([]topo.LinkID(nil), comp.Links...),
-		paths:       append([]int32(nil), comp.Paths...),
-		selected:    append([]int(nil), cr.selected...),
-		coverageMet: cr.coverageMet,
-		identMet:    cr.identMet,
+		hash:  hash,
+		key:   key,
+		links: slices.Clone(comp.Links),
+		paths: slices.Clone(comp.Paths),
+		res: componentResult{
+			selected:    slices.Clone(cr.selected),
+			coverageMet: cr.coverageMet,
+			identMet:    cr.identMet,
+		},
 	}
-	e.bytes = int64(len(e.links)*8 + len(e.paths)*4 + len(e.selected)*8)
+	e.bytes = int64(len(e.links)*8 + len(e.paths)*4 + len(e.res.selected)*8)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.entries = append(m.entries, e)
 	m.bytes += e.bytes
 	for (len(m.entries) > m.maxEnts || m.bytes > m.maxBytes) && len(m.entries) > 1 {
 		m.bytes -= m.entries[0].bytes
+		m.entries[0] = nil // the backing array outlives the reslice
 		m.entries = m.entries[1:]
 	}
-}
-
-// ConstructComponentsWarm is ConstructComponents with a memo: components
-// whose exact content was solved before reuse the cached selection verbatim
-// (bit-identical by determinism); the rest are solved cold — or seeded from
-// a related selection when the memo has seeding enabled — and cached. A nil
-// memo degrades to ConstructComponents.
-func ConstructComponentsWarm(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo) (*Result, error) {
-	start := time.Now()
-	if memo == nil {
-		return constructComponents(ps, csr, comps, numLinks, opt, start)
-	}
-	sym, err := prepareComponents(ps, comps, opt)
-	if err != nil {
-		return nil, err
-	}
-	key := optKeyOf(opt)
-
-	hashes := make([]uint64, len(comps))
-	results := make([]*componentResult, len(comps))
-	var missIdx []int
-	for ci := range comps {
-		hashes[ci] = contentHash(&comps[ci], key)
-		if e := memo.get(&comps[ci], key, hashes[ci]); e != nil {
-			results[ci] = &componentResult{
-				selected:    e.selected,
-				coverageMet: e.coverageMet,
-				identMet:    e.identMet,
-			}
-		} else {
-			missIdx = append(missIdx, ci)
-		}
-	}
-
-	if len(missIdx) > 0 {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(missIdx) {
-			workers = len(missIdx)
-		}
-		localOf := make([]int32, numLinks)
-		for i := range localOf {
-			localOf[i] = -1
-		}
-		for _, ci := range missIdx {
-			for li, l := range comps[ci].Links {
-				localOf[l] = int32(li)
-			}
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		errs := make([]error, len(missIdx))
-		for mi, ci := range missIdx {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(mi, ci int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				seeds := memo.seedFor(&comps[ci], key)
-				var cr *componentResult
-				cr, errs[mi] = solveComponentSeeded(sym, csr, &comps[ci], localOf, opt, seeds)
-				if errs[mi] != nil {
-					return
-				}
-				if len(seeds) > 0 {
-					memo.mu.Lock()
-					memo.seeded++
-					memo.mu.Unlock()
-				}
-				memo.store(&comps[ci], key, hashes[ci], cr)
-				results[ci] = cr
-			}(mi, ci)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	res := &Result{Stats: Stats{
-		Components:  len(comps),
-		CoverageMet: true,
-		IdentMet:    opt.Beta >= 1,
-	}}
-	for _, cr := range results {
-		res.Selected = append(res.Selected, cr.selected...)
-		res.Stats.Candidates += cr.candidates
-		res.Stats.ScoreEvals += cr.evals
-		res.Stats.Reseeds += cr.reseeds
-		res.Stats.CoverageMet = res.Stats.CoverageMet && cr.coverageMet
-		res.Stats.IdentMet = res.Stats.IdentMet && cr.identMet
-	}
-	sort.Ints(res.Selected)
-	res.Stats.Selected = len(res.Selected)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
-}
-
-// solveComponentSeeded is solveComponent with optional pre-picks: seed paths
-// (global indices from a related prior selection) that exist in this
-// component and still have positive marginal gain are selected up front, in
-// one step, before the greedy runs. With no seeds it is solveComponent.
-func solveComponentSeeded(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, seeds []int) (*componentResult, error) {
-	if len(seeds) == 0 {
-		return solveComponent(sym, csr, comp, localOf, opt)
-	}
-	cs := newComponentState(csr, comp, localOf, opt)
-	cs.beginStep()
-	for _, pid := range seeds {
-		if cs.done() {
-			break
-		}
-		r := cs.ar.rowOf(int32(pid))
-		if r < 0 || cs.selected.get(r) {
-			continue
-		}
-		if _, marginalGain := cs.scoreRow(r); marginalGain {
-			cs.sel(r)
-		}
-	}
-	cs.endStep()
-
-	var candRows []int32
-	if sym != nil {
-		candRows = make([]int32, 0, len(comp.Paths)/2)
-		for r, pid := range comp.Paths {
-			if sym.IsRepresentative(int(pid)) {
-				candRows = append(candRows, int32(r))
-			}
-		}
-	} else {
-		candRows = make([]int32, len(comp.Paths))
-		for r := range candRows {
-			candRows[r] = int32(r)
-		}
-	}
-
-	cr := &componentResult{candidates: len(candRows)}
-	if opt.Lazy {
-		cr.reseeds = lazyGreedy(cs, sym, candRows)
-	} else {
-		strawmanGreedy(cs, sym, candRows)
-	}
-
-	cr.evals = cs.evals
-	cr.coverageMet = cs.uncovered == 0
-	cr.identMet = opt.Beta == 0 || cs.part.Done()
-	cr.selected = make([]int, 0, cs.nSelected)
-	for r, pid := range cs.ar.pathIDs {
-		if cs.selected.get(int32(r)) {
-			cr.selected = append(cr.selected, int(pid))
-		}
-	}
-	return cr, nil
 }

@@ -16,18 +16,18 @@ func TestMemoExactHitBitIdentical(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	csr := route.MaterializeCSR(ps)
 	comps := route.DecomposeCSR(csr, f.NumLinks())
-	opt := Options{Alpha: 1, Beta: 1, Lazy: true}
+	opt := Options{Alpha: 1, Beta: 1, Ablate: NoSymmetry}
 
-	cold, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt)
+	cold, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	memo := NewMemo(0)
-	warm1, err := ConstructComponentsWarm(ps, csr, comps, f.NumLinks(), opt, memo)
+	warm1, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm2, err := ConstructComponentsWarm(ps, csr, comps, f.NumLinks(), opt, memo)
+	warm2, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,12 +52,12 @@ func TestMemoFlapBack(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
 	csr := route.MaterializeCSR(ps)
-	opt := Options{Alpha: 1, Beta: 1, Lazy: true}
+	opt := Options{Alpha: 1, Beta: 1, Ablate: NoSymmetry}
 	memo := NewMemo(0)
 
 	inc := route.NewIncremental(csr, f.NumLinks(), nil)
 	base := append([]route.Component(nil), inc.Components()...)
-	res0, err := ConstructComponentsWarm(ps, csr, base, f.NumLinks(), opt, memo)
+	res0, err := ConstructComponents(ps, csr, base, f.NumLinks(), opt, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +66,14 @@ func TestMemoFlapBack(t *testing.T) {
 	if _, err := inc.Apply([]topo.LinkID{l}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConstructComponentsWarm(ps, csr, inc.Components(), f.NumLinks(), opt, memo); err != nil {
+	if _, err := ConstructComponents(ps, csr, inc.Components(), f.NumLinks(), opt, memo); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.Apply(nil, []topo.LinkID{l}); err != nil {
 		t.Fatal(err)
 	}
 	preHits := memo.Stats().Hits
-	res2, err := ConstructComponentsWarm(ps, csr, inc.Components(), f.NumLinks(), opt, memo)
+	res2, err := ConstructComponents(ps, csr, inc.Components(), f.NumLinks(), opt, memo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,44 +85,6 @@ func TestMemoFlapBack(t *testing.T) {
 	}
 }
 
-// TestMemoSeededMeetsTargets: the approximate seeded mode must still produce
-// a matrix meeting the α/β targets after a link is removed (link set becomes
-// a subset of the cached component's).
-func TestMemoSeededMeetsTargets(t *testing.T) {
-	b := topo.MustBCube(4, 1)
-	ps := route.NewBCubePaths(b)
-	csr := route.MaterializeCSR(ps)
-	opt := Options{Alpha: 1, Beta: 1, Lazy: true}
-	memo := NewMemo(0)
-	memo.EnableSeeding()
-
-	full := route.DecomposeCSR(csr, b.NumLinks())
-	if _, err := ConstructComponentsWarm(ps, csr, full, b.NumLinks(), opt, memo); err != nil {
-		t.Fatal(err)
-	}
-	down := []topo.LinkID{full[0].Links[0]}
-	masked := route.DecomposeMasked(csr, b.NumLinks(), down)
-	res, err := ConstructComponentsWarm(ps, csr, masked, b.NumLinks(), opt, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := memo.Stats(); st.Seeded == 0 {
-		t.Fatal("expected at least one seeded construction")
-	}
-	if !res.Stats.CoverageMet || !res.Stats.IdentMet {
-		t.Fatalf("seeded construction missed targets: %+v", res.Stats)
-	}
-	probes := route.NewProbes(ps, res.Selected, b.NumLinks())
-	var links []topo.LinkID
-	for _, c := range masked {
-		links = append(links, c.Links...)
-	}
-	v := Verify(probes, links, true)
-	if v.MinCoverage < opt.Alpha || !v.Identifiable(opt.Beta) {
-		t.Fatalf("seeded matrix fails verification: %+v", v)
-	}
-}
-
 // TestMemoEviction: the memo drops oldest entries beyond its capacity.
 func TestMemoEviction(t *testing.T) {
 	csrRows := [][]topo.LinkID{{0}, {1}, {2}, {0, 1}, {1, 2}}
@@ -131,7 +93,7 @@ func TestMemoEviction(t *testing.T) {
 		csr.Links = append(csr.Links, row...)
 		csr.Offsets = append(csr.Offsets, int32(len(csr.Links)))
 	}
-	key := optKeyOf(Options{Alpha: 1, Lazy: true})
+	key := optKeyOf(Options{Alpha: 1, Ablate: NoSymmetry})
 	m := NewMemo(2)
 	comps := route.DecomposeCSR(csr, 3)
 	if len(comps) != 1 {
@@ -146,7 +108,7 @@ func TestMemoEviction(t *testing.T) {
 		t.Fatalf("memo holds %d entries, want 2", st.Entries)
 	}
 	first := route.Component{Links: comps[0].Links, Paths: comps[0].Paths}
-	if e := m.get(&first, key, contentHash(&first, key)); e != nil {
+	if cr := m.get(&first, key, contentHash(&first, key)); cr != nil {
 		t.Fatal("oldest entry should have been evicted")
 	}
 }

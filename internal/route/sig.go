@@ -1,34 +1,41 @@
 package route
 
-import (
-	"hash"
-	"hash/fnv"
+import "github.com/detector-net/detector/internal/topo"
 
-	"github.com/detector-net/detector/internal/topo"
+// Hash is the fingerprint stream the matrix signatures and PMC's memo key
+// share: one 64-bit word per step through a fixed multiply-xorshift mix, so
+// a value is the same in every process and on every platform. The zero
+// Hash is ready to use. It is a content address, not a defence against an
+// adversary choosing matrices.
+type Hash struct{ h uint64 }
+
+const (
+	hashStep = 0x9e3779b97f4a7c15 // 2^64/φ: keeps leading zero words from vanishing
+	hashMul  = 0xff51afd7ed558ccd // MurmurHash3's 64-bit finalizer multiplier
 )
 
-// sigHash is the FNV-1a stream the three matrix fingerprints share: every
-// value is folded in as eight little-endian bytes.
-type sigHash struct {
-	h hash.Hash64
-	b [8]byte
+func mix(h, v uint64) uint64 {
+	h = (h + hashStep) ^ v
+	h *= hashMul
+	return h ^ h>>32
 }
 
-func newSigHash() *sigHash { return &sigHash{h: fnv.New64a()} }
+// Word folds one value into the stream.
+func (s *Hash) Word(v uint64) { s.h = mix(s.h, v) }
 
-func (s *sigHash) w64(v uint64) {
-	for i := 0; i < 8; i++ {
-		s.b[i] = byte(v >> (8 * i))
-	}
-	s.h.Write(s.b[:])
-}
-
-func (s *sigHash) row(links []topo.LinkID) {
-	s.w64(uint64(len(links)))
+// Links folds a link set, length first. The set is digested on its own and
+// enters the stream as one word, which leaves consecutive rows of a matrix
+// independent of each other until that last step.
+func (s *Hash) Links(links []topo.LinkID) {
+	r := uint64(len(links))
 	for _, l := range links {
-		s.w64(uint64(l))
+		r = mix(r, uint64(l))
 	}
+	s.h = mix(s.h, r)
 }
+
+// Sum64 returns the fingerprint of everything folded in so far.
+func (s *Hash) Sum64() uint64 { return s.h }
 
 // MatrixSignature fingerprints a materialized candidate matrix: the
 // link-ID space size plus every row's link set, in row order. Two engines
@@ -38,14 +45,14 @@ func (s *sigHash) row(links []topo.LinkID) {
 // candidate generation) instead of silently computing a wrong answer. The
 // sharded control plane stamps every construction request with it.
 func MatrixSignature(csr *CSR, numLinks int) uint64 {
-	s := newSigHash()
-	s.w64(uint64(numLinks))
+	var s Hash
+	s.Word(uint64(numLinks))
 	n := csr.Len()
-	s.w64(uint64(n))
+	s.Word(uint64(n))
 	for i := 0; i < n; i++ {
-		s.row(csr.Row(i))
+		s.Links(csr.Row(i))
 	}
-	return s.h.Sum64()
+	return s.Sum64()
 }
 
 // RowsSignature fingerprints exactly what a PLL engine reads from a probe
@@ -56,13 +63,13 @@ func MatrixSignature(csr *CSR, numLinks int) uint64 {
 // from an install frame can recompute it, which it could not for a
 // fingerprint over fields that never travel.
 func RowsSignature(p *Probes) uint64 {
-	s := newSigHash()
-	s.w64(uint64(p.NumLinks))
-	s.w64(uint64(p.NumPaths()))
+	var s Hash
+	s.Word(uint64(p.NumLinks))
+	s.Word(uint64(p.NumPaths()))
 	for _, links := range p.PathLinks {
-		s.row(links)
+		s.Links(links)
 	}
-	return s.h.Sum64()
+	return s.Sum64()
 }
 
 // ProbesSignature fingerprints a served probe matrix by content: link-ID
@@ -73,18 +80,18 @@ func RowsSignature(p *Probes) uint64 {
 // lets the diagnosis plane keep its partition and engines across windows
 // instead of rebuilding them for an unchanged matrix.
 func ProbesSignature(p *Probes) uint64 {
-	s := newSigHash()
-	s.w64(uint64(p.NumLinks))
-	s.w64(uint64(p.NumPaths()))
+	var s Hash
+	s.Word(uint64(p.NumLinks))
+	s.Word(uint64(p.NumPaths()))
 	for i, links := range p.PathLinks {
-		s.row(links)
-		s.w64(uint64(p.Src[i]))
-		s.w64(uint64(p.Dst[i]))
+		s.Links(links)
+		s.Word(uint64(p.Src[i]))
+		s.Word(uint64(p.Dst[i]))
 	}
 	ids := p.IDs()
-	s.w64(uint64(len(ids)))
+	s.Word(uint64(len(ids)))
 	for _, id := range ids {
-		s.w64(uint64(id))
+		s.Word(uint64(id))
 	}
-	return s.h.Sum64()
+	return s.Sum64()
 }

@@ -27,7 +27,7 @@ func benchSharded(b *testing.B, k int, shards int) {
 	c, err := New(ps, f.NumLinks(), Options{
 		Shards:     shards,
 		Sequential: true,
-		PMC:        pmc.Options{Alpha: 2, Beta: 1, Lazy: true, Workers: 1},
+		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
 		TTL:        time.Hour,
 	})
 	if err != nil {

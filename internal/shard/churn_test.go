@@ -90,9 +90,9 @@ func TestCoordinatorChurnDifferentialFattree(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
 	churnCoordinatorDifferential(t, ps, f.NumLinks(),
-		pmc.Options{Alpha: 1, Beta: 1, Lazy: true, Workers: 1}, 3, 8, 11)
+		pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry, Workers: 1}, 3, 8, 11)
 	churnCoordinatorDifferential(t, ps, f.NumLinks(),
-		pmc.Options{Alpha: 1, Beta: 2, Lazy: true, Workers: 1}, 2, 4, 12)
+		pmc.Options{Alpha: 1, Beta: 2, Ablate: pmc.NoSymmetry, Workers: 1}, 2, 4, 12)
 }
 
 // TestCoordinatorChurnDifferentialBCube runs the same differential on
@@ -102,7 +102,7 @@ func TestCoordinatorChurnDifferentialBCube(t *testing.T) {
 	b := topo.MustBCube(4, 1)
 	ps := route.NewBCubePaths(b)
 	churnCoordinatorDifferential(t, ps, b.NumLinks(),
-		pmc.Options{Alpha: 1, Beta: 1, Lazy: true, Workers: 1}, 2, 6, 13)
+		pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry, Workers: 1}, 2, 6, 13)
 }
 
 // TestCoordinatorChurnReusesCleanComponents pins the perf mechanism: after
@@ -113,7 +113,7 @@ func TestCoordinatorChurnReusesCleanComponents(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	c, err := New(ps, f.NumLinks(), Options{
 		Shards:          2,
-		PMC:             pmc.Options{Alpha: 1, Beta: 1, Lazy: true, Workers: 1},
+		PMC:             pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry, Workers: 1},
 		TTL:             time.Hour,
 		ReuseSelections: true,
 	})
@@ -167,7 +167,7 @@ func TestCoordinatorChurnReusesCleanComponents(t *testing.T) {
 		t.Fatalf("churn cycle reused %d components, want %d",
 			third.ReusedComponents, c.Components()-len(diff.Added))
 	}
-	want := freshFull(t, ps, f.NumLinks(), c.DownLinks(), pmc.Options{Alpha: 1, Beta: 1, Lazy: true, Workers: 1}, 2)
+	want := freshFull(t, ps, f.NumLinks(), c.DownLinks(), pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry, Workers: 1}, 2)
 	if !reflect.DeepEqual(third.Selected, want.Selected) {
 		t.Fatal("churned selection diverges from full recompute")
 	}
@@ -193,7 +193,7 @@ func TestCoordinatorChurnSplitMerge(t *testing.T) {
 	}}
 	const numLinks = 5
 	for _, beta := range []int{1, 2} {
-		opt := pmc.Options{Alpha: 1, Beta: beta, Lazy: true, Workers: 1}
+		opt := pmc.Options{Alpha: 1, Beta: beta, Ablate: pmc.NoSymmetry, Workers: 1}
 		c, err := New(ps, numLinks, Options{
 			Shards:          2,
 			PMC:             opt,

@@ -50,10 +50,9 @@ type Options struct {
 	// (internal/shardrpc) join the plane. The coordinator takes
 	// ownership and closes them on Stop.
 	Clients []ShardClient
-	// PMC configures per-shard construction. Decompose is implied: the
-	// coordinator always decomposes the matrix (sharding is meaningless
-	// without it), so the merged result equals pmc.Construct with
-	// Decompose on.
+	// PMC configures per-shard construction. The coordinator always
+	// decomposes the matrix (sharding is meaningless without it), so the
+	// merged result equals pmc.Construct's.
 	PMC pmc.Options
 	// TTL marks a shard dead after this many heartbeat-probe failures'
 	// worth of silence (default 10 s; compressed in tests).
@@ -79,12 +78,6 @@ type Options struct {
 	// dirty set. Off by default: benchmarks and tests that measure full
 	// cycles rely on every Construct doing the full work.
 	ReuseSelections bool
-	// ApproxWarmSeed enables the approximate PMC warm start on in-process
-	// shards: a changed component seeds its greedy from a related cached
-	// selection (subset/superset link set). Results still meet the α/β
-	// targets but are no longer guaranteed bit-identical to a cold
-	// construction — leave off on any path that promises that.
-	ApproxWarmSeed bool
 	// Partition selects how BuildPlane derives diagnosis-side ownership:
 	// PartitionExact (default — bit-identical merge, but server-level
 	// matrices collapse to one partition) or PartitionApprox (cuts
@@ -217,13 +210,8 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		// between shards (failover, churn-driven reassignment) still hit
 		// their cached selections.
 		memo := pmc.NewMemo(0)
-		if opt.ApproxWarmSeed {
-			memo.EnableSeeding()
-		}
 		for i := 0; i < opt.Shards; i++ {
-			sh := newInProcess(i, ps, csr, numLinks, c.sig)
-			sh.memo = memo
-			c.clients = append(c.clients, sh)
+			c.clients = append(c.clients, newInProcess(i, ps, csr, numLinks, c.sig, memo))
 		}
 	}
 	alive := make([]int, opt.Shards)
@@ -505,8 +493,7 @@ func (c *Coordinator) Assignment() []int32 {
 // every live shard, and merge. A shard that fails its dispatch — transport
 // error or engine error — is quarantined and the cycle retries over the
 // survivors, so the result is always a complete merge: bit-identical to
-// pmc.Construct(ps, numLinks, opt.PMC with Decompose on) regardless of the
-// shard count, the transport, or which shards die mid-cycle.
+// pmc.Construct(ps, numLinks, opt.PMC) regardless of the shard count, the transport, or which shards die mid-cycle.
 func (c *Coordinator) Construct() (*Result, error) {
 	return c.ConstructCycle(nil)
 }

@@ -37,10 +37,8 @@ func (c *countingClient) Construct(req ConstructRequest) (*pmc.Result, error) {
 func TestRetryReusesSurvivorsResults(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := pmc.Options{Alpha: 2, Beta: 1, Lazy: true}
-	single := opt
-	single.Decompose = true
-	ref, err := pmc.Construct(ps, f.NumLinks(), single)
+	opt := pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}
+	ref, err := pmc.Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +97,7 @@ func TestRetryReusesSurvivorsResults(t *testing.T) {
 func TestPlaneClientFallbackIsExact(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}

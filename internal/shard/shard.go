@@ -62,7 +62,7 @@ type Shard struct {
 	csr      *route.CSR
 	numLinks int
 	sig      uint64
-	// memo is the engine-local PMC warm-start cache: components whose
+	// memo is the engine-local PMC selection cache: components whose
 	// exact content was constructed before (topology flap-back, component
 	// reassignment) reuse the cached selection verbatim. Selections are
 	// deterministic per content, so the memo never changes an answer.
@@ -78,11 +78,11 @@ type Shard struct {
 // embedders that assemble a mixed client set by hand.
 func NewInProcess(id int, ps route.PathSet, numLinks int) *Shard {
 	csr := route.MaterializeCSR(ps)
-	return newInProcess(id, ps, csr, numLinks, route.MatrixSignature(csr, numLinks))
+	return newInProcess(id, ps, csr, numLinks, route.MatrixSignature(csr, numLinks), pmc.NewMemo(0))
 }
 
-func newInProcess(id int, ps route.PathSet, csr *route.CSR, numLinks int, sig uint64) *Shard {
-	return &Shard{id: id, ps: ps, csr: csr, numLinks: numLinks, sig: sig, memo: pmc.NewMemo(0)}
+func newInProcess(id int, ps route.PathSet, csr *route.CSR, numLinks int, sig uint64, memo *pmc.Memo) *Shard {
+	return &Shard{id: id, ps: ps, csr: csr, numLinks: numLinks, sig: sig, memo: memo}
 }
 
 // ID returns the shard's coordinator slot.
@@ -114,10 +114,10 @@ func (s *Shard) Construct(req ConstructRequest) (*pmc.Result, error) {
 		return nil, fmt.Errorf("shard %d: numLinks %d does not match engine %d",
 			s.id, req.NumLinks, s.numLinks)
 	}
-	return pmc.ConstructComponentsWarm(s.ps, s.csr, req.Comps, s.numLinks, req.Opt, s.memo)
+	return pmc.ConstructComponents(s.ps, s.csr, req.Comps, s.numLinks, req.Opt, s.memo)
 }
 
-// MemoStats exposes the shard's warm-start cache counters.
+// MemoStats exposes the shard's selection cache counters.
 func (s *Shard) MemoStats() pmc.MemoStats { return s.memo.Stats() }
 
 // Localize runs the part's engine over the window. The cycle ID is unused

@@ -106,24 +106,22 @@ func TestShardedMatchesSingleController(t *testing.T) {
 	}{
 		{
 			"Fattree8/lazy", route.NewFattreePaths(f8), f8.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true},
+			pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry},
 			0x527da8262b65b8c5, 0x401e57d28d149cb0,
 		},
 		{
 			"Fattree8/symmetry", route.NewFattreePaths(f8), f8.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true, Symmetry: true},
+			pmc.Options{Alpha: 2, Beta: 1},
 			0x9ec67bc163cdc6e5, 0x34c504045541deea,
 		},
 		{
 			"BCube41/lazy", route.NewBCubePaths(b41), b41.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true},
+			pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry},
 			0xedc0ad7cc1cc073b, 0xf863861539a440a4,
 		},
 	}
 	for _, tc := range cases {
-		single := tc.opt
-		single.Decompose = true
-		ref, err := pmc.Construct(tc.ps, tc.numLinks, single)
+		ref, err := pmc.Construct(tc.ps, tc.numLinks, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: single-controller construct: %v", tc.name, err)
 		}
@@ -185,7 +183,7 @@ func TestShardedMatchesSingleController(t *testing.T) {
 func TestPlaneRoutesEveryPathToItsComponentOwner(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +223,7 @@ func TestPlaneRoutesEveryPathToItsComponentOwner(t *testing.T) {
 func TestShardDeathReassignsMinimally(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := pmc.Options{Alpha: 2, Beta: 1, Lazy: true}
+	opt := pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}
 	c, err := New(ps, f.NumLinks(), Options{
 		Shards: 3, PMC: opt,
 		TTL: 150 * time.Millisecond, HeartbeatEvery: 25 * time.Millisecond,
@@ -284,9 +282,7 @@ func TestShardDeathReassignsMinimally(t *testing.T) {
 		}
 	}
 
-	single := opt
-	single.Decompose = true
-	ref, err := pmc.Construct(ps, f.NumLinks(), single)
+	ref, err := pmc.Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +299,7 @@ func TestAllShardsDead(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
 	c, err := New(ps, f.NumLinks(), Options{
-		Shards: 2, PMC: pmc.Options{Alpha: 1, Beta: 1, Lazy: true},
+		Shards: 2, PMC: pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry},
 		TTL: 50 * time.Millisecond, HeartbeatEvery: 10 * time.Millisecond,
 	})
 	if err != nil {
@@ -332,10 +328,8 @@ func TestAllShardsDead(t *testing.T) {
 func TestMidCycleKillDegradesToReassignment(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := pmc.Options{Alpha: 2, Beta: 1, Lazy: true}
-	single := opt
-	single.Decompose = true
-	ref, err := pmc.Construct(ps, f.NumLinks(), single)
+	opt := pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}
+	ref, err := pmc.Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func benchTransport(b *testing.B, wire string) {
 	opt := shard.Options{
 		Shards:     shards,
 		Sequential: true,
-		PMC:        pmc.Options{Alpha: 2, Beta: 1, Lazy: true, Workers: 1},
+		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
 		TTL:        time.Hour,
 	}
 	var rpcClients []*Client

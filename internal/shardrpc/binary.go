@@ -351,10 +351,10 @@ func (r *ConstructRequest) encodeBinary() []byte {
 	b = binary.AppendUvarint(b, uint64(r.Opt.Alpha))
 	b = binary.AppendUvarint(b, uint64(r.Opt.Beta))
 	var flags byte
-	if r.Opt.Lazy {
+	if r.Opt.CELF {
 		flags |= 1
 	}
-	if r.Opt.Symmetry {
+	if r.Opt.Orbits {
 		flags |= 2
 	}
 	if r.Opt.NoEvenness {
@@ -403,8 +403,8 @@ func decodeConstructBinary(data []byte, maxPayload int64) (*ConstructRequest, er
 	}
 	flags := r.buf[r.off]
 	r.off++
-	req.Opt.Lazy = flags&1 != 0
-	req.Opt.Symmetry = flags&2 != 0
+	req.Opt.CELF = flags&1 != 0
+	req.Opt.Orbits = flags&2 != 0
 	req.Opt.NoEvenness = flags&4 != 0
 	if req.Opt.Workers, err = r.uint31(); err != nil {
 		return nil, err

@@ -44,7 +44,7 @@ func randConstructRequest(r *rand.Rand) ConstructRequest {
 		NumLinks:  1 + r.Intn(1000),
 		Opt: PMCOptions{
 			Alpha: r.Intn(4), Beta: r.Intn(3),
-			Lazy: r.Intn(2) == 0, Symmetry: r.Intn(2) == 0, NoEvenness: r.Intn(2) == 0,
+			CELF: r.Intn(2) == 0, Orbits: r.Intn(2) == 0, NoEvenness: r.Intn(2) == 0,
 			Workers: r.Intn(8), MaxElements: r.Intn(1 << 20),
 		},
 	}
@@ -305,7 +305,7 @@ func TestBinaryConstructCompression(t *testing.T) {
 	comps := route.DecomposeCSR(csr, f.NumLinks())
 	req := ConstructRequest{
 		V: SchemaVersion, MatrixSig: route.MatrixSignature(csr, f.NumLinks()),
-		NumLinks: f.NumLinks(), Opt: PMCOptions{Alpha: 2, Beta: 1, Lazy: true},
+		NumLinks: f.NumLinks(), Opt: PMCOptions{Alpha: 2, Beta: 1, CELF: true},
 	}
 	for _, c := range comps {
 		req.Comps = append(req.Comps, Component{Links: c.Links, Paths: c.Paths})
@@ -350,7 +350,7 @@ func TestBinaryFramesRejected(t *testing.T) {
 	srv, ts := testServer(t, DefaultLimits())
 	valid := ConstructRequest{
 		V: SchemaVersion, MatrixSig: srv.MatrixSig(), NumLinks: srv.numLinks,
-		Opt: PMCOptions{Alpha: 1, Beta: 1, Lazy: true},
+		Opt: PMCOptions{Alpha: 1, Beta: 1, CELF: true},
 	}
 	for _, c := range route.DecomposeCSR(srv.csr, srv.numLinks) {
 		valid.Comps = append(valid.Comps, Component{Links: c.Links, Paths: c.Paths})

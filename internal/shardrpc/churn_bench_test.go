@@ -25,7 +25,7 @@ func benchChurnWire(b *testing.B, wire string) {
 	const shards = 4
 	opt := shard.Options{
 		Sequential:      true,
-		PMC:             pmc.Options{Alpha: 2, Beta: 1, Lazy: true, Workers: 1},
+		PMC:             pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
 		TTL:             time.Hour,
 		ReuseSelections: true,
 	}

@@ -111,12 +111,14 @@ type Component struct {
 	Paths []int32       `json:"paths"`
 }
 
-// PMCOptions is pmc.Options on the wire.
+// PMCOptions is pmc.Options on the wire. CELF and Orbits say that
+// Observations 2 and 3 of §4.3 are on: every served request sets both, and
+// only a Table 2 ablation clears one.
 type PMCOptions struct {
 	Alpha       int  `json:"alpha"`
 	Beta        int  `json:"beta"`
-	Lazy        bool `json:"lazy,omitempty"`
-	Symmetry    bool `json:"symmetry,omitempty"`
+	CELF        bool `json:"lazy,omitempty"`
+	Orbits      bool `json:"symmetry,omitempty"`
 	NoEvenness  bool `json:"no_evenness,omitempty"`
 	Workers     int  `json:"workers,omitempty"`
 	MaxElements int  `json:"max_elements,omitempty"`
@@ -212,7 +214,8 @@ func encodeConstruct(req shard.ConstructRequest) ConstructRequest {
 		NumLinks:  req.NumLinks,
 		Opt: PMCOptions{
 			Alpha: req.Opt.Alpha, Beta: req.Opt.Beta,
-			Lazy: req.Opt.Lazy, Symmetry: req.Opt.Symmetry,
+			CELF:       req.Opt.Ablate&pmc.NoLazy == 0,
+			Orbits:     req.Opt.Ablate&pmc.NoSymmetry == 0,
 			NoEvenness: req.Opt.NoEvenness,
 			Workers:    req.Opt.Workers, MaxElements: req.Opt.MaxElements,
 		},
@@ -224,14 +227,20 @@ func encodeConstruct(req shard.ConstructRequest) ConstructRequest {
 	return out
 }
 
-// decodeOptions translates wire options back to pmc.Options (Decompose is
-// meaningless here: the coordinator already chose the partition).
+// decode translates wire options back to pmc.Options (the coordinator
+// already chose the partition, so there is no decomposition bit).
 func (o PMCOptions) decode() pmc.Options {
-	return pmc.Options{
-		Alpha: o.Alpha, Beta: o.Beta,
-		Lazy: o.Lazy, Symmetry: o.Symmetry, NoEvenness: o.NoEvenness,
+	opt := pmc.Options{
+		Alpha: o.Alpha, Beta: o.Beta, NoEvenness: o.NoEvenness,
 		Workers: o.Workers, MaxElements: o.MaxElements,
 	}
+	if !o.CELF {
+		opt.Ablate |= pmc.NoLazy
+	}
+	if !o.Orbits {
+		opt.Ablate |= pmc.NoSymmetry
+	}
+	return opt
 }
 
 // validate checks a construction request against the server's engine. The

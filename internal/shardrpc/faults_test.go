@@ -160,10 +160,8 @@ func faultableHandler(inner http.Handler, failConstruct *atomic.Bool) http.Handl
 func TestConstructFaultDegradesToReassignment(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := pmc.Options{Alpha: 2, Beta: 1, Lazy: true}
-	single := opt
-	single.Decompose = true
-	ref, err := pmc.Construct(ps, f.NumLinks(), single)
+	opt := pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}
+	ref, err := pmc.Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +225,8 @@ func TestConstructFaultDegradesToReassignment(t *testing.T) {
 func TestMidCycleDisconnect(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	opt := pmc.Options{Alpha: 2, Beta: 1, Lazy: true}
-	single := opt
-	single.Decompose = true
-	ref, err := pmc.Construct(ps, f.NumLinks(), single)
+	opt := pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry}
+	ref, err := pmc.Construct(ps, f.NumLinks(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +334,7 @@ func constructWorkOrder(ps route.PathSet, numLinks int) shard.ConstructRequest {
 		MatrixSig: route.MatrixSignature(csr, numLinks),
 		NumLinks:  numLinks,
 		Comps:     route.DecomposeCSR(csr, numLinks),
-		Opt:       pmc.Options{Alpha: 1, Beta: 1, Lazy: true},
+		Opt:       pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry},
 	}
 }
 
@@ -379,7 +375,7 @@ func TestCodecNegotiation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	req := constructWorkOrder(ps, f.NumLinks())
-	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt)
+	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +412,7 @@ func TestMixedVersionFleet(t *testing.T) {
 	f := topo.MustFattree(4)
 	ps := route.NewFattreePaths(f)
 	req := constructWorkOrder(ps, f.NumLinks())
-	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt)
+	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,4 +607,56 @@ func TestDialRejectsUnknownWire(t *testing.T) {
 		}
 	}()
 	Dial(68, "http://127.0.0.1:1", ClientOptions{Wire: "Binary"})
+}
+
+// TestMaskedConstructOverLoopback: a valid /construct request for a
+// component the down-link mask has cut into, under the served options. On
+// the parent of this test it killed the shard process — orbit images
+// outside the component panicked a worker goroutine no handler recovers.
+// Both codecs must answer 200 with the in-process selection.
+func TestMaskedConstructOverLoopback(t *testing.T) {
+	for _, c := range []struct{ k, alpha, beta int }{{4, 3, 1}, {8, 3, 1}, {6, 1, 2}} {
+		f := topo.MustFattree(c.k)
+		ps := route.NewFattreePaths(f)
+		csr := route.MaterializeCSR(ps)
+		ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
+		defer ts.Close()
+		for _, down := range []topo.LinkID{f.SwitchLinks()[0], f.SwitchLinks()[len(f.SwitchLinks())-1]} {
+			req := shard.ConstructRequest{
+				MatrixSig: route.MatrixSignature(csr, f.NumLinks()),
+				NumLinks:  f.NumLinks(),
+				Comps:     route.DecomposeMasked(csr, f.NumLinks(), []topo.LinkID{down}),
+				Opt:       pmc.Options{Alpha: c.alpha, Beta: c.beta},
+			}
+			ref, err := pmc.ConstructComponents(ps, csr, req.Comps, f.NumLinks(), req.Opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ref.Stats.CoverageMet || !ref.Stats.IdentMet {
+				t.Fatalf("Fattree(%d) link %d down: targets unmet in process: %+v", c.k, down, ref.Stats)
+			}
+			for _, wire := range []string{WireJSON, WireBinary} {
+				cl := Dial(0, ts.URL, ClientOptions{Wire: wire})
+				res, err := cl.Construct(req)
+				cl.Close()
+				if err != nil {
+					t.Fatalf("Fattree(%d) link %d down over %s: %v", c.k, down, wire, err)
+				}
+				if !reflect.DeepEqual(res.Selected, ref.Selected) {
+					t.Errorf("Fattree(%d) link %d down over %s: selection differs from in-process", c.k, down, wire)
+				}
+			}
+			// The same component short of a link its paths use passes the
+			// wire's shape checks; the engine must refuse it (422), not die.
+			req.Comps[0].Links = req.Comps[0].Links[1:]
+			cl := Dial(0, ts.URL, ClientOptions{Wire: WireBinary})
+			if _, err := cl.Construct(req); err == nil || !strings.Contains(err.Error(), "leaves its component") {
+				t.Errorf("Fattree(%d): inconsistent component answered %v, want a leaves-its-component rejection", c.k, err)
+			}
+			if err := cl.Ping(); err != nil {
+				t.Errorf("Fattree(%d): shard did not survive an inconsistent component: %v", c.k, err)
+			}
+			cl.Close()
+		}
+	}
 }

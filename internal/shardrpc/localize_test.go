@@ -24,7 +24,7 @@ func servedFattree8(t testing.TB) (route.PathSet, *route.Probes) {
 	t.Helper()
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Decompose: true, Lazy: true})
+	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
 	if err != nil {
 		t.Fatal(err)
 	}

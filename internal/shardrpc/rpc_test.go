@@ -115,24 +115,22 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 	}{
 		{
 			"Fattree8/lazy", route.NewFattreePaths(f8), f8.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true},
+			pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry},
 			0x527da8262b65b8c5, 0x401e57d28d149cb0,
 		},
 		{
 			"Fattree8/symmetry", route.NewFattreePaths(f8), f8.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true, Symmetry: true},
+			pmc.Options{Alpha: 2, Beta: 1},
 			0x9ec67bc163cdc6e5, 0x34c504045541deea,
 		},
 		{
 			"BCube41/lazy", route.NewBCubePaths(b41), b41.NumLinks(),
-			pmc.Options{Alpha: 2, Beta: 1, Lazy: true},
+			pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry},
 			0xedc0ad7cc1cc073b, 0xf863861539a440a4,
 		},
 	}
 	for _, tc := range cases {
-		single := tc.opt
-		single.Decompose = true
-		ref, err := pmc.Construct(tc.ps, tc.numLinks, single)
+		ref, err := pmc.Construct(tc.ps, tc.numLinks, tc.opt)
 		if err != nil {
 			t.Fatalf("%s: single-controller construct: %v", tc.name, err)
 		}
@@ -224,7 +222,7 @@ func TestPingReportsEngineFingerprint(t *testing.T) {
 	}
 
 	coord, err := shard.New(ps, f.NumLinks(), shard.Options{Shards: 1, TTL: time.Minute,
-		PMC: pmc.Options{Alpha: 1, Beta: 1, Lazy: true}})
+		PMC: pmc.Options{Alpha: 1, Beta: 1, Ablate: pmc.NoSymmetry}})
 	if err != nil {
 		t.Fatal(err)
 	}

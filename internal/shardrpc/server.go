@@ -81,7 +81,7 @@ type Server struct {
 	sig      uint64
 	lim      Limits
 	tr       *obs.Tracer
-	// memo is the engine-local PMC warm-start cache: a component whose
+	// memo is the engine-local PMC selection cache: a component whose
 	// exact content was constructed before (topology flap-back, component
 	// reassignment back to this shard) reuses the cached selection
 	// verbatim. Selections are deterministic per content, so the memo
@@ -303,7 +303,7 @@ func (s *Server) Handler() http.Handler {
 		// cycle's spans then answer "what did shard N do during cycle C"
 		// from the shard's own /statusz.
 		sp := s.tr.Join(requestCycle(r), "remote").Span("construct")
-		res, err := pmc.ConstructComponentsWarm(s.ps, s.csr, comps, s.numLinks, req.Opt.decode(), s.memo)
+		res, err := pmc.ConstructComponents(s.ps, s.csr, comps, s.numLinks, req.Opt.decode(), s.memo)
 		sp.EndErr(err)
 		if err != nil {
 			serverRejected.Inc()
