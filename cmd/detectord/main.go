@@ -89,7 +89,7 @@ func reportWire(wire string) string {
 func main() {
 	var (
 		k          = flag.Int("k", 4, "Fattree radix")
-		window     = flag.Duration("window", 2*time.Second, "diagnoser window")
+		window     = flag.Duration("window", 2*time.Second, "the deployment's window: pingers report once per window epoch and the diagnoser closes a window per epoch")
 		rate       = flag.Int("rate", 60, "probes per second per pinger")
 		shards     = flag.Int("shards", 1, "controller shards (>1 boots the sharded controller plane)")
 		remote     = flag.Bool("remote-shards", false, "run the -shards controller shards as loopback HTTP services instead of in-process")
@@ -153,7 +153,6 @@ func main() {
 	c, err := cluster.Start(cluster.Options{
 		K:              *k,
 		Control:        cfg,
-		Window:         *window,
 		ProbeTimeout:   400 * time.Millisecond,
 		Shards:         *shards,
 		RemoteShards:   *remote,

@@ -21,7 +21,6 @@ func main() {
 	c, err := detector.StartCluster(detector.ClusterOptions{
 		K:            4,
 		Control:      cfg,
-		Window:       time.Second,
 		ProbeTimeout: 400 * time.Millisecond,
 	})
 	if err != nil {

@@ -31,9 +31,14 @@ type Options struct {
 	// K is the Fattree radix (default 4, the paper's testbed).
 	K int
 	// Control overrides controller defaults; WindowMS and RatePPS are the
-	// main knobs for test-speed runs.
+	// main knobs for test-speed runs. WindowMS is the one window of the
+	// deployment: pingers cut their reports on it and the diagnoser closes
+	// its windows on those reports.
 	Control control.Config
-	// Window is the diagnoser localization period.
+	// Window is that window as a duration, for callers that set no Control
+	// (default 30 s). Given together with Control.WindowMS the two must
+	// agree: a diagnoser on a different period than its pingers closes
+	// windows of partial reports.
 	Window time.Duration
 	// ProbeTimeout declares probe loss (default 100 ms).
 	ProbeTimeout time.Duration
@@ -138,15 +143,24 @@ func Start(opts Options) (*Cluster, error) {
 	if opts.K == 0 {
 		opts.K = 4
 	}
-	if opts.Window == 0 {
-		opts.Window = 30 * time.Second
-	}
-	if opts.WatchdogTTL == 0 {
-		opts.WatchdogTTL = 4 * opts.Window
-	}
 	if opts.Control.Alpha == 0 && opts.Control.Beta == 0 {
 		opts.Control = control.DefaultConfig()
+		opts.Control.WindowMS = 0
+	}
+	if opts.Control.WindowMS == 0 {
+		if opts.Window == 0 {
+			opts.Window = 30 * time.Second
+		}
 		opts.Control.WindowMS = int(opts.Window / time.Millisecond)
+	}
+	w := time.Duration(opts.Control.WindowMS) * time.Millisecond
+	if opts.Window != 0 && opts.Window != w {
+		return nil, fmt.Errorf("cluster: Window %v disagrees with Control.WindowMS %d: set one, or both to the same window",
+			opts.Window, opts.Control.WindowMS)
+	}
+	opts.Window = w
+	if opts.WatchdogTTL == 0 {
+		opts.WatchdogTTL = 4 * opts.Window
 	}
 	if opts.Shards > 1 || len(opts.ShardEndpoints) > 0 {
 		opts.Control.Shards = opts.Shards
@@ -240,6 +254,7 @@ func Start(opts Options) (*Cluster, error) {
 		ShardWire:      opts.ShardWire,
 		Partition:      partition,
 		LinkCounters:   counters,
+		Unhealthy:      c.Watchdog.UnhealthySet,
 	})
 	srv, url, err = serveHTTP(c.Diagnoser.Handler())
 	if err != nil {
@@ -262,8 +277,8 @@ func Start(opts Options) (*Cluster, error) {
 	c.servers = append(c.servers, srv)
 	c.ControllerURL = url
 
-	// The diagnoser learns the matrix in-process (it would also pick it
-	// up from /matrix on its first window).
+	// The diagnoser learns the matrix in-process, here and after every
+	// Churn.
 	c.Diagnoser.SetMatrix(c.Controller.ProbeMatrix(), c.Controller.Version())
 	c.Diagnoser.Run()
 
@@ -272,8 +287,11 @@ func Start(opts Options) (*Cluster, error) {
 	for _, n := range c.Controller.PingerNodes() {
 		isPinger[n] = true
 	}
+	// Only pingers heartbeat, so only they are tracked: a responder-only
+	// server has no agent loop in this harness, and a tracked server that
+	// never heartbeats is unhealthy one TTL later — the diagnoser would
+	// discard every path that ends at it.
 	for _, sv := range f.Servers() {
-		c.Watchdog.Track(sv)
 		if isPinger[sv] {
 			p, err := pinger.Start(f.Topology, c.Rules, c.Fab.Registry, sv, c.ControllerURL, pinger.Options{
 				Timeout:       opts.ProbeTimeout,
@@ -287,6 +305,7 @@ func Start(opts Options) (*Cluster, error) {
 				return fail(fmt.Errorf("cluster: pinger %d: %w", sv, err))
 			}
 			if p != nil {
+				c.Watchdog.Track(sv)
 				c.Pingers = append(c.Pingers, p)
 				continue
 			}
@@ -296,10 +315,7 @@ func Start(opts Options) (*Cluster, error) {
 			return fail(fmt.Errorf("cluster: responder %d: %w", sv, err))
 		}
 		c.Responders = append(c.Responders, r)
-		c.Watchdog.Heartbeat(sv)
 	}
-	// Responders do not heartbeat on their own in this harness; mark them
-	// healthy once. Pingers heartbeat every window.
 	return c, nil
 }
 

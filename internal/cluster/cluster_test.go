@@ -5,29 +5,29 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/control"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
 )
 
 // fastOptions compresses timescales so an end-to-end cycle fits in CI:
-// 600 ms windows, 120 probes/sec per pinger, 250 ms probe timeout. The
+// 450 ms windows, 120 probes/sec per pinger, 200 ms probe timeout. The
 // pacing is deliberately conservative — on a small CI box, scheduler stalls
 // masquerade as loss bursts if the timeout is tight — and the PLL noise
 // floor is raised accordingly (a production deployment uses 30 s windows
 // and a 1e-3 floor).
 func fastOptions() Options {
 	cfg := control.DefaultConfig()
-	cfg.RatePPS = 60
-	cfg.WindowMS = 900
+	cfg.RatePPS = 120
+	cfg.WindowMS = 450
 	pllCfg := pll.DefaultConfig()
 	pllCfg.LossRatioFloor = 0.2
 	pllCfg.MinLoss = 2
 	return Options{
 		K:            4,
 		Control:      cfg,
-		Window:       900 * time.Millisecond,
-		ProbeTimeout: 400 * time.Millisecond,
+		ProbeTimeout: 200 * time.Millisecond,
 		WatchdogTTL:  15 * time.Second,
 		RuleSeed:     1,
 		PLL:          &pllCfg,
@@ -42,6 +42,19 @@ func startCluster(t *testing.T) *Cluster {
 	}
 	t.Cleanup(c.Stop)
 	return c
+}
+
+// waitEpochs blocks until the diagnoser's window clock has closed n more
+// epochs: the tests step on closed windows instead of sleeping wall time.
+func waitEpochs(t *testing.T, c *Cluster, n int64) {
+	t.Helper()
+	target := c.Diagnoser.ClosedEpochs() + n
+	for deadline := time.Now().Add(10 * time.Second); c.Diagnoser.ClosedEpochs() < target; {
+		if time.Now().After(deadline) {
+			t.Fatalf("diagnoser closed %d epochs, waiting for %d", c.Diagnoser.ClosedEpochs(), target)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 func TestClusterBoots(t *testing.T) {
@@ -76,7 +89,7 @@ func TestClusterBoots(t *testing.T) {
 func TestClusterEndToEndFullLoss(t *testing.T) {
 	c := startCluster(t)
 	// Warm up one clean window so the baseline is loss-free.
-	time.Sleep(1200 * time.Millisecond)
+	waitEpochs(t, c, 1)
 
 	bad := c.F.MustLink(c.F.AggID[1][0], c.F.CoreID[0])
 	c.InjectFailure(bad, sim.FullLoss{})
@@ -99,7 +112,7 @@ func TestClusterEndToEndFullLoss(t *testing.T) {
 // server-ToR link.
 func TestClusterLocalizesServerLink(t *testing.T) {
 	c := startCluster(t)
-	time.Sleep(1200 * time.Millisecond)
+	waitEpochs(t, c, 1)
 
 	// Fail the link of a responder-only server (the second server under
 	// edge 0-1 hosts no pinger when pinglists target the first two).
@@ -131,7 +144,7 @@ func TestClusterLocalizesServerLink(t *testing.T) {
 // the fabric + agents + diagnoser stack to localize it.
 func TestClusterBlackholeLocalization(t *testing.T) {
 	c := startCluster(t)
-	time.Sleep(1200 * time.Millisecond)
+	waitEpochs(t, c, 1)
 
 	bad := c.F.MustLink(c.F.EdgeID[2][1], c.F.AggID[2][1])
 	// Half of all flows blackholed: enough lossy paths to cross the 0.6
@@ -153,9 +166,11 @@ func TestClusterRepairSilencesAlerts(t *testing.T) {
 		t.Fatal("no alert while failed")
 	}
 	c.Repair(bad)
-	time.Sleep(1500 * time.Millisecond) // drain in-flight windows
+	// Drain: the epoch the repair fell in, and the one that counts the
+	// probes still in flight at its boundary.
+	waitEpochs(t, c, 2)
 	before := len(c.Diagnoser.Alerts())
-	time.Sleep(1500 * time.Millisecond)
+	waitEpochs(t, c, 2)
 	after := c.Diagnoser.Alerts()
 	for _, a := range after[before:] {
 		for _, v := range a.Bad {
@@ -184,12 +199,79 @@ func TestClusterReportsFlow(t *testing.T) {
 // slow link, end to end over real sockets.
 func TestClusterLatencySpikeLocalizedAsLoss(t *testing.T) {
 	c := startCluster(t)
-	time.Sleep(1200 * time.Millisecond)
+	waitEpochs(t, c, 1)
 
 	bad := c.F.MustLink(c.F.AggID[3][0], c.F.CoreID[1])
 	c.Rules.InstallDelay(bad, 600*time.Millisecond)
 	alert := c.WaitForAlert([]topo.LinkID{bad}, 12*time.Second)
 	if alert == nil {
 		t.Fatalf("no alert for latency spike on link %d; alerts: %+v", bad, c.Diagnoser.Alerts())
+	}
+}
+
+// TestClusterWindowMismatch: the diagnoser's window and the pinglists'
+// WindowMS are one quantity; two different values are a configuration
+// error, not a deployment that closes windows of partial reports.
+func TestClusterWindowMismatch(t *testing.T) {
+	opts := fastOptions()
+	opts.Window = 300 * time.Millisecond
+	if c, err := Start(opts); err == nil {
+		c.Stop()
+		t.Fatalf("Start accepted Window %v beside Control.WindowMS %d", opts.Window, opts.Control.WindowMS)
+	}
+	opts.Window = time.Duration(opts.Control.WindowMS) * time.Millisecond
+	c, err := Start(opts)
+	if err != nil {
+		t.Fatalf("Start rejected two spellings of the same window: %v", err)
+	}
+	c.Stop()
+}
+
+// waitCloseReason polls the diagnoser's /statusz until the window clock's last
+// close has the wanted reason.
+func waitCloseReason(t *testing.T, c *Cluster, want string) {
+	t.Helper()
+	var got any
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		var sz obs.Statusz
+		getJSON(t, c.DiagnoserURL+"/statusz", &sz)
+		detail, _ := sz.Detail.(map[string]any)
+		last, _ := detail["last_close"].(map[string]any)
+		if got = last["reason"]; got == want {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("window clock's last close is %v, never %q", got, want)
+}
+
+// TestClusterSilentPingerGraceThenComplete: windows close on evidence while
+// the whole fleet reports; a pinger that dies makes every close wait out the
+// grace, until the watchdog's TTL flags it and the clock stops expecting it.
+func TestClusterSilentPingerGraceThenComplete(t *testing.T) {
+	opts := fastOptions()
+	opts.WatchdogTTL = 1200 * time.Millisecond // pingers heartbeat every 450 ms window
+	c, err := Start(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	waitCloseReason(t, c, "complete")
+
+	dead := c.Pingers[0]
+	c.Pingers = c.Pingers[1:]
+	dead.Stop()
+	waitCloseReason(t, c, "grace")
+	if c.Watchdog.UnhealthySet()[dead.Node] {
+		t.Fatalf("pinger %d flagged before its TTL: the grace closes were not for a healthy silent pinger", dead.Node)
+	}
+	waitCloseReason(t, c, "complete")
+	if !c.Watchdog.UnhealthySet()[dead.Node] {
+		t.Fatalf("closes are complete again but the watchdog never flagged pinger %d", dead.Node)
+	}
+	closes := scrapeProm(t, c.DiagnoserURL+"/metrics")
+	if closes[`diag_epoch_closes{reason="grace"}`] < 1 || closes[`diag_epoch_closes{reason="complete"}`] < 2 {
+		t.Fatalf("diag_epoch_closes does not show the grace closes between the complete ones: %v / %v",
+			closes[`diag_epoch_closes{reason="grace"}`], closes[`diag_epoch_closes{reason="complete"}`])
 	}
 }

@@ -103,9 +103,10 @@ func hasSpan(sz obs.Statusz, id uint64, name string) bool {
 func TestClusterObservabilitySurface(t *testing.T) {
 	opts := fastOptions()
 	opts.K = 8
-	// Windows close by hand below, so the cadence timers never fire.
-	opts.Window = time.Hour
-	opts.Control.WindowMS = 3_600_000
+	// Windows close by hand below: with a thousand-hour window no epoch
+	// boundary falls inside the test, so no pinger reports and the window
+	// clock closes nothing.
+	opts.Control.WindowMS = int(1000 * time.Hour / time.Millisecond)
 	opts.Shards = 2
 	opts.RemoteShards = true
 	opts.ShardTTL = 10 * time.Second

@@ -135,7 +135,7 @@ func TestRemoteShardEndToEndAlert(t *testing.T) {
 	}
 	t.Cleanup(c.Stop)
 	// Warm up one clean window so the baseline is loss-free.
-	time.Sleep(1200 * time.Millisecond)
+	waitEpochs(t, c, 1)
 
 	bad := c.F.MustLink(c.F.AggID[1][0], c.F.CoreID[0])
 	c.InjectFailure(bad, sim.FullLoss{})

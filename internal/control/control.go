@@ -734,20 +734,3 @@ func FetchPinglist(client *http.Client, baseURL string, n topo.NodeID) (*Pinglis
 	}
 	return &pl, nil
 }
-
-// FetchMatrix retrieves the route-level probe matrix from a controller URL.
-func FetchMatrix(client *http.Client, baseURL string) (*route.Probes, int, error) {
-	resp, err := client.Get(baseURL + "/matrix")
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, 0, fmt.Errorf("control: matrix status %s", resp.Status)
-	}
-	var m Matrix
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, 0, err
-	}
-	return matrixToProbes(&m), m.Version, nil
-}

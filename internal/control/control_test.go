@@ -150,12 +150,17 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("non-pinger: %v %v", pl2, err)
 	}
 
-	m, version, err := FetchMatrix(client, srv.URL)
+	resp, err := client.Get(srv.URL + "/matrix")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if version != 1 || m.NumPaths() != c.ProbeMatrix().NumPaths() {
-		t.Fatalf("matrix over HTTP: version=%d paths=%d", version, m.NumPaths())
+	defer resp.Body.Close()
+	var m Matrix
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Version != 1 || len(m.Paths) != c.ProbeMatrix().NumPaths() {
+		t.Fatalf("matrix over HTTP: version=%d paths=%d", m.Version, len(m.Paths))
 	}
 }
 

@@ -16,12 +16,18 @@ package diag
 //     take a diagnoser-wide lock; the close locks one stripe at a time.
 //   - close section (everything from straddled down): touched only by
 //     RunWindow, which Diagnoser.closeMu serialises.
+//
+// Beside them sits the epoch bookkeeping (pingers, reported): one atomic
+// high-water mark per pinger the matrix expects, written by ingest with no
+// lock at all and read by the window clock (epoch.go).
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/topo"
 )
 
 // stripeShift sets the ingest lock granularity: 128 consecutive rows share
@@ -47,6 +53,14 @@ type windowState struct {
 
 	locks []sync.Mutex
 	win   []rowCounters
+
+	// pingers are the servers the matrix expects reports from (its distinct
+	// Src); reported[i] is the highest window epoch pingers[i] has
+	// reported into this state, set after the frame's results are merged.
+	// pingerAt and pingers never change, so ingest reads them unlocked.
+	pingers  []topo.NodeID
+	pingerAt map[topo.NodeID]int
+	reported []atomic.Int64
 
 	// straddled marks the first window of a state that replaced another:
 	// its reports straddle the version change and the close discards them.
@@ -91,7 +105,33 @@ func newWindowState(m *route.Probes, version int, opts *Options, straddled bool)
 			s.slow[r].Path = r
 		}
 	}
+	s.pingerAt = make(map[topo.NodeID]int)
+	for _, src := range m.Src {
+		if _, ok := s.pingerAt[src]; !ok {
+			s.pingerAt[src] = len(s.pingers)
+			s.pingers = append(s.pingers, src)
+		}
+	}
+	s.reported = make([]atomic.Int64, len(s.pingers))
 	return s
+}
+
+// advance raises node's high-water mark to epoch and reports whether it
+// moved. A node the matrix does not expect has no mark.
+func (s *windowState) advance(node topo.NodeID, epoch int64) bool {
+	i, ok := s.pingerAt[node]
+	if !ok {
+		return false
+	}
+	for m := &s.reported[i]; ; {
+		cur := m.Load()
+		if epoch <= cur {
+			return false
+		}
+		if m.CompareAndSwap(cur, epoch) {
+			return true
+		}
+	}
 }
 
 // ingest merges the results of one report frame into a window state,

@@ -1,7 +1,7 @@
 // Package diag implements deTector's diagnoser (paper §3.1, §6.1): it
-// collects pinger reports over HTTP, windows them, asks the watchdog for
-// unhealthy servers, fetches the route-level probe matrix from the
-// controller, runs PLL once per window and publishes alerts.
+// collects pinger reports over HTTP, windows them by the pingers' report
+// epochs (epoch.go), discards what the watchdog's unhealthy servers sent,
+// runs PLL on the served probe matrix once per window and publishes alerts.
 package diag
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/detector-net/detector/internal/control"
 	"github.com/detector-net/detector/internal/httpx"
 	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
@@ -26,7 +25,6 @@ import (
 	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
-	"github.com/detector-net/detector/internal/watchdog"
 )
 
 // malformedReports counts report payloads the diagnoser rejected —
@@ -78,7 +76,11 @@ type LinkVerdict struct {
 
 // Alert is the outcome of one localization window.
 type Alert struct {
-	Time        time.Time     `json:"time"`
+	Time time.Time `json:"time"`
+	// Epoch is the window epoch the alert closed (the window ended at
+	// Epoch × the window length, Unix time): the key that joins an alert to
+	// the reports behind it. Zero for a window closed by hand.
+	Epoch       int64         `json:"epoch,omitempty"`
 	Version     int           `json:"version"`
 	Bad         []LinkVerdict `json:"bad"`
 	LossyPaths  int           `json:"lossy_paths"`
@@ -99,11 +101,13 @@ type Alert struct {
 // Options configures the diagnoser.
 type Options struct {
 	// Window is the localization period (paper: 30 s; tests: milliseconds).
+	// It must equal the WindowMS the controller hands the pingers: their
+	// report epochs are what Run closes windows on.
 	Window time.Duration
-	// ControllerURL serves /matrix; WatchdogURL serves /health. Either may
-	// be empty when the corresponding input is injected directly.
-	ControllerURL string
-	WatchdogURL   string
+	// Unhealthy, when set, returns the servers the watchdog currently flags.
+	// Observations whose path ends at one are discarded as outliers (paper
+	// §5.1), and the window clock does not wait for a flagged pinger.
+	Unhealthy func() map[topo.NodeID]bool
 	// PLL is the localization configuration.
 	PLL pll.Config
 	// SlowEvery, when positive, runs a long-window pass every SlowEvery
@@ -134,8 +138,6 @@ type Options struct {
 	// into one giant component; cut-link verdicts reconcile at merge time
 	// and diag_cut_link_disagreements counts the reconciliation slack).
 	Partition shard.PartitionPolicy
-	// HTTPClient overrides the default client.
-	HTTPClient *http.Client
 	// Topo, when set, lets alerts name link endpoints.
 	Topo *topo.Topology
 	// Signals tunes the multi-signal verdict lattice; zero fields take
@@ -163,7 +165,6 @@ type Options struct {
 // Diagnoser aggregates reports and localizes per window.
 type Diagnoser struct {
 	opts    Options
-	client  *http.Client
 	shards  int // effective shard count (Shards or len(ShardEndpoints), at least 1)
 	clients map[int]shard.ShardClient
 	tr      *obs.Tracer
@@ -176,6 +177,11 @@ type Diagnoser struct {
 	reports atomic.Int64
 	maxBody int64
 
+	// wake tells the window clock (Run) that a pinger's epoch mark advanced;
+	// one pending wake-up is enough, so ingest never blocks on it.
+	wake         chan struct{}
+	closedEpochs atomic.Int64
+
 	// closeMu serialises RunWindow: the state's close section and
 	// slowWindows belong to whoever holds it.
 	closeMu     sync.Mutex
@@ -187,6 +193,7 @@ type Diagnoser struct {
 	alerts          []Alert
 	alertHead       int
 	lastLocalizeErr string
+	lastClose       closeInfo // the window clock's last close
 	stopped         bool
 	stopChan        chan struct{}
 	done            sync.WaitGroup
@@ -201,19 +208,16 @@ func New(opts Options) *Diagnoser {
 	if opts.PLL.HitRatio == 0 {
 		opts.PLL = pll.DefaultConfig()
 	}
-	client := opts.HTTPClient
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
 	maxBody := opts.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = shardrpc.DefaultLimits().MaxBodyBytes
 	}
 	d := &Diagnoser{
-		opts: opts, client: client,
+		opts:     opts,
 		shards:   max(opts.Shards, 1),
 		tr:       obs.NewTracer("diag", 16),
 		maxBody:  maxBody,
+		wake:     make(chan struct{}, 1),
 		stopChan: make(chan struct{}),
 	}
 	if len(opts.ShardEndpoints) > 0 {
@@ -240,11 +244,11 @@ func (d *Diagnoser) negotiateCodecs() {
 	}
 }
 
-// SetMatrix injects the probe matrix directly (in-process alternative to
-// the /matrix fetch). A new version swaps in a fresh window state — path IDs
-// now index a different matrix — and the window that straddles the change
-// is discarded. The same version again is the same matrix (the fetch path
-// re-delivers it every window) and changes nothing.
+// SetMatrix binds the probe matrix the controller serves. A new version
+// swaps in a fresh window state — path IDs now index a different matrix, and
+// the pingers it expects have reported nothing yet — and the window that
+// straddles the change is discarded. The same version again is the same
+// matrix and changes nothing.
 func (d *Diagnoser) SetMatrix(m *route.Probes, version int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -275,6 +279,7 @@ func (d *Diagnoser) Ingest(rep *pinger.Report) {
 		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
 	}
 	in.done()
+	d.markReported(in.st, rep.Node, rep.EndNS)
 	stageIngest.Observe(time.Since(start))
 }
 
@@ -289,6 +294,7 @@ func (d *Diagnoser) ingestWire(rep *shardrpc.Report) {
 		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
 	}
 	in.done()
+	d.markReported(in.st, rep.Node, rep.EndNS)
 	stageIngest.Observe(time.Since(start))
 }
 
@@ -307,6 +313,7 @@ func (d *Diagnoser) ingestSummary(s *shardrpc.SummaryReport) {
 		in.merge(r.PathID, r.Sent, r.Lost, 0, 0, 0)
 	}
 	in.done()
+	d.markReported(in.st, s.Node, s.EndNS)
 	stageIngest.Observe(time.Since(start))
 }
 
@@ -473,6 +480,12 @@ func (d *Diagnoser) Handler() http.Handler {
 		if ws := d.state.Load(); ws != nil {
 			st["paths"] = ws.matrix.NumPaths()
 		}
+		if n := d.closedEpochs.Load(); n > 0 {
+			// The window clock: how many epochs it closed, and whether the
+			// last one closed on evidence (complete) or on the grace.
+			st["closed_epochs"] = n
+			st["last_close"] = d.lastClose
+		}
 		if d.lastLocalizeErr != "" {
 			st["last_localize_error"] = d.lastLocalizeErr
 		}
@@ -564,25 +577,7 @@ func (d *Diagnoser) serveStream(body io.Reader) (int, error) {
 	}
 }
 
-// Run drives the window loop until Stop.
-func (d *Diagnoser) Run() {
-	d.done.Add(1)
-	go func() {
-		defer d.done.Done()
-		tick := time.NewTicker(d.opts.Window)
-		defer tick.Stop()
-		for {
-			select {
-			case <-d.stopChan:
-				return
-			case <-tick.C:
-				d.RunWindow()
-			}
-		}
-	}()
-}
-
-// Stop halts the window loop.
+// Stop halts the window clock.
 func (d *Diagnoser) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -601,24 +596,21 @@ func (d *Diagnoser) Stop() {
 // RunWindow executes one localization pass over the accumulated reports:
 // close the open window into the state's row-indexed observation buffer,
 // localize and classify it against the history and baselines of the windows
-// before it, and only then roll those forward.
-func (d *Diagnoser) RunWindow() *Alert {
+// before it, and only then roll those forward. The window clock (Run) calls
+// it when an epoch is due; tests and replays call it by hand.
+func (d *Diagnoser) RunWindow() *Alert { return d.runWindow(0) }
+
+func (d *Diagnoser) runWindow(epoch int64) *Alert {
+	cfg := d.opts.PLL
+	if d.opts.Unhealthy != nil {
+		if unhealthy := d.opts.Unhealthy(); len(unhealthy) > 0 {
+			cfg.Unhealthy = unhealthy
+		}
+	}
 	d.closeMu.Lock()
 	defer d.closeMu.Unlock()
 	cy := d.tr.StartCycle("window")
 	defer cy.End()
-	// Refresh matrix and watchdog data if remote.
-	if d.opts.ControllerURL != "" {
-		if m, v, err := control.FetchMatrix(d.client, d.opts.ControllerURL); err == nil {
-			d.SetMatrix(m, v)
-		}
-	}
-	cfg := d.opts.PLL
-	if d.opts.WatchdogURL != "" {
-		if unhealthy, err := watchdog.FetchUnhealthy(d.client, d.opts.WatchdogURL); err == nil {
-			cfg.Unhealthy = unhealthy
-		}
-	}
 
 	st := d.state.Load()
 	if st == nil {
@@ -640,7 +632,7 @@ func (d *Diagnoser) RunWindow() *Alert {
 
 	var alert *Alert
 	if reported > 0 {
-		alert = d.localizeAlert(cy, st, st.obs, cfg, &st.sig)
+		alert = d.localizeAlert(cy, st, epoch, st.obs, cfg, &st.sig)
 	}
 	if slowDue {
 		// The slow pass is the low-rate loss net; it pools too many windows
@@ -650,7 +642,7 @@ func (d *Diagnoser) RunWindow() *Alert {
 			banked = banked || st.slow[r].Sent > 0
 		}
 		if banked {
-			d.localizeAlert(cy, st, st.slow, cfg, nil)
+			d.localizeAlert(cy, st, epoch, st.slow, cfg, nil)
 		}
 		for r := range st.slow {
 			st.slow[r].Sent, st.slow[r].Lost = 0, 0
@@ -663,9 +655,8 @@ func (d *Diagnoser) RunWindow() *Alert {
 // shardPlane returns the diagnosis plane for matrix, rebuilding it when
 // the served matrix changes (one partition, and one engine per part, per
 // construction cycle). A matrix handed over by SetMatrix hits the cache on
-// pointer identity; the /matrix fetch allocates a fresh Probes every
-// window, and for that path the cache compares content, so an unchanged
-// served matrix does not rebuild anything every 30 seconds. The plane is
+// pointer identity; a fresh Probes with the same content is compared by
+// content, so an unchanged served matrix rebuilds nothing. The plane is
 // derived from the matrix alone, over all configured shard slots rather
 // than the coordinator's live set: the diagnoser is a separate service
 // that only sees the controller's HTTP surface, and since it can execute
@@ -694,7 +685,7 @@ func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 // verdicts become Soft advisories instead of Bad alerts, and the
 // signal-localization pass adds soft links whose faults lose nothing. The
 // slow pass (sig nil) marks its alert Slow.
-func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, observations []pll.Observation, cfg pll.Config, sig *pll.Signals) *Alert {
+func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, epoch int64, observations []pll.Observation, cfg pll.Config, sig *pll.Signals) *Alert {
 	matrix := st.matrix
 	res, ms, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
 	if err != nil {
@@ -706,7 +697,7 @@ func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, observations [
 	}
 	cutLinkDisagreements.Add(int64(ms.Disagreements))
 	alert := Alert{
-		Time: time.Now(), Version: st.version,
+		Time: time.Now(), Epoch: epoch, Version: st.version,
 		LossyPaths: res.LossyPaths, Unexplained: res.UnexplainedPaths,
 		ElapsedMS: float64(res.Elapsed.Microseconds()) / 1000,
 		Slow:      sig == nil,

@@ -69,7 +69,7 @@ func TestLocalizeErrorIsCounted(t *testing.T) {
 		t.Fatal("last_localize_error set before any error")
 	}
 	dup := []pll.Observation{{Path: 0, Sent: 10, Lost: 5}, {Path: 0, Sent: 10, Lost: 5}}
-	if alert := d.localizeAlert(nil, d.state.Load(), dup, pll.DefaultConfig(), nil); alert != nil {
+	if alert := d.localizeAlert(nil, d.state.Load(), 0, dup, pll.DefaultConfig(), nil); alert != nil {
 		t.Fatalf("malformed window raised %+v", alert)
 	}
 	if got := localizeErrors.Value() - before; got != 1 {

@@ -313,8 +313,7 @@ func TestMatrixVersionPrune(t *testing.T) {
 	if alert == nil || alert.Version != 2 || len(alert.Bad) != 1 {
 		t.Fatalf("first full window under version 2: %+v", alert)
 	}
-	// Re-delivering the served version (the /matrix fetch does, every
-	// window) keeps the state.
+	// Re-delivering the served version keeps the state.
 	d.SetMatrix(testMatrix(), 2)
 	if d.state.Load() != v2 {
 		t.Fatal("same version swapped the state")

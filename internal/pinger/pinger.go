@@ -187,7 +187,11 @@ func (p *Pinger) Stop() {
 }
 
 // Pinglist returns the active work order.
-func (p *Pinger) Pinglist() *control.Pinglist { return p.pinglist }
+func (p *Pinger) Pinglist() *control.Pinglist {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.pinglist
+}
 
 // sendLoop emits probes at RatePPS, round-robin over paths, rotating flow
 // labels per path.
@@ -308,18 +312,19 @@ func (p *Pinger) receiveLoop() {
 }
 
 // sweepAndReportLoop expires timed-out probes (counting losses and firing
-// confirmation bursts) and POSTs window reports. Report phases are
-// staggered per node — the paper randomizes when pingers talk to the
-// control plane for the same reason (§6.1: "slightly randomizing the time
-// when pingers request for pinglists"): synchronized reporting bursts
-// starve the dataplane.
+// confirmation bursts) and ships one report per window epoch. Epoch e ends
+// at wall-clock time e·W (W the pinglist's WindowMS), the same instant on
+// every pinger, so the diagnoser closes a window that holds the same span
+// of time from all of them. The report leaves a per-node stagger after the
+// boundary (nextBoundary), after one more expire so every timeout already
+// due is counted, and carries EndNS = e·W: it is this pinger's "epoch e is
+// complete" mark, and ships even when nothing was probed.
 func (p *Pinger) sweepAndReportLoop() {
 	defer p.done.Done()
 	sweep := time.NewTicker(p.Opts.SweepEvery)
 	defer sweep.Stop()
-	window := time.Duration(p.pinglist.WindowMS) * time.Millisecond
-	offset := window * time.Duration(uint32(p.Node)%16) / 16
-	report := time.NewTimer(window + offset)
+	fire, endNS := nextBoundary(time.Now(), p.window(), p.Node)
+	report := time.NewTimer(time.Until(fire))
 	defer report.Stop()
 	var buf []byte
 	for {
@@ -329,12 +334,38 @@ func (p *Pinger) sweepAndReportLoop() {
 		case <-sweep.C:
 			buf = p.expire(buf)
 		case <-report.C:
-			p.report()
+			buf = p.expire(buf)
+			p.report(endNS)
 			p.sendHeartbeat()
 			p.refreshPinglist()
-			report.Reset(window)
+			fire, endNS = nextBoundary(time.Now(), p.window(), p.Node)
+			report.Reset(time.Until(fire))
 		}
 	}
+}
+
+// window is the report epoch length the active pinglist asks for; a missing
+// or nonsense WindowMS falls back to the paper's 30 s.
+func (p *Pinger) window() time.Duration {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pinglist.WindowMS <= 0 {
+		return 30 * time.Second
+	}
+	return time.Duration(p.pinglist.WindowMS) * time.Millisecond
+}
+
+// nextBoundary returns when node's next report fires and the EndNS it
+// carries: the first epoch boundary e·w whose firing time e·w + stagger is
+// still ahead of now, so one epoch never fires twice. The stagger spreads
+// the fleet's reports over the w/8 after the boundary in sixteen phases —
+// the paper desynchronises when pingers talk to the control plane (§6.1),
+// because a synchronized burst starves the dataplane — and stays small
+// against w because the diagnoser waits for the last phase before closing.
+func nextBoundary(now time.Time, w time.Duration, node topo.NodeID) (fire time.Time, endNS int64) {
+	stagger := int64(w) / 8 * int64(uint32(node)%16) / 16
+	endNS = ((now.UnixNano()-stagger)/int64(w) + 1) * int64(w)
+	return time.Unix(0, endNS+stagger), endNS
 }
 
 // expire times out pending probes; non-confirm losses trigger the paper's

@@ -160,8 +160,10 @@ func TestPingerAppliesDelta(t *testing.T) {
 	}
 	stub.mu.Unlock()
 
+	// Polled through Pinglist(), the accessor that shares p.mu with the
+	// refresh's swap: under -race this is the test of that lock.
 	for time.Now().Before(deadline) {
-		if p.PinglistVersion() == 2 {
+		if p.Pinglist().Version == 2 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

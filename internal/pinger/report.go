@@ -18,10 +18,11 @@ package pinger
 //     counters), and a persistent POST /reportstream connection carrying
 //     back-to-back frames.
 //   - No silent loss: a failed POST keeps the pending aggregate, which
-//     re-merges with the next window and ships again; every failure bumps
-//     pinger_report_failures. The stream path is at-most-once per frame
-//     (a written frame cannot be un-sent, so a dead stream counts failures
-//     instead of double-reporting) and reconnects on the next ship.
+//     re-merges with the next window and ships again under that window's
+//     epoch; every failure bumps pinger_report_failures. The stream path
+//     is at-most-once per frame (a written frame cannot be un-sent, so a
+//     dead stream counts failures instead of double-reporting) and
+//     reconnects on the next ship.
 
 import (
 	"bytes"
@@ -29,7 +30,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"time"
 
 	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/shardrpc"
@@ -50,8 +50,10 @@ type pendAgg struct {
 }
 
 // report snapshots and resets the window counters, merges them into the
-// pending aggregate, and ships when the batch is due.
-func (p *Pinger) report() {
+// pending aggregate, and ships when the batch is due. endNS is the epoch
+// boundary the frame answers for. A due frame ships even with no results:
+// the diagnoser closes the epoch on it instead of waiting out its grace.
+func (p *Pinger) report(endNS int64) {
 	p.mu.Lock()
 	version := p.pinglist.Version
 	var results []PathReport
@@ -104,14 +106,11 @@ func (p *Pinger) report() {
 	if batch < 1 {
 		batch = 1
 	}
-	if p.pendWindows < batch || len(p.pend) == 0 {
-		if len(p.pend) == 0 {
-			p.pendWindows = 0
-		}
+	if p.pendWindows < batch {
 		return
 	}
 
-	ok, retry := p.ship(version)
+	ok, retry := p.ship(version, endNS)
 	if ok {
 		p.clearPend()
 		return
@@ -153,9 +152,8 @@ func (p *Pinger) pendResults() []shardrpc.ReportResult {
 // speaks. It reports whether delivery succeeded and, on failure, whether
 // the aggregate should be retained for a retry (false for rejected bodies,
 // which would fail forever, and for frames already written to a stream).
-func (p *Pinger) ship(version int) (ok, retry bool) {
+func (p *Pinger) ship(version int, endNS int64) (ok, retry bool) {
 	results := p.pendResults()
-	endNS := time.Now().UnixNano()
 
 	binaryOK, summaryOK, streamOK := p.negotiate()
 	if !binaryOK {

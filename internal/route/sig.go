@@ -74,8 +74,8 @@ func RowsSignature(p *Probes) uint64 {
 
 // ProbesSignature fingerprints a served probe matrix by content: link-ID
 // space, every row's link set and endpoints, and the wire path IDs when
-// sparse. The diagnoser's /matrix fetch allocates a fresh matrix every
-// window, so pointer identity cannot tell "same matrix" from "new
+// sparse. A matrix decoded afresh from /matrix is a new allocation every
+// time, so pointer identity cannot tell "same matrix" from "new
 // construction cycle" on that path — this signature can, which is what
 // lets the diagnosis plane keep its partition and engines across windows
 // instead of rebuilding them for an unchanged matrix.

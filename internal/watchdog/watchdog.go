@@ -130,23 +130,3 @@ func SendHeartbeat(client *http.Client, baseURL string, n topo.NodeID) error {
 	}
 	return nil
 }
-
-// FetchUnhealthy retrieves the unhealthy set from a watchdog URL.
-func FetchUnhealthy(client *http.Client, baseURL string) (map[topo.NodeID]bool, error) {
-	resp, err := client.Get(baseURL + "/health")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Unhealthy []topo.NodeID `json:"unhealthy"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return nil, err
-	}
-	out := make(map[topo.NodeID]bool, len(body.Unhealthy))
-	for _, n := range body.Unhealthy {
-		out[n] = true
-	}
-	return out, nil
-}

@@ -1,10 +1,13 @@
 package watchdog
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"github.com/detector-net/detector/internal/topo"
 )
 
 func TestUnhealthyAfterTTL(t *testing.T) {
@@ -43,16 +46,24 @@ func TestHTTPRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Track(43) // tracked but never heartbeating... fresh until TTL
-	unhealthy, err := FetchUnhealthy(client, srv.URL)
+	resp, err := client.Get(srv.URL + "/health")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if unhealthy[42] {
-		t.Fatal("heartbeating node flagged unhealthy")
+	var health struct {
+		Unhealthy []topo.NodeID `json:"unhealthy"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(health.Unhealthy) != 0 {
+		t.Fatalf("fresh nodes flagged unhealthy: %v", health.Unhealthy)
 	}
 
 	// Bad requests are rejected.
-	resp, err := client.Post(srv.URL+"/heartbeat?node=abc", "text/plain", nil)
+	resp, err = client.Post(srv.URL+"/heartbeat?node=abc", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
