@@ -304,14 +304,16 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 		stageServe.Observe(time.Since(serveStart))
 	}()
 
-	healthyServers := func(tor topo.NodeID) []topo.NodeID {
-		var out []topo.NodeID
+	// Healthy servers per flat ToR index, computed once a cycle: every
+	// selected path reads two of these lists.
+	torList := c.F.ToRList()
+	healthy := make([][]topo.NodeID, len(torList))
+	for i, tor := range torList {
 		for _, s := range c.F.ServersUnder(tor) {
 			if !unhealthy[s] {
-				out = append(out, s)
+				healthy[i] = append(healthy[i], s)
 			}
 		}
-		return out
 	}
 
 	version := 0
@@ -365,10 +367,8 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	var hopBuf []topo.NodeID
 	for _, idx := range res.Selected {
 		s, d, core := ps.Decode(idx)
-		srcToR := c.F.ToRList()[s]
-		dstToR := c.F.ToRList()[d]
-		pingers := healthyServers(srcToR)
-		responders := healthyServers(dstToR)
+		srcToR, dstToR := torList[s], torList[d]
+		pingers, responders := healthy[s], healthy[d]
 		if len(pingers) == 0 || len(responders) == 0 {
 			continue
 		}
@@ -401,7 +401,7 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	// list, so a server going unhealthy does not renumber its rackmates.
 	spr := c.F.Half()
 	for torIdx, tor := range c.F.ToRs() {
-		servers := healthyServers(tor)
+		servers := healthy[c.F.ToRIndex(tor)]
 		if len(servers) < 2 {
 			continue
 		}
@@ -601,7 +601,8 @@ func (c *Controller) Handler() http.Handler {
 			return
 		}
 		var req ChurnRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, shardrpc.DefaultLimits().MaxBodyBytes)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			badRequests.Inc()
 			httpx.Error(w, http.StatusBadRequest, "bad churn body: %v", err)
 			return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/detector-net/detector/internal/metrics"
@@ -282,5 +283,25 @@ func TestChurnEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: status %d, want 400", resp.StatusCode)
+	}
+
+	// Link ids are signed on the wire: a negative one is a validation error
+	// like any other out-of-range id, not an index into the differ's arrays.
+	bad := badRequests.Value()
+	for _, body := range []string{`{"down":[-1]}`, `{"up":[-1]}`} {
+		resp, err = http.Post(srv.URL+"/churn", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if got := badRequests.Value() - bad; got != 2 {
+		t.Fatalf("bad-request counter moved by %d, want 2", got)
+	}
+	if down := c.DownLinks(); len(down) != 1 || down[0] != l {
+		t.Fatalf("down set after rejected churn = %v, want [%d]", down, l)
 	}
 }

@@ -55,7 +55,10 @@ func TestMemoFlapBack(t *testing.T) {
 	opt := Options{Alpha: 1, Beta: 1, Ablate: NoSymmetry}
 	memo := NewMemo(0)
 
-	inc := route.NewIncremental(csr, f.NumLinks(), nil)
+	inc, err := route.NewIncremental(csr, f.NumLinks(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := append([]route.Component(nil), inc.Components()...)
 	res0, err := ConstructComponents(ps, csr, base, f.NumLinks(), opt, memo)
 	if err != nil {

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/detector-net/detector/internal/topo"
@@ -114,20 +115,22 @@ type Incremental struct {
 	invOff  []int32 // link -> start into invRows
 	invRows []int32 // rows through each link, ascending within a link
 
+	kern   *kernel // standing scratch, identity/zero between calls
 	comps  []Component
 	compOf []int32 // link -> index into comps, -1 when in no component
 }
 
 // NewIncremental builds the differ over a pristine matrix with an initial
 // down set. Components() starts bit-identical to DecomposeMasked(csr,
-// numLinks, initialDown).
-func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) *Incremental {
+// numLinks, initialDown). An initial link outside [0, numLinks) is an error.
+func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Incremental, error) {
 	inc := &Incremental{
 		csr:      csr,
 		numLinks: numLinks,
 		down:     make([]bool, numLinks),
 		downCnt:  make([]int32, csr.Len()),
 		invOff:   make([]int32, numLinks+1),
+		kern:     newKernel(numLinks),
 		compOf:   make([]int32, numLinks),
 	}
 	// Counting sort for the inverted index: size, prefix-sum, fill.
@@ -148,6 +151,9 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) *Incremen
 		}
 	}
 	for _, l := range initialDown {
+		if !inc.has(l) {
+			return nil, fmt.Errorf("route: initial down link %d out of range (numLinks=%d)", l, numLinks)
+		}
 		if inc.down[l] {
 			continue
 		}
@@ -156,16 +162,25 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) *Incremen
 			inc.downCnt[r]++
 		}
 	}
-	inc.comps = DecomposeMasked(csr, numLinks, initialDown)
+	inc.setComps(inc.kern.decompose(csr, nil, inc.downCnt))
+	return inc, nil
+}
+
+// has reports whether l is a link of the fabric. LinkID is signed and
+// arrives from outside (POST /churn, -down-links).
+func (inc *Incremental) has(l topo.LinkID) bool { return l >= 0 && int(l) < inc.numLinks }
+
+// setComps installs a decomposition and relabels compOf from it.
+func (inc *Incremental) setComps(comps []Component) {
+	inc.comps = comps
 	for i := range inc.compOf {
 		inc.compOf[i] = -1
 	}
-	for ci := range inc.comps {
-		for _, l := range inc.comps[ci].Links {
+	for ci := range comps {
+		for _, l := range comps[ci].Links {
 			inc.compOf[l] = int32(ci)
 		}
 	}
-	return inc
 }
 
 func (inc *Incremental) rowsThrough(l int32) []int32 {
@@ -189,10 +204,39 @@ func (inc *Incremental) Down() []topo.LinkID {
 
 // CompIndexOf returns the index of the component containing link, or -1.
 func (inc *Incremental) CompIndexOf(l topo.LinkID) int {
-	if int(l) >= inc.numLinks {
+	if !inc.has(l) {
 		return -1
 	}
 	return int(inc.compOf[l])
+}
+
+// flip moves links to state to in the down mask, strictly: a link outside
+// the fabric, or already in that state — which is also how a repeat within
+// the list shows — is an error. It returns how many links it flipped before
+// the offending one, for the caller to undo.
+func (inc *Incremental) flip(links []topo.LinkID, to bool) (int, error) {
+	set, state := "up", "not down"
+	if to {
+		set, state = "down", "already down"
+	}
+	for i, l := range links {
+		switch {
+		case !inc.has(l):
+			return i, fmt.Errorf("route: %s link %d out of range (numLinks=%d)", set, l, inc.numLinks)
+		case inc.down[l] == to && slices.Contains(links[:i], l):
+			return i, fmt.Errorf("route: link %d listed twice in %s set", l, set)
+		case inc.down[l] == to:
+			return i, fmt.Errorf("route: link %d is %s", l, state)
+		}
+		inc.down[l] = to
+	}
+	return len(links), nil
+}
+
+func (inc *Incremental) setMask(links []topo.LinkID, to bool) {
+	for _, l := range links {
+		inc.down[l] = to
+	}
 }
 
 // Apply transitions links in down from up→down and links in up from down→up,
@@ -201,222 +245,132 @@ func (inc *Incremental) CompIndexOf(l topo.LinkID) int {
 // differ is a bug worth surfacing). A link listed in both down and up flaps
 // within the step and nets out. On error the differ is unchanged.
 func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
-	for _, l := range down {
-		if int(l) >= inc.numLinks {
-			return Diff{}, fmt.Errorf("route: down link %d out of range (numLinks=%d)", l, inc.numLinks)
-		}
-		if inc.down[l] {
-			return Diff{}, fmt.Errorf("route: link %d is already down", l)
-		}
+	// Downs first, so a link in both lists flaps; a rejected step undoes
+	// the flips already made.
+	if n, err := inc.flip(down, true); err != nil {
+		inc.setMask(down[:n], false)
+		return Diff{}, err
 	}
-	seenUp := make(map[topo.LinkID]bool, len(up))
-	for _, l := range up {
-		if int(l) >= inc.numLinks {
-			return Diff{}, fmt.Errorf("route: up link %d out of range (numLinks=%d)", l, inc.numLinks)
-		}
-		if seenUp[l] {
-			return Diff{}, fmt.Errorf("route: link %d listed twice in up set", l)
-		}
-		seenUp[l] = true
-		if !inc.down[l] {
-			wasDowned := false
-			for _, d := range down {
-				if d == l {
-					wasDowned = true
-					break
-				}
-			}
-			if !wasDowned {
-				return Diff{}, fmt.Errorf("route: link %d is not down", l)
-			}
-		}
-	}
-	seenDown := make(map[topo.LinkID]bool, len(down))
-	for _, l := range down {
-		if seenDown[l] {
-			return Diff{}, fmt.Errorf("route: link %d listed twice in down set", l)
-		}
-		seenDown[l] = true
+	if n, err := inc.flip(up, false); err != nil {
+		inc.setMask(up[:n], true)
+		inc.setMask(down, false)
+		return Diff{}, err
 	}
 
-	// Update counts, remembering each touched row's pre-step count so that
-	// intra-step flaps (same link in down and up) net out correctly.
-	before := make(map[int32]int32)
-	touchRow := func(r int32, delta int32) {
-		if _, ok := before[r]; !ok {
-			before[r] = inc.downCnt[r]
-		}
-		inc.downCnt[r] += delta
-	}
+	// Counts only rise through the downs and only fall through the ups, so a
+	// row leaves zero at most once (it was active) and reaches zero at most
+	// once (it is active): went and came hold each such row once.
+	var went, came []int32
 	for _, l := range down {
-		inc.down[l] = true
 		for _, r := range inc.rowsThrough(int32(l)) {
-			touchRow(r, 1)
+			if inc.downCnt[r] == 0 {
+				went = append(went, r)
+			}
+			inc.downCnt[r]++
 		}
 	}
 	for _, l := range up {
-		inc.down[l] = false
 		for _, r := range inc.rowsThrough(int32(l)) {
-			touchRow(r, -1)
+			inc.downCnt[r]--
+			if inc.downCnt[r] == 0 {
+				came = append(came, r)
+			}
 		}
 	}
-
-	var deactivated, activated []int32
-	for r, old := range before {
-		now := inc.downCnt[r]
-		switch {
-		case old == 0 && now > 0:
-			deactivated = append(deactivated, r)
-		case old > 0 && now == 0:
-			activated = append(activated, r)
+	slices.Sort(went)
+	slices.Sort(came)
+	// A row in both flapped within the step: active before, active after.
+	// Both lists are filtered in place.
+	diff := Diff{DeactivatedRows: went[:0], ActivatedRows: came[:0]}
+	w := 0
+	for _, r := range came {
+		for w < len(went) && went[w] < r {
+			w++
+		}
+		if w == len(went) || went[w] != r {
+			diff.ActivatedRows = append(diff.ActivatedRows, r)
 		}
 	}
-	sort.Slice(deactivated, func(a, b int) bool { return deactivated[a] < deactivated[b] })
-	sort.Slice(activated, func(a, b int) bool { return activated[a] < activated[b] })
-	diff := Diff{DeactivatedRows: deactivated, ActivatedRows: activated}
-	if len(deactivated) == 0 && len(activated) == 0 {
+	for _, r := range went {
+		if inc.downCnt[r] > 0 {
+			diff.DeactivatedRows = append(diff.DeactivatedRows, r)
+		}
+	}
+	if len(diff.DeactivatedRows) == 0 && len(diff.ActivatedRows) == 0 {
 		return diff, nil
 	}
 
 	// Dirty components: every component holding a link of a flipped row.
 	// Deactivated rows' links are necessarily in a component (the row was
 	// active); activated rows' links may be new to the decomposition.
-	dirtySet := make(map[int32]bool)
-	markRow := func(r int32) {
-		for _, l := range inc.csr.Row(int(r)) {
-			if ci := inc.compOf[l]; ci >= 0 {
-				dirtySet[ci] = true
+	dirty := make([]bool, len(inc.comps))
+	for _, flipped := range [][]int32{diff.DeactivatedRows, diff.ActivatedRows} {
+		for _, r := range flipped {
+			for _, l := range inc.csr.Row(int(r)) {
+				if ci := inc.compOf[l]; ci >= 0 {
+					dirty[ci] = true
+				}
 			}
 		}
 	}
-	for _, r := range deactivated {
-		markRow(r)
+	survivors := 0
+	for ci, d := range dirty {
+		if d {
+			diff.Removed = append(diff.Removed, inc.comps[ci])
+			survivors += len(inc.comps[ci].Paths)
+		}
 	}
-	for _, r := range activated {
-		markRow(r)
-	}
-	dirty := make([]int32, 0, len(dirtySet))
-	for ci := range dirtySet {
-		dirty = append(dirty, ci)
-	}
-	sort.Slice(dirty, func(a, b int) bool { return dirty[a] < dirty[b] })
 
-	// Candidate rows for the local rebuild: surviving paths of dirty
-	// components plus newly activated rows, ascending and deduplicated.
-	deadRow := make(map[int32]bool, len(deactivated))
-	for _, r := range deactivated {
-		deadRow[r] = true
-	}
-	var candRows []int32
-	for _, ci := range dirty {
-		for _, p := range inc.comps[ci].Paths {
-			if !deadRow[p] {
-				candRows = append(candRows, p)
+	// Candidate rows for the local rebuild: the dirty components' paths that
+	// are still active, merged with the newly activated rows (disjoint: an
+	// activated row was in no component).
+	cand := make([]int32, 0, survivors+len(diff.ActivatedRows))
+	for i := range diff.Removed {
+		for _, p := range diff.Removed[i].Paths {
+			if inc.downCnt[p] == 0 {
+				cand = append(cand, p)
 			}
 		}
 	}
-	candRows = append(candRows, activated...)
-	sort.Slice(candRows, func(a, b int) bool { return candRows[a] < candRows[b] })
-	candRows = dedupInt32(candRows)
-
-	added := rebuildLocal(inc.csr, candRows)
-
-	// Record the prior form of every dirty component, then splice.
-	for _, ci := range dirty {
-		diff.Removed = append(diff.Removed, inc.comps[ci])
+	if len(diff.Removed) > 1 {
+		slices.Sort(cand)
 	}
-	diff.Added = added
+	cand = mergeAscending(cand, diff.ActivatedRows)
+	if len(cand) > 0 {
+		diff.Added = inc.kern.decompose(inc.csr, cand, nil)
+	}
 
-	kept := inc.comps[:0:0]
+	// Splice: clean components and the added ones are both ordered by
+	// smallest link.
+	var next []Component
+	a := 0
 	for ci := range inc.comps {
-		if !dirtySet[int32(ci)] {
-			kept = append(kept, inc.comps[ci])
+		if dirty[ci] {
+			continue
 		}
-	}
-	kept = append(kept, added...)
-	sort.Slice(kept, func(a, b int) bool { return kept[a].Links[0] < kept[b].Links[0] })
-	inc.comps = kept
-	for i := range inc.compOf {
-		inc.compOf[i] = -1
-	}
-	for ci := range inc.comps {
-		for _, l := range inc.comps[ci].Links {
-			inc.compOf[l] = int32(ci)
+		for a < len(diff.Added) && diff.Added[a].Links[0] < inc.comps[ci].Links[0] {
+			next = append(next, diff.Added[a])
+			a++
 		}
+		next = append(next, inc.comps[ci])
 	}
+	inc.setComps(append(next, diff.Added[a:]...))
 	return diff, nil
 }
 
-// rebuildLocal decomposes just the given active rows, using a local
-// link-index space so the cost is proportional to the dirty region, not the
-// fabric. Rows must be ascending. Output matches DecomposeMasked ordering:
-// components by smallest link, Links ascending, Paths ascending.
-func rebuildLocal(csr *CSR, rows []int32) []Component {
-	if len(rows) == 0 {
-		return nil
-	}
-	// Local link universe: distinct links of the rows, ascending.
-	var locals []int32
-	localOf := make(map[int32]int32)
-	for _, r := range rows {
-		for _, gl := range csr.Row(int(r)) {
-			if _, ok := localOf[int32(gl)]; !ok {
-				localOf[int32(gl)] = 0 // placeholder; assigned after sort
-				locals = append(locals, int32(gl))
-			}
+// mergeAscending merges ascending b into ascending a, in a's spare capacity
+// when it has enough.
+func mergeAscending(a, b []int32) []int32 {
+	i, j := len(a)-1, len(b)-1
+	a = append(a, b...)
+	for k := len(a) - 1; j >= 0; k-- {
+		if i >= 0 && a[i] > b[j] {
+			a[k] = a[i]
+			i--
+		} else {
+			a[k] = b[j]
+			j--
 		}
 	}
-	sort.Slice(locals, func(a, b int) bool { return locals[a] < locals[b] })
-	for i, gl := range locals {
-		localOf[gl] = int32(i)
-	}
-
-	uf := newUnionFind(len(locals))
-	for _, r := range rows {
-		row := csr.Row(int(r))
-		if len(row) == 0 {
-			continue
-		}
-		first := localOf[int32(row[0])]
-		for _, gl := range row[1:] {
-			uf.union(first, localOf[int32(gl)])
-		}
-	}
-	rootIdx := make(map[int32]int)
-	compOf := make([]int32, len(locals))
-	var comps []Component
-	for li, gl := range locals {
-		r := uf.find(int32(li))
-		ci, ok := rootIdx[r]
-		if !ok {
-			ci = len(comps)
-			rootIdx[r] = ci
-			comps = append(comps, Component{})
-		}
-		compOf[li] = int32(ci)
-		comps[ci].Links = append(comps[ci].Links, topo.LinkID(gl))
-	}
-	for _, r := range rows {
-		row := csr.Row(int(r))
-		if len(row) == 0 {
-			continue
-		}
-		ci := compOf[localOf[int32(row[0])]]
-		comps[ci].Paths = append(comps[ci].Paths, r)
-	}
-	sort.Slice(comps, func(a, b int) bool { return comps[a].Links[0] < comps[b].Links[0] })
-	return comps
-}
-
-func dedupInt32(s []int32) []int32 {
-	if len(s) < 2 {
-		return s
-	}
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return a
 }

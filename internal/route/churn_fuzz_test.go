@@ -7,16 +7,19 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// FuzzIncrementalDecompose drives an arbitrary link toggle sequence against
-// the incremental differ and checks after every step that diff-then-splice
-// equals a from-scratch masked decomposition. Each input byte toggles one
-// link of a Fattree(4) candidate matrix: currently-up links go down,
-// currently-down links come back up.
+// FuzzIncrementalDecompose drives an arbitrary sequence of multi-link churn
+// steps against the incremental differ and checks after every step that
+// diff-then-splice equals a from-scratch masked decomposition. A step is a
+// count byte (1-3 links) followed by one byte per link of a Fattree(4)
+// candidate matrix: a down link comes back up, an up link goes down, and an
+// up link whose byte has the high bit set is listed in both down and up — it
+// flaps within the step, beside the step's real transitions.
 func FuzzIncrementalDecompose(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 3})
 	f.Add([]byte{1, 2, 1, 2, 1})
 	f.Add([]byte{7, 11, 7, 0, 11, 5})
+	f.Add([]byte{2, 4, 9, 13, 2, 4, 0x80 | 9, 20, 1, 0x80 | 30})
 
 	ft := topo.MustFattree(4)
 	csr := MaterializeCSR(NewFattreePaths(ft))
@@ -26,19 +29,29 @@ func FuzzIncrementalDecompose(f *testing.F) {
 		if len(toggles) > 64 {
 			toggles = toggles[:64]
 		}
-		inc := NewIncremental(csr, numLinks, nil)
+		inc := mustIncremental(t, csr, numLinks, nil)
 		down := make(map[topo.LinkID]bool)
-		for _, b := range toggles {
-			l := topo.LinkID(int(b) % numLinks)
-			var err error
-			if down[l] {
-				_, err = inc.Apply(nil, []topo.LinkID{l})
-				down[l] = false
-			} else {
-				_, err = inc.Apply([]topo.LinkID{l}, nil)
-				down[l] = true
+		for len(toggles) > 0 {
+			n := 1 + int(toggles[0])%3
+			toggles = toggles[1:]
+			var dn, up []topo.LinkID
+			for ; n > 0 && len(toggles) > 0; n-- {
+				b := toggles[0]
+				toggles = toggles[1:]
+				l := topo.LinkID(int(b&0x7f) % numLinks)
+				switch {
+				case contains(dn, l) || contains(up, l):
+				case down[l]:
+					up = append(up, l)
+					down[l] = false
+				case b&0x80 != 0:
+					dn, up = append(dn, l), append(up, l)
+				default:
+					dn = append(dn, l)
+					down[l] = true
+				}
 			}
-			if err != nil {
+			if _, err := inc.Apply(dn, up); err != nil {
 				t.Fatal(err)
 			}
 			var cur []topo.LinkID
@@ -53,7 +66,7 @@ func FuzzIncrementalDecompose(f *testing.F) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("after toggling %d: incremental %d components diverge from full recompute %d", l, len(got), len(want))
+				t.Fatalf("after down=%v up=%v: incremental %d components diverge from full recompute %d", dn, up, len(got), len(want))
 			}
 		}
 	})

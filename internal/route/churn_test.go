@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -19,14 +20,36 @@ func buildCSR(rows [][]topo.LinkID) *CSR {
 	return csr
 }
 
+func mustIncremental(t testing.TB, csr *CSR, numLinks int, down []topo.LinkID) *Incremental {
+	t.Helper()
+	inc, err := NewIncremental(csr, numLinks, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inc
+}
+
 func TestDecomposeMaskedNoDownMatchesDecompose(t *testing.T) {
 	f := topo.MustFattree(8)
-	ps := NewFattreePaths(f)
-	csr := MaterializeCSR(ps)
-	full := DecomposeCSR(csr, f.NumLinks())
-	masked := DecomposeMasked(csr, f.NumLinks(), nil)
-	if !reflect.DeepEqual(full, masked) {
-		t.Fatal("DecomposeMasked with empty down set diverges from DecomposeCSR")
+	v := topo.MustVL2(4, 4, 2)
+	bc := topo.MustBCube(4, 1)
+	for _, tc := range []struct {
+		name     string
+		ps       PathSet
+		numLinks int
+	}{
+		{"fattree8", NewFattreePaths(f), f.NumLinks()},
+		{"vl2", NewVL2Paths(v), v.NumLinks()},
+		{"bcube", NewBCubePaths(bc), bc.NumLinks()},
+	} {
+		csr := MaterializeCSR(tc.ps)
+		full := DecomposeCSR(csr, tc.numLinks)
+		if masked := DecomposeMasked(csr, tc.numLinks, nil); !reflect.DeepEqual(full, masked) {
+			t.Errorf("%s: DecomposeMasked with empty down set diverges from DecomposeCSR", tc.name)
+		}
+		if inc := mustIncremental(t, csr, tc.numLinks, nil); !reflect.DeepEqual(full, inc.Components()) {
+			t.Errorf("%s: NewIncremental with empty down set diverges from DecomposeCSR", tc.name)
+		}
 	}
 }
 
@@ -35,7 +58,7 @@ func TestDecomposeMaskedNoDownMatchesDecompose(t *testing.T) {
 func TestIncrementalSplit(t *testing.T) {
 	// Rows: {0}, {1}, {0,1,2}. Link 2's row bridges links 0 and 1.
 	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
-	inc := NewIncremental(csr, 3, nil)
+	inc := mustIncremental(t, csr, 3, nil)
 	if got := len(inc.Components()); got != 1 {
 		t.Fatalf("pre-split: %d components, want 1", got)
 	}
@@ -59,7 +82,7 @@ func TestIncrementalSplit(t *testing.T) {
 // components back into one, bit-identical to a fresh decomposition.
 func TestIncrementalMerge(t *testing.T) {
 	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
-	inc := NewIncremental(csr, 3, []topo.LinkID{2})
+	inc := mustIncremental(t, csr, 3, []topo.LinkID{2})
 	if got := len(inc.Components()); got != 2 {
 		t.Fatalf("pre-merge: %d components, want 2", got)
 	}
@@ -84,7 +107,7 @@ func TestIncrementalMerge(t *testing.T) {
 // Apply flaps and must net to no change.
 func TestIncrementalFlapNetsOut(t *testing.T) {
 	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
-	inc := NewIncremental(csr, 3, nil)
+	inc := mustIncremental(t, csr, 3, nil)
 	before := append([]Component(nil), inc.Components()...)
 	diff, err := inc.Apply([]topo.LinkID{2}, []topo.LinkID{2})
 	if err != nil {
@@ -103,7 +126,7 @@ func TestIncrementalFlapNetsOut(t *testing.T) {
 func TestIncrementalDownNoActiveRows(t *testing.T) {
 	// Row {1,2} is the only row through 2; once 1 is down it is inactive.
 	csr := buildCSR([][]topo.LinkID{{0}, {1, 2}})
-	inc := NewIncremental(csr, 3, []topo.LinkID{1})
+	inc := mustIncremental(t, csr, 3, []topo.LinkID{1})
 	diff, err := inc.Apply([]topo.LinkID{2}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,12 +146,28 @@ func TestIncrementalDownNoActiveRows(t *testing.T) {
 
 func TestIncrementalStrictErrors(t *testing.T) {
 	csr := buildCSR([][]topo.LinkID{{0, 1}})
-	inc := NewIncremental(csr, 2, nil)
+	inc := mustIncremental(t, csr, 2, nil)
 	if _, err := inc.Apply(nil, []topo.LinkID{0}); err == nil {
 		t.Error("up of an up link: want error")
 	}
 	if _, err := inc.Apply([]topo.LinkID{5}, nil); err == nil {
 		t.Error("out-of-range link: want error")
+	}
+	// LinkID is signed and arrives from outside (POST /churn, -down-links).
+	if _, err := inc.Apply([]topo.LinkID{-1}, nil); err == nil {
+		t.Error("negative down link: want error")
+	}
+	if _, err := inc.Apply([]topo.LinkID{1}, []topo.LinkID{-1}); err == nil {
+		t.Error("negative up link: want error")
+	}
+	if len(inc.Down()) != 0 {
+		t.Errorf("rejected steps left links down: %v", inc.Down())
+	}
+	if _, err := NewIncremental(csr, 2, []topo.LinkID{-1}); err == nil {
+		t.Error("negative initial down link: want error")
+	}
+	if got := inc.CompIndexOf(-1); got != -1 {
+		t.Errorf("CompIndexOf(-1) = %d, want -1", got)
 	}
 	if _, err := inc.Apply([]topo.LinkID{0, 0}, nil); err == nil {
 		t.Error("duplicate down link: want error")
@@ -174,7 +213,7 @@ func applyDiff(prev []Component, d Diff, t *testing.T) []Component {
 func churnDifferential(t *testing.T, csr *CSR, numLinks int, steps int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	inc := NewIncremental(csr, numLinks, nil)
+	inc := mustIncremental(t, csr, numLinks, nil)
 	downSet := make(map[topo.LinkID]bool)
 	mirror := append([]Component(nil), inc.Components()...)
 	for step := 0; step < steps; step++ {
@@ -190,10 +229,21 @@ func churnDifferential(t *testing.T, csr *CSR, numLinks int, steps int, seed int
 				down = append(down, l)
 			}
 		}
+		// Every step is first tried with one bad link appended: the differ
+		// must refuse it and roll back the part it had already applied.
+		bad := []topo.LinkID{-1, topo.LinkID(numLinks), rejectable(downSet, down, up, true)}[step%3]
+		if _, err := inc.Apply(append(down[:len(down):len(down)], bad), up); err == nil {
+			t.Fatalf("step %d: down link %d accepted", step, bad)
+		}
+		bad = []topo.LinkID{-1, topo.LinkID(numLinks), rejectable(downSet, down, up, false)}[step%3]
+		if _, err := inc.Apply(down, append(up[:len(up):len(up)], bad)); err == nil {
+			t.Fatalf("step %d: up link %d accepted", step, bad)
+		}
 		diff, err := inc.Apply(down, up)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
+		assertKernelClean(t, inc.kern)
 		var cur []topo.LinkID
 		for l, d := range downSet {
 			if d {
@@ -208,6 +258,32 @@ func churnDifferential(t *testing.T, csr *CSR, numLinks int, steps int, seed int
 		if !reflect.DeepEqual(mirror, want) {
 			t.Fatalf("step %d: diff replay diverges from full recompute", step)
 		}
+	}
+}
+
+// rejectable returns a link Apply must refuse when appended to the step's
+// down list (wantDown: one that is down after the step's own downs) or to
+// its up list (one that is up and not downed by the step).
+func rejectable(downSet map[topo.LinkID]bool, down, up []topo.LinkID, wantDown bool) topo.LinkID {
+	for l := topo.LinkID(0); ; l++ {
+		if !contains(up, l) && (downSet[l] || contains(down, l)) == wantDown {
+			return l
+		}
+	}
+}
+
+// assertKernelClean checks the standing scratch directly: identity parents,
+// zero ranks, counts and labels, on every link.
+func assertKernelClean(t *testing.T, k *kernel) {
+	t.Helper()
+	for l := range k.comp {
+		if k.uf.parent[l] != int32(l) || k.uf.rank[l] != 0 || k.first[l] != 0 || k.comp[l] != 0 {
+			t.Fatalf("kernel scratch dirty at link %d: parent %d rank %d first %d comp %d",
+				l, k.uf.parent[l], k.uf.rank[l], k.first[l], k.comp[l])
+		}
+	}
+	if len(k.links) != 0 {
+		t.Fatalf("kernel left %d seen links behind", len(k.links))
 	}
 }
 
@@ -232,4 +308,114 @@ func TestIncrementalRandomDifferential(t *testing.T) {
 	b := topo.MustBCube(4, 1)
 	bcsr := MaterializeCSR(NewBCubePaths(b))
 	churnDifferential(t, bcsr, b.NumLinks(), 30, 2)
+}
+
+// TestKernelScratchHygiene: the differ's kernel is standing state, so a step
+// that leaves one parent, rank, count or label behind corrupts every later
+// one. 200 multi-link steps per family, each preceded by two rejected
+// variants, with the scratch inspected and the oracle compared every step.
+func TestKernelScratchHygiene(t *testing.T) {
+	f := topo.MustFattree(8)
+	churnDifferential(t, MaterializeCSR(NewFattreePaths(f)), f.NumLinks(), 200, 11)
+	b := topo.MustBCube(4, 1)
+	churnDifferential(t, MaterializeCSR(NewBCubePaths(b)), b.NumLinks(), 200, 12)
+}
+
+// TestIncrementalKernelCases walks hand-built matrices through the shapes
+// the local rebuild has to get right. After every step the differ must equal
+// both the from-scratch oracle and a fresh differ over the same down set.
+func TestIncrementalKernelCases(t *testing.T) {
+	type step struct{ down, up []topo.LinkID }
+	ids := func(l ...topo.LinkID) []topo.LinkID { return l }
+	for _, tc := range []struct {
+		name     string
+		rows     [][]topo.LinkID
+		numLinks int
+		initial  []topo.LinkID
+		steps    []step
+		wantLens []int // components after each step
+	}{{
+		name:     "chain splits on a down and re-merges on the up",
+		rows:     [][]topo.LinkID{{0, 1}, {1, 2}, {2, 3}, {3, 4}},
+		numLinks: 5,
+		steps:    []step{{down: ids(2)}, {up: ids(2)}},
+		wantLens: []int{2, 1},
+	}, {
+		// Links 4 and 5 start down. Bringing both up activates rows 1, 3
+		// and 4, which interleave the survivors of {0,1} (rows 0, 6) and
+		// {2,3} (rows 2, 5) and bridge the two components into one.
+		name:     "two dirty components, activated rows interleaving both",
+		rows:     [][]topo.LinkID{{0, 1}, {0, 4}, {2, 3}, {1, 5}, {2, 5}, {3}, {0}},
+		numLinks: 6,
+		initial:  ids(4, 5),
+		steps:    []step{{up: ids(4, 5)}, {down: ids(5)}, {down: ids(4), up: ids(5)}},
+		wantLens: []int{1, 2, 1},
+	}, {
+		name:     "intra-step flap beside a real down",
+		rows:     [][]topo.LinkID{{0}, {1}, {0, 1, 2}, {3}},
+		numLinks: 4,
+		steps:    []step{{down: ids(2, 3), up: ids(2)}, {down: ids(0), up: ids(0, 3)}},
+		wantLens: []int{1, 2},
+	}, {
+		// Row 1 is the only row through link 2 and is dead while 1 is down;
+		// link 3 has no rows at all.
+		name:     "links with no active rows",
+		rows:     [][]topo.LinkID{{0}, {1, 2}},
+		numLinks: 4,
+		initial:  ids(1),
+		steps:    []step{{down: ids(2)}, {down: ids(3)}, {up: ids(1, 2, 3)}, {down: ids(0)}},
+		wantLens: []int{1, 1, 2, 1},
+	}, {
+		name:     "an empty row belongs to no component",
+		rows:     [][]topo.LinkID{{}, {0, 1}, {}, {1, 2}},
+		numLinks: 3,
+		steps:    []step{{down: ids(1)}, {up: ids(1)}},
+		wantLens: []int{0, 1},
+	}} {
+		csr := buildCSR(tc.rows)
+		inc := mustIncremental(t, csr, tc.numLinks, tc.initial)
+		for i, st := range tc.steps {
+			if _, err := inc.Apply(st.down, st.up); err != nil {
+				t.Fatalf("%s: step %d: %v", tc.name, i, err)
+			}
+			assertKernelClean(t, inc.kern)
+			cur := inc.Down()
+			if want := DecomposeMasked(csr, tc.numLinks, cur); !reflect.DeepEqual(inc.Components(), want) {
+				t.Fatalf("%s: step %d: differ %+v, oracle %+v", tc.name, i, inc.Components(), want)
+			}
+			if fresh := mustIncremental(t, csr, tc.numLinks, cur); !reflect.DeepEqual(inc.Components(), fresh.Components()) {
+				t.Fatalf("%s: step %d: differ %+v, fresh differ %+v", tc.name, i, inc.Components(), fresh.Components())
+			}
+			if got := len(inc.Components()); got != tc.wantLens[i] {
+				t.Fatalf("%s: step %d: %d components, want %d", tc.name, i, got, tc.wantLens[i])
+			}
+		}
+	}
+}
+
+// BenchmarkIncrementalApplyFattree16 times the topology diff alone: one
+// switch link down and back up on the 1.04 M-row Fattree(16) matrix, a
+// different link each iteration. down-ms / up-ms are the means per call —
+// the stage a churn convergence pays before any construction starts.
+func BenchmarkIncrementalApplyFattree16(b *testing.B) {
+	f := topo.MustFattree(16)
+	inc := mustIncremental(b, MaterializeCSR(NewFattreePaths(f)), f.NumLinks(), nil)
+	links := f.SwitchLinks()
+	var down, up time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := []topo.LinkID{links[i%len(links)]}
+		t0 := time.Now()
+		if _, err := inc.Apply(l, nil); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if _, err := inc.Apply(nil, l); err != nil {
+			b.Fatal(err)
+		}
+		down += t1.Sub(t0)
+		up += time.Since(t1)
+	}
+	b.ReportMetric(float64(down.Microseconds())/1000/float64(b.N), "down-ms")
+	b.ReportMetric(float64(up.Microseconds())/1000/float64(b.N), "up-ms")
 }

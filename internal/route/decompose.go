@@ -1,7 +1,7 @@
 package route
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -50,10 +50,11 @@ func (u *unionFind) find(x int32) int32 {
 	return x
 }
 
-func (u *unionFind) union(a, b int32) {
+// union merges the sets of a and b and returns the merged set's root.
+func (u *unionFind) union(a, b int32) int32 {
 	ra, rb := u.find(a), u.find(b)
 	if ra == rb {
-		return
+		return ra
 	}
 	if u.rank[ra] < u.rank[rb] {
 		ra, rb = rb, ra
@@ -62,6 +63,7 @@ func (u *unionFind) union(a, b int32) {
 	if u.rank[ra] == u.rank[rb] {
 		u.rank[ra]++
 	}
+	return ra
 }
 
 // Decompose partitions the routing matrix into independent components by
@@ -80,51 +82,108 @@ func Decompose(ps PathSet, numLinks int) []Component {
 // the CSR arena instead of two AppendLinks passes. PMC materializes once and
 // shares the CSR between decomposition and its scoring engine.
 func DecomposeCSR(csr *CSR, numLinks int) []Component {
-	uf := newUnionFind(numLinks)
-	touched := make([]bool, numLinks)
-	n := csr.Len()
+	return newKernel(numLinks).decompose(csr, nil, nil)
+}
+
+// kernel is the one decomposition routine behind DecomposeCSR, the
+// incremental differ's masked start and its per-step local rebuild. It
+// unions on global link IDs over numLinks-sized scratch that is
+// identity/zero between calls: a call restores only the links it touched,
+// so a standing kernel costs a churn step its dirty region, not the fabric.
+type kernel struct {
+	uf    *unionFind
+	first []int32 // rows whose first link is l
+	comp  []int32 // 0 untouched, -1 seen, else component index + 1
+	links []int32 // links seen by the current call
+}
+
+func newKernel(numLinks int) *kernel {
+	return &kernel{uf: newUnionFind(numLinks), first: make([]int32, numLinks), comp: make([]int32, numLinks)}
+}
+
+// decompose groups rows into components ordered by smallest link, Links and
+// Paths ascending. rows is an ascending list of row indices, which a
+// single-component result aliases; nil rows means every row with
+// downCnt == 0 (every row when downCnt is nil too), visited without
+// materializing the list.
+func (k *kernel) decompose(csr *CSR, rows, downCnt []int32) []Component {
+	n := len(rows)
+	if rows == nil {
+		n = csr.Len()
+	}
+	// visit returns the i-th row and its links; no links means skip it.
+	visit := func(i int) (int32, []topo.LinkID) {
+		if rows != nil {
+			return rows[i], csr.Row(int(rows[i]))
+		}
+		if downCnt != nil && downCnt[i] != 0 {
+			return 0, nil
+		}
+		return int32(i), csr.Row(i)
+	}
+	uf := k.uf
 	for i := 0; i < n; i++ {
-		row := csr.Row(i)
+		_, row := visit(i)
 		if len(row) == 0 {
 			continue
 		}
-		first := int32(row[0])
-		touched[first] = true
-		for _, l := range row[1:] {
-			touched[l] = true
-			uf.union(first, int32(l))
+		k.first[row[0]]++
+		root := uf.find(int32(row[0]))
+		for _, l := range row {
+			if k.comp[l] == 0 {
+				k.comp[l] = -1
+				k.links = append(k.links, int32(l))
+			}
+			if uf.parent[l] != root {
+				root = uf.union(root, int32(l))
+			}
 		}
+	}
+	if len(k.links) == 0 {
+		return nil
 	}
 
-	// Label every touched link with its component index; the paths pass
-	// then resolves membership with one array load instead of a find.
-	rootIdx := make(map[int32]int)
-	compOf := make([]int32, numLinks)
-	var comps []Component
-	for l := 0; l < numLinks; l++ {
-		if !touched[l] {
-			continue
+	// In ascending link order a component's first-labelled link is its
+	// smallest, so components come out ordered by it; counting links and
+	// rows per component here makes every slice below exact-size.
+	slices.Sort(k.links)
+	var nLinks, nPaths []int32
+	for _, l := range k.links {
+		r := uf.find(l)
+		if k.comp[r] < 0 {
+			nLinks, nPaths = append(nLinks, 0), append(nPaths, 0)
+			k.comp[r] = int32(len(nLinks))
 		}
-		r := uf.find(int32(l))
-		ci, ok := rootIdx[r]
-		if !ok {
-			ci = len(comps)
-			rootIdx[r] = ci
-			comps = append(comps, Component{})
-		}
-		compOf[l] = int32(ci)
-		comps[ci].Links = append(comps[ci].Links, topo.LinkID(l))
+		c := k.comp[r]
+		k.comp[l] = c
+		nLinks[c-1]++
+		nPaths[c-1] += k.first[l]
 	}
-	for i := 0; i < n; i++ {
-		row := csr.Row(i)
-		if len(row) == 0 {
-			continue
-		}
-		ci := compOf[row[0]]
-		comps[ci].Paths = append(comps[ci].Paths, int32(i))
+	comps := make([]Component, len(nLinks))
+	for ci := range comps {
+		comps[ci].Links = make([]topo.LinkID, 0, nLinks[ci])
 	}
-	// Deterministic order: by smallest link ID.
-	sort.Slice(comps, func(a, b int) bool { return comps[a].Links[0] < comps[b].Links[0] })
+	for _, l := range k.links {
+		c := &comps[k.comp[l]-1]
+		c.Links = append(c.Links, topo.LinkID(l))
+	}
+	if len(comps) == 1 && int(nPaths[0]) == len(rows) {
+		comps[0].Paths = rows
+	} else {
+		for ci := range comps {
+			comps[ci].Paths = make([]int32, 0, nPaths[ci])
+		}
+		for i := 0; i < n; i++ {
+			if r, row := visit(i); len(row) > 0 {
+				c := &comps[k.comp[row[0]]-1]
+				c.Paths = append(c.Paths, r)
+			}
+		}
+	}
+	for _, l := range k.links {
+		uf.parent[l], uf.rank[l], k.first[l], k.comp[l] = l, 0, 0, 0
+	}
+	k.links = k.links[:0]
 	return comps
 }
 

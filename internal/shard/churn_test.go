@@ -3,9 +3,11 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/topo"
@@ -242,5 +244,45 @@ func TestCoordinatorChurnSplitMerge(t *testing.T) {
 			t.Fatalf("beta=%d: post-merge selection diverges from full recompute", beta)
 		}
 		c.Stop()
+	}
+}
+
+// TestCoordinatorChurnDiffStage: the topology diff is a pipeline stage of
+// its own — every effective ApplyChurn lands in the churn_diff histogram
+// served at /metrics, while rejected and no-op steps (and a coordinator
+// refused at New for a negative initial link) leave it alone.
+func TestCoordinatorChurnDiffStage(t *testing.T) {
+	ps := &staticPS{rows: [][]topo.LinkID{{0}, {1}, {0, 1, 2}}}
+	opt := Options{Shards: 1, PMC: pmc.Options{Alpha: 1, Beta: 1, Workers: 1}, TTL: time.Hour}
+	bad := opt
+	bad.DownLinks = []topo.LinkID{-1}
+	if _, err := New(ps, 3, bad); err == nil {
+		t.Fatal("New with a negative initial down link: want error")
+	}
+	c, err := New(ps, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	base := stageChurnDiff.Count()
+	if _, err := c.ApplyChurn([]topo.LinkID{-1}, nil); err == nil {
+		t.Fatal("negative down link: want error")
+	}
+	if _, err := c.ApplyChurn([]topo.LinkID{2}, []topo.LinkID{2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := stageChurnDiff.Count() - base; got != 0 {
+		t.Fatalf("rejected and no-op steps observed churn_diff %d times, want 0", got)
+	}
+	if _, err := c.ApplyChurn([]topo.LinkID{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := stageChurnDiff.Count() - base; got != 1 {
+		t.Fatalf("an effective step observed churn_diff %d times, want 1", got)
+	}
+	var sb strings.Builder
+	obs.WriteProm(&sb)
+	if !strings.Contains(sb.String(), `detector_stage_duration_seconds_count{stage="churn_diff"}`) {
+		t.Fatal(`/metrics exposition has no stage="churn_diff" series`)
 	}
 }

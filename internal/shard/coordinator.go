@@ -32,6 +32,7 @@ var (
 	stageAssign      = obs.Stages.With("assign")
 	stageDispatch    = obs.Stages.With("construct_dispatch")
 	stageMerge       = obs.Stages.With("merge")
+	stageChurnDiff   = obs.Stages.With("churn_diff") // effective ApplyChurn diffs only
 )
 
 // Fleet gauges: how many shards are in/out of the plane right now.
@@ -186,7 +187,10 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	csr := route.MaterializeCSR(ps)
 	stageMaterialize.Observe(time.Since(matStart))
 	decStart := time.Now()
-	inc := route.NewIncremental(csr, numLinks, opt.DownLinks)
+	inc, err := route.NewIncremental(csr, numLinks, opt.DownLinks)
+	if err != nil {
+		return nil, err
+	}
 	stageDecompose.Observe(time.Since(decStart))
 	c := &Coordinator{
 		ps:       ps,
@@ -447,6 +451,7 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	if c.stopped {
 		return route.Diff{}, fmt.Errorf("shard: coordinator stopped")
 	}
+	diffStart := time.Now()
 	diff, err := c.inc.Apply(down, up)
 	if err != nil {
 		return route.Diff{}, err
@@ -454,6 +459,7 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	if diff.Empty() {
 		return diff, nil
 	}
+	stageChurnDiff.Observe(time.Since(diffStart))
 	c.churnEpoch++
 	c.comps = c.inc.Components()
 	for i := range diff.Removed {
