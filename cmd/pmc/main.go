@@ -94,8 +94,8 @@ func main() {
 	fmt.Printf("%s: %d nodes, %d links, %d candidate paths\n", tp.Name, st.Nodes, st.Links, paths.Len())
 	fmt.Printf("selected %d paths (%.4f%% of candidates) in %v\n",
 		len(res.Selected), 100*float64(len(res.Selected))/float64(paths.Len()), res.Stats.Elapsed)
-	fmt.Printf("components=%d candidates=%d score-evals=%d coverage-met=%v identifiability-met=%v\n",
-		res.Stats.Components, res.Stats.Candidates, res.Stats.ScoreEvals,
+	fmt.Printf("components=%d classes=%d candidates=%d score-evals=%d coverage-met=%v identifiability-met=%v\n",
+		res.Stats.Components, res.Stats.Classes, res.Stats.Candidates, res.Stats.ScoreEvals,
 		res.Stats.CoverageMet, res.Stats.IdentMet)
 
 	probes := route.NewProbes(paths, res.Selected, tp.NumLinks())

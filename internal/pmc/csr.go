@@ -2,6 +2,7 @@ package pmc
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/detector-net/detector/internal/route"
 )
@@ -52,29 +53,53 @@ func (a *compArena) rowsThrough(l int32) []int32 {
 	return a.invRows[a.invOff[l]:a.invOff[l+1]]
 }
 
-// rowOf resolves a global path index to its row by binary search (pathIDs
-// is ascending), or -1 when the path is outside the component.
-func (a *compArena) rowOf(path int32) int32 {
-	lo, hi := 0, len(a.pathIDs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a.pathIDs[mid] < path {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(a.pathIDs) && a.pathIDs[lo] == path {
-		return int32(lo)
+// rowOf resolves a global path index to its row in a component's ascending
+// Paths by binary search, or -1 when the path is outside the component.
+func rowOf(paths []int32, path int32) int32 {
+	if r, ok := slices.BinarySearch(paths, path); ok {
+		return int32(r)
 	}
 	return -1
 }
 
+// digest fingerprints what the greedy reads from a component, in
+// component-local terms: the arena (row lengths and local links, in row
+// order) and which rows are orbit representatives. Two components of one
+// class digest alike wherever they sit in the fabric; the orbit images are
+// left to memoEntry.matches, which checks only the queries a solve made.
+// A path with a link outside the component means the caller's partition
+// does not match the matrix; it is reported, not trusted.
+func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) (uint64, error) {
+	var h route.Hash
+	h.Word(uint64(len(comp.Links)))
+	h.Word(uint64(len(comp.Paths)))
+	for _, pid := range comp.Paths {
+		row := csr.Row(int(pid))
+		// Each row folds on a chain of its own and enters the stream as
+		// one word, so consecutive rows overlap in the pipeline. A weak
+		// chain costs at most a failed exact check, never a wrong reuse.
+		w := uint64(len(row)) << 1
+		if sym != nil && sym.IsRepresentative(int(pid)) {
+			w |= 1
+		}
+		for _, gl := range row {
+			li := localOf[gl]
+			// localOf is shared by every component of the request: an
+			// index that is not this component's is another one's.
+			if li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
+				return 0, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
+			}
+			w = w*0x9e3779b97f4a7c15 + uint64(li)
+		}
+		h.Word(w)
+	}
+	return h.Sum64(), nil
+}
+
 // buildArena translates the component's slice of the materialized matrix
-// into local link indices. A path with a link outside the component means
-// the caller's partition does not match the matrix; it is reported, not
-// trusted.
-func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compArena, error) {
+// into local link indices. digest has already checked that every link is
+// the component's own.
+func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena {
 	n := len(comp.Paths)
 	total := 0
 	for _, pid := range comp.Paths {
@@ -90,18 +115,13 @@ func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compAr
 	for r, pid := range comp.Paths {
 		for _, gl := range csr.Row(int(pid)) {
 			li := localOf[gl]
-			// localOf is shared by every component of the request: an
-			// index that is not this component's is another one's.
-			if li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
-				return nil, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
-			}
 			a.links[pos] = li
 			a.linkRows[li]++
 			pos++
 		}
 		a.offsets[r+1] = pos
 	}
-	return a, nil
+	return a
 }
 
 // index rebuilds the inverted index over rows (ascending) with a counting

@@ -81,7 +81,8 @@ func TestMaskedComponentMeetsContract(t *testing.T) {
 
 // TestCompletionIsNoOpOnPristine: on an untouched matrix the orbit pass
 // meets the targets alone — the completion pass offers no row, so the
-// candidates are exactly the orbit representatives.
+// candidates are exactly the orbit representatives of the one class the
+// components form, solved once.
 func TestCompletionIsNoOpOnPristine(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
@@ -89,14 +90,18 @@ func TestCompletionIsNoOpOnPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	comps := route.DecomposeCSR(route.MaterializeCSR(ps), f.NumLinks())
 	reps := 0
-	for i := 0; i < ps.Len(); i++ {
-		if ps.IsRepresentative(i) {
+	for _, p := range comps[0].Paths {
+		if ps.IsRepresentative(int(p)) {
 			reps++
 		}
 	}
+	if res.Stats.Classes != 1 {
+		t.Fatalf("%d components solved as %d classes, want 1", len(comps), res.Stats.Classes)
+	}
 	if res.Stats.Candidates != reps {
-		t.Fatalf("greedy was offered %d rows, want the %d orbit representatives only", res.Stats.Candidates, reps)
+		t.Fatalf("greedy was offered %d rows, want the %d orbit representatives of one component only", res.Stats.Candidates, reps)
 	}
 }
 

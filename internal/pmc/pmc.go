@@ -113,8 +113,14 @@ const (
 const DefaultMaxElements = 64 << 20
 
 // Stats reports how the construction went.
+//
+// Components that share a class with a component solved before them, in
+// the same call or (through a Memo) an earlier one, reuse its rows: they
+// count in Components and Selected but not in Classes, Candidates,
+// ScoreEvals or Reseeds.
 type Stats struct {
 	Components  int
+	Classes     int   // greedy solves run: one per component class not reused
 	Candidates  int   // rows offered to the greedy: orbit representatives, plus every row where completion ran
 	ScoreEvals  int64 // total score computations
 	Reseeds     int   // lazy-mode park-list rescans
@@ -154,9 +160,11 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 // is sorted, concatenating the selections of any partition of the component
 // set and re-sorting reproduces Construct's output bit for bit.
 //
-// A non-nil memo answers components whose exact content it has solved
-// before with the remembered selection — bit-identical, because a selection
-// is a function of content and options — and remembers the rest.
+// Components of one class (equal component-local content, see Memo) are
+// solved once per call and the leader's rows reused for the rest. A non-nil
+// memo also answers components of a class it has solved before — bit-
+// identical, because a selection is a function of that content and the
+// options — and remembers the classes solved here.
 func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo) (*Result, error) {
 	return constructComponents(ps, csr, comps, numLinks, opt, memo, time.Now())
 }
@@ -200,64 +208,98 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 	if err != nil {
 		return nil, err
 	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 
-	results := make([]*componentResult, len(comps))
-	key := optKeyOf(opt)
-	hashes := make([]uint64, len(comps))
-	miss := make([]int, 0, len(comps))
+	// Every link belongs to at most one component, so one shared
+	// global→local translation array serves all workers read-only.
+	localOf := make([]int32, numLinks)
+	for i := range localOf {
+		localOf[i] = -1
+	}
 	for ci := range comps {
+		for li, l := range comps[ci].Links {
+			localOf[l] = int32(li)
+		}
+	}
+
+	// Answer the components the memo has solved, as themselves or as a
+	// class; digest (and so validate against the matrix) all others.
+	key := optKeyOf(opt)
+	results := make([]*componentResult, len(comps))
+	digests := make([]uint64, len(comps))
+	err = parallel(len(comps), workers, func(ci int) error {
+		comp := &comps[ci]
 		if memo != nil {
-			hashes[ci] = contentHash(&comps[ci], key)
-			if results[ci] = memo.get(&comps[ci], key, hashes[ci]); results[ci] != nil {
-				continue
+			if e := memo.holding(key, comp); e != nil {
+				results[ci] = e.reuse(comp)
+				return nil
 			}
 		}
-		miss = append(miss, ci)
-	}
-
-	if len(miss) > 0 {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		d, err := digest(csr, comp, localOf, sym)
+		if err != nil {
+			return err
 		}
-		if workers > len(miss) {
-			workers = len(miss)
-		}
-
-		// Every link belongs to at most one component, so one shared
-		// global→local translation array serves all workers read-only.
-		localOf := make([]int32, numLinks)
-		for i := range localOf {
-			localOf[i] = -1
-		}
-		for _, ci := range miss {
-			for li, l := range comps[ci].Links {
-				localOf[l] = int32(li)
-			}
-		}
-
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		errs := make([]error, len(comps))
-		for _, ci := range miss {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ci int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				results[ci], errs[ci] = solveComponent(sym, csr, &comps[ci], localOf, opt)
-				if errs[ci] == nil && memo != nil {
-					memo.store(&comps[ci], key, hashes[ci], results[ci])
+		digests[ci] = d
+		if memo != nil {
+			for _, e := range memo.candidates(key, d) {
+				if e.matches(csr, sym, comp, localOf) {
+					memo.join(e, comp)
+					results[ci] = e.reuse(comp)
+					break
 				}
-			}(ci)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+
+	// Group the rest by class: the first member of each solves, the others
+	// replay its orbit log and take its rows, or solve themselves when the
+	// replay disagrees.
+	leaderOf := make(map[uint64]int)
+	var leaders, followers []int
+	for ci := range comps {
+		if results[ci] != nil {
+			continue
+		}
+		if _, ok := leaderOf[digests[ci]]; ok {
+			followers = append(followers, ci)
+			continue
+		}
+		leaderOf[digests[ci]] = ci
+		leaders = append(leaders, ci)
+	}
+	entries := make([]*memoEntry, len(comps))
+	solve := func(ci int) {
+		cr, e := solveComponent(sym, csr, &comps[ci], localOf, opt, key, digests[ci])
+		results[ci], entries[ci] = cr, e
+		if memo != nil {
+			memo.store(e)
+		}
+	}
+	parallel(len(leaders), workers, func(i int) error {
+		solve(leaders[i])
+		return nil
+	})
+	parallel(len(followers), workers, func(i int) error {
+		ci := followers[i]
+		comp := &comps[ci]
+		e := entries[leaderOf[digests[ci]]]
+		if !e.matches(csr, sym, comp, localOf) {
+			solve(ci)
+			return nil
+		}
+		if memo != nil {
+			memo.join(e, comp)
+		}
+		results[ci] = e.reuse(comp)
+		return nil
+	})
 
 	res := &Result{Stats: Stats{
 		Components:  len(comps),
@@ -269,6 +311,9 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 		res.Stats.Candidates += cr.candidates
 		res.Stats.ScoreEvals += cr.evals
 		res.Stats.Reseeds += cr.reseeds
+		if cr.solved {
+			res.Stats.Classes++
+		}
 		res.Stats.CoverageMet = res.Stats.CoverageMet && cr.coverageMet
 		res.Stats.IdentMet = res.Stats.IdentMet && cr.identMet
 	}
@@ -276,6 +321,36 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 	res.Stats.Selected = len(res.Selected)
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// parallel runs f(0..n-1) on at most workers goroutines and returns the
+// first error by index.
+func parallel(n, workers int, f func(i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func elementCount(l, beta int) int {
@@ -291,6 +366,7 @@ func elementCount(l, beta int) int {
 
 type componentResult struct {
 	selected    []int
+	solved      bool // false when reused from a class leader
 	candidates  int
 	evals       int64
 	reseeds     int
@@ -327,14 +403,17 @@ type componentState struct {
 	stepEpoch int32
 	affBuf    []int32
 
+	// orbitLog records every orbit query the orbit pass made: row, image
+	// count, then the images present in the component as rows, in
+	// AppendOrbit order. With the arena and the representative rows, it is
+	// everything the greedy reads from the PathSet (see memoEntry.matches).
+	orbitLog []int32
+
 	evals int64
 }
 
-func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, opt Options) (*componentState, error) {
-	ar, err := buildArena(csr, comp, localOf)
-	if err != nil {
-		return nil, err
-	}
+func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, opt Options) *componentState {
+	ar := buildArena(csr, comp, localOf)
 	n := ar.numRows()
 	cs := &componentState{
 		opt:      opt,
@@ -351,7 +430,7 @@ func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, o
 	if opt.Alpha > 0 {
 		cs.uncovered = len(comp.Links)
 	}
-	return cs, nil
+	return cs
 }
 
 // isDirty reports whether row r must be rescored before its cache is used.
@@ -488,15 +567,22 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 	cs.sel(r)
 	if sym != nil {
 		orbitBuf = sym.AppendOrbit(int(cs.ar.pathIDs[r]), orbitBuf[:0])
+		cs.orbitLog = append(cs.orbitLog, r, 0)
+		head := len(cs.orbitLog)
 		for _, img := range orbitBuf {
-			ir := cs.ar.rowOf(int32(img))
-			if ir < 0 || cs.selected.get(ir) {
+			ir := rowOf(cs.ar.pathIDs, int32(img))
+			if ir < 0 {
+				continue
+			}
+			cs.orbitLog = append(cs.orbitLog, ir)
+			if cs.selected.get(ir) {
 				continue
 			}
 			if _, marginalGain := cs.scoreRow(ir); marginalGain {
 				cs.sel(ir)
 			}
 		}
+		cs.orbitLog[head-1] = int32(len(cs.orbitLog) - head)
 	}
 	cs.endStep()
 	return orbitBuf
@@ -516,12 +602,11 @@ func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds i
 	return lazyGreedy(cs, sym, candRows)
 }
 
-func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options) (*componentResult, error) {
-	cs, err := newComponentState(csr, comp, localOf, opt)
-	if err != nil {
-		return nil, err
-	}
-	cr := &componentResult{}
+// solveComponent runs both passes on one component and returns its result
+// together with the memo entry that lets the component's class reuse it.
+func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, digest uint64) (*componentResult, *memoEntry) {
+	cs := newComponentState(csr, comp, localOf, opt)
+	cr := &componentResult{solved: true}
 
 	if sym != nil {
 		reps := make([]int32, 0, len(comp.Paths)/2)
@@ -545,14 +630,15 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 	cr.evals = cs.evals
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
-	cr.selected = make([]int, 0, cs.nSelected)
-	// Rows ascend in global path order, so the selection comes out sorted.
-	for r, pid := range cs.ar.pathIDs {
+	rows := make([]int32, 0, cs.nSelected)
+	for r := range cs.ar.pathIDs {
 		if cs.selected.get(int32(r)) {
-			cr.selected = append(cr.selected, int(pid))
+			rows = append(rows, int32(r))
 		}
 	}
-	return cr, nil
+	e := newMemoEntry(key, digest, comp, rows, cs.orbitLog, cr.coverageMet, cr.identMet)
+	cr.selected = e.pathsOf(comp)
+	return cr, e
 }
 
 // strawmanGreedy rescans the remaining candidates each iteration — the

@@ -8,9 +8,9 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// TestMemoExactHitBitIdentical: a second warm construction over identical
-// components must return the identical selection without solving anything,
-// and both must match the cold path bit for bit.
+// TestMemoExactHitBitIdentical: a warm construction solves one leader per
+// class and reuses it for the rest; a second one over identical components
+// solves nothing; both match the cold path bit for bit.
 func TestMemoExactHitBitIdentical(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
@@ -37,12 +37,15 @@ func TestMemoExactHitBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(cold.Selected, warm2.Selected) {
 		t.Fatal("memo-hit construction diverges from cold")
 	}
-	st := memo.Stats()
-	if st.Misses != int64(len(comps)) || st.Hits != int64(len(comps)) {
-		t.Fatalf("memo stats hits=%d misses=%d, want %d/%d", st.Hits, st.Misses, len(comps), len(comps))
+	if warm1.Stats.Classes != 1 {
+		t.Fatalf("Fattree(8)'s %d components solved as %d classes, want 1", len(comps), warm1.Stats.Classes)
 	}
-	if warm2.Stats.ScoreEvals != 0 {
-		t.Fatalf("memo-hit construction scored %d rows, want 0", warm2.Stats.ScoreEvals)
+	st := memo.Stats()
+	if st.Misses != 1 || st.Hits != int64(2*len(comps)-1) || st.Entries != 1 {
+		t.Fatalf("memo stats hits=%d misses=%d entries=%d, want %d/1/1", st.Hits, st.Misses, st.Entries, 2*len(comps)-1)
+	}
+	if warm2.Stats.ScoreEvals != 0 || warm2.Stats.Classes != 0 {
+		t.Fatalf("memo-hit construction scored %d rows in %d classes, want 0", warm2.Stats.ScoreEvals, warm2.Stats.Classes)
 	}
 }
 
@@ -88,30 +91,129 @@ func TestMemoFlapBack(t *testing.T) {
 	}
 }
 
-// TestMemoEviction: the memo drops oldest entries beyond its capacity.
+// TestMemoEviction: beyond its capacity the memo drops the entry used
+// longest ago, and a hit counts as a use.
 func TestMemoEviction(t *testing.T) {
-	csrRows := [][]topo.LinkID{{0}, {1}, {2}, {0, 1}, {1, 2}}
-	csr := &route.CSR{Offsets: []int32{0}, Links: nil}
-	for _, row := range csrRows {
-		csr.Links = append(csr.Links, row...)
-		csr.Offsets = append(csr.Offsets, int32(len(csr.Links)))
-	}
-	key := optKeyOf(Options{Alpha: 1, Ablate: NoSymmetry})
+	key := optKeyOf(Options{Alpha: 1})
 	m := NewMemo(2)
-	comps := route.DecomposeCSR(csr, 3)
-	if len(comps) != 1 {
-		t.Fatalf("want a single component, got %d", len(comps))
+	e := make([]*memoEntry, 3)
+	for i := range e {
+		comp := &route.Component{Links: []topo.LinkID{topo.LinkID(i)}, Paths: []int32{int32(i)}}
+		e[i] = newMemoEntry(key, uint64(i), comp, []int32{0}, nil, true, true)
 	}
-	// Store three distinct contents by varying the paths slice.
-	for i := 0; i < 3; i++ {
-		c := route.Component{Links: comps[0].Links, Paths: comps[0].Paths[:len(comps[0].Paths)-i]}
-		m.store(&c, key, contentHash(&c, key), &componentResult{selected: []int{i}})
+	held := func(i int) bool { return len(m.candidates(key, uint64(i))) == 1 }
+
+	m.store(e[0])
+	m.store(e[1])
+	if m.holding(key, &route.Component{Links: []topo.LinkID{0}, Paths: []int32{0}}) != e[0] {
+		t.Fatal("entry 0 does not hold its own content")
 	}
+	m.store(e[2])
 	if st := m.Stats(); st.Entries != 2 {
 		t.Fatalf("memo holds %d entries, want 2", st.Entries)
 	}
-	first := route.Component{Links: comps[0].Links, Paths: comps[0].Paths}
-	if cr := m.get(&first, key, contentHash(&first, key)); cr != nil {
-		t.Fatal("oldest entry should have been evicted")
+	if !held(0) || held(1) || !held(2) {
+		t.Fatalf("held 0/1/2 = %v/%v/%v, want the untouched entry 1 evicted", held(0), held(1), held(2))
+	}
+}
+
+// TestMemoKeepsPristineThroughLongChurn flaps more links than the memo has
+// entries, one at a time: every down-flap solves and stores a masked class,
+// and every up-flap must still find the pristine class, which an
+// insertion-order memo evicts after 64 down-flaps.
+func TestMemoKeepsPristineThroughLongChurn(t *testing.T) {
+	f := topo.MustFattree(10)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	opt := Options{Alpha: 1, Beta: 1}
+	memo := NewMemo(0)
+	inc, err := route.NewIncremental(csr, f.NumLinks(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ConstructComponents(ps, csr, inc.Components(), f.NumLinks(), opt, memo); err != nil {
+		t.Fatal(err)
+	}
+	// Links of one component: each masks it into a class of its own.
+	flaps := append([]topo.LinkID(nil), inc.Components()[0].Links...)
+	if len(flaps) <= 64 {
+		t.Fatalf("component 0 has %d links; the test needs more than the memo's 64 entries", len(flaps))
+	}
+	construct := func(diff route.Diff) *Result {
+		t.Helper()
+		res, err := ConstructComponents(ps, csr, diff.Added, f.NumLinks(), opt, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	downSolves := 0
+	for i, l := range flaps {
+		diff, err := inc.Apply([]topo.LinkID{l}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		downSolves += construct(diff).Stats.Classes
+		if diff, err = inc.Apply(nil, []topo.LinkID{l}); err != nil {
+			t.Fatal(err)
+		}
+		if res := construct(diff); res.Stats.Classes != 0 {
+			t.Fatalf("up-flap %d (link %d) solved %d classes, want a memo hit", i, l, res.Stats.Classes)
+		}
+	}
+	if downSolves <= 64 {
+		t.Fatalf("only %d down-flaps solved; the memo never filled", downSolves)
+	}
+}
+
+// TestMemoBoundsComponentsNotClasses: flapping one local link in each of
+// Fattree(8)'s components makes the masked components one class, so later
+// down-flaps join an entry instead of adding one. The memo's bound counts
+// every component it remembers, members included, so retained content
+// stays bounded however the components group.
+func TestMemoBoundsComponentsNotClasses(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	opt := Options{Alpha: 3, Beta: 1}
+	const limit = 12
+	memo := NewMemo(limit)
+	inc, err := route.NewIncremental(csr, f.NumLinks(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := inc.Components()
+	construct := func(down, up []topo.LinkID) *Result {
+		t.Helper()
+		diff, err := inc.Apply(down, up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ConstructComponents(ps, csr, diff.Added, f.NumLinks(), opt, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps := 0
+		for _, e := range memo.entries {
+			comps += 1 + len(e.members)
+		}
+		if comps != memo.comps || comps > limit {
+			t.Fatalf("memo remembers %d components (counted %d), limit %d", comps, memo.comps, limit)
+		}
+		return res
+	}
+	construct(nil, nil)
+	classHits := 0
+	for li := 0; li < 8; li++ {
+		for _, c := range pristine {
+			l := []topo.LinkID{c.Links[li]}
+			if construct(l, nil).Stats.Classes == 0 {
+				classHits++
+			}
+			construct(nil, l)
+		}
+	}
+	if classHits == 0 {
+		t.Fatal("no down-flap reused a twin's class; the test never grew an entry's members")
 	}
 }

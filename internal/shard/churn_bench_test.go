@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,9 +14,10 @@ import (
 // benchChurnSingleLink measures the incremental recompute path: one full
 // construction up front, then per iteration a single-link down-churn, the
 // dirty-only reconstruction (the measured cycle), and a restore. A
-// different link churns each iteration so the dirty component is solved
-// cold — the engine memo's flap-back shortcut is deliberately kept out of
-// the measured number. Four metrics come out:
+// different link of one component churns each iteration so the dirty
+// component is solved cold — the engine memo's flap-back shortcut, and its
+// class reuse of the same local link masked in a sibling component, are
+// deliberately kept out of the measured number. Four metrics come out:
 //
 //   - full-critical-path-ms: the cold full cycle's critical path;
 //   - churn-apply-ms: the topology diff that precedes the cycle, mean of
@@ -44,7 +46,7 @@ func benchChurnSingleLink(b *testing.B, k, shards int) {
 		b.Fatal(err)
 	}
 	fullCrit := full.CriticalPath
-	links := f.SwitchLinks()
+	links := slices.Clone(c.comps[0].Links)
 	b.ResetTimer()
 	var churnCrit, apply time.Duration
 	for i := 0; i < b.N; i++ {

@@ -674,6 +674,7 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 				continue // reuse mode: shard had no dirty components
 			}
 			merged.Stats.Components += r.Stats.Components
+			merged.Stats.Classes += r.Stats.Classes
 			merged.Stats.Candidates += r.Stats.Candidates
 			merged.Stats.ScoreEvals += r.Stats.ScoreEvals
 			merged.Stats.Reseeds += r.Stats.Reseeds

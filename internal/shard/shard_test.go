@@ -152,8 +152,11 @@ func TestShardedMatchesSingleController(t *testing.T) {
 					tc.name, n, len(res.Selected), len(ref.Selected),
 					hashSelection(res.Selected), hashSelection(ref.Selected))
 			}
-			if res.Stats.ScoreEvals != ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
-				t.Errorf("%s/shards=%d: merged stats diverge: evals %d vs %d, components %d vs %d",
+			// Each shard solves the leader of every class it was handed,
+			// so evals grow with the shard count, up to one solve per class
+			// per shard.
+			if res.Stats.ScoreEvals > int64(n)*ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
+				t.Errorf("%s/shards=%d: merged stats diverge: evals %d vs %d single-controller, components %d vs %d",
 					tc.name, n, res.Stats.ScoreEvals, ref.Stats.ScoreEvals,
 					res.Stats.Components, ref.Stats.Components)
 			}

@@ -172,8 +172,11 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 					t.Errorf("%s/%s/shards=%d: loopback selection differs from single controller (hash %#016x vs pinned %#016x)",
 						tc.name, wire, n, hashSelection(res.Selected), tc.wantSel)
 				}
-				if res.Stats.ScoreEvals != ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
-					t.Errorf("%s/%s/shards=%d: merged stats diverge over the wire: evals %d vs %d, components %d vs %d",
+				// Each shard solves the leader of every class it was handed,
+				// so evals grow with the shard count, up to one solve per
+				// class per shard.
+				if res.Stats.ScoreEvals > int64(n)*ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
+					t.Errorf("%s/%s/shards=%d: merged stats diverge over the wire: evals %d vs %d single-controller, components %d vs %d",
 						tc.name, wire, n, res.Stats.ScoreEvals, ref.Stats.ScoreEvals,
 						res.Stats.Components, ref.Stats.Components)
 				}

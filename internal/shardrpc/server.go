@@ -81,11 +81,11 @@ type Server struct {
 	sig      uint64
 	lim      Limits
 	tr       *obs.Tracer
-	// memo is the engine-local PMC selection cache: a component whose
-	// exact content was constructed before (topology flap-back, component
-	// reassignment back to this shard) reuses the cached selection
-	// verbatim. Selections are deterministic per content, so the memo
-	// never changes a response.
+	// memo is the engine-local PMC selection cache: a component of a
+	// class constructed before (a sibling Fattree pod, topology flap-back,
+	// component reassignment back to this shard) reuses the cached rows.
+	// Selections are deterministic per class, so the memo never changes a
+	// response.
 	memo *pmc.Memo
 	// engines holds the localization engines clients installed.
 	engines *engineCache
