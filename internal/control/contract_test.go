@@ -155,3 +155,62 @@ func TestServedContractThroughChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestFlapIsRepaired: one switch link going down on Fattree(8) is answered
+// by repairing the dirty component from its pristine class, with no class
+// solved, and coming back up restores it from the memo. In both directions
+// control_pinglists_changed moves by exactly the number of nodes whose
+// pinglist version moved: the pingers the flap reprograms.
+func TestFlapIsRepaired(t *testing.T) {
+	f := topo.MustFattree(8)
+	c := New(f, DefaultConfig())
+	t.Cleanup(c.Close)
+	if err := c.RunCycle(nil); err != nil {
+		t.Fatal(err)
+	}
+	versions := func() map[topo.NodeID]int {
+		out := make(map[topo.NodeID]int, len(c.pinglists))
+		for n, pl := range c.pinglists {
+			out[n] = pl.Version
+		}
+		return out
+	}
+	one := []topo.LinkID{f.SwitchLinks()[0]}
+	for _, step := range []struct {
+		name     string
+		down, up []topo.LinkID
+		repaired int
+	}{
+		{"down", one, nil, 1},
+		{"up", nil, one, 0},
+	} {
+		before, counted := versions(), pinglistsChanged.Value()
+		if _, err := c.ApplyChurn(step.down, step.up); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RunCycle(nil); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.PMCStats(); st.Repaired != step.repaired || st.Classes != 0 {
+			t.Fatalf("%s: %d components repaired, %d classes solved; want %d and 0", step.name, st.Repaired, st.Classes, step.repaired)
+		}
+		after := versions()
+		moved := 0
+		for n, v := range after {
+			if before[n] != v {
+				moved++
+			}
+		}
+		for n := range before {
+			if _, ok := after[n]; !ok {
+				moved++
+			}
+		}
+		if got := pinglistsChanged.Value() - counted; got != int64(moved) {
+			t.Fatalf("%s: control_pinglists_changed moved by %d, %d nodes' pinglists changed", step.name, got, moved)
+		}
+		if moved == 0 || moved >= len(before)/2 {
+			t.Fatalf("%s: the flap reprogrammed %d of %d pingers", step.name, moved, len(before))
+		}
+	}
+}

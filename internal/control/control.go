@@ -33,6 +33,12 @@ var badRequests = metrics.NewCounter("control_bad_requests")
 // nearly every pinglist poll.
 var pinglistNotModified = metrics.NewCounter("control_pinglist_not_modified")
 
+// pinglistsChanged counts, per cycle, the nodes whose work order changed:
+// a new, changed or withdrawn pinglist. Each is a pinger that must fetch a
+// delta (or stop), so after a topology flap it is how many agents the flap
+// reprograms.
+var pinglistsChanged = metrics.NewCounter("control_pinglists_changed")
+
 // stageServe times the serve phase of a cycle: pinger selection, route
 // expansion and matrix assembly, after construction has returned.
 var stageServe = obs.Stages.With("serve")
@@ -260,8 +266,11 @@ func (c *Controller) construct(ps *route.FattreePaths, cy *obs.Cycle) (*pmc.Resu
 // ApplyChurn feeds a topology change (links going down, links coming back)
 // into the construction plane. The diff is computed incrementally: only
 // components touching a changed link are marked dirty, and the next
-// RunCycle recomputes exactly those — every clean component's selection is
-// reused verbatim. Safe before the first cycle (the coordinator is created
+// RunCycle constructs exactly those — every clean component's selection is
+// reused verbatim. A dirty component the mask cut into is repaired from its
+// pristine class selection, so a flap reprograms only the pingers whose
+// paths it actually touched; one coming back up takes the pristine class
+// selection again. Safe before the first cycle (the coordinator is created
 // on demand).
 func (c *Controller) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	coord, err := c.coordinator(nil)
@@ -423,17 +432,25 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	// (same Version pointer): its ETag stays valid, so steady-state polls
 	// answer 304 and deltas stay empty even as the cycle counter advances.
 	// Changed pinglists enter the node's delta history ring.
+	changed := 0
 	for n, pl := range lists {
 		if prev := c.pinglists[n]; prev != nil && pinglistEqual(prev, pl) {
 			lists[n] = prev
 			continue
 		}
+		changed++
 		h := append(c.history[n], pl)
 		if len(h) > deltaHistory {
 			h = h[len(h)-deltaHistory:]
 		}
 		c.history[n] = h
 	}
+	for n := range c.pinglists {
+		if lists[n] == nil {
+			changed++
+		}
+	}
+	pinglistsChanged.Add(int64(changed))
 	c.version = version
 	c.pinglists = lists
 	c.matrix = matrix

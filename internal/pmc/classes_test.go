@@ -93,18 +93,15 @@ func TestClassReuseMatchesPerComponentSolve(t *testing.T) {
 				})
 			}
 		}
-		// The same local link down in two components: the masked pair is
-		// one class of its own, beside the untouched class if any.
+		// The same local link down in two components: both are repaired from
+		// their parents, which are one class with the untouched components.
 		down := []topo.LinkID{pristine[0].Links[3], pristine[1].Links[3]}
 		comps := route.DecomposeMasked(csr, f.NumLinks(), down)
 		t.Run(fmt.Sprintf("Fattree%d/twin-masks", k), func(t *testing.T) {
-			want := 2
-			if len(comps) == 2 {
-				want = 1
-			}
 			st := checkClassReuse(t, ps, csr, comps, f.NumLinks(), Options{Alpha: 3, Beta: 1})
-			if st.Classes != want {
-				t.Fatalf("two twin-masked and %d untouched components solved as %d classes, want %d", len(comps)-2, st.Classes, want)
+			if st.Classes != 1 || st.Repaired != 2 {
+				t.Fatalf("two twin-masked and %d untouched components: %d classes solved, %d repaired; want 1 and 2",
+					len(comps)-2, st.Classes, st.Repaired)
 			}
 		})
 	}

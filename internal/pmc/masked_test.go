@@ -22,11 +22,11 @@ func liveLinks(links []topo.LinkID, down topo.LinkID) []topo.LinkID {
 }
 
 // TestMaskedComponentMeetsContract: a component the down-link mask has cut
-// into has lost orbit images and its automorphism. On the parent of the
-// change that introduced the completion pass this panicked inside a worker
-// goroutine ("orbit image 197 leaves its component" on Fattree(4)); now
-// the orbit pass skips absent images and the completion pass restores the
-// contract, for every link that can go down.
+// into has lost orbit images and its automorphism. Before the completion
+// pass existed this panicked inside a worker goroutine ("orbit image 197
+// leaves its component" on Fattree(4)); now the component is repaired from
+// its pristine parent's selection, and the contract holds for every link
+// that can go down.
 func TestMaskedComponentMeetsContract(t *testing.T) {
 	for _, c := range []struct {
 		k, alpha, beta int

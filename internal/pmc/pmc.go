@@ -14,15 +14,18 @@
 //     marginal gain (Observation 3). PathSets without a shift generator
 //     have no representatives and skip it.
 //   - The completion pass runs the same greedy over every row, and only if
-//     the orbit pass left α or β unmet. On a pristine component the
+//     the orbit pass left α or β unmet. On a pristine Fattree component the
 //     automorphism maps the component onto itself, the orbit pass meets the
-//     targets, and completion is a no-op. On a component a down-link mask
-//     has cut into, orbit images are missing and what is left is not
-//     symmetric: there the orbit pass is a heuristic head start and the
-//     completion pass is what guarantees the contract.
+//     targets, and completion is a no-op.
 //
-// Neither pass asks whether the component is pristine, so the selection is
-// a function of (component content, options) alone.
+// A component a down-link mask has cut out of a pristine one is not solved:
+// it is repaired (repair.go). Its parent's selection, minus the paths the
+// mask removed, usually still meets α and β — the paper keeps α-coverage so
+// the matrix survives failures between recomputations — and where it does
+// not, the completion pass runs over only the rows that can still make
+// progress. The selection is a function of (component content, options)
+// for a pristine component and of (parent's selection, component, options)
+// for a masked one, never of what the engine solved before.
 //
 // The paper argues scores are monotone; package refine documents a
 // counterexample, so the lazy greedy re-validates every popped candidate
@@ -117,10 +120,13 @@ const DefaultMaxElements = 64 << 20
 // Components that share a class with a component solved before them, in
 // the same call or (through a Memo) an earlier one, reuse its rows: they
 // count in Components and Selected but not in Classes, Candidates,
-// ScoreEvals or Reseeds.
+// ScoreEvals or Reseeds. A repaired component counts in Repaired, and its
+// completion pass, if it ran one, in Candidates, ScoreEvals and Reseeds; a
+// class solved only to give it its parent's selection counts in Classes.
 type Stats struct {
 	Components  int
 	Classes     int   // greedy solves run: one per component class not reused
+	Repaired    int   // masked components answered by repairing their parent's selection
 	Candidates  int   // rows offered to the greedy: orbit representatives, plus every row where completion ran
 	ScoreEvals  int64 // total score computations
 	Reseeds     int   // lazy-mode park-list rescans
@@ -148,7 +154,8 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 	} else {
 		comps = []route.Component{route.SingleComponentCSR(csr, numLinks)}
 	}
-	return constructComponents(ps, csr, comps, numLinks, opt, nil, start)
+	// Nothing is down, so no component needs the pristine decomposition.
+	return constructComponents(ps, csr, comps, numLinks, opt, nil, nil, start)
 }
 
 // ConstructComponents runs the PMC greedy over an explicit subset of
@@ -165,8 +172,15 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 // memo also answers components of a class it has solved before — bit-
 // identical, because a selection is a function of that content and the
 // options — and remembers the classes solved here.
+//
+// A component a down-link mask cut out of one pristine component P (every
+// link inside P, fewer paths) is repaired instead: see repair. P's
+// selection comes from the memo or a class solve in this call, so the
+// answer is the same with or without a memo; repaired components are never
+// remembered. The pristine decomposition is csr.Pristine(numLinks).
 func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo) (*Result, error) {
-	return constructComponents(ps, csr, comps, numLinks, opt, memo, time.Now())
+	start := time.Now()
+	return constructComponents(ps, csr, comps, numLinks, opt, memo, csr.Pristine(numLinks), start)
 }
 
 // prepareComponents validates options against the component set and
@@ -203,8 +217,15 @@ func prepareComponents(ps route.PathSet, comps []route.Component, opt Options) (
 	return sym, nil
 }
 
-func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo, start time.Time) (*Result, error) {
-	sym, err := prepareComponents(ps, comps, opt)
+func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo, pristine *route.Pristine, start time.Time) (*Result, error) {
+	// A component the down-link mask cut out of one pristine component is
+	// repaired from that parent's class selection. Every other component,
+	// and each such parent once, is answered by class.
+	solve, slot, masked := comps, []int(nil), []bool(nil)
+	if pristine != nil {
+		solve, slot, masked = splitMasked(comps, pristine)
+	}
+	sym, err := prepareComponents(ps, solve, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -212,25 +233,141 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-
-	// Every link belongs to at most one component, so one shared
-	// global→local translation array serves all workers read-only.
 	localOf := make([]int32, numLinks)
+	solved, err := solveClasses(sym, csr, solve, localOf, opt, memo, workers)
+	if err != nil {
+		return nil, err
+	}
+
+	res := &Result{Stats: Stats{
+		Components:  len(comps),
+		CoverageMet: true,
+		IdentMet:    opt.Beta >= 1,
+	}}
+	work := func(cr *componentResult) {
+		res.Stats.Candidates += cr.candidates
+		res.Stats.ScoreEvals += cr.evals
+		res.Stats.Reseeds += cr.reseeds
+	}
+	for _, cr := range solved {
+		work(cr)
+		if cr.solved {
+			res.Stats.Classes++
+		}
+	}
+	results := solved
+	if masked != nil {
+		// The masked components overlap their parents' links, so they get
+		// the translation array to themselves once the classes are done.
+		setLocal(localOf, comps, masked)
+		results = make([]*componentResult, len(comps))
+		err = parallel(len(comps), workers, func(ci int) error {
+			if !masked[ci] {
+				results[ci] = solved[slot[ci]]
+				return nil
+			}
+			cr, err := repair(csr, numLinks, &comps[ci], solved[slot[ci]].selected, localOf, opt)
+			results[ci] = cr
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+		for ci, cr := range results {
+			if masked[ci] {
+				work(cr)
+				res.Stats.Repaired++
+			}
+		}
+	}
+	for _, cr := range results {
+		res.Selected = append(res.Selected, cr.selected...)
+		res.Stats.CoverageMet = res.Stats.CoverageMet && cr.coverageMet
+		res.Stats.IdentMet = res.Stats.IdentMet && cr.identMet
+	}
+	sort.Ints(res.Selected)
+	res.Stats.Selected = len(res.Selected)
+	res.Stats.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// splitMasked picks out the components a down-link mask cut out of one
+// pristine component: all links inside it, fewer paths. solve holds the
+// other components in order, then each masked component's parent once
+// (unless the parent itself is in comps); slot[ci] is comps[ci]'s index in
+// solve, or its parent's when masked[ci]. With nothing masked, solve is
+// comps and masked is nil.
+func splitMasked(comps []route.Component, pristine *route.Pristine) (solve []route.Component, slot []int, masked []bool) {
+	parents := make([]int, len(comps))
+	masked = make([]bool, len(comps))
+	cut := false
+	for ci := range comps {
+		p := pristine.Parent(&comps[ci])
+		parents[ci] = p
+		masked[ci] = p >= 0 && len(comps[ci].Paths) < len(pristine.Comps[p].Paths)
+		cut = cut || masked[ci]
+	}
+	if !cut {
+		return comps, nil, nil
+	}
+	slot = make([]int, len(comps))
+	slotOf := make(map[int]int) // pristine component -> index in solve
+	for ci := range comps {
+		if masked[ci] {
+			continue
+		}
+		if p := parents[ci]; p >= 0 {
+			slotOf[p] = len(solve) // the parent itself is asked for
+		}
+		slot[ci] = len(solve)
+		solve = append(solve, comps[ci])
+	}
+	for ci := range comps {
+		if !masked[ci] {
+			continue
+		}
+		p := parents[ci]
+		s, ok := slotOf[p]
+		if !ok {
+			s = len(solve)
+			slotOf[p] = s
+			solve = append(solve, pristine.Comps[p])
+		}
+		slot[ci] = s
+	}
+	return solve, slot, masked
+}
+
+// setLocal points localOf at the local index of every link of the chosen
+// components (all of them when which is nil) and every other link at -1.
+func setLocal(localOf []int32, comps []route.Component, which []bool) {
 	for i := range localOf {
 		localOf[i] = -1
 	}
 	for ci := range comps {
+		if which != nil && !which[ci] {
+			continue
+		}
 		for li, l := range comps[ci].Links {
 			localOf[l] = int32(li)
 		}
 	}
+}
+
+// solveClasses answers every component by class: from the memo, from a
+// class leader solved in this call, or by solving it. comps must not share
+// links; localOf (numLinks long) is left translating their links.
+func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, memo *Memo, workers int) ([]*componentResult, error) {
+	// Every link belongs to at most one component, so one shared
+	// global→local translation array serves all workers read-only.
+	setLocal(localOf, comps, nil)
 
 	// Answer the components the memo has solved, as themselves or as a
 	// class; digest (and so validate against the matrix) all others.
 	key := optKeyOf(opt)
 	results := make([]*componentResult, len(comps))
 	digests := make([]uint64, len(comps))
-	err = parallel(len(comps), workers, func(ci int) error {
+	err := parallel(len(comps), workers, func(ci int) error {
 		comp := &comps[ci]
 		if memo != nil {
 			if e := memo.holding(key, comp); e != nil {
@@ -300,27 +437,7 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 		results[ci] = e.reuse(comp)
 		return nil
 	})
-
-	res := &Result{Stats: Stats{
-		Components:  len(comps),
-		CoverageMet: true,
-		IdentMet:    opt.Beta >= 1,
-	}}
-	for _, cr := range results {
-		res.Selected = append(res.Selected, cr.selected...)
-		res.Stats.Candidates += cr.candidates
-		res.Stats.ScoreEvals += cr.evals
-		res.Stats.Reseeds += cr.reseeds
-		if cr.solved {
-			res.Stats.Classes++
-		}
-		res.Stats.CoverageMet = res.Stats.CoverageMet && cr.coverageMet
-		res.Stats.IdentMet = res.Stats.IdentMet && cr.identMet
-	}
-	sort.Ints(res.Selected)
-	res.Stats.Selected = len(res.Selected)
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	return results, nil
 }
 
 // parallel runs f(0..n-1) on at most workers goroutines and returns the
@@ -409,26 +526,35 @@ type componentState struct {
 	// everything the greedy reads from the PathSet (see memoEntry.matches).
 	orbitLog []int32
 
+	// parkedTail is the largest path id among the component's rows that an
+	// arena built over only some of them (see repair) leaves out, -1 when
+	// it has them all. Every such row has no marginal gain, so a pass over
+	// all rows would park it; it can only tell whether that pass's first
+	// sweep ended on a push.
+	parkedTail int32
+
 	evals int64
 }
 
-func newComponentState(csr *route.CSR, comp *route.Component, localOf []int32, opt Options) *componentState {
-	ar := buildArena(csr, comp, localOf)
+// newComponentState starts the greedy on an arena over a component with
+// numLinks local links, nothing selected.
+func newComponentState(ar *compArena, numLinks int, opt Options) *componentState {
 	n := ar.numRows()
 	cs := &componentState{
-		opt:      opt,
-		ar:       ar,
-		w:        make([]int32, len(comp.Links)),
-		part:     refine.MustPartition(len(comp.Links), opt.Beta),
-		selected: newBitset(n),
-		exact:    true,
-		score:    make([]int32, n),
-		marginal: newBitset(n),
-		dirty:    newBitset(n),
-		linkMark: make([]int32, len(comp.Links)),
+		opt:        opt,
+		ar:         ar,
+		w:          make([]int32, numLinks),
+		part:       refine.MustPartition(numLinks, opt.Beta),
+		selected:   newBitset(n),
+		exact:      true,
+		score:      make([]int32, n),
+		marginal:   newBitset(n),
+		dirty:      newBitset(n),
+		linkMark:   make([]int32, numLinks),
+		parkedTail: -1,
 	}
 	if opt.Alpha > 0 {
-		cs.uncovered = len(comp.Links)
+		cs.uncovered = numLinks
 	}
 	return cs
 }
@@ -559,9 +685,11 @@ func (cs *componentState) done() bool {
 
 // selectWithOrbit commits row r and, in the orbit pass, every orbit image
 // present in the component that still has positive marginal gain. An image
-// is absent when a down-link mask removed its path. Orbit images are scored
-// fresh (not from cache) because earlier selections in the same step change
-// their scores before the step's dirty propagation runs.
+// is absent when the component is not closed under the automorphism (a
+// caller's own partition; masked components are repaired, not solved).
+// Orbit images are scored fresh (not from cache) because earlier selections
+// in the same step change their scores before the step's dirty propagation
+// runs.
 func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf []int) []int {
 	cs.beginStep()
 	cs.sel(r)
@@ -605,7 +733,7 @@ func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds i
 // solveComponent runs both passes on one component and returns its result
 // together with the memo entry that lets the component's class reuse it.
 func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, digest uint64) (*componentResult, *memoEntry) {
-	cs := newComponentState(csr, comp, localOf, opt)
+	cs := newComponentState(buildArena(csr, comp, localOf), len(comp.Links), opt)
 	cr := &componentResult{solved: true}
 
 	if sym != nil {
@@ -619,12 +747,8 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 		cr.reseeds += cs.pass(sym, reps)
 	}
 	if !cs.done() {
-		all := make([]int32, len(comp.Paths))
-		for r := range all {
-			all[r] = int32(r)
-		}
-		cr.candidates += len(all)
-		cr.reseeds += cs.pass(nil, all)
+		cr.candidates += len(comp.Paths)
+		cr.reseeds += cs.pass(nil, ascending(len(comp.Paths)))
 	}
 
 	cr.evals = cs.evals
@@ -730,10 +854,11 @@ func lazyGreedy(cs *componentState, sym route.Symmetric, candRows []int32) (rese
 			lastWasPush = true
 		}
 	}
-	if lastWasPush {
+	if lastWasPush && cs.ar.pathIDs[h.row[h.len()-1]] > cs.parkedTail {
 		// The final seeded pop in the heap formulation compares against
 		// the minimum of the already re-keyed entries, not the seed:
-		// replay that one comparison exactly.
+		// replay that one comparison exactly. A row the arena leaves out
+		// after it would have been parked last, with no such pop.
 		n := h.len() - 1
 		s, r := h.score[n], h.row[n]
 		h.score, h.row = h.score[:n], h.row[:n]

@@ -1,0 +1,135 @@
+package pmc
+
+import (
+	"fmt"
+
+	"github.com/detector-net/detector/internal/route"
+)
+
+// repair answers a masked component M — one a down-link mask cut out of a
+// pristine component P — from P's selection: the selected paths M still
+// has ("kept"), completed by the completion pass. The selection is a
+// function of (P's class selection, M, options), never of history, so an
+// incremental cycle and a from-scratch boot with the same links down agree,
+// and a link coming back up restores P's selection exactly.
+//
+// Kept rows alone often meet α and β (the paper keeps α-coverage so the
+// matrix survives failures between recomputations); then no arena over M
+// is built. Otherwise the completion pass runs over the kept rows plus the
+// rows through a deficient link: a link still under α, or a constituent of
+// an element that still shares its refinement group. That is decision for
+// decision the pass over all of M's rows after the same kept rows:
+//   - A row through no deficient link has no marginal gain, and never
+//     regains one: weights only rise, and a row that splits no group
+//     splits none of that group's refinements. The full pass parks it and
+//     never picks it.
+//   - The heap breaks ties by row, and the restricted arena keeps M's row
+//     order; the one place the parked rows show — whether the pass's
+//     first sweep ends on a push — is replayed through parkedTail.
+//   - Over-dirtying only rescores a row to its cached value.
+//
+// parentSel is P's selection, ascending path indices; localOf must
+// translate M's links. A path of M that leaves it is an error.
+func repair(csr *route.CSR, numLinks int, comp *route.Component, parentSel []int, localOf []int32, opt Options) (*componentResult, error) {
+	inComp := func(pid int32) error {
+		for _, gl := range csr.Row(int(pid)) {
+			if li := localOf[gl]; li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
+				return fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
+			}
+		}
+		return nil
+	}
+
+	// Kept: the parent's selected paths that M still has, as M's rows.
+	var kept []int32
+	r := 0
+	for _, pid := range parentSel {
+		for r < len(comp.Paths) && int(comp.Paths[r]) < pid {
+			r++
+		}
+		if r < len(comp.Paths) && int(comp.Paths[r]) == pid {
+			if err := inComp(comp.Paths[r]); err != nil {
+				return nil, err
+			}
+			kept = append(kept, int32(r))
+		}
+	}
+	cs := repairState(csr, comp, kept, ascending(len(kept)), localOf, opt)
+	cr := &componentResult{}
+	if !cs.done() {
+		// The rows through a deficient link, from the matrix's inverted
+		// index: those that are M's join the kept ones.
+		deficient := make([]bool, len(comp.Links))
+		for li, w := range cs.w {
+			deficient[li] = int(w) < opt.Alpha
+		}
+		for _, li := range cs.part.AppendUnrefined(nil) {
+			deficient[li] = true
+		}
+		index := csr.Index(numLinks)
+		through := newBitset(csr.Len())
+		for li, d := range deficient {
+			if d {
+				for _, pid := range index.RowsThrough(comp.Links[li]) {
+					through.set(pid)
+				}
+			}
+		}
+		var sub, subKept []int32 // rows the completion pass is offered; the kept ones among them, as its rows
+		tail := int32(-1)        // the last row it is not offered
+		k := 0
+		for r, pid := range comp.Paths {
+			switch {
+			case k < len(kept) && kept[k] == int32(r):
+				k++
+				subKept = append(subKept, int32(len(sub)))
+			case through.get(pid):
+				if err := inComp(pid); err != nil {
+					return nil, err
+				}
+			default:
+				tail = pid
+				continue
+			}
+			sub = append(sub, int32(r))
+		}
+		cs = repairState(csr, comp, sub, subKept, localOf, opt)
+		cs.parkedTail = tail
+		cr.candidates = len(sub)
+		cr.reseeds = cs.pass(nil, ascending(len(sub)))
+		cr.evals = cs.evals
+	}
+	cr.coverageMet = cs.uncovered == 0
+	cr.identMet = opt.Beta == 0 || cs.part.Done()
+	cr.selected = make([]int, 0, cs.nSelected)
+	for r, pid := range cs.ar.pathIDs {
+		if cs.selected.get(int32(r)) {
+			cr.selected = append(cr.selected, int(pid))
+		}
+	}
+	return cr, nil
+}
+
+// ascending returns the rows 0..n-1.
+func ascending(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// repairState starts the greedy on an arena over the given rows of comp
+// (ascending) and selects sel, rows of that arena, in order.
+func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, localOf []int32, opt Options) *componentState {
+	paths := make([]int32, len(rows))
+	for i, r := range rows {
+		paths[i] = comp.Paths[r]
+	}
+	cs := newComponentState(buildArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf), len(comp.Links), opt)
+	cs.beginStep()
+	for _, r := range sel {
+		cs.sel(r)
+	}
+	return cs
+}

@@ -1,0 +1,268 @@
+package pmc
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/topo"
+)
+
+// repairFabric is one Fattree's candidate matrix, for the repair tests.
+type repairFabric struct {
+	k        int
+	ps       *route.FattreePaths
+	csr      *route.CSR
+	numLinks int
+	links    []topo.LinkID
+}
+
+func newRepairFabric(k int) repairFabric {
+	f := topo.MustFattree(k)
+	ps := route.NewFattreePaths(f)
+	return repairFabric{k, ps, route.MaterializeCSR(ps), f.NumLinks(), f.SwitchLinks()}
+}
+
+// seededDown picks n distinct switch links.
+func seededDown(links []topo.LinkID, n int, seed int64) []topo.LinkID {
+	var down []topo.LinkID
+	for _, i := range rand.New(rand.NewSource(seed)).Perm(len(links))[:n] {
+		down = append(down, links[i])
+	}
+	return down
+}
+
+// completeAll is what repair is defined to equal: the masked component's
+// whole arena, the parent's selected paths it still has selected in row
+// order, then the completion pass over every row when α or β is unmet. It
+// returns the selection, how many paths were kept, and how many the
+// completion pass added.
+func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf []int32, opt Options) (sel []int, kept, added int) {
+	cs := newComponentState(buildArena(csr, comp, localOf), len(comp.Links), opt)
+	cs.beginStep()
+	j := 0
+	for r, pid := range comp.Paths {
+		for j < len(parentSel) && parentSel[j] < int(pid) {
+			j++
+		}
+		if j < len(parentSel) && parentSel[j] == int(pid) {
+			cs.sel(int32(r))
+			kept++
+		}
+	}
+	if !cs.done() {
+		cs.pass(nil, ascending(len(comp.Paths)))
+	}
+	for r, pid := range comp.Paths {
+		if cs.selected.get(int32(r)) {
+			sel = append(sel, int(pid))
+		}
+	}
+	return sel, kept, len(sel) - kept
+}
+
+// checkRepair masks down out of fb and checks the construction:
+//   - every masked component's repair equals completeAll, and serves its
+//     kept paths plus the completion pass's additions, nothing more;
+//   - construction with a memo (cold, then warm) equals it without;
+//   - the flap from the pristine selection and back changes at most the
+//     pristine paths through a down link plus those additions;
+//   - Verify on the live links agrees with the reported targets.
+//
+// It returns the masked selection.
+func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options) []int {
+	t.Helper()
+	pristine := fb.csr.Pristine(fb.numLinks)
+	base, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps, fb.numLinks, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := route.DecomposeMasked(fb.csr, fb.numLinks, down)
+	res, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewMemo(0)
+	for run := 0; run < 2; run++ {
+		warm, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(warm.Selected, res.Selected) {
+			t.Fatalf("run %d through a memo selects %d paths, without one %d", run, len(warm.Selected), len(res.Selected))
+		}
+		if run == 1 && warm.Stats.Classes != 0 {
+			t.Fatalf("second run through the memo solved %d classes, want 0", warm.Stats.Classes)
+		}
+	}
+
+	localOf := make([]int32, fb.numLinks)
+	repaired, additions := 0, 0
+	for ci := range comps {
+		comp := &comps[ci]
+		p := pristine.Parent(comp)
+		if p < 0 || len(comp.Paths) == len(pristine.Comps[p].Paths) {
+			continue
+		}
+		repaired++
+		parent, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps[p:p+1], fb.numLinks, opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setLocal(localOf, comps[ci:ci+1], nil)
+		want, kept, added := completeAll(fb.csr, comp, parent.Selected, localOf, opt)
+		got, err := repair(fb.csr, fb.numLinks, comp, parent.Selected, localOf, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.selected, want) {
+			t.Fatalf("component %d: restricted completion selects %d paths, completion over all %d rows %d",
+				ci, len(got.selected), len(comp.Paths), len(want))
+		}
+		if len(got.selected) > kept+added {
+			t.Fatalf("component %d serves %d paths, more than %d kept + %d added", ci, len(got.selected), kept, added)
+		}
+		additions += added
+	}
+	if res.Stats.Repaired != repaired {
+		t.Fatalf("stats report %d repaired components, want %d", res.Stats.Repaired, repaired)
+	}
+
+	through := 0
+	for _, s := range base.Selected {
+		if slices.ContainsFunc(fb.csr.Row(s), func(l topo.LinkID) bool { return slices.Contains(down, l) }) {
+			through++
+		}
+	}
+	changed := 0
+	for _, s := range base.Selected {
+		if _, ok := slices.BinarySearch(res.Selected, s); !ok {
+			changed++
+		}
+	}
+	for _, s := range res.Selected {
+		if _, ok := slices.BinarySearch(base.Selected, s); !ok {
+			changed++
+		}
+	}
+	if changed > through+additions {
+		t.Fatalf("the flap changes %d paths, more than %d through a down link + %d added", changed, through, additions)
+	}
+
+	var live []topo.LinkID
+	for _, c := range comps {
+		live = append(live, c.Links...)
+	}
+	slices.Sort(live)
+	v := Verify(route.NewProbes(fb.ps, res.Selected, fb.numLinks), live, opt.Beta >= 2)
+	if res.Stats.CoverageMet != (v.MinCoverage >= opt.Alpha) {
+		t.Fatalf("stats say coverage met = %v, Verify min coverage %d (alpha %d)", res.Stats.CoverageMet, v.MinCoverage, opt.Alpha)
+	}
+	if res.Stats.CoverageMet && res.Stats.IdentMet && !v.Identifiable(opt.Beta) {
+		t.Fatalf("stats say the targets are met, Verify finds the matrix not %d-identifiable: %v", opt.Beta, v.Collisions)
+	}
+	return res.Selected
+}
+
+// TestRepairIsRestrictedCompletion proves repair exact on Fattree(4/6/8)
+// at (3,1) and (1,2) under seeded masks of one to four down links.
+func TestRepairIsRestrictedCompletion(t *testing.T) {
+	fabrics := make(map[int]repairFabric)
+	for _, k := range []int{4, 6, 8} {
+		fabrics[k] = newRepairFabric(k)
+		for _, ab := range [][2]int{{3, 1}, {1, 2}} {
+			opt := Options{Alpha: ab[0], Beta: ab[1]}
+			for n := 1; n <= 4; n++ {
+				down := seededDown(fabrics[k].links, n, int64(10*k+n))
+				t.Run(fmt.Sprintf("Fattree%d/a%db%d/down%v", k, ab[0], ab[1], down), func(t *testing.T) {
+					checkRepair(t, fabrics[k], down, opt)
+				})
+			}
+		}
+	}
+	// Here a restricted pass's first sweep ends on a push where the pass
+	// over every row would end on a parked row: without parkedTail the two
+	// pick different rows on a tied score.
+	down := seededDown(fabrics[6].links, 3, 46)
+	t.Run(fmt.Sprintf("Fattree6/a3b1/down%v/parked-tail", down), func(t *testing.T) {
+		checkRepair(t, fabrics[6], down, Options{Alpha: 3, Beta: 1})
+	})
+}
+
+// TestRepairPinned pins two repaired selections, recorded after Verify
+// passed on the live links: a change that moves them changes what a
+// churned controller serves.
+func TestRepairPinned(t *testing.T) {
+	for _, c := range []struct {
+		k, alpha, beta, n int
+		want              uint64
+	}{
+		{8, 3, 1, 1, 0x595c6830535547d4},
+		{6, 1, 2, 2, 0x2acb4764c6c1ed81},
+	} {
+		fb := newRepairFabric(c.k)
+		sel := checkRepair(t, fb, seededDown(fb.links, c.n, 1), Options{Alpha: c.alpha, Beta: c.beta})
+		if got := hashSelection(sel); got != c.want {
+			t.Errorf("Fattree(%d) (%d,%d) with %d down: repaired selection hash %#016x, pinned %#016x", c.k, c.alpha, c.beta, c.n, got, c.want)
+		}
+	}
+}
+
+// TestRepairFromKeptRowsAlone: where the kept paths already meet α and β,
+// repair offers the completion pass nothing and scores nothing.
+func TestRepairFromKeptRowsAlone(t *testing.T) {
+	fb := newRepairFabric(8)
+	opt := Options{Alpha: 3, Beta: 1}
+	memo := NewMemo(0)
+	if _, err := ConstructComponents(fb.ps, fb.csr, fb.csr.Pristine(fb.numLinks).Comps, fb.numLinks, opt, memo); err != nil {
+		t.Fatal(err)
+	}
+	alone, completed := 0, 0
+	for _, l := range fb.links {
+		comps := route.DecomposeMasked(fb.csr, fb.numLinks, []topo.LinkID{l})
+		res, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, memo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Repaired != 1 || res.Stats.Classes != 0 {
+			t.Fatalf("link %d down: %d repaired, %d classes solved; want 1 and 0 (the parent is in the memo)", l, res.Stats.Repaired, res.Stats.Classes)
+		}
+		if res.Stats.Candidates == 0 {
+			if res.Stats.ScoreEvals != 0 {
+				t.Fatalf("link %d down: no row offered, yet %d scores evaluated", l, res.Stats.ScoreEvals)
+			}
+			alone++
+		} else {
+			completed++
+		}
+	}
+	if alone == 0 || completed == 0 {
+		t.Fatalf("%d repairs from kept rows alone, %d completed; the test wants both", alone, completed)
+	}
+}
+
+// FuzzRepair: on seeded Fattree(4/6/8) down-masks, repair equals the
+// completion pass over every row of the masked component, with and without
+// a memo, within its bounds and under Verify.
+func FuzzRepair(f *testing.F) {
+	f.Add(uint8(0), uint8(0), int64(1), false)
+	f.Add(uint8(1), uint8(1), int64(7), true)
+	f.Add(uint8(2), uint8(3), int64(42), false)
+	f.Add(uint8(2), uint8(2), int64(3), true)
+	f.Add(uint8(1), uint8(2), int64(46), false) // the parked-tail case
+	var fabrics []repairFabric
+	for _, k := range []int{4, 6, 8} {
+		fabrics = append(fabrics, newRepairFabric(k))
+	}
+	f.Fuzz(func(t *testing.T, which, nDown uint8, seed int64, beta2 bool) {
+		fb := fabrics[int(which)%len(fabrics)]
+		opt := Options{Alpha: 3, Beta: 1}
+		if beta2 {
+			opt = Options{Alpha: 1, Beta: 2}
+		}
+		checkRepair(t, fb, seededDown(fb.links, 1+int(nDown)%4, seed), opt)
+	})
+}

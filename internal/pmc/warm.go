@@ -18,7 +18,9 @@ import (
 // Fattree, a component flapping down and back up, a component moving
 // between shards. A component whose content differs is solved from
 // scratch; nothing in its selection depends on what the engine solved
-// before.
+// before. Masked components never enter the memo: they are repaired from
+// their pristine parent's class (repair.go), so churn cannot evict the
+// pristine classes.
 //
 // A memo serves one (PathSet, CSR): it re-reads stored leaders' rows from
 // the matrix it is handed.

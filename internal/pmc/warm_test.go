@@ -118,9 +118,10 @@ func TestMemoEviction(t *testing.T) {
 }
 
 // TestMemoKeepsPristineThroughLongChurn flaps more links than the memo has
-// entries, one at a time: every down-flap solves and stores a masked class,
-// and every up-flap must still find the pristine class, which an
-// insertion-order memo evicts after 64 down-flaps.
+// entries, one at a time. Every down-flap is repaired from the pristine
+// class and stores nothing, and every up-flap finds the pristine class:
+// when masked components were solved and stored, an insertion-order memo
+// evicted it after 64 down-flaps.
 func TestMemoKeepsPristineThroughLongChurn(t *testing.T) {
 	f := topo.MustFattree(10)
 	ps := route.NewFattreePaths(f)
@@ -134,7 +135,7 @@ func TestMemoKeepsPristineThroughLongChurn(t *testing.T) {
 	if _, err := ConstructComponents(ps, csr, inc.Components(), f.NumLinks(), opt, memo); err != nil {
 		t.Fatal(err)
 	}
-	// Links of one component: each masks it into a class of its own.
+	// Links of one component: each masks it.
 	flaps := append([]topo.LinkID(nil), inc.Components()[0].Links...)
 	if len(flaps) <= 64 {
 		t.Fatalf("component 0 has %d links; the test needs more than the memo's 64 entries", len(flaps))
@@ -147,13 +148,15 @@ func TestMemoKeepsPristineThroughLongChurn(t *testing.T) {
 		}
 		return res
 	}
-	downSolves := 0
 	for i, l := range flaps {
 		diff, err := inc.Apply([]topo.LinkID{l}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		downSolves += construct(diff).Stats.Classes
+		if res := construct(diff); res.Stats.Classes != 0 || res.Stats.Repaired != len(diff.Added) {
+			t.Fatalf("down-flap %d (link %d): %d classes solved, %d of %d components repaired; want 0 and all",
+				i, l, res.Stats.Classes, res.Stats.Repaired, len(diff.Added))
+		}
 		if diff, err = inc.Apply(nil, []topo.LinkID{l}); err != nil {
 			t.Fatal(err)
 		}
@@ -161,59 +164,49 @@ func TestMemoKeepsPristineThroughLongChurn(t *testing.T) {
 			t.Fatalf("up-flap %d (link %d) solved %d classes, want a memo hit", i, l, res.Stats.Classes)
 		}
 	}
-	if downSolves <= 64 {
-		t.Fatalf("only %d down-flaps solved; the memo never filled", downSolves)
+	if st := memo.Stats(); st.Entries != 1 || st.Misses != 1 {
+		t.Fatalf("after %d flaps the memo holds %d entries from %d solves, want the one pristine class", len(flaps), st.Entries, st.Misses)
 	}
 }
 
-// TestMemoBoundsComponentsNotClasses: flapping one local link in each of
-// Fattree(8)'s components makes the masked components one class, so later
-// down-flaps join an entry instead of adding one. The memo's bound counts
+// TestMemoBoundsComponentsNotClasses: Fattree(8)'s four components are one
+// class, remembered as a leader and three members. The memo's bound counts
 // every component it remembers, members included, so retained content
-// stays bounded however the components group.
+// stays bounded however the components group: the classes of two option
+// sets (eight components) do not fit a bound of six, and the one used
+// longest ago goes.
 func TestMemoBoundsComponentsNotClasses(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
 	csr := route.MaterializeCSR(ps)
-	opt := Options{Alpha: 3, Beta: 1}
-	const limit = 12
+	comps := csr.Pristine(f.NumLinks()).Comps
+	const limit = 6
 	memo := NewMemo(limit)
-	inc, err := route.NewIncremental(csr, f.NumLinks(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := inc.Components()
-	construct := func(down, up []topo.LinkID) *Result {
+	construct := func(opt Options) *Result {
 		t.Helper()
-		diff, err := inc.Apply(down, up)
+		res, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, memo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ConstructComponents(ps, csr, diff.Added, f.NumLinks(), opt, memo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comps := 0
+		remembered := 0
 		for _, e := range memo.entries {
-			comps += 1 + len(e.members)
+			remembered += 1 + len(e.members)
 		}
-		if comps != memo.comps || comps > limit {
-			t.Fatalf("memo remembers %d components (counted %d), limit %d", comps, memo.comps, limit)
+		if remembered != memo.comps || remembered > limit {
+			t.Fatalf("memo remembers %d components (counted %d), limit %d", remembered, memo.comps, limit)
 		}
 		return res
 	}
-	construct(nil, nil)
-	classHits := 0
-	for li := 0; li < 8; li++ {
-		for _, c := range pristine {
-			l := []topo.LinkID{c.Links[li]}
-			if construct(l, nil).Stats.Classes == 0 {
-				classHits++
-			}
-			construct(nil, l)
-		}
+	a, b := Options{Alpha: 3, Beta: 1}, Options{Alpha: 2, Beta: 1}
+	construct(a)
+	construct(b)
+	if st := memo.Stats(); st.Entries != 1 {
+		t.Fatalf("memo holds %d classes, want only the newer one", st.Entries)
 	}
-	if classHits == 0 {
-		t.Fatal("no down-flap reused a twin's class; the test never grew an entry's members")
+	if res := construct(b); res.Stats.Classes != 0 {
+		t.Fatal("the newer class was evicted")
+	}
+	if res := construct(a); res.Stats.Classes != 1 {
+		t.Fatal("the older class outlived the bound")
 	}
 }

@@ -690,6 +690,32 @@ func (p *Partition) SplitAffected(links []int32, aff []int32) (split int, out []
 	return split, aff, true
 }
 
+// AppendUnrefined appends to links, each once, the constituent physical
+// links of every element that still shares its group, and returns the
+// extended slice: a path can refine the partition further only through one
+// of them. The result is empty exactly when Done, at every beta >= 1; at
+// beta == 0 identifiability is not tracked and nothing is appended.
+func (p *Partition) AppendUnrefined(links []int32) []int32 {
+	if p.beta == 0 {
+		return links
+	}
+	p.affEpoch++
+	remaining := p.l
+	for g, size := range p.groupSize {
+		if size < 2 {
+			continue
+		}
+		for e := p.memberHead[g]; e >= 0; e = p.memberNext[e] {
+			var n int
+			links, n = p.appendConstituents(e, links)
+			if remaining -= n; remaining == 0 {
+				return links
+			}
+		}
+	}
+	return links
+}
+
 // GroupOf returns the group id of physical link l (for tests).
 func (p *Partition) GroupOf(l int) int32 { return p.gid[l] }
 

@@ -599,3 +599,59 @@ func TestSplitMaintainsMembershipLists(t *testing.T) {
 		_ = aff
 	}
 }
+
+// TestAppendUnrefined: the links reported are exactly the constituents of
+// the elements still sharing a group, each once, at β = 1 and 2 — none once
+// the partition is Done, none at β = 0.
+func TestAppendUnrefined(t *testing.T) {
+	const l = 7
+	rng := rand.New(rand.NewSource(3))
+	if got := MustPartition(l, 0).AppendUnrefined(nil); len(got) != 0 {
+		t.Fatalf("beta=0 reported %v", got)
+	}
+	for _, beta := range []int{1, 2} {
+		p := MustPartition(l, beta)
+		for step := 0; step < 40; step++ {
+			// Brute force: group sizes over every element, then the
+			// constituents of each element in a group of two or more.
+			size := make(map[int32]int)
+			for i := 0; i < l; i++ {
+				size[p.GroupOf(i)]++
+				for j := i + 1; beta >= 2 && j < l; j++ {
+					size[p.PairGroup(i, j)]++
+				}
+			}
+			want := make([]bool, l)
+			for i := 0; i < l; i++ {
+				want[i] = want[i] || size[p.GroupOf(i)] > 1
+				for j := i + 1; beta >= 2 && j < l; j++ {
+					if size[p.PairGroup(i, j)] > 1 {
+						want[i], want[j] = true, true
+					}
+				}
+			}
+			got := make([]bool, l)
+			for _, li := range p.AppendUnrefined(nil) {
+				if got[li] {
+					t.Fatalf("beta=%d step %d: link %d reported twice", beta, step, li)
+				}
+				got[li] = true
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("beta=%d step %d: link %d reported %v, want %v", beta, step, i, got[i], want[i])
+				}
+			}
+			if p.Done() {
+				break
+			}
+			var path []int32
+			for i := 0; i < l; i++ {
+				if rng.Intn(3) == 0 {
+					path = append(path, int32(i))
+				}
+			}
+			p.Split(path)
+		}
+	}
+}

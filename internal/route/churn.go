@@ -103,17 +103,18 @@ func (d *Diff) Empty() bool {
 
 // Incremental maintains the masked decomposition of a pristine CSR under a
 // stream of link down/up events, recomputing only the components a change
-// actually touches. The inverted link→rows index is built once; each Apply
-// costs O(flipped rows + dirty component size), independent of fabric size.
+// actually touches. It walks the matrix's inverted index (csr.Index); each
+// Apply costs O(flipped rows + dirty component size), independent of fabric
+// size, and its union pass stops as soon as the dirty region is proven
+// connected.
 type Incremental struct {
 	csr      *CSR
 	numLinks int
+	index    *Index
 
-	down    []bool  // current down mask, by link
-	downCnt []int32 // per-row count of down links on the row
-
-	invOff  []int32 // link -> start into invRows
-	invRows []int32 // rows through each link, ascending within a link
+	down      []bool  // current down mask, by link
+	downCnt   []int32 // per-row count of down links on the row
+	activeCnt []int32 // per-link count of active rows through the link
 
 	kern   *kernel // standing scratch, identity/zero between calls
 	comps  []Component
@@ -122,33 +123,22 @@ type Incremental struct {
 
 // NewIncremental builds the differ over a pristine matrix with an initial
 // down set. Components() starts bit-identical to DecomposeMasked(csr,
-// numLinks, initialDown). An initial link outside [0, numLinks) is an error.
+// numLinks, initialDown); with nothing down that is the pristine
+// decomposition, and csr.Pristine answers from it. An initial link outside
+// [0, numLinks) is an error.
 func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Incremental, error) {
 	inc := &Incremental{
-		csr:      csr,
-		numLinks: numLinks,
-		down:     make([]bool, numLinks),
-		downCnt:  make([]int32, csr.Len()),
-		invOff:   make([]int32, numLinks+1),
-		kern:     newKernel(numLinks),
-		compOf:   make([]int32, numLinks),
+		csr:       csr,
+		numLinks:  numLinks,
+		down:      make([]bool, numLinks),
+		downCnt:   make([]int32, csr.Len()),
+		activeCnt: make([]int32, numLinks),
+		kern:      newKernel(numLinks),
+		compOf:    make([]int32, numLinks),
 	}
-	// Counting sort for the inverted index: size, prefix-sum, fill.
-	for _, l := range csr.Links {
-		inc.invOff[int(l)+1]++
-	}
-	for l := 0; l < numLinks; l++ {
-		inc.invOff[l+1] += inc.invOff[l]
-	}
-	inc.invRows = make([]int32, len(csr.Links))
-	fill := make([]int32, numLinks)
-	copy(fill, inc.invOff[:numLinks])
-	n := csr.Len()
-	for i := 0; i < n; i++ {
-		for _, l := range csr.Row(i) {
-			inc.invRows[fill[l]] = int32(i)
-			fill[l]++
-		}
+	inc.index = csr.Index(numLinks)
+	for l := range inc.activeCnt {
+		inc.activeCnt[l] = int32(len(inc.rowsThrough(int32(l))))
 	}
 	for _, l := range initialDown {
 		if !inc.has(l) {
@@ -159,11 +149,24 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Increme
 		}
 		inc.down[l] = true
 		for _, r := range inc.rowsThrough(int32(l)) {
+			if inc.downCnt[r] == 0 {
+				inc.countActive(r, -1)
+			}
 			inc.downCnt[r]++
 		}
 	}
 	inc.setComps(inc.kern.decompose(csr, nil, inc.downCnt))
+	if len(initialDown) == 0 {
+		csr.pristine.seed(newPristine(inc.comps))
+	}
 	return inc, nil
+}
+
+// countActive adds d to the active-row count of every link on row r.
+func (inc *Incremental) countActive(r int32, d int32) {
+	for _, l := range inc.csr.Row(int(r)) {
+		inc.activeCnt[l] += d
+	}
 }
 
 // has reports whether l is a link of the fabric. LinkID is signed and
@@ -184,7 +187,7 @@ func (inc *Incremental) setComps(comps []Component) {
 }
 
 func (inc *Incremental) rowsThrough(l int32) []int32 {
-	return inc.invRows[inc.invOff[l]:inc.invOff[l+1]]
+	return inc.index.RowsThrough(topo.LinkID(l))
 }
 
 // Components returns the current masked decomposition, ordered by smallest
@@ -299,6 +302,12 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	if len(diff.DeactivatedRows) == 0 && len(diff.ActivatedRows) == 0 {
 		return diff, nil
 	}
+	for _, r := range diff.DeactivatedRows {
+		inc.countActive(r, -1)
+	}
+	for _, r := range diff.ActivatedRows {
+		inc.countActive(r, 1)
+	}
 
 	// Dirty components: every component holding a link of a flipped row.
 	// Deactivated rows' links are necessarily in a component (the row was
@@ -336,7 +345,39 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 		slices.Sort(cand)
 	}
 	cand = mergeAscending(cand, diff.ActivatedRows)
-	if len(cand) > 0 {
+
+	// The candidates touch exactly the live links of the dirty region: the
+	// dirty components' links that still carry an active row, plus the links
+	// activated rows bring in from outside every component. Once the rows
+	// seen so far join those links into one, the rest cannot split it: the
+	// region is one component over all of them, holding every candidate.
+	// Only a region the churn really splits pays the full kernel.
+	var live []int32
+	for i := range diff.Removed {
+		for _, l := range diff.Removed[i].Links {
+			if inc.activeCnt[l] > 0 {
+				live = append(live, int32(l))
+			}
+		}
+	}
+	for _, r := range diff.ActivatedRows {
+		for _, l := range inc.csr.Row(int(r)) {
+			if inc.compOf[l] < 0 {
+				live = append(live, int32(l))
+			}
+		}
+	}
+	slices.Sort(live)
+	live = slices.Compact(live)
+	switch {
+	case len(cand) == 0:
+	case inc.kern.connects(inc.csr, cand, live):
+		links := make([]topo.LinkID, len(live))
+		for i, l := range live {
+			links[i] = topo.LinkID(l)
+		}
+		diff.Added = []Component{{Links: links, Paths: cand}}
+	default:
 		diff.Added = inc.kern.decompose(inc.csr, cand, nil)
 	}
 

@@ -13,13 +13,18 @@ import (
 // count byte (1-3 links) followed by one byte per link of a Fattree(4)
 // candidate matrix: a down link comes back up, an up link goes down, and an
 // up link whose byte has the high bit set is listed in both down and up — it
-// flaps within the step, beside the step's real transitions.
+// flaps within the step, beside the step's real transitions. The active-row
+// counts the rebuild's early exit reads are checked from scratch too.
 func FuzzIncrementalDecompose(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{3, 3})
 	f.Add([]byte{1, 2, 1, 2, 1})
 	f.Add([]byte{7, 11, 7, 0, 11, 5})
 	f.Add([]byte{2, 4, 9, 13, 2, 4, 0x80 | 9, 20, 1, 0x80 | 30})
+	// Splits: both core links of agg-0-0 (32, 33) cut pod 0's share of its
+	// component off; then pod 1's too (36, 37); then the links come back.
+	f.Add([]byte{1, 32, 33, 1, 36, 37, 1, 33, 36, 1, 32, 37})
+	f.Add([]byte{2, 32, 33, 0x80 | 5, 2, 32, 33, 36})
 
 	ft := topo.MustFattree(4)
 	csr := MaterializeCSR(NewFattreePaths(ft))
@@ -60,6 +65,7 @@ func FuzzIncrementalDecompose(f *testing.F) {
 					cur = append(cur, dl)
 				}
 			}
+			assertActiveCounts(t, inc, cur)
 			want := DecomposeMasked(csr, numLinks, cur)
 			got := inc.Components()
 			if len(got) == 0 && len(want) == 0 {

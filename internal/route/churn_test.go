@@ -3,6 +3,8 @@ package route
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -250,6 +252,7 @@ func churnDifferential(t *testing.T, csr *CSR, numLinks int, steps int, seed int
 				cur = append(cur, l)
 			}
 		}
+		assertActiveCounts(t, inc, cur)
 		want := DecomposeMasked(csr, numLinks, cur)
 		if !reflect.DeepEqual(inc.Components(), want) {
 			t.Fatalf("step %d (down=%v up=%v): incremental decomposition diverges from full recompute", step, down, up)
@@ -284,6 +287,25 @@ func assertKernelClean(t *testing.T, k *kernel) {
 	}
 	if len(k.links) != 0 {
 		t.Fatalf("kernel left %d seen links behind", len(k.links))
+	}
+}
+
+// assertActiveCounts checks the differ's per-link active-row counts against
+// a count from scratch: the rows through each link that cross no down link.
+func assertActiveCounts(t *testing.T, inc *Incremental, down []topo.LinkID) {
+	t.Helper()
+	want := make([]int32, inc.numLinks)
+	for i := 0; i < inc.csr.Len(); i++ {
+		row := inc.csr.Row(i)
+		if slices.ContainsFunc(row, func(l topo.LinkID) bool { return slices.Contains(down, l) }) {
+			continue
+		}
+		for _, l := range row {
+			want[l]++
+		}
+	}
+	if !slices.Equal(inc.activeCnt, want) {
+		t.Fatalf("active-row counts drifted from a count from scratch with %v down", down)
 	}
 }
 
@@ -389,6 +411,81 @@ func TestIncrementalKernelCases(t *testing.T) {
 			if got := len(inc.Components()); got != tc.wantLens[i] {
 				t.Fatalf("%s: step %d: %d components, want %d", tc.name, i, got, tc.wantLens[i])
 			}
+		}
+	}
+}
+
+// addedRegion is what Apply's local rebuild was handed: the rows and the
+// live links of the components it added, ascending.
+func addedRegion(d Diff) (rows, live []int32) {
+	for _, c := range d.Added {
+		rows = append(rows, c.Paths...)
+		for _, l := range c.Links {
+			live = append(live, int32(l))
+		}
+	}
+	slices.Sort(rows)
+	slices.Sort(live)
+	return rows, live
+}
+
+// TestIncrementalSplitFallsBack: a down link that really splits its
+// component leaves rows that never connect the region, so the rebuild runs
+// the full kernel, which finds the two halves.
+func TestIncrementalSplitFallsBack(t *testing.T) {
+	// A ring of links 0-1-2-3, one row per edge, each row with a handle
+	// link (10..13) of its own to take it down: one cut edge leaves a
+	// chain, a second one splits it.
+	csr := buildCSR([][]topo.LinkID{{0, 1, 10}, {1, 2, 11}, {2, 3, 12}, {3, 0, 13}})
+	inc := mustIncremental(t, csr, 14, nil)
+	for _, step := range []struct {
+		down  topo.LinkID
+		split bool
+	}{{10, false}, {12, true}} {
+		diff, err := inc.Apply([]topo.LinkID{step.down}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, live := addedRegion(diff)
+		if got := inc.kern.connects(csr, rows, live); got == step.split {
+			t.Fatalf("link %d down: the region's rows connect it = %v, want %v", step.down, got, !step.split)
+		}
+		assertKernelClean(t, inc.kern)
+		if want := DecomposeMasked(csr, 14, inc.Down()); !reflect.DeepEqual(inc.Components(), want) {
+			t.Fatalf("link %d down: differ %+v, oracle %+v", step.down, inc.Components(), want)
+		}
+	}
+	if got := len(inc.Components()); got != 2 {
+		t.Fatalf("%d components after the split, want 2", got)
+	}
+}
+
+// TestIncrementalFlapExitsEarly: on a Fattree(8) flap the dirty region is
+// still one component, and a short prefix of its rows already proves it —
+// the rebuild stops there instead of unioning every row.
+func TestIncrementalFlapExitsEarly(t *testing.T) {
+	f := topo.MustFattree(8)
+	csr := MaterializeCSR(NewFattreePaths(f))
+	inc := mustIncremental(t, csr, f.NumLinks(), nil)
+	for _, l := range f.SwitchLinks()[:16] {
+		for _, step := range [][2][]topo.LinkID{{{l}, nil}, {nil, {l}}} {
+			diff, err := inc.Apply(step[0], step[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(diff.Added) != 1 {
+				t.Fatalf("link %d: %d components added, want 1", l, len(diff.Added))
+			}
+			rows, live := addedRegion(diff)
+			// The shortest prefix that connects the region.
+			n := sort.Search(len(rows), func(i int) bool { return inc.kern.connects(csr, rows[:i+1], live) })
+			assertKernelClean(t, inc.kern)
+			if n == len(rows) || n > len(rows)/4 {
+				t.Fatalf("link %d: %d of %d rows connect the region; the early exit saves too little", l, n+1, len(rows))
+			}
+		}
+		if want := DecomposeCSR(csr, f.NumLinks()); !reflect.DeepEqual(inc.Components(), want) {
+			t.Fatalf("link %d flapped: differ diverges from the pristine decomposition", l)
 		}
 	}
 }

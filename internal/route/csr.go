@@ -3,6 +3,8 @@ package route
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -20,6 +22,129 @@ type CSR struct {
 	Offsets []int32
 	// Links is the concatenation of every path's link set.
 	Links []topo.LinkID
+
+	// Derived from the rows alone, so built at most once and shared by
+	// every holder of the matrix.
+	pristine derived[Pristine]
+	index    derived[Index]
+}
+
+// derived is a value computed from a CSR at most once, on first use,
+// unless a caller that already holds it seeds it first.
+type derived[T any] struct {
+	mu sync.Mutex
+	v  atomic.Pointer[T]
+}
+
+func (d *derived[T]) get(build func() *T) *T {
+	if v := d.v.Load(); v != nil {
+		return v
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if v := d.v.Load(); v != nil {
+		return v
+	}
+	v := build()
+	d.v.Store(v)
+	return v
+}
+
+func (d *derived[T]) seed(v *T) { d.v.CompareAndSwap(nil, v) }
+
+// Pristine is a matrix's decomposition with no link down, indexed by link.
+// A down link only removes rows, so every component of a masked
+// decomposition lies inside exactly one pristine component: its parent.
+type Pristine struct {
+	Comps  []Component
+	compOf []int32 // link -> index into Comps, -1 when in none
+}
+
+func newPristine(comps []Component) *Pristine {
+	n := 0
+	for i := range comps {
+		n = max(n, int(comps[i].Links[len(comps[i].Links)-1])+1)
+	}
+	p := &Pristine{Comps: comps, compOf: make([]int32, n)}
+	for i := range p.compOf {
+		p.compOf[i] = -1
+	}
+	for ci := range comps {
+		for _, l := range comps[ci].Links {
+			p.compOf[l] = int32(ci)
+		}
+	}
+	return p
+}
+
+// Parent returns the index of the pristine component holding every link of
+// c, or -1 when c's links span several pristine components or lie in none.
+func (p *Pristine) Parent(c *Component) int {
+	parent := int32(-1)
+	for i, l := range c.Links {
+		if l < 0 || int(l) >= len(p.compOf) {
+			return -1
+		}
+		if i == 0 {
+			parent = p.compOf[l]
+		}
+		if p.compOf[l] != parent {
+			return -1
+		}
+	}
+	return int(parent)
+}
+
+// Pristine returns the matrix's unmasked decomposition (DecomposeCSR),
+// computed once on first use unless an empty-down-set NewIncremental has
+// already seeded it. numLinks is the topology's link-ID space size.
+func (c *CSR) Pristine(numLinks int) *Pristine {
+	return c.pristine.get(func() *Pristine { return newPristine(DecomposeCSR(c, numLinks)) })
+}
+
+// Index is a matrix's inverted link→rows index.
+type Index struct {
+	off  []int32 // link -> start into rows; len = numLinks+1
+	rows []int32 // rows through each link, ascending within a link
+}
+
+// RowsThrough returns the rows through link l, ascending. The slice aliases
+// the index; callers must not modify it.
+func (x *Index) RowsThrough(l topo.LinkID) []int32 {
+	if l < 0 || int(l)+1 >= len(x.off) {
+		return nil
+	}
+	return x.rows[x.off[l]:x.off[l+1]]
+}
+
+// Index returns the matrix's inverted index, built once on first use (the
+// incremental differ builds it at boot). numLinks is the topology's
+// link-ID space size.
+func (c *CSR) Index(numLinks int) *Index {
+	return c.index.get(func() *Index { return newIndex(c, numLinks) })
+}
+
+// newIndex builds the inverted index by counting sort: size, prefix-sum,
+// fill.
+func newIndex(csr *CSR, numLinks int) *Index {
+	off := make([]int32, numLinks+1)
+	for _, l := range csr.Links {
+		off[int(l)+1]++
+	}
+	for l := 0; l < numLinks; l++ {
+		off[l+1] += off[l]
+	}
+	rows := make([]int32, len(csr.Links))
+	fill := make([]int32, numLinks)
+	copy(fill, off[:numLinks])
+	n := csr.Len()
+	for i := 0; i < n; i++ {
+		for _, l := range csr.Row(i) {
+			rows[fill[l]] = int32(i)
+			fill[l]++
+		}
+	}
+	return &Index{off: off, rows: rows}
 }
 
 // checkArenaSize panics when the arena would exceed int32 offset range.

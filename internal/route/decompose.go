@@ -187,6 +187,32 @@ func (k *kernel) decompose(csr *CSR, rows, downCnt []int32) []Component {
 	return comps
 }
 
+// connects reports whether rows join every link of live into one
+// component, unioning rows in order only until they do. live must hold
+// every link the rows touch, ascending and once each; the scratch is
+// identity again on return.
+func (k *kernel) connects(csr *CSR, rows, live []int32) bool {
+	uf := k.uf
+	need := len(live) - 1
+	for i := 0; i < len(rows) && need > 0; i++ {
+		row := csr.Row(int(rows[i]))
+		if len(row) == 0 {
+			continue
+		}
+		root := uf.find(int32(row[0]))
+		for _, l := range row[1:] {
+			if r := uf.find(int32(l)); r != root {
+				root = uf.union(root, r)
+				need--
+			}
+		}
+	}
+	for _, l := range live {
+		uf.parent[l], uf.rank[l] = l, 0
+	}
+	return need <= 0
+}
+
 // SingleComponent wraps the whole matrix as one component (the
 // no-decomposition baseline for Table 2's strawman column).
 func SingleComponent(ps PathSet, numLinks int) Component {

@@ -13,11 +13,11 @@ import (
 
 // benchChurnSingleLink measures the incremental recompute path: one full
 // construction up front, then per iteration a single-link down-churn, the
-// dirty-only reconstruction (the measured cycle), and a restore. A
-// different link of one component churns each iteration so the dirty
-// component is solved cold — the engine memo's flap-back shortcut, and its
-// class reuse of the same local link masked in a sibling component, are
-// deliberately kept out of the measured number. Four metrics come out:
+// dirty-only reconstruction (the measured cycle), and a restore. The
+// measured cycle repairs the dirty component from its pristine class
+// selection, which the memo holds from the full cycle; a different link
+// of one component churns each iteration, so no iteration repeats an
+// earlier one's mask. Four metrics come out:
 //
 //   - full-critical-path-ms: the cold full cycle's critical path;
 //   - churn-apply-ms: the topology diff that precedes the cycle, mean of
@@ -80,8 +80,9 @@ func benchChurnSingleLink(b *testing.B, k, shards int) {
 }
 
 // BenchmarkChurnSingleLinkFattree16 is the CI churn smoke: single-link
-// churn against a full recompute on Fattree(16) (8 components, so the
-// ratio lands near 1/8 minus the masked rows' savings).
+// churn against a full recompute on Fattree(16). A re-solve of the one
+// dirty component of 8 put the ratio near 1/8, and once the full cycle
+// solved one class instead of 8, near 1/3; a repair puts it under 1/10.
 func BenchmarkChurnSingleLinkFattree16(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { benchChurnSingleLink(b, 16, n) })

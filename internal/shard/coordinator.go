@@ -76,8 +76,12 @@ type Options struct {
 	// (ApplyChurn) since the last cycle. Clean components' prior
 	// selections are reused verbatim, so the merge stays bit-identical to
 	// a full recompute while dispatch cost and wire bytes scale with the
-	// dirty set. Off by default: benchmarks and tests that measure full
-	// cycles rely on every Construct doing the full work.
+	// dirty set. A dirty component then costs its shard a repair — its
+	// pristine parent's selection from the memo, the paths it still has,
+	// and a completion pass over only the rows through a deficient link,
+	// never a class solve — or, coming back up, a memo hit. Off by
+	// default: benchmarks and tests that measure full cycles rely on every
+	// Construct doing the full work.
 	ReuseSelections bool
 	// Partition selects how BuildPlane derives diagnosis-side ownership:
 	// PartitionExact (default — bit-identical merge, but server-level
@@ -438,9 +442,11 @@ func (c *Coordinator) reassignLocked(alive []int) int {
 
 // ApplyChurn transitions links down/up in the masked candidate matrix and
 // invalidates exactly the components the change touches. The next Construct
-// recomputes only those (under Options.ReuseSelections; without it the next
-// cycle is a full recompute over the new decomposition either way — still
-// bit-identical, just not incremental). Returns the component diff.
+// dispatches only those (under Options.ReuseSelections; without it the next
+// cycle constructs every component of the new decomposition — still
+// bit-identical, just not incremental), and a shard repairs each masked
+// one from its pristine class selection (see pmc.ConstructComponents).
+// Returns the component diff.
 //
 // ApplyChurn must not race a Construct in flight: the coordinator detects
 // the overlap and the Construct returns an error asking to be re-run. The
@@ -675,6 +681,7 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 			}
 			merged.Stats.Components += r.Stats.Components
 			merged.Stats.Classes += r.Stats.Classes
+			merged.Stats.Repaired += r.Stats.Repaired
 			merged.Stats.Candidates += r.Stats.Candidates
 			merged.Stats.ScoreEvals += r.Stats.ScoreEvals
 			merged.Stats.Reseeds += r.Stats.Reseeds

@@ -62,10 +62,11 @@ type Shard struct {
 	csr      *route.CSR
 	numLinks int
 	sig      uint64
-	// memo is the engine-local PMC selection cache: components whose
-	// exact content was constructed before (topology flap-back, component
-	// reassignment) reuse the cached selection verbatim. Selections are
-	// deterministic per content, so the memo never changes an answer.
+	// memo is the engine-local PMC class memo: a component of a class
+	// solved before (a sibling Fattree pod, a flap coming back up, a
+	// reassigned component) reuses the class's rows, and a masked
+	// component is repaired from its pristine parent's. Selections are a
+	// function of content and options, so the memo never changes an answer.
 	memo *pmc.Memo
 
 	mu     sync.Mutex
