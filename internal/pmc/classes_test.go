@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -195,9 +196,7 @@ func TestOrbitReplayRejectsFalseTwins(t *testing.T) {
 	}
 	opt := Options{Alpha: 1, Beta: 1}
 	localOf := []int32{0, 1, 2, 0, 1, 2}
-	da, _ := digest(csr, &comps[0], localOf, ps)
-	db, _ := digest(csr, &comps[1], localOf, ps)
-	if da != db {
+	if digest(csr, &comps[0], localOf, ps) != digest(csr, &comps[1], localOf, ps) {
 		t.Fatal("the twins must digest alike for the test to reach the replay")
 	}
 	st := checkClassReuse(t, ps, csr, comps, numLinks, opt)
@@ -216,15 +215,64 @@ func TestOrbitReplayRejectsFalseTwins(t *testing.T) {
 	}
 }
 
-// FuzzClassReuse: on seeded Fattree(6/8) down-masks, construction with
+// shapeRows is three components of one shape — 3 links, 4 paths — in two
+// classes: A over links 0..2 and 6..8, and B over links 3..5 between them,
+// whose rows read differently.
+var shapeRows = [][]topo.LinkID{
+	{0, 1}, {1, 2}, {0, 2}, {0, 1, 2},
+	{3}, {3, 4}, {4, 5}, {3, 5},
+	{6, 7}, {7, 8}, {6, 8}, {6, 7, 8},
+}
+
+// TestShapeGroupSplitsClasses: the shape group's head solves A, B fails its
+// one exact pass against A's entry and heads the next round, and the second
+// A reuses the head's rows — two solves, and the selection of solving each
+// component alone, with a memo and without.
+func TestShapeGroupSplitsClasses(t *testing.T) {
+	ps := route.NewSlicePathSet(shapeRows, nil)
+	csr := route.MaterializeCSR(ps)
+	const numLinks = 9
+	comps := route.DecomposeCSR(csr, numLinks)
+	if len(comps) != 3 {
+		t.Fatalf("want 3 components, got %d", len(comps))
+	}
+	opt := Options{Alpha: 1, Beta: 1}
+	want := perComponentOracle(t, ps, csr, comps, numLinks, opt)
+	local := func(c route.Component) (rows []int) {
+		for r, p := range c.Paths {
+			if _, ok := slices.BinarySearch(want, int(p)); ok {
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+	if slices.Equal(local(comps[0]), local(comps[1])) {
+		t.Fatal("A and B select the same rows; the test cannot tell a wrong reuse from a right one")
+	}
+	if st := checkClassReuse(t, ps, csr, comps, numLinks, opt); st.Classes != 2 {
+		t.Fatalf("three components of two classes solved as %d classes through a memo, want 2", st.Classes)
+	}
+	res, err := ConstructComponents(ps, csr, comps, numLinks, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Selected, want) || res.Stats.Classes != 2 {
+		t.Fatalf("without a memo: %d classes, selection equal to the per-component one: %v; want 2, true",
+			res.Stats.Classes, reflect.DeepEqual(res.Selected, want))
+	}
+}
+
+// FuzzClassReuse: on seeded Fattree(6/8) down-masks, and on the
+// same-shape/different-content matrix of shapeRows, construction with
 // class reuse selects exactly what solving each component alone does.
 func FuzzClassReuse(f *testing.F) {
 	f.Add(uint8(0), uint8(1), int64(1))
 	f.Add(uint8(1), uint8(2), int64(7))
 	f.Add(uint8(0), uint8(4), int64(42))
 	f.Add(uint8(1), uint8(0), int64(3))
+	f.Add(uint8(2), uint8(0), int64(1))
 	type fabric struct {
-		ps       *route.FattreePaths
+		ps       route.PathSet
 		csr      *route.CSR
 		numLinks int
 		links    []topo.LinkID
@@ -235,6 +283,8 @@ func FuzzClassReuse(f *testing.F) {
 		ps := route.NewFattreePaths(ft)
 		fabrics = append(fabrics, fabric{ps, route.MaterializeCSR(ps), ft.NumLinks(), ft.SwitchLinks()})
 	}
+	shapes := route.NewSlicePathSet(shapeRows, nil)
+	fabrics = append(fabrics, fabric{shapes, route.MaterializeCSR(shapes), 9, []topo.LinkID{0, 1, 2, 3, 4, 5, 6, 7, 8}})
 	f.Fuzz(func(t *testing.T, which, nDown uint8, seed int64) {
 		fb := fabrics[int(which)%len(fabrics)]
 		rng := rand.New(rand.NewSource(seed))

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/topo"
 )
 
 // bitset is a fixed-size bit vector over candidate rows.
@@ -66,10 +67,10 @@ func rowOf(paths []int32, path int32) int32 {
 // component-local terms: the arena (row lengths and local links, in row
 // order) and which rows are orbit representatives. Two components of one
 // class digest alike wherever they sit in the fabric; the orbit images are
-// left to memoEntry.matches, which checks only the queries a solve made.
-// A path with a link outside the component means the caller's partition
-// does not match the matrix; it is reported, not trusted.
-func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) (uint64, error) {
+// left to memoEntry.matches, which checks only the queries a solve made. It
+// keys the memo only: a component whose paths leave it digests to some
+// value, and the exact check or the arena build that follows refuses it.
+func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) uint64 {
 	var h route.Hash
 	h.Word(uint64(len(comp.Links)))
 	h.Word(uint64(len(comp.Paths)))
@@ -83,23 +84,25 @@ func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Sy
 			w |= 1
 		}
 		for _, gl := range row {
-			li := localOf[gl]
-			// localOf is shared by every component of the request: an
-			// index that is not this component's is another one's.
-			if li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
-				return 0, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
-			}
-			w = w*0x9e3779b97f4a7c15 + uint64(li)
+			w = w*0x9e3779b97f4a7c15 + uint64(localOf[gl])
 		}
 		h.Word(w)
 	}
-	return h.Sum64(), nil
+	return h.Sum64()
+}
+
+// owns reports whether global link gl is comp's own, at local index li.
+// localOf is shared by every component of a request: an index that is not
+// this component's is another one's.
+func owns(comp *route.Component, li int32, gl topo.LinkID) bool {
+	return li >= 0 && int(li) < len(comp.Links) && comp.Links[li] == gl
 }
 
 // buildArena translates the component's slice of the materialized matrix
-// into local link indices. digest has already checked that every link is
-// the component's own.
-func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena {
+// into local link indices. A path with a link outside the component means
+// the caller's partition does not match the matrix; it is reported, not
+// trusted.
+func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compArena, error) {
 	n := len(comp.Paths)
 	total := 0
 	for _, pid := range comp.Paths {
@@ -115,13 +118,16 @@ func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) *compAre
 	for r, pid := range comp.Paths {
 		for _, gl := range csr.Row(int(pid)) {
 			li := localOf[gl]
+			if !owns(comp, li, gl) {
+				return nil, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
+			}
 			a.links[pos] = li
 			a.linkRows[li]++
 			pos++
 		}
 		a.offsets[r+1] = pos
 	}
-	return a
+	return a, nil
 }
 
 // index rebuilds the inverted index over rows (ascending) with a counting

@@ -266,7 +266,7 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 				results[ci] = solved[slot[ci]]
 				return nil
 			}
-			cr, err := repair(csr, numLinks, &comps[ci], solved[slot[ci]].selected, localOf, opt)
+			cr, err := repair(csr, pristine, &comps[ci], solved[slot[ci]].selected, localOf, opt)
 			results[ci] = cr
 			return err
 		})
@@ -354,90 +354,97 @@ func setLocal(localOf []int32, comps []route.Component, which []bool) {
 	}
 }
 
-// solveClasses answers every component by class: from the memo, from a
-// class leader solved in this call, or by solving it. comps must not share
-// links; localOf (numLinks long) is left translating their links.
+// solveClasses answers every component by class: from the memo, from the
+// head of its shape group in this call, or by solving it. comps must not
+// share links; localOf (numLinks long) is left translating their links.
+//
+// Every member of a class has its link and path counts, so components are
+// grouped by that shape. A group's head is answered by answerHead; every
+// other member takes one exact pass against the head's entry
+// (memoEntry.matches) and reuses its rows. Members that fail it form the
+// next round's groups, so several classes of one shape still share solves.
 func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, memo *Memo, workers int) ([]*componentResult, error) {
 	// Every link belongs to at most one component, so one shared
 	// global→local translation array serves all workers read-only.
 	setLocal(localOf, comps, nil)
-
-	// Answer the components the memo has solved, as themselves or as a
-	// class; digest (and so validate against the matrix) all others.
 	key := optKeyOf(opt)
 	results := make([]*componentResult, len(comps))
-	digests := make([]uint64, len(comps))
-	err := parallel(len(comps), workers, func(ci int) error {
-		comp := &comps[ci]
-		if memo != nil {
-			if e := memo.holding(key, comp); e != nil {
-				results[ci] = e.reuse(comp)
-				return nil
+	pending := ascending(len(comps))
+	for len(pending) > 0 {
+		type shape struct{ links, paths int }
+		groupOf := make(map[shape]int)
+		var groups [][]int32 // head first, then members, in pending order
+		for _, ci := range pending {
+			s := shape{len(comps[ci].Links), len(comps[ci].Paths)}
+			g, ok := groupOf[s]
+			if !ok {
+				g = len(groups)
+				groupOf[s] = g
+				groups = append(groups, nil)
 			}
+			groups[g] = append(groups[g], ci)
 		}
-		d, err := digest(csr, comp, localOf, sym)
-		if err != nil {
+		entries := make([]*memoEntry, len(groups))
+		err := parallel(len(groups), workers, func(g int) error {
+			ci := groups[g][0]
+			cr, e, err := answerHead(sym, csr, &comps[ci], localOf, opt, key, memo)
+			results[ci], entries[g] = cr, e
 			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		digests[ci] = d
-		if memo != nil {
-			for _, e := range memo.candidates(key, d) {
-				if e.matches(csr, sym, comp, localOf) {
-					memo.join(e, comp)
-					results[ci] = e.reuse(comp)
-					break
-				}
+		var members, headOf []int32
+		for g, grp := range groups {
+			for _, ci := range grp[1:] {
+				members = append(members, ci)
+				headOf = append(headOf, int32(g))
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Group the rest by class: the first member of each solves, the others
-	// replay its orbit log and take its rows, or solve themselves when the
-	// replay disagrees.
-	leaderOf := make(map[uint64]int)
-	var leaders, followers []int
-	for ci := range comps {
-		if results[ci] != nil {
-			continue
-		}
-		if _, ok := leaderOf[digests[ci]]; ok {
-			followers = append(followers, ci)
-			continue
-		}
-		leaderOf[digests[ci]] = ci
-		leaders = append(leaders, ci)
-	}
-	entries := make([]*memoEntry, len(comps))
-	solve := func(ci int) {
-		cr, e := solveComponent(sym, csr, &comps[ci], localOf, opt, key, digests[ci])
-		results[ci], entries[ci] = cr, e
-		if memo != nil {
-			memo.store(e)
-		}
-	}
-	parallel(len(leaders), workers, func(i int) error {
-		solve(leaders[i])
-		return nil
-	})
-	parallel(len(followers), workers, func(i int) error {
-		ci := followers[i]
-		comp := &comps[ci]
-		e := entries[leaderOf[digests[ci]]]
-		if !e.matches(csr, sym, comp, localOf) {
-			solve(ci)
+		parallel(len(members), workers, func(i int) error {
+			comp, e := &comps[members[i]], entries[headOf[i]]
+			if e.matches(csr, sym, comp, localOf) {
+				if memo != nil {
+					memo.join(e, comp)
+				}
+				results[members[i]] = e.reuse(comp)
+			}
 			return nil
+		})
+		pending = pending[:0]
+		for _, ci := range members {
+			if results[ci] == nil {
+				pending = append(pending, ci)
+			}
 		}
-		if memo != nil {
-			memo.join(e, comp)
-		}
-		results[ci] = e.reuse(comp)
-		return nil
-	})
+	}
 	return results, nil
+}
+
+// answerHead answers a group head and returns the entry the group's other
+// members are checked against. With a memo it is an exact hit, a remembered
+// class it matches by digest and the exact check, or a solve the memo then
+// remembers. With none it is solved, and no digest is taken: there is no
+// memo to key.
+func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, memo *Memo) (*componentResult, *memoEntry, error) {
+	if memo == nil {
+		return solveComponent(sym, csr, comp, localOf, opt, key, 0)
+	}
+	if e := memo.holding(key, comp); e != nil {
+		return e.reuse(comp), e, nil
+	}
+	d := digest(csr, comp, localOf, sym)
+	for _, e := range memo.candidates(key, d) {
+		if e.matches(csr, sym, comp, localOf) {
+			memo.join(e, comp)
+			return e.reuse(comp), e, nil
+		}
+	}
+	cr, e, err := solveComponent(sym, csr, comp, localOf, opt, key, d)
+	if err == nil {
+		memo.store(e)
+	}
+	return cr, e, err
 }
 
 // parallel runs f(0..n-1) on at most workers goroutines and returns the
@@ -732,8 +739,12 @@ func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds i
 
 // solveComponent runs both passes on one component and returns its result
 // together with the memo entry that lets the component's class reuse it.
-func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, digest uint64) (*componentResult, *memoEntry) {
-	cs := newComponentState(buildArena(csr, comp, localOf), len(comp.Links), opt)
+func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, digest uint64) (*componentResult, *memoEntry, error) {
+	ar, err := buildArena(csr, comp, localOf)
+	if err != nil {
+		return nil, nil, err
+	}
+	cs := newComponentState(ar, len(comp.Links), opt)
 	cr := &componentResult{solved: true}
 
 	if sym != nil {
@@ -762,7 +773,7 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 	}
 	e := newMemoEntry(key, digest, comp, rows, cs.orbitLog, cr.coverageMet, cr.identMet)
 	cr.selected = e.pathsOf(comp)
-	return cr, e
+	return cr, e, nil
 }
 
 // strawmanGreedy rescans the remaining candidates each iteration — the

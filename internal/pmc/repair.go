@@ -1,10 +1,6 @@
 package pmc
 
-import (
-	"fmt"
-
-	"github.com/detector-net/detector/internal/route"
-)
+import "github.com/detector-net/detector/internal/route"
 
 // repair answers a masked component M — one a down-link mask cut out of a
 // pristine component P — from P's selection: the selected paths M still
@@ -28,18 +24,10 @@ import (
 //     first sweep ends on a push — is replayed through parkedTail.
 //   - Over-dirtying only rescores a row to its cached value.
 //
-// parentSel is P's selection, ascending path indices; localOf must
-// translate M's links. A path of M that leaves it is an error.
-func repair(csr *route.CSR, numLinks int, comp *route.Component, parentSel []int, localOf []int32, opt Options) (*componentResult, error) {
-	inComp := func(pid int32) error {
-		for _, gl := range csr.Row(int(pid)) {
-			if li := localOf[gl]; li < 0 || int(li) >= len(comp.Links) || comp.Links[li] != gl {
-				return fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
-			}
-		}
-		return nil
-	}
-
+// parentSel is P's selection, ascending path indices; pristine holds P;
+// localOf must translate M's links. A path of M the pass reads that leaves
+// M is an error.
+func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, parentSel []int, localOf []int32, opt Options) (*componentResult, error) {
 	// Kept: the parent's selected paths that M still has, as M's rows.
 	var kept []int32
 	r := 0
@@ -48,17 +36,17 @@ func repair(csr *route.CSR, numLinks int, comp *route.Component, parentSel []int
 			r++
 		}
 		if r < len(comp.Paths) && int(comp.Paths[r]) == pid {
-			if err := inComp(comp.Paths[r]); err != nil {
-				return nil, err
-			}
 			kept = append(kept, int32(r))
 		}
 	}
-	cs := repairState(csr, comp, kept, ascending(len(kept)), localOf, opt)
+	cs, err := repairState(csr, comp, kept, ascending(len(kept)), localOf, opt)
+	if err != nil {
+		return nil, err
+	}
 	cr := &componentResult{}
 	if !cs.done() {
-		// The rows through a deficient link, from the matrix's inverted
-		// index: those that are M's join the kept ones.
+		// The rows through a deficient link, from P's inverted index: those
+		// that are M's join the kept ones.
 		deficient := make([]bool, len(comp.Links))
 		for li, w := range cs.w {
 			deficient[li] = int(w) < opt.Alpha
@@ -66,11 +54,10 @@ func repair(csr *route.CSR, numLinks int, comp *route.Component, parentSel []int
 		for _, li := range cs.part.AppendUnrefined(nil) {
 			deficient[li] = true
 		}
-		index := csr.Index(numLinks)
 		through := newBitset(csr.Len())
 		for li, d := range deficient {
 			if d {
-				for _, pid := range index.RowsThrough(comp.Links[li]) {
+				for _, pid := range pristine.RowsThrough(comp.Links[li]) {
 					through.set(pid)
 				}
 			}
@@ -84,16 +71,15 @@ func repair(csr *route.CSR, numLinks int, comp *route.Component, parentSel []int
 				k++
 				subKept = append(subKept, int32(len(sub)))
 			case through.get(pid):
-				if err := inComp(pid); err != nil {
-					return nil, err
-				}
 			default:
 				tail = pid
 				continue
 			}
 			sub = append(sub, int32(r))
 		}
-		cs = repairState(csr, comp, sub, subKept, localOf, opt)
+		if cs, err = repairState(csr, comp, sub, subKept, localOf, opt); err != nil {
+			return nil, err
+		}
 		cs.parkedTail = tail
 		cr.candidates = len(sub)
 		cr.reseeds = cs.pass(nil, ascending(len(sub)))
@@ -121,15 +107,19 @@ func ascending(n int) []int32 {
 
 // repairState starts the greedy on an arena over the given rows of comp
 // (ascending) and selects sel, rows of that arena, in order.
-func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, localOf []int32, opt Options) *componentState {
+func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, localOf []int32, opt Options) (*componentState, error) {
 	paths := make([]int32, len(rows))
 	for i, r := range rows {
 		paths[i] = comp.Paths[r]
 	}
-	cs := newComponentState(buildArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf), len(comp.Links), opt)
+	ar, err := buildArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf)
+	if err != nil {
+		return nil, err
+	}
+	cs := newComponentState(ar, len(comp.Links), opt)
 	cs.beginStep()
 	for _, r := range sel {
 		cs.sel(r)
 	}
-	return cs
+	return cs, nil
 }

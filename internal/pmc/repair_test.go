@@ -41,7 +41,11 @@ func seededDown(links []topo.LinkID, n int, seed int64) []topo.LinkID {
 // returns the selection, how many paths were kept, and how many the
 // completion pass added.
 func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf []int32, opt Options) (sel []int, kept, added int) {
-	cs := newComponentState(buildArena(csr, comp, localOf), len(comp.Links), opt)
+	ar, err := buildArena(csr, comp, localOf)
+	if err != nil {
+		panic(err)
+	}
+	cs := newComponentState(ar, len(comp.Links), opt)
 	cs.beginStep()
 	j := 0
 	for r, pid := range comp.Paths {
@@ -114,7 +118,7 @@ func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options)
 		}
 		setLocal(localOf, comps[ci:ci+1], nil)
 		want, kept, added := completeAll(fb.csr, comp, parent.Selected, localOf, opt)
-		got, err := repair(fb.csr, fb.numLinks, comp, parent.Selected, localOf, opt)
+		got, err := repair(fb.csr, pristine, comp, parent.Selected, localOf, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

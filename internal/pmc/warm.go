@@ -60,8 +60,8 @@ type memoEntry struct {
 
 	// members are the other components matches has admitted to the class,
 	// so that they, like the leader, are found again by content alone: on
-	// Fattree(16) that is ~0.06 ms against ~4 ms for digest and replay,
-	// and every up-flap of a churned component is such a return.
+	// Fattree(16) that is ~0.06 ms against ~2–4 ms for the exact check, and
+	// every up-flap of a churned component is such a return.
 	// Guarded by Memo.mu, as is bytes.
 	members []route.Component
 	bytes   int64
@@ -83,14 +83,17 @@ func newMemoEntry(key memoOptKey, digest uint64, comp *route.Component, rows, or
 }
 
 // matches reports whether comp's greedy would run the leader's step for
-// step. The digest got comp here; this is the exact check. Rows must cross
-// the same local links: the leader's link at comp's local index of each
-// link must be the leader's own link (both Links are sorted, so local
-// indices agree exactly when that holds). Representative rows must agree.
-// Then the leader's orbit log is replayed on comp: by induction over the
-// greedy's steps, equal answers to every query the leader asked mean comp
-// asks the same next query, so no query outside the log can be reached.
-// localOf must translate comp's links (digest checked that it does).
+// step, in one pass over comp's rows and the leader's orbit log; it is the
+// exact check that admits a component to a class. Rows must cross the same
+// local links: every link of a row must be comp's own (false otherwise —
+// comp's partition does not match the matrix, which the solve it falls back
+// to reports), and the leader's link at its local index must be the
+// leader's own link (both Links are sorted, so local indices agree exactly
+// when that holds). Representative rows must agree. Then the leader's orbit
+// log is replayed on comp: by induction over the greedy's steps, equal
+// answers to every query the leader asked mean comp asks the same next
+// query, so no query outside the log can be reached. localOf must map comp's
+// links to their local indices.
 func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32) bool {
 	if len(e.links) != len(comp.Links) || len(e.paths) != len(comp.Paths) {
 		return false
@@ -102,7 +105,8 @@ func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Com
 			return false
 		}
 		for j, gl := range row {
-			if e.links[localOf[gl]] != lrow[j] {
+			li := localOf[gl]
+			if !owns(comp, li, gl) || e.links[li] != lrow[j] {
 				return false
 			}
 		}

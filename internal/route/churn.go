@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -92,6 +93,10 @@ type Diff struct {
 	// active state flipped, ascending.
 	DeactivatedRows []int32
 	ActivatedRows   []int32
+	// IndexTime is what the step spent readying the pristine components it
+	// was the first to touch (Incremental.touch), inside its own time; zero
+	// when it touched none for the first time.
+	IndexTime time.Duration
 }
 
 // Empty reports whether the churn step changed nothing (e.g. a link with no
@@ -103,18 +108,21 @@ func (d *Diff) Empty() bool {
 
 // Incremental maintains the masked decomposition of a pristine CSR under a
 // stream of link down/up events, recomputing only the components a change
-// actually touches. It walks the matrix's inverted index (csr.Index); each
-// Apply costs O(flipped rows + dirty component size), independent of fabric
-// size, and its union pass stops as soon as the dirty region is proven
-// connected.
+// actually touches. It walks the pristine decomposition's per-component
+// inverted index (Pristine.RowsThrough); each Apply costs O(flipped rows +
+// dirty component size), independent of fabric size, and its union pass
+// stops as soon as the dirty region is proven connected. A pristine
+// component's index and active-row counts are built on the first step that
+// touches it (Diff.IndexTime).
 type Incremental struct {
 	csr      *CSR
 	numLinks int
-	index    *Index
+	pristine *Pristine
 
 	down      []bool  // current down mask, by link
 	downCnt   []int32 // per-row count of down links on the row
-	activeCnt []int32 // per-link count of active rows through the link
+	activeCnt []int32 // per-link count of active rows; kept for the links of counted components
+	counted   []bool  // per pristine component: activeCnt holds its links
 
 	kern   *kernel // standing scratch, identity/zero between calls
 	comps  []Component
@@ -122,44 +130,59 @@ type Incremental struct {
 }
 
 // NewIncremental builds the differ over a pristine matrix with an initial
-// down set. Components() starts bit-identical to DecomposeMasked(csr,
-// numLinks, initialDown); with nothing down that is the pristine
-// decomposition, and csr.Pristine answers from it. An initial link outside
-// [0, numLinks) is an error.
+// down set: the pristine decomposition (csr.Pristine), then one Apply of
+// the set's distinct links. Components() starts bit-identical to
+// DecomposeMasked(csr, numLinks, initialDown); with nothing down that is the
+// pristine decomposition itself, and no index is built. An initial link
+// outside [0, numLinks) is an error.
 func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Incremental, error) {
+	for _, l := range initialDown {
+		if l < 0 || int(l) >= numLinks {
+			return nil, fmt.Errorf("route: initial down link %d out of range (numLinks=%d)", l, numLinks)
+		}
+	}
+	p := csr.Pristine(numLinks)
 	inc := &Incremental{
 		csr:       csr,
 		numLinks:  numLinks,
+		pristine:  p,
 		down:      make([]bool, numLinks),
 		downCnt:   make([]int32, csr.Len()),
 		activeCnt: make([]int32, numLinks),
+		counted:   make([]bool, len(p.Comps)),
 		kern:      newKernel(numLinks),
 		compOf:    make([]int32, numLinks),
 	}
-	inc.index = csr.Index(numLinks)
-	for l := range inc.activeCnt {
-		inc.activeCnt[l] = int32(len(inc.rowsThrough(int32(l))))
-	}
-	for _, l := range initialDown {
-		if !inc.has(l) {
-			return nil, fmt.Errorf("route: initial down link %d out of range (numLinks=%d)", l, numLinks)
+	inc.setComps(p.Comps)
+	if len(initialDown) > 0 {
+		down := slices.Clone(initialDown)
+		slices.Sort(down)
+		if _, err := inc.Apply(slices.Compact(down), nil); err != nil {
+			return nil, err
 		}
-		if inc.down[l] {
-			continue
-		}
-		inc.down[l] = true
-		for _, r := range inc.rowsThrough(int32(l)) {
-			if inc.downCnt[r] == 0 {
-				inc.countActive(r, -1)
-			}
-			inc.downCnt[r]++
-		}
-	}
-	inc.setComps(inc.kern.decompose(csr, nil, inc.downCnt))
-	if len(initialDown) == 0 {
-		csr.pristine.seed(newPristine(inc.comps))
 	}
 	return inc, nil
+}
+
+// touch readies the pristine component of each link for its first step:
+// its index, and its links' active-row counts. No row of it can be down
+// yet — a down link would have touched it — so every row through a link is
+// active. It returns the time spent.
+func (inc *Incremental) touch(links []topo.LinkID) time.Duration {
+	var spent time.Duration
+	for _, l := range links {
+		ci := inc.pristine.comp(l)
+		if ci < 0 || inc.counted[ci] {
+			continue
+		}
+		t0 := time.Now()
+		for _, cl := range inc.pristine.Comps[ci].Links {
+			inc.activeCnt[cl] = int32(len(inc.pristine.RowsThrough(cl)))
+		}
+		inc.counted[ci] = true
+		spent += time.Since(t0)
+	}
+	return spent
 }
 
 // countActive adds d to the active-row count of every link on row r.
@@ -184,10 +207,6 @@ func (inc *Incremental) setComps(comps []Component) {
 			inc.compOf[l] = int32(ci)
 		}
 	}
-}
-
-func (inc *Incremental) rowsThrough(l int32) []int32 {
-	return inc.index.RowsThrough(topo.LinkID(l))
 }
 
 // Components returns the current masked decomposition, ordered by smallest
@@ -259,13 +278,16 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 		inc.setMask(down, false)
 		return Diff{}, err
 	}
+	// An up link went down in an earlier step or in this one, which touched
+	// its component then.
+	indexTime := inc.touch(down)
 
 	// Counts only rise through the downs and only fall through the ups, so a
 	// row leaves zero at most once (it was active) and reaches zero at most
 	// once (it is active): went and came hold each such row once.
 	var went, came []int32
 	for _, l := range down {
-		for _, r := range inc.rowsThrough(int32(l)) {
+		for _, r := range inc.pristine.RowsThrough(l) {
 			if inc.downCnt[r] == 0 {
 				went = append(went, r)
 			}
@@ -273,7 +295,7 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 		}
 	}
 	for _, l := range up {
-		for _, r := range inc.rowsThrough(int32(l)) {
+		for _, r := range inc.pristine.RowsThrough(l) {
 			inc.downCnt[r]--
 			if inc.downCnt[r] == 0 {
 				came = append(came, r)
@@ -284,7 +306,7 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	slices.Sort(came)
 	// A row in both flapped within the step: active before, active after.
 	// Both lists are filtered in place.
-	diff := Diff{DeactivatedRows: went[:0], ActivatedRows: came[:0]}
+	diff := Diff{DeactivatedRows: went[:0], ActivatedRows: came[:0], IndexTime: indexTime}
 	w := 0
 	for _, r := range came {
 		for w < len(went) && went[w] < r {

@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,11 +27,10 @@ type CSR struct {
 	// Derived from the rows alone, so built at most once and shared by
 	// every holder of the matrix.
 	pristine derived[Pristine]
-	index    derived[Index]
+	sig      derived[uint64]
 }
 
-// derived is a value computed from a CSR at most once, on first use,
-// unless a caller that already holds it seeds it first.
+// derived is a value computed from a CSR at most once, on first use.
 type derived[T any] struct {
 	mu sync.Mutex
 	v  atomic.Pointer[T]
@@ -50,101 +50,127 @@ func (d *derived[T]) get(build func() *T) *T {
 	return v
 }
 
-func (d *derived[T]) seed(v *T) { d.v.CompareAndSwap(nil, v) }
+// built counts, for this process, the component indexes built and the
+// matrix signatures computed. Tests read it to pin what a cycle does not
+// build.
+var built struct{ index, signature atomic.Int64 }
 
 // Pristine is a matrix's decomposition with no link down, indexed by link.
 // A down link only removes rows, so every component of a masked
 // decomposition lies inside exactly one pristine component: its parent.
+//
+// Every row through a link lies in that link's pristine component, so the
+// inverted link→rows index is kept per component and built the first time
+// one of its links is asked for: a matrix nothing ever goes down on never
+// pays for one.
 type Pristine struct {
-	Comps  []Component
-	compOf []int32 // link -> index into Comps, -1 when in none
+	Comps   []Component
+	csr     *CSR
+	compOf  []int32 // link -> index into Comps, -1 when in none
+	localOf []int32 // link -> its index in its component's Links
+	index   []derived[compIndex]
 }
 
-func newPristine(comps []Component) *Pristine {
+// compIndex is one pristine component's inverted index.
+type compIndex struct {
+	off  []int32 // local link -> start into rows; len = len(Links)+1
+	rows []int32 // rows through each link, ascending within a link
+}
+
+func newPristine(csr *CSR, comps []Component) *Pristine {
 	n := 0
 	for i := range comps {
 		n = max(n, int(comps[i].Links[len(comps[i].Links)-1])+1)
 	}
-	p := &Pristine{Comps: comps, compOf: make([]int32, n)}
+	p := &Pristine{
+		Comps:   comps,
+		csr:     csr,
+		compOf:  make([]int32, n),
+		localOf: make([]int32, n),
+		index:   make([]derived[compIndex], len(comps)),
+	}
 	for i := range p.compOf {
 		p.compOf[i] = -1
 	}
 	for ci := range comps {
-		for _, l := range comps[ci].Links {
-			p.compOf[l] = int32(ci)
+		for li, l := range comps[ci].Links {
+			p.compOf[l], p.localOf[l] = int32(ci), int32(li)
 		}
 	}
 	return p
 }
 
+// comp returns the index of the component holding link l, or -1.
+func (p *Pristine) comp(l topo.LinkID) int {
+	if l < 0 || int(l) >= len(p.compOf) {
+		return -1
+	}
+	return int(p.compOf[l])
+}
+
 // Parent returns the index of the pristine component holding every link of
 // c, or -1 when c's links span several pristine components or lie in none.
 func (p *Pristine) Parent(c *Component) int {
-	parent := int32(-1)
+	parent := -1
 	for i, l := range c.Links {
-		if l < 0 || int(l) >= len(p.compOf) {
-			return -1
-		}
+		ci := p.comp(l)
 		if i == 0 {
-			parent = p.compOf[l]
+			parent = ci
 		}
-		if p.compOf[l] != parent {
+		if ci < 0 || ci != parent {
 			return -1
 		}
 	}
-	return int(parent)
+	return parent
+}
+
+// RowsThrough returns the rows through link l, ascending, nil when l is in
+// no component. The first call for a link of a component builds that
+// component's index. The slice aliases the index; callers must not modify
+// it.
+func (p *Pristine) RowsThrough(l topo.LinkID) []int32 {
+	ci := p.comp(l)
+	if ci < 0 {
+		return nil
+	}
+	x, li := p.indexOf(ci), p.localOf[l]
+	return x.rows[x.off[li]:x.off[li+1]]
+}
+
+// indexOf returns component ci's index, built on first use by counting
+// sort over its rows: size, prefix-sum, fill.
+func (p *Pristine) indexOf(ci int) *compIndex {
+	return p.index[ci].get(func() *compIndex {
+		built.index.Add(1)
+		c := &p.Comps[ci]
+		n := len(c.Links)
+		off := make([]int32, n+1)
+		for _, r := range c.Paths {
+			for _, l := range p.csr.Row(int(r)) {
+				off[p.localOf[l]+1]++
+			}
+		}
+		for li := 0; li < n; li++ {
+			off[li+1] += off[li]
+		}
+		rows := make([]int32, off[n])
+		fill := slices.Clone(off[:n])
+		for _, r := range c.Paths {
+			for _, l := range p.csr.Row(int(r)) {
+				li := p.localOf[l]
+				rows[fill[li]] = r
+				fill[li]++
+			}
+		}
+		return &compIndex{off: off, rows: rows}
+	})
 }
 
 // Pristine returns the matrix's unmasked decomposition (DecomposeCSR),
-// computed once on first use unless an empty-down-set NewIncremental has
-// already seeded it. numLinks is the topology's link-ID space size.
+// computed once on first use. numLinks is the topology's link-ID space
+// size.
 func (c *CSR) Pristine(numLinks int) *Pristine {
-	return c.pristine.get(func() *Pristine { return newPristine(DecomposeCSR(c, numLinks)) })
-}
-
-// Index is a matrix's inverted link→rows index.
-type Index struct {
-	off  []int32 // link -> start into rows; len = numLinks+1
-	rows []int32 // rows through each link, ascending within a link
-}
-
-// RowsThrough returns the rows through link l, ascending. The slice aliases
-// the index; callers must not modify it.
-func (x *Index) RowsThrough(l topo.LinkID) []int32 {
-	if l < 0 || int(l)+1 >= len(x.off) {
-		return nil
-	}
-	return x.rows[x.off[l]:x.off[l+1]]
-}
-
-// Index returns the matrix's inverted index, built once on first use (the
-// incremental differ builds it at boot). numLinks is the topology's
-// link-ID space size.
-func (c *CSR) Index(numLinks int) *Index {
-	return c.index.get(func() *Index { return newIndex(c, numLinks) })
-}
-
-// newIndex builds the inverted index by counting sort: size, prefix-sum,
-// fill.
-func newIndex(csr *CSR, numLinks int) *Index {
-	off := make([]int32, numLinks+1)
-	for _, l := range csr.Links {
-		off[int(l)+1]++
-	}
-	for l := 0; l < numLinks; l++ {
-		off[l+1] += off[l]
-	}
-	rows := make([]int32, len(csr.Links))
-	fill := make([]int32, numLinks)
-	copy(fill, off[:numLinks])
-	n := csr.Len()
-	for i := 0; i < n; i++ {
-		for _, l := range csr.Row(i) {
-			rows[fill[l]] = int32(i)
-			fill[l]++
-		}
-	}
-	return &Index{off: off, rows: rows}
+	return c.pristine.get(func() *Pristine { return newPristine(c, DecomposeCSR(c, numLinks)) })
 }
 
 // checkArenaSize panics when the arena would exceed int32 offset range.

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/detector-net/detector/internal/topo"
@@ -121,6 +123,124 @@ func TestAllFamiliesTakeBulkFastPath(t *testing.T) {
 		if int(offsets[len(offsets)-1]) != len(links) {
 			t.Errorf("%s: final offset %d does not close the arena of %d links",
 				s.name, offsets[len(offsets)-1], len(links))
+		}
+	}
+}
+
+// TestPristineRowsThroughMatchesScan: every link of every pristine
+// component lists exactly the rows a scan of the whole matrix finds through
+// it, ascending, and a link in no component lists none.
+func TestPristineRowsThroughMatchesScan(t *testing.T) {
+	for _, s := range []struct {
+		name     string
+		ps       PathSet
+		numLinks int
+	}{
+		{"Fattree4", NewFattreePaths(topo.MustFattree(4)), topo.MustFattree(4).NumLinks()},
+		{"Fattree6", NewFattreePaths(topo.MustFattree(6)), topo.MustFattree(6).NumLinks()},
+		{"Fattree8", NewFattreePaths(topo.MustFattree(8)), topo.MustFattree(8).NumLinks()},
+		{"VL2(4,4,2)", NewVL2Paths(topo.MustVL2(4, 4, 2)), topo.MustVL2(4, 4, 2).NumLinks()},
+		{"BCube(4,1)", NewBCubePaths(topo.MustBCube(4, 1)), topo.MustBCube(4, 1).NumLinks()},
+	} {
+		csr := MaterializeCSR(s.ps)
+		scan := make([][]int32, s.numLinks)
+		for i := 0; i < csr.Len(); i++ {
+			for _, l := range csr.Row(i) {
+				scan[l] = append(scan[l], int32(i))
+			}
+		}
+		p := csr.Pristine(s.numLinks)
+		inSome := make([]bool, s.numLinks)
+		for ci, c := range p.Comps {
+			for _, l := range c.Links {
+				inSome[l] = true
+				got := p.RowsThrough(l)
+				if !slices.Equal(got, scan[l]) || !slices.IsSorted(got) {
+					t.Fatalf("%s: component %d link %d: rows %v, scan %v", s.name, ci, l, got, scan[l])
+				}
+			}
+		}
+		for l := -1; l <= s.numLinks; l++ {
+			if (l < 0 || l == s.numLinks || !inSome[l]) && p.RowsThrough(topo.LinkID(l)) != nil {
+				t.Fatalf("%s: link %d is in no component but lists rows", s.name, l)
+			}
+		}
+	}
+}
+
+// TestFlapIndexesTouchedComponentOnly: a differ booted with nothing down
+// indexes no component; a flap indexes exactly the pristine component of
+// its link, once, and says what that cost in its first diff only.
+func TestFlapIndexesTouchedComponentOnly(t *testing.T) {
+	f := topo.MustFattree(8)
+	csr := MaterializeCSR(NewFattreePaths(f))
+	inc := mustIncremental(t, csr, f.NumLinks(), nil)
+	p := inc.pristine
+	indexed := func() []int {
+		var out []int
+		for ci := range p.Comps {
+			if p.index[ci].v.Load() != nil {
+				out = append(out, ci)
+			}
+		}
+		return out
+	}
+	if got := indexed(); got != nil {
+		t.Fatalf("boot with nothing down indexed components %v", got)
+	}
+	var want []int
+	for i, l := range f.SwitchLinks()[:40] {
+		ci := p.comp(l)
+		first := !slices.Contains(want, ci)
+		if first {
+			want = append(want, ci)
+			slices.Sort(want)
+		}
+		down, err := inc.Apply([]topo.LinkID{l}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.Apply(nil, []topo.LinkID{l}); err != nil {
+			t.Fatal(err)
+		}
+		if got := indexed(); !slices.Equal(got, want) {
+			t.Fatalf("flap %d (link %d): indexed components %v, want %v", i, l, got, want)
+		}
+		if (down.IndexTime > 0) != first {
+			t.Fatalf("flap %d (link %d): first touch of component %d = %v, but the diff spent %v indexing", i, l, ci, first, down.IndexTime)
+		}
+	}
+	if len(want) < 2 {
+		t.Fatal("the flaps touched one component; the test cannot tell a global index from a local one")
+	}
+}
+
+// TestPristineIndexFirstTouchIsShared: repairs of masked components with one
+// parent run in parallel and may be the first to ask for its links. Every
+// caller gets the same index, and it is built once.
+func TestPristineIndexFirstTouchIsShared(t *testing.T) {
+	f := topo.MustFattree(4)
+	p := MaterializeCSR(NewFattreePaths(f)).Pristine(f.NumLinks())
+	links := p.Comps[0].Links
+	before, _ := Built()
+	got := make([][]int32, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, l := range links {
+				got[g] = append(got[g], p.RowsThrough(l)...)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if after, _ := Built(); after-before != 1 {
+		t.Fatalf("eight first touches built %d indexes of one component, want 1", after-before)
+	}
+	for g := 1; g < len(got); g++ {
+		if !slices.Equal(got[g], got[0]) {
+			t.Fatalf("goroutine %d read a different index", g)
 		}
 	}
 }

@@ -43,8 +43,10 @@ func (s *Hash) Sum64() uint64 { return s.h }
 // same signature, so a shard service can refuse work from a coordinator
 // built for a different matrix (mismatched radix, topology family or
 // candidate generation) instead of silently computing a wrong answer. The
-// sharded control plane stamps every construction request with it.
+// sharded control plane stamps every construction request to such a shard
+// with it (CSR.Signature).
 func MatrixSignature(csr *CSR, numLinks int) uint64 {
+	built.signature.Add(1)
 	var s Hash
 	s.Word(uint64(numLinks))
 	n := csr.Len()
@@ -53,6 +55,17 @@ func MatrixSignature(csr *CSR, numLinks int) uint64 {
 		s.Links(csr.Row(i))
 	}
 	return s.Sum64()
+}
+
+// Signature returns MatrixSignature(c, numLinks), computed on first read
+// and kept; numLinks is the topology's link-ID space size. Only a handshake
+// with a shard that may hold another matrix, or an operator's placement
+// view, reads it, so a matrix that meets neither never pays for the pass.
+func (c *CSR) Signature(numLinks int) uint64 {
+	return *c.sig.get(func() *uint64 {
+		v := MatrixSignature(c, numLinks)
+		return &v
+	})
 }
 
 // RowsSignature fingerprints exactly what a PLL engine reads from a probe

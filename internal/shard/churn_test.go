@@ -250,7 +250,9 @@ func TestCoordinatorChurnSplitMerge(t *testing.T) {
 // TestCoordinatorChurnDiffStage: the topology diff is a pipeline stage of
 // its own — every effective ApplyChurn lands in the churn_diff histogram
 // served at /metrics, while rejected and no-op steps (and a coordinator
-// refused at New for a negative initial link) leave it alone.
+// refused at New for a negative initial link) leave it alone. The first
+// step to touch a pristine component, even a no-op flap, lands in
+// churn_index once; later steps on it do not.
 func TestCoordinatorChurnDiffStage(t *testing.T) {
 	ps := &staticPS{rows: [][]topo.LinkID{{0}, {1}, {0, 1, 2}}}
 	opt := Options{Shards: 1, PMC: pmc.Options{Alpha: 1, Beta: 1, Workers: 1}, TTL: time.Hour}
@@ -264,7 +266,7 @@ func TestCoordinatorChurnDiffStage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	base := stageChurnDiff.Count()
+	base, baseIndex := stageChurnDiff.Count(), stageChurnIndex.Count()
 	if _, err := c.ApplyChurn([]topo.LinkID{-1}, nil); err == nil {
 		t.Fatal("negative down link: want error")
 	}
@@ -280,9 +282,14 @@ func TestCoordinatorChurnDiffStage(t *testing.T) {
 	if got := stageChurnDiff.Count() - base; got != 1 {
 		t.Fatalf("an effective step observed churn_diff %d times, want 1", got)
 	}
+	if got := stageChurnIndex.Count() - baseIndex; got != 1 {
+		t.Fatalf("two steps on one component observed churn_index %d times, want 1", got)
+	}
 	var sb strings.Builder
 	obs.WriteProm(&sb)
-	if !strings.Contains(sb.String(), `detector_stage_duration_seconds_count{stage="churn_diff"}`) {
-		t.Fatal(`/metrics exposition has no stage="churn_diff" series`)
+	for _, stage := range []string{"churn_diff", "churn_index"} {
+		if !strings.Contains(sb.String(), `detector_stage_duration_seconds_count{stage="`+stage+`"}`) {
+			t.Fatalf(`/metrics exposition has no stage=%q series`, stage)
+		}
 	}
 }

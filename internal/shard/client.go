@@ -49,7 +49,9 @@ type ShardClient interface {
 type ConstructRequest struct {
 	// MatrixSig is route.MatrixSignature of the coordinator's candidate
 	// matrix. A shard built over a different matrix must refuse the
-	// request rather than return a plausible-but-wrong selection.
+	// request rather than return a plausible-but-wrong selection. It is 0
+	// to the coordinator's default in-process shards, which share its
+	// matrix and check nothing.
 	MatrixSig uint64
 	// NumLinks is the topology's link-ID space size.
 	NumLinks int

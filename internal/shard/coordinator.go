@@ -32,7 +32,8 @@ var (
 	stageAssign      = obs.Stages.With("assign")
 	stageDispatch    = obs.Stages.With("construct_dispatch")
 	stageMerge       = obs.Stages.With("merge")
-	stageChurnDiff   = obs.Stages.With("churn_diff") // effective ApplyChurn diffs only
+	stageChurnDiff   = obs.Stages.With("churn_diff")  // effective ApplyChurn diffs only, first-touch indexing excluded
+	stageChurnIndex  = obs.Stages.With("churn_index") // a churn step's first touch of a pristine component (route.Diff.IndexTime)
 )
 
 // Fleet gauges: how many shards are in/out of the plane right now.
@@ -144,9 +145,12 @@ type Coordinator struct {
 	numLinks int
 	opt      Options
 	csr      *route.CSR
-	sig      uint64
-	wd       *watchdog.Service
-	clients  []ShardClient // immutable after New
+	// sig is stamped on construction requests: the matrix fingerprint for
+	// an explicit fleet (Options.Clients), which may hold another matrix;
+	// 0 for the default in-process shards, which share csr.
+	sig     uint64
+	wd      *watchdog.Service
+	clients []ShardClient // immutable after New
 
 	mu          sync.Mutex
 	inc         *route.Incremental // owns the masked decomposition
@@ -191,11 +195,12 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	csr := route.MaterializeCSR(ps)
 	stageMaterialize.Observe(time.Since(matStart))
 	decStart := time.Now()
+	csr.Pristine(numLinks)
+	stageDecompose.Observe(time.Since(decStart))
 	inc, err := route.NewIncremental(csr, numLinks, opt.DownLinks)
 	if err != nil {
 		return nil, err
 	}
-	stageDecompose.Observe(time.Since(decStart))
 	c := &Coordinator{
 		ps:       ps,
 		numLinks: numLinks,
@@ -203,7 +208,6 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		csr:      csr,
 		inc:      inc,
 		comps:    inc.Components(),
-		sig:      route.MatrixSignature(csr, numLinks),
 		wd:       watchdog.New(opt.TTL),
 		stop:     make(chan struct{}),
 	}
@@ -213,13 +217,23 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	c.quarantined = make([]bool, opt.Shards)
 	if opt.Clients != nil {
 		c.clients = opt.Clients
+		c.sig = c.MatrixSig()
+		for _, cl := range c.clients {
+			// Pin the engine fingerprint on transport clients before any
+			// probe runs: a shard built for a different matrix then fails
+			// pings and is declared dead, rather than flapping through
+			// admit-dispatch-fail cycles.
+			if mc, ok := cl.(MatrixChecker); ok {
+				mc.ExpectMatrix(c.sig, c.numLinks)
+			}
+		}
 	} else {
-		// In-process shards share one engine memo: components that move
-		// between shards (failover, churn-driven reassignment) still hit
-		// their cached selections.
+		// In-process shards share the matrix and one engine memo:
+		// components that move between shards (failover, churn-driven
+		// reassignment) still hit their cached selections.
 		memo := pmc.NewMemo(0)
 		for i := 0; i < opt.Shards; i++ {
-			c.clients = append(c.clients, newInProcess(i, ps, csr, numLinks, c.sig, memo))
+			c.clients = append(c.clients, &Shard{id: i, ps: ps, csr: csr, numLinks: numLinks, memo: memo})
 		}
 	}
 	alive := make([]int, opt.Shards)
@@ -232,15 +246,6 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		c.wd.Heartbeat(topo.NodeID(i))
 	}
 	c.reassignLocked(alive)
-	for _, cl := range c.clients {
-		// Pin the engine fingerprint on transport clients before any probe
-		// runs: a shard built for a different matrix then fails pings and
-		// is declared dead, rather than flapping through
-		// admit-dispatch-fail cycles.
-		if mc, ok := cl.(MatrixChecker); ok {
-			mc.ExpectMatrix(c.sig, c.numLinks)
-		}
-	}
 	// One synchronous probe round before the periodic probers start: it
 	// seeds liveness with a real heartbeat and — on transport clients —
 	// runs the codec negotiation, so even the very first construct
@@ -287,9 +292,10 @@ func (c *Coordinator) probe(i int) {
 	}
 }
 
-// MatrixSig returns the coordinator's candidate-matrix signature; remote
-// shards must be built over a matrix with the same signature.
-func (c *Coordinator) MatrixSig() uint64 { return c.sig }
+// MatrixSig returns the coordinator's candidate-matrix signature, computed
+// on first read; remote shards must be built over a matrix with the same
+// signature.
+func (c *Coordinator) MatrixSig() uint64 { return c.csr.Signature(c.numLinks) }
 
 // NumShards returns the configured shard count.
 func (c *Coordinator) NumShards() int { return c.opt.Shards }
@@ -462,10 +468,13 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	if err != nil {
 		return route.Diff{}, err
 	}
+	if diff.IndexTime > 0 {
+		stageChurnIndex.Observe(diff.IndexTime)
+	}
 	if diff.Empty() {
 		return diff, nil
 	}
-	stageChurnDiff.Observe(time.Since(diffStart))
+	stageChurnDiff.Observe(time.Since(diffStart) - diff.IndexTime)
 	c.churnEpoch++
 	c.comps = c.inc.Components()
 	for i := range diff.Removed {
@@ -831,7 +840,7 @@ func (c *Coordinator) Status() Status {
 	if policy == "" {
 		policy = PartitionExact
 	}
-	st := Status{MatrixSig: c.sig, Partition: policy, Down: c.inc.Down()}
+	st := Status{MatrixSig: c.MatrixSig(), Partition: policy, Down: c.inc.Down()}
 	if pl := c.planeCache.Cached(); pl != nil {
 		stats := pl.Stats()
 		st.Plane = &stats

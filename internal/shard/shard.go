@@ -61,7 +61,10 @@ type Shard struct {
 	ps       route.PathSet
 	csr      *route.CSR
 	numLinks int
-	sig      uint64
+	// own is set on a shard over its own materialization (NewInProcess):
+	// a request must name its matrix by fingerprint. The coordinator's
+	// default shards share its CSR, so no request can name another matrix.
+	own bool
 	// memo is the engine-local PMC class memo: a component of a class
 	// solved before (a sibling Fattree pod, a flap coming back up, a
 	// reassigned component) reuses the class's rows, and a masked
@@ -75,15 +78,10 @@ type Shard struct {
 
 // NewInProcess builds a standalone in-process shard over its own
 // materialization of ps. The coordinator shares one materialization across
-// its shards instead (newInProcess); this entry point is for tests and
-// embedders that assemble a mixed client set by hand.
+// its default shards instead; this entry point is for tests and embedders
+// that assemble a mixed client set by hand.
 func NewInProcess(id int, ps route.PathSet, numLinks int) *Shard {
-	csr := route.MaterializeCSR(ps)
-	return newInProcess(id, ps, csr, numLinks, route.MatrixSignature(csr, numLinks), pmc.NewMemo(0))
-}
-
-func newInProcess(id int, ps route.PathSet, csr *route.CSR, numLinks int, sig uint64, memo *pmc.Memo) *Shard {
-	return &Shard{id: id, ps: ps, csr: csr, numLinks: numLinks, sig: sig, memo: memo}
+	return &Shard{id: id, ps: ps, csr: route.MaterializeCSR(ps), numLinks: numLinks, own: true, memo: pmc.NewMemo(0)}
 }
 
 // ID returns the shard's coordinator slot.
@@ -107,9 +105,11 @@ func (s *Shard) Construct(req ConstructRequest) (*pmc.Result, error) {
 	if err := s.Ping(); err != nil {
 		return nil, err
 	}
-	if req.MatrixSig != s.sig {
-		return nil, fmt.Errorf("shard %d: matrix signature %#016x does not match engine %#016x",
-			s.id, req.MatrixSig, s.sig)
+	if s.own {
+		if sig := s.csr.Signature(s.numLinks); req.MatrixSig != sig {
+			return nil, fmt.Errorf("shard %d: matrix signature %#016x does not match engine %#016x",
+				s.id, req.MatrixSig, sig)
+		}
 	}
 	if req.NumLinks != s.numLinks {
 		return nil, fmt.Errorf("shard %d: numLinks %d does not match engine %d",
