@@ -111,9 +111,11 @@ const (
 
 // DefaultMaxElements bounds refinement memory to roughly 1 GiB: each
 // element costs 12 bytes of partition state (group id + intrusive
-// membership links) plus 4 (pair) or 6 (triple) bytes of decode table at
-// beta >= 2.
-const DefaultMaxElements = 64 << 20
+// membership links), and at beta >= 2 a pair adds 4 bytes of decode table
+// and 4 of shared-pair lists (a triple adds 6 of decode table), so 48 M
+// pair elements take 0.94 GiB. The per-group counters, 20 bytes per group
+// id, come on top and grow as refinement splits groups.
+const DefaultMaxElements = 48 << 20
 
 // Stats reports how the construction went.
 //

@@ -116,12 +116,17 @@ func (o *sigOracle) groupsSingles() (groups, singles int) {
 }
 
 // checkSplitAffected drives one split through both engines and fails the
-// test on any divergence: split count, exact flag, affected set (compared
-// as sorted sets — and the incremental list must already be duplicate-free),
-// group/singleton counts.
+// test on any divergence: the count CountSplittable predicts before the
+// split, split count, exact flag, affected set (compared as sorted sets —
+// and the incremental list must already be duplicate-free), group/singleton
+// counts, and the shared-pair lists after it.
 func checkSplitAffected(t *testing.T, p *Partition, o *sigOracle, path []int32, tag string) {
 	t.Helper()
+	count := p.CountSplittable(path)
 	wantSplit, wantAff := o.apply(path)
+	if count != wantSplit {
+		t.Fatalf("%s: CountSplittable(%v) = %d at beta=%d, oracle splits %d", tag, path, count, o.beta, wantSplit)
+	}
 	split, aff, exact := p.SplitAffected(path, nil)
 	if !exact {
 		t.Fatalf("%s: SplitAffected(%v) not exact at beta=%d", tag, path, o.beta)
@@ -149,6 +154,67 @@ func checkSplitAffected(t *testing.T, p *Partition, o *sigOracle, path []int32, 
 	wantGroups, wantSingles := o.groupsSingles()
 	if o.beta >= 1 && (p.Groups() != wantGroups || p.Singletons() != wantSingles) {
 		t.Fatalf("%s: groups=%d singles=%d, oracle %d/%d", tag, p.Groups(), p.Singletons(), wantGroups, wantSingles)
+	}
+	checkSharedPairLists(t, p, tag)
+}
+
+// checkSharedPairLists fails the test unless every pair whose group has
+// another member is listed under both of its links, and every list is
+// strictly ascending (compaction keeps the visiting order and never
+// duplicates an entry).
+func checkSharedPairLists(t *testing.T, p *Partition, tag string) {
+	t.Helper()
+	if p.beta < 2 {
+		return
+	}
+	listed := make([][]bool, p.l)
+	for i := range listed {
+		listed[i] = make([]bool, p.l)
+		list := p.shared[i*(p.l-1) : i*(p.l-1)+int(p.sharedLen[i])]
+		for k, m := range list {
+			if int(m) == i || (k > 0 && m <= list[k-1]) {
+				t.Fatalf("%s: link %d's shared-pair list %v is not ascending without itself", tag, i, list)
+			}
+			listed[i][m] = true
+		}
+	}
+	for i := 0; i < p.l; i++ {
+		for j := i + 1; j < p.l; j++ {
+			if p.groupSize[p.PairGroup(i, j)] < 2 {
+				continue
+			}
+			if !listed[i][j] || !listed[j][i] {
+				t.Fatalf("%s: pair {%d,%d} shares its group but is listed under %d: %v, under %d: %v",
+					tag, i, j, i, listed[i][j], j, listed[j][i])
+			}
+		}
+	}
+}
+
+// TestSharedPairListsKeepSharedPairs runs longer randomized β=2 and β=3
+// refinements than the oracle harness affords, interleaving counts (which
+// compact the lists too) with splits, and checks the lists after every
+// split.
+func TestSharedPairListsKeepSharedPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	for _, c := range []struct{ l, beta, steps int }{{40, 2, 120}, {14, 3, 60}} {
+		for trial := 0; trial < 5; trial++ {
+			p := MustPartition(c.l, c.beta)
+			for step := 0; step < c.steps && !p.Done(); step++ {
+				for _, q := range randomPaths(rng, c.l, 3, 6) {
+					p.CountSplittable(q)
+				}
+				p.Split(randomPaths(rng, c.l, 1, 6)[0])
+				checkSharedPairLists(t, p, "random")
+			}
+			listed := 0
+			for _, n := range p.sharedLen {
+				listed += int(n)
+			}
+			if listed == c.l*(c.l-1) {
+				t.Fatalf("beta=%d: no singleton pair was ever dropped from the lists", c.beta)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,12 @@
 // singleton, i.e. every element has a unique path signature.
 //
 // The Partition never materializes signatures: it tracks the group id of
-// each element plus one intrusive membership list per group, so a
-// Fattree(48) subproblem (2,304 links, 2.65 M virtual pairs) costs 16
-// bytes per element — a few dozen megabytes.
+// each element plus one intrusive membership list per group (12 bytes per
+// element), a decode table entry per virtual element (4 bytes per pair, 6
+// per triple), and each pair twice in per-link lists of the pairs that
+// still share a group (int16 partner ids, 4 more bytes per pair). A
+// Fattree(48) β=2 subproblem (2,304 links, 2.65 M virtual pairs) costs 20
+// bytes per element — about 53 MB.
 //
 // Virtual elements are stored by dense combinatorial rank (pairIndex,
 // tripleIndex). A compact int16 decode table maps each rank back to its
@@ -39,6 +42,10 @@ const MaxBeta = 3
 
 // Partition maintains the refinement state for one decomposition component
 // with L physical links, locally indexed 0..L-1.
+//
+// A Partition is not safe for concurrent use, not even for counts:
+// CountSplittable stamps shared scratch state and compacts the shared-pair
+// lists in place.
 type Partition struct {
 	l    int
 	beta int
@@ -57,7 +64,8 @@ type Partition struct {
 	groupNew   []int32 // group -> replacement group for current Split epoch
 	groupOnCnt []int32 // group -> members-on-path count for current epoch
 	inPath     []bool  // physical link -> is on current path
-	scratch    []int32 // reusable visited-group list
+	scratch    []int32 // groups visited by the last walk (visitPath)
+	elems      []int32 // elements visited by the last Split's walk
 
 	// Intrusive membership lists over the full element universe (physical
 	// links, pairs and triples alike), maintained whenever beta >= 1:
@@ -66,10 +74,9 @@ type Partition struct {
 	// properly split group in O(|group|) and decode it back to physical
 	// links, making the affected-link report exact at every supported
 	// beta.
-	memberHead  []int32
-	memberNext  []int32
-	memberPrev  []int32
-	splitGroups []int32 // scratch: groups that allocated a new id this Split
+	memberHead []int32
+	memberNext []int32
+	memberPrev []int32
 
 	// Affected-link dedupe scratch for SplitAffected, epoch-stamped like
 	// groupMark: a physical link is appended at most once per call.
@@ -90,6 +97,20 @@ type Partition struct {
 	// remain as the arithmetic ground truth the tables are tested against.
 	pairA, pairB        []int16 // beta >= 2, len C(l,2)
 	tripA, tripB, tripC []int16 // beta >= 3, len C(l,3)
+
+	// Shared-pair lists (beta >= 2): link i's list is the first
+	// sharedLen[i] entries of shared[i*(l-1):], the partner m of each pair
+	// {i, m} not yet found alone in its group, ascending. A pair whose group
+	// has another member is always listed under both its links; a pair
+	// found in a singleton group is dropped in place by the next walk of
+	// the list, since refinement only splits groups and a singleton can
+	// never again be counted as splittable or moved by Split. Late in a
+	// construction almost every pair is a singleton, so the lists keep the
+	// pair walk proportional to the pairs still unresolved. pairOff[i] + j
+	// is the element index of the pair {i, j}, i < j.
+	shared    []int16
+	sharedLen []int32
+	pairOff   []int32
 }
 
 // NewPartition creates the refinement state for a component with l physical
@@ -153,6 +174,23 @@ func NewPartition(l, beta int) (*Partition, error) {
 				p.pairB[idx] = int16(j)
 				idx++
 			}
+		}
+		// Link i's list is every other link: link i-1's list with i-1 in
+		// the place of i.
+		p.shared = make([]int16, l*(l-1))
+		p.sharedLen = make([]int32, l)
+		p.pairOff = make([]int32, l)
+		for m := 1; m < l; m++ {
+			p.shared[m-1] = int16(m)
+		}
+		for i := 0; i < l; i++ {
+			if i > 0 {
+				row := p.shared[i*(l-1) : (i+1)*(l-1)]
+				copy(row, p.shared[(i-1)*(l-1):])
+				row[i-1] = int16(i - 1)
+			}
+			p.sharedLen[i] = int32(l - 1)
+			p.pairOff[i] = int32(l + p.pairBlockStart(i) - i - 1)
 		}
 	}
 	if beta >= 3 {
@@ -333,38 +371,22 @@ func (p *Partition) appendConstituents(elem int32, aff []int32) ([]int32, int) {
 	return aff, added
 }
 
-// forEachElementOnPath invokes fn with the element index of every element
-// (physical, pair, triple) that intersects the path. Each element is
-// visited exactly once. links must contain valid, distinct local link ids;
-// p.inPath must already mark them (managed by the exported callers).
-func (p *Partition) forEachElementOnPath(links []int32, fn func(elem int)) {
+// visitPath visits every element (physical, pair, triple) that intersects
+// the path, each once — the path's links, then its pairs, then its triples,
+// the order Split assigns new group ids in — and leaves in p.scratch every
+// group that has another member, in first-visit order, with its on-path
+// member count in groupOnCnt. With collect it also leaves the visited
+// elements of those groups in p.elems, in visiting order.
+//
+// links must contain valid, distinct local link ids that p.inPath already
+// marks, and p.epoch must be fresh (both managed by the exported callers).
+func (p *Partition) visitPath(links []int32, collect bool) {
+	p.scratch, p.elems = p.scratch[:0], p.elems[:0]
 	for _, l := range links {
-		fn(int(l))
+		p.visit(l, collect)
 	}
-	if p.beta < 2 {
-		return
-	}
-	pairBase := p.l
-	for _, lRaw := range links {
-		li := int(lRaw)
-		// Pairs {li, m}: to visit each pair once, only the smallest
-		// on-path member owns it, i.e. skip m that are on the path and
-		// smaller than li.
-		for m := 0; m < p.l; m++ {
-			if m == li {
-				continue
-			}
-			if p.inPath[m] && m < li {
-				continue
-			}
-			var idx int
-			if li < m {
-				idx = p.pairIndex(li, m)
-			} else {
-				idx = p.pairIndex(m, li)
-			}
-			fn(pairBase + idx)
-		}
+	if p.beta >= 2 {
+		p.visitPairs(links, collect)
 	}
 	if p.beta < 3 {
 		return
@@ -382,10 +404,61 @@ func (p *Partition) forEachElementOnPath(links []int32, fn func(elem int)) {
 					continue
 				}
 				a, b, c := sort3(li, m1, m2)
-				fn(tripleBase + p.tripleIndex(a, b, c))
+				p.visit(int32(tripleBase+p.tripleIndex(a, b, c)), collect)
 			}
 		}
 	}
+}
+
+// visitPairs is visitPath's pair walk, the hot loop of every β >= 2 score
+// evaluation. Pair {li, m} is visited from li's shared-pair list unless m
+// is a smaller on-path link, whose list visits it; an entry whose pair
+// turns out to be a singleton is dropped from the list in place. The
+// partners below li come first in a list and are the only ones that can be
+// on-path owners, so they get their own loop and the rest of the list a
+// lighter one.
+func (p *Partition) visitPairs(links []int32, collect bool) {
+	off, stride, inPath := p.pairOff, p.l-1, p.inPath
+	for _, li := range links {
+		start := int(li) * stride
+		list := p.shared[start : start+int(p.sharedLen[li])]
+		w, k := 0, 0
+		for ; k < len(list) && int32(list[k]) < li; k++ {
+			m := list[k]
+			if inPath[m] || p.visit(off[m]+li, collect) {
+				list[w] = m
+				w++
+			}
+		}
+		offLi := off[li]
+		for ; k < len(list); k++ {
+			if m := list[k]; p.visit(offLi+int32(m), collect) {
+				list[w] = m
+				w++
+			}
+		}
+		p.sharedLen[li] = int32(w)
+	}
+}
+
+// visit counts elem as on the path this epoch and reports whether its group
+// has another member. A group found alone on its first visit is a
+// singleton, which refinement can never split again: it is not recorded.
+func (p *Partition) visit(elem int32, collect bool) bool {
+	g := p.gid[elem]
+	if p.groupMark[g] != p.epoch {
+		if p.groupSize[g] == 1 {
+			return false
+		}
+		p.groupMark[g] = p.epoch
+		p.groupOnCnt[g] = 0
+		p.scratch = append(p.scratch, g)
+	}
+	p.groupOnCnt[g]++
+	if collect {
+		p.elems = append(p.elems, elem)
+	}
+	return true
 }
 
 func sort3(a, b, c int) (int, int, int) {
@@ -431,97 +504,21 @@ func (p *Partition) unmarkPath(links []int32) {
 // the quantity that makes the score monotone, since a group, once refined,
 // can only become harder to split.
 func (p *Partition) CountSplittable(links []int32) int {
-	if p.beta == 0 {
+	switch p.beta {
+	case 0:
 		return 0
-	}
-	if p.beta == 1 {
+	case 1:
 		return p.countSplittableLinks(links)
-	}
-	if p.beta == 2 {
-		return p.countSplittablePairs(links)
 	}
 	links = p.markPathDedup(links)
 	p.epoch++
-	e := p.epoch
-	groups := p.scratch[:0]
-	p.forEachElementOnPath(links, func(elem int) {
-		g := p.gid[elem]
-		if p.groupMark[g] != e {
-			p.groupMark[g] = e
-			p.groupOnCnt[g] = 0
-			groups = append(groups, g)
-		}
-		p.groupOnCnt[g]++
-	})
+	p.visitPath(links, false)
 	n := 0
-	for _, g := range groups {
+	for _, g := range p.scratch {
 		if p.groupOnCnt[g] < p.groupSize[g] {
 			n++
 		}
 	}
-	p.scratch = groups[:0]
-	p.unmarkPath(links)
-	return n
-}
-
-// countSplittablePairs is the beta == 2 fast path of CountSplittable: the
-// same owned-pair enumeration as forEachElementOnPath, but inlined into
-// direct loops so the per-element group visit compiles without a closure
-// call — every score evaluation of a β=2 construction lands here, and the
-// indirect call was the single hottest line of the profile. The m > li half
-// of each path link's block is a contiguous rank run, so that gid walk is
-// sequential and prefetch-friendly.
-func (p *Partition) countSplittablePairs(links []int32) int {
-	links = p.markPathDedup(links)
-	p.epoch++
-	e := p.epoch
-	groups := p.scratch[:0]
-	gid, gMark, gOn := p.gid, p.groupMark, p.groupOnCnt
-	for _, l := range links {
-		g := gid[l]
-		if gMark[g] != e {
-			gMark[g] = e
-			gOn[g] = 0
-			groups = append(groups, g)
-		}
-		gOn[g]++
-	}
-	pairBase := p.l
-	for _, lRaw := range links {
-		li := int(lRaw)
-		// Pairs {m, li} with m < li: rank jumps block to block; skip
-		// on-path m (their block owns the pair).
-		for m := 0; m < li; m++ {
-			if p.inPath[m] {
-				continue
-			}
-			g := gid[pairBase+p.pairBlockStart(m)+li-m-1]
-			if gMark[g] != e {
-				gMark[g] = e
-				gOn[g] = 0
-				groups = append(groups, g)
-			}
-			gOn[g]++
-		}
-		// Pairs {li, m} with m > li: ranks are contiguous.
-		base := pairBase + p.pairBlockStart(li) - li - 1
-		for idx := base + li + 1; idx <= base+p.l-1; idx++ {
-			g := gid[idx]
-			if gMark[g] != e {
-				gMark[g] = e
-				gOn[g] = 0
-				groups = append(groups, g)
-			}
-			gOn[g]++
-		}
-	}
-	n := 0
-	for _, g := range groups {
-		if gOn[g] < p.groupSize[g] {
-			n++
-		}
-	}
-	p.scratch = groups[:0]
 	p.unmarkPath(links)
 	return n
 }
@@ -569,57 +566,39 @@ func (p *Partition) Split(links []int32) int {
 	}
 	links = p.markPathDedup(links)
 	p.epoch++
-	e := p.epoch
+	p.visitPath(links, true)
+	// Every visited group gets a new id for its on-path members, in
+	// first-visit order; groups it takes whole keep their membership and
+	// only change id, so they split nothing.
 	split := 0
-	p.splitGroups = p.splitGroups[:0]
-	p.forEachElementOnPath(links, func(elem int) {
+	for _, g := range p.scratch {
+		ng := int32(len(p.groupSize))
+		on, off := p.groupOnCnt[g], p.groupSize[g]-p.groupOnCnt[g]
+		p.groupSize = append(p.groupSize, on)
+		p.groupMark = append(p.groupMark, p.epoch)
+		p.groupNew = append(p.groupNew, ng)
+		p.groupOnCnt = append(p.groupOnCnt, 0)
+		p.memberHead = append(p.memberHead, -1)
+		p.groupNew[g] = ng
+		p.groupSize[g] = off
+		if off == 0 {
+			continue
+		}
+		split++
+		p.numGroups++
+		if on == 1 {
+			p.numSingle++
+		}
+		if off == 1 {
+			p.numSingle++
+		}
+	}
+	for _, elem := range p.elems {
 		g := p.gid[elem]
-		if p.groupMark[g] != e {
-			p.groupMark[g] = e
-			if p.groupSize[g] == 1 {
-				// A singleton fully on the path: nothing to split.
-				p.groupNew[g] = g
-				return
-			}
-			ng := int32(len(p.groupSize))
-			p.groupSize = append(p.groupSize, 0)
-			p.groupMark = append(p.groupMark, e)
-			p.groupNew = append(p.groupNew, ng)
-			p.groupOnCnt = append(p.groupOnCnt, 0)
-			if p.memberHead != nil {
-				p.memberHead = append(p.memberHead, -1)
-			}
-			p.groupNew[g] = ng
-			p.splitGroups = append(p.splitGroups, g)
-			p.numGroups++
-			split++ // provisional; retracted below if the split was total
-		}
 		ng := p.groupNew[g]
-		if ng == g {
-			return
-		}
 		p.gid[elem] = ng
-		if p.memberHead != nil {
-			p.moveMember(int32(elem), g, ng)
-		}
-		p.groupSize[g]--
-		p.groupSize[ng]++
-		switch p.groupSize[ng] {
-		case 1:
-			p.numSingle++
-		case 2:
-			p.numSingle--
-		}
-		switch p.groupSize[g] {
-		case 1:
-			p.numSingle++
-		case 0:
-			// Every member moved: not a real split after all.
-			p.numSingle--
-			p.numGroups--
-			split--
-		}
-	})
+		p.moveMember(elem, g, ng)
+	}
 	p.unmarkPath(links)
 	return split
 }
@@ -669,7 +648,7 @@ func (p *Partition) SplitAffected(links []int32, aff []int32) (split int, out []
 	}
 	p.affEpoch++
 	remaining := p.l
-	for _, g := range p.splitGroups {
+	for _, g := range p.scratch { // the groups Split gave a new id
 		ng := p.groupNew[g]
 		if p.groupSize[g] == 0 {
 			// Every member moved: membership is unchanged, only the

@@ -431,19 +431,38 @@ func BenchmarkSplitAffectedBeta2(b *testing.B) {
 	}
 }
 
+// BenchmarkCountSplittableBeta2 scores one path early in a refinement, when
+// most pairs still share a group and the shared-pair lists are nearly full,
+// and late, when almost every pair is a singleton and the lists have shrunk
+// to the few still unresolved. shared-pair-share is the fraction of pair
+// elements still in a group of two or more.
 func BenchmarkCountSplittableBeta2(b *testing.B) {
 	const l = 512
-	p := MustPartition(l, 2)
-	var rng = rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		perm := rng.Perm(l)[:3]
-		p.Split([]int32{int32(perm[0]), int32(perm[1]), int32(perm[2])})
-	}
-	path := []int32{3, 77, 201, 400}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.CountSplittable(path)
+	for _, c := range []struct {
+		name   string
+		splits int
+	}{{"early", 20}, {"late", 2000}} {
+		b.Run(c.name, func(b *testing.B) {
+			p := MustPartition(l, 2)
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < c.splits; i++ {
+				perm := rng.Perm(l)[:3]
+				p.Split([]int32{int32(perm[0]), int32(perm[1]), int32(perm[2])})
+			}
+			shared := 0
+			for r := 0; r < l*(l-1)/2; r++ {
+				if p.groupSize[p.gid[l+r]] > 1 {
+					shared++
+				}
+			}
+			path := []int32{3, 77, 201, 400}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.CountSplittable(path)
+			}
+			b.ReportMetric(float64(shared)/float64(l*(l-1)/2), "shared-pair-share")
+		})
 	}
 }
 

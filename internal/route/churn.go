@@ -400,7 +400,7 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 		}
 		diff.Added = []Component{{Links: links, Paths: cand}}
 	default:
-		diff.Added = inc.kern.decompose(inc.csr, cand, nil)
+		diff.Added = inc.kern.decompose(inc.csr, cand)
 	}
 
 	// Splice: clean components and the added ones are both ordered by

@@ -82,7 +82,7 @@ func Decompose(ps PathSet, numLinks int) []Component {
 // the CSR arena instead of two AppendLinks passes. PMC materializes once and
 // shares the CSR between decomposition and its scoring engine.
 func DecomposeCSR(csr *CSR, numLinks int) []Component {
-	return newKernel(numLinks).decompose(csr, nil, nil)
+	return newKernel(numLinks).decompose(csr, nil)
 }
 
 // kernel is the one decomposition routine behind DecomposeCSR, the
@@ -103,10 +103,9 @@ func newKernel(numLinks int) *kernel {
 
 // decompose groups rows into components ordered by smallest link, Links and
 // Paths ascending. rows is an ascending list of row indices, which a
-// single-component result aliases; nil rows means every row with
-// downCnt == 0 (every row when downCnt is nil too), visited without
-// materializing the list.
-func (k *kernel) decompose(csr *CSR, rows, downCnt []int32) []Component {
+// single-component result aliases; nil rows means every row, visited
+// without materializing the list.
+func (k *kernel) decompose(csr *CSR, rows []int32) []Component {
 	n := len(rows)
 	if rows == nil {
 		n = csr.Len()
@@ -115,9 +114,6 @@ func (k *kernel) decompose(csr *CSR, rows, downCnt []int32) []Component {
 	visit := func(i int) (int32, []topo.LinkID) {
 		if rows != nil {
 			return rows[i], csr.Row(int(rows[i]))
-		}
-		if downCnt != nil && downCnt[i] != 0 {
-			return 0, nil
 		}
 		return int32(i), csr.Row(i)
 	}
