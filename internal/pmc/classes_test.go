@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/detector-net/detector/internal/route"
@@ -264,13 +265,19 @@ func TestShapeGroupSplitsClasses(t *testing.T) {
 
 // FuzzClassReuse: on seeded Fattree(6/8) down-masks, and on the
 // same-shape/different-content matrix of shapeRows, construction with
-// class reuse selects exactly what solving each component alone does.
+// class reuse selects exactly what solving each component alone does. A
+// nonzero reverse reverses the links of one row first, read by the leader
+// or not, so a class check that compares too few rows shows as a wrong
+// reuse.
 func FuzzClassReuse(f *testing.F) {
-	f.Add(uint8(0), uint8(1), int64(1))
-	f.Add(uint8(1), uint8(2), int64(7))
-	f.Add(uint8(0), uint8(4), int64(42))
-	f.Add(uint8(1), uint8(0), int64(3))
-	f.Add(uint8(2), uint8(0), int64(1))
+	f.Add(uint8(0), uint8(1), int64(1), uint16(0))
+	f.Add(uint8(1), uint8(2), int64(7), uint16(0))
+	f.Add(uint8(0), uint8(4), int64(42), uint16(0))
+	f.Add(uint8(1), uint8(0), int64(3), uint16(0))
+	f.Add(uint8(2), uint8(0), int64(1), uint16(0))
+	f.Add(uint8(1), uint8(0), int64(1), uint16(900))
+	f.Add(uint8(0), uint8(1), int64(5), uint16(77))
+	f.Add(uint8(2), uint8(0), int64(1), uint16(6))
 	type fabric struct {
 		ps       route.PathSet
 		csr      *route.CSR
@@ -285,14 +292,198 @@ func FuzzClassReuse(f *testing.F) {
 	}
 	shapes := route.NewSlicePathSet(shapeRows, nil)
 	fabrics = append(fabrics, fabric{shapes, route.MaterializeCSR(shapes), 9, []topo.LinkID{0, 1, 2, 3, 4, 5, 6, 7, 8}})
-	f.Fuzz(func(t *testing.T, which, nDown uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, which, nDown uint8, seed int64, reverse uint16) {
 		fb := fabrics[int(which)%len(fabrics)]
+		csr := fb.csr
+		if reverse != 0 {
+			csr = reversedRow(csr, int32(int(reverse-1)%csr.Len()))
+		}
 		rng := rand.New(rand.NewSource(seed))
 		var down []topo.LinkID
 		for _, i := range rng.Perm(len(fb.links))[:int(nDown)%5] {
 			down = append(down, fb.links[i])
 		}
-		comps := route.DecomposeMasked(fb.csr, fb.numLinks, down)
-		checkClassReuse(t, fb.ps, fb.csr, comps, fb.numLinks, Options{Alpha: 3, Beta: 1})
+		comps := route.DecomposeMasked(csr, fb.numLinks, down)
+		checkClassReuse(t, fb.ps, csr, comps, fb.numLinks, Options{Alpha: 3, Beta: 1})
 	})
+}
+
+// leaderEntry solves comps[0] alone and returns its memo entry, with
+// localOf translating comps' links.
+func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options) *memoEntry {
+	t.Helper()
+	setLocal(localOf, comps, nil)
+	_, e, err := solveComponent(sym, csr, &comps[0], localOf, opt, optKeyOf(opt), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// readRows marks the rows a class check compares when the leader's
+// completion pass did not run: its representatives and its orbit images.
+func (e *memoEntry) readRows() []bool {
+	read := make([]bool, len(e.paths))
+	for _, r := range e.reps {
+		read[r] = true
+	}
+	for i := 0; i < len(e.orbit); {
+		n := int(e.orbit[i+1])
+		for _, ir := range e.orbit[i+2 : i+2+n] {
+			read[ir] = true
+		}
+		i += 2 + n
+	}
+	return read
+}
+
+// reversedRow copies csr with the links of one path in reverse order: the
+// same link set, read differently by a check that compares the row.
+func reversedRow(csr *route.CSR, path int32) *route.CSR {
+	c := &route.CSR{Offsets: slices.Clone(csr.Offsets), Links: slices.Clone(csr.Links)}
+	slices.Reverse(c.Links[c.Offsets[path]:c.Offsets[path+1]])
+	return c
+}
+
+// TestClassCheckComparesWhatTheLeaderRead: a follower row the leader's
+// greedy never read may differ without splitting the class, and the
+// reuse still equals solving the follower alone; a representative row
+// that differs splits it, and so does any row under NoSymmetry, where the
+// completion pass reads every row.
+func TestClassCheckComparesWhatTheLeaderRead(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	base := route.MaterializeCSR(ps)
+	comps := base.Pristine(f.NumLinks()).Comps
+	opt := Options{Alpha: 3, Beta: 1}
+	e := leaderEntry(t, ps, base, comps, make([]int32, f.NumLinks()), opt)
+	if e.full {
+		t.Fatal("the orbit pass left a pristine Fattree(8) component unfinished")
+	}
+	read := e.readRows()
+	unread := int32(slices.Index(read, false))
+	if unread < 0 {
+		t.Fatal("the leader read every row; nothing to alter unread")
+	}
+	rep := e.reps[len(e.reps)-1]
+	for _, tc := range []struct {
+		name    string
+		row     int32
+		opt     Options
+		classes int
+	}{
+		{"unread-row", unread, opt, 1},
+		{"representative-row", rep, opt, 2},
+		{"unread-row/no-symmetry", unread, Options{Alpha: 3, Beta: 1, Ablate: NoSymmetry}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			csr := reversedRow(base, comps[1].Paths[tc.row])
+			if st := checkClassReuse(t, ps, csr, csr.Pristine(f.NumLinks()).Comps, f.NumLinks(), tc.opt); st.Classes != tc.classes {
+				t.Fatalf("row %d of component 1 reversed: %d classes solved, want %d", tc.row, st.Classes, tc.classes)
+			}
+		})
+	}
+}
+
+// TestClassCheckRefusesForeignRows: a member with the leader's shape that
+// is not a pristine component gets every row checked. Its one unread row,
+// swapped for a path of another component, passes the check of the
+// leader's reads alone, but construction still reports the path leaving
+// its component and reuses nothing.
+func TestClassCheckRefusesForeignRows(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	pristine := csr.Pristine(f.NumLinks())
+	comps := pristine.Comps
+	opt := Options{Alpha: 3, Beta: 1}
+	localOf := make([]int32, f.NumLinks())
+	e := leaderEntry(t, ps, csr, comps, localOf, opt)
+	bad := swapUnreadRow(t, ps, e.readRows(), comps[1], comps[2])
+
+	two := []route.Component{comps[0], bad}
+	setLocal(localOf, two, nil)
+	if ok, _ := e.compare(csr, ps, &bad, localOf, false); !ok {
+		t.Fatal("the swapped row is read by the leader; the test cannot tell the every-row check from the other")
+	}
+	if !e.everyRow(&bad, pristine) || e.matches(csr, ps, &bad, localOf, pristine) {
+		t.Fatal("a component that is not pristine was checked on the leader's reads only")
+	}
+	for _, memo := range []*Memo{nil, NewMemo(0)} {
+		_, err := ConstructComponents(ps, csr, two, f.NumLinks(), opt, memo)
+		if err == nil || !strings.Contains(err.Error(), "leaves its component") {
+			t.Fatalf("memo %v: construct err = %v, want a path leaving its component", memo != nil, err)
+		}
+		if memo != nil && memo.Stats().Hits != 0 {
+			t.Fatalf("the foreign member was reused: %d memo hits", memo.Stats().Hits)
+		}
+	}
+}
+
+// swapUnreadRow returns a copy of c with one row the leader did not read
+// replaced by a path of other that keeps Paths ascending and the row's
+// representative flag.
+func swapUnreadRow(t testing.TB, sym route.Symmetric, read []bool, c, other route.Component) route.Component {
+	t.Helper()
+	for r := len(c.Paths) - 1; r >= 0; r-- {
+		if read[r] {
+			continue
+		}
+		lo, hi := int32(-1), int32(1<<31-1)
+		if r > 0 {
+			lo = c.Paths[r-1]
+		}
+		if r+1 < len(c.Paths) {
+			hi = c.Paths[r+1]
+		}
+		i, _ := slices.BinarySearch(other.Paths, lo+1)
+		for ; i < len(other.Paths) && other.Paths[i] < hi; i++ {
+			q := other.Paths[i]
+			if sym.IsRepresentative(int(q)) == sym.IsRepresentative(int(c.Paths[r])) {
+				bad := route.Component{Links: c.Links, Paths: slices.Clone(c.Paths)}
+				bad.Paths[r] = q
+				return bad
+			}
+		}
+	}
+	t.Fatal("no unread row can take another component's path in order")
+	return route.Component{}
+}
+
+// BenchmarkClassCheckFattree16 checks the 7 class followers of a pristine
+// Fattree(16) (3,1) against their leader's entry, as solveClasses does, and
+// reports the rows whose links the checks compared: the leader's
+// representatives and orbit images for a pristine member, every row when
+// the check is forced to read them all, as for a component from outside
+// the matrix's pristine decomposition.
+func BenchmarkClassCheckFattree16(b *testing.B) {
+	f := topo.MustFattree(16)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	pristine := csr.Pristine(f.NumLinks())
+	comps := pristine.Comps
+	localOf := make([]int32, f.NumLinks())
+	e := leaderEntry(b, ps, csr, comps, localOf, Options{Alpha: 3, Beta: 1})
+	for _, bc := range []struct {
+		name  string
+		every func(*route.Component) bool
+	}{
+		{"pristine", func(c *route.Component) bool { return e.everyRow(c, pristine) }},
+		{"every-row", func(*route.Component) bool { return true }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				rows = 0
+				for ci := 1; ci < len(comps); ci++ {
+					ok, n := e.compare(csr, ps, &comps[ci], localOf, bc.every(&comps[ci]))
+					if !ok {
+						b.Fatalf("follower %d fails its class check", ci)
+					}
+					rows += n
+				}
+			}
+			b.ReportMetric(float64(rows), "rows-compared")
+		})
+	}
 }

@@ -63,26 +63,30 @@ func rowOf(paths []int32, path int32) int32 {
 	return -1
 }
 
-// digest fingerprints what the greedy reads from a component, in
-// component-local terms: the arena (row lengths and local links, in row
-// order) and which rows are orbit representatives. Two components of one
-// class digest alike wherever they sit in the fabric; the orbit images are
-// left to memoEntry.matches, which checks only the queries a solve made. It
-// keys the memo only: a component whose paths leave it digests to some
-// value, and the exact check or the arena build that follows refuses it.
+// digest fingerprints a component's class in component-local terms: its
+// shape, which rows are orbit representatives, and the local links of the
+// rows the orbit pass offers — the representatives, or every row when
+// there is no shift generator and the completion pass offers them all. Two
+// components of one class digest alike wherever they sit in the fabric.
+// What else a solve reads, the orbit images and, when completion ran, the
+// rest of the rows, is left to memoEntry.matches, which checks only what
+// the leader read. It keys the memo only: a weaker key costs at most a
+// failed exact check, and a component whose paths leave it digests to some
+// value, which the exact check or the arena build that follows refuses.
 func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) uint64 {
 	var h route.Hash
 	h.Word(uint64(len(comp.Links)))
 	h.Word(uint64(len(comp.Paths)))
 	for _, pid := range comp.Paths {
+		if sym != nil && !sym.IsRepresentative(int(pid)) {
+			h.Word(0)
+			continue
+		}
 		row := csr.Row(int(pid))
 		// Each row folds on a chain of its own and enters the stream as
 		// one word, so consecutive rows overlap in the pipeline. A weak
 		// chain costs at most a failed exact check, never a wrong reuse.
-		w := uint64(len(row)) << 1
-		if sym != nil && sym.IsRepresentative(int(pid)) {
-			w |= 1
-		}
+		w := uint64(len(row))<<1 | 1
 		for _, gl := range row {
 			w = w*0x9e3779b97f4a7c15 + uint64(localOf[gl])
 		}

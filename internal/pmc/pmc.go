@@ -150,14 +150,13 @@ type Result struct {
 func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 	start := time.Now()
 	csr := route.MaterializeCSR(ps)
-	var comps []route.Component
-	if opt.Ablate&NoDecompose == 0 {
-		comps = route.DecomposeCSR(csr, numLinks)
-	} else {
-		comps = []route.Component{route.SingleComponentCSR(csr, numLinks)}
+	if opt.Ablate&NoDecompose != 0 {
+		comps := []route.Component{route.SingleComponentCSR(csr, numLinks)}
+		return constructComponents(ps, csr, comps, numLinks, opt, nil, nil, start)
 	}
-	// Nothing is down, so no component needs the pristine decomposition.
-	return constructComponents(ps, csr, comps, numLinks, opt, nil, nil, start)
+	// Nothing is down: the components are the pristine decomposition.
+	pristine := csr.Pristine(numLinks)
+	return constructComponents(ps, csr, pristine.Comps, numLinks, opt, nil, pristine, start)
 }
 
 // ConstructComponents runs the PMC greedy over an explicit subset of
@@ -236,7 +235,7 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 		workers = runtime.GOMAXPROCS(0)
 	}
 	localOf := make([]int32, numLinks)
-	solved, err := solveClasses(sym, csr, solve, localOf, opt, memo, workers)
+	solved, err := solveClasses(sym, csr, solve, localOf, opt, memo, pristine, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -359,13 +358,16 @@ func setLocal(localOf []int32, comps []route.Component, which []bool) {
 // solveClasses answers every component by class: from the memo, from the
 // head of its shape group in this call, or by solving it. comps must not
 // share links; localOf (numLinks long) is left translating their links.
+// pristine, when not nil, is the matrix's pristine decomposition: a
+// component that is one of its components is checked on the rows its
+// class leader read, any other on every row (memoEntry.everyRow).
 //
 // Every member of a class has its link and path counts, so components are
 // grouped by that shape. A group's head is answered by answerHead; every
-// other member takes one exact pass against the head's entry
+// other member takes one exact check against the head's entry
 // (memoEntry.matches) and reuses its rows. Members that fail it form the
 // next round's groups, so several classes of one shape still share solves.
-func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, memo *Memo, workers int) ([]*componentResult, error) {
+func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, memo *Memo, pristine *route.Pristine, workers int) ([]*componentResult, error) {
 	// Every link belongs to at most one component, so one shared
 	// global→local translation array serves all workers read-only.
 	setLocal(localOf, comps, nil)
@@ -389,7 +391,7 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 		entries := make([]*memoEntry, len(groups))
 		err := parallel(len(groups), workers, func(g int) error {
 			ci := groups[g][0]
-			cr, e, err := answerHead(sym, csr, &comps[ci], localOf, opt, key, memo)
+			cr, e, err := answerHead(sym, csr, &comps[ci], localOf, opt, key, memo, pristine)
 			results[ci], entries[g] = cr, e
 			return err
 		})
@@ -405,7 +407,7 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 		}
 		parallel(len(members), workers, func(i int) error {
 			comp, e := &comps[members[i]], entries[headOf[i]]
-			if e.matches(csr, sym, comp, localOf) {
+			if e.matches(csr, sym, comp, localOf, pristine) {
 				if memo != nil {
 					memo.join(e, comp)
 				}
@@ -428,7 +430,7 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 // class it matches by digest and the exact check, or a solve the memo then
 // remembers. With none it is solved, and no digest is taken: there is no
 // memo to key.
-func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, memo *Memo) (*componentResult, *memoEntry, error) {
+func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, memo *Memo, pristine *route.Pristine) (*componentResult, *memoEntry, error) {
 	if memo == nil {
 		return solveComponent(sym, csr, comp, localOf, opt, key, 0)
 	}
@@ -437,7 +439,7 @@ func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, loca
 	}
 	d := digest(csr, comp, localOf, sym)
 	for _, e := range memo.candidates(key, d) {
-		if e.matches(csr, sym, comp, localOf) {
+		if e.matches(csr, sym, comp, localOf, pristine) {
 			memo.join(e, comp)
 			return e.reuse(comp), e, nil
 		}
@@ -749,8 +751,9 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 	cs := newComponentState(ar, len(comp.Links), opt)
 	cr := &componentResult{solved: true}
 
+	var reps []int32
 	if sym != nil {
-		reps := make([]int32, 0, len(comp.Paths)/2)
+		reps = make([]int32, 0, len(comp.Paths)/2)
 		for r, pid := range comp.Paths {
 			if sym.IsRepresentative(int(pid)) {
 				reps = append(reps, int32(r))
@@ -759,6 +762,9 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 		cr.candidates += len(reps)
 		cr.reseeds += cs.pass(sym, reps)
 	}
+	// Completion reads every row; with no shift generator nothing but
+	// completion reads them.
+	full := sym == nil || !cs.done()
 	if !cs.done() {
 		cr.candidates += len(comp.Paths)
 		cr.reseeds += cs.pass(nil, ascending(len(comp.Paths)))
@@ -773,7 +779,7 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 			rows = append(rows, int32(r))
 		}
 	}
-	e := newMemoEntry(key, digest, comp, rows, cs.orbitLog, cr.coverageMet, cr.identMet)
+	e := newMemoEntry(key, digest, comp, rows, reps, cs.orbitLog, full, cr.coverageMet, cr.identMet)
 	cr.selected = e.pathsOf(comp)
 	return cr, e, nil
 }

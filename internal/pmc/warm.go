@@ -10,17 +10,19 @@ import (
 
 // The greedy selection for a component is a deterministic function of what
 // the greedy reads and the selection-relevant options. It reads the
-// component-local arena (which local links each row crosses), which rows
-// are orbit representatives, and the answers to the orbit queries of the
-// orbit pass — never a global link or path id. So a selection is stored as
-// local rows, and any component that would read the same things takes
-// those rows mapped through its own Paths: the k/2 components of a
-// Fattree, a component flapping down and back up, a component moving
-// between shards. A component whose content differs is solved from
-// scratch; nothing in its selection depends on what the engine solved
-// before. Masked components never enter the memo: they are repaired from
-// their pristine parent's class (repair.go), so churn cannot evict the
-// pristine classes.
+// component's shape (link and path counts), which rows are orbit
+// representatives, the local links of the rows it scores or selects, and
+// the answers to the orbit queries of the orbit pass — never a global link
+// or path id. When the orbit pass meets the targets, the rows it reads are
+// the representatives and the orbit images it was answered; only the
+// completion pass reads every row. So a selection is stored as local rows,
+// and any component whose greedy would read the same things takes those
+// rows mapped through its own Paths: the k/2 components of a Fattree, a
+// component flapping down and back up, a component moving between shards.
+// A component whose content differs is solved from scratch; nothing in its
+// selection depends on what the engine solved before. Masked components
+// never enter the memo: they are repaired from their pristine parent's
+// class (repair.go), so churn cannot evict the pristine classes.
 //
 // A memo serves one (PathSet, CSR): it re-reads stored leaders' rows from
 // the matrix it is handed.
@@ -46,15 +48,18 @@ func optKeyOf(opt Options) memoOptKey {
 }
 
 // memoEntry is one solved class: the leader component it was solved on,
-// its selection as local rows, and the orbit log its solve left. All but
-// members and bytes are immutable once built.
+// its selection as local rows, and what its greedy read — its
+// representative rows, the orbit log, and whether the completion pass read
+// every row. All but members and bytes are immutable once built.
 type memoEntry struct {
 	digest uint64
 	key    memoOptKey
 	links  []topo.LinkID // leader's
 	paths  []int32       // leader's
 	rows   []int32       // selected rows, ascending
+	reps   []int32       // representative rows, ascending
 	orbit  []int32       // componentState.orbitLog
+	full   bool          // the completion pass ran: the greedy read every row
 
 	coverageMet, identMet bool
 
@@ -67,40 +72,74 @@ type memoEntry struct {
 	bytes   int64
 }
 
-func newMemoEntry(key memoOptKey, digest uint64, comp *route.Component, rows, orbit []int32, coverageMet, identMet bool) *memoEntry {
+func newMemoEntry(key memoOptKey, digest uint64, comp *route.Component, rows, reps, orbit []int32, full, coverageMet, identMet bool) *memoEntry {
 	e := &memoEntry{
 		digest:      digest,
 		key:         key,
 		links:       slices.Clone(comp.Links),
 		paths:       slices.Clone(comp.Paths),
 		rows:        rows,
+		reps:        slices.Clone(reps),
 		orbit:       slices.Clone(orbit),
+		full:        full,
 		coverageMet: coverageMet,
 		identMet:    identMet,
 	}
-	e.bytes = 4 * int64(len(e.links)+len(e.paths)+len(e.rows)+len(e.orbit))
+	e.bytes = 4 * int64(len(e.links)+len(e.paths)+len(e.rows)+len(e.reps)+len(e.orbit))
 	return e
 }
 
 // matches reports whether comp's greedy would run the leader's step for
-// step, in one pass over comp's rows and the leader's orbit log; it is the
-// exact check that admits a component to a class. Rows must cross the same
-// local links: every link of a row must be comp's own (false otherwise —
-// comp's partition does not match the matrix, which the solve it falls back
-// to reports), and the leader's link at its local index must be the
-// leader's own link (both Links are sorted, so local indices agree exactly
-// when that holds). Representative rows must agree. Then the leader's orbit
-// log is replayed on comp: by induction over the greedy's steps, equal
-// answers to every query the leader asked mean comp asks the same next
-// query, so no query outside the log can be reached. localOf must map comp's
-// links to their local indices.
-func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32) bool {
+// step; it is the exact check that admits a component to a class. It
+// compares the rows the leader's greedy read (everyRow says when that is
+// all of them) and replays the leader's orbit log.
+func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32, pristine *route.Pristine) bool {
+	ok, _ := e.compare(csr, sym, comp, localOf, e.everyRow(comp, pristine))
+	return ok
+}
+
+// everyRow reports whether the exact check must compare every row of comp:
+// when the leader's completion pass read them all, or when comp is not one
+// of the matrix's pristine components, whose rows lie inside them by
+// construction. A component from anywhere else — a shard request, a
+// caller's own partition — may have a row with a link outside it, which
+// only a check of every row finds.
+func (e *memoEntry) everyRow(comp *route.Component, pristine *route.Pristine) bool {
+	return e.full || pristine == nil || !pristine.Is(comp)
+}
+
+// compare is the exact check in one pass over comp's rows and the leader's
+// orbit log; it also returns how many rows' links it compared. The shapes
+// must agree and so must every row's representative flag. A compared row
+// must cross the same local links: every link of it must be comp's own
+// (false otherwise — comp's partition does not match the matrix, which the
+// solve it falls back to reports), and the leader's link at its local
+// index must be the leader's own link (both Links are sorted, so local
+// indices agree exactly when that holds). It compares every row when every
+// is set, else the rows at the leader's representative ranks and the
+// images in its orbit log. Then the log is replayed on comp.
+//
+// Why the rows the leader read suffice: the greedy's state after a step —
+// link weights, refinement groups, selected rows, cached scores — is a
+// function of the rows it selected and scored, and what it does next is a
+// function of that state and the answer to its next read. By induction
+// over the steps, equal answers to every read mean comp makes the leader's
+// next read too, so no read outside the leader's reaches comp's greedy
+// either. Rows the orbit pass offers are the representatives, and it reads
+// rows beyond them only as orbit images, all in the log; the completion
+// pass, which offers every row, ran on the leader exactly when it runs on
+// comp, and sets full. The one count that sees unread rows is the arena's
+// linkRows, which endStep only uses to choose between a bitset fill and an
+// index walk: over-dirtying returns cached scores unchanged, so it moves
+// score evaluations, never a pick, and a follower reports no evaluations.
+// localOf must map comp's links to their local indices.
+func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32, every bool) (ok bool, compared int) {
 	if len(e.links) != len(comp.Links) || len(e.paths) != len(comp.Paths) {
-		return false
+		return false, 0
 	}
-	for r, pid := range comp.Paths {
-		lp := e.paths[r]
-		row, lrow := csr.Row(int(pid)), csr.Row(int(lp))
+	sameRow := func(r int32) bool {
+		compared++
+		row, lrow := csr.Row(int(comp.Paths[r])), csr.Row(int(e.paths[r]))
 		if len(row) != len(lrow) {
 			return false
 		}
@@ -110,8 +149,19 @@ func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Com
 				return false
 			}
 		}
-		if sym != nil && sym.IsRepresentative(int(pid)) != sym.IsRepresentative(int(lp)) {
-			return false
+		return true
+	}
+	next := 0 // into e.reps
+	for r, pid := range comp.Paths {
+		rep := next < len(e.reps) && e.reps[next] == int32(r)
+		if rep {
+			next++
+		}
+		if sym != nil && sym.IsRepresentative(int(pid)) != rep {
+			return false, compared
+		}
+		if (every || rep) && !sameRow(int32(r)) {
+			return false, compared
 		}
 	}
 	var buf []int
@@ -127,15 +177,22 @@ func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Com
 				continue
 			}
 			if j == n || want[j] != ir {
-				return false
+				return false, compared
 			}
 			j++
 		}
 		if j != n {
-			return false
+			return false, compared
+		}
+		if !every {
+			for _, ir := range want {
+				if !sameRow(ir) {
+					return false, compared
+				}
+			}
 		}
 	}
-	return true
+	return true, compared
 }
 
 // pathsOf maps the selected rows through comp's Paths. Rows ascend and so

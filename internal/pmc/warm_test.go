@@ -99,7 +99,7 @@ func TestMemoEviction(t *testing.T) {
 	e := make([]*memoEntry, 3)
 	for i := range e {
 		comp := &route.Component{Links: []topo.LinkID{topo.LinkID(i)}, Paths: []int32{int32(i)}}
-		e[i] = newMemoEntry(key, uint64(i), comp, []int32{0}, nil, true, true)
+		e[i] = newMemoEntry(key, uint64(i), comp, []int32{0}, nil, nil, true, true, true)
 	}
 	held := func(i int) bool { return len(m.candidates(key, uint64(i))) == 1 }
 

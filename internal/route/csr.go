@@ -124,6 +124,17 @@ func (p *Pristine) Parent(c *Component) int {
 	return parent
 }
 
+// Is reports whether c is one of the pristine components, links and paths
+// alike. Every row of such a component lies inside it by construction, so
+// no row of it needs checking for a link outside it.
+func (p *Pristine) Is(c *Component) bool {
+	if len(c.Links) == 0 {
+		return false
+	}
+	ci := p.comp(c.Links[0])
+	return ci >= 0 && slices.Equal(c.Links, p.Comps[ci].Links) && slices.Equal(c.Paths, p.Comps[ci].Paths)
+}
+
 // RowsThrough returns the rows through link l, ascending, nil when l is in
 // no component. The first call for a link of a component builds that
 // component's index. The slice aliases the index; callers must not modify

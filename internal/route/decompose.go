@@ -209,13 +209,8 @@ func (k *kernel) connects(csr *CSR, rows, live []int32) bool {
 	return need <= 0
 }
 
-// SingleComponent wraps the whole matrix as one component (the
+// SingleComponentCSR wraps the whole matrix as one component (the
 // no-decomposition baseline for Table 2's strawman column).
-func SingleComponent(ps PathSet, numLinks int) Component {
-	return SingleComponentCSR(MaterializeCSR(ps), numLinks)
-}
-
-// SingleComponentCSR is SingleComponent over a materialized matrix.
 func SingleComponentCSR(csr *CSR, numLinks int) Component {
 	touched := make([]bool, numLinks)
 	n := csr.Len()

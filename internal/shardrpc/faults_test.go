@@ -3,10 +3,12 @@ package shardrpc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -658,5 +660,54 @@ func TestMaskedConstructOverLoopback(t *testing.T) {
 			}
 			cl.Close()
 		}
+	}
+}
+
+// TestForeignRowConstructOverLoopback: a component with a pristine
+// component's links and path count, whose last path is swapped for the
+// next component's, is not a pristine component. The shard's class check
+// must compare every row of it rather than only those its class leader
+// read, so the construction answers an error, whether the leader comes in
+// the same request or was remembered from an earlier one.
+func TestForeignRowConstructOverLoopback(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	comps := csr.Pristine(f.NumLinks()).Comps
+	bad := route.Component{Links: comps[1].Links, Paths: slices.Clone(comps[1].Paths)}
+	last := len(bad.Paths) - 1
+	bad.Paths[last]++
+	if _, ok := slices.BinarySearch(comps[2].Paths, bad.Paths[last]); !ok || ps.IsRepresentative(int(bad.Paths[last])) {
+		t.Fatalf("path %d is not a non-representative path of component 2", bad.Paths[last])
+	}
+	ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
+	defer ts.Close()
+	cl := Dial(0, ts.URL, ClientOptions{Wire: WireBinary})
+	defer cl.Close()
+	for _, tc := range []struct {
+		name  string
+		comps []route.Component
+		ok    bool
+	}{
+		{"leader and foreign member", []route.Component{comps[0], bad}, false},
+		{"leader alone", comps[:1], true},
+		{"foreign member of a remembered class", []route.Component{bad}, false},
+	} {
+		_, err := cl.Construct(shard.ConstructRequest{
+			MatrixSig: route.MatrixSignature(csr, f.NumLinks()),
+			NumLinks:  f.NumLinks(),
+			Comps:     tc.comps,
+			Opt:       pmc.Options{Alpha: 3, Beta: 1},
+		})
+		var se *statusError
+		switch {
+		case tc.ok && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case !tc.ok && (!errors.As(err, &se) || se.status != http.StatusUnprocessableEntity || !strings.Contains(se.msg, "leaves its component")):
+			t.Fatalf("%s answered %v, want a 422 leaves-its-component rejection", tc.name, err)
+		}
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("shard did not survive the foreign component: %v", err)
 	}
 }
