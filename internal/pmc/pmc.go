@@ -38,12 +38,13 @@
 // # Scoring engine
 //
 // All variants run on a flattened CSR scoring engine. Construct materializes
-// the candidate matrix once (route.MaterializeCSR), decomposes it directly from
-// the arena, and each component then re-indexes its slice of the matrix into
-// an arena of component-local link indices plus an inverted link→paths index
-// (see compArena in csr.go). The greedy inner loops walk contiguous int32
-// slices: no AppendLinks calls, no global→local lookups, no map accesses —
-// selections live in a bitset keyed by candidate row.
+// the candidate matrix once (route.MaterializeCSR), takes its pristine
+// decomposition (CSR.Pristine: stated by the family when it can, found over
+// the arena otherwise), and each component then re-indexes its slice of the
+// matrix into an arena of component-local link indices plus an inverted
+// link→paths index (see compArena in csr.go). The greedy inner loops walk
+// contiguous int32 slices: no AppendLinks calls, no global→local lookups, no
+// map accesses — selections live in a bitset keyed by candidate row.
 //
 // On top of the inverted index, scoring is incremental. The invariant is:
 // a candidate's score (Eq. 1) can only change when a selected path shares a
@@ -163,7 +164,7 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 // components of an already-materialized candidate matrix. It is the
 // component-slice entry point the sharded controller plane builds on: a
 // coordinator materializes and decomposes once (route.MaterializeCSR +
-// route.DecomposeCSR), then each shard solves only the components assigned
+// CSR.Pristine), then each shard solves only the components assigned
 // to it. Because components are independent subproblems and Result.Selected
 // is sorted, concatenating the selections of any partition of the component
 // set and re-sorting reproduces Construct's output bit for bit.

@@ -120,7 +120,7 @@ type Incremental struct {
 	pristine *Pristine
 
 	down      []bool  // current down mask, by link
-	downCnt   []int32 // per-row count of down links on the row
+	downCnt   []int32 // per-row count of down links on the row; nil until a link first goes down
 	activeCnt []int32 // per-link count of active rows; kept for the links of counted components
 	counted   []bool  // per pristine component: activeCnt holds its links
 
@@ -133,8 +133,8 @@ type Incremental struct {
 // down set: the pristine decomposition (csr.Pristine), then one Apply of
 // the set's distinct links. Components() starts bit-identical to
 // DecomposeMasked(csr, numLinks, initialDown); with nothing down that is the
-// pristine decomposition itself, and no index is built. An initial link
-// outside [0, numLinks) is an error.
+// pristine decomposition itself, and no index or per-row count is built. An
+// initial link outside [0, numLinks) is an error.
 func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Incremental, error) {
 	for _, l := range initialDown {
 		if l < 0 || int(l) >= numLinks {
@@ -147,7 +147,6 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Increme
 		numLinks:  numLinks,
 		pristine:  p,
 		down:      make([]bool, numLinks),
-		downCnt:   make([]int32, csr.Len()),
 		activeCnt: make([]int32, numLinks),
 		counted:   make([]bool, len(p.Comps)),
 		kern:      newKernel(numLinks),
@@ -281,6 +280,9 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	// An up link went down in an earlier step or in this one, which touched
 	// its component then.
 	indexTime := inc.touch(down)
+	if inc.downCnt == nil && len(down) > 0 {
+		inc.downCnt = make([]int32, inc.csr.Len())
+	}
 
 	// Counts only rise through the downs and only fall through the ups, so a
 	// row leaves zero at most once (it was active) and reaches zero at most

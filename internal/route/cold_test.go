@@ -13,19 +13,46 @@ import (
 // its in-process shards share the coordinator's matrix — so it builds
 // neither. The placement view still reads the fingerprint, on demand.
 func TestColdCycleBuildsNothingItDoesNotServe(t *testing.T) {
-	index0, sig0 := route.Built()
+	index0, sig0, dec0 := route.Built()
 	ctl := control.New(topo.MustFattree(8), control.DefaultConfig())
 	defer ctl.Close()
 	if err := ctl.RunCycle(nil); err != nil {
 		t.Fatal(err)
 	}
-	if index, sig := route.Built(); index != index0 || sig != sig0 {
-		t.Fatalf("a cold cycle built %d component indexes and %d signatures, want none", index-index0, sig-sig0)
+	if index, sig, dec := route.Built(); index != index0 || sig != sig0 || dec != dec0 {
+		t.Fatalf("a cold cycle built %d component indexes, %d signatures and %d kernel decompositions, want none",
+			index-index0, sig-sig0, dec-dec0)
 	}
 	if ctl.Coordinator().MatrixSig() == 0 {
 		t.Fatal("zero matrix signature")
 	}
-	if _, sig := route.Built(); sig != sig0+1 {
+	if _, sig, _ := route.Built(); sig != sig0+1 {
 		t.Fatalf("the placement view computed %d signatures, want 1", sig-sig0)
+	}
+}
+
+// TestColdStartKernelPasses: a Fattree states its pristine decomposition, so
+// a cold differ over it runs no kernel pass; VL2 and BCube state none and
+// run exactly one.
+func TestColdStartKernelPasses(t *testing.T) {
+	f, v, b := topo.MustFattree(8), topo.MustVL2(8, 4, 2), topo.MustBCube(4, 1)
+	for _, tc := range []struct {
+		name     string
+		ps       route.PathSet
+		numLinks int
+		want     int64
+	}{
+		{"Fattree(8)", route.NewFattreePaths(f), f.NumLinks(), 0},
+		{"VL2(8,4,2)", route.NewVL2Paths(v), v.NumLinks(), 1},
+		{"BCube(4,1)", route.NewBCubePaths(b), b.NumLinks(), 1},
+	} {
+		csr := route.MaterializeCSR(tc.ps)
+		_, _, dec0 := route.Built()
+		if _, err := route.NewIncremental(csr, tc.numLinks, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, dec := route.Built(); dec-dec0 != tc.want {
+			t.Errorf("%s: a cold start ran %d kernel decompositions, want %d", tc.name, dec-dec0, tc.want)
+		}
 	}
 }

@@ -24,6 +24,10 @@ type CSR struct {
 	// Links is the concatenation of every path's link set.
 	Links []topo.LinkID
 
+	// family states the pristine decomposition when the PathSet the rows
+	// came from can (Decomposer); nil otherwise.
+	family Decomposer
+
 	// Derived from the rows alone, so built at most once and shared by
 	// every holder of the matrix.
 	pristine derived[Pristine]
@@ -50,10 +54,10 @@ func (d *derived[T]) get(build func() *T) *T {
 	return v
 }
 
-// built counts, for this process, the component indexes built and the
-// matrix signatures computed. Tests read it to pin what a cycle does not
-// build.
-var built struct{ index, signature atomic.Int64 }
+// built counts, for this process, the component indexes built, the matrix
+// signatures computed and the kernel decompositions run. Tests read it to
+// pin what a cycle does not build.
+var built struct{ index, signature, decompose atomic.Int64 }
 
 // Pristine is a matrix's decomposition with no link down, indexed by link.
 // A down link only removes rows, so every component of a masked
@@ -132,7 +136,17 @@ func (p *Pristine) Is(c *Component) bool {
 		return false
 	}
 	ci := p.comp(c.Links[0])
-	return ci >= 0 && slices.Equal(c.Links, p.Comps[ci].Links) && slices.Equal(c.Paths, p.Comps[ci].Paths)
+	return ci >= 0 && same(c.Links, p.Comps[ci].Links) && same(c.Paths, p.Comps[ci].Paths)
+}
+
+// same reports whether a and b hold equal elements, at once when they are
+// one slice: a component handed on from the pristine decomposition aliases
+// it, and comparing its rows would read every one.
+func same[T comparable](a, b []T) bool {
+	if len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] {
+		return true
+	}
+	return slices.Equal(a, b)
 }
 
 // RowsThrough returns the rows through link l, ascending, nil when l is in
@@ -178,10 +192,16 @@ func (p *Pristine) indexOf(ci int) *compIndex {
 }
 
 // Pristine returns the matrix's unmasked decomposition (DecomposeCSR),
-// computed once on first use. numLinks is the topology's link-ID space
-// size.
+// computed once on first use: read off the family when it states it
+// (Decomposer), found by the kernel otherwise. numLinks is the topology's
+// link-ID space size.
 func (c *CSR) Pristine(numLinks int) *Pristine {
-	return c.pristine.get(func() *Pristine { return newPristine(c, DecomposeCSR(c, numLinks)) })
+	return c.pristine.get(func() *Pristine {
+		if c.family != nil {
+			return newPristine(c, c.family.PristineComponents())
+		}
+		return newPristine(c, DecomposeCSR(c, numLinks))
+	})
 }
 
 // checkArenaSize panics when the arena would exceed int32 offset range.
@@ -212,13 +232,15 @@ type BulkLinker interface {
 }
 
 // MaterializeCSR walks ps once and returns its CSR form. PathSets implementing
-// BulkLinker are materialized through the bulk fast path.
+// BulkLinker are materialized through the bulk fast path; a Decomposer is
+// recorded for CSR.Pristine, which asks it on first use.
 func MaterializeCSR(ps PathSet) *CSR {
+	family, _ := ps.(Decomposer)
 	n := ps.Len()
 	offsets := make([]int32, 1, n+1)
 	if bl, ok := ps.(BulkLinker); ok {
 		links, offsets := bl.AppendAllLinks(nil, offsets)
-		return &CSR{Offsets: offsets, Links: links}
+		return &CSR{Offsets: offsets, Links: links, family: family}
 	}
 	var links []topo.LinkID
 	if n > 0 {
@@ -234,5 +256,5 @@ func MaterializeCSR(ps PathSet) *CSR {
 		checkArenaSize(len(links))
 		offsets = append(offsets, int32(len(links)))
 	}
-	return &CSR{Offsets: offsets, Links: links}
+	return &CSR{Offsets: offsets, Links: links, family: family}
 }

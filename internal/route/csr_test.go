@@ -222,7 +222,7 @@ func TestPristineIndexFirstTouchIsShared(t *testing.T) {
 	f := topo.MustFattree(4)
 	p := MaterializeCSR(NewFattreePaths(f)).Pristine(f.NumLinks())
 	links := p.Comps[0].Links
-	before, _ := Built()
+	before, _, _ := Built()
 	got := make([][]int32, 8)
 	var wg sync.WaitGroup
 	for g := range got {
@@ -235,7 +235,7 @@ func TestPristineIndexFirstTouchIsShared(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if after, _ := Built(); after-before != 1 {
+	if after, _, _ := Built(); after-before != 1 {
 		t.Fatalf("eight first touches built %d indexes of one component, want 1", after-before)
 	}
 	for g := 1; g < len(got); g++ {

@@ -70,26 +70,30 @@ func (u *unionFind) union(a, b int32) int32 {
 // building the path-link bipartite graph implicitly: all links of one path
 // are unioned, then paths are grouped by the component of their first link.
 // Links never touched by any path are omitted. This is the generic
-// linear-time decomposition the paper describes; for Fattree it discovers
-// the k/2 aggregation-position subproblems, for VL2 and BCube it returns a
-// single component (and the scan cost is the "extra time to decide whether
-// the matrix is decomposable" visible in Table 2).
+// linear-time decomposition the paper describes; on a Fattree it finds the
+// k/2 aggregation-position subproblems the family also states outright
+// (Decomposer), on VL2 and BCube it returns a single component (and the scan
+// cost is the "extra time to decide whether the matrix is decomposable"
+// visible in Table 2). It always runs the kernel: it is the oracle the
+// family's own decomposition is tested against.
 func Decompose(ps PathSet, numLinks int) []Component {
 	return DecomposeCSR(MaterializeCSR(ps), numLinks)
 }
 
 // DecomposeCSR is Decompose over an already-materialized matrix: one walk of
-// the CSR arena instead of two AppendLinks passes. PMC materializes once and
-// shares the CSR between decomposition and its scoring engine.
+// the CSR arena instead of two AppendLinks passes. It always runs the
+// kernel; CSR.Pristine, which PMC and the coordinator use, asks a Decomposer
+// family first.
 func DecomposeCSR(csr *CSR, numLinks int) []Component {
 	return newKernel(numLinks).decompose(csr, nil)
 }
 
-// kernel is the one decomposition routine behind DecomposeCSR, the
-// incremental differ's masked start and its per-step local rebuild. It
-// unions on global link IDs over numLinks-sized scratch that is
-// identity/zero between calls: a call restores only the links it touched,
-// so a standing kernel costs a churn step its dirty region, not the fabric.
+// kernel is the one decomposition routine behind DecomposeCSR, the pristine
+// decomposition of a family that does not state its own, the incremental
+// differ's masked start and its per-step local rebuild. It unions on global
+// link IDs over numLinks-sized scratch that is identity/zero between calls:
+// a call restores only the links it touched, so a standing kernel costs a
+// churn step its dirty region, not the fabric.
 type kernel struct {
 	uf    *unionFind
 	first []int32 // rows whose first link is l
@@ -106,6 +110,7 @@ func newKernel(numLinks int) *kernel {
 // single-component result aliases; nil rows means every row, visited
 // without materializing the list.
 func (k *kernel) decompose(csr *CSR, rows []int32) []Component {
+	built.decompose.Add(1)
 	n := len(rows)
 	if rows == nil {
 		n = csr.Len()

@@ -1,6 +1,9 @@
 package route
 
 import (
+	"cmp"
+	"slices"
+
 	"github.com/detector-net/detector/internal/topo"
 )
 
@@ -26,6 +29,7 @@ var (
 	_ Symmetric    = (*FattreePaths)(nil)
 	_ HopsProvider = (*FattreePaths)(nil)
 	_ BulkLinker   = (*FattreePaths)(nil)
+	_ Decomposer   = (*FattreePaths)(nil)
 )
 
 // NewFattreePaths enumerates the candidate paths of f.
@@ -125,14 +129,43 @@ func (p *FattreePaths) AppendHops(i int, buf []topo.NodeID) []topo.NodeID {
 	return p.F.PathHops(tors[s], tors[d], c, buf)
 }
 
-// Component returns the decomposition component (core group) of path i.
-// All links of a via-core path belong to the agg-position group of its core,
-// so the routing matrix splits into k/2 independent subproblems (§4.3,
-// Observation 1). This is exposed for tests; PMC discovers the same
-// components with the generic union-find in Decompose.
-func (p *FattreePaths) Component(i int) int {
-	_, _, c := p.Decode(i)
-	return p.F.CoreGroup(c)
+// PristineComponents implements Decomposer. Every link of a via-core path
+// belongs to the aggregation-position group g of its core, so the matrix
+// splits into k/2 components (§4.3, Observation 1). Component g holds every
+// ToR–agg_g link, every agg_g–core link of a group-g core, and every path
+// via a group-g core.
+func (p *FattreePaths) PristineComponents() []Component {
+	if p.Len() == 0 {
+		return nil
+	}
+	f, h := p.F, p.F.Half()
+	tors := f.ToRList()
+	nPairs := p.nToR * (p.nToR - 1)
+	comps := make([]Component, h)
+	for g := range comps {
+		links := make([]topo.LinkID, 0, p.nToR+f.K*h)
+		for t, tor := range tors {
+			links = append(links, f.MustLink(tor, f.AggID[t/h][g]))
+		}
+		for pod := 0; pod < f.K; pod++ {
+			for c := g * h; c < (g+1)*h; c++ {
+				links = append(links, f.MustLink(f.AggID[pod][g], f.CoreID[c]))
+			}
+		}
+		slices.Sort(links)
+		// Path index is pair*nCores + core: group g's cores are one
+		// contiguous run of h in every pair's block.
+		paths := make([]int32, 0, nPairs*h)
+		for pair := 0; pair < nPairs; pair++ {
+			base := int32(pair*p.nCores + g*h)
+			for c := base; c < base+int32(h); c++ {
+				paths = append(paths, c)
+			}
+		}
+		comps[g] = Component{Links: links, Paths: paths}
+	}
+	slices.SortFunc(comps, func(a, b Component) int { return cmp.Compare(a.Links[0], b.Links[0]) })
+	return comps
 }
 
 // shift applies the family's automorphism shift generator sigma r times:

@@ -45,6 +45,18 @@ type Symmetric interface {
 	AppendOrbit(i int, buf []int) []int
 }
 
+// Decomposer is an optional PathSet capability: a family whose pristine
+// decomposition follows from its topology states it, so that CSR.Pristine
+// reads it off the family instead of running the union-find kernel over
+// every row (paper §4.3, Observation 1).
+type Decomposer interface {
+	PathSet
+	// PristineComponents returns exactly what DecomposeCSR returns on the
+	// family's materialized matrix: Links sorted, Paths ascending,
+	// components ordered by smallest link.
+	PristineComponents() []Component
+}
+
 // HopsProvider is implemented by PathSets that can produce the switch-level
 // hop sequence of a path, which the fabric needs for source routing.
 type HopsProvider interface {

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/detector-net/detector/internal/topo"
@@ -117,43 +118,22 @@ func TestFattreePathsLinksValid(t *testing.T) {
 	}
 }
 
-// TestFattreeDecomposition verifies Observation 1: a k-ary Fattree's routing
-// matrix decomposes into exactly k/2 components, one per aggregation
-// position, and the generic union-find discovers the same grouping as the
-// analytic Component method.
-func TestFattreeDecomposition(t *testing.T) {
-	f := topo.MustFattree(8)
-	ps := NewFattreePaths(f)
-	comps := Decompose(ps, f.NumLinks())
-	if len(comps) != f.Half() {
-		t.Fatalf("Fattree(8): %d components, want %d", len(comps), f.Half())
-	}
-	total := 0
-	for ci, comp := range comps {
-		total += len(comp.Paths)
-		// Inter-switch links split evenly: k^3/2 links over k/2 components.
-		want := f.K * f.K * f.K / 2 / f.Half()
-		if len(comp.Links) != want {
-			t.Errorf("component %d: %d links, want %d", ci, len(comp.Links), want)
+// TestFattreeComponentsMatchKernel verifies Observation 1 differentially: a
+// k-ary Fattree's own decomposition — k/2 components, one per aggregation
+// position — is exactly what the union-find kernel finds on its matrix, in
+// the same form.
+func TestFattreeComponentsMatchKernel(t *testing.T) {
+	for _, k := range []int{4, 6, 8, 10, 12, 16} {
+		f := topo.MustFattree(k)
+		ps := NewFattreePaths(f)
+		got := ps.PristineComponents()
+		if len(got) != f.Half() {
+			t.Fatalf("Fattree(%d): %d components, want %d", k, len(got), f.Half())
 		}
-		for _, pi := range comp.Paths[:min(len(comp.Paths), 500)] {
-			if got := ps.Component(int(pi)); got != analyticComponentOf(f, comps, ci) {
-				// Map generic component index to analytic group via any
-				// member path; consistency is what matters.
-				t.Fatalf("component %d path %d maps to analytic group %d", ci, pi, got)
-			}
+		if want := Decompose(ps, f.NumLinks()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Fattree(%d): the family's components differ from DecomposeCSR's", k)
 		}
 	}
-	if total != ps.Len() {
-		t.Fatalf("components cover %d paths, want %d", total, ps.Len())
-	}
-}
-
-// analyticComponentOf returns the analytic core group shared by the paths of
-// generic component ci, verifying all members agree.
-func analyticComponentOf(f *topo.Fattree, comps []Component, ci int) int {
-	ps := NewFattreePaths(f)
-	return ps.Component(int(comps[ci].Paths[0]))
 }
 
 // TestVL2AndBCubeSingleComponent verifies the paper's observation that

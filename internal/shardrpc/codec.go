@@ -104,8 +104,8 @@ type PingResponse struct {
 }
 
 // Component is one independent subproblem on the wire: global link IDs and
-// candidate-path indices, both ascending (the canonical form
-// route.DecomposeCSR produces; servers reject anything else).
+// candidate-path indices, both ascending (the canonical form of
+// route.DecomposeCSR and CSR.Pristine; servers reject anything else).
 type Component struct {
 	Links []topo.LinkID `json:"links"`
 	Paths []int32       `json:"paths"`
