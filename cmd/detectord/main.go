@@ -76,16 +76,6 @@ func serveShard(k int, listen string) error {
 	return srv.ListenAndServe(listen)
 }
 
-// reportWire maps the -wire flag to the pinger report codec: an explicit
-// binary fleet goes binary end to end; auto and json keep JSON reports
-// (the report POST has no negotiation handshake to auto against).
-func reportWire(wire string) string {
-	if wire == shardrpc.WireBinary {
-		return shardrpc.CodecBinary
-	}
-	return ""
-}
-
 func main() {
 	var (
 		k          = flag.Int("k", 4, "Fattree radix")
@@ -96,11 +86,7 @@ func main() {
 		endpoints  = flag.String("shard-endpoints", "", "comma-separated shard service URLs; the front-end drives this external fleet")
 		shardServe = flag.Bool("shard-serve", false, "run as one controller shard service instead of the front-end")
 		listen     = flag.String("listen", "127.0.0.1:7117", "shard service listen address (with -shard-serve)")
-		wire       = flag.String("wire", shardrpc.WireAuto, "shard transport codec: auto (negotiate at ping time), json, or binary; 'binary' also switches pinger reports to the v2 frame")
 		partition  = flag.String("partition", string(shard.PartitionExact), "diagnosis plane partition policy: exact (bit-identical merge) or approx (cut server-edge links for real server-level sharding)")
-		repBatch   = flag.Int("report-batch", 1, "report windows each pinger pre-aggregates locally before shipping one payload")
-		repTopK    = flag.Int("report-topk", 0, "ship kind-6 summary frames keeping full signals for the K worst paths (0 = full per-path reports; needs -wire binary)")
-		repStream  = flag.Bool("report-stream", false, "ship report frames over one persistent connection per pinger instead of per-window POSTs (needs -wire binary)")
 		downLinks  = flag.String("down-links", "", "comma-separated link IDs masked out of service at boot (candidate routes avoid them; bring back with 'churn up')")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 		verbose    = flag.Bool("v", false, "log at info level instead of warn")
@@ -111,12 +97,6 @@ func main() {
 	}
 	startPprof(*pprofAddr)
 
-	switch *wire {
-	case shardrpc.WireAuto, shardrpc.WireJSON, shardrpc.WireBinary:
-	default:
-		fmt.Fprintf(os.Stderr, "detectord: -wire %q must be auto, json or binary\n", *wire)
-		os.Exit(2)
-	}
 	if _, err := shard.ParsePartitionPolicy(*partition); err != nil {
 		fmt.Fprintf(os.Stderr, "detectord: -partition %q must be exact or approx\n", *partition)
 		os.Exit(2)
@@ -157,12 +137,7 @@ func main() {
 		Shards:         *shards,
 		RemoteShards:   *remote,
 		ShardEndpoints: eps,
-		ShardWire:      *wire,
 		Partition:      *partition,
-		ReportWire:     reportWire(*wire),
-		ReportBatch:    *repBatch,
-		ReportTopK:     *repTopK,
-		StreamReports:  *repStream,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detectord:", err)
@@ -177,11 +152,6 @@ func main() {
 		fmt.Printf("sharded controller plane: %d shards over %d components, %s partition\n",
 			coord.NumShards(), coord.Components(), st.Partition)
 		for _, si := range st.Shards {
-			if si.Codec != "" {
-				fmt.Printf("  shard %d @ %s (%d components, %s wire)\n",
-					si.ID, si.Addr, len(si.Components), si.Codec)
-				continue
-			}
 			fmt.Printf("  shard %d @ %s (%d components)\n", si.ID, si.Addr, len(si.Components))
 		}
 	}

@@ -68,33 +68,10 @@ type Options struct {
 	// ShardTTL marks a controller shard dead after this heartbeat
 	// silence (default 4 windows, like WatchdogTTL).
 	ShardTTL time.Duration
-	// ShardWire selects the transport codec for remote shards
-	// (shardrpc.WireAuto/WireJSON/WireBinary; default auto-negotiate at
-	// ping time). Applies to RemoteShards boots and ShardEndpoints
-	// fleets alike, for the controller and the diagnoser both.
-	ShardWire string
 	// Partition selects the diagnosis plane's ownership policy ("exact"
 	// default, or "approx" to cut server-edge links — see shard.Plane).
 	// Applies to the controller's coordinator and the diagnoser both.
 	Partition string
-	// ReportWire selects the pinger→diagnoser report codec: empty or
-	// shardrpc.CodecJSON for JSON bodies, shardrpc.CodecBinary for the
-	// v2 binary report frame (varint-delta paths, raw-bits floats).
-	ReportWire string
-	// ReportBatch merges this many report windows at each pinger before
-	// one payload ships (pre-aggregation; default 1 = ship every window).
-	ReportBatch int
-	// ReportTopK, when > 0 and the diagnoser advertises summary ingest,
-	// ships kind-6 summary frames: the K worst paths keep full signal
-	// detail, every other observed path rides as a bare loss counter.
-	// Loss localization is unaffected (counters are complete); only RTT/
-	// ECN signals are elided on the residue.
-	ReportTopK int
-	// StreamReports ships report frames over one persistent
-	// POST /reportstream connection per pinger instead of per-window
-	// POSTs (requires ReportWire binary and a diagnoser that advertises
-	// streaming).
-	StreamReports bool
 	// PLL overrides the diagnoser's localization config. Compressed-time
 	// runs should raise LossRatioFloor/MinLoss: with windows of a few
 	// hundred milliseconds, a single scheduler stall mimics a burst of
@@ -204,7 +181,6 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	if len(c.ShardURLs) > 0 {
 		opts.Control.ShardEndpoints = c.ShardURLs
-		opts.Control.ShardWire = opts.ShardWire
 	}
 	opts.Control.Partition = opts.Partition
 
@@ -251,7 +227,6 @@ func Start(opts Options) (*Cluster, error) {
 		Topo:           f.Topology,
 		Shards:         opts.Shards,
 		ShardEndpoints: c.ShardURLs,
-		ShardWire:      opts.ShardWire,
 		Partition:      partition,
 		LinkCounters:   counters,
 		Unhealthy:      c.Watchdog.UnhealthySet,
@@ -294,12 +269,8 @@ func Start(opts Options) (*Cluster, error) {
 	for _, sv := range f.Servers() {
 		if isPinger[sv] {
 			p, err := pinger.Start(f.Topology, c.Rules, c.Fab.Registry, sv, c.ControllerURL, pinger.Options{
-				Timeout:       opts.ProbeTimeout,
-				HeartbeatURL:  c.WatchdogURL,
-				ReportWire:    opts.ReportWire,
-				BatchWindows:  opts.ReportBatch,
-				TopK:          opts.ReportTopK,
-				StreamReports: opts.StreamReports,
+				Timeout:      opts.ProbeTimeout,
+				HeartbeatURL: c.WatchdogURL,
 			})
 			if err != nil {
 				return fail(fmt.Errorf("cluster: pinger %d: %w", sv, err))

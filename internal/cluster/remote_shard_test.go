@@ -5,18 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/pmc"
-	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
 )
 
 // TestRemoteShardServingIdentical boots the cluster with the controller
 // shards behind real loopback HTTP services and checks the transport
-// changes nothing observable: the served matrix is byte-identical to an
-// unsharded boot, the coordinator reports the shard services' URLs, and
-// alerts still flow end to end (the diagnoser localizes through the same
-// remote shards).
+// changes nothing observable: the controller drives every shard over v2
+// binary frames that no service rejects, the served matrix is
+// byte-identical to an unsharded boot, and the coordinator reports the
+// shard services' URLs.
 func TestRemoteShardServingIdentical(t *testing.T) {
 	ref, err := Start(fastOptions())
 	if err != nil {
@@ -28,11 +28,18 @@ func TestRemoteShardServingIdentical(t *testing.T) {
 	opts.Shards = 2
 	opts.RemoteShards = true
 	opts.ShardTTL = 300 * time.Millisecond
+	served, rejected := metrics.Counters()["shardrpc_server_requests"], metrics.Counters()["shardrpc_server_rejected"]
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
+	if metrics.Counters()["shardrpc_server_requests"] == served {
+		t.Fatal("the remote boot sent the shard services nothing")
+	}
+	if got := metrics.Counters()["shardrpc_server_rejected"] - rejected; got != 0 {
+		t.Fatalf("shard services rejected %d requests of the boot cycle", got)
+	}
 
 	if len(c.ShardURLs) != 2 {
 		t.Fatalf("remote boot exposed %d shard URLs, want 2", len(c.ShardURLs))
@@ -149,42 +156,5 @@ func TestRemoteShardEndToEndAlert(t *testing.T) {
 	}
 	if alert.Bad[0].Rate < 0.5 {
 		t.Errorf("estimated loss rate %.2f for a full-loss link", alert.Bad[0].Rate)
-	}
-}
-
-// TestRemoteShardBinaryWireIdentical re-runs the serving-identity check
-// with the fleet forced onto the v2 binary codec: the controller and the
-// diagnoser drive every shard over binary frames, the served matrix is
-// still byte-identical to an unsharded boot, and the coordinator's
-// placement view reports the codec per shard.
-func TestRemoteShardBinaryWireIdentical(t *testing.T) {
-	ref, err := Start(fastOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ref.Stop)
-
-	opts := fastOptions()
-	opts.Shards = 2
-	opts.RemoteShards = true
-	opts.ShardTTL = 300 * time.Millisecond
-	opts.ShardWire = shardrpc.WireBinary
-	c, err := Start(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-
-	coord := c.Controller.Coordinator()
-	if coord == nil {
-		t.Fatal("remote sharded boot produced no coordinator")
-	}
-	for _, si := range coord.Status().Shards {
-		if si.Codec != shardrpc.CodecBinary {
-			t.Errorf("shard %d codec %q, want %q", si.ID, si.Codec, shardrpc.CodecBinary)
-		}
-	}
-	if !reflect.DeepEqual(c.Controller.ProbeMatrix().PathLinks, ref.Controller.ProbeMatrix().PathLinks) {
-		t.Fatal("served matrix differs between binary-wire and unsharded boots")
 	}
 }

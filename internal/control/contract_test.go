@@ -105,14 +105,11 @@ func TestServedContractThroughChurn(t *testing.T) {
 			withDown[l] = scratch(l)
 		}
 
-		loopback := func(wire string) func(*Config) {
-			return func(c *Config) {
-				for i := 0; i < 2; i++ {
-					ts := httptest.NewServer(shardrpc.NewServer(ps, f.NumLinks()).Handler())
-					t.Cleanup(ts.Close)
-					c.ShardEndpoints = append(c.ShardEndpoints, ts.URL)
-				}
-				c.ShardWire = wire
+		loopback := func(c *Config) {
+			for i := 0; i < 2; i++ {
+				ts := httptest.NewServer(shardrpc.NewServer(ps, f.NumLinks()).Handler())
+				t.Cleanup(ts.Close)
+				c.ShardEndpoints = append(c.ShardEndpoints, ts.URL)
 			}
 		}
 		for _, fleet := range []struct {
@@ -121,8 +118,7 @@ func TestServedContractThroughChurn(t *testing.T) {
 		}{
 			{"1 shard", func(*Config) {}},
 			{"3 shards", func(c *Config) { c.Shards = 3 }},
-			{"loopback json", loopback(shardrpc.WireJSON)},
-			{"loopback binary", loopback(shardrpc.WireBinary)},
+			{"loopback", loopback},
 		} {
 			ctx := fmt.Sprintf("Fattree(%d) (%d,%d) on %s", tc.k, tc.alpha, tc.beta, fleet.name)
 			fcfg := cfg

@@ -80,11 +80,6 @@ type Config struct {
 	// Every service must be built for the same topology — the matrix
 	// signature handshake rejects a mismatched fleet.
 	ShardEndpoints []string
-	// ShardWire selects the transport codec for ShardEndpoints clients:
-	// shardrpc.WireAuto (default — negotiate per shard at ping time),
-	// WireJSON, or WireBinary. GET /shards reports the codec each shard
-	// actually negotiated.
-	ShardWire string
 	// Partition selects the diagnosis plane's ownership derivation:
 	// "exact" (default — connected components over every link) or
 	// "approx" (components over interior links only, cutting server-edge
@@ -239,7 +234,7 @@ func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 	if len(c.Cfg.ShardEndpoints) > 0 {
 		opt.Shards = 0
 		for i, ep := range c.Cfg.ShardEndpoints {
-			opt.Clients = append(opt.Clients, shardrpc.Dial(i, ep, shardrpc.ClientOptions{Wire: c.Cfg.ShardWire}))
+			opt.Clients = append(opt.Clients, shardrpc.Dial(i, ep, shardrpc.ClientOptions{}))
 		}
 	}
 	coord, err := shard.New(ps, c.F.NumLinks(), opt)
@@ -602,12 +597,12 @@ func (c *Controller) Handler() http.Handler {
 				return
 			}
 			d := c.DeltaFor(topo.NodeID(id), since)
-			if r.Header.Get("Accept") == shardrpc.ContentTypeBinary {
-				w.Header().Set("Content-Type", shardrpc.ContentTypeBinary)
-				w.Write(d.EncodeBinary())
+			if d == nil { // a cycle dropped the node since PinglistFor
+				httpx.Error(w, http.StatusNotFound, "node %d is not a pinger this cycle", id)
 				return
 			}
-			httpx.WriteJSON(w, d)
+			w.Header().Set("Content-Type", shardrpc.ContentTypeBinary)
+			w.Write(d.EncodeBinary())
 			return
 		}
 		httpx.WriteJSON(w, pl)

@@ -6,12 +6,11 @@ package control
 // controller keeps a short per-node history of published pinglists and
 // serves GET /pinglist?node=N&since=V as the difference between version V
 // and the current work order — path IDs to stop probing plus full entries
-// to start — in JSON or as the shardrpc kind-7 binary frame. A base
+// to start — as the shardrpc kind-7 binary frame. A base
 // version that has aged out of the history ring degrades to a full
 // snapshot (FromVersion 0), never an error.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -154,17 +153,15 @@ func fromPingEntry(e *shardrpc.PingEntry) Entry {
 
 // FetchPinglistDelta retrieves a pinger's work-order change from the
 // controller: GET /pinglist?node=N&since=V with If-None-Match on the held
-// version's ETag, asking for the kind-7 binary frame and falling back on
-// whatever content type the server answers. Returns (nil, true, nil) when
-// the list is unchanged (304), and (nil, false, nil) when the node is not
-// a pinger this cycle.
+// version's ETag, answered with a kind-7 binary frame. Returns
+// (nil, true, nil) when the list is unchanged (304), and (nil, false, nil)
+// when the node is not a pinger this cycle.
 func FetchPinglistDelta(client *http.Client, baseURL string, n topo.NodeID, since int) (d *shardrpc.PinglistDelta, notModified bool, err error) {
 	url := fmt.Sprintf("%s/pinglist?node=%d&since=%d", baseURL, n, since)
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	req.Header.Set("Accept", shardrpc.ContentTypeBinary)
 	if since > 0 {
 		req.Header.Set("If-None-Match", pinglistETag(since))
 	}
@@ -181,22 +178,15 @@ func FetchPinglistDelta(client *http.Client, baseURL string, n topo.NodeID, sinc
 	case resp.StatusCode/100 != 2:
 		return nil, false, fmt.Errorf("control: pinglist delta status %s", resp.Status)
 	}
-	if resp.Header.Get("Content-Type") == shardrpc.ContentTypeBinary {
-		frame, err := readBodyLimited(resp.Body, maxDeltaBody)
-		if err != nil {
-			return nil, false, err
-		}
-		d, err := shardrpc.DecodePinglistDeltaBinary(frame, maxDeltaBody)
-		if err != nil {
-			return nil, false, err
-		}
-		return d, false, nil
-	}
-	var jd shardrpc.PinglistDelta
-	if err := json.NewDecoder(resp.Body).Decode(&jd); err != nil {
+	frame, err := readBodyLimited(resp.Body, maxDeltaBody)
+	if err != nil {
 		return nil, false, err
 	}
-	return &jd, false, nil
+	d, err = shardrpc.DecodePinglistDeltaBinary(frame, maxDeltaBody)
+	if err != nil {
+		return nil, false, err
+	}
+	return d, false, nil
 }
 
 // maxDeltaBody caps a pinglist delta response (64 MiB — a full Fattree

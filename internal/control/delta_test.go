@@ -72,6 +72,33 @@ func TestPinglistETagNotModified(t *testing.T) {
 	}
 }
 
+// TestPinglistDeltaIsAFrame: GET /pinglist?since= answers the kind-7
+// frame whatever the request asks for (here: no Accept header at all), and
+// since=0 is a full snapshot of the served pinglist.
+func TestPinglistDeltaIsAFrame(t *testing.T) {
+	c, _ := newController(t)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	node := c.PingerNodes()[0]
+
+	resp, err := srv.Client().Get(fmt.Sprintf("%s/pinglist?node=%d&since=0", srv.URL, node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != shardrpc.ContentTypeBinary {
+		t.Fatalf("since=0: status %d content type %q, want 200 %s", resp.StatusCode, ct, shardrpc.ContentTypeBinary)
+	}
+	d, notModified, err := FetchPinglistDelta(srv.Client(), srv.URL, node, 0)
+	if err != nil || notModified || d == nil || !d.Full() {
+		t.Fatalf("FetchPinglistDelta since=0: %+v notModified=%v err=%v, want a full snapshot", d, notModified, err)
+	}
+	got := ApplyDelta(&Pinglist{Node: node}, d)
+	if want := c.PinglistFor(node); !reflect.DeepEqual(normalizePinglist(got), normalizePinglist(want)) {
+		t.Fatalf("snapshot applies to %+v, served %+v", got, want)
+	}
+}
+
 // TestUnhealthyChangeReusesConstruction pins satellite 1: changing the
 // unhealthy server set re-runs only the serve phase — the construction
 // plane reuses every component selection (zero scoring work).

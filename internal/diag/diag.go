@@ -5,8 +5,6 @@
 package diag
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -19,7 +17,6 @@ import (
 	"github.com/detector-net/detector/internal/httpx"
 	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
-	"github.com/detector-net/detector/internal/pinger"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shard"
@@ -27,10 +24,11 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// malformedReports counts report payloads the diagnoser rejected —
-// undecodable JSON or counters that cannot be real (negative, or more
-// losses than probes). Rejections answer 400 with a JSON error instead of
-// silently dropping data, and this counter makes a sick agent visible.
+// malformedReports counts report bodies the diagnoser rejected — a media
+// type other than the report frame, an undecodable frame, or counters that
+// cannot be real (negative, or more losses than probes). Rejections answer
+// 4xx with a JSON error instead of silently dropping data, and this
+// counter makes a sick agent visible.
 var malformedReports = metrics.NewCounter("diag_malformed_reports")
 
 // cutLinkDisagreements accumulates the per-window reconciliation slack of
@@ -128,9 +126,6 @@ type Options struct {
 	// execution — same engine, same verdicts — when a service fails
 	// mid-window); Shards is implied (= len(ShardEndpoints)).
 	ShardEndpoints []string
-	// ShardWire selects the transport codec for ShardEndpoints clients
-	// (shardrpc.WireAuto/WireJSON/WireBinary; default auto-negotiate).
-	ShardWire string
 	// Partition selects how the diagnosis plane derives path ownership:
 	// shard.PartitionExact (default — connected components over every link,
 	// bit-identical merge) or shard.PartitionApprox (components over
@@ -152,9 +147,8 @@ type Options struct {
 	// row that has not reported for more than this many windows forgets its
 	// history and RTT baseline and starts over when it reports again.
 	HistoryWindows int
-	// MaxBodyBytes caps a single report body — JSON or binary — answered
-	// with 413 past the cap (default shardrpc.DefaultLimits().MaxBodyBytes).
-	// It is also the per-frame payload budget on the stream endpoint.
+	// MaxBodyBytes caps a single report body, answered with 413 past the
+	// cap (default shardrpc.DefaultLimits().MaxBodyBytes).
 	MaxBodyBytes int64
 	// MaxAlerts bounds the retained alert log (default 1024); older alerts
 	// fall off the front. The diagnoser runs for months — an unbounded
@@ -170,8 +164,8 @@ type Diagnoser struct {
 	tr      *obs.Tracer
 
 	// state is the window state of the served matrix (nil before the first
-	// SetMatrix). Ingest paths load it and touch only its lock stripes,
-	// never d.mu, so report frames from many streams merge concurrently.
+	// SetMatrix). Ingest loads it and touches only its lock stripes, never
+	// d.mu, so report frames from many pingers merge concurrently.
 	// reports counts payloads atomically for the same reason.
 	state   atomic.Pointer[windowState]
 	reports atomic.Int64
@@ -224,24 +218,10 @@ func New(opts Options) *Diagnoser {
 		d.shards = len(opts.ShardEndpoints)
 		d.clients = make(map[int]shard.ShardClient, d.shards)
 		for i, ep := range opts.ShardEndpoints {
-			d.clients[i] = shardrpc.Dial(i, ep, shardrpc.ClientOptions{Wire: opts.ShardWire})
+			d.clients[i] = shardrpc.Dial(i, ep, shardrpc.ClientOptions{})
 		}
-		d.negotiateCodecs()
 	}
 	return d
-}
-
-// negotiateCodecs pings every shard client in the background. The
-// diagnoser runs no heartbeat prober (liveness is the controller
-// coordinator's job), but codec negotiation also happens at ping time —
-// without this, an auto-wire diagnoser would ship every localize window
-// as JSON forever. Best-effort: a failed ping just leaves that client on
-// the JSON fallback, and the plane's local-execution fallback covers a
-// shard that is really down.
-func (d *Diagnoser) negotiateCodecs() {
-	for _, cl := range d.clients {
-		go func(cl shard.ShardClient) { _ = cl.Ping() }(cl)
-	}
 }
 
 // SetMatrix binds the probe matrix the controller serves. A new version
@@ -270,8 +250,9 @@ func (d *Diagnoser) MatrixVersion() int {
 // Tracer exposes the diagnoser's window tracer (the /statusz source).
 func (d *Diagnoser) Tracer() *obs.Tracer { return d.tr }
 
-// Ingest merges one pinger report (handler and tests share it).
-func (d *Diagnoser) Ingest(rep *pinger.Report) {
+// Ingest merges one pinger report (the /report handler and in-process
+// callers share it).
+func (d *Diagnoser) Ingest(rep *shardrpc.Report) {
 	start := time.Now()
 	d.reports.Add(1)
 	in := ingest{st: d.state.Load()}
@@ -280,110 +261,57 @@ func (d *Diagnoser) Ingest(rep *pinger.Report) {
 	}
 	in.done()
 	d.markReported(in.st, rep.Node, rep.EndNS)
-	stageIngest.Observe(time.Since(start))
-}
-
-// ingestWire merges one decoded binary report frame, with no conversion to
-// the JSON struct: the stream path decodes into a reused shardrpc.Report
-// and merges straight into the window state.
-func (d *Diagnoser) ingestWire(rep *shardrpc.Report) {
-	start := time.Now()
-	d.reports.Add(1)
-	in := ingest{st: d.state.Load()}
-	for _, r := range rep.Results {
-		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
-	}
-	in.done()
-	d.markReported(in.st, rep.Node, rep.EndNS)
-	stageIngest.Observe(time.Since(start))
-}
-
-// ingestSummary merges one pre-aggregated summary frame: worst paths carry
-// full signals, residue paths bare counters. The loss accounting is
-// complete either way — that is the summary contract (see shardrpc) — so
-// localization over summaries matches per-report ingest exactly.
-func (d *Diagnoser) ingestSummary(s *shardrpc.SummaryReport) {
-	start := time.Now()
-	d.reports.Add(1)
-	in := ingest{st: d.state.Load()}
-	for _, r := range s.Worst {
-		in.merge(r.PathID, r.Sent, r.Lost, r.MeanRTTNS, r.JitterNS, r.ECNFrac)
-	}
-	for _, r := range s.Residue {
-		in.merge(r.PathID, r.Sent, r.Lost, 0, 0, 0)
-	}
-	in.done()
-	d.markReported(in.st, s.Node, s.EndNS)
 	stageIngest.Observe(time.Since(start))
 }
 
 // Reports returns how many report payloads arrived (monitoring/testing).
 func (d *Diagnoser) Reports() int64 { return d.reports.Load() }
 
-// validateResult rejects counters and signals that cannot describe a real
+// validateReport rejects counters and signals that cannot describe a real
 // window: negative counters, more losses than probes, negative latencies,
 // non-finite or out-of-range ECN fractions.
-func validateResult(i int, pathID uint32, sent, lost int, rttNS, jitNS int64, ecn float64) error {
-	if sent < 0 || lost < 0 {
-		return fmt.Errorf("result %d (path %d): negative counters sent=%d lost=%d",
-			i, pathID, sent, lost)
-	}
-	if lost > sent {
-		return fmt.Errorf("result %d (path %d): lost %d exceeds sent %d",
-			i, pathID, lost, sent)
-	}
-	if rttNS < 0 || jitNS < 0 {
-		return fmt.Errorf("result %d (path %d): negative latency mean_rtt_ns=%d jitter_ns=%d",
-			i, pathID, rttNS, jitNS)
-	}
-	if math.IsNaN(ecn) || math.IsInf(ecn, 0) || ecn < 0 || ecn > 1 {
-		return fmt.Errorf("result %d (path %d): ECN fraction %v outside [0,1]",
-			i, pathID, ecn)
-	}
-	return nil
-}
-
-func validateReport(rep *pinger.Report) error {
+func validateReport(rep *shardrpc.Report) error {
 	for i, pr := range rep.Results {
-		if err := validateResult(i, pr.PathID, pr.Sent, pr.Lost, pr.MeanRTTNS, pr.JitterNS, pr.ECNFrac); err != nil {
-			return err
+		if pr.Sent < 0 || pr.Lost < 0 {
+			return fmt.Errorf("result %d (path %d): negative counters sent=%d lost=%d",
+				i, pr.PathID, pr.Sent, pr.Lost)
+		}
+		if pr.Lost > pr.Sent {
+			return fmt.Errorf("result %d (path %d): lost %d exceeds sent %d",
+				i, pr.PathID, pr.Lost, pr.Sent)
+		}
+		if pr.MeanRTTNS < 0 || pr.JitterNS < 0 {
+			return fmt.Errorf("result %d (path %d): negative latency mean_rtt_ns=%d jitter_ns=%d",
+				i, pr.PathID, pr.MeanRTTNS, pr.JitterNS)
+		}
+		if ecn := pr.ECNFrac; math.IsNaN(ecn) || math.IsInf(ecn, 0) || ecn < 0 || ecn > 1 {
+			return fmt.Errorf("result %d (path %d): ECN fraction %v outside [0,1]",
+				i, pr.PathID, ecn)
 		}
 	}
 	return nil
 }
 
-func validateWire(rep *shardrpc.Report) error {
-	for i, pr := range rep.Results {
-		if err := validateResult(i, pr.PathID, pr.Sent, pr.Lost, pr.MeanRTTNS, pr.JitterNS, pr.ECNFrac); err != nil {
-			return err
-		}
+// ingestFrame decodes one kind-5 report frame into rep (reusing its
+// Results capacity), validates it and merges it: the whole POST /report
+// path after the body is read.
+func (d *Diagnoser) ingestFrame(frame []byte, rep *shardrpc.Report) error {
+	if err := rep.DecodeBinary(frame, d.maxBody); err != nil {
+		return fmt.Errorf("undecodable report: %w", err)
 	}
+	if err := validateReport(rep); err != nil {
+		return fmt.Errorf("invalid report: %w", err)
+	}
+	d.Ingest(rep)
 	return nil
 }
 
-func validateSummary(s *shardrpc.SummaryReport) error {
-	if s.Windows < 1 {
-		return fmt.Errorf("summary batches %d windows", s.Windows)
-	}
-	for i, pr := range s.Worst {
-		if err := validateResult(i, pr.PathID, pr.Sent, pr.Lost, pr.MeanRTTNS, pr.JitterNS, pr.ECNFrac); err != nil {
-			return fmt.Errorf("worst: %w", err)
-		}
-	}
-	for i, rc := range s.Residue {
-		if err := validateResult(i, rc.PathID, rc.Sent, rc.Lost, 0, 0, 0); err != nil {
-			return fmt.Errorf("residue: %w", err)
-		}
-	}
-	return nil
-}
-
-// Handler serves the report plane: POST /report (one JSON or binary body
-// per window), POST /reportstream (a persistent connection of back-to-back
-// binary frames), GET /reportcaps (capability negotiation) and GET /alerts.
-// Malformed reports answer 400 with a JSON error body and bump
-// diag_malformed_reports — a silent drop would leave a sick pinger
-// indistinguishable from a healthy quiet one; oversized bodies answer 413.
+// Handler serves the report plane: POST /report takes one kind-5 report
+// frame (shardrpc.ContentTypeBinary) per pinger per window; GET /alerts
+// lists the alerts. Malformed reports answer 400 with a JSON error body
+// and bump diag_malformed_reports — a silent drop would leave a sick
+// pinger indistinguishable from a healthy quiet one; another media type
+// answers 415 and an oversized body 413, both counted the same way.
 func (d *Diagnoser) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
@@ -391,62 +319,30 @@ func (d *Diagnoser) Handler() http.Handler {
 			malformedReports.Inc()
 			return
 		}
-		if ct := r.Header.Get("Content-Type"); ct == shardrpc.ContentTypeBinary {
-			// A v2 report or summary frame, same codec as the shard plane.
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.maxBody))
-			if err != nil {
-				malformedReports.Inc()
+		if ct := r.Header.Get("Content-Type"); ct != shardrpc.ContentTypeBinary {
+			malformedReports.Inc()
+			httpx.Error(w, http.StatusUnsupportedMediaType,
+				"unsupported report content type %q (want %s)", ct, shardrpc.ContentTypeBinary)
+			return
+		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, d.maxBody))
+		if err != nil {
+			malformedReports.Inc()
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
 				httpx.Error(w, http.StatusRequestEntityTooLarge, "report body too large: %v", err)
 				return
 			}
-			if err := d.ingestFrame(body); err != nil {
-				malformedReports.Inc()
-				httpx.Error(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		} else {
-			var rep pinger.Report
-			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, d.maxBody)).Decode(&rep); err != nil {
-				malformedReports.Inc()
-				var tooBig *http.MaxBytesError
-				if errors.As(err, &tooBig) {
-					httpx.Error(w, http.StatusRequestEntityTooLarge, "report body too large: %v", err)
-					return
-				}
-				httpx.Error(w, http.StatusBadRequest, "undecodable report: %v", err)
-				return
-			}
-			if err := validateReport(&rep); err != nil {
-				malformedReports.Inc()
-				httpx.Error(w, http.StatusBadRequest, "invalid report: %v", err)
-				return
-			}
-			d.Ingest(&rep)
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/reportstream", func(w http.ResponseWriter, r *http.Request) {
-		if !httpx.RequireMethod(w, r, http.MethodPost) {
-			malformedReports.Inc()
+			httpx.Error(w, http.StatusBadRequest, "unreadable report body: %v", err)
 			return
 		}
-		frames, err := d.serveStream(r.Body)
-		if err != nil {
+		var rep shardrpc.Report
+		if err := d.ingestFrame(body, &rep); err != nil {
 			malformedReports.Inc()
-			httpx.Error(w, http.StatusBadRequest, "stream died after %d frames: %v", frames, err)
+			httpx.Error(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("/reportcaps", func(w http.ResponseWriter, r *http.Request) {
-		if !httpx.RequireMethod(w, r, http.MethodGet) {
-			return
-		}
-		httpx.WriteJSON(w, shardrpc.ReportCaps{
-			Stream: true, Summary: true,
-			Codecs:       []string{shardrpc.CodecJSON, shardrpc.CodecBinary},
-			MaxBodyBytes: d.maxBody,
-		})
 	})
 	mux.HandleFunc("/alerts", func(w http.ResponseWriter, r *http.Request) {
 		if !httpx.RequireMethod(w, r, http.MethodGet) {
@@ -497,84 +393,6 @@ func (d *Diagnoser) Handler() http.Handler {
 		return st
 	}))
 	return mux
-}
-
-// ingestFrame validates and merges one binary frame (report or summary),
-// dispatching on the kind byte. Used by the one-shot POST path; the stream
-// path keeps reused decode structs across frames instead.
-func (d *Diagnoser) ingestFrame(frame []byte) error {
-	kind, err := shardrpc.FrameKind(frame)
-	if err != nil {
-		return fmt.Errorf("undecodable report: %w", err)
-	}
-	switch kind {
-	case shardrpc.KindReport:
-		var rep shardrpc.Report
-		if err := rep.DecodeBinary(frame, d.maxBody); err != nil {
-			return fmt.Errorf("undecodable report: %w", err)
-		}
-		if err := validateWire(&rep); err != nil {
-			return fmt.Errorf("invalid report: %w", err)
-		}
-		d.ingestWire(&rep)
-	case shardrpc.KindReportSummary:
-		var sum shardrpc.SummaryReport
-		if err := sum.DecodeBinary(frame, d.maxBody); err != nil {
-			return fmt.Errorf("undecodable summary: %w", err)
-		}
-		if err := validateSummary(&sum); err != nil {
-			return fmt.Errorf("invalid summary: %w", err)
-		}
-		d.ingestSummary(&sum)
-	default:
-		return fmt.Errorf("unsupported report frame kind %d", kind)
-	}
-	return nil
-}
-
-// serveStream drains one persistent report connection: back-to-back
-// self-delimiting frames, decoded into reused structs and merged into the
-// window state with no per-frame allocation once warm. It returns the number of
-// frames ingested; a nil error is a clean end of stream. The first
-// malformed frame kills the connection — framing errors are not locally
-// recoverable on a byte stream.
-func (d *Diagnoser) serveStream(body io.Reader) (int, error) {
-	br := bufio.NewReaderSize(body, 64<<10)
-	var buf []byte
-	var rep shardrpc.Report
-	var sum shardrpc.SummaryReport
-	frames := 0
-	for {
-		frame, reuse, kind, err := shardrpc.ReadFrame(br, d.maxBody, buf)
-		if err == io.EOF {
-			return frames, nil
-		}
-		if err != nil {
-			return frames, fmt.Errorf("frame %d: %w", frames, err)
-		}
-		buf = reuse
-		switch kind {
-		case shardrpc.KindReport:
-			if err := rep.DecodeBinary(frame, d.maxBody); err != nil {
-				return frames, fmt.Errorf("frame %d: %w", frames, err)
-			}
-			if err := validateWire(&rep); err != nil {
-				return frames, fmt.Errorf("frame %d: %w", frames, err)
-			}
-			d.ingestWire(&rep)
-		case shardrpc.KindReportSummary:
-			if err := sum.DecodeBinary(frame, d.maxBody); err != nil {
-				return frames, fmt.Errorf("frame %d: %w", frames, err)
-			}
-			if err := validateSummary(&sum); err != nil {
-				return frames, fmt.Errorf("frame %d: %w", frames, err)
-			}
-			d.ingestSummary(&sum)
-		default:
-			return frames, fmt.Errorf("frame %d: unsupported kind %d", frames, kind)
-		}
-		frames++
-	}
 }
 
 // Stop halts the window clock.
@@ -669,13 +487,7 @@ func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 	for i := range alive {
 		alive[i] = i
 	}
-	pl, rebuilt := d.planeCache.Get(matrix, alive, d.opts.Partition)
-	if rebuilt {
-		// A new matrix means a new construction cycle — a natural moment
-		// to re-run codec negotiation, picking up shards redeployed at a
-		// different version since the last cycle.
-		d.negotiateCodecs()
-	}
+	pl, _ := d.planeCache.Get(matrix, alive, d.opts.Partition)
 	return pl.UseClients(d.clients)
 }
 

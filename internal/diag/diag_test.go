@@ -16,6 +16,7 @@ import (
 	"github.com/detector-net/detector/internal/pinger"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
 )
 
@@ -76,8 +77,7 @@ func TestHTTPReportAndAlerts(t *testing.T) {
 		{PathID: 1, Sent: 10, Lost: 10},
 		{PathID: 2, Sent: 10, Lost: 0},
 	}}
-	body, _ := json.Marshal(rep)
-	resp, err := srv.Client().Post(srv.URL+"/report", "application/json", bytes.NewReader(body))
+	resp, err := srv.Client().Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(rep.EncodeBinary()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestAlertCarriesLossClass(t *testing.T) {
 }
 
 // TestReportHandlerRejectsMalformed pins the /report error contract:
-// undecodable or impossible payloads answer 400 with a JSON error body,
-// bump diag_malformed_reports, and leave the accumulator untouched.
+// undecodable frames or impossible counters answer 400 with a JSON error
+// body, bump diag_malformed_reports, and leave the accumulator untouched.
 func TestReportHandlerRejectsMalformed(t *testing.T) {
 	d := New(Options{Window: time.Hour})
 	d.SetMatrix(testMatrix(), 1)
@@ -204,16 +204,20 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 	defer srv.Close()
 	before := metrics.Counters()["diag_malformed_reports"]
 
-	post := func(body string) *http.Response {
+	post := func(body []byte) *http.Response {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/report", "application/json", bytes.NewReader([]byte(body)))
+		resp, err := http.Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return resp
 	}
+	frame := func(sent, lost int) []byte {
+		rep := shardrpc.Report{Node: 1, Results: []shardrpc.ReportResult{{PathID: 0, Sent: sent, Lost: lost}}}
+		return rep.EncodeBinary()
+	}
 
-	resp := post("{not json")
+	resp := post([]byte("not a frame"))
 	var eb httpx.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		t.Fatalf("error body is not JSON: %v", err)
@@ -223,13 +227,13 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 		t.Fatalf("garbage payload: status %d body %+v, want 400 with error", resp.StatusCode, eb)
 	}
 
-	resp = post(`{"node":1,"results":[{"path_id":0,"sent":10,"lost":50}]}`)
+	resp = post(frame(10, 50))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("lost > sent: status %d, want 400", resp.StatusCode)
 	}
 
-	resp = post(`{"node":1,"results":[{"path_id":0,"sent":-5,"lost":0}]}`)
+	resp = post(frame(-5, 0))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("negative sent: status %d, want 400", resp.StatusCode)
@@ -251,7 +255,7 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 		t.Fatalf("rejected reports were ingested: %d", d.Reports())
 	}
 
-	resp = post(`{"node":1,"results":[{"path_id":0,"sent":10,"lost":5}]}`)
+	resp = post(frame(10, 5))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("valid report: status %d, want 204", resp.StatusCode)

@@ -23,55 +23,33 @@ import (
 
 var malformedCounter = metrics.NewCounter("diag_malformed_reports")
 
-// TestReportCaps pins the negotiation surface: the diagnoser advertises
-// stream and summary ingest, both codecs, and its body budget.
-func TestReportCaps(t *testing.T) {
-	d := New(Options{Window: time.Hour, MaxBodyBytes: 1 << 20})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "/reportcaps")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var caps shardrpc.ReportCaps
-	if err := json.NewDecoder(resp.Body).Decode(&caps); err != nil {
-		t.Fatal(err)
-	}
-	if !caps.Stream || !caps.Summary || caps.MaxBodyBytes != 1<<20 {
-		t.Fatalf("caps: %+v", caps)
-	}
-	var binary bool
-	for _, c := range caps.Codecs {
-		binary = binary || c == shardrpc.CodecBinary
-	}
-	if !binary {
-		t.Fatalf("binary codec not advertised: %v", caps.Codecs)
-	}
-}
-
-// TestJSONBodyCap pins the 413 path: a JSON report past MaxBodyBytes is
-// refused before it can balloon the decoder, and the rejection is counted.
-func TestJSONBodyCap(t *testing.T) {
-	d := New(Options{Window: time.Hour, MaxBodyBytes: 128})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-
-	rep := pinger.Report{Node: 1, Version: 1}
-	for i := 0; i < 100; i++ {
-		rep.Results = append(rep.Results, pinger.PathReport{PathID: uint32(i), Sent: 10})
-	}
-	body, _ := json.Marshal(rep)
-	before := malformedCounter.Value()
-	resp, err := srv.Client().Post(srv.URL+"/report", "application/json", bytes.NewReader(body))
+// postReport POSTs one report body under the given content type and
+// returns the status.
+func postReport(t *testing.T, url, contentType string, body []byte) int {
+	t.Helper()
+	resp, err := http.Post(url+"/report", contentType, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized JSON answered %s, want 413", resp.Status)
+	return resp.StatusCode
+}
+
+// TestReportBodyCap pins the 413 path: a report frame past MaxBodyBytes is
+// refused before it can balloon the decoder, and the rejection is counted.
+func TestReportBodyCap(t *testing.T) {
+	d := New(Options{Window: time.Hour, MaxBodyBytes: 128})
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	rep := shardrpc.Report{Node: 1, Version: 1}
+	for i := 0; i < 100; i++ {
+		rep.Results = append(rep.Results, shardrpc.ReportResult{PathID: uint32(i), Sent: 10})
+	}
+	before := malformedCounter.Value()
+	if status := postReport(t, srv.URL, shardrpc.ContentTypeBinary, rep.EncodeBinary()); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized frame answered %d, want 413", status)
 	}
 	if malformedCounter.Value() != before+1 {
 		t.Fatal("oversized body not counted as malformed")
@@ -80,115 +58,68 @@ func TestJSONBodyCap(t *testing.T) {
 		t.Fatalf("oversized body was ingested: %d reports", d.Reports())
 	}
 
-	// A small body still lands.
-	small, _ := json.Marshal(pinger.Report{Node: 1, Results: []pinger.PathReport{{PathID: 0, Sent: 5}}})
-	resp, err = srv.Client().Post(srv.URL+"/report", "application/json", bytes.NewReader(small))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent || d.Reports() != 1 {
-		t.Fatalf("small body: %s, reports=%d", resp.Status, d.Reports())
+	// A small frame still lands.
+	small := shardrpc.Report{Node: 1, Results: []shardrpc.ReportResult{{PathID: 0, Sent: 5}}}
+	if status := postReport(t, srv.URL, shardrpc.ContentTypeBinary, small.EncodeBinary()); status != http.StatusNoContent || d.Reports() != 1 {
+		t.Fatalf("small frame: %d, reports=%d", status, d.Reports())
 	}
 }
 
-// TestStreamIngest drives the persistent connection end to end: mixed
-// kind-5 and kind-6 frames over one POST body, then a window that matches
-// the equivalent JSON ingest exactly.
-func TestStreamIngest(t *testing.T) {
+// TestReportRejectsOtherCodecs pins the one report wire: a JSON body or an
+// unknown media type answers 415, a kind-6 frame (the retired batched
+// summary) or any other non-report frame answers 400, a corrupt frame 400
+// — each counted as malformed, none ingested. A kind-5 frame lands.
+func TestReportRejectsOtherCodecs(t *testing.T) {
 	d := New(Options{Window: time.Hour})
 	d.SetMatrix(testMatrix(), 1)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 
-	pr, pw := io.Pipe()
-	respCh := make(chan *http.Response, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(srv.URL+"/reportstream", shardrpc.ContentTypeBinary, pr)
-		respCh <- resp
-		errCh <- err
-	}()
-
 	rep := shardrpc.Report{Node: 1, Version: 1, Results: []shardrpc.ReportResult{
 		{PathID: 0, Sent: 100, Lost: 90},
 		{PathID: 1, Sent: 100, Lost: 95},
 	}}
-	sum := shardrpc.SummaryReport{Node: 2, Version: 1, Windows: 1, TopK: 1,
-		Worst:   []shardrpc.ReportResult{{PathID: 1, Sent: 50, Lost: 45}},
-		Residue: []shardrpc.ResidueCounter{{PathID: 2, Sent: 100, Lost: 0}},
-	}
-	if _, err := pw.Write(rep.EncodeBinary()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pw.Write(sum.EncodeBinary()); err != nil {
-		t.Fatal(err)
-	}
-	pw.Close()
-
-	resp, err := <-respCh, <-errCh
+	jsonBody, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("stream answered %s", resp.Status)
+	kind := func(k byte) []byte {
+		frame := rep.EncodeBinary()
+		frame[3] = k
+		return frame
 	}
-	if d.Reports() != 2 {
-		t.Fatalf("reports = %d, want 2 frames", d.Reports())
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"json", "application/json", jsonBody, http.StatusUnsupportedMediaType},
+		{"noContentType", "", rep.EncodeBinary(), http.StatusUnsupportedMediaType},
+		{"unknownContentType", "application/x-protobuf", rep.EncodeBinary(), http.StatusUnsupportedMediaType},
+		{"kind6Frame", shardrpc.ContentTypeBinary, kind(6), http.StatusBadRequest},
+		{"kind9Frame", shardrpc.ContentTypeBinary, kind(9), http.StatusBadRequest},
+		{"corruptFrame", shardrpc.ContentTypeBinary, []byte("this is not a frame"), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := malformedCounter.Value()
+			if status := postReport(t, srv.URL, tc.contentType, tc.body); status != tc.want {
+				t.Errorf("answered %d, want %d", status, tc.want)
+			}
+			if malformedCounter.Value() != before+1 {
+				t.Error("not counted as malformed")
+			}
+		})
+	}
+	if d.Reports() != 0 {
+		t.Fatalf("rejected bodies were ingested: %d reports", d.Reports())
 	}
 
+	if status := postReport(t, srv.URL, shardrpc.ContentTypeBinary, rep.EncodeBinary()); status != http.StatusNoContent {
+		t.Fatalf("kind-5 frame answered %d", status)
+	}
 	alert := d.RunWindow()
-	if alert == nil || len(alert.Bad) != 1 || alert.Bad[0].Link != 0 {
-		t.Fatalf("streamed window: %+v", alert)
-	}
-	if alert.LossyPaths != 2 {
-		t.Fatalf("lossy paths = %d, want 2", alert.LossyPaths)
-	}
-}
-
-// TestStreamMalformed: a corrupt frame kills the connection with a 400 and
-// counts as malformed; frames before it still land.
-func TestStreamMalformed(t *testing.T) {
-	d := New(Options{Window: time.Hour})
-	srv := httptest.NewServer(d.Handler())
-	defer srv.Close()
-
-	rep := shardrpc.Report{Node: 1, Results: []shardrpc.ReportResult{{PathID: 0, Sent: 10}}}
-	var stream bytes.Buffer
-	stream.Write(rep.EncodeBinary())
-	stream.WriteString("this is not a frame")
-
-	before := malformedCounter.Value()
-	resp, err := http.Post(srv.URL+"/reportstream", shardrpc.ContentTypeBinary, &stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt stream answered %s", resp.Status)
-	}
-	if malformedCounter.Value() != before+1 {
-		t.Fatal("corrupt stream not counted")
-	}
-	if d.Reports() != 1 {
-		t.Fatalf("reports = %d, want the 1 good frame", d.Reports())
-	}
-
-	// An unknown frame kind on /report is a 400, not a crash.
-	frame := rep.EncodeBinary()
-	frame[3] = 9
-	resp, err = http.Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown kind answered %s", resp.Status)
+	if alert == nil || len(alert.Bad) != 1 || alert.Bad[0].Link != 0 || alert.LossyPaths != 2 {
+		t.Fatalf("posted window: %+v", alert)
 	}
 }
 
@@ -521,89 +452,22 @@ func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-// sendFleet delivers one window's reports to a diagnoser over a mix of
-// transports: nodes are split round-robin between JSON POSTs, kind-5
-// binary POSTs, and summary frames over a persistent stream.
+// sendFleet POSTs one window's reports to a diagnoser, one kind-5 frame
+// per pinger, as the fleet does.
 func sendFleet(t *testing.T, url string, reps []pinger.Report) {
 	t.Helper()
-	pr, pw := io.Pipe()
-	respCh := make(chan *http.Response, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		resp, err := http.Post(url+"/reportstream", shardrpc.ContentTypeBinary, pr)
-		respCh <- resp
-		errCh <- err
-	}()
-	for i, rep := range reps {
-		switch i % 3 {
-		case 0: // legacy JSON POST
-			body, _ := json.Marshal(rep)
-			postOK(t, url+"/report", "application/json", body)
-		case 1: // per-report binary frame POST
-			wr := shardrpc.Report{Node: rep.Node, Version: rep.Version, EndNS: rep.EndNS,
-				Results: make([]shardrpc.ReportResult, len(rep.Results))}
-			for j, r := range rep.Results {
-				wr.Results[j] = shardrpc.ReportResult{PathID: r.PathID, Sent: r.Sent, Lost: r.Lost,
-					MeanRTTNS: r.MeanRTTNS, JitterNS: r.JitterNS, ECNFrac: r.ECNFrac}
-			}
-			postOK(t, url+"/report", shardrpc.ContentTypeBinary, wr.EncodeBinary())
-		case 2: // summary frame on the stream: top-2 worst, rest residue
-			sum := shardrpc.SummaryReport{Node: rep.Node, Version: rep.Version,
-				EndNS: rep.EndNS, Windows: 1, TopK: 2}
-			worst1, worst2 := -1, -1
-			for j, r := range rep.Results {
-				if worst1 < 0 || r.Lost > rep.Results[worst1].Lost {
-					worst1, worst2 = j, worst1
-				} else if worst2 < 0 || r.Lost > rep.Results[worst2].Lost {
-					worst2 = j
-				}
-			}
-			for j, r := range rep.Results {
-				if j == worst1 || j == worst2 {
-					sum.Worst = append(sum.Worst, shardrpc.ReportResult{
-						PathID: r.PathID, Sent: r.Sent, Lost: r.Lost,
-						MeanRTTNS: r.MeanRTTNS, JitterNS: r.JitterNS, ECNFrac: r.ECNFrac})
-				} else {
-					sum.Residue = append(sum.Residue, shardrpc.ResidueCounter{
-						PathID: r.PathID, Sent: r.Sent, Lost: r.Lost})
-				}
-			}
-			if _, err := pw.Write(sum.EncodeBinary()); err != nil {
-				t.Fatal(err)
-			}
+	for i := range reps {
+		if status := postReport(t, url, shardrpc.ContentTypeBinary, reps[i].EncodeBinary()); status != http.StatusNoContent {
+			t.Fatalf("POST %s/report: %d", url, status)
 		}
 	}
-	pw.Close()
-	resp, err := <-respCh, <-errCh
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("stream answered %s", resp.Status)
-	}
 }
 
-func postOK(t *testing.T, url, contentType string, body []byte) {
-	t.Helper()
-	resp, err := http.Post(url, contentType, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		t.Fatalf("POST %s: %s", url, resp.Status)
-	}
-}
-
-// TestMixedFleetIngest is the acceptance pin: a fleet split between JSON
-// POSTs, per-report binary frames, and streamed summary frames produces
-// alerts hash-identical to an all-JSON fleet ingested in process, on
-// served Fattree(8) and BCube(4,1) matrices. Summary frames
-// keep every path's counters (worst + residue), so loss localization is
-// exactly the JSON outcome regardless of transport.
+// TestMixedFleetIngest is the report wire's differential pin: a fleet that
+// POSTs every report as a kind-5 frame produces alerts hash-identical to
+// the same reports ingested in process, on served Fattree(8) and
+// BCube(4,1) matrices — the frame, the handler and the validation perturb
+// nothing.
 func TestMixedFleetIngest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("served-matrix fleet test is not -short")
@@ -623,9 +487,9 @@ func TestMixedFleetIngest(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := servedMatrix(t, c.ps, c.numLinks)
 
-			dMixed := New(Options{Window: time.Hour})
-			dMixed.SetMatrix(m, 1)
-			srv := httptest.NewServer(dMixed.Handler())
+			dPosted := New(Options{Window: time.Hour})
+			dPosted.SetMatrix(m, 1)
+			srv := httptest.NewServer(dPosted.Handler())
 			defer srv.Close()
 
 			dRef := New(Options{Window: time.Hour})
@@ -638,20 +502,20 @@ func TestMixedFleetIngest(t *testing.T) {
 					rep := rep
 					dRef.Ingest(&rep)
 				}
-				dMixed.RunWindow()
+				dPosted.RunWindow()
 				dRef.RunWindow()
 			}
 
-			hMixed := alertsHash(t, dMixed.Alerts())
+			hPosted := alertsHash(t, dPosted.Alerts())
 			hRef := alertsHash(t, dRef.Alerts())
-			if hMixed != hRef {
-				t.Fatalf("mixed-fleet alerts diverge from the all-JSON fleet's:\n mixed %x %+v\n ref   %x %+v",
-					hMixed, strippedAlerts(dMixed.Alerts()), hRef, strippedAlerts(dRef.Alerts()))
+			if hPosted != hRef {
+				t.Fatalf("posted-fleet alerts diverge from in-process ingest:\n posted %x %+v\n ref    %x %+v",
+					hPosted, strippedAlerts(dPosted.Alerts()), hRef, strippedAlerts(dRef.Alerts()))
 			}
-			if len(dMixed.Alerts()) == 0 {
+			if len(dPosted.Alerts()) == 0 {
 				t.Fatal("fleet produced no alerts — the pin is vacuous")
 			}
-			t.Logf("%s: %d windows, alert hash %x", c.name, len(dMixed.Alerts()), hMixed)
+			t.Logf("%s: %d windows, alert hash %x", c.name, len(dPosted.Alerts()), hPosted)
 		})
 	}
 }
@@ -676,10 +540,10 @@ func benchFrames(nodes, resultsPerFrame int) [][]byte {
 	return frames
 }
 
-// BenchmarkIngestThroughput measures the streaming hot path — frame decode
-// (reused struct), validation, ID-to-row translation and merge under the
-// row stripes' locks — and reports per-path
-// report throughput. The acceptance floor is 1e6 reports/sec.
+// BenchmarkIngestThroughput measures the POST /report path after the body
+// is read — frame decode, validation, ID-to-row translation and merge under
+// the row stripes' locks — and reports per-path report throughput. The
+// acceptance floor is 1e6 reports/sec.
 func BenchmarkIngestThroughput(b *testing.B) {
 	const resultsPerFrame = 64
 	d := New(Options{Window: time.Hour})
@@ -693,13 +557,9 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		for pb.Next() {
 			frame := frames[i%len(frames)]
 			i++
-			if err := rep.DecodeBinary(frame, 0); err != nil {
+			if err := d.ingestFrame(frame, &rep); err != nil {
 				b.Fatal(err)
 			}
-			if err := validateWire(&rep); err != nil {
-				b.Fatal(err)
-			}
-			d.ingestWire(&rep)
 		}
 	})
 	b.StopTimer()

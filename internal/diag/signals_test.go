@@ -16,10 +16,9 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// TestReportHandlerRejectsMalformedSignals sweeps the new field checks:
-// negative latencies and out-of-range ECN fractions answer 400 and bump
-// diag_malformed_reports, on both wires (NaN can only arrive via binary —
-// JSON cannot spell it).
+// TestReportHandlerRejectsMalformedSignals sweeps the signal field checks:
+// negative latencies and out-of-range or non-finite ECN fractions answer
+// 400 and bump diag_malformed_reports.
 func TestReportHandlerRejectsMalformedSignals(t *testing.T) {
 	d := New(Options{Window: time.Hour})
 	d.SetMatrix(testMatrix(), 1)
@@ -27,39 +26,32 @@ func TestReportHandlerRejectsMalformedSignals(t *testing.T) {
 	defer srv.Close()
 	before := metrics.Counters()["diag_malformed_reports"]
 
-	postJSON := func(body string) int {
+	post := func(r shardrpc.ReportResult) int {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/report", "application/json", bytes.NewReader([]byte(body)))
+		rep := shardrpc.Report{Node: 1, Results: []shardrpc.ReportResult{r}}
+		resp, err := http.Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(rep.EncodeBinary()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	bad := []string{
-		`{"node":1,"results":[{"path_id":0,"sent":10,"lost":0,"mean_rtt_ns":-5}]}`,
-		`{"node":1,"results":[{"path_id":0,"sent":10,"lost":0,"jitter_ns":-1}]}`,
-		`{"node":1,"results":[{"path_id":0,"sent":10,"lost":0,"ecn_frac":1.5}]}`,
-		`{"node":1,"results":[{"path_id":0,"sent":10,"lost":0,"ecn_frac":-0.1}]}`,
+	bad := []shardrpc.ReportResult{
+		{PathID: 0, Sent: 10, MeanRTTNS: -5},
+		{PathID: 0, Sent: 10, JitterNS: -1},
+		{PathID: 0, Sent: 10, ECNFrac: 1.5},
+		{PathID: 0, Sent: 10, ECNFrac: -0.1},
 	}
-	for _, b := range bad {
-		if code := postJSON(b); code != http.StatusBadRequest {
-			t.Fatalf("payload %s: status %d, want 400", b, code)
+	for _, r := range bad {
+		if code := post(r); code != http.StatusBadRequest {
+			t.Fatalf("result %+v: status %d, want 400", r, code)
 		}
 	}
 
-	// A NaN ECN fraction travels bit-faithfully over the binary wire and
-	// must die at validation, not at decode.
-	nan := shardrpc.Report{Node: 1, Results: []shardrpc.ReportResult{
-		{PathID: 0, Sent: 10, Lost: 0, ECNFrac: math.NaN()},
-	}}
-	resp, err := http.Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(nan.EncodeBinary()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("NaN ECN over binary: status %d, want 400", resp.StatusCode)
+	// A NaN ECN fraction travels bit-faithfully in the frame and must die
+	// at validation, not at decode.
+	if code := post(shardrpc.ReportResult{PathID: 0, Sent: 10, ECNFrac: math.NaN()}); code != http.StatusBadRequest {
+		t.Fatalf("NaN ECN: status %d, want 400", code)
 	}
 
 	if got := metrics.Counters()["diag_malformed_reports"]; got != before+5 {
@@ -69,23 +61,12 @@ func TestReportHandlerRejectsMalformedSignals(t *testing.T) {
 		t.Fatalf("malformed reports were ingested: %d", d.Reports())
 	}
 
-	// Healthy signals pass on both wires.
-	if code := postJSON(`{"node":1,"results":[{"path_id":0,"sent":10,"lost":1,"mean_rtt_ns":50000,"jitter_ns":2000,"ecn_frac":0.25}]}`); code != http.StatusNoContent {
-		t.Fatalf("valid JSON signal report: status %d, want 204", code)
+	// Healthy signals pass.
+	if code := post(shardrpc.ReportResult{PathID: 0, Sent: 10, Lost: 1, MeanRTTNS: 50000, JitterNS: 2000, ECNFrac: 0.25}); code != http.StatusNoContent {
+		t.Fatalf("valid signal report: status %d, want 204", code)
 	}
-	ok := shardrpc.Report{Node: 2, Results: []shardrpc.ReportResult{
-		{PathID: 1, Sent: 10, Lost: 0, MeanRTTNS: 50000, JitterNS: 1000, ECNFrac: 0.5},
-	}}
-	resp, err = http.Post(srv.URL+"/report", shardrpc.ContentTypeBinary, bytes.NewReader(ok.EncodeBinary()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("valid binary report: status %d, want 204", resp.StatusCode)
-	}
-	if d.Reports() != 2 {
-		t.Fatalf("valid reports ingested: %d, want 2", d.Reports())
+	if d.Reports() != 1 {
+		t.Fatalf("valid report ingested: %d, want 1", d.Reports())
 	}
 }
 

@@ -230,9 +230,8 @@ func HealthzHandler(report func() Health) http.HandlerFunc {
 }
 
 // Statusz is the wire shape of GET /statusz: the service's recent cycle
-// timelines plus a service-specific snapshot (placement and negotiated
-// codecs on the controller, engine fingerprint on a shard, window state on
-// the diagnoser).
+// timelines plus a service-specific snapshot (placement on the controller,
+// engine fingerprint on a shard, window state on the diagnoser).
 type Statusz struct {
 	Service string          `json:"service"`
 	Cycles  []CycleSnapshot `json:"cycles"`

@@ -8,7 +8,6 @@ package pinger
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -21,28 +20,14 @@ import (
 	"github.com/detector-net/detector/internal/wire"
 )
 
-// PathReport is one path's counters for one window.
-type PathReport struct {
-	PathID uint32 `json:"path_id"`
-	Sent   int    `json:"sent"`
-	Lost   int    `json:"lost"`
-	// MeanRTTNS is the mean round-trip time of delivered probes.
-	MeanRTTNS int64 `json:"mean_rtt_ns"`
-	// JitterNS is the RFC 3550 interarrival jitter of the delivered
-	// probes' RTTs: the smoothed mean of |RTT(i)−RTT(i−1)|.
-	JitterNS int64 `json:"jitter_ns,omitempty"`
-	// ECNFrac is the fraction of delivered probes whose echo carried the
-	// congestion-experienced mark (a switch set wire.FlagECN en route).
-	ECNFrac float64 `json:"ecn_frac,omitempty"`
-}
-
-// Report is the window aggregate POSTed to the diagnoser.
-type Report struct {
-	Node    topo.NodeID  `json:"node"`
-	Version int          `json:"version"`
-	EndNS   int64        `json:"end_ns"`
-	Results []PathReport `json:"results"`
-}
+// PathReport is one path's counters and signals for one window; Report is
+// the window aggregate POSTed to the diagnoser. Both are the report frame's
+// own types (shardrpc), so the agent, the wire and the diagnoser share one
+// declaration.
+type (
+	PathReport = shardrpc.ReportResult
+	Report     = shardrpc.Report
+)
 
 // Options tunes agent behavior; zero values take the defaults noted.
 type Options struct {
@@ -57,23 +42,6 @@ type Options struct {
 	HeartbeatURL string
 	// HTTPClient overrides the default client.
 	HTTPClient *http.Client
-	// ReportWire selects the report encoding: shardrpc.CodecJSON (default)
-	// or shardrpc.CodecBinary for the v2 binary frame.
-	ReportWire string
-	// BatchWindows, when > 1, merges that many report windows locally
-	// before shipping one pre-aggregated payload (counters summed, signal
-	// means delivered-weighted). Default 1: ship every window.
-	BatchWindows int
-	// TopK, when > 0 and the diagnoser advertises summary ingest, ships
-	// the K worst paths with full signal detail and every other probed
-	// path as bare residue counters (v2 kind-6 frame). Loss localization
-	// is unaffected — the residue preserves every counter — only per-path
-	// latency/ECN detail is trimmed. Requires ReportWire binary.
-	TopK int
-	// StreamReports, when true and the diagnoser advertises the stream
-	// endpoint, ships report frames over one persistent connection instead
-	// of per-window POSTs. Requires ReportWire binary.
-	StreamReports bool
 }
 
 type pathState struct {
@@ -117,12 +85,8 @@ type Pinger struct {
 
 	// Report-shipping state (report.go), under its own lock so HTTP round
 	// trips never stall the probing path.
-	repMu       sync.Mutex
-	pend        map[uint32]*pendAgg // pending (possibly multi-window) aggregate
-	pendWindows int
-	caps        *shardrpc.ReportCaps
-	capsOK      bool
-	streamW     *io.PipeWriter // persistent report stream, nil when closed
+	repMu sync.Mutex
+	pend  map[uint32]*pendAgg // windows not yet delivered, merged per path
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -178,12 +142,11 @@ func Start(t *topo.Topology, rules *fabric.RuleTable, reg *fabric.Registry,
 	return p, nil
 }
 
-// Stop halts all loops, closes the socket and ends the report stream.
+// Stop halts all loops and closes the socket.
 func (p *Pinger) Stop() {
 	close(p.stop)
 	p.conn.Close()
 	p.done.Wait()
-	p.closeStream()
 }
 
 // Pinglist returns the active work order.

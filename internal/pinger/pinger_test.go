@@ -32,13 +32,13 @@ func newStub(t *testing.T, pl control.Pinglist) *stubControlPlane {
 		json.NewEncoder(w).Encode(pl)
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
-		var rep Report
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+		rep, err := decodeReport(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		s.mu.Lock()
-		s.reports = append(s.reports, rep)
+		s.reports = append(s.reports, *rep)
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})

@@ -18,7 +18,8 @@ import (
 
 // deltaStub is a control plane with a version history: the cold fetch
 // serves the full pinglist, a since= fetch at the current version answers
-// 304, and a since= fetch one version behind serves the configured delta.
+// 304, and a since= fetch one version behind serves the configured delta
+// as the kind-7 frame.
 type deltaStub struct {
 	mu          sync.Mutex
 	cur         control.Pinglist
@@ -49,19 +50,20 @@ func newDeltaStub(t *testing.T, pl control.Pinglist) *deltaStub {
 			s.mu.Lock()
 			s.deltasSent++
 			s.mu.Unlock()
-			json.NewEncoder(w).Encode(d)
+			w.Header().Set("Content-Type", shardrpc.ContentTypeBinary)
+			w.Write(d.EncodeBinary())
 		default:
 			json.NewEncoder(w).Encode(cur)
 		}
 	})
 	mux.HandleFunc("/report", func(w http.ResponseWriter, r *http.Request) {
-		var rep Report
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+		rep, err := decodeReport(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		s.mu.Lock()
-		s.reports = append(s.reports, rep)
+		s.reports = append(s.reports, *rep)
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 	})

@@ -1,7 +1,8 @@
 package pinger
 
 import (
-	"encoding/json"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/detector-net/detector/internal/control"
 	"github.com/detector-net/detector/internal/fabric"
+	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
 )
 
@@ -100,6 +102,19 @@ func TestConfirmBudgetSpentFiresNothing(t *testing.T) {
 	}
 }
 
+// decodeReport reads one POSTed report: a kind-5 frame under the frame's
+// media type, as the diagnoser takes it.
+func decodeReport(r *http.Request) (*Report, error) {
+	if ct := r.Header.Get("Content-Type"); ct != shardrpc.ContentTypeBinary {
+		return nil, fmt.Errorf("report content type %q, want %s", ct, shardrpc.ContentTypeBinary)
+	}
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	return shardrpc.DecodeReportBinary(body, 0)
+}
+
 // flakyDiagnoser fails the first N report POSTs with a 503, then accepts.
 type flakyDiagnoser struct {
 	mu      sync.Mutex
@@ -119,12 +134,12 @@ func newFlaky(t *testing.T, failFirst int) *flakyDiagnoser {
 			http.Error(w, "window closed on my foot", http.StatusServiceUnavailable)
 			return
 		}
-		var rep Report
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+		rep, err := decodeReport(r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		fd.reports = append(fd.reports, rep)
+		fd.reports = append(fd.reports, *rep)
 		w.WriteHeader(http.StatusNoContent)
 	})
 	fd.srv = httptest.NewServer(mux)
@@ -221,12 +236,13 @@ func TestRejectedReportNotRetried(t *testing.T) {
 	var posts []Report
 	var mu sync.Mutex
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var rep Report
-		if err := json.NewDecoder(r.Body).Decode(&rep); err != nil {
+		rep, err := decodeReport(r)
+		if err != nil {
 			t.Errorf("undecodable report: %v", err)
+			rep = &Report{}
 		}
 		mu.Lock()
-		posts = append(posts, rep)
+		posts = append(posts, *rep)
 		mu.Unlock()
 		http.Error(w, "no", http.StatusBadRequest)
 	}))
@@ -251,35 +267,6 @@ func TestRejectedReportNotRetried(t *testing.T) {
 	}
 	if reportFailures.Value() != failuresBefore+2 {
 		t.Fatalf("rejections not counted: %d", reportFailures.Value()-failuresBefore)
-	}
-}
-
-// TestBatchWindows: with BatchWindows=3, two windows accumulate locally and
-// the third ships one merged report.
-func TestBatchWindows(t *testing.T) {
-	fd := newFlaky(t, 0)
-	p := expireRig(t, 2)
-	p.client = fd.srv.Client()
-	p.Opts.BatchWindows = 3
-	p.pinglist = &control.Pinglist{Version: 1, ReportURL: fd.srv.URL}
-
-	for w := 0; w < 3; w++ {
-		p.paths[0].acked, p.paths[0].lost = 9, 1
-		p.report(0)
-		got := fd.count()
-		want := 0
-		if w == 2 {
-			want = 1
-		}
-		if got != want {
-			t.Fatalf("window %d: %d reports, want %d", w, got, want)
-		}
-	}
-	fd.mu.Lock()
-	defer fd.mu.Unlock()
-	res := fd.reports[0].Results
-	if len(res) != 1 || res[0].Sent != 30 || res[0].Lost != 3 {
-		t.Fatalf("batched report: %+v", res)
 	}
 }
 

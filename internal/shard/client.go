@@ -76,13 +76,6 @@ type MatrixChecker interface {
 	ExpectMatrix(sig uint64, numLinks int)
 }
 
-// CodecReporter is implemented by transport clients that know which wire
-// codec their requests travel in ("json", "binary" — negotiated at ping
-// time by internal/shardrpc). The coordinator surfaces it per shard in
-// Status, so a fleet stuck on the fallback codec after an upgrade is
-// visible at GET /shards instead of only in payload-size graphs.
-type CodecReporter interface{ Codec() string }
-
 // Killer is implemented by shard clients that can simulate a crash for
 // tests and drills (the in-process shard). Remote shards die for real:
 // kill the server process instead.

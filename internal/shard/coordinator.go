@@ -247,11 +247,10 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	}
 	c.reassignLocked(alive)
 	// One synchronous probe round before the periodic probers start: it
-	// seeds liveness with a real heartbeat and — on transport clients —
-	// runs the codec negotiation, so even the very first construct
-	// dispatch ships in the negotiated wire format instead of the JSON
-	// fallback. Pings run in parallel, so a dead endpoint costs one
-	// refused connection, not a serial timeout chain.
+	// seeds liveness with a real heartbeat, so the first construct
+	// dispatch already skips a dead endpoint. Pings run in parallel, so a
+	// dead endpoint costs one refused connection, not a serial timeout
+	// chain.
 	var initial sync.WaitGroup
 	for i := range c.clients {
 		initial.Add(1)
@@ -798,9 +797,6 @@ type ShardInfo struct {
 	Addr        string `json:"addr"`
 	Alive       bool   `json:"alive"`
 	Quarantined bool   `json:"quarantined,omitempty"`
-	// Codec is the negotiated wire codec for transport-backed shards
-	// (CodecReporter); empty for in-process shards, which have no wire.
-	Codec string `json:"codec,omitempty"`
 	// Components are the component indices the shard currently owns.
 	Components []int `json:"components"`
 }
@@ -815,8 +811,8 @@ type ComponentInfo struct {
 }
 
 // Status is the operator-facing snapshot served at the control service's
-// GET /shards: who is alive, where every component lives, and over which
-// transport — placement without log scraping.
+// GET /shards: who is alive and where every component lives — placement
+// without log scraping.
 type Status struct {
 	MatrixSig uint64 `json:"matrix_sig,string"`
 	// Partition is the diagnosis-plane partition policy ("exact" or
@@ -862,17 +858,13 @@ func (c *Coordinator) Status() Status {
 		if comps == nil {
 			comps = []int{}
 		}
-		info := ShardInfo{
+		st.Shards = append(st.Shards, ShardInfo{
 			ID:          i,
 			Addr:        c.clients[i].Addr(),
 			Alive:       !unhealthy[topo.NodeID(i)] && !c.quarantined[i],
 			Quarantined: c.quarantined[i],
 			Components:  comps,
-		}
-		if cr, ok := c.clients[i].(CodecReporter); ok {
-			info.Codec = cr.Codec()
-		}
-		st.Shards = append(st.Shards, info)
+		})
 	}
 	return st
 }

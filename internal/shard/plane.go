@@ -568,7 +568,7 @@ type PlaneCache struct {
 // Get returns the plane for (p, alive, policy), rebuilding only when the
 // matrix content, shard set or policy changed since the last call.
 // rebuilt reports whether a build happened — callers hook once-per-cycle
-// work (codec renegotiation, client attachment) on it.
+// work on it.
 func (pc *PlaneCache) Get(p *route.Probes, alive []int, policy PartitionPolicy) (pl *Plane, rebuilt bool) {
 	if policy == "" {
 		policy = PartitionExact

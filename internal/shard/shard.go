@@ -8,8 +8,8 @@
 //
 // The coordinator talks to shards only through the ShardClient transport
 // interface. Two implementations exist: the in-process Shard below (a
-// direct call into the local engines) and internal/shardrpc's HTTP/JSON
-// client, which drives a shard running as a standalone service on another
+// direct call into the local engines) and internal/shardrpc's HTTP client,
+// which drives a shard running as a standalone service on another
 // machine. The coordinator cannot tell them apart — liveness, dispatch and
 // failover all run through the same interface.
 //

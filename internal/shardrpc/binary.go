@@ -1,15 +1,16 @@
 package shardrpc
 
 // The v2 binary codec: a length-prefixed frame around a varint-packed
-// payload, negotiated at ping time (the server advertises its codecs, the
-// client picks) and selected per request via Content-Type, so a mixed
-// fleet of v1 (JSON-only) and v2 services keeps working mid-rollout.
+// payload. It is the only body format between machines — shard RPC
+// requests and responses, pinger reports, pinglist deltas — and travels
+// under ContentTypeBinary.
 //
 // Frame layout (all multi-byte integers varint unless noted):
 //
 //	magic     2 bytes  0xD7 0xC2
 //	version   1 byte   BinaryVersion (2)
-//	kind      1 byte   payload kind (construct/localize × request/response)
+//	kind      1 byte   payload kind (construct/localize × request/response,
+//	                   report, pinglist delta)
 //	length    uvarint  payload byte count — must match the remainder exactly
 //	payload   length bytes
 //
@@ -42,19 +43,9 @@ import (
 // BinaryVersion is the frame-format version of the v2 binary codec.
 const BinaryVersion = 2
 
-// Codec names, as advertised in PingResponse.Codecs and reported at
-// GET /shards.
-const (
-	CodecJSON   = "json"
-	CodecBinary = "binary"
-)
-
-// Content types selecting the request codec. JSON is the v1 default;
-// the binary type is only sent after negotiation (or when forced).
-const (
-	contentTypeJSON   = "application/json"
-	ContentTypeBinary = "application/x-detector-shardrpc-v2"
-)
+// ContentTypeBinary is the media type of every v2 frame body. A server
+// answers any other request Content-Type with 415.
+const ContentTypeBinary = "application/x-detector-shardrpc-v2"
 
 // Payload kinds.
 const (
@@ -65,6 +56,9 @@ const (
 )
 
 var frameMagic = [2]byte{0xD7, 0xC2}
+
+// maxPathID bounds decoded path IDs to the uint32 space the matrix indexes.
+const maxPathID = int64(1)<<32 - 1
 
 // errFrameTooLarge marks a frame whose declared payload length exceeds
 // the decoder's budget; the server maps it to 413 like an oversized body.

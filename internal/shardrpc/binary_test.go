@@ -330,7 +330,7 @@ func TestBinaryConstructCompression(t *testing.T) {
 	}
 }
 
-// postBody is postJSON with an explicit content type.
+// postBody POSTs a body under the given content type.
 func postBody(t *testing.T, url, contentType string, body []byte) *http.Response {
 	t.Helper()
 	resp, err := http.Post(url, contentType, bytes.NewReader(body))
@@ -435,11 +435,14 @@ func FuzzBinaryFrame(f *testing.F) {
 	f.Add(lresp.encodeBinary())
 	rep := randReport(r)
 	f.Add(rep.EncodeBinary())
-	sum := randSummary(r)
-	f.Add(sum.EncodeBinary())
+	// Kind 6, the retired batched-report summary, must be rejected by
+	// every decoder: a kind-5 frame relabelled as kind 6.
+	retired := rep.EncodeBinary()
+	retired[3] = 6
+	f.Add(retired)
 	f.Add([]byte{frameMagic[0], frameMagic[1], BinaryVersion, kindConstructReq, 0})
 	f.Add([]byte{frameMagic[0], frameMagic[1], BinaryVersion, kindReport, 0})
-	f.Add([]byte{frameMagic[0], frameMagic[1], BinaryVersion, kindReportSummary, 0})
+	f.Add([]byte{frameMagic[0], frameMagic[1], BinaryVersion, 6, 0})
 	f.Add([]byte{0xD7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -482,11 +485,12 @@ func FuzzBinaryFrame(f *testing.F) {
 				t.Fatalf("report re-encode not a fixed point: %v", err)
 			}
 		}
-		if sum, err := DecodeSummaryBinary(data, maxPayload); err == nil {
-			enc := sum.EncodeBinary()
-			again, err := DecodeSummaryBinary(enc, 0)
-			if err != nil || !bytes.Equal(enc, again.EncodeBinary()) {
-				t.Fatalf("summary re-encode not a fixed point: %v", err)
+		if len(data) > 3 && data[3] == 6 {
+			if _, err := DecodeReportBinary(data, maxPayload); err == nil {
+				t.Fatal("a kind-6 frame decoded as a report")
+			}
+			if _, err := DecodePinglistDeltaBinary(data, maxPayload); err == nil {
+				t.Fatal("a kind-6 frame decoded as a pinglist delta")
 			}
 		}
 	})

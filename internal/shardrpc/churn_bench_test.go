@@ -13,13 +13,13 @@ import (
 
 // benchChurnWire measures what the coordinator ships over the transport
 // for a single-link churn cycle against a full construction cycle, on a
-// loopback shard fleet speaking the given codec. With selection reuse on,
+// loopback shard fleet. With selection reuse on,
 // a churn cycle dispatches only the dirty component — so the wire bytes
 // out must drop in proportion to the dirty share of the matrix (1 of 8
 // components on Fattree(16)), not just the compute. A different link
 // churns each iteration so the shard-side memo cannot short-circuit the
 // dispatched construction.
-func benchChurnWire(b *testing.B, wire string) {
+func benchChurnWire(b *testing.B) {
 	f := topo.MustFattree(16)
 	ps := route.NewFattreePaths(f)
 	const shards = 4
@@ -34,7 +34,7 @@ func benchChurnWire(b *testing.B, wire string) {
 		srv := NewServer(ps, f.NumLinks())
 		ts := httptest.NewServer(srv.Handler())
 		b.Cleanup(ts.Close)
-		cl := Dial(i, ts.URL, ClientOptions{Wire: wire})
+		cl := Dial(i, ts.URL, ClientOptions{})
 		rpcClients = append(rpcClients, cl)
 		opt.Clients = append(opt.Clients, cl)
 	}
@@ -86,10 +86,9 @@ func benchChurnWire(b *testing.B, wire string) {
 }
 
 // BenchmarkChurnWireFattree16 reports the wire cost of a single-link churn
-// cycle next to a full cycle for both codecs. The ratio is the delta
+// cycle next to a full cycle. The ratio is the delta
 // pipeline's transport win: near 1/8 on Fattree(16) (one dirty component
 // of eight, plus fixed per-request overhead).
 func BenchmarkChurnWireFattree16(b *testing.B) {
-	b.Run("loopback-binary", func(b *testing.B) { benchChurnWire(b, WireBinary) })
-	b.Run("loopback-json", func(b *testing.B) { benchChurnWire(b, WireJSON) })
+	b.Run("loopback-binary", benchChurnWire)
 }

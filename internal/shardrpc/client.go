@@ -51,21 +51,6 @@ var (
 	matrixInstalls    = metrics.NewCounter("shardrpc_matrix_installs")
 )
 
-// Wire policies for ClientOptions.Wire.
-const (
-	// WireAuto negotiates at ping time: the client starts on JSON (every
-	// server speaks it) and upgrades to the binary codec when the shard's
-	// ping advertises it — so a mixed v1/v2 fleet keeps working and each
-	// shard is driven over the cheapest codec it supports.
-	WireAuto = "auto"
-	// WireJSON forces the v1 JSON codec.
-	WireJSON = CodecJSON
-	// WireBinary forces the v2 binary codec; a v1-only shard will answer
-	// 400, which surfaces as a dispatch failure instead of silently
-	// degrading — use it to assert a fully upgraded fleet.
-	WireBinary = CodecBinary
-)
-
 // ClientOptions tunes a transport client.
 type ClientOptions struct {
 	// HTTPClient overrides the default (30 s total-request timeout —
@@ -80,10 +65,6 @@ type ClientOptions struct {
 	// and localization are pure computations, so a retry can never
 	// double-apply anything.
 	Attempts int
-	// Wire selects the request codec: WireAuto (default — negotiate at
-	// ping time, JSON until the shard advertises binary), WireJSON, or
-	// WireBinary.
-	Wire string
 	// MaxResponseBytes bounds every response read, mirroring the limit
 	// the server enforces on requests: a misbehaving shard cannot balloon
 	// coordinator memory through an unbounded response body. Default
@@ -101,7 +82,6 @@ type Client struct {
 	base    string
 	hc      *http.Client
 	att     int
-	wire    string
 	maxResp int64
 	// wireCount is true when the client owns a counting transport: the
 	// byte counters then measure actual wire traffic — headers, bodies,
@@ -109,7 +89,6 @@ type Client struct {
 	wireCount bool
 
 	mu          sync.Mutex
-	negotiated  string // codec chosen by the last ping under WireAuto
 	expectSet   bool
 	expectSig   uint64
 	expectLinks int
@@ -148,21 +127,10 @@ func (c *countingConn) Write(p []byte) (int, error) {
 
 // Dial builds a client for the shard service at baseURL, serving
 // coordinator slot id. No connection is made until the first call.
-// An unknown Wire policy panics: silently treating a typo ("Binary",
-// "bin") as auto-negotiation would defeat exactly the fail-loud
-// guarantee WireBinary exists to give.
 func Dial(id int, baseURL string, opt ClientOptions) *Client {
-	switch opt.Wire {
-	case "", WireAuto, WireJSON, WireBinary:
-	default:
-		panic(fmt.Sprintf("shardrpc: unknown wire policy %q (want %q, %q or %q)",
-			opt.Wire, WireAuto, WireJSON, WireBinary))
-	}
 	slot := strconv.Itoa(id)
 	c := &Client{
 		id: id, base: baseURL,
-		wire:        opt.Wire,
-		negotiated:  CodecJSON,
 		maxResp:     opt.MaxResponseBytes,
 		requests:    clientRequests.With(slot),
 		retries:     clientRetries.With(slot),
@@ -210,21 +178,6 @@ func (c *Client) ID() int { return c.id }
 
 // Addr returns the shard service's base URL.
 func (c *Client) Addr() string { return c.base }
-
-// Codec reports the codec the next request would use: the forced wire
-// policy, or the outcome of the last ping negotiation under WireAuto.
-// The controller's /shards view surfaces it per shard.
-func (c *Client) Codec() string {
-	switch c.wire {
-	case WireJSON:
-		return CodecJSON
-	case WireBinary:
-		return CodecBinary
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.negotiated
-}
 
 // Close releases idle connections.
 func (c *Client) Close() error {
@@ -276,10 +229,8 @@ func readBounded(body io.Reader, max int64) ([]byte, bool, error) {
 // handful of fields, so anything past this is a sick shard.
 const pingResponseCap = 4096
 
-// Ping probes the shard service's liveness endpoint and, under WireAuto,
-// renegotiates the codec from the advertisement in the response — so a
-// shard redeployed at a different version is picked up at the next
-// heartbeat, upgrade or downgrade.
+// Ping probes the shard service's liveness endpoint and checks its schema
+// version and, once ExpectMatrix pinned one, its engine fingerprint.
 func (c *Client) Ping() error {
 	c.requests.Inc()
 	req, err := http.NewRequestWithContext(c.traceContext(context.Background()),
@@ -312,14 +263,7 @@ func (c *Client) Ping() error {
 	if pr.V != SchemaVersion {
 		return fmt.Errorf("shardrpc %d: shard speaks schema v%d, client v%d", c.id, pr.V, SchemaVersion)
 	}
-	negotiated := CodecJSON
-	for _, name := range pr.Codecs {
-		if name == CodecBinary {
-			negotiated = CodecBinary
-		}
-	}
 	c.mu.Lock()
-	c.negotiated = negotiated
 	expectSet, expectSig, expectLinks := c.expectSet, c.expectSig, c.expectLinks
 	c.mu.Unlock()
 	if expectSet && (pr.MatrixSig != expectSig || pr.NumLinks != expectLinks) {
@@ -327,45 +271,6 @@ func (c *Client) Ping() error {
 			c.id, pr.MatrixSig, pr.NumLinks, expectSig, expectLinks)
 	}
 	return nil
-}
-
-// encodeRequest marshals a request body in the client's current codec.
-func (c *Client) encodeRequest(req any) (body []byte, contentType string, err error) {
-	if c.Codec() == CodecBinary {
-		switch r := req.(type) {
-		case ConstructRequest:
-			return r.encodeBinary(), ContentTypeBinary, nil
-		case LocalizeRequest:
-			return r.encodeBinary(), ContentTypeBinary, nil
-		}
-	}
-	body, err = json.Marshal(req)
-	return body, contentTypeJSON, err
-}
-
-// decodeResponse unmarshals a success body in whatever codec the server
-// answered with (the server mirrors the request codec, but trusting the
-// response header keeps a mid-rollout downgrade decodable).
-func decodeResponse(resp *http.Response, body []byte, respKind byte, maxPayload int64, out any) error {
-	if codecForContentType(resp.Header.Get("Content-Type")) == CodecBinary {
-		switch respKind {
-		case kindConstructResp:
-			decoded, err := decodeConstructRespBinary(body, maxPayload)
-			if err != nil {
-				return err
-			}
-			*out.(*ConstructResponse) = *decoded
-			return nil
-		case kindLocalizeResp:
-			decoded, err := decodeLocalizeRespBinary(body, maxPayload)
-			if err != nil {
-				return err
-			}
-			*out.(*LocalizeResponse) = *decoded
-			return nil
-		}
-	}
-	return json.Unmarshal(body, out)
 }
 
 // statusError is a structured error response from the shard: the service
@@ -386,19 +291,15 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("shardrpc %d: %s: status %s", e.shard, e.path, e.text)
 }
 
-// post runs one idempotent round trip with bounded retries, in the codec
-// negotiation selected. A transport failure retries; any HTTP response —
+// post runs one idempotent round trip of a v2 request frame with bounded
+// retries and returns the success response's frame. A transport failure
+// retries; any HTTP response —
 // success or structured error (a *statusError) — is final, because the
 // shard has already spoken. Responses are bounded by MaxResponseBytes: an
 // oversized one is a final error, like any other corrupt response. A
 // nonzero cycle rides in the X-Detector-Cycle header — observability only,
-// never in the payload. wireBytes, when non-nil, counts the encoded
-// request body.
-func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, wireBytes *metrics.Counter, out any) error {
-	body, contentType, err := c.encodeRequest(reqBody)
-	if err != nil {
-		return fmt.Errorf("shardrpc %d: encode %s: %w", c.id, path, err)
-	}
+// never in the payload. wireBytes, when non-nil, counts the request body.
+func (c *Client) post(path string, cycle uint64, body []byte, wireBytes *metrics.Counter) ([]byte, error) {
 	if wireBytes != nil {
 		wireBytes.Add(int64(len(body)))
 	}
@@ -411,9 +312,9 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, wir
 		req, err := http.NewRequestWithContext(c.traceContext(context.Background()),
 			http.MethodPost, c.base+path, bytes.NewReader(body))
 		if err != nil {
-			return fmt.Errorf("shardrpc %d: %s: %w", c.id, path, err)
+			return nil, fmt.Errorf("shardrpc %d: %s: %w", c.id, path, err)
 		}
-		req.Header.Set("Content-Type", contentType)
+		req.Header.Set("Content-Type", ContentTypeBinary)
 		if cycle != 0 {
 			req.Header.Set(obs.CycleHeader, strconv.FormatUint(cycle, 10))
 		}
@@ -438,7 +339,7 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, wir
 			c.bytesIn.Add(int64(len(respBody)))
 		}
 		if over {
-			return fmt.Errorf("shardrpc %d: %s: response exceeds %d bytes — refusing to buffer a runaway shard reply",
+			return nil, fmt.Errorf("shardrpc %d: %s: response exceeds %d bytes — refusing to buffer a runaway shard reply",
 				c.id, path, c.maxResp)
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -447,22 +348,24 @@ func (c *Client) post(path string, cycle uint64, reqBody any, respKind byte, wir
 			if json.Unmarshal(respBody, &eb) == nil {
 				se.code, se.msg = eb.Code, eb.Error
 			}
-			return se
+			return nil, se
 		}
-		if err := decodeResponse(resp, respBody, respKind, c.maxResp, out); err != nil {
-			return fmt.Errorf("shardrpc %d: %s: decode response: %w", c.id, path, err)
-		}
-		return nil
+		return respBody, nil
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // Construct dispatches one construction work order over the wire. The
 // coordinator's cycle ID (req.Cycle) travels as a header, not payload.
 func (c *Client) Construct(req shard.ConstructRequest) (*pmc.Result, error) {
-	var resp ConstructResponse
-	if err := c.post("/v1/construct", req.Cycle, encodeConstruct(req), kindConstructResp, nil, &resp); err != nil {
+	wreq := encodeConstruct(req)
+	body, err := c.post("/v1/construct", req.Cycle, wreq.encodeBinary(), nil)
+	if err != nil {
 		return nil, err
+	}
+	resp, err := decodeConstructRespBinary(body, c.maxResp)
+	if err != nil {
+		return nil, fmt.Errorf("shardrpc %d: /v1/construct: decode response: %w", c.id, err)
 	}
 	if resp.V != SchemaVersion {
 		return nil, fmt.Errorf("shardrpc %d: construct response schema v%d, want v%d", c.id, resp.V, SchemaVersion)
@@ -486,17 +389,20 @@ func (c *Client) Construct(req shard.ConstructRequest) (*pmc.Result, error) {
 // caller's cycle ID travels as a header, not payload.
 func (c *Client) Localize(cycle uint64, part *shard.Part, w pll.Window, cfg pll.Config) (*pll.Result, error) {
 	req := encodeLocalize(part.Sig, w, cfg)
-	var resp LocalizeResponse
-	err := c.post("/v1/localize", cycle, req, kindLocalizeResp, localizeWireBytes, &resp)
+	body, err := c.post("/v1/localize", cycle, req.encodeBinary(), localizeWireBytes)
 	var se *statusError
 	if errors.As(err, &se) && se.status == http.StatusConflict && se.code == CodeUnknownMatrix {
 		matrixInstalls.Inc()
 		m := part.Engine.Matrix()
 		req.Matrix = &Matrix{NumLinks: m.NumLinks, Paths: m.PathLinks}
-		err = c.post("/v1/localize", cycle, req, kindLocalizeResp, localizeWireBytes, &resp)
+		body, err = c.post("/v1/localize", cycle, req.encodeBinary(), localizeWireBytes)
 	}
 	if err != nil {
 		return nil, err
+	}
+	resp, err := decodeLocalizeRespBinary(body, c.maxResp)
+	if err != nil {
+		return nil, fmt.Errorf("shardrpc %d: /v1/localize: decode response: %w", c.id, err)
 	}
 	if resp.V != SchemaVersion {
 		return nil, fmt.Errorf("shardrpc %d: localize response schema v%d, want v%d", c.id, resp.V, SchemaVersion)
@@ -512,9 +418,5 @@ func (c *Client) Localize(cycle uint64, part *shard.Part, w pll.Window, cfg pll.
 	return res, nil
 }
 
-// Interface conformance: a Client is a shard.ShardClient that reports its
-// wire codec.
-var (
-	_ shard.ShardClient   = (*Client)(nil)
-	_ shard.CodecReporter = (*Client)(nil)
-)
+// Interface conformance: a Client is a shard.ShardClient.
+var _ shard.ShardClient = (*Client)(nil)

@@ -1,12 +1,13 @@
 // Package shardrpc runs a controller shard as a standalone network
 // service: an HTTP transport behind the shard.ShardClient interface, so
 // the same coordinator that drives in-process shards drives shards on
-// other machines with no code change above the interface. Two codecs
-// share the wire — the v1 JSON schemas below, and a v2 length-prefixed
-// varint-delta binary codec (binary.go) negotiated at ping time and
-// selected per request via Content-Type, so mixed-version fleets keep
-// working while the binary codec cuts the dominant construct payload by
-// roughly 5× (ARCHITECTURE.md has the measured table).
+// other machines with no code change above the interface. Every body
+// between machines is a v2 length-prefixed varint-delta binary frame
+// (binary.go): shard RPC requests and responses, and the pinger reports
+// and pinglist deltas that share the frame format. The schemas below keep
+// JSON tags because the liveness ping and error bodies are JSON (an
+// operator reads them with curl) and the codec's tests use encoding/json
+// as an independent oracle.
 //
 // The paper's component decomposition (§4.3, Observation 1) is what makes
 // this wire-cheap: component slices out, selections and verdicts back are
@@ -42,7 +43,7 @@ const SchemaVersion = 2
 // Limits bounds every payload a server will decode. The zero value is
 // unusable; use DefaultLimits.
 type Limits struct {
-	// MaxBodyBytes caps the request body (enforced before JSON decode).
+	// MaxBodyBytes caps the request body (enforced before decode).
 	MaxBodyBytes int64
 	// MaxComponents caps components per construction request.
 	MaxComponents int
@@ -96,11 +97,6 @@ type PingResponse struct {
 	MatrixSig uint64 `json:"matrix_sig,string"`
 	NumLinks  int    `json:"num_links"`
 	Paths     int    `json:"paths"`
-	// Codecs lists the wire codecs the shard accepts ("json", "binary").
-	// A v1 service omits the field, which a client reads as JSON-only —
-	// this is the whole negotiation: the server advertises, the client
-	// picks the cheapest codec both ends speak.
-	Codecs []string `json:"codecs,omitempty"`
 }
 
 // Component is one independent subproblem on the wire: global link IDs and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -32,14 +33,15 @@ func testServer(t *testing.T, lim Limits) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
-func postJSON(t *testing.T, url string, body []byte) *http.Response {
-	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+// frameOf packs a construct or localize request into its v2 frame.
+func frameOf(req any) []byte {
+	switch r := req.(type) {
+	case ConstructRequest:
+		return r.encodeBinary()
+	case LocalizeRequest:
+		return r.encodeBinary()
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
+	panic(fmt.Sprintf("no frame for %T", req))
 }
 
 func errorBody(t *testing.T, resp *http.Response) string {
@@ -52,12 +54,14 @@ func errorBody(t *testing.T, resp *http.Response) string {
 }
 
 // TestTruncatedPayloadRejected feeds the server a request cut off
-// mid-object: structured 400, and the server keeps serving afterwards.
+// mid-frame: structured 400, and the server keeps serving afterwards.
 func TestTruncatedPayloadRejected(t *testing.T) {
 	srv, ts := testServer(t, DefaultLimits())
-	full, _ := json.Marshal(ConstructRequest{V: SchemaVersion, MatrixSig: srv.MatrixSig()})
-	for _, endpoint := range []string{"/v1/construct", "/v1/localize"} {
-		resp := postJSON(t, ts.URL+endpoint, full[:len(full)/2])
+	for endpoint, full := range map[string][]byte{
+		"/v1/construct": frameOf(ConstructRequest{V: SchemaVersion, MatrixSig: srv.MatrixSig()}),
+		"/v1/localize":  frameOf(LocalizeRequest{V: SchemaVersion, Sig: 42, HitRatio: 0.6}),
+	} {
+		resp := postBody(t, ts.URL+endpoint, ContentTypeBinary, full[:len(full)/2])
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s truncated payload: status %d, want 400", endpoint, resp.StatusCode)
 		}
@@ -83,9 +87,41 @@ func TestOversizedPayloadRejected(t *testing.T) {
 	for i := range big {
 		big[i] = ' '
 	}
-	resp := postJSON(t, ts.URL+"/v1/construct", big)
+	resp := postBody(t, ts.URL+"/v1/construct", ContentTypeBinary, big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized payload: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestJSONRequestRejected: the shard RPC speaks only the v2 frame. A JSON
+// construct or localize request answers 415 with a structured body that
+// names the media type to use, and counts as rejected.
+func TestJSONRequestRejected(t *testing.T) {
+	srv, ts := testServer(t, DefaultLimits())
+	for _, tc := range []struct {
+		name, endpoint string
+		req            any
+	}{
+		{"construct", "/v1/construct", encodeConstruct(constructWorkOrder(srv.ps, srv.numLinks))},
+		{"localize", "/v1/localize", LocalizeRequest{V: SchemaVersion, Sig: 42, HitRatio: 0.6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := serverRejected.Value()
+			resp := postBody(t, ts.URL+tc.endpoint, "application/json", body)
+			if resp.StatusCode != http.StatusUnsupportedMediaType {
+				t.Errorf("JSON request: status %d, want 415", resp.StatusCode)
+			}
+			if eb := errorBody(t, resp); !strings.Contains(eb, ContentTypeBinary) {
+				t.Errorf("JSON request: error %q does not name %s", eb, ContentTypeBinary)
+			}
+			if got := serverRejected.Value() - before; got != 1 {
+				t.Errorf("JSON request: rejected counter moved by %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -130,11 +166,7 @@ func TestValidationRejectsBadPayloads(t *testing.T) {
 				Matrix: &Matrix{NumLinks: 4, Paths: [][]topo.LinkID{{4}}}}, 400},
 	}
 	for _, tc := range cases {
-		body, err := json.Marshal(tc.req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := postJSON(t, ts.URL+tc.url, body)
+		resp := postBody(t, ts.URL+tc.url, ContentTypeBinary, frameOf(tc.req))
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
@@ -310,17 +342,18 @@ func TestPingRejectsWrongEngine(t *testing.T) {
 
 // TestConstructRejectsUnboundedMaxElements pins the server-side cap on the
 // one option that sizes shard memory: a coordinator cannot disable the
-// refinement guard remotely.
+// refinement guard remotely. (A value past the frame's int32 range does
+// not even decode; this one decodes and fails validation.)
 func TestConstructRejectsUnboundedMaxElements(t *testing.T) {
 	srv, ts := testServer(t, DefaultLimits())
-	body, _ := json.Marshal(ConstructRequest{
+	body := frameOf(ConstructRequest{
 		V: SchemaVersion, MatrixSig: srv.MatrixSig(), NumLinks: srv.numLinks,
-		Opt:   PMCOptions{Alpha: 1, Beta: 1, MaxElements: 1 << 62},
+		Opt:   PMCOptions{Alpha: 1, Beta: 1, MaxElements: 1<<31 - 1},
 		Comps: []Component{{Links: []topo.LinkID{0}, Paths: []int32{0}}},
 	})
-	resp := postJSON(t, ts.URL+"/v1/construct", body)
+	resp := postBody(t, ts.URL+"/v1/construct", ContentTypeBinary, body)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("max_elements 1<<62: status %d, want 400", resp.StatusCode)
+		t.Fatalf("max_elements 1<<31-1: status %d, want 400", resp.StatusCode)
 	}
 	if eb := errorBody(t, resp); !strings.Contains(eb, "max_elements") {
 		t.Fatalf("error %q does not name the offending field", eb)
@@ -340,141 +373,6 @@ func constructWorkOrder(ps route.PathSet, numLinks int) shard.ConstructRequest {
 	}
 }
 
-// legacyV1Handler makes a current shard service look like a PR-4-era v1
-// deployment: pings do not advertise codecs, and a binary request gets
-// the 400 a JSON-only decoder would produce.
-func legacyV1Handler(inner http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/ping" {
-			rec := httptest.NewRecorder()
-			inner.ServeHTTP(rec, r)
-			var pr PingResponse
-			if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &pr) == nil {
-				pr.Codecs = nil
-				httpx.WriteJSON(w, pr)
-				return
-			}
-			w.WriteHeader(rec.Code)
-			_, _ = w.Write(rec.Body.Bytes())
-			return
-		}
-		if requestCodec(r) == CodecBinary {
-			httpx.Error(w, http.StatusBadRequest,
-				"undecodable request: invalid character '\\u00d7' looking for beginning of value")
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
-// TestCodecNegotiation pins the upgrade handshake: an auto-wire client
-// speaks JSON until the shard's ping advertises the binary codec, then
-// drives the same work order over binary with an identical result.
-func TestCodecNegotiation(t *testing.T) {
-	f := topo.MustFattree(4)
-	ps := route.NewFattreePaths(f)
-	srv := NewServer(ps, f.NumLinks())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	req := constructWorkOrder(ps, f.NumLinks())
-	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cl := Dial(60, ts.URL, ClientOptions{})
-	defer cl.Close()
-	if got := cl.Codec(); got != CodecJSON {
-		t.Fatalf("pre-negotiation codec %q, want %q (JSON until the shard speaks)", got, CodecJSON)
-	}
-	preNeg, err := cl.Construct(req)
-	if err != nil {
-		t.Fatalf("construct before negotiation: %v", err)
-	}
-	if err := cl.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
-	}
-	if got := cl.Codec(); got != CodecBinary {
-		t.Fatalf("post-ping codec %q, want %q (server advertises binary)", got, CodecBinary)
-	}
-	postNeg, err := cl.Construct(req)
-	if err != nil {
-		t.Fatalf("construct after negotiation: %v", err)
-	}
-	if !reflect.DeepEqual(preNeg.Selected, ref.Selected) || !reflect.DeepEqual(postNeg.Selected, ref.Selected) {
-		t.Fatal("selection depends on the codec — transport perturbed output")
-	}
-}
-
-// TestMixedVersionFleet pins both rollout directions: a v2 client against
-// a v1-only shard degrades cleanly to JSON (auto) or fails loudly
-// (forced binary), and a v1 JSON client keeps working against a v2
-// server, which answers in JSON.
-func TestMixedVersionFleet(t *testing.T) {
-	f := topo.MustFattree(4)
-	ps := route.NewFattreePaths(f)
-	req := constructWorkOrder(ps, f.NumLinks())
-	ref, err := pmc.ConstructComponents(ps, route.MaterializeCSR(ps), req.Comps, f.NumLinks(), req.Opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	legacy := httptest.NewServer(legacyV1Handler(NewServer(ps, f.NumLinks()).Handler()))
-	defer legacy.Close()
-	modern := NewServer(ps, f.NumLinks())
-	modernTS := httptest.NewServer(modern.Handler())
-	defer modernTS.Close()
-
-	t.Run("autoClientAgainstV1", func(t *testing.T) {
-		cl := Dial(61, legacy.URL, ClientOptions{})
-		defer cl.Close()
-		if err := cl.Ping(); err != nil {
-			t.Fatalf("ping v1 server: %v", err)
-		}
-		if got := cl.Codec(); got != CodecJSON {
-			t.Fatalf("codec against v1 server %q, want %q", got, CodecJSON)
-		}
-		res, err := cl.Construct(req)
-		if err != nil {
-			t.Fatalf("construct against v1 server: %v", err)
-		}
-		if !reflect.DeepEqual(res.Selected, ref.Selected) {
-			t.Fatal("v1 fallback selection differs")
-		}
-	})
-	t.Run("forcedBinaryAgainstV1", func(t *testing.T) {
-		cl := Dial(62, legacy.URL, ClientOptions{Wire: WireBinary})
-		defer cl.Close()
-		_, err := cl.Construct(req)
-		if err == nil {
-			t.Fatal("forced binary against a v1 server must fail, not silently degrade")
-		}
-		if !strings.Contains(err.Error(), "400") {
-			t.Fatalf("forced-binary failure %q does not surface the server's 400", err)
-		}
-	})
-	t.Run("v1ClientAgainstV2", func(t *testing.T) {
-		body, err := json.Marshal(encodeConstruct(req))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := postJSON(t, modernTS.URL+"/v1/construct", body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("JSON construct against v2 server: status %d", resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("JSON request answered with %q — a v1 client could not decode this", ct)
-		}
-		var cresp ConstructResponse
-		if err := json.NewDecoder(resp.Body).Decode(&cresp); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(cresp.Selected, ref.Selected) {
-			t.Fatal("v1-style JSON selection differs")
-		}
-	})
-}
-
 // TestOversizedResponseRejected is the response-side mirror of the
 // request body limit: a shard that answers with an unbounded body cannot
 // balloon coordinator memory — the client stops reading at its limit and
@@ -484,7 +382,7 @@ func TestOversizedResponseRejected(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/construct", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", ContentTypeBinary)
 		junk := bytes.Repeat([]byte(" "), 1<<16)
 		_, _ = w.Write(junk)
 	})
@@ -499,6 +397,60 @@ func TestOversizedResponseRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "exceeds 4096 bytes") {
 		t.Fatalf("oversized-response error %q does not name the bound", err)
+	}
+}
+
+// TestClientRejectsNonBinaryReply: a shard that answers 200 with a JSON
+// body — a server that predates the one-codec wire — fails the call with
+// a decode error on the first attempt instead of yielding an empty
+// selection or verdict set, and the client does not retry: the shard has
+// already spoken.
+func TestClientRejectsNonBinaryReply(t *testing.T) {
+	f := topo.MustFattree(4)
+	ps := route.NewFattreePaths(f)
+	probes := route.NewProbesFromLinks([][]topo.LinkID{{0, 1}, {1, 2}}, 3)
+	window := pll.Window{Lossy: []pll.Observation{{Path: 0, Sent: 100, Lost: 60}}}
+	var hits atomic.Int64
+	mux := http.NewServeMux()
+	for path, reply := range map[string]any{
+		"/v1/construct": ConstructResponse{V: SchemaVersion, Selected: []int{0, 1, 2}},
+		"/v1/localize":  LocalizeResponse{V: SchemaVersion, Bad: []Verdict{{Link: 1, Rate: 0.5}}},
+	} {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			hits.Add(1)
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(reply)
+		})
+	}
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	cl := Dial(65, ts.URL, ClientOptions{})
+	defer cl.Close()
+
+	for name, call := range map[string]func() error{
+		"construct": func() error {
+			_, err := cl.Construct(constructWorkOrder(ps, f.NumLinks()))
+			return err
+		},
+		"localize": func() error {
+			_, err := cl.Localize(0, partOf(probes), window, pll.DefaultConfig())
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := hits.Load()
+			err := call()
+			if err == nil {
+				t.Fatal("a JSON reply was accepted")
+			}
+			if !strings.Contains(err.Error(), "decode response") || !strings.Contains(err.Error(), "magic") {
+				t.Fatalf("error %q does not diagnose an undecodable frame", err)
+			}
+			if n := hits.Load() - before; n != 1 {
+				t.Fatalf("%d requests reached the shard, want 1 (no retry after a reply)", n)
+			}
+		})
 	}
 }
 
@@ -526,18 +478,16 @@ func TestByteCountersCountFailedAttempts(t *testing.T) {
 
 	cl := Dial(65, ts.URL, ClientOptions{})
 	defer cl.Close()
-	jsonBody, err := json.Marshal(encodeConstruct(req))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wreq := encodeConstruct(req)
+	body := wreq.encodeBinary()
 	outBefore, retriesBefore := cl.bytesOut.Value(), cl.retries.Value()
 	if _, err := cl.Construct(req); err == nil {
 		t.Fatal("construct against a connection-killing shard must fail")
 	}
 	moved := cl.bytesOut.Value() - outBefore
-	// Two attempts (default one retry), each shipping the full JSON body
-	// plus headers.
-	if want := 2 * int64(len(jsonBody)); moved < want {
+	// Two attempts (default one retry), each shipping the full frame plus
+	// headers.
+	if want := 2 * int64(len(body)); moved < want {
 		t.Fatalf("bytes_out counted %d, want >= %d — failed attempts moved bytes the counter missed", moved, want)
 	}
 	if got := cl.retries.Value() - retriesBefore; got != 1 {
@@ -596,26 +546,11 @@ func TestConnectionReuse(t *testing.T) {
 	}
 }
 
-// TestDialRejectsUnknownWire pins the fail-fast on a mistyped wire
-// policy: silently treating "Binary" as auto-negotiation would defeat
-// the fail-loud guarantee WireBinary exists to give.
-func TestDialRejectsUnknownWire(t *testing.T) {
-	for _, ok := range []string{"", WireAuto, WireJSON, WireBinary} {
-		Dial(68, "http://127.0.0.1:1", ClientOptions{Wire: ok}).Close()
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dial accepted wire policy \"Binary\"")
-		}
-	}()
-	Dial(68, "http://127.0.0.1:1", ClientOptions{Wire: "Binary"})
-}
-
 // TestMaskedConstructOverLoopback: a valid /construct request for a
 // component the down-link mask has cut into, under the served options. On
 // the parent of this test it killed the shard process — orbit images
 // outside the component panicked a worker goroutine no handler recovers.
-// Both codecs must answer 200 with the in-process selection.
+// The shard must answer 200 with the in-process selection.
 func TestMaskedConstructOverLoopback(t *testing.T) {
 	for _, c := range []struct{ k, alpha, beta int }{{4, 3, 1}, {8, 3, 1}, {6, 1, 2}} {
 		f := topo.MustFattree(c.k)
@@ -637,21 +572,17 @@ func TestMaskedConstructOverLoopback(t *testing.T) {
 			if !ref.Stats.CoverageMet || !ref.Stats.IdentMet {
 				t.Fatalf("Fattree(%d) link %d down: targets unmet in process: %+v", c.k, down, ref.Stats)
 			}
-			for _, wire := range []string{WireJSON, WireBinary} {
-				cl := Dial(0, ts.URL, ClientOptions{Wire: wire})
-				res, err := cl.Construct(req)
-				cl.Close()
-				if err != nil {
-					t.Fatalf("Fattree(%d) link %d down over %s: %v", c.k, down, wire, err)
-				}
-				if !reflect.DeepEqual(res.Selected, ref.Selected) {
-					t.Errorf("Fattree(%d) link %d down over %s: selection differs from in-process", c.k, down, wire)
-				}
+			cl := Dial(0, ts.URL, ClientOptions{})
+			res, err := cl.Construct(req)
+			if err != nil {
+				t.Fatalf("Fattree(%d) link %d down: %v", c.k, down, err)
+			}
+			if !reflect.DeepEqual(res.Selected, ref.Selected) {
+				t.Errorf("Fattree(%d) link %d down: selection differs from in-process", c.k, down)
 			}
 			// The same component short of a link its paths use passes the
 			// wire's shape checks; the engine must refuse it (422), not die.
 			req.Comps[0].Links = req.Comps[0].Links[1:]
-			cl := Dial(0, ts.URL, ClientOptions{Wire: WireBinary})
 			if _, err := cl.Construct(req); err == nil || !strings.Contains(err.Error(), "leaves its component") {
 				t.Errorf("Fattree(%d): inconsistent component answered %v, want a leaves-its-component rejection", c.k, err)
 			}
@@ -682,7 +613,7 @@ func TestForeignRowConstructOverLoopback(t *testing.T) {
 	}
 	ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
 	defer ts.Close()
-	cl := Dial(0, ts.URL, ClientOptions{Wire: WireBinary})
+	cl := Dial(0, ts.URL, ClientOptions{})
 	defer cl.Close()
 	for _, tc := range []struct {
 		name  string

@@ -2,7 +2,6 @@ package shardrpc
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -52,7 +51,7 @@ func sameVerdicts(a, b *pll.Result) bool {
 }
 
 // TestLocalizeShipsExceptionsNotTheMatrix drives a two-shard plane over
-// loopback services in every codec: the first window installs each part's
+// loopback services: the first window installs each part's
 // matrix once, every later window travels as a few hundred bytes of
 // exceptions against it, a restarted server costs exactly one reinstall
 // per part — and no window ever differs from the full recompute or falls
@@ -61,69 +60,65 @@ func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 	ps, probes := servedFattree8(t)
 	numLinks := probes.NumLinks
 	fallbacks := metrics.NewCounter("shard_plane_local_fallbacks")
-	for _, wire := range []string{WireJSON, WireBinary} {
-		t.Run(wire, func(t *testing.T) {
-			handlers := []*swapHandler{{}, {}}
-			clients := map[int]shard.ShardClient{}
-			for i, h := range handlers {
-				h.set(NewServer(ps, numLinks).Handler())
-				ts := httptest.NewServer(h)
-				t.Cleanup(ts.Close)
-				clients[i] = Dial(i, ts.URL, ClientOptions{Wire: wire})
-			}
-			plane := shard.NewPlane(probes, []int{0, 1}).UseClients(clients)
-			parts := int64(len(plane.Shards()))
-			if parts != 2 {
-				t.Fatalf("plane spread over %d shards, want 2", parts)
-			}
+	handlers := []*swapHandler{{}, {}}
+	clients := map[int]shard.ShardClient{}
+	for i, h := range handlers {
+		h.set(NewServer(ps, numLinks).Handler())
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		clients[i] = Dial(i, ts.URL, ClientOptions{})
+	}
+	plane := shard.NewPlane(probes, []int{0, 1}).UseClients(clients)
+	parts := int64(len(plane.Shards()))
+	if parts != 2 {
+		t.Fatalf("plane spread over %d shards, want 2", parts)
+	}
 
-			window := func(nBad int) (installs, wireBytes int64) {
-				t.Helper()
-				obs := syntheticWindow(probes, nBad)
-				obs = append(obs[:5], obs[9:]...) // four rows did not report
-				want, err := pll.Localize(probes, obs, pll.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				i0, b0, f0 := matrixInstalls.Value(), localizeWireBytes.Value(), fallbacks.Value()
-				got, err := plane.Localize(obs, pll.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameVerdicts(got, want) || len(got.Bad) == 0 {
-					t.Fatalf("remote verdicts %+v, full recompute %+v", got.Bad, want.Bad)
-				}
-				if fb := fallbacks.Value() - f0; fb != 0 {
-					t.Fatalf("%d local fallbacks on a healthy fleet: %v", fb, plane.RemoteErrors())
-				}
-				return matrixInstalls.Value() - i0, localizeWireBytes.Value() - b0
-			}
+	window := func(nBad int) (installs, wireBytes int64) {
+		t.Helper()
+		obs := syntheticWindow(probes, nBad)
+		obs = append(obs[:5], obs[9:]...) // four rows did not report
+		want, err := pll.Localize(probes, obs, pll.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		i0, b0, f0 := matrixInstalls.Value(), localizeWireBytes.Value(), fallbacks.Value()
+		got, err := plane.Localize(obs, pll.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameVerdicts(got, want) || len(got.Bad) == 0 {
+			t.Fatalf("remote verdicts %+v, full recompute %+v", got.Bad, want.Bad)
+		}
+		if fb := fallbacks.Value() - f0; fb != 0 {
+			t.Fatalf("%d local fallbacks on a healthy fleet: %v", fb, plane.RemoteErrors())
+		}
+		return matrixInstalls.Value() - i0, localizeWireBytes.Value() - b0
+	}
 
-			installs, installBytes := window(3)
-			if installs != parts {
-				t.Fatalf("first window: %d installs, want one per part (%d)", installs, parts)
-			}
-			for nBad := 1; nBad <= 4; nBad++ {
-				installs, steadyBytes := window(nBad)
-				if installs != 0 {
-					t.Fatalf("steady window reinstalled %d matrices", installs)
-				}
-				// A small matrix under a window with a third of its rows
-				// lossy: the gap is far wider on a production one.
-				if steadyBytes*4 > installBytes {
-					t.Fatalf("steady window shipped %d bytes, the install window %d — the matrix still rides along", steadyBytes, installBytes)
-				}
-			}
+	installs, installBytes := window(3)
+	if installs != parts {
+		t.Fatalf("first window: %d installs, want one per part (%d)", installs, parts)
+	}
+	for nBad := 1; nBad <= 4; nBad++ {
+		installs, steadyBytes := window(nBad)
+		if installs != 0 {
+			t.Fatalf("steady window reinstalled %d matrices", installs)
+		}
+		// A small matrix under a window with a third of its rows
+		// lossy: the gap is far wider on a production one.
+		if steadyBytes*4 > installBytes {
+			t.Fatalf("steady window shipped %d bytes, the install window %d — the matrix still rides along", steadyBytes, installBytes)
+		}
+	}
 
-			// Restart shard 1: fresh server, empty cache, same URL.
-			handlers[1].set(NewServer(ps, numLinks).Handler())
-			if installs, _ := window(2); installs != 1 {
-				t.Fatalf("window after a restart: %d installs, want exactly 1", installs)
-			}
-			if installs, _ := window(2); installs != 0 {
-				t.Fatalf("second window after a restart reinstalled %d matrices", installs)
-			}
-		})
+	// Restart shard 1: fresh server, empty cache, same URL.
+	handlers[1].set(NewServer(ps, numLinks).Handler())
+	if installs, _ := window(2); installs != 1 {
+		t.Fatalf("window after a restart: %d installs, want exactly 1", installs)
+	}
+	if installs, _ := window(2); installs != 0 {
+		t.Fatalf("second window after a restart reinstalled %d matrices", installs)
 	}
 }
 
@@ -134,7 +129,7 @@ func TestEngineCacheEvictionCostsOneReinstall(t *testing.T) {
 	lim := DefaultLimits()
 	lim.MaxEngines = 1
 	srv, ts := testServer(t, lim)
-	cl := Dial(0, ts.URL, ClientOptions{Wire: WireBinary})
+	cl := Dial(0, ts.URL, ClientOptions{})
 	defer cl.Close()
 
 	a := route.NewProbesFromLinks([][]topo.LinkID{{0, 1}, {1, 2}, {0, 2}}, 3)
@@ -179,8 +174,8 @@ func TestEngineCacheEvictionCostsOneReinstall(t *testing.T) {
 	}
 }
 
-// TestLocalizeRejectsMalformedWindows sweeps the sparse form's guards in
-// both codecs: every malformed request answers its status with a
+// TestLocalizeRejectsMalformedWindows sweeps the sparse form's guards:
+// every malformed request answers its status with a
 // structured body, never a panic or a verdict.
 func TestLocalizeRejectsMalformedWindows(t *testing.T) {
 	lim := DefaultLimits()
@@ -218,32 +213,18 @@ func TestLocalizeRejectsMalformedWindows(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tc.req.V, tc.req.HitRatio = SchemaVersion, 0.6
-		body, err := json.Marshal(tc.req)
-		if err != nil {
-			t.Fatal(err)
+		resp := postBody(t, ts.URL+"/v1/localize", ContentTypeBinary, tc.req.encodeBinary())
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
-		for codec, resp := range map[string]*http.Response{
-			CodecJSON:   postJSON(t, ts.URL+"/v1/localize", body),
-			CodecBinary: postBody(t, ts.URL+"/v1/localize", ContentTypeBinary, tc.req.encodeBinary()),
-		} {
-			if resp.StatusCode != tc.want {
-				t.Errorf("%s/%s: status %d, want %d", tc.name, codec, resp.StatusCode, tc.want)
-			}
-			if tc.want != 200 && errorBody(t, resp) == "" {
-				t.Errorf("%s/%s: error body is empty", tc.name, codec)
-			}
+		if tc.want != 200 && errorBody(t, resp) == "" {
+			t.Errorf("%s: error body is empty", tc.name)
 		}
-	}
-	// Unsorted absent rows cannot be written in the binary frame (its
-	// deltas are unsigned); JSON can say it, and is refused.
-	body, _ := json.Marshal(LocalizeRequest{V: SchemaVersion, HitRatio: 0.6, Sig: sig,
-		Absent: []int32{2, 1}, Lossy: lossy(0)})
-	if resp := postJSON(t, ts.URL+"/v1/localize", body); resp.StatusCode != 400 {
-		t.Errorf("absentUnsorted/json: status %d, want 400", resp.StatusCode)
 	}
 	// Bodies travel as they are: a content encoding is refused, not guessed at.
+	body := cases[0].req.encodeBinary()
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/localize", bytes.NewReader(body))
-	req.Header.Set("Content-Type", contentTypeJSON)
+	req.Header.Set("Content-Type", ContentTypeBinary)
 	req.Header.Set("Content-Encoding", "gzip")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -23,13 +23,9 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// kindPinglistDelta extends the payload-kind space past the report summary
-// (6): a version-to-version pinglist difference.
+// kindPinglistDelta extends the payload-kind space: a version-to-version
+// pinglist difference. Kind 6 is unassigned; every decoder rejects it.
 const kindPinglistDelta byte = 7
-
-// KindPinglistDelta names the pinglist-delta frame kind for callers
-// dispatching on FrameKind outside the package.
-const KindPinglistDelta = kindPinglistDelta
 
 // PingEntry is one probe route a pinger must start (or keep) probing —
 // the wire twin of control.Entry.

@@ -40,8 +40,8 @@ func TestPinglistDeltaRoundTrip(t *testing.T) {
 		"removed-only": {Node: 1, FromVersion: 5, Version: 6, Removed: []uint32{0, 1, 2}},
 	} {
 		frame := d.EncodeBinary()
-		if kind, err := FrameKind(frame); err != nil || kind != KindPinglistDelta {
-			t.Fatalf("%s: frame kind %d err %v, want %d", name, kind, err, KindPinglistDelta)
+		if kind := frame[3]; kind != kindPinglistDelta {
+			t.Fatalf("%s: frame kind %d, want %d", name, kind, kindPinglistDelta)
 		}
 		got, err := DecodePinglistDeltaBinary(frame, 1<<20)
 		if err != nil {
@@ -102,9 +102,9 @@ func TestPinglistDeltaRejects(t *testing.T) {
 	}
 
 	// Wrong kind.
-	sr := SummaryReport{Node: 1, Version: 1, Windows: 1}
-	if err := d.DecodeBinary(sr.EncodeBinary(), 1<<20); err == nil {
-		t.Fatal("summary frame decoded as pinglist delta")
+	rep := Report{Node: 1, Version: 1}
+	if err := d.DecodeBinary(rep.EncodeBinary(), 1<<20); err == nil {
+		t.Fatal("report frame decoded as pinglist delta")
 	}
 }
 

@@ -1,16 +1,16 @@
 package shardrpc
 
-// The pinger→diagnoser report payload, as the fifth kind of the v2 binary
-// frame. The report wire is the chattiest edge of the control plane — every
-// server POSTs one report per window — and it is the first payload whose
-// floats (per-path RTT, jitter, ECN fraction) matter, so it shares the
-// frame format, the varint-delta integer packing and the raw-bits float
-// path of the shard codec instead of inventing a second one.
+// The pinger→diagnoser report, as the fifth kind of the v2 binary frame.
+// Every pinger POSTs one such frame to the diagnoser's /report per window
+// epoch; it is the chattiest edge of the control plane and the first
+// payload whose floats (per-path RTT, jitter, ECN fraction) matter, so it
+// shares the frame format, the varint-delta integer packing and the
+// raw-bits float path of the shard codec.
 //
-// The structs mirror internal/pinger's Report/PathReport field for field
-// (same JSON tags); they are redeclared here so the codec does not import
-// the agent. Conversion in either direction is a loop over identical
-// fields.
+// The types are declared here, once: internal/pinger aliases them as
+// pinger.Report and pinger.PathReport, and the diagnoser ingests them
+// directly. The JSON tags serve the codec's differential tests and any
+// operator dumping a report; no report travels as JSON.
 
 import (
 	"encoding/binary"
@@ -20,26 +20,28 @@ import (
 )
 
 // kindReport extends the payload-kind space (construct/localize × req/resp
-// are 1..4). Old decoders reject it by kind byte, which is the intended
-// mixed-fleet behaviour: a v2-report-unaware diagnoser answers 400 and the
-// pinger falls back to JSON.
+// are 1..4).
 const kindReport byte = 5
 
-// ReportResult is one path's window counters and signals on the wire.
+// ReportResult is one path's counters and signals for one window.
 type ReportResult struct {
 	PathID uint32 `json:"path_id"`
 	Sent   int    `json:"sent"`
 	Lost   int    `json:"lost"`
-	// MeanRTTNS and JitterNS are the mean RTT and RFC 3550 jitter of the
-	// delivered probes; zero when nothing was delivered.
+	// MeanRTTNS is the mean round-trip time of the delivered probes; zero
+	// when nothing was delivered.
 	MeanRTTNS int64 `json:"mean_rtt_ns"`
-	JitterNS  int64 `json:"jitter_ns,omitempty"`
-	// ECNFrac is the fraction of delivered probes echoed back with the
-	// congestion-experienced mark.
+	// JitterNS is the RFC 3550 interarrival jitter of the delivered
+	// probes' RTTs: the smoothed mean of |RTT(i)−RTT(i−1)|.
+	JitterNS int64 `json:"jitter_ns,omitempty"`
+	// ECNFrac is the fraction of delivered probes whose echo carried the
+	// congestion-experienced mark (a switch set wire.FlagECN en route).
 	ECNFrac float64 `json:"ecn_frac,omitempty"`
 }
 
-// Report is one pinger's window aggregate.
+// Report is one pinger's window aggregate. EndNS is the window epoch
+// boundary it answers for: the diagnoser's window clock closes an epoch
+// once every pinger it expects has reported past it.
 type Report struct {
 	Node    topo.NodeID    `json:"node"`
 	Version int            `json:"version"`
@@ -70,10 +72,8 @@ func (r *Report) EncodeBinary() []byte {
 }
 
 // DecodeBinary unpacks a v2 report frame into rep, reusing the Results
-// slice's capacity — the streaming ingest path decodes frame after frame
-// into one reused struct with no per-frame allocation once warm.
-// Field-level validation (counter sanity, float ranges) is the consumer's
-// job, exactly as for a JSON body; the decode only enforces structure.
+// slice's capacity. Field-level validation (counter sanity, float ranges)
+// is the consumer's job; the decode only enforces structure.
 func (rep *Report) DecodeBinary(data []byte, maxPayload int64) error {
 	payload, err := openFrame(data, kindReport, maxPayload)
 	if err != nil {
@@ -128,8 +128,7 @@ func (rep *Report) DecodeBinary(data []byte, maxPayload int64) error {
 }
 
 // DecodeReportBinary unpacks a v2 report frame under the payload budget
-// (fresh allocation; the ingest hot path uses (*Report).DecodeBinary with
-// a reused struct).
+// into a fresh Report.
 func DecodeReportBinary(data []byte, maxPayload int64) (*Report, error) {
 	var rep Report
 	if err := rep.DecodeBinary(data, maxPayload); err != nil {

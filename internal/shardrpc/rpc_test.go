@@ -81,16 +81,15 @@ func syntheticWindow(p *route.Probes, nBad int) []pll.Observation {
 }
 
 // startLoopbackShards boots n real HTTP shard services over their own
-// materializations of ps and dials a transport client at each, with the
-// given wire policy.
-func startLoopbackShards(t testing.TB, ps route.PathSet, numLinks, n int, wire string) []shard.ShardClient {
+// materializations of ps and dials a transport client at each.
+func startLoopbackShards(t testing.TB, ps route.PathSet, numLinks, n int) []shard.ShardClient {
 	t.Helper()
 	clients := make([]shard.ShardClient, n)
 	for i := 0; i < n; i++ {
 		srv := NewServer(ps, numLinks)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		clients[i] = Dial(i, ts.URL, ClientOptions{Wire: wire})
+		clients[i] = Dial(i, ts.URL, ClientOptions{})
 	}
 	return clients
 }
@@ -147,63 +146,49 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 			t.Fatalf("%s: single-controller localization hash %#016x, pinned %#016x", tc.name, h, tc.wantLocal)
 		}
 
-		// Both wire codecs must satisfy the identity pin: the binary
-		// fleet is forced (every request travels the v2 frames), the
-		// auto fleet exercises the negotiated path.
-		for _, wire := range []string{WireAuto, WireBinary} {
-			for _, n := range []int{2, 3} {
-				clients := startLoopbackShards(t, tc.ps, tc.numLinks, n, wire)
-				c, err := shard.New(tc.ps, tc.numLinks, shard.Options{
-					Clients: clients, PMC: tc.opt, TTL: time.Minute,
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/shards=%d: %v", tc.name, wire, n, err)
-				}
-				t.Cleanup(c.Stop)
+		for _, n := range []int{2, 3} {
+			clients := startLoopbackShards(t, tc.ps, tc.numLinks, n)
+			c, err := shard.New(tc.ps, tc.numLinks, shard.Options{
+				Clients: clients, PMC: tc.opt, TTL: time.Minute,
+			})
+			if err != nil {
+				t.Fatalf("%s/shards=%d: %v", tc.name, n, err)
+			}
+			t.Cleanup(c.Stop)
 
-				res, err := c.Construct()
-				if err != nil {
-					t.Fatalf("%s/%s/shards=%d: loopback construct: %v", tc.name, wire, n, err)
-				}
-				if res.Retries != 0 {
-					t.Errorf("%s/%s/shards=%d: clean cycle took %d retries", tc.name, wire, n, res.Retries)
-				}
-				if !reflect.DeepEqual(res.Selected, ref.Selected) {
-					t.Errorf("%s/%s/shards=%d: loopback selection differs from single controller (hash %#016x vs pinned %#016x)",
-						tc.name, wire, n, hashSelection(res.Selected), tc.wantSel)
-				}
-				// Each shard solves the leader of every class it was handed,
-				// so evals grow with the shard count, up to one solve per
-				// class per shard.
-				if res.Stats.ScoreEvals > int64(n)*ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
-					t.Errorf("%s/%s/shards=%d: merged stats diverge over the wire: evals %d vs %d single-controller, components %d vs %d",
-						tc.name, wire, n, res.Stats.ScoreEvals, ref.Stats.ScoreEvals,
-						res.Stats.Components, ref.Stats.Components)
-				}
-				if !res.Stats.CoverageMet || !res.Stats.IdentMet {
-					t.Errorf("%s/%s/shards=%d: merged targets not met over the wire", tc.name, wire, n)
-				}
-				// Both fleets must be on binary: forced trivially, auto
-				// because the coordinator's initial probe round runs the
-				// negotiation before the first dispatch.
-				for _, si := range c.Status().Shards {
-					if si.Codec != CodecBinary {
-						t.Errorf("%s/%s/shards=%d: /shards reports codec %q for shard %d, want %q",
-							tc.name, wire, n, si.Codec, si.ID, CodecBinary)
-					}
-				}
+			res, err := c.Construct()
+			if err != nil {
+				t.Fatalf("%s/shards=%d: loopback construct: %v", tc.name, n, err)
+			}
+			if res.Retries != 0 {
+				t.Errorf("%s/shards=%d: clean cycle took %d retries", tc.name, n, res.Retries)
+			}
+			if !reflect.DeepEqual(res.Selected, ref.Selected) {
+				t.Errorf("%s/shards=%d: loopback selection differs from single controller (hash %#016x vs pinned %#016x)",
+					tc.name, n, hashSelection(res.Selected), tc.wantSel)
+			}
+			// Each shard solves the leader of every class it was handed,
+			// so evals grow with the shard count, up to one solve per
+			// class per shard.
+			if res.Stats.ScoreEvals > int64(n)*ref.Stats.ScoreEvals || res.Stats.Components != ref.Stats.Components {
+				t.Errorf("%s/shards=%d: merged stats diverge over the wire: evals %d vs %d single-controller, components %d vs %d",
+					tc.name, n, res.Stats.ScoreEvals, ref.Stats.ScoreEvals,
+					res.Stats.Components, ref.Stats.Components)
+			}
+			if !res.Stats.CoverageMet || !res.Stats.IdentMet {
+				t.Errorf("%s/shards=%d: merged targets not met over the wire", tc.name, n)
+			}
 
-				plane := c.BuildPlane(probes)
-				got, err := plane.Localize(obs, pll.DefaultConfig())
-				if err != nil {
-					t.Fatalf("%s/%s/shards=%d: loopback localize: %v", tc.name, wire, n, err)
-				}
-				if !reflect.DeepEqual(got.Bad, refLoc.Bad) ||
-					got.LossyPaths != refLoc.LossyPaths ||
-					got.UnexplainedPaths != refLoc.UnexplainedPaths {
-					t.Errorf("%s/%s/shards=%d: loopback localization differs: hash %#016x vs pinned %#016x",
-						tc.name, wire, n, hashVerdicts(got), tc.wantLocal)
-				}
+			plane := c.BuildPlane(probes)
+			got, err := plane.Localize(obs, pll.DefaultConfig())
+			if err != nil {
+				t.Fatalf("%s/shards=%d: loopback localize: %v", tc.name, n, err)
+			}
+			if !reflect.DeepEqual(got.Bad, refLoc.Bad) ||
+				got.LossyPaths != refLoc.LossyPaths ||
+				got.UnexplainedPaths != refLoc.UnexplainedPaths {
+				t.Errorf("%s/shards=%d: loopback localization differs: hash %#016x vs pinned %#016x",
+					tc.name, n, hashVerdicts(got), tc.wantLocal)
 			}
 		}
 	}

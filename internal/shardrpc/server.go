@@ -1,7 +1,6 @@
 package shardrpc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -64,15 +63,13 @@ func requestCycle(r *http.Request) uint64 {
 //	POST /v1/construct  → ConstructResponse
 //	POST /v1/localize   → LocalizeResponse
 //
-// Requests select their codec via Content-Type: JSON (the v1 wire, the
-// default) or the v2 length-prefixed binary codec (ContentTypeBinary);
-// the response mirrors the request's codec and /v1/ping advertises both,
-// which is how clients negotiate. Errors are structured (httpx.ErrorBody,
-// always JSON): 400 for malformed or out-of-bounds payloads, 409 for a
-// matrix-signature mismatch (on localize: CodeUnknownMatrix, which the
-// client answers by installing the matrix), 413 for an oversized body or
-// matrix, 415 for an unknown media type or any content encoding, 422 for
-// an engine rejection. A coordinator treats any other of them as a
+// Request and success bodies are v2 binary frames (ContentTypeBinary); the
+// ping and every error are JSON, which an operator reads. Errors are
+// structured (httpx.ErrorBody): 400 for malformed or out-of-bounds
+// payloads, 409 for a matrix-signature mismatch (on localize:
+// CodeUnknownMatrix, which the client answers by installing the matrix),
+// 413 for an oversized body or matrix, 415 for any other media type or any
+// content encoding, 422 for an engine rejection. A coordinator treats any other of them as a
 // dispatch failure and fails the work over to surviving shards.
 type Server struct {
 	ps       route.PathSet
@@ -114,55 +111,27 @@ func NewServerLimits(ps route.PathSet, numLinks int, lim Limits) *Server {
 // MatrixSig returns the engine's candidate-matrix signature.
 func (s *Server) MatrixSig() uint64 { return s.sig }
 
-// codecForContentType maps a Content-Type header value to a codec name:
-// JSON when absent or naming JSON (every v1 peer), binary for the v2
-// media type, "" for anything else.
-func codecForContentType(ct string) string {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	switch strings.TrimSpace(ct) {
-	case ContentTypeBinary:
-		return CodecBinary
-	case "", contentTypeJSON:
-		return CodecJSON
-	}
-	return ""
-}
-
-// requestCodec reads the codec a request selected via Content-Type.
-func requestCodec(r *http.Request) string {
-	return codecForContentType(r.Header.Get("Content-Type"))
-}
-
-// decodeBody reads and decodes a bounded request body in the codec its
-// Content-Type selects, mapping failures to the right status: 413 when
-// the body (or a binary frame's declared length) exceeds MaxBodyBytes,
-// 400 for anything undecodable (truncation included), 415 for an unknown
-// media type or a content encoding — bodies travel as they are. Both
-// codecs pass through the same Limits; compactness is never laxity.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v any) (string, bool) {
-	codec := requestCodec(r)
-	if codec == "" {
+// decodeBody reads and decodes a bounded v2 request frame, mapping
+// failures to the right status: 415 for any media type but
+// ContentTypeBinary, and for any content encoding (bodies travel as they
+// are); 413 when the body (or the frame's declared length) exceeds
+// MaxBodyBytes; 400 for anything undecodable (truncation included).
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v any) bool {
+	if ct := r.Header.Get("Content-Type"); mediaType(ct) != ContentTypeBinary {
 		serverRejected.Inc()
 		httpx.Error(w, http.StatusUnsupportedMediaType,
-			"unsupported content type %q (want %s or %s)",
-			r.Header.Get("Content-Type"), contentTypeJSON, ContentTypeBinary)
-		return codec, false
+			"unsupported content type %q (want %s)", ct, ContentTypeBinary)
+		return false
 	}
 	if enc := r.Header.Get("Content-Encoding"); enc != "" && enc != "identity" {
 		serverRejected.Inc()
 		httpx.Error(w, http.StatusUnsupportedMediaType, "unsupported content encoding %q", enc)
-		return codec, false
+		return false
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.lim.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
 	if err == nil {
-		if codec == CodecJSON {
-			err = json.Unmarshal(data, v)
-		} else {
-			err = decodeBinaryInto(data, kind, s.lim.MaxBodyBytes, v)
-		}
+		err = decodeBinaryInto(data, kind, s.lim.MaxBodyBytes, v)
 	}
 	if err != nil {
 		serverRejected.Inc()
@@ -170,12 +139,20 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, kind byte, v
 		if errors.As(err, &tooBig) || errors.Is(err, errFrameTooLarge) {
 			httpx.Error(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", s.lim.MaxBodyBytes)
-			return codec, false
+			return false
 		}
 		httpx.Error(w, http.StatusBadRequest, "undecodable request: %v", err)
-		return codec, false
+		return false
 	}
-	return codec, true
+	return true
+}
+
+// mediaType strips a Content-Type value's parameters.
+func mediaType(ct string) string {
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = ct[:i]
+	}
+	return strings.TrimSpace(ct)
 }
 
 // decodeBinaryInto dispatches a v2 frame to the kind's decoder and copies
@@ -200,23 +177,8 @@ func decodeBinaryInto(data []byte, kind byte, maxPayload int64, v any) error {
 	return nil
 }
 
-// writeReply answers in the codec the request used; errors always travel
-// as JSON (httpx.Error), success bodies follow the negotiated codec.
-func writeReply(w http.ResponseWriter, codec string, v any) {
-	if codec != CodecBinary {
-		httpx.WriteJSON(w, v)
-		return
-	}
-	var frame []byte
-	switch resp := v.(type) {
-	case ConstructResponse:
-		frame = resp.encodeBinary()
-	case LocalizeResponse:
-		frame = resp.encodeBinary()
-	default:
-		httpx.WriteJSON(w, v)
-		return
-	}
+// writeFrame answers with a success frame.
+func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Header().Set("Content-Type", ContentTypeBinary)
 	_, _ = w.Write(frame)
 }
@@ -267,7 +229,6 @@ func (s *Server) Handler() http.Handler {
 		httpx.WriteJSON(w, PingResponse{
 			V: SchemaVersion, MatrixSig: s.sig,
 			NumLinks: s.numLinks, Paths: s.ps.Len(),
-			Codecs: []string{CodecJSON, CodecBinary},
 		})
 	})
 	mux.HandleFunc("/v1/construct", func(w http.ResponseWriter, r *http.Request) {
@@ -279,8 +240,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req ConstructRequest
-		codec, ok := s.decodeBody(w, r, kindConstructReq, &req)
-		if !ok {
+		if !s.decodeBody(w, r, kindConstructReq, &req) {
 			return
 		}
 		if err := req.validate(s.lim, s.numLinks, s.ps.Len()); err != nil {
@@ -310,7 +270,7 @@ func (s *Server) Handler() http.Handler {
 			httpx.Error(w, http.StatusUnprocessableEntity, "construction failed: %v", err)
 			return
 		}
-		writeReply(w, codec, ConstructResponse{
+		resp := ConstructResponse{
 			V:        SchemaVersion,
 			Selected: res.Selected,
 			Stats: Stats{
@@ -319,7 +279,8 @@ func (s *Server) Handler() http.Handler {
 				Selected: res.Stats.Selected, ElapsedNS: int64(res.Stats.Elapsed),
 				CoverageMet: res.Stats.CoverageMet, IdentMet: res.Stats.IdentMet,
 			},
-		})
+		}
+		writeFrame(w, resp.encodeBinary())
 	})
 	mux.HandleFunc("/v1/localize", func(w http.ResponseWriter, r *http.Request) {
 		serverRequests.Inc()
@@ -330,8 +291,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var req LocalizeRequest
-		codec, ok := s.decodeBody(w, r, kindLocalizeReq, &req)
-		if !ok {
+		if !s.decodeBody(w, r, kindLocalizeReq, &req) {
 			return
 		}
 		if err := req.validate(s.lim); err != nil {
@@ -367,7 +327,7 @@ func (s *Server) Handler() http.Handler {
 		for _, v := range res.Bad {
 			resp.Bad = append(resp.Bad, Verdict{Link: v.Link, Rate: v.Rate, Explained: v.Explained})
 		}
-		writeReply(w, codec, resp)
+		writeFrame(w, resp.encodeBinary())
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if !httpx.RequireMethod(w, r, http.MethodGet) {
@@ -387,7 +347,6 @@ func (s *Server) Handler() http.Handler {
 			"matrix_sig": strconv.FormatUint(s.sig, 10),
 			"num_links":  s.numLinks,
 			"paths":      s.ps.Len(),
-			"codecs":     []string{CodecJSON, CodecBinary},
 			"engines":    s.engines.len(),
 		}
 	}))
