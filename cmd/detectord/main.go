@@ -41,7 +41,6 @@ import (
 	"github.com/detector-net/detector/internal/control"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/route"
-	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
@@ -86,7 +85,6 @@ func main() {
 		endpoints  = flag.String("shard-endpoints", "", "comma-separated shard service URLs; the front-end drives this external fleet")
 		shardServe = flag.Bool("shard-serve", false, "run as one controller shard service instead of the front-end")
 		listen     = flag.String("listen", "127.0.0.1:7117", "shard service listen address (with -shard-serve)")
-		partition  = flag.String("partition", string(shard.PartitionExact), "diagnosis plane partition policy: exact (bit-identical merge) or approx (cut server-edge links for real server-level sharding)")
 		downLinks  = flag.String("down-links", "", "comma-separated link IDs masked out of service at boot (candidate routes avoid them; bring back with 'churn up')")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (off when empty)")
 		verbose    = flag.Bool("v", false, "log at info level instead of warn")
@@ -96,11 +94,6 @@ func main() {
 		obs.SetLevel(slog.LevelInfo)
 	}
 	startPprof(*pprofAddr)
-
-	if _, err := shard.ParsePartitionPolicy(*partition); err != nil {
-		fmt.Fprintf(os.Stderr, "detectord: -partition %q must be exact or approx\n", *partition)
-		os.Exit(2)
-	}
 
 	if *shardServe {
 		if err := serveShard(*k, *listen); err != nil {
@@ -137,7 +130,6 @@ func main() {
 		Shards:         *shards,
 		RemoteShards:   *remote,
 		ShardEndpoints: eps,
-		Partition:      *partition,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "detectord:", err)
@@ -149,8 +141,8 @@ func main() {
 		*k, c.F.Stats().Switches, c.F.Stats().Servers, len(c.Pingers), c.Controller.ProbeMatrix().NumPaths())
 	if coord := c.Controller.Coordinator(); coord != nil {
 		st := coord.Status()
-		fmt.Printf("sharded controller plane: %d shards over %d components, %s partition\n",
-			coord.NumShards(), coord.Components(), st.Partition)
+		fmt.Printf("sharded controller plane: %d shards over %d components\n",
+			coord.NumShards(), coord.Components())
 		for _, si := range st.Shards {
 			fmt.Printf("  shard %d @ %s (%d components)\n", si.ID, si.Addr, len(si.Components))
 		}

@@ -40,7 +40,7 @@ package detector
 
 import (
 	"github.com/detector-net/detector/internal/cluster"
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
@@ -195,12 +195,12 @@ var (
 // Evaluation metrics (§5.3 definitions).
 type (
 	// Confusion compares predicted and true bad-link sets.
-	Confusion = metrics.Confusion
+	Confusion = eval.Confusion
 )
 
 var (
 	// CompareLinks builds a Confusion from predicted and truth.
-	CompareLinks = metrics.Compare
+	CompareLinks = eval.Compare
 )
 
 // Live cluster — the full agent deployment over loopback UDP.

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/sim"
@@ -59,7 +59,7 @@ func TestDetectorLocalizesFullLoss(t *testing.T) {
 		if sent <= 0 {
 			t.Fatal("no probes sent")
 		}
-		c := metrics.Compare(got, []topo.LinkID{bad})
+		c := eval.Compare(got, []topo.LinkID{bad})
 		if c.Accuracy() == 1 && c.FalsePositiveRatio() == 0 {
 			hits++
 		}
@@ -87,7 +87,7 @@ func TestPingmeshDetectsAndNetbouncerLocalizes(t *testing.T) {
 	if extra == 0 {
 		t.Fatal("netbouncer sent no probes")
 	}
-	c := metrics.Compare(got, []topo.LinkID{bad})
+	c := eval.Compare(got, []topo.LinkID{bad})
 	if c.TP != 1 {
 		t.Fatalf("netbouncer missed the bad link: got %v, truth %d", got, bad)
 	}
@@ -115,7 +115,7 @@ func TestPingmeshMissesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := metrics.Compare(dGot, []topo.LinkID{bad})
+	c := eval.Compare(dGot, []topo.LinkID{bad})
 	if c.TP != 1 {
 		t.Fatalf("deTector should localize the transient failure in-window, got %v", dGot)
 	}
@@ -131,7 +131,7 @@ func TestNetNORADRoundLocalizes(t *testing.T) {
 	if sent == 0 {
 		t.Fatal("no probes sent")
 	}
-	c := metrics.Compare(got, []topo.LinkID{bad})
+	c := eval.Compare(got, []topo.LinkID{bad})
 	if c.TP != 1 {
 		t.Fatalf("fbtracert missed the bad link: got %v, truth %d", got, bad)
 	}
@@ -159,12 +159,12 @@ func TestLowRateLossAdvantage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if metrics.Compare(got, []topo.LinkID{bad}).TP == 1 {
+		if eval.Compare(got, []topo.LinkID{bad}).TP == 1 {
 			dHit++
 		}
 		pn := sim.NewNetwork(f.Topology, scen)
 		pGot, _ := p.Round(pn, pn, budget, rng)
-		if metrics.Compare(pGot, []topo.LinkID{bad}).TP == 1 {
+		if eval.Compare(pGot, []topo.LinkID{bad}).TP == 1 {
 			pHit++
 		}
 	}

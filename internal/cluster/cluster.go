@@ -19,7 +19,6 @@ import (
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/responder"
 	"github.com/detector-net/detector/internal/route"
-	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
@@ -68,10 +67,6 @@ type Options struct {
 	// ShardTTL marks a controller shard dead after this heartbeat
 	// silence (default 4 windows, like WatchdogTTL).
 	ShardTTL time.Duration
-	// Partition selects the diagnosis plane's ownership policy ("exact"
-	// default, or "approx" to cut server-edge links — see shard.Plane).
-	// Applies to the controller's coordinator and the diagnoser both.
-	Partition string
 	// PLL overrides the diagnoser's localization config. Compressed-time
 	// runs should raise LossRatioFloor/MinLoss: with windows of a few
 	// hundred milliseconds, a single scheduler stall mimics a burst of
@@ -182,7 +177,6 @@ func Start(opts Options) (*Cluster, error) {
 	if len(c.ShardURLs) > 0 {
 		opts.Control.ShardEndpoints = c.ShardURLs
 	}
-	opts.Control.Partition = opts.Partition
 
 	c.Fab, err = fabric.Start(f.Topology, c.Rules)
 	if err != nil {
@@ -217,17 +211,12 @@ func Start(opts Options) (*Cluster, error) {
 		lastRead[l] = cur
 		return delta, true
 	})
-	partition, err := shard.ParsePartitionPolicy(opts.Partition)
-	if err != nil {
-		return fail(fmt.Errorf("cluster: %w", err))
-	}
 	c.Diagnoser = diag.New(diag.Options{
 		Window:         opts.Window,
 		PLL:            pllCfg,
 		Topo:           f.Topology,
 		Shards:         opts.Shards,
 		ShardEndpoints: c.ShardURLs,
-		Partition:      partition,
 		LinkCounters:   counters,
 		Unhealthy:      c.Watchdog.UnhealthySet,
 	})

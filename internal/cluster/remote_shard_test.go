@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
@@ -28,16 +28,16 @@ func TestRemoteShardServingIdentical(t *testing.T) {
 	opts.Shards = 2
 	opts.RemoteShards = true
 	opts.ShardTTL = 300 * time.Millisecond
-	served, rejected := metrics.Counters()["shardrpc_server_requests"], metrics.Counters()["shardrpc_server_rejected"]
+	served, rejected := obs.TakeSnapshot().Counters["shardrpc_server_requests"], obs.TakeSnapshot().Counters["shardrpc_server_rejected"]
 	c, err := Start(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	if metrics.Counters()["shardrpc_server_requests"] == served {
+	if obs.TakeSnapshot().Counters["shardrpc_server_requests"] == served {
 		t.Fatal("the remote boot sent the shard services nothing")
 	}
-	if got := metrics.Counters()["shardrpc_server_rejected"] - rejected; got != 0 {
+	if got := obs.TakeSnapshot().Counters["shardrpc_server_rejected"] - rejected; got != 0 {
 		t.Fatalf("shard services rejected %d requests of the boot cycle", got)
 	}
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
@@ -25,19 +24,22 @@ import (
 // badRequests counts malformed controller API requests (bad node ids,
 // wrong methods) so that a misconfigured agent fleet is visible without
 // log scraping.
-var badRequests = metrics.NewCounter("control_bad_requests")
+var badRequests = obs.NewCounter("control_bad_requests",
+	"Malformed controller API requests.")
 
 // pinglistNotModified counts GET /pinglist requests answered 304: the
 // pinger's If-None-Match matched the current version, so nothing shipped.
 // In steady state (no churn, no unhealthy-set change) this should be
 // nearly every pinglist poll.
-var pinglistNotModified = metrics.NewCounter("control_pinglist_not_modified")
+var pinglistNotModified = obs.NewCounter("control_pinglist_not_modified",
+	"GET /pinglist requests answered 304 Not Modified.")
 
 // pinglistsChanged counts, per cycle, the nodes whose work order changed:
 // a new, changed or withdrawn pinglist. Each is a pinger that must fetch a
 // delta (or stop), so after a topology flap it is how many agents the flap
 // reprograms.
-var pinglistsChanged = metrics.NewCounter("control_pinglists_changed")
+var pinglistsChanged = obs.NewCounter("control_pinglists_changed",
+	"Nodes whose pinglist changed, summed over cycles.")
 
 // stageServe times the serve phase of a cycle: pinger selection, route
 // expansion and matrix assembly, after construction has returned.
@@ -80,14 +82,6 @@ type Config struct {
 	// Every service must be built for the same topology — the matrix
 	// signature handshake rejects a mismatched fleet.
 	ShardEndpoints []string
-	// Partition selects the diagnosis plane's ownership derivation:
-	// "exact" (default — connected components over every link) or
-	// "approx" (components over interior links only, cutting server-edge
-	// links so server-level matrices split into per-subtree partitions;
-	// cut links carry a measured accuracy bound instead of forcing one
-	// global partition). Parsed by shard.ParsePartitionPolicy; an unknown
-	// value fails the first construction cycle loudly.
-	Partition string
 	// DownLinks marks links failed at boot: candidate paths traversing
 	// them are masked out of construction from the first cycle. Further
 	// topology churn arrives at runtime via ApplyChurn / POST /churn.
@@ -216,17 +210,12 @@ func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 	if ps == nil {
 		ps = route.NewFattreePaths(c.F)
 	}
-	partition, err := shard.ParsePartitionPolicy(c.Cfg.Partition)
-	if err != nil {
-		return nil, err
-	}
 	opt := shard.Options{
 		Shards:          c.Cfg.Shards,
 		TTL:             c.Cfg.ShardTTL,
 		PMC:             pmc.Options{Alpha: c.Cfg.Alpha, Beta: c.Cfg.Beta},
 		DownLinks:       c.Cfg.DownLinks,
 		ReuseSelections: true,
-		Partition:       partition,
 	}
 	if opt.Shards < 1 {
 		opt.Shards = 1

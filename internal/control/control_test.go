@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -223,7 +223,7 @@ func TestHandlerRejectsMalformedRequests(t *testing.T) {
 	c, _ := newController(t)
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
-	before := metrics.Counters()["control_bad_requests"]
+	before := obs.TakeSnapshot().Counters["control_bad_requests"]
 
 	resp, err := http.Get(srv.URL + "/pinglist?node=banana")
 	if err != nil {
@@ -259,7 +259,7 @@ func TestHandlerRejectsMalformedRequests(t *testing.T) {
 		t.Fatalf("unknown node: status %d, want 404", resp.StatusCode)
 	}
 
-	if got := metrics.Counters()["control_bad_requests"]; got != before+2 {
+	if got := obs.TakeSnapshot().Counters["control_bad_requests"]; got != before+2 {
 		t.Fatalf("control_bad_requests = %d, want %d (+2: bad id, wrong method)", got, before+2)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -49,12 +49,12 @@ func TestPinglistETagNotModified(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || etag == "" {
 		t.Fatalf("cold fetch: status %d etag %q", resp.StatusCode, etag)
 	}
-	before := metrics.Counters()["control_pinglist_not_modified"]
+	before := obs.TakeSnapshot().Counters["control_pinglist_not_modified"]
 	resp, _ = get(etag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional fetch: status %d, want 304", resp.StatusCode)
 	}
-	if got := metrics.Counters()["control_pinglist_not_modified"]; got != before+1 {
+	if got := obs.TakeSnapshot().Counters["control_pinglist_not_modified"]; got != before+1 {
 		t.Fatalf("control_pinglist_not_modified = %d, want %d", got, before+1)
 	}
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
@@ -29,23 +28,19 @@ import (
 // cannot be real (negative, or more losses than probes). Rejections answer
 // 4xx with a JSON error instead of silently dropping data, and this
 // counter makes a sick agent visible.
-var malformedReports = metrics.NewCounter("diag_malformed_reports")
-
-// cutLinkDisagreements accumulates the per-window reconciliation slack of
-// the approximate partition policy: for every cut link reported bad, the
-// number of owning shards that did NOT also report it. Zero under Exact
-// (no cut links exist); a growing rate under Approximate quantifies how
-// often the cut-link accuracy bound is actually being leaned on.
-var cutLinkDisagreements = metrics.NewCounter("diag_cut_link_disagreements")
+var malformedReports = obs.NewCounter("diag_malformed_reports",
+	"Report bodies the diagnoser rejected as malformed.")
 
 // unknownPathResults counts results dropped at ingest: the bound matrix
 // carries no such path ID (retired by churn, stale pinger), or none is bound.
-var unknownPathResults = metrics.NewCounter("diag_unknown_path_results")
+var unknownPathResults = obs.NewCounter("diag_unknown_path_results",
+	"Results dropped at ingest because the bound matrix has no such path ID.")
 
 // localizeErrors counts windows the diagnosis plane failed to localize.
 // Such a window raises no alert; /statusz keeps the last error so it is
 // not mistaken for a quiet one.
-var localizeErrors = metrics.NewCounter("diag_localize_errors")
+var localizeErrors = obs.NewCounter("diag_localize_errors",
+	"Windows the diagnosis plane failed to localize.")
 
 // Diagnoser stage histograms: the window pipeline's per-cycle timing
 // (report ingest, window close-out, verdict classification; the localize
@@ -126,13 +121,6 @@ type Options struct {
 	// execution — same engine, same verdicts — when a service fails
 	// mid-window); Shards is implied (= len(ShardEndpoints)).
 	ShardEndpoints []string
-	// Partition selects how the diagnosis plane derives path ownership:
-	// shard.PartitionExact (default — connected components over every link,
-	// bit-identical merge) or shard.PartitionApprox (components over
-	// interior links only, so server-edge links no longer entangle racks
-	// into one giant component; cut-link verdicts reconcile at merge time
-	// and diag_cut_link_disagreements counts the reconciliation slack).
-	Partition shard.PartitionPolicy
 	// Topo, when set, lets alerts name link endpoints.
 	Topo *topo.Topology
 	// Signals tunes the multi-signal verdict lattice; zero fields take
@@ -479,15 +467,13 @@ func (d *Diagnoser) runWindow(epoch int64) *Alert {
 // than the coordinator's live set: the diagnoser is a separate service
 // that only sees the controller's HTTP surface, and since it can execute
 // every slot's engine locally, a dead controller shard costs nothing here
-// — construction failover is the coordinator's job
-// (Coordinator.BuildPlane is the liveness-aware variant for in-process
-// embedders).
+// — construction failover is the coordinator's job.
 func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 	alive := make([]int, d.shards)
 	for i := range alive {
 		alive[i] = i
 	}
-	pl, _ := d.planeCache.Get(matrix, alive, d.opts.Partition)
+	pl, _ := d.planeCache.Get(matrix, alive)
 	return pl.UseClients(d.clients)
 }
 
@@ -499,7 +485,7 @@ func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
 // slow pass (sig nil) marks its alert Slow.
 func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, epoch int64, observations []pll.Observation, cfg pll.Config, sig *pll.Signals) *Alert {
 	matrix := st.matrix
-	res, ms, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
+	res, _, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
 	if err != nil {
 		localizeErrors.Inc()
 		d.mu.Lock()
@@ -507,7 +493,6 @@ func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, epoch int64, o
 		d.mu.Unlock()
 		return nil
 	}
-	cutLinkDisagreements.Add(int64(ms.Disagreements))
 	alert := Alert{
 		Time: time.Now(), Epoch: epoch, Version: st.version,
 		LossyPaths: res.LossyPaths, Unexplained: res.UnexplainedPaths,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pinger"
 	"github.com/detector-net/detector/internal/pll"
@@ -202,7 +201,7 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 	d.SetMatrix(testMatrix(), 1)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	before := metrics.Counters()["diag_malformed_reports"]
+	before := obs.TakeSnapshot().Counters["diag_malformed_reports"]
 
 	post := func(body []byte) *http.Response {
 		t.Helper()
@@ -248,7 +247,7 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 		t.Fatalf("GET /report: status %d, want 405", getResp.StatusCode)
 	}
 
-	if got := metrics.Counters()["diag_malformed_reports"]; got != before+4 {
+	if got := obs.TakeSnapshot().Counters["diag_malformed_reports"]; got != before+4 {
 		t.Fatalf("diag_malformed_reports = %d, want %d (+4)", got, before+4)
 	}
 	if d.Reports() != 0 {
@@ -263,7 +262,7 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 	if d.Reports() != 1 {
 		t.Fatalf("valid report not ingested")
 	}
-	if got := metrics.Counters()["diag_malformed_reports"]; got != before+4 {
+	if got := obs.TakeSnapshot().Counters["diag_malformed_reports"]; got != before+4 {
 		t.Fatalf("valid report bumped the malformed counter")
 	}
 

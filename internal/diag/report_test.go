@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pinger"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
@@ -21,7 +21,7 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-var malformedCounter = metrics.NewCounter("diag_malformed_reports")
+var malformedCounter = obs.NewCounter("diag_malformed_reports", "")
 
 // postReport POSTs one report body under the given content type and
 // returns the status.

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pinger"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/shardrpc"
@@ -24,7 +24,7 @@ func TestReportHandlerRejectsMalformedSignals(t *testing.T) {
 	d.SetMatrix(testMatrix(), 1)
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
-	before := metrics.Counters()["diag_malformed_reports"]
+	before := obs.TakeSnapshot().Counters["diag_malformed_reports"]
 
 	post := func(r shardrpc.ReportResult) int {
 		t.Helper()
@@ -54,7 +54,7 @@ func TestReportHandlerRejectsMalformedSignals(t *testing.T) {
 		t.Fatalf("NaN ECN: status %d, want 400", code)
 	}
 
-	if got := metrics.Counters()["diag_malformed_reports"]; got != before+5 {
+	if got := obs.TakeSnapshot().Counters["diag_malformed_reports"]; got != before+5 {
 		t.Fatalf("diag_malformed_reports = %d, want %d (+5)", got, before+5)
 	}
 	if d.Reports() != 0 {

@@ -1,12 +1,10 @@
-// Package metrics implements the evaluation bookkeeping of the paper §5.3:
+// Package eval implements the evaluation bookkeeping of the paper §5.3:
 // accuracy (true-positive ratio), false-positive ratio and false-negative
 // ratio over link sets, plus aggregation across trials.
-package metrics
+package eval
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -80,63 +78,4 @@ func (c *Confusion) Add(o Confusion) {
 func (c Confusion) String() string {
 	return fmt.Sprintf("acc=%.2f%% fp=%.2f%% fn=%.2f%%",
 		100*c.Accuracy(), 100*c.FalsePositiveRatio(), 100*c.FalseNegativeRatio())
-}
-
-// Series accumulates scalar samples and reports summary statistics.
-type Series struct {
-	vals []float64
-}
-
-// Add appends a sample.
-func (s *Series) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N returns the sample count.
-func (s *Series) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean (0 for empty series).
-func (s *Series) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank:
-// the smallest sample with at least p% of the samples at or below it, i.e.
-// rank ⌈p/100·N⌉. (Truncating the rank index downward — the old bug —
-// returned the 98th-rank sample for p99 of 100 samples.)
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	// The epsilon absorbs float error in p/100*N: 99.9/100*1000 computes as
-	// 999.0000000000001, and a bare Ceil would overshoot to rank 1000.
-	rank := int(math.Ceil(p/100*float64(len(sorted)) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// Std returns the population standard deviation.
-func (s *Series) Std() float64 {
-	if len(s.vals) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.vals)))
 }

@@ -5,7 +5,7 @@ import (
 	"io"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/sim"
@@ -76,7 +76,7 @@ func Fig4(w io.Writer, p Params) ([]Fig4Row, error) {
 		if probesPerPath < 1 {
 			probesPerPath = 1
 		}
-		var pooled metrics.Confusion
+		var pooled eval.Confusion
 		for tr := 0; tr < p.Trials; tr++ {
 			scen := scens[tr]
 			n := sim.NewNetwork(f.Topology, scen)
@@ -85,7 +85,7 @@ func Fig4(w io.Writer, p Params) ([]Fig4Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			pooled.Add(metrics.Compare(res.BadLinks(), switchOnly(f, scen.BadLinks())))
+			pooled.Add(eval.Compare(res.BadLinks(), switchOnly(f, scen.BadLinks())))
 		}
 
 		// Workload RTT under combined workload + probe traffic.

@@ -6,7 +6,7 @@ import (
 	"math/rand"
 
 	"github.com/detector-net/detector/internal/baseline"
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -107,10 +107,10 @@ func Fig5(w io.Writer, p Params) ([]Fig5Row, error) {
 	}
 	var rows []Fig5Row
 	for _, budget := range Fig5Budgets {
-		pooled := map[string]*metrics.Confusion{}
+		pooled := map[string]*eval.Confusion{}
 		probeSum := map[string]float64{}
 		for _, s := range systems {
-			pooled[s] = &metrics.Confusion{}
+			pooled[s] = &eval.Confusion{}
 		}
 		for tr := 0; tr < p.Trials; tr++ {
 			scen := scens[tr]
@@ -120,7 +120,7 @@ func Fig5(w io.Writer, p Params) ([]Fig5Row, error) {
 				return nil, err
 			}
 			for _, s := range systems {
-				pooled[s].Add(metrics.Compare(switchOnly(f, bad[s]), truth))
+				pooled[s].Add(eval.Compare(switchOnly(f, bad[s]), truth))
 				probeSum[s] += float64(sent[s])
 			}
 		}
@@ -169,9 +169,9 @@ func Fig6(w io.Writer, p Params) ([]Fig6Row, error) {
 	systems := []string{"deTector", "Pingmesh", "NetNORAD"}
 	var rows []Fig6Row
 	for _, nf := range []int{1, 2, 3, 4, 5, 6} {
-		pooled := map[string]*metrics.Confusion{}
+		pooled := map[string]*eval.Confusion{}
 		for _, s := range systems {
-			pooled[s] = &metrics.Confusion{}
+			pooled[s] = &eval.Confusion{}
 		}
 		for tr := 0; tr < p.Trials; tr++ {
 			scen, err := sim.Generate(f.Topology, fig56FailureConfig(nf), rng)
@@ -184,7 +184,7 @@ func Fig6(w io.Writer, p Params) ([]Fig6Row, error) {
 				return nil, err
 			}
 			for _, s := range systems {
-				pooled[s].Add(metrics.Compare(switchOnly(f, bad[s]), truth))
+				pooled[s].Add(eval.Compare(switchOnly(f, bad[s]), truth))
 			}
 		}
 		for _, s := range systems {

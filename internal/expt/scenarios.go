@@ -5,7 +5,7 @@ import (
 	"io"
 	"math/rand"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/sim"
@@ -65,7 +65,7 @@ func expectedVerdict(m sim.FaultMode) pll.VerdictClass {
 func scenarioCell(f *topo.Fattree, probes *route.Probes, mode sim.FaultMode, numFailed, trials, probesPerPath int, rng *rand.Rand) (ScenarioRow, error) {
 	row := ScenarioRow{Mode: mode, Failed: numFailed}
 	expect := expectedVerdict(mode)
-	var pooled metrics.Confusion
+	var pooled eval.Confusion
 	verdictNum, verdictDen := 0, 0
 
 	for tr := 0; tr < trials; tr++ {
@@ -147,7 +147,7 @@ func scenarioCell(f *topo.Fattree, probes *route.Probes, mode sim.FaultMode, num
 		if !expect.Hard() {
 			predicted = soft
 		}
-		pooled.Add(metrics.Compare(predicted, scen.BadLinks()))
+		pooled.Add(eval.Compare(predicted, scen.BadLinks()))
 		for _, l := range hard {
 			if !truth[l] || !expect.Hard() {
 				row.LinkDownFP++

@@ -7,7 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/detector-net/detector/internal/control"
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shard"
@@ -16,18 +16,18 @@ import (
 )
 
 // ServerLevelRow is one failure-count cell of the server-level sharding
-// sweep: the approximate-partition plane's merged verdicts scored against
+// sweep: the interior-partition plane's merged verdicts scored against
 // ground truth and against the unsharded global localizer.
 type ServerLevelRow struct {
 	Failed int
-	// Accuracy and FalsePositive score the approximate plane's merged
+	// Accuracy and FalsePositive score the interior plane's merged
 	// verdicts against the injected faults, pooled over trials.
 	Accuracy, FalsePositive float64
 	// AgreeGlobal is the fraction of trials whose merged bad-link set is
 	// identical to one global pll.Localize over the whole matrix.
 	AgreeGlobal float64
 	// Disagreements pools the merge's per-cut-link disagreement count —
-	// the measured accuracy-bound surface the approximate policy trades
+	// the measured accuracy-bound surface the interior partition trades
 	// for parallelism.
 	Disagreements int
 }
@@ -35,8 +35,9 @@ type ServerLevelRow struct {
 // ServerLevelResult is the full sweep: both partition geometries plus the
 // accuracy table.
 type ServerLevelResult struct {
-	// Exact and Approx describe the two policies' partitions of the same
-	// served server-level matrix.
+	// Exact and Approx describe the component plane (route.ComponentPartition)
+	// and the interior plane (route.InteriorPartition) over the same served
+	// server-level matrix.
 	Exact, Approx shard.PlaneStats
 	// NumPaths is the served matrix's row count.
 	NumPaths int
@@ -50,7 +51,7 @@ type ServerLevelResult struct {
 // returns the served server-level probe matrix — the same pinger-expanded
 // routes (pinger uplink, ToR-level links, responder downlink) the
 // diagnoser fetches over HTTP, which is exactly the matrix shape that
-// entangles the exact component partition into one part.
+// entangles the component partition into one part.
 func serverLevelMatrix(k int) (*topo.Fattree, *route.Probes, error) {
 	f, err := topo.NewFattree(k)
 	if err != nil {
@@ -68,7 +69,7 @@ func serverLevelMatrix(k int) (*topo.Fattree, *route.Probes, error) {
 
 // solidLossScenario fails nf distinct covered links with non-gray random
 // loss at solid rates (log-uniform 10%-50%): the regime where the global
-// localizer is reliable, so the sweep isolates what the approximate
+// localizer is reliable, so the sweep isolates what the interior
 // partition costs rather than what PLL costs.
 func solidLossScenario(covered []topo.LinkID, nf int, rng *rand.Rand) *sim.Scenario {
 	picked := make(map[topo.LinkID]bool, nf)
@@ -105,14 +106,13 @@ func sameLinkSet(a, b []topo.LinkID) bool {
 	return true
 }
 
-// ServerLevel measures the server-level diagnosis sharding trade (the
-// tentpole of the approximate-partition plane): on a Fattree(k)
-// server-level matrix the exact component partition collapses to one part
-// (every route carries its pinger's uplink, entangling the components), so
-// the sweep builds both planes over four shard slots, verifies the
-// approximate plane actually spreads, and scores its merged verdicts
-// against ground truth and the unsharded localizer at 1-10 concurrent
-// solid-loss faults.
+// ServerLevel measures the server-level diagnosis sharding trade: on a
+// Fattree(k) server-level matrix the component partition collapses to one
+// part (every route carries its pinger's uplink, entangling the
+// components), so the sweep builds both planes over four shard slots,
+// verifies the interior plane actually spreads, and scores its merged
+// verdicts against ground truth and the unsharded localizer at 1-10
+// concurrent solid-loss faults.
 func ServerLevel(w io.Writer, p Params) (*ServerLevelResult, error) {
 	k := p.K
 	if k == 0 {
@@ -127,8 +127,8 @@ func ServerLevel(w io.Writer, p Params) (*ServerLevelResult, error) {
 	}
 
 	alive := []int{0, 1, 2, 3}
-	exact := shard.NewPlaneWithPolicy(probes, alive, shard.PartitionExact)
-	approx := shard.NewPlaneWithPolicy(probes, alive, shard.PartitionApprox)
+	exact := shard.NewPlane(probes, alive)
+	approx := shard.NewPlaneFrom(probes, alive, route.InteriorPartition(probes))
 	res := &ServerLevelResult{
 		Exact:    exact.Stats(),
 		Approx:   approx.Stats(),
@@ -149,7 +149,7 @@ func ServerLevel(w io.Writer, p Params) (*ServerLevelResult, error) {
 	cfg := pll.DefaultConfig()
 	for _, nf := range ScenarioCounts {
 		row := ServerLevelRow{Failed: nf}
-		var pooled metrics.Confusion
+		var pooled eval.Confusion
 		agree := 0
 		for tr := 0; tr < p.Trials; tr++ {
 			scen := solidLossScenario(covered, nf, rng)
@@ -163,7 +163,7 @@ func ServerLevel(w io.Writer, p Params) (*ServerLevelResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("serverlevel x%d: %w", nf, err)
 			}
-			pooled.Add(metrics.Compare(badLinkSet(merged), scen.BadLinks()))
+			pooled.Add(eval.Compare(badLinkSet(merged), scen.BadLinks()))
 			if sameLinkSet(badLinkSet(merged), badLinkSet(global)) {
 				agree++
 			}
@@ -178,9 +178,9 @@ func ServerLevel(w io.Writer, p Params) (*ServerLevelResult, error) {
 	fmt.Fprintf(w, "Server-level sharding: Fattree(%d), %d served routes, %d shard slots\n",
 		k, res.NumPaths, len(alive))
 	t := newTable(w)
-	t.row("policy", "parts", "partitions", "cut links", "max repl")
-	t.row(res.Exact.Policy, res.Exact.Parts, res.Exact.Partitions, res.Exact.CutLinks, res.Exact.MaxReplication)
-	t.row(res.Approx.Policy, res.Approx.Parts, res.Approx.Partitions, res.Approx.CutLinks, res.Approx.MaxReplication)
+	t.row("partition", "parts", "partitions", "cut links", "max repl")
+	t.row("component", res.Exact.Parts, res.Exact.Partitions, res.Exact.CutLinks, res.Exact.MaxReplication)
+	t.row("interior", res.Approx.Parts, res.Approx.Partitions, res.Approx.CutLinks, res.Approx.MaxReplication)
 	t.flush()
 	fmt.Fprintf(w, "per-window disagreement bound: %d\n", res.DisagreementBound)
 	t = newTable(w)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/detector-net/detector/internal/pll"
+	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/sim"
 	"github.com/detector-net/detector/internal/topo"
@@ -62,8 +63,8 @@ func TestServerLevelSweepSmoke(t *testing.T) {
 }
 
 // BenchmarkServerLevelLocalize compares one localization window on the
-// Fattree(16) server-level matrix: unsharded global PLL, the exact plane
-// (one partition — sharding is structurally a no-op) and the approximate
+// Fattree(16) server-level matrix: unsharded global PLL, the component
+// plane (one partition — sharding is structurally a no-op) and the interior
 // plane (spread across four slots, reconciliation merge included).
 func BenchmarkServerLevelLocalize(b *testing.B) {
 	f, probes, err := serverLevelMatrix(16)
@@ -90,9 +91,15 @@ func BenchmarkServerLevelLocalize(b *testing.B) {
 			}
 		}
 	})
-	for _, pol := range []shard.PartitionPolicy{shard.PartitionExact, shard.PartitionApprox} {
-		pl := shard.NewPlaneWithPolicy(probes, alive, pol)
-		b.Run(string(pol), func(b *testing.B) {
+	for _, plane := range []struct {
+		name string
+		pl   *shard.Plane
+	}{
+		{"component", shard.NewPlane(probes, alive)},
+		{"interior", shard.NewPlaneFrom(probes, alive, route.InteriorPartition(probes))},
+	} {
+		pl := plane.pl
+		b.Run(plane.name, func(b *testing.B) {
 			b.ReportMetric(float64(pl.Stats().Partitions), "partitions")
 			for i := 0; i < b.N; i++ {
 				if _, err := pl.Localize(obs, cfg); err != nil {

@@ -5,7 +5,7 @@ import (
 	"io"
 	"math/rand"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/eval"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
@@ -41,8 +41,8 @@ func table45FailureConfig(n int) sim.FailureConfig {
 
 // simAccuracy runs `trials` random scenarios with numFailed concurrent link
 // failures and pools the confusion counts of PLL on the given matrix.
-func simAccuracy(f *topo.Fattree, probes *route.Probes, numFailed, trials, probesPerPath int, rng *rand.Rand) (metrics.Confusion, error) {
-	var pooled metrics.Confusion
+func simAccuracy(f *topo.Fattree, probes *route.Probes, numFailed, trials, probesPerPath int, rng *rand.Rand) (eval.Confusion, error) {
+	var pooled eval.Confusion
 	for tr := 0; tr < trials; tr++ {
 		scen, err := sim.Generate(f.Topology, table45FailureConfig(numFailed), rng)
 		if err != nil {
@@ -54,7 +54,7 @@ func simAccuracy(f *topo.Fattree, probes *route.Probes, numFailed, trials, probe
 		if err != nil {
 			return pooled, err
 		}
-		pooled.Add(metrics.Compare(res.BadLinks(), scen.BadLinks()))
+		pooled.Add(eval.Compare(res.BadLinks(), scen.BadLinks()))
 	}
 	return pooled, nil
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -10,7 +11,6 @@ import (
 	"strings"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 )
 
 // formatFloat renders a float the way both expositions print it, so text
@@ -19,8 +19,7 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Snapshot is the JSON exposition: every registered metric, including the
-// flat internal/metrics counters the services have always served, in one
+// Snapshot is the JSON exposition: every registered metric in one
 // structure whose values match the Prometheus text exposition exactly.
 type Snapshot struct {
 	// Counters maps series name (label-qualified for family children, e.g.
@@ -32,37 +31,24 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// TakeSnapshot collects the current value of every metric in the process:
-// the obs registry plus the legacy flat counters from internal/metrics
-// (which this package's exposition subsumes rather than replaces).
+// TakeSnapshot collects the current value of every metric in the process.
 func TakeSnapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]int64),
 		Histograms: make(map[string]HistogramSnapshot),
 	}
-	for name, v := range metrics.Counters() {
-		s.Counters[name] = v
-	}
 	reg.mu.Lock()
-	hists := make(map[string]*Histogram, len(reg.hists))
-	for n, h := range reg.hists {
-		hists[n] = h
-	}
-	histVecs := make(map[string]*HistogramVec, len(reg.histVecs))
-	for n, v := range reg.histVecs {
-		histVecs[n] = v
-	}
-	countVecs := make(map[string]*CounterVec, len(reg.countVecs))
-	for n, v := range reg.countVecs {
-		countVecs[n] = v
-	}
-	gauges := make(map[string]*Gauge, len(reg.gauges))
-	for n, g := range reg.gauges {
-		gauges[n] = g
-	}
+	counters := maps.Clone(reg.counters)
+	hists := maps.Clone(reg.hists)
+	histVecs := maps.Clone(reg.histVecs)
+	countVecs := maps.Clone(reg.countVecs)
+	gauges := maps.Clone(reg.gauges)
 	reg.mu.Unlock()
 
+	for name, c := range counters {
+		s.Counters[name] = c.Value()
+	}
 	for name, h := range hists {
 		s.Histograms[name] = h.snapshot()
 	}
@@ -109,25 +95,29 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // WriteProm writes the Prometheus text exposition (format 0.0.4) of every
-// metric in the process: flat counters, counter families, gauges, and
+// metric in the process: counters, counter families, gauges, and
 // histograms with cumulative power-of-two `le` buckets.
 func WriteProm(w io.Writer) {
-	flat := metrics.Counters()
-	for _, name := range sortedKeys(flat) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, flat[name])
-	}
-
 	reg.mu.Lock()
+	countNames := sortedKeys(reg.counters)
 	histNames := sortedKeys(reg.hists)
 	histVecNames := sortedKeys(reg.histVecs)
 	countVecNames := sortedKeys(reg.countVecs)
 	gaugeNames := sortedKeys(reg.gauges)
-	hists := reg.hists
-	histVecs := reg.histVecs
-	countVecs := reg.countVecs
-	gauges := reg.gauges
+	// Registration may run concurrently with a scrape: read the maps from
+	// copies taken under the lock.
+	counters := maps.Clone(reg.counters)
+	hists := maps.Clone(reg.hists)
+	histVecs := maps.Clone(reg.histVecs)
+	countVecs := maps.Clone(reg.countVecs)
+	gauges := maps.Clone(reg.gauges)
 	reg.mu.Unlock()
 
+	for _, name := range countNames {
+		c := counters[name]
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
+			name, escapeHelp(c.help), name, name, c.Value())
+	}
 	for _, name := range countVecNames {
 		v := countVecs[name]
 		v.mu.RLock()

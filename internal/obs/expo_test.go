@@ -5,14 +5,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/detector-net/detector/internal/metrics"
 )
 
 var (
@@ -105,7 +104,7 @@ func parseProm(t *testing.T, text string) map[string]promSample {
 // the text exposition through the real handler, and structurally validates
 // every line.
 func TestPromExpositionWellFormed(t *testing.T) {
-	metrics.NewCounter("test_expo_flat").Inc()
+	NewCounter("test_expo_flat", "a counter").Inc()
 	NewGauge("test_expo_gauge", "a gauge").Set(42)
 	NewCounterVec("test_expo_family", "a family", "who", 8).With("a").Add(3)
 	h := NewHistogram("test_expo_hist", "a histogram")
@@ -150,7 +149,7 @@ func TestPromExpositionWellFormed(t *testing.T) {
 // gauge and histogram reports the same value through the JSON snapshot as
 // through the Prometheus text format.
 func TestJSONMatchesText(t *testing.T) {
-	metrics.NewCounter("test_dual_flat").Add(11)
+	NewCounter("test_dual_flat", "a counter").Add(11)
 	NewGauge("test_dual_gauge", "g").Set(-4)
 	NewCounterVec("test_dual_vec", "v", "k", 4).With("z").Add(9)
 	NewHistogram("test_dual_hist", "h").Observe(5 * time.Millisecond)
@@ -209,5 +208,31 @@ func TestJSONMatchesText(t *testing.T) {
 	}
 	if viaHTTP.Counters["test_dual_flat"] != 11 {
 		t.Fatalf("JSON exposition counter = %d, want 11", viaHTTP.Counters["test_dual_flat"])
+	}
+}
+
+// TestScrapeDuringRegistration: a scrape reads the registry while another
+// goroutine registers counters (a package initialising late, a test helper);
+// under -race this pins that the expositions read copies taken under the
+// registry lock.
+func TestScrapeDuringRegistration(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 1000; i++ {
+			NewCounter(fmt.Sprintf("test_scrape_reg_%d", i), "c").Inc()
+		}
+	}()
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		WriteProm(io.Discard)
+		TakeSnapshot()
+	}
+	if got := TakeSnapshot().Counters["test_scrape_reg_999"]; got < 1 {
+		t.Fatalf("last registered counter reads %d, want >= 1", got)
 	}
 }

@@ -106,10 +106,12 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Counter is a monotonically increasing counter, one child of a labeled
-// CounterVec family.
+// Counter is a monotonically increasing counter: a registered operational
+// counter (NewCounter) or one child of a labeled CounterVec family. One
+// atomic add, cheap enough for request paths.
 type Counter struct {
-	v atomic.Int64
+	help string // set by NewCounter; empty on a CounterVec child
+	v    atomic.Int64
 }
 
 // Inc adds one.
@@ -236,11 +238,13 @@ var reg = struct {
 	mu        sync.Mutex
 	hists     map[string]*Histogram
 	histVecs  map[string]*HistogramVec
+	counters  map[string]*Counter
 	countVecs map[string]*CounterVec
 	gauges    map[string]*Gauge
 }{
 	hists:     make(map[string]*Histogram),
 	histVecs:  make(map[string]*HistogramVec),
+	counters:  make(map[string]*Counter),
 	countVecs: make(map[string]*CounterVec),
 	gauges:    make(map[string]*Gauge),
 }
@@ -251,6 +255,9 @@ func checkKind(name, kind string) {
 	}
 	if _, ok := reg.histVecs[name]; ok && kind != "histogramvec" {
 		panic(fmt.Sprintf("obs: %q already registered as histogram family, now requested as %s", name, kind))
+	}
+	if _, ok := reg.counters[name]; ok && kind != "counter" {
+		panic(fmt.Sprintf("obs: %q already registered as counter, now requested as %s", name, kind))
 	}
 	if _, ok := reg.countVecs[name]; ok && kind != "countervec" {
 		panic(fmt.Sprintf("obs: %q already registered as counter family, now requested as %s", name, kind))
@@ -287,6 +294,19 @@ func NewHistogramVec(name, help, label string, maxSeries int) *HistogramVec {
 		children: make(map[string]*Histogram)}
 	reg.histVecs[name] = v
 	return v
+}
+
+// NewCounter registers (or returns) the counter under name.
+func NewCounter(name, help string) *Counter {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	if c, ok := reg.counters[name]; ok {
+		return c
+	}
+	checkKind(name, "counter")
+	c := &Counter{help: help}
+	reg.counters[name] = c
+	return c
 }
 
 // NewCounterVec registers (or returns) the labeled counter family under

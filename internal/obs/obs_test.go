@@ -139,6 +139,29 @@ func TestRegistryIdempotentByName(t *testing.T) {
 	NewGauge("test_idem_hist", "kind clash")
 }
 
+// TestCounterKindClash: a plain counter is get-or-create by name like every
+// other kind, and its name is reserved against the other kinds both ways.
+func TestCounterKindClash(t *testing.T) {
+	c := NewCounter("test_clash_counter", "first")
+	if NewCounter("test_clash_counter", "second help is ignored") != c {
+		t.Fatal("same name registered twice yielded different counters")
+	}
+	NewGauge("test_clash_gauge", "g")
+	for name, register := range map[string]func(){
+		"counter as counter family": func() { NewCounterVec("test_clash_counter", "v", "k", 2) },
+		"gauge as counter":          func() { NewCounter("test_clash_gauge", "c") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering a %s did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 // TestTracerRingAndJoin covers the cycle ring: eviction at capacity,
 // strictly increasing minted IDs, and Join filing spans under an externally
 // minted ID (creating the cycle on first sight, reusing it after).

@@ -12,14 +12,16 @@ import (
 	"reflect"
 
 	"github.com/detector-net/detector/internal/control"
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 )
 
 // pinglistRefreshes counts applied pinglist changes (full or delta);
 // pinglistUnchanged counts refresh rounds answered 304.
 var (
-	pinglistRefreshes = metrics.NewCounter("pinger_pinglist_refreshes")
-	pinglistUnchanged = metrics.NewCounter("pinger_pinglist_unchanged")
+	pinglistRefreshes = obs.NewCounter("pinger_pinglist_refreshes",
+		"Pinglist changes a pinger applied, full or delta.")
+	pinglistUnchanged = obs.NewCounter("pinger_pinglist_unchanged",
+		"Pinglist refresh rounds answered 304 Not Modified.")
 )
 
 // refreshPinglist polls the controller for a work-order change and applies

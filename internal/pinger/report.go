@@ -12,13 +12,14 @@ import (
 	"io"
 	"sort"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/shardrpc"
 )
 
 // reportFailures counts report frames that failed to reach the diagnoser
 // (network error, 5xx, or a rejected body).
-var reportFailures = metrics.NewCounter("pinger_report_failures")
+var reportFailures = obs.NewCounter("pinger_report_failures",
+	"Report frames that failed to reach the diagnoser.")
 
 // pendAgg is one path's undelivered aggregate: counters summed, signal sums
 // delivered-weighted exactly as the diagnoser merges them, so a window that

@@ -114,10 +114,11 @@ func (r *Result) BadLinks() []topo.LinkID {
 }
 
 // preprocess drops outlier observations and splits the rest into clean and
-// lossy sets (paper §5.1).
+// lossy sets (paper §5.1). A row that crosses no link can explain nothing
+// and is dropped like an unknown one.
 func preprocess(p *route.Probes, obs []Observation, cfg Config) (lossy []Observation, cleanPaths []int) {
 	for _, o := range obs {
-		if o.Sent <= 0 || o.Path < 0 || o.Path >= p.NumPaths() {
+		if o.Sent <= 0 || o.Path < 0 || o.Path >= p.NumPaths() || len(p.PathLinks[o.Path]) == 0 {
 			continue
 		}
 		if cfg.unhealthyPath(p, o.Path) {

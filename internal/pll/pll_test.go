@@ -157,6 +157,20 @@ func TestLocalizeEmptyAndCleanWindows(t *testing.T) {
 	}
 }
 
+// TestLocalizeSkipsLinklessRow: a lossy observation on a row that crosses
+// no link is dropped in preprocessing, like an out-of-range one, instead of
+// reaching the component split.
+func TestLocalizeSkipsLinklessRow(t *testing.T) {
+	p := route.NewProbesFromLinks([][]topo.LinkID{{0, 1}, {}, {1, 2}}, 3)
+	res, err := Localize(p, []Observation{obs(0, 100, 30), obs(1, 100, 30), obs(2, 100, 30)}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LossyPaths != 2 || len(res.Bad) != 1 || res.Bad[0].Link != 1 {
+		t.Fatalf("lossy=%d bad=%v, want 2 lossy rows explained by link 1", res.LossyPaths, res.BadLinks())
+	}
+}
+
 func TestSCORELocalizesByHitRatio(t *testing.T) {
 	p := route.NewProbesFromLinks([][]topo.LinkID{
 		{0, 1}, {0, 2}, {1}, {2},

@@ -1,173 +1,89 @@
 package route
 
-import (
-	"sort"
+import "github.com/detector-net/detector/internal/topo"
 
-	"github.com/detector-net/detector/internal/topo"
-)
-
-// CutLink is one link whose observed paths span more than one part of an
-// approximate partition — in the server-level matrices that motivate the
-// partitioner, a pinger or responder uplink shared by routes into several
-// ToR subtrees. Its hit ratio is computed per part from that part's path
-// subset only, so Parts is the exact bound on how far the link's evidence
-// is split: a failing cut link still shows hit ratio ≈ 1 inside every part
-// (all of its paths there are lossy), but the per-part explained-loss
-// counts are each 1/Parts-ish of the global count.
+// CutLink is one link whose observed paths a diagnosis plane splits across
+// more than one shard — in the server-level matrices that motivate the
+// interior partition, a pinger or responder uplink shared by routes into
+// several ToR subtrees. Its hit ratio is computed per shard from that
+// shard's path subset only, so Parts is the exact bound on how far the
+// link's evidence is split: a failing cut link still shows hit ratio ≈ 1
+// inside every shard (all of its paths there are lossy), but the per-shard
+// explained-loss counts are each 1/Parts-ish of the global count.
 type CutLink struct {
 	Link topo.LinkID
-	// Parts is the replication count: how many parts observe the link.
+	// Parts is the replication count: how many shards observe the link.
 	Parts int
-	// Owner is the part seeing the most paths through the link (ties to
-	// the smaller part index) — the part whose subset retains the largest
-	// share of the link's evidence.
-	Owner int32
 }
 
-// Partition is an approximate owner derivation over a served probe matrix:
-// every path is assigned to exactly one part, and the links whose evidence
-// the assignment splits are enumerated with their replication counts, so
-// the accuracy loss of partitioning is quantifiable instead of silent.
+// Partition assigns every row of a served probe matrix that has a link in
+// one view of its rows to exactly one part: the connected components of
+// that view, found by the same kernel that decomposes the candidate matrix
+// (paper §4.3, Observation 1).
 type Partition struct {
-	// NumParts is the number of non-empty parts.
-	NumParts int
-	// PathPart maps path row -> part index, -1 for linkless paths.
-	PathPart []int32
-	// Keys names each part by its smallest determining link ID — the same
-	// deterministic keying the exact plane feeds to rendezvous assignment,
-	// so part ownership is stable across rebuilds.
+	// Keys names each part by its smallest link in the view, ascending —
+	// Component.Key, the keying construction feeds to rendezvous
+	// assignment, so part ownership is stable across rebuilds.
 	Keys []uint64
-	// Cuts lists every link observed by more than one part, ascending by
-	// link ID.
-	Cuts []CutLink
+	// PathPart maps path row -> part index, -1 for a row with no link in
+	// the view.
+	PathPart []int32
 }
 
-// MaxReplication returns the largest per-link replication count, 1 when
-// nothing is cut (the partition is exact).
-func (pt *Partition) MaxReplication() int {
-	max := 1
-	for _, c := range pt.Cuts {
-		if c.Parts > max {
-			max = c.Parts
-		}
-	}
-	return max
+// ComponentPartition splits a served probe matrix into its connected
+// components over every link of every row. A diagnosis plane over it
+// merges bit-identically to one global PLL pass: no link's paths span two
+// parts.
+func ComponentPartition(p *Probes) *Partition {
+	return partition(p, func(links []topo.LinkID) []topo.LinkID { return links })
 }
 
-// ApproximatePartition splits a served probe matrix by its interior links
-// only, deliberately cutting the server-edge links that entangle a
-// server-level matrix into one giant component.
+// InteriorPartition splits a served probe matrix by the interior links of
+// its rows only, deliberately cutting the server-edge links that entangle
+// a server-level matrix into one giant component.
 //
 // The server-level routes the controller serves are [server→ToR uplink,
 // ToR-level links..., ToR→server downlink]: the first and last link of
 // every route with three or more links are server-edge by construction,
-// and the two links of an intra-rack route both are. Union-finding over
-// interior links only therefore reproduces the ToR-level component
-// structure — the structure the exact plane loses the moment two ToR-level
-// components share one pinger's uplink. Paths with no interior links
+// and the two links of an intra-rack route both are. Components over
+// interior links therefore reproduce the ToR-level component structure —
+// the structure the component partition loses the moment two ToR-level
+// components share one pinger's uplink. Rows with no interior links
 // (intra-rack probes) group among themselves through their own shared
 // links, yielding roughly one residual part per rack.
 //
-// Each path lands in exactly one part; no row is duplicated. A link whose
-// paths span several parts (a cut link) has its hit ratio computed per
-// part from that part's subset. For a truly failing link the subset ratio
-// stays ≈ 1 in every part, which is why the approximation localizes; the
-// replication counts in Cuts bound exactly how much evidence any verdict
-// merge must reconcile.
-func ApproximatePartition(p *Probes) *Partition {
-	parent := make([]int32, p.NumLinks)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+// No row is duplicated. A link whose paths span several parts has its hit
+// ratio computed per part from that part's subset; for a truly failing
+// link the subset ratio stays ≈ 1 in every part, which is why the
+// approximation localizes, and a plane over it reports the cut set
+// (Plane.CutLinks) that bounds how much evidence its merge reconciles.
+func InteriorPartition(p *Probes) *Partition {
+	return partition(p, func(links []topo.LinkID) []topo.LinkID {
+		if len(links) >= 3 {
+			return links[1 : len(links)-1]
 		}
-		return x
-	}
-	union := func(a, b topo.LinkID) {
-		ra, rb := find(int32(a)), find(int32(b))
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
+		return links
+	})
+}
 
-	// relevant marks links that participate in part determination: interior
-	// links of long routes, every link of short (server-edge only) routes.
-	relevant := make([]bool, p.NumLinks)
-	det := make([]int32, p.NumPaths()) // path -> determining link, -1 linkless
-	for i, links := range p.PathLinks {
-		switch {
-		case len(links) == 0:
-			det[i] = -1
-		case len(links) <= 2:
-			det[i] = int32(links[0])
-			relevant[links[0]] = true
-			for _, l := range links[1:] {
-				relevant[l] = true
-				union(links[0], l)
-			}
-		default:
-			interior := links[1 : len(links)-1]
-			det[i] = int32(interior[0])
-			relevant[interior[0]] = true
-			for _, l := range interior[1:] {
-				relevant[l] = true
-				union(interior[0], l)
-			}
+// partition runs the decomposition kernel over view(row) of every row.
+func partition(p *Probes, view func([]topo.LinkID) []topo.LinkID) *Partition {
+	n := p.NumPaths()
+	csr := &CSR{Offsets: make([]int32, 1, n+1)}
+	for _, links := range p.PathLinks {
+		csr.Links = append(csr.Links, view(links)...)
+		csr.Offsets = append(csr.Offsets, int32(len(csr.Links)))
+	}
+	comps := DecomposeCSR(csr, p.NumLinks)
+	pt := &Partition{Keys: make([]uint64, len(comps)), PathPart: make([]int32, n)}
+	for i := range pt.PathPart {
+		pt.PathPart[i] = -1
+	}
+	for c := range comps {
+		pt.Keys[c] = comps[c].Key()
+		for _, r := range comps[c].Paths {
+			pt.PathPart[r] = int32(c)
 		}
 	}
-
-	// Parts come out keyed and ordered by their smallest relevant link, the
-	// same canonical order the exact plane derives for its components.
-	pt := &Partition{PathPart: make([]int32, p.NumPaths())}
-	partOf := make(map[int32]int32)
-	for l := 0; l < p.NumLinks; l++ {
-		if !relevant[l] {
-			continue
-		}
-		r := find(int32(l))
-		if _, ok := partOf[r]; !ok {
-			partOf[r] = int32(len(pt.Keys))
-			pt.Keys = append(pt.Keys, uint64(l))
-		}
-	}
-	pt.NumParts = len(pt.Keys)
-	for i := range det {
-		if det[i] < 0 {
-			pt.PathPart[i] = -1
-			continue
-		}
-		pt.PathPart[i] = partOf[find(det[i])]
-	}
-
-	// Cut links: links whose observed paths span more than one part.
-	counts := make(map[int32]int)
-	for l := 0; l < p.NumLinks; l++ {
-		rows := p.PathsThrough(topo.LinkID(l))
-		if len(rows) == 0 {
-			continue
-		}
-		for k := range counts {
-			delete(counts, k)
-		}
-		for _, row := range rows {
-			if part := pt.PathPart[row]; part >= 0 {
-				counts[part]++
-			}
-		}
-		if len(counts) <= 1 {
-			continue
-		}
-		owner, best := int32(-1), -1
-		for part, n := range counts {
-			if n > best || (n == best && part < owner) {
-				owner, best = part, n
-			}
-		}
-		pt.Cuts = append(pt.Cuts, CutLink{Link: topo.LinkID(l), Parts: len(counts), Owner: owner})
-	}
-	sort.Slice(pt.Cuts, func(i, j int) bool { return pt.Cuts[i].Link < pt.Cuts[j].Link })
 	return pt
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
@@ -17,11 +16,13 @@ import (
 
 // heartbeatLapses counts failed liveness probes across all shards — the
 // transport-level signal that precedes a watchdog death.
-var heartbeatLapses = metrics.NewCounter("shard_heartbeat_lapses")
+var heartbeatLapses = obs.NewCounter("shard_heartbeat_lapses",
+	"Failed shard liveness probes.")
 
 // constructFailovers counts shards quarantined mid-cycle because a
 // dispatched construction failed; each one forces a reassignment retry.
-var constructFailovers = metrics.NewCounter("shard_construct_failovers")
+var constructFailovers = obs.NewCounter("shard_construct_failovers",
+	"Shards quarantined mid-cycle after a dispatched construction failed.")
 
 // Coordinator stage histograms: the live per-cycle decomposition of the
 // construction pipeline (deTector §5's construct timing, exported per
@@ -84,11 +85,6 @@ type Options struct {
 	// default: benchmarks and tests that measure full cycles rely on every
 	// Construct doing the full work.
 	ReuseSelections bool
-	// Partition selects how BuildPlane derives diagnosis-side ownership:
-	// PartitionExact (default — bit-identical merge, but server-level
-	// matrices collapse to one partition) or PartitionApprox (cuts
-	// server-edge links with a measured replication bound; see Plane).
-	Partition PartitionPolicy
 }
 
 // ShardStats describes one shard's share of a construction cycle.
@@ -163,8 +159,6 @@ type Coordinator struct {
 	stopped     bool
 	stop        chan struct{}
 	probers     sync.WaitGroup
-
-	planeCache PlaneCache // BuildPlane's partition memo, keyed by matrix content
 }
 
 // New materializes and decomposes the candidate matrix, connects the shard
@@ -770,27 +764,6 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 	return nil, fmt.Errorf("shard: construction failed after %d dispatch rounds: %w", c.opt.Shards+1, lastErr)
 }
 
-// BuildPlane partitions a served probe matrix across the currently alive
-// shards for report routing and per-shard localization, dispatched over
-// the same transport clients (see Plane). The partition policy comes from
-// Options.Partition; the plane (partition, sub-matrices, engines) is cached
-// per matrix, so successive cycles over an unchanged served matrix (and an
-// unchanged alive set) reuse it.
-func (c *Coordinator) BuildPlane(p *route.Probes) *Plane {
-	c.mu.Lock()
-	alive := c.aliveLocked()
-	c.mu.Unlock()
-	if len(alive) == 0 {
-		alive = []int{0} // degraded: route everything to shard 0's slot
-	}
-	clients := make(map[int]ShardClient, len(alive))
-	for _, id := range alive {
-		clients[id] = c.clients[id]
-	}
-	pl, _ := c.planeCache.Get(p, alive, c.opt.Partition)
-	return pl.UseClients(clients)
-}
-
 // ShardInfo is one shard's row in the operator-facing placement view.
 type ShardInfo struct {
 	ID          int    `json:"id"`
@@ -814,13 +787,7 @@ type ComponentInfo struct {
 // GET /shards: who is alive and where every component lives — placement
 // without log scraping.
 type Status struct {
-	MatrixSig uint64 `json:"matrix_sig,string"`
-	// Partition is the diagnosis-plane partition policy ("exact" or
-	// "approx") the coordinator builds planes under.
-	Partition PartitionPolicy `json:"partition,omitempty"`
-	// Plane summarizes the most recent diagnosis plane built under that
-	// policy (partition/cut-link counts); nil before the first BuildPlane.
-	Plane      *PlaneStats     `json:"plane,omitempty"`
+	MatrixSig  uint64          `json:"matrix_sig,string"`
 	Shards     []ShardInfo     `json:"shards"`
 	Components []ComponentInfo `json:"components"`
 	// Down lists the currently masked (churned-out) links, ascending.
@@ -832,15 +799,7 @@ func (c *Coordinator) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	unhealthy := c.wd.UnhealthySet()
-	policy := c.opt.Partition
-	if policy == "" {
-		policy = PartitionExact
-	}
-	st := Status{MatrixSig: c.MatrixSig(), Partition: policy, Down: c.inc.Down()}
-	if pl := c.planeCache.Cached(); pl != nil {
-		stats := pl.Stats()
-		st.Plane = &stats
-	}
+	st := Status{MatrixSig: c.MatrixSig(), Down: c.inc.Down()}
 	owned := make(map[int][]int, c.opt.Shards)
 	for ci := range c.comps {
 		id := int(c.assign[ci])

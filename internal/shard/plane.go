@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
@@ -18,7 +17,7 @@ import (
 var stageLocalize = obs.Stages.With("localize")
 
 // stageReconcile times the cut-link reconciliation pass of the verdict
-// merge — zero-duration under the Exact policy, which has nothing to
+// merge — zero-duration on a component plane, which has nothing to
 // reconcile.
 var stageReconcile = obs.Stages.With("reconcile")
 
@@ -26,66 +25,34 @@ var stageReconcile = obs.Stages.With("reconcile")
 // local execution after the shard's transport client failed mid-window.
 // The merged verdict stays exact (same algorithm, same sub-matrix); the
 // counter makes a flapping shard service visible.
-var planeLocalFallbacks = metrics.NewCounter("shard_plane_local_fallbacks")
+var planeLocalFallbacks = obs.NewCounter("shard_plane_local_fallbacks",
+	"Per-shard localizations run locally after the shard's transport client failed.")
 
 // planeCutLinks tracks how many links the most recently built plane cut
-// across shards: 0 under the Exact policy (the partition is by connected
-// component, nothing is split), and the measured accuracy-bound surface
-// under the Approximate policy.
+// across shards: 0 on a component plane (nothing is split), and the
+// measured accuracy-bound surface on an interior plane.
 var planeCutLinks = obs.NewGauge("shard_plane_cut_links",
 	"Links whose observed paths the diagnosis plane splits across shards (0 = exact partition).")
 
 // planeCacheHits counts plane builds avoided because the served matrix was
 // the cached one (same pointer, or same route.ProbesSignature content).
-var planeCacheHits = metrics.NewCounter("shard_plane_cache_hits")
+var planeCacheHits = obs.NewCounter("shard_plane_cache_hits",
+	"Diagnosis plane builds avoided because the served matrix was unchanged.")
 
-// PartitionPolicy selects how the diagnosis plane derives path ownership.
-type PartitionPolicy string
-
-const (
-	// PartitionExact partitions by connected components of the probe
-	// matrix: the merge is bit-identical to one global PLL pass, but a
-	// server-level matrix whose pinger uplinks entangle the ToR-level
-	// components collapses to a single partition and runs unsharded.
-	PartitionExact PartitionPolicy = "exact"
-	// PartitionApprox partitions by interior links only
-	// (route.ApproximatePartition), deliberately cutting server-edge
-	// links so an entangled server-level matrix still spreads across
-	// shards. Each cut link's hit ratio is computed per shard from that
-	// shard's path subset and the merge runs a reconciliation pass; the
-	// per-link replication counts (CutLinks) bound the accuracy loss.
-	PartitionApprox PartitionPolicy = "approx"
-)
-
-// ParsePartitionPolicy maps a config string to a policy; empty means
-// Exact (the historical behavior). Unknown strings error rather than
-// silently running exact — a typo must not quietly disable sharding on
-// the matrices this policy exists for.
-func ParsePartitionPolicy(s string) (PartitionPolicy, error) {
-	switch PartitionPolicy(s) {
-	case "", PartitionExact:
-		return PartitionExact, nil
-	case PartitionApprox:
-		return PartitionApprox, nil
-	}
-	return "", fmt.Errorf("shard: unknown partition policy %q (want %q or %q)",
-		s, PartitionExact, PartitionApprox)
-}
-
-// PlaneStats summarizes a built plane for operators and tests.
+// PlaneStats summarizes a built plane for the server-level experiment and
+// tests.
 type PlaneStats struct {
-	Policy PartitionPolicy `json:"policy"`
 	// Partitions is the number of shards owning at least one path — the
 	// plane's effective parallelism this matrix.
-	Partitions int `json:"partitions"`
+	Partitions int
 	// Parts is the partition count before shard assignment (parts collapse
 	// onto Partitions shards by capacity-capped rendezvous).
-	Parts int `json:"parts"`
+	Parts int
 	// CutLinks counts links whose observed paths span more than one shard.
-	CutLinks int `json:"cut_links"`
+	CutLinks int
 	// MaxReplication is the largest number of shards sharing one link's
 	// evidence (1 = exact).
-	MaxReplication int `json:"max_replication"`
+	MaxReplication int
 }
 
 // MergeStats reports what one merged localization had to reconcile.
@@ -106,15 +73,15 @@ type MergeStats struct {
 // the one way a window gets localized: an unsharded diagnoser runs the
 // plane with one shard, whose part is the matrix itself.
 //
-// Under the Exact policy the partition unit is a connected component of
+// The diagnoser's plane (NewPlane) partitions by connected component of
 // the probe matrix itself (links connected through shared probe paths):
 // every observed path through a link lands on the link's owning shard,
 // hence each shard's PLL sees exactly the global algorithm's per-link path
 // counts, hit ratios and greedy cover for its links, and the merged result
 // is bit-identical to one pll.Localize over the whole matrix. Server-level
 // matrices entangle those components through shared pinger uplinks and
-// collapse to one partition; the Approximate policy cuts exactly those
-// server-edge links (route.ApproximatePartition), accepting split hit
+// collapse to one partition; a plane over route.InteriorPartition
+// (NewPlaneFrom) cuts exactly those server-edge links, accepting split hit
 // ratios on the cut links in exchange for spreading the matrix — the cut
 // set and its replication counts are exported so the accuracy loss is a
 // measured bound, not a hope.
@@ -123,11 +90,10 @@ type MergeStats struct {
 // matrix row. The diagnoser's window state emits exactly that; a duplicate
 // is an error, not a silent double count.
 type Plane struct {
-	alive  []int
-	policy PartitionPolicy
-	owner  []int32 // global path index -> owning shard id
-	local  []int32 // global path index -> row in the owner's sub-matrix
-	subs   map[int]*Part
+	alive []int
+	owner []int32 // global path index -> owning shard id
+	local []int32 // global path index -> row in the owner's sub-matrix
+	subs  map[int]*Part
 	// whole is the shard whose part is the plane's matrix itself (it owns
 	// every row, so a window needs no routing), or -1.
 	whole   int
@@ -167,46 +133,39 @@ type RemoteError struct {
 }
 
 // NewPlane partitions p across the alive shard ids (must be non-empty,
-// ascending) under the Exact policy. Paths in the same matrix component
-// share an owner; ownership uses the same rendezvous hash as construction,
-// keyed by the component's smallest link ID, so a component whose links
-// match a candidate component lands on the shard that built its rows.
+// ascending) by connected component (route.ComponentPartition). Paths in
+// the same matrix component share an owner; ownership uses the same
+// rendezvous hash as construction, keyed by the component's smallest link
+// ID, so a component whose links match a candidate component lands on the
+// shard that built its rows.
 func NewPlane(p *route.Probes, alive []int) *Plane {
-	return NewPlaneWithPolicy(p, alive, PartitionExact)
+	return NewPlaneFrom(p, alive, route.ComponentPartition(p))
 }
 
-// NewPlaneWithPolicy is NewPlane under an explicit partition policy.
-func NewPlaneWithPolicy(p *route.Probes, alive []int, policy PartitionPolicy) *Plane {
-	var keys []uint64
-	var pathPart []int32
-	if policy == PartitionApprox {
-		pt := route.ApproximatePartition(p)
-		keys, pathPart = pt.Keys, pt.PathPart
-	} else {
-		policy = PartitionExact
-		keys, pathPart = exactPartition(p)
-	}
-	owners := assignBalanced(keys, alive)
+// NewPlaneFrom partitions p across the alive shard ids by pt, a partition
+// of p's rows: parts collapse onto shards by capacity-capped rendezvous on
+// their keys, and a row pt leaves without a part gets no owner.
+func NewPlaneFrom(p *route.Probes, alive []int, pt *route.Partition) *Plane {
+	owners := assignBalanced(pt.Keys, alive)
 
 	n := p.NumPaths()
 	pl := &Plane{
-		alive:  append([]int(nil), alive...),
-		policy: policy,
-		owner:  make([]int32, n),
-		local:  make([]int32, n),
-		subs:   make(map[int]*Part, len(alive)),
-		whole:  -1,
-		parts:  len(keys),
+		alive: append([]int(nil), alive...),
+		owner: make([]int32, n),
+		local: make([]int32, n),
+		subs:  make(map[int]*Part, len(alive)),
+		whole: -1,
+		parts: len(pt.Keys),
 	}
 	for i := 0; i < n; i++ {
-		if pathPart[i] < 0 {
+		if pt.PathPart[i] < 0 {
 			// A linkless path can explain nothing; treat it like an
 			// unknown path id rather than crediting its observations to
 			// some shard's row 0.
 			pl.owner[i] = -1
 			continue
 		}
-		pl.owner[i] = owners[pathPart[i]]
+		pl.owner[i] = owners[pt.PathPart[i]]
 	}
 	owned := make(map[int32]int, len(alive))
 	for _, o := range pl.owner {
@@ -244,60 +203,9 @@ func NewPlaneWithPolicy(p *route.Probes, alive []int, policy PartitionPolicy) *P
 	return pl
 }
 
-// exactPartition derives the historical component partition: union-find
-// over all links of each path, components keyed by smallest member link.
-func exactPartition(p *route.Probes) (keys []uint64, pathPart []int32) {
-	n := p.NumPaths()
-	parent := make([]int32, p.NumLinks)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < n; i++ {
-		links := p.PathLinks[i]
-		for _, l := range links[1:] {
-			ra, rb := find(int32(links[0])), find(int32(l))
-			if ra != rb {
-				parent[rb] = ra
-			}
-		}
-	}
-	// The component key is its smallest member link: links ascend, so the
-	// first link resolving to a root names the component, and the roots
-	// come out in key order — the same deterministic order the coordinator
-	// feeds to the balanced assignment.
-	seen := make(map[int32]int32) // root -> component index
-	for l := 0; l < p.NumLinks; l++ {
-		if len(p.PathsThrough(topo.LinkID(l))) == 0 {
-			continue
-		}
-		r := find(int32(l))
-		if _, ok := seen[r]; !ok {
-			seen[r] = int32(len(keys))
-			keys = append(keys, uint64(l))
-		}
-	}
-	pathPart = make([]int32, n)
-	for i := 0; i < n; i++ {
-		links := p.PathLinks[i]
-		if len(links) == 0 {
-			pathPart[i] = -1
-			continue
-		}
-		pathPart[i] = seen[find(int32(links[0]))]
-	}
-	return keys, pathPart
-}
-
 // findCuts records the shard-level cut set: links whose observed paths
-// span more than one owning shard. Under the Exact policy this is empty
-// by construction; under Approximate, parts that rendezvous onto the same
+// span more than one owning shard. On a component plane this is empty by
+// construction; on an interior plane, parts that rendezvous onto the same
 // shard heal their shared links, so the shard-level cut set (what the
 // merge actually reconciles) can be smaller than the partition's.
 func (pl *Plane) findCuts(p *route.Probes) {
@@ -342,20 +250,16 @@ func (pl *Plane) Owner(i int) int {
 	return int(pl.owner[i])
 }
 
-// Policy returns the partition policy the plane was built under.
-func (pl *Plane) Policy() PartitionPolicy { return pl.policy }
-
 // CutLinks returns the shard-level cut set, ascending by link ID: every
 // link whose observed paths span more than one shard, with the number of
-// shards sharing it. Empty under the Exact policy.
+// shards sharing it. Empty on a component plane.
 func (pl *Plane) CutLinks() []route.CutLink {
 	return append([]route.CutLink(nil), pl.cuts...)
 }
 
-// Stats summarizes the partition for GET /shards and tests.
+// Stats summarizes the partition.
 func (pl *Plane) Stats() PlaneStats {
 	st := PlaneStats{
-		Policy:         pl.policy,
 		Partitions:     len(pl.subs),
 		Parts:          pl.parts,
 		CutLinks:       len(pl.cuts),
@@ -483,8 +387,8 @@ func (pl *Plane) Localize(observations []pll.Observation, cfg pll.Config) (*pll.
 // cut links: a link flagged by several shards keeps the maximum observed
 // loss rate and the summed explained-loss count (each shard explained a
 // disjoint path subset). A cut link flagged by some but not all of the
-// shards sharing it counts into MergeStats.Disagreements — under the
-// Exact policy both numbers are structurally zero.
+// shards sharing it counts into MergeStats.Disagreements — on a component
+// plane both numbers are structurally zero.
 func (pl *Plane) LocalizeCycleStats(cy *obs.Cycle, observations []pll.Observation, cfg pll.Config) (*pll.Result, MergeStats, error) {
 	start := time.Now()
 	defer func() { stageLocalize.Observe(time.Since(start)) }()
@@ -555,27 +459,22 @@ func (pl *Plane) LocalizeCycleStats(cy *obs.Cycle, observations []pll.Observatio
 // and for that path alone the cache falls back to the content signature,
 // so an unchanged matrix still does not rebuild the partition, the
 // sub-matrices and their engines. The cache invalidates on any change to
-// the matrix content, the alive shard set, or the policy.
+// the matrix content or the alive shard set.
 type PlaneCache struct {
 	mu     sync.Mutex
 	matrix *route.Probes // the matrix of the last hit or build; never mutated once served
 	sig    uint64
 	alive  []int
-	policy PartitionPolicy
 	plane  *Plane
 }
 
-// Get returns the plane for (p, alive, policy), rebuilding only when the
-// matrix content, shard set or policy changed since the last call.
-// rebuilt reports whether a build happened — callers hook once-per-cycle
-// work on it.
-func (pc *PlaneCache) Get(p *route.Probes, alive []int, policy PartitionPolicy) (pl *Plane, rebuilt bool) {
-	if policy == "" {
-		policy = PartitionExact
-	}
+// Get returns the plane for (p, alive), rebuilding only when the matrix
+// content or shard set changed since the last call. rebuilt reports
+// whether a build happened — callers hook once-per-cycle work on it.
+func (pc *PlaneCache) Get(p *route.Probes, alive []int) (pl *Plane, rebuilt bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	sameShape := pc.plane != nil && pc.policy == policy && equalInts(pc.alive, alive)
+	sameShape := pc.plane != nil && equalInts(pc.alive, alive)
 	if sameShape && pc.matrix == p {
 		planeCacheHits.Inc()
 		return pc.plane, false
@@ -586,15 +485,14 @@ func (pc *PlaneCache) Get(p *route.Probes, alive []int, policy PartitionPolicy) 
 		planeCacheHits.Inc()
 		return pc.plane, false
 	}
-	pc.plane = NewPlaneWithPolicy(p, alive, policy)
+	pc.plane = NewPlane(p, alive)
 	pc.sig = sig
 	pc.alive = append(pc.alive[:0], alive...)
-	pc.policy = policy
 	return pc.plane, true
 }
 
 // Cached returns the memoized plane, or nil before the first Get. Status
-// surfaces read it for the /shards view without forcing a build.
+// surfaces read it without forcing a build.
 func (pc *PlaneCache) Cached() *Plane {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -9,16 +9,16 @@ import (
 )
 
 // entangledServerMatrix fabricates a server-level probe matrix with the
-// pathology the Approximate policy exists for: the ToR-level (interior)
+// pathology the interior partition exists for: the ToR-level (interior)
 // links form three independent groups, but one busy pinger's uplink
-// appears on probes into every group, so the exact component partition
+// appears on probes into every group, so the component partition
 // collapses the whole matrix into a single part.
 //
 // Layout: 6 racks of 2 servers. Racks pair up into 3 groups; each group's
 // inter-rack probes ride two dedicated interior links. Links are numbered
 // uplinks first, then downlinks, then interiors — the greedy's candidate
 // order (ascending link ID) therefore prefers server-edge links on exact
-// ties, which is the adversarial direction for the approximate merge.
+// ties, which is the adversarial direction for the interior plane's merge.
 func entangledServerMatrix() *route.Probes {
 	const racks, S = 6, 2
 	up := func(r, s int) topo.LinkID { return topo.LinkID(r*S + s) }
@@ -39,8 +39,8 @@ func entangledServerMatrix() *route.Probes {
 		}
 	}
 	// The entangling probes: server (0,0) also pings into every other
-	// group, so its uplink bridges all three interior groups under the
-	// exact union-find.
+	// group, so its uplink bridges all three interior groups in the
+	// component partition.
 	for g := 1; g < racks/2; g++ {
 		paths = append(paths, []topo.LinkID{up(0, 0), ia(g), ib(g), down(2*g+1, 0)})
 	}
@@ -70,27 +70,21 @@ func solidWindow(p *route.Probes, bad topo.LinkID) []pll.Observation {
 
 func TestExactPolicyCollapsesEntangledServerMatrix(t *testing.T) {
 	p := entangledServerMatrix()
-	pl := NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionExact)
+	pl := NewPlane(p, []int{0, 1, 2, 3})
 	st := pl.Stats()
-	if st.Policy != PartitionExact {
-		t.Fatalf("policy = %q, want %q", st.Policy, PartitionExact)
-	}
 	if st.Parts != 1 || st.Partitions != 1 {
-		t.Fatalf("exact policy on entangled server matrix: parts=%d partitions=%d, want 1/1 (the collapse the approx policy exists for)",
+		t.Fatalf("component plane on entangled server matrix: parts=%d partitions=%d, want 1/1 (the collapse the interior partition exists for)",
 			st.Parts, st.Partitions)
 	}
 	if st.CutLinks != 0 || st.MaxReplication != 1 {
-		t.Fatalf("exact policy cut links = %d, max replication = %d, want 0/1", st.CutLinks, st.MaxReplication)
+		t.Fatalf("component plane cut links = %d, max replication = %d, want 0/1", st.CutLinks, st.MaxReplication)
 	}
 }
 
 func TestApproxPolicySplitsEntangledServerMatrix(t *testing.T) {
 	p := entangledServerMatrix()
-	pl := NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionApprox)
+	pl := NewPlaneFrom(p, []int{0, 1, 2, 3}, route.InteriorPartition(p))
 	st := pl.Stats()
-	if st.Policy != PartitionApprox {
-		t.Fatalf("policy = %q, want %q", st.Policy, PartitionApprox)
-	}
 	// 3 interior groups + 6 intra-rack residual parts.
 	if st.Parts != 9 {
 		t.Fatalf("approx parts = %d, want 9 (3 interior groups + 6 intra-rack)", st.Parts)
@@ -105,7 +99,7 @@ func TestApproxPolicySplitsEntangledServerMatrix(t *testing.T) {
 	// observations.
 	for i := 0; i < p.NumPaths(); i++ {
 		if pl.Owner(i) < 0 {
-			t.Fatalf("path %d lost its owner under the approx policy", i)
+			t.Fatalf("path %d lost its owner on the interior plane", i)
 		}
 	}
 	// The cut set must agree with its replication index.
@@ -127,7 +121,7 @@ func TestApproxPolicySplitsEntangledServerMatrix(t *testing.T) {
 // under the bound the exported replication counts imply.
 func TestApproxDifferentialSolidFailures(t *testing.T) {
 	p := entangledServerMatrix()
-	pl := NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionApprox)
+	pl := NewPlaneFrom(p, []int{0, 1, 2, 3}, route.InteriorPartition(p))
 	cfg := pll.DefaultConfig()
 
 	// cutRows marks every observed path that crosses a cut link; bound is
@@ -202,7 +196,7 @@ func TestApproxDifferentialSolidFailures(t *testing.T) {
 // by replication - 1.
 func TestApproxCutLinkDisagreementCounter(t *testing.T) {
 	p := entangledServerMatrix()
-	pl := NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionApprox)
+	pl := NewPlaneFrom(p, []int{0, 1, 2, 3}, route.InteriorPartition(p))
 	cuts := pl.CutLinks()
 	if len(cuts) == 0 {
 		t.Fatal("no cut links on the entangled matrix")
@@ -241,12 +235,12 @@ func TestApproxCutLinkDisagreementCounter(t *testing.T) {
 	}
 }
 
-// TestExactPolicyStaysBitIdentical pins the Exact policy's guarantee on
+// TestExactPolicyStaysBitIdentical pins the component plane's guarantee on
 // the entangled matrix: one partition, merged verdicts byte-for-byte equal
 // to the global pass, zero reconciliation.
 func TestExactPolicyStaysBitIdentical(t *testing.T) {
 	p := entangledServerMatrix()
-	pl := NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionExact)
+	pl := NewPlane(p, []int{0, 1, 2, 3})
 	cfg := pll.DefaultConfig()
 	for l := 0; l < p.NumLinks; l++ {
 		bad := topo.LinkID(l)
@@ -263,7 +257,7 @@ func TestExactPolicyStaysBitIdentical(t *testing.T) {
 			t.Fatalf("link %d: global: %v", l, err)
 		}
 		if ms.Reconciled != 0 || ms.Disagreements != 0 {
-			t.Fatalf("link %d: exact policy reconciled=%d disagreements=%d, want 0/0", l, ms.Reconciled, ms.Disagreements)
+			t.Fatalf("link %d: component plane reconciled=%d disagreements=%d, want 0/0", l, ms.Reconciled, ms.Disagreements)
 		}
 		if hashVerdicts(merged) != hashVerdicts(global) {
 			t.Fatalf("link %d: exact merged verdicts diverge from the global pass", l)
@@ -280,11 +274,11 @@ func TestPlaneCacheReusesUnchangedMatrix(t *testing.T) {
 	if pc.Cached() != nil {
 		t.Fatal("cache non-empty before first Get")
 	}
-	first, rebuilt := pc.Get(p1, alive, PartitionApprox)
+	first, rebuilt := pc.Get(p1, alive)
 	if !rebuilt {
 		t.Fatal("first Get did not build")
 	}
-	again, rebuilt := pc.Get(p2, alive, PartitionApprox)
+	again, rebuilt := pc.Get(p2, alive)
 	if rebuilt || again != first {
 		t.Fatal("identical matrix content in a fresh allocation rebuilt the plane — the signature cache must hit")
 	}
@@ -292,17 +286,35 @@ func TestPlaneCacheReusesUnchangedMatrix(t *testing.T) {
 		t.Fatal("Cached() does not return the memoized plane")
 	}
 
-	// Any input change invalidates: policy, alive set, matrix content.
-	if _, rebuilt := pc.Get(p2, alive, PartitionExact); !rebuilt {
-		t.Fatal("policy change did not rebuild")
-	}
-	if _, rebuilt := pc.Get(p2, []int{0, 1}, PartitionExact); !rebuilt {
+	// Any input change invalidates: alive set, matrix content.
+	if _, rebuilt := pc.Get(p2, []int{0, 1}); !rebuilt {
 		t.Fatal("alive-set change did not rebuild")
 	}
 	p3 := entangledServerMatrix()
 	p3.PathLinks = p3.PathLinks[:len(p3.PathLinks)-1]
 	p3 = route.NewProbesFromLinks(p3.PathLinks, p3.NumLinks)
-	if _, rebuilt := pc.Get(p3, []int{0, 1}, PartitionExact); !rebuilt {
+	if _, rebuilt := pc.Get(p3, []int{0, 1}); !rebuilt {
 		t.Fatal("matrix content change did not rebuild")
+	}
+}
+
+// TestInteriorPlaneCutsTheEntanglingLink: two interior groups {4,5} and
+// {6,7} and an intra-rack row {0,8}, entangled by server-edge link 0. Over
+// three shards each of the three interior parts gets its own shard, so link
+// 0 is the one cut link, shared by all three.
+func TestInteriorPlaneCutsTheEntanglingLink(t *testing.T) {
+	p := route.NewProbesFromLinks([][]topo.LinkID{
+		{0, 4, 5, 2},
+		{1, 4, 5, 2},
+		{0, 6, 7, 3},
+		{0, 8},
+	}, 9)
+	pl := NewPlaneFrom(p, []int{0, 1, 2}, route.InteriorPartition(p))
+	cuts := pl.CutLinks()
+	if len(cuts) != 1 || cuts[0] != (route.CutLink{Link: 0, Parts: 3}) {
+		t.Fatalf("cut links = %+v, want exactly link 0 across 3 shards", cuts)
+	}
+	if st := pl.Stats(); st.Parts != 3 || st.Partitions != 3 || st.MaxReplication != 3 {
+		t.Fatalf("stats = %+v, want 3 parts on 3 shards, max replication 3", st)
 	}
 }

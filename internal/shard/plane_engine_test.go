@@ -8,6 +8,7 @@ import (
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/topo"
 )
 
 // TestUnshardedIsThePlaneWithOnePart pins the shape the diagnoser relies
@@ -19,8 +20,8 @@ func TestUnshardedIsThePlaneWithOnePart(t *testing.T) {
 	p := entangledServerMatrix()
 	for name, pl := range map[string]*Plane{
 		"oneShard":       NewPlane(p, []int{0}),
-		"exactCollapsed": NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionExact),
-		"approxSpread":   NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionApprox),
+		"exactCollapsed": NewPlane(p, []int{0, 1, 2, 3}),
+		"approxSpread":   NewPlaneFrom(p, []int{0, 1, 2, 3}, route.InteriorPartition(p)),
 	} {
 		whole := name != "approxSpread"
 		if (pl.whole >= 0) != whole {
@@ -69,7 +70,7 @@ func TestPlaneRefusesDuplicateRows(t *testing.T) {
 	window = append(window, window[3])
 	for name, pl := range map[string]*Plane{
 		"whole":  NewPlane(p, []int{0}),
-		"routed": NewPlaneWithPolicy(p, []int{0, 1, 2, 3}, PartitionApprox),
+		"routed": NewPlaneFrom(p, []int{0, 1, 2, 3}, route.InteriorPartition(p)),
 	} {
 		if _, err := pl.Localize(window, pll.DefaultConfig()); err == nil || !strings.Contains(err.Error(), "observed twice") {
 			t.Errorf("%s: duplicate row: err = %v", name, err)
@@ -84,20 +85,20 @@ func TestPlaneCacheHitsOnPointerIdentity(t *testing.T) {
 	p1, p2 := entangledServerMatrix(), entangledServerMatrix()
 	alive := []int{0, 1}
 	var pc PlaneCache
-	first, _ := pc.Get(p1, alive, PartitionExact)
+	first, _ := pc.Get(p1, alive)
 	// Corrupt the recorded content key: an identity hit never looks at it.
 	pc.sig ^= 1
-	if again, rebuilt := pc.Get(p1, alive, PartitionExact); rebuilt || again != first {
+	if again, rebuilt := pc.Get(p1, alive); rebuilt || again != first {
 		t.Fatal("same matrix pointer rebuilt the plane")
 	}
 	pc.sig ^= 1
-	if again, rebuilt := pc.Get(p2, alive, PartitionExact); rebuilt || again != first {
+	if again, rebuilt := pc.Get(p2, alive); rebuilt || again != first {
 		t.Fatal("same content under a new pointer rebuilt the plane")
 	}
 	if pc.matrix != p2 {
 		t.Fatal("content hit did not adopt the new pointer")
 	}
-	if _, rebuilt := pc.Get(p1, []int{0}, PartitionExact); !rebuilt {
+	if _, rebuilt := pc.Get(p1, []int{0}); !rebuilt {
 		t.Fatal("same pointer, different shard set: must rebuild")
 	}
 }
@@ -137,5 +138,35 @@ func TestRemoteFailureEndsTheSpanAndIsKept(t *testing.T) {
 	}
 	if !strings.Contains(spanErr, "killed") {
 		t.Fatalf("shard 0's localize span ended with %q, want the remote error", spanErr)
+	}
+}
+
+// TestPlaneOverLinklessRow: a row that crosses no link gets no owner, the
+// rows around it partition as usual, and its observations are dropped the
+// way the global localizer drops them.
+func TestPlaneOverLinklessRow(t *testing.T) {
+	p := route.NewProbesFromLinks([][]topo.LinkID{{0, 1}, {}, {1, 2}}, 3)
+	pl := NewPlane(p, []int{0, 1})
+	if pl.Owner(1) != -1 {
+		t.Fatalf("linkless row owned by shard %d, want -1", pl.Owner(1))
+	}
+	if pl.Owner(0) < 0 || pl.Owner(0) != pl.Owner(2) {
+		t.Fatalf("rows sharing link 1 owned by %d and %d", pl.Owner(0), pl.Owner(2))
+	}
+	window := []pll.Observation{
+		{Path: 0, Sent: 100, Lost: 30},
+		{Path: 1, Sent: 100, Lost: 30},
+		{Path: 2, Sent: 100, Lost: 30},
+	}
+	got, err := pl.Localize(window, pll.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pll.Localize(p, window, pll.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hashVerdicts(got) != hashVerdicts(want) || len(want.Bad) == 0 {
+		t.Fatalf("plane %+v, global %+v", got, want)
 	}
 }

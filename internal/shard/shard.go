@@ -22,13 +22,14 @@
 // greedy cover only ever read paths within one component.
 //
 // The guarantee is scoped to construction and to the diagnosis plane's
-// Exact partition policy. Server-level probe matrices entangle every
-// component through shared pinger uplinks, collapsing the exact partition
-// to one shard; for those, Plane's Approximate policy
-// (PartitionApprox) deliberately cuts the server-edge links and merges
-// with a reconciliation pass — verdicts stay empirically equivalent
-// (differential-tested bound) rather than bit-identical, and the cut-link
-// replication counts quantify exactly what was traded.
+// component partition (NewPlane). Server-level probe matrices entangle
+// every component through shared pinger uplinks, collapsing that
+// partition to one shard; for those, a plane over
+// route.InteriorPartition (NewPlaneFrom) deliberately cuts the
+// server-edge links and merges with a reconciliation pass — verdicts stay
+// empirically equivalent (differential-tested bound) rather than
+// bit-identical, and the cut-link replication counts quantify exactly
+// what was traded.
 //
 // Shard liveness runs through a dedicated watchdog fed by transport pings:
 // the coordinator probes every shard each heartbeat period, and when a

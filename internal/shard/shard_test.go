@@ -165,7 +165,12 @@ func TestShardedMatchesSingleController(t *testing.T) {
 					tc.name, n, res.Stats.CoverageMet, res.Stats.IdentMet)
 			}
 
-			plane := c.BuildPlane(probes)
+			alive := make([]int, n)
+			clients := make(map[int]ShardClient, n)
+			for i := range alive {
+				alive[i], clients[i] = i, c.Client(i)
+			}
+			plane := NewPlane(probes, alive).UseClients(clients)
 			got, err := plane.Localize(obs, pll.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s/shards=%d: plane localize: %v", tc.name, n, err)

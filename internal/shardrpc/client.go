@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
@@ -47,8 +46,10 @@ var (
 // or evicts; it is the expected extra round trip, kept apart from the
 // plane's fallback counter so it is not mistaken for a fault.
 var (
-	localizeWireBytes = metrics.NewCounter("shardrpc_localize_wire_bytes")
-	matrixInstalls    = metrics.NewCounter("shardrpc_matrix_installs")
+	localizeWireBytes = obs.NewCounter("shardrpc_localize_wire_bytes",
+		"Bytes of localize request bodies sent to shard services.")
+	matrixInstalls = obs.NewCounter("shardrpc_matrix_installs",
+		"Localize requests repeated with the matrix attached after CodeUnknownMatrix.")
 )
 
 // ClientOptions tunes a transport client.
@@ -75,8 +76,8 @@ type ClientOptions struct {
 // Client drives one remote shard service and implements shard.ShardClient,
 // so a coordinator treats it exactly like an in-process shard. Per-shard
 // operational counters (requests, bytes in/out, retries, connections
-// opened/reused) register in internal/metrics and surface at every
-// service's GET /metrics.
+// opened/reused) register in internal/obs and surface at every service's
+// GET /metrics.
 type Client struct {
 	id      int
 	base    string
@@ -299,7 +300,7 @@ func (e *statusError) Error() string {
 // oversized one is a final error, like any other corrupt response. A
 // nonzero cycle rides in the X-Detector-Cycle header — observability only,
 // never in the payload. wireBytes, when non-nil, counts the request body.
-func (c *Client) post(path string, cycle uint64, body []byte, wireBytes *metrics.Counter) ([]byte, error) {
+func (c *Client) post(path string, cycle uint64, body []byte, wireBytes *obs.Counter) ([]byte, error) {
 	if wireBytes != nil {
 		wireBytes.Add(int64(len(body)))
 	}

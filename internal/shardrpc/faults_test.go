@@ -286,7 +286,7 @@ func TestMidCycleDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := c.BuildPlane(probes)
+	plane := planeOver(c, probes)
 
 	servers[1].Close() // mid-window crash: TTL has not expired
 

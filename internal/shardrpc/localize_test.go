@@ -9,7 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/detector-net/detector/internal/metrics"
+	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
@@ -59,7 +59,7 @@ func sameVerdicts(a, b *pll.Result) bool {
 func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 	ps, probes := servedFattree8(t)
 	numLinks := probes.NumLinks
-	fallbacks := metrics.NewCounter("shard_plane_local_fallbacks")
+	fallbacks := obs.NewCounter("shard_plane_local_fallbacks", "")
 	handlers := []*swapHandler{{}, {}}
 	clients := map[int]shard.ShardClient{}
 	for i, h := range handlers {

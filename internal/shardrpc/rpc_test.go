@@ -80,6 +80,17 @@ func syntheticWindow(p *route.Probes, nBad int) []pll.Observation {
 	return obs
 }
 
+// planeOver partitions probes across every shard of c, each shard's
+// localization dispatched through c's client for it.
+func planeOver(c *shard.Coordinator, probes *route.Probes) *shard.Plane {
+	alive := make([]int, c.NumShards())
+	clients := make(map[int]shard.ShardClient, len(alive))
+	for i := range alive {
+		alive[i], clients[i] = i, c.Client(i)
+	}
+	return shard.NewPlane(probes, alive).UseClients(clients)
+}
+
 // startLoopbackShards boots n real HTTP shard services over their own
 // materializations of ps and dials a transport client at each.
 func startLoopbackShards(t testing.TB, ps route.PathSet, numLinks, n int) []shard.ShardClient {
@@ -179,7 +190,7 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 				t.Errorf("%s/shards=%d: merged targets not met over the wire", tc.name, n)
 			}
 
-			plane := c.BuildPlane(probes)
+			plane := planeOver(c, probes)
 			got, err := plane.Localize(obs, pll.DefaultConfig())
 			if err != nil {
 				t.Fatalf("%s/shards=%d: loopback localize: %v", tc.name, n, err)

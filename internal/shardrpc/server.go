@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/httpx"
-	"github.com/detector-net/detector/internal/metrics"
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
@@ -18,17 +17,22 @@ import (
 )
 
 var (
-	serverRequests = metrics.NewCounter("shardrpc_server_requests")
-	serverRejected = metrics.NewCounter("shardrpc_server_rejected")
+	serverRequests = obs.NewCounter("shardrpc_server_requests",
+		"Requests a shard service received.")
+	serverRejected = obs.NewCounter("shardrpc_server_rejected",
+		"Requests a shard service answered with an error status.")
 )
 
 // Engine-cache counters: a hit is a localize request whose signature named
 // a held engine, a miss one answered CodeUnknownMatrix (the client then
 // installs), an eviction an engine dropped to stay inside Limits.
 var (
-	engineCacheHits      = metrics.NewCounter("shardrpc_engine_cache_hits")
-	engineCacheMisses    = metrics.NewCounter("shardrpc_engine_cache_misses")
-	engineCacheEvictions = metrics.NewCounter("shardrpc_engine_cache_evictions")
+	engineCacheHits = obs.NewCounter("shardrpc_engine_cache_hits",
+		"Localize requests whose signature named a held engine.")
+	engineCacheMisses = obs.NewCounter("shardrpc_engine_cache_misses",
+		"Localize requests answered CodeUnknownMatrix.")
+	engineCacheEvictions = obs.NewCounter("shardrpc_engine_cache_evictions",
+		"Engines dropped to stay inside the shard service's limits.")
 )
 
 // serverOps times each RPC handler end to end (decode through encode). A
