@@ -109,29 +109,20 @@ func TestClusterEndToEndFullLoss(t *testing.T) {
 }
 
 // TestClusterLocalizesServerLink: intra-rack probing must localize a failed
-// server-ToR link.
+// server-ToR link (§3.2). Every server is a pinger in this configuration,
+// so the victim is the second server of the first rack: the rack's
+// intra-rack pinger probes across its uplink, and so do the victim's own
+// probes.
 func TestClusterLocalizesServerLink(t *testing.T) {
 	c := startCluster(t)
 	waitEpochs(t, c, 1)
 
-	// Fail the link of a responder-only server (the second server under
-	// edge 0-1 hosts no pinger when pinglists target the first two).
-	var victim topo.NodeID = -1
-	pingerSet := map[topo.NodeID]bool{}
-	for _, p := range c.Pingers {
-		pingerSet[p.Node] = true
+	tor := c.F.ToRs()[0]
+	rack := c.F.ServersUnder(tor)
+	if len(rack) < 2 {
+		t.Fatalf("the first rack holds %d servers; the test needs 2", len(rack))
 	}
-	for _, sv := range c.F.Servers() {
-		if !pingerSet[sv] {
-			victim = sv
-			break
-		}
-	}
-	if victim < 0 {
-		t.Skip("every server is a pinger in this configuration")
-	}
-	tor := c.F.Neighbors(victim)[0].Peer
-	bad := c.F.MustLink(victim, tor)
+	bad := c.F.MustLink(rack[1], tor)
 	c.InjectFailure(bad, sim.FullLoss{})
 	alert := c.WaitForAlert([]topo.LinkID{bad}, 10*time.Second)
 	if alert == nil {

@@ -184,6 +184,31 @@ func (twinPaths) AppendOrbit(i int, buf []int) []int {
 	return buf
 }
 
+// shiftedReps has twinPaths' rows, but each component's one orbit
+// representative sits at another rank, with no other orbit member: A's at
+// its first row, B's at its second.
+type shiftedReps struct{ twinPaths }
+
+func (shiftedReps) IsRepresentative(i int) bool        { return i == 0 || i == 5 }
+func (shiftedReps) AppendOrbit(i int, buf []int) []int { return buf }
+
+// TestClassCheckComparesRepresentatives: components that match row for row
+// but whose representatives sit at other ranks are not one class — the
+// orbit pass would offer them other rows — whether the check compares the
+// leader's reads or every row.
+func TestClassCheckComparesRepresentatives(t *testing.T) {
+	ps := shiftedReps{}
+	csr := route.MaterializeCSR(ps)
+	comps := route.DecomposeCSR(csr, 6)
+	localOf := make([]int32, 6)
+	e := leaderEntry(t, ps, csr, comps, localOf, Options{Alpha: 1, Beta: 1})
+	for _, every := range []bool{false, true} {
+		if ok, _ := e.compare(csr, ps, &comps[1], localOf, every); ok {
+			t.Fatalf("every=%v: a component with its representative at another rank joined the class", every)
+		}
+	}
+}
+
 // TestOrbitReplayRejectsFalseTwins: components that digest alike but answer
 // an orbit query differently are not one class. The replay must refuse the
 // reuse and both must be solved, each to its own per-component answer.
@@ -340,9 +365,12 @@ func (e *memoEntry) readRows() []bool {
 // reversedRow copies csr with the links of one path in reverse order: the
 // same link set, read differently by a check that compares the row.
 func reversedRow(csr *route.CSR, path int32) *route.CSR {
-	c := &route.CSR{Offsets: slices.Clone(csr.Offsets), Links: slices.Clone(csr.Links)}
-	slices.Reverse(c.Links[c.Offsets[path]:c.Offsets[path+1]])
-	return c
+	rows := make([][]topo.LinkID, csr.Len())
+	for i := range rows {
+		rows[i] = csr.AppendRow(i, nil)
+	}
+	slices.Reverse(rows[path])
+	return route.NewCSR(rows)
 }
 
 // TestClassCheckComparesWhatTheLeaderRead: a follower row the leader's

@@ -73,16 +73,20 @@ func rowOf(paths []int32, path int32) int32 {
 // the leader read. It keys the memo only: a weaker key costs at most a
 // failed exact check, and a component whose paths leave it digests to some
 // value, which the exact check or the arena build that follows refuses.
+//
+// It reads rows through CSR.AppendRow, so digesting a component whose rows
+// are generated stores none of them.
 func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) uint64 {
 	var h route.Hash
 	h.Word(uint64(len(comp.Links)))
 	h.Word(uint64(len(comp.Paths)))
+	var row []topo.LinkID
 	for _, pid := range comp.Paths {
 		if sym != nil && !sym.IsRepresentative(int(pid)) {
 			h.Word(0)
 			continue
 		}
-		row := csr.Row(int(pid))
+		row = csr.AppendRow(int(pid), row[:0])
 		// Each row folds on a chain of its own and enters the stream as
 		// one word, so consecutive rows overlap in the pipeline. A weak
 		// chain costs at most a failed exact check, never a wrong reuse.
@@ -102,15 +106,15 @@ func owns(comp *route.Component, li int32, gl topo.LinkID) bool {
 	return li >= 0 && int(li) < len(comp.Links) && comp.Links[li] == gl
 }
 
-// buildArena translates the component's slice of the materialized matrix
-// into local link indices. A path with a link outside the component means
-// the caller's partition does not match the matrix; it is reported, not
-// trusted.
+// buildArena translates the component's rows of the matrix into local link
+// indices; reading them stores the rows' blocks (CSR.Row). A path with a
+// link outside the component means the caller's partition does not match
+// the matrix; it is reported, not trusted.
 func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compArena, error) {
 	n := len(comp.Paths)
 	total := 0
 	for _, pid := range comp.Paths {
-		total += int(csr.Offsets[pid+1] - csr.Offsets[pid])
+		total += len(csr.Row(int(pid)))
 	}
 	a := &compArena{
 		pathIDs:  comp.Paths,

@@ -37,14 +37,19 @@
 //
 // # Scoring engine
 //
-// All variants run on a flattened CSR scoring engine. Construct materializes
-// the candidate matrix once (route.MaterializeCSR), takes its pristine
-// decomposition (CSR.Pristine: stated by the family when it can, found over
-// the arena otherwise), and each component then re-indexes its slice of the
-// matrix into an arena of component-local link indices plus an inverted
-// link→paths index (see compArena in csr.go). The greedy inner loops walk
-// contiguous int32 slices: no AppendLinks calls, no global→local lookups, no
-// map accesses — selections live in a bitset keyed by candidate row.
+// All variants run on a flattened CSR scoring engine. Construct takes the
+// candidate matrix (route.MaterializeCSR) and its pristine decomposition
+// (CSR.Pristine: stated by the family when it can, found over the rows
+// otherwise), and each solved component then re-indexes its rows into an
+// arena of component-local link indices plus an inverted link→paths index
+// (see compArena in csr.go). A family that writes its rows a component at
+// a time (route.RowBlocks: a Fattree) has a component's rows stored only
+// when something reads them: the class leader's solve does, a class
+// follower's exact check reads generated rows and stores none, so a cold
+// Fattree construction stores one component's rows of k/2. The greedy
+// inner loops walk contiguous int32 slices: no AppendLinks calls, no
+// global→local lookups, no map accesses — selections live in a bitset
+// keyed by candidate row.
 //
 // On top of the inverted index, scoring is incremental. The invariant is:
 // a candidate's score (Eq. 1) can only change when a selected path shares a

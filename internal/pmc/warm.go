@@ -117,7 +117,11 @@ func (e *memoEntry) everyRow(comp *route.Component, pristine *route.Pristine) bo
 // index must be the leader's own link (both Links are sorted, so local
 // indices agree exactly when that holds). It compares every row when every
 // is set, else the rows at the leader's representative ranks and the
-// images in its orbit log. Then the log is replayed on comp.
+// images in its orbit log. Then the log is replayed on comp. comp's rows
+// are read through CSR.AppendRow, so a check stores none of them: on a
+// family whose rows are generated, a follower's rows are stored only if a
+// churn touch or a repair asks for them. The leader's are stored already,
+// by its solve.
 //
 // Why the rows the leader read suffice: the greedy's state after a step —
 // link weights, refinement groups, selected rows, cached scores — is a
@@ -137,9 +141,11 @@ func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Com
 	if len(e.links) != len(comp.Links) || len(e.paths) != len(comp.Paths) {
 		return false, 0
 	}
+	var row []topo.LinkID
 	sameRow := func(r int32) bool {
 		compared++
-		row, lrow := csr.Row(int(comp.Paths[r])), csr.Row(int(e.paths[r]))
+		row = csr.AppendRow(int(comp.Paths[r]), row[:0])
+		lrow := csr.Row(int(e.paths[r]))
 		if len(row) != len(lrow) {
 			return false
 		}

@@ -94,8 +94,9 @@ type Diff struct {
 	DeactivatedRows []int32
 	ActivatedRows   []int32
 	// IndexTime is what the step spent readying the pristine components it
-	// was the first to touch (Incremental.touch), inside its own time; zero
-	// when it touched none for the first time.
+	// was the first to touch (Incremental.touch), inside its own time: their
+	// indexes, and storing their rows when no read had yet; zero when it
+	// touched none for the first time.
 	IndexTime time.Duration
 }
 

@@ -11,17 +11,6 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// buildCSR assembles a CSR directly from explicit rows, for synthetic
-// churn topologies where the interesting structure is the link graph.
-func buildCSR(rows [][]topo.LinkID) *CSR {
-	csr := &CSR{Offsets: make([]int32, 1, len(rows)+1)}
-	for _, row := range rows {
-		csr.Links = append(csr.Links, row...)
-		csr.Offsets = append(csr.Offsets, int32(len(csr.Links)))
-	}
-	return csr
-}
-
 func mustIncremental(t testing.TB, csr *CSR, numLinks int, down []topo.LinkID) *Incremental {
 	t.Helper()
 	inc, err := NewIncremental(csr, numLinks, down)
@@ -59,7 +48,7 @@ func TestDecomposeMaskedNoDownMatchesDecompose(t *testing.T) {
 // two halves of a component must split it in two.
 func TestIncrementalSplit(t *testing.T) {
 	// Rows: {0}, {1}, {0,1,2}. Link 2's row bridges links 0 and 1.
-	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
+	csr := NewCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
 	inc := mustIncremental(t, csr, 3, nil)
 	if got := len(inc.Components()); got != 1 {
 		t.Fatalf("pre-split: %d components, want 1", got)
@@ -83,7 +72,7 @@ func TestIncrementalSplit(t *testing.T) {
 // TestIncrementalMerge: restoring that same link must merge the two
 // components back into one, bit-identical to a fresh decomposition.
 func TestIncrementalMerge(t *testing.T) {
-	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
+	csr := NewCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
 	inc := mustIncremental(t, csr, 3, []topo.LinkID{2})
 	if got := len(inc.Components()); got != 2 {
 		t.Fatalf("pre-merge: %d components, want 2", got)
@@ -108,7 +97,7 @@ func TestIncrementalMerge(t *testing.T) {
 // TestIncrementalFlapNetsOut: a link listed in both down and up within one
 // Apply flaps and must net to no change.
 func TestIncrementalFlapNetsOut(t *testing.T) {
-	csr := buildCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
+	csr := NewCSR([][]topo.LinkID{{0}, {1}, {0, 1, 2}})
 	inc := mustIncremental(t, csr, 3, nil)
 	before := append([]Component(nil), inc.Components()...)
 	diff, err := inc.Apply([]topo.LinkID{2}, []topo.LinkID{2})
@@ -127,7 +116,7 @@ func TestIncrementalFlapNetsOut(t *testing.T) {
 // inactive changes nothing.
 func TestIncrementalDownNoActiveRows(t *testing.T) {
 	// Row {1,2} is the only row through 2; once 1 is down it is inactive.
-	csr := buildCSR([][]topo.LinkID{{0}, {1, 2}})
+	csr := NewCSR([][]topo.LinkID{{0}, {1, 2}})
 	inc := mustIncremental(t, csr, 3, []topo.LinkID{1})
 	diff, err := inc.Apply([]topo.LinkID{2}, nil)
 	if err != nil {
@@ -147,7 +136,7 @@ func TestIncrementalDownNoActiveRows(t *testing.T) {
 }
 
 func TestIncrementalStrictErrors(t *testing.T) {
-	csr := buildCSR([][]topo.LinkID{{0, 1}})
+	csr := NewCSR([][]topo.LinkID{{0, 1}})
 	inc := mustIncremental(t, csr, 2, nil)
 	if _, err := inc.Apply(nil, []topo.LinkID{0}); err == nil {
 		t.Error("up of an up link: want error")
@@ -408,7 +397,7 @@ func TestIncrementalKernelCases(t *testing.T) {
 		steps:    []step{{down: ids(1)}, {up: ids(1)}},
 		wantLens: []int{0, 1},
 	}} {
-		csr := buildCSR(tc.rows)
+		csr := NewCSR(tc.rows)
 		inc := mustIncremental(t, csr, tc.numLinks, tc.initial)
 		for i, st := range tc.steps {
 			if _, err := inc.Apply(st.down, st.up); err != nil {
@@ -450,7 +439,7 @@ func TestIncrementalSplitFallsBack(t *testing.T) {
 	// A ring of links 0-1-2-3, one row per edge, each row with a handle
 	// link (10..13) of its own to take it down: one cut edge leaves a
 	// chain, a second one splits it.
-	csr := buildCSR([][]topo.LinkID{{0, 1, 10}, {1, 2, 11}, {2, 3, 12}, {3, 0, 13}})
+	csr := NewCSR([][]topo.LinkID{{0, 1, 10}, {1, 2, 11}, {2, 3, 12}, {3, 0, 13}})
 	inc := mustIncremental(t, csr, 14, nil)
 	for _, step := range []struct {
 		down  topo.LinkID

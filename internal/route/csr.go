@@ -6,23 +6,36 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// CSR is a routing matrix materialized in compressed-sparse-row form: the
-// link sets of every candidate path, concatenated into one arena. Row i of
-// the matrix is Links[Offsets[i]:Offsets[i+1]]. Materializing once and
-// walking contiguous rows is the backbone of PMC's scoring engine — the
-// greedy loops never call PathSet.AppendLinks again after construction.
+// CSR is a candidate routing matrix in compressed-sparse-row form: the link
+// sets of its paths, concatenated into arenas that PMC's scoring engine and
+// the decomposition kernel walk as contiguous rows. Row(i) is path i's links
+// in PathSet.AppendLinks order.
+//
+// The rows are stored in blocks. A family that can write one of its
+// pristine components on its own (RowBlocks) gets one block per pristine
+// component, written the first time a Row reads into it: a cold
+// construction reads only its class leader's, so the other components'
+// rows are never stored unless a churn touch, a repair or a whole-matrix
+// pass asks for them. AppendRow, MatrixSignature and the class follower
+// check read rows without storing any. Every other matrix is the one-block
+// case of the same layout, stored whole by MaterializeCSR or NewCSR.
 type CSR struct {
-	// Offsets has Len()+1 entries; row i spans [Offsets[i], Offsets[i+1]).
-	// Offsets are int32, capping the arena at MaxInt32 total link entries
-	// (≈2.1 G — a Fattree(48)-scale candidate universe overflows it);
-	// MaterializeCSR panics with a clear message rather than wrapping.
-	Offsets []int32
-	// Links is the concatenation of every path's link set.
-	Links []topo.LinkID
+	n int
+	// Path i is row (i/period)*width + i%width of block (i%period)/width;
+	// one block has period = width = 1. Path ids fit in int32, and 32-bit
+	// division is the cheaper instruction.
+	period, width uint32
+	blocks        []derived[rowBlock]
+	// gen writes a block on its first read; nil when every block was
+	// stored up front.
+	gen RowBlocks
+	// blockNS is the time spent storing blocks so far (BlockTime).
+	blockNS atomic.Int64
 
 	// family states the pristine decomposition when the PathSet the rows
 	// came from can (Decomposer); nil otherwise.
@@ -32,6 +45,15 @@ type CSR struct {
 	// every holder of the matrix.
 	pristine derived[Pristine]
 	sig      derived[uint64]
+}
+
+// rowBlock is one block's stored rows: row j spans
+// links[offsets[j]:offsets[j+1]]. Offsets are int32, capping a block at
+// MaxInt32 link entries; writing one past that panics (checkArenaSize)
+// rather than wrapping.
+type rowBlock struct {
+	offsets []int32
+	links   []topo.LinkID
 }
 
 // derived is a value computed from a CSR at most once, on first use.
@@ -55,9 +77,9 @@ func (d *derived[T]) get(build func() *T) *T {
 }
 
 // built counts, for this process, the component indexes built, the matrix
-// signatures computed and the kernel decompositions run. Tests read it to
-// pin what a cycle does not build.
-var built struct{ index, signature, decompose atomic.Int64 }
+// signatures computed, the kernel decompositions run and the row blocks
+// stored. Tests read it to pin what a cycle does not build.
+var built struct{ index, signature, decompose, blocks atomic.Int64 }
 
 // Pristine is a matrix's decomposition with no link down, indexed by link.
 // A down link only removes rows, so every component of a masked
@@ -212,13 +234,54 @@ func checkArenaSize(total int) {
 }
 
 // Len returns the number of rows (paths).
-func (c *CSR) Len() int { return len(c.Offsets) - 1 }
+func (c *CSR) Len() int { return c.n }
 
-// Row returns the link set of path i. The slice aliases the arena; callers
-// must not modify it.
-func (c *CSR) Row(i int) []topo.LinkID {
-	return c.Links[c.Offsets[i]:c.Offsets[i+1]]
+// locate returns the block holding path i and the path's row in it.
+func (c *CSR) locate(i int) (b, j int) {
+	u := uint32(i)
+	q, r := u/c.period, u%c.period
+	return int(r / c.width), int(q*c.width + r%c.width)
 }
+
+// Row returns the link set of path i, storing its block first if no read
+// has yet. The slice aliases the block; callers must not modify it.
+func (c *CSR) Row(i int) []topo.LinkID {
+	b, j := c.locate(i)
+	blk := c.blocks[b].v.Load()
+	if blk == nil {
+		blk = c.block(b)
+	}
+	return blk.links[blk.offsets[j]:blk.offsets[j+1]]
+}
+
+// AppendRow appends the link set of path i to buf and returns the extended
+// slice: copied from its block when that is stored, generated by the family
+// otherwise. It never stores a block.
+func (c *CSR) AppendRow(i int, buf []topo.LinkID) []topo.LinkID {
+	b, j := c.locate(i)
+	if blk := c.blocks[b].v.Load(); blk != nil {
+		return append(buf, blk.links[blk.offsets[j]:blk.offsets[j+1]]...)
+	}
+	return c.gen.AppendLinks(i, buf)
+}
+
+// block returns block b, writing it from the family on first use.
+func (c *CSR) block(b int) *rowBlock {
+	return c.blocks[b].get(func() *rowBlock {
+		t0 := time.Now()
+		rows := c.n / int(c.period) * int(c.width)
+		links, offsets := c.gen.AppendBlock(b, nil, make([]int32, 1, rows+1))
+		built.blocks.Add(1)
+		c.blockNS.Add(int64(time.Since(t0)))
+		return &rowBlock{offsets: offsets, links: links}
+	})
+}
+
+// BlockTime returns the time spent storing c's row blocks so far: the
+// whole arena inside MaterializeCSR for a family without RowBlocks, each
+// pristine component's block on its first read otherwise. The reads that
+// store a block count the same time in their own.
+func (c *CSR) BlockTime() time.Duration { return time.Duration(c.blockNS.Load()) }
 
 // BulkLinker is an optional PathSet fast path for materialization: a single
 // call emits every path's links in index order, avoiding the per-path
@@ -231,30 +294,77 @@ type BulkLinker interface {
 	AppendAllLinks(links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32)
 }
 
-// MaterializeCSR walks ps once and returns its CSR form. PathSets implementing
-// BulkLinker are materialized through the bulk fast path; a Decomposer is
-// recorded for CSR.Pristine, which asks it on first use.
+// RowBlocks is an optional Decomposer capability: a family whose pristine
+// components interleave in a fixed arithmetic layout, and which can write
+// any one of them on its own. MaterializeCSR then stores no row up front;
+// each component's rows are written the first time a Row reads into them.
+type RowBlocks interface {
+	Decomposer
+	// Layout returns the layout: path i is row (i/period)*width + i%width
+	// of PristineComponents()[(i%period)/width]. period is a multiple of
+	// width, and Len() of period.
+	Layout() (period, width int)
+	// AppendBlock appends the rows of PristineComponents()[b], in
+	// ascending path order, to links, and each row's end position to
+	// offsets (one entry per row). It returns the extended slices.
+	AppendBlock(b int, links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32)
+}
+
+// MaterializeCSR returns ps's CSR form. A RowBlocks family is recorded and
+// stores nothing yet; any other family is walked once into one stored
+// block, through the bulk fast path when it implements BulkLinker. A
+// Decomposer is recorded for CSR.Pristine, which asks it on first use.
 func MaterializeCSR(ps PathSet) *CSR {
 	family, _ := ps.(Decomposer)
+	if gen, ok := ps.(RowBlocks); ok && ps.Len() > 0 {
+		period, width := gen.Layout()
+		return &CSR{n: ps.Len(), period: uint32(period), width: uint32(width),
+			blocks: make([]derived[rowBlock], period/width), gen: gen, family: family}
+	}
+	t0 := time.Now()
 	n := ps.Len()
 	offsets := make([]int32, 1, n+1)
-	if bl, ok := ps.(BulkLinker); ok {
-		links, offsets := bl.AppendAllLinks(nil, offsets)
-		return &CSR{Offsets: offsets, Links: links, family: family}
-	}
 	var links []topo.LinkID
-	if n > 0 {
+	if bl, ok := ps.(BulkLinker); ok {
+		links, offsets = bl.AppendAllLinks(nil, offsets)
+	} else if n > 0 {
 		// Size the arena from the first path; families have near-uniform
 		// path lengths, so this avoids regrowing the slab log(n) times.
 		links = ps.AppendLinks(0, make([]topo.LinkID, 0, 16))
 		checkArenaSize(len(links) * n)
 		links = append(make([]topo.LinkID, 0, len(links)*n+1), links...)
 		offsets = append(offsets, int32(len(links)))
+		for i := 1; i < n; i++ {
+			links = ps.AppendLinks(i, links)
+			checkArenaSize(len(links))
+			offsets = append(offsets, int32(len(links)))
+		}
 	}
-	for i := 1; i < n; i++ {
-		links = ps.AppendLinks(i, links)
-		checkArenaSize(len(links))
+	c := stored(offsets, links)
+	c.family = family
+	c.blockNS.Store(int64(time.Since(t0)))
+	return c
+}
+
+// NewCSR stores rows as a one-block matrix, copying them into one arena.
+func NewCSR(rows [][]topo.LinkID) *CSR {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	checkArenaSize(total)
+	offsets := make([]int32, 1, len(rows)+1)
+	links := make([]topo.LinkID, 0, total)
+	for _, r := range rows {
+		links = append(links, r...)
 		offsets = append(offsets, int32(len(links)))
 	}
-	return &CSR{Offsets: offsets, Links: links, family: family}
+	return stored(offsets, links)
+}
+
+// stored wraps one arena as a one-block matrix.
+func stored(offsets []int32, links []topo.LinkID) *CSR {
+	c := &CSR{n: len(offsets) - 1, period: 1, width: 1, blocks: make([]derived[rowBlock], 1)}
+	c.blocks[0].v.Store(&rowBlock{offsets: offsets, links: links})
+	return c
 }

@@ -10,7 +10,7 @@ import (
 
 // TestMaterializeCSRMatchesAppendLinks: the CSR rows must equal per-path
 // AppendLinks output, in order, for every family — including Fattree, whose
-// BulkLinker fast path bypasses AppendLinks entirely.
+// rows are written by its block writer, not by AppendLinks.
 func TestMaterializeCSRMatchesAppendLinks(t *testing.T) {
 	f := topo.MustFattree(4)
 	v := topo.MustVL2(4, 4, 1)
@@ -47,12 +47,112 @@ func TestMaterializeCSRMatchesAppendLinks(t *testing.T) {
 	}
 }
 
-// TestFattreeBulkLinkerUsed guards the fast path registration: losing the
-// interface assertion would silently fall back to the slow path.
-func TestFattreeBulkLinkerUsed(t *testing.T) {
-	ps := NewFattreePaths(topo.MustFattree(4))
-	if _, ok := interface{}(ps).(BulkLinker); !ok {
-		t.Fatal("FattreePaths no longer implements BulkLinker")
+// TestFattreeRowBlocksUsed guards the block writer's registration — losing
+// the interface assertion would silently store every row up front — and
+// pins what it writes: block b holds PristineComponents()[b]'s rows, each
+// equal to AppendLinks.
+func TestFattreeRowBlocksUsed(t *testing.T) {
+	for _, k := range []int{4, 6, 8} {
+		ps := NewFattreePaths(topo.MustFattree(k))
+		rb, ok := interface{}(ps).(RowBlocks)
+		if !ok {
+			t.Fatal("FattreePaths no longer implements RowBlocks")
+		}
+		period, width := rb.Layout()
+		comps := rb.PristineComponents()
+		if period/width != len(comps) {
+			t.Fatalf("Fattree(%d): layout (%d, %d) names %d blocks, %d components", k, period, width, period/width, len(comps))
+		}
+		var want []topo.LinkID
+		for b, c := range comps {
+			links, offsets := rb.AppendBlock(b, nil, make([]int32, 1, len(c.Paths)+1))
+			if len(offsets) != len(c.Paths)+1 || int(offsets[len(offsets)-1]) != len(links) {
+				t.Fatalf("Fattree(%d) block %d: %d offsets closing at %d over %d links, want %d rows",
+					k, b, len(offsets), offsets[len(offsets)-1], len(links), len(c.Paths))
+			}
+			for j, pid := range c.Paths {
+				want = ps.AppendLinks(int(pid), want[:0])
+				if got := links[offsets[j]:offsets[j+1]]; !slices.Equal(got, want) {
+					t.Fatalf("Fattree(%d) block %d row %d (path %d): %v, AppendLinks %v", k, b, j, pid, got, want)
+				}
+				if i := int(pid); (i%period)/width != b || (i/period)*width+i%width != j {
+					t.Fatalf("Fattree(%d): the layout places path %d outside block %d row %d", k, pid, b, j)
+				}
+			}
+		}
+	}
+}
+
+// TestGeneratedRowsMatchStored: on a Fattree, whose rows are stored a
+// pristine component at a time on first read, every Row and AppendRow —
+// before its block is stored and after — equals a flat materialization
+// through AppendLinks, which itself equals the topology's own PathLinks;
+// and MatrixSignature, computed from generated rows with no block stored,
+// equals the flat matrix's. Eight goroutines store the blocks at once: each
+// is stored exactly once, and every reader sees the same rows.
+func TestGeneratedRowsMatchStored(t *testing.T) {
+	for _, k := range []int{4, 8, 16} {
+		f := topo.MustFattree(k)
+		ps := NewFattreePaths(f)
+		flat := MaterializeCSR(struct{ PathSet }{ps})
+		tors := f.ToRList()
+		var want, got []topo.LinkID
+		for i := 0; i < ps.Len(); i++ {
+			s, d, c := ps.Decode(i)
+			want = f.PathLinks(tors[s], tors[d], c, want[:0])
+			if !slices.Equal(flat.Row(i), want) {
+				t.Fatalf("Fattree(%d) path %d: AppendLinks %v, PathLinks %v", k, i, flat.Row(i), want)
+			}
+		}
+
+		csr := MaterializeCSR(ps)
+		_, _, _, blocks0 := Built()
+		if got, want := MatrixSignature(csr, f.NumLinks()), MatrixSignature(flat, f.NumLinks()); got != want {
+			t.Fatalf("Fattree(%d): signature %#016x from generated rows, %#016x from stored", k, got, want)
+		}
+		for i := 0; i < csr.Len(); i++ {
+			if got = csr.AppendRow(i, got[:0]); !slices.Equal(got, flat.Row(i)) {
+				t.Fatalf("Fattree(%d) path %d: generated %v, stored %v", k, i, got, flat.Row(i))
+			}
+		}
+		if _, _, _, blocks := Built(); blocks != blocks0 {
+			t.Fatalf("Fattree(%d): the signature and generated reads stored %d blocks", k, blocks-blocks0)
+		}
+
+		const readers = 8
+		var wg sync.WaitGroup
+		bad := make([]int, readers)
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				bad[g] = -1
+				for i := g; i < csr.Len(); i += readers {
+					if !slices.Equal(csr.Row(i), flat.Row(i)) {
+						bad[g] = i
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, i := range bad {
+			if i >= 0 {
+				t.Fatalf("Fattree(%d) path %d: first-read row %v, stored %v", k, i, csr.Row(i), flat.Row(i))
+			}
+		}
+		if _, _, _, blocks := Built(); blocks-blocks0 != int64(f.Half()) {
+			t.Fatalf("Fattree(%d): %d concurrent readers stored %d blocks, want one per component (%d)",
+				k, readers, blocks-blocks0, f.Half())
+		}
+		for i := 0; i < csr.Len(); i++ {
+			if got = csr.AppendRow(i, got[:0]); !slices.Equal(got, flat.Row(i)) || !slices.Equal(csr.Row(i), flat.Row(i)) {
+				t.Fatalf("Fattree(%d) path %d: stored %v / %v, flat %v", k, i, csr.Row(i), got, flat.Row(i))
+			}
+		}
+		if got, want := MatrixSignature(csr, f.NumLinks()), MatrixSignature(flat, f.NumLinks()); got != want {
+			t.Fatalf("Fattree(%d): signature %#016x from stored blocks, %#016x flat", k, got, want)
+		}
 	}
 }
 
@@ -97,16 +197,19 @@ func TestFattreeRepresentativePrefix(t *testing.T) {
 }
 
 // TestAllFamiliesTakeBulkFastPath pins the ROADMAP item that every
-// built-in family materializes through the BulkLinker fast path: a family
-// silently falling back to per-path AppendLinks would pay one interface
-// call and several link-map lookups per candidate, which dominates
-// MaterializeCSR at scale.
+// built-in family materializes without per-path AppendLinks: VL2 and BCube
+// through the BulkLinker fast path, Fattree through its block writer
+// (TestFattreeRowBlocksUsed). A family silently falling back to per-path
+// AppendLinks would pay one interface call and several link-map lookups
+// per candidate, which dominates MaterializeCSR at scale.
 func TestAllFamiliesTakeBulkFastPath(t *testing.T) {
+	if _, ok := PathSet(NewFattreePaths(topo.MustFattree(4))).(RowBlocks); !ok {
+		t.Error("Fattree: FattreePaths does not implement RowBlocks — every row stored up front")
+	}
 	sets := []struct {
 		name string
 		ps   PathSet
 	}{
-		{"Fattree", NewFattreePaths(topo.MustFattree(4))},
 		{"VL2", NewVL2Paths(topo.MustVL2(4, 4, 1))},
 		{"BCube", NewBCubePaths(topo.MustBCube(4, 1))},
 	}
@@ -222,7 +325,7 @@ func TestPristineIndexFirstTouchIsShared(t *testing.T) {
 	f := topo.MustFattree(4)
 	p := MaterializeCSR(NewFattreePaths(f)).Pristine(f.NumLinks())
 	links := p.Comps[0].Links
-	before, _, _ := Built()
+	before, _, _, _ := Built()
 	got := make([][]int32, 8)
 	var wg sync.WaitGroup
 	for g := range got {
@@ -235,7 +338,7 @@ func TestPristineIndexFirstTouchIsShared(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if after, _, _ := Built(); after-before != 1 {
+	if after, _, _, _ := Built(); after-before != 1 {
 		t.Fatalf("eight first touches built %d indexes of one component, want 1", after-before)
 	}
 	for g := 1; g < len(got); g++ {

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"cmp"
 	"slices"
 
 	"github.com/detector-net/detector/internal/topo"
@@ -19,23 +18,54 @@ type FattreePaths struct {
 
 	nToR   int
 	nCores int
+	h      int // k/2: ToRs and aggs per pod, cores per group
 	// repBound caches the representative cutoff: source-pod-0 paths form a
 	// contiguous index prefix, so IsRepresentative is one comparison.
 	repBound int
+	// Every link a path can cross, resolved through the topology's link map
+	// once: torAgg[t*h+g] joins ToR t to its pod's agg g, and
+	// aggCore[pod*nCores+c] joins the pod's agg c/h to core c. A row is
+	// then four slice reads, where going through PathLinks is four map
+	// lookups; podBase[t] = pod(t)*nCores and group[c] = c/h spare it the
+	// divisions too.
+	torAgg  []topo.LinkID
+	aggCore []topo.LinkID
+	podBase []int32
+	group   []int32
 }
 
 var (
 	_ PathSet      = (*FattreePaths)(nil)
 	_ Symmetric    = (*FattreePaths)(nil)
 	_ HopsProvider = (*FattreePaths)(nil)
-	_ BulkLinker   = (*FattreePaths)(nil)
-	_ Decomposer   = (*FattreePaths)(nil)
+	_ RowBlocks    = (*FattreePaths)(nil)
 )
 
 // NewFattreePaths enumerates the candidate paths of f.
 func NewFattreePaths(f *topo.Fattree) *FattreePaths {
-	p := &FattreePaths{F: f, nToR: f.NumToRs(), nCores: f.NumCores()}
-	p.repBound = f.Half() * (p.nToR - 1) * p.nCores
+	h := f.Half()
+	p := &FattreePaths{F: f, nToR: f.NumToRs(), nCores: f.NumCores(), h: h}
+	p.repBound = h * (p.nToR - 1) * p.nCores
+	p.torAgg = make([]topo.LinkID, p.nToR*h)
+	for t, tor := range f.ToRList() {
+		for g := 0; g < h; g++ {
+			p.torAgg[t*h+g] = f.MustLink(tor, f.AggID[t/h][g])
+		}
+	}
+	p.aggCore = make([]topo.LinkID, f.K*p.nCores)
+	for pod := 0; pod < f.K; pod++ {
+		for c := 0; c < p.nCores; c++ {
+			p.aggCore[pod*p.nCores+c] = f.MustLink(f.AggID[pod][c/h], f.CoreID[c])
+		}
+	}
+	p.podBase = make([]int32, p.nToR)
+	for t := range p.podBase {
+		p.podBase[t] = int32(t / h * p.nCores)
+	}
+	p.group = make([]int32, p.nCores)
+	for c := range p.group {
+		p.group[c] = int32(c / h)
+	}
 	return p
 }
 
@@ -54,57 +84,45 @@ func (p *FattreePaths) Encode(s, d, c int) int {
 	return orderedPair(s, d, p.nToR)*p.nCores + c
 }
 
-// AppendLinks implements PathSet.
+// AppendLinks implements PathSet, in PathLinks order: up edge–agg, up
+// agg–core, [down agg–core,] down edge–agg. A same-pod path re-descends
+// through the agg it went up by, so its agg–core link appears once.
 func (p *FattreePaths) AppendLinks(i int, buf []topo.LinkID) []topo.LinkID {
 	s, d, c := p.Decode(i)
-	tors := p.F.ToRList()
-	return p.F.PathLinks(tors[s], tors[d], c, buf)
+	g := int(p.group[c])
+	sp, dp := int(p.podBase[s]), int(p.podBase[d])
+	buf = append(buf, p.torAgg[s*p.h+g], p.aggCore[sp+c])
+	if dp != sp {
+		buf = append(buf, p.aggCore[dp+c])
+	}
+	return append(buf, p.torAgg[d*p.h+g])
 }
 
-// AppendAllLinks implements BulkLinker: it emits every candidate path's
-// links in index order with pure arithmetic per path. Every distinct
-// ToR–agg and agg–core link is resolved through the topology's link map
-// exactly once up front; a naive per-path materialization pays four map
-// lookups per path, which dominates the whole scan.
-func (p *FattreePaths) AppendAllLinks(links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32) {
-	f := p.F
-	tors := f.ToRList()
-	h := f.Half()
-	torAgg := make([]topo.LinkID, p.nToR*h)
-	for t, tor := range tors {
-		pod := t / h
-		for g := 0; g < h; g++ {
-			torAgg[t*h+g] = f.MustLink(tor, f.AggID[pod][g])
-		}
-	}
-	aggCore := make([]topo.LinkID, f.K*p.nCores)
-	for pod := 0; pod < f.K; pod++ {
-		for c := 0; c < p.nCores; c++ {
-			aggCore[pod*p.nCores+c] = f.MustLink(f.AggID[pod][c/h], f.CoreID[c])
-		}
-	}
-	checkArenaSize(len(links) + p.Len()*4)
-	if cap(links)-len(links) < p.Len()*4 {
-		grown := make([]topo.LinkID, len(links), len(links)+p.Len()*4)
-		copy(grown, links)
-		links = grown
-	}
+// Layout implements RowBlocks: path pair*nCores + c lies in the component
+// of c's group c/h, at row pair*h + c%h.
+func (p *FattreePaths) Layout() (period, width int) { return p.nCores, p.h }
+
+// AppendBlock implements RowBlocks: the rows of group g's component, with
+// AppendLinks's links, written pair by pair from the link tables.
+func (p *FattreePaths) AppendBlock(g int, links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32) {
+	h := p.h
+	// Every row has four links but the h per same-pod pair, which have three.
+	size := p.nToR*(p.nToR-1)*h*4 - p.nToR*(h-1)*h
+	checkArenaSize(len(links) + size)
+	links = slices.Grow(links, size)
 	for s := 0; s < p.nToR; s++ {
-		sp := s / h
+		sp, up := int(p.podBase[s]), p.torAgg[s*h+g]
 		for d := 0; d < p.nToR; d++ {
 			if d == s {
 				continue
 			}
-			dp := d / h
-			for c := 0; c < p.nCores; c++ {
-				g := c / h
-				// Same link order as PathLinks: up edge-agg, up agg-core,
-				// [down agg-core,] down edge-agg.
-				links = append(links, torAgg[s*h+g], aggCore[sp*p.nCores+c])
+			dp, down := int(p.podBase[d]), p.torAgg[d*h+g]
+			for c := g * h; c < (g+1)*h; c++ {
+				links = append(links, up, p.aggCore[sp+c])
 				if dp != sp {
-					links = append(links, aggCore[dp*p.nCores+c])
+					links = append(links, p.aggCore[dp+c])
 				}
-				links = append(links, torAgg[d*h+g])
+				links = append(links, down)
 				offsets = append(offsets, int32(len(links)))
 			}
 		}
@@ -133,24 +151,24 @@ func (p *FattreePaths) AppendHops(i int, buf []topo.NodeID) []topo.NodeID {
 // belongs to the aggregation-position group g of its core, so the matrix
 // splits into k/2 components (§4.3, Observation 1). Component g holds every
 // ToR–agg_g link, every agg_g–core link of a group-g core, and every path
-// via a group-g core.
+// via a group-g core. They come out in group order, which is smallest-link
+// order: the topology numbers edge–agg links pod by pod, ToR by ToR, agg by
+// agg, so group g's smallest link is ToR 0's link to agg g. AppendBlock's
+// block g is component g.
 func (p *FattreePaths) PristineComponents() []Component {
 	if p.Len() == 0 {
 		return nil
 	}
-	f, h := p.F, p.F.Half()
-	tors := f.ToRList()
+	h := p.h
 	nPairs := p.nToR * (p.nToR - 1)
 	comps := make([]Component, h)
 	for g := range comps {
-		links := make([]topo.LinkID, 0, p.nToR+f.K*h)
-		for t, tor := range tors {
-			links = append(links, f.MustLink(tor, f.AggID[t/h][g]))
+		links := make([]topo.LinkID, 0, p.nToR+p.F.K*h)
+		for t := 0; t < p.nToR; t++ {
+			links = append(links, p.torAgg[t*h+g])
 		}
-		for pod := 0; pod < f.K; pod++ {
-			for c := g * h; c < (g+1)*h; c++ {
-				links = append(links, f.MustLink(f.AggID[pod][g], f.CoreID[c]))
-			}
+		for pod := 0; pod < p.F.K; pod++ {
+			links = append(links, p.aggCore[pod*p.nCores+g*h:pod*p.nCores+(g+1)*h]...)
 		}
 		slices.Sort(links)
 		// Path index is pair*nCores + core: group g's cores are one
@@ -164,7 +182,6 @@ func (p *FattreePaths) PristineComponents() []Component {
 		}
 		comps[g] = Component{Links: links, Paths: paths}
 	}
-	slices.SortFunc(comps, func(a, b Component) int { return cmp.Compare(a.Links[0], b.Links[0]) })
 	return comps
 }
 

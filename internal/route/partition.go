@@ -69,12 +69,11 @@ func InteriorPartition(p *Probes) *Partition {
 // partition runs the decomposition kernel over view(row) of every row.
 func partition(p *Probes, view func([]topo.LinkID) []topo.LinkID) *Partition {
 	n := p.NumPaths()
-	csr := &CSR{Offsets: make([]int32, 1, n+1)}
-	for _, links := range p.PathLinks {
-		csr.Links = append(csr.Links, view(links)...)
-		csr.Offsets = append(csr.Offsets, int32(len(csr.Links)))
+	rows := make([][]topo.LinkID, n)
+	for i, links := range p.PathLinks {
+		rows[i] = view(links)
 	}
-	comps := DecomposeCSR(csr, p.NumLinks)
+	comps := DecomposeCSR(NewCSR(rows), p.NumLinks)
 	pt := &Partition{Keys: make([]uint64, len(comps)), PathPart: make([]int32, n)}
 	for i := range pt.PathPart {
 		pt.PathPart[i] = -1

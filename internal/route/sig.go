@@ -44,15 +44,18 @@ func (s *Hash) Sum64() uint64 { return s.h }
 // built for a different matrix (mismatched radix, topology family or
 // candidate generation) instead of silently computing a wrong answer. The
 // sharded control plane stamps every construction request to such a shard
-// with it (CSR.Signature).
+// with it (CSR.Signature). It reads rows through CSR.AppendRow, so a
+// matrix whose rows are generated stores none for it.
 func MatrixSignature(csr *CSR, numLinks int) uint64 {
 	built.signature.Add(1)
 	var s Hash
 	s.Word(uint64(numLinks))
 	n := csr.Len()
 	s.Word(uint64(n))
+	var row []topo.LinkID
 	for i := 0; i < n; i++ {
-		s.Links(csr.Row(i))
+		row = csr.AppendRow(i, row[:0])
+		s.Links(row)
 	}
 	return s.Sum64()
 }

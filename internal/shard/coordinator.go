@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/detector-net/detector/internal/obs"
@@ -28,6 +29,13 @@ var constructFailovers = obs.NewCounter("shard_construct_failovers",
 // construction pipeline (deTector §5's construct timing, exported per
 // cycle instead of per bench run). Looked up once; Observe is atomic.
 var (
+	// stageMaterialize is the time the coordinator's matrix spent storing
+	// row blocks (route.CSR.BlockTime), observed after New, a construction
+	// cycle or a churn step that stored one: the whole arena in New for a
+	// family without route.RowBlocks; for a Fattree, each pristine
+	// component's block on its first read. That read is inside a
+	// construction or a churn step's first touch, so the same time also
+	// counts in that cycle's construction and in churn_index.
 	stageMaterialize = obs.Stages.With("materialize")
 	stageDecompose   = obs.Stages.With("decompose")
 	stageAssign      = obs.Stages.With("assign")
@@ -141,6 +149,8 @@ type Coordinator struct {
 	numLinks int
 	opt      Options
 	csr      *route.CSR
+	// blockSeen is csr.BlockTime() as of the last materialize observation.
+	blockSeen atomic.Int64
 	// sig is stamped on construction requests: the matrix fingerprint for
 	// an explicit fleet (Options.Clients), which may hold another matrix;
 	// 0 for the default in-process shards, which share csr.
@@ -185,9 +195,7 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = opt.TTL / 4
 	}
-	matStart := time.Now()
 	csr := route.MaterializeCSR(ps)
-	stageMaterialize.Observe(time.Since(matStart))
 	decStart := time.Now()
 	csr.Pristine(numLinks)
 	stageDecompose.Observe(time.Since(decStart))
@@ -205,6 +213,7 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		wd:       watchdog.New(opt.TTL),
 		stop:     make(chan struct{}),
 	}
+	c.observeBlocks()
 	c.assign = make([]int32, len(c.comps))
 	c.selCache = make(map[uint64]compSel)
 	c.assignKey = make(map[uint64]int32)
@@ -458,6 +467,7 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	}
 	diffStart := time.Now()
 	diff, err := c.inc.Apply(down, up)
+	c.observeBlocks()
 	if err != nil {
 		return route.Diff{}, err
 	}
@@ -706,7 +716,8 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 			// Store the fresh per-component selections, then serve the full
 			// merge from the cache: clean components verbatim, dirty ones
 			// from this cycle's results. The split attributes each selected
-			// path to its component through its first link.
+			// path to its component through its first link, read without
+			// storing the row's block (CSR.AppendRow).
 			c.mu.Lock()
 			if c.churnEpoch != epoch {
 				c.mu.Unlock()
@@ -726,8 +737,10 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 					continue
 				}
 				parts := make(map[int32][]int, len(idxs))
+				var row []topo.LinkID
 				for _, pid := range r.Selected {
-					ci := int32(c.inc.CompIndexOf(c.csr.Row(pid)[0]))
+					row = c.csr.AppendRow(pid, row[:0])
+					ci := int32(c.inc.CompIndexOf(row[0]))
 					parts[ci] = append(parts[ci], pid)
 				}
 				for _, ci := range idxs {
@@ -757,11 +770,28 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 		merged.Stats.Elapsed = time.Since(start)
 		mergeSpan.End()
 		stageMerge.Observe(time.Since(mergeStart))
+		c.observeBlocks()
 		shardsAlive.Set(int64(len(alive)))
 		shardsQuarantined.Set(int64(c.opt.Shards - len(alive)))
 		return merged, nil
 	}
 	return nil, fmt.Errorf("shard: construction failed after %d dispatch rounds: %w", c.opt.Shards+1, lastErr)
+}
+
+// observeBlocks observes under the materialize stage the time csr spent
+// storing row blocks since the last observation, if any.
+func (c *Coordinator) observeBlocks() {
+	now := int64(c.csr.BlockTime())
+	for {
+		seen := c.blockSeen.Load()
+		if now <= seen {
+			return
+		}
+		if c.blockSeen.CompareAndSwap(seen, now) {
+			stageMaterialize.Observe(time.Duration(now - seen))
+			return
+		}
+	}
 }
 
 // ShardInfo is one shard's row in the operator-facing placement view.

@@ -378,3 +378,42 @@ func TestMidCycleKillDegradesToReassignment(t *testing.T) {
 		t.Errorf("post-revive merge differs from single controller")
 	}
 }
+
+// TestMaterializeStageObservesOwnBlocks: the materialize stage observes the
+// row blocks the coordinator's own matrix stores, once per step that stored
+// one. A Fattree matrix stores none when it is made, its first cycle stores
+// the class leader's block, and another owner's matrix moves nothing; a
+// VL2 matrix is stored whole when it is made.
+func TestMaterializeStageObservesOwnBlocks(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	opt := Options{Shards: 1, PMC: pmc.Options{Alpha: 3, Beta: 1}, TTL: time.Minute}
+	before := stageMaterialize.Count()
+	observed := func(step string, want uint64) {
+		t.Helper()
+		if n := stageMaterialize.Count() - before; n != want {
+			t.Fatalf("after %s: %d materialize observations, want %d", step, n, want)
+		}
+	}
+	c, err := New(ps, f.NumLinks(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	observed("New", 0)
+	route.MaterializeCSR(ps).Row(0)
+	observed("another matrix's block", 0)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Construct(); err != nil {
+			t.Fatal(err)
+		}
+		observed("a cycle", 1)
+	}
+	v := topo.MustVL2(4, 4, 1)
+	c2, err := New(route.NewVL2Paths(v), v.NumLinks(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Stop()
+	observed("New over VL2", 2)
+}

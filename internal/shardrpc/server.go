@@ -97,14 +97,17 @@ func NewServer(ps route.PathSet, numLinks int) *Server {
 	return NewServerLimits(ps, numLinks, DefaultLimits())
 }
 
-// NewServerLimits is NewServer with explicit payload bounds.
+// NewServerLimits is NewServer with explicit payload bounds. It computes
+// the matrix signature the handshake needs at once; for a family whose
+// rows are generated that stores no row, so a service that never
+// constructs holds none.
 func NewServerLimits(ps route.PathSet, numLinks int, lim Limits) *Server {
 	csr := route.MaterializeCSR(ps)
 	return &Server{
 		ps:       ps,
 		csr:      csr,
 		numLinks: numLinks,
-		sig:      route.MatrixSignature(csr, numLinks),
+		sig:      csr.Signature(numLinks),
 		lim:      lim,
 		tr:       obs.NewTracer("shard", 32),
 		memo:     pmc.NewMemo(0),
