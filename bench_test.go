@@ -113,12 +113,13 @@ func BenchmarkServedCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkPMCMaterializeCSR times what a cold construction pays for the
-// Fattree(8) candidate matrix: MaterializeCSR, which for a family that
-// writes its rows a component at a time stores nothing, then the one
-// stored block the class leader's solve reads (Row), then one pass that
-// generates every row without storing it (AppendRow, as the matrix
-// signature and the class follower checks read rows).
+// BenchmarkPMCMaterializeCSR times the Fattree(8) candidate matrix's
+// storage paths: MaterializeCSR, which for a family that writes its rows a
+// component at a time stores nothing, then one component's stored block
+// (Row), which only a churn step's first touch of a component pays — a
+// cold construction stores none — then one pass that generates every row
+// without storing it (AppendRow, as the matrix signature, the class leader's
+// arena and the class follower checks read rows).
 func BenchmarkPMCMaterializeCSR(b *testing.B) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)

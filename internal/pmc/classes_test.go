@@ -14,16 +14,36 @@ import (
 )
 
 // perComponentOracle solves every component alone, with no memo, so no
-// component can reuse another's rows, and merges the selections.
+// component can reuse another's rows, and merges the selections. Its own
+// solves load every row up front, so every check against it is also a
+// differential between that arena and the one construction runs, which
+// loads rows as its greedy reads them. A masked component is repaired, as
+// construction does, over arenas that hold every row they are offered.
 func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options) []int {
 	t.Helper()
+	pristine := csr.Pristine(numLinks)
+	localOf := make([]int32, numLinks)
 	var sel []int
 	for i := range comps {
-		res, err := ConstructComponents(ps, csr, comps[i:i+1], numLinks, opt, nil)
+		c := &comps[i]
+		if p := pristine.Parent(c); p >= 0 && len(c.Paths) < len(pristine.Comps[p].Paths) {
+			res, err := ConstructComponents(ps, csr, comps[i:i+1], numLinks, opt, nil)
+			if err != nil {
+				t.Fatalf("component %d alone: %v", i, err)
+			}
+			sel = append(sel, res.Selected...)
+			continue
+		}
+		sym, err := prepareComponents(ps, comps[i:i+1], opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setLocal(localOf, comps[i:i+1], nil)
+		cr, _, err := solveComponent(sym, newArena(csr, c, localOf), opt, optKeyOf(opt), 0, true)
 		if err != nil {
 			t.Fatalf("component %d alone: %v", i, err)
 		}
-		sel = append(sel, res.Selected...)
+		sel = append(sel, cr.selected...)
 	}
 	sort.Ints(sel)
 	return sel
@@ -173,7 +193,9 @@ func (twinPaths) AppendLinks(i int, buf []topo.LinkID) []topo.LinkID {
 func (twinPaths) Endpoints(i int) (topo.NodeID, topo.NodeID) {
 	return topo.NodeID(i), topo.NodeID(i + 1)
 }
-func (twinPaths) IsRepresentative(i int) bool { return i%4 == 0 }
+func (twinPaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+	return route.AppendWhere(paths, rows, func(i int) bool { return i%4 == 0 })
+}
 func (twinPaths) AppendOrbit(i int, buf []int) []int {
 	if i == 0 {
 		return append(buf, 1, 2, 3)
@@ -189,8 +211,15 @@ func (twinPaths) AppendOrbit(i int, buf []int) []int {
 // its first row, B's at its second.
 type shiftedReps struct{ twinPaths }
 
-func (shiftedReps) IsRepresentative(i int) bool        { return i == 0 || i == 5 }
+func (shiftedReps) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+	return route.AppendWhere(paths, rows, func(i int) bool { return i == 0 || i == 5 })
+}
 func (shiftedReps) AppendOrbit(i int, buf []int) []int { return buf }
+
+// isRep reports whether sym lists path as a representative.
+func isRep(sym route.Symmetric, path int32) bool {
+	return len(sym.AppendRepresentatives([]int32{path}, nil)) == 1
+}
 
 // TestClassCheckComparesRepresentatives: components that match row for row
 // but whose representatives sit at other ranks are not one class — the
@@ -290,10 +319,11 @@ func TestShapeGroupSplitsClasses(t *testing.T) {
 
 // FuzzClassReuse: on seeded Fattree(6/8) down-masks, and on the
 // same-shape/different-content matrix of shapeRows, construction with
-// class reuse selects exactly what solving each component alone does. A
-// nonzero reverse reverses the links of one row first, read by the leader
-// or not, so a class check that compares too few rows shows as a wrong
-// reuse.
+// class reuse selects exactly what solving each component alone over an
+// arena of every row does (perComponentOracle). A nonzero reverse reverses
+// the links of one row first, read by the leader or not, so a class check
+// that compares too few rows, or an arena that loads too few, shows as a
+// wrong reuse.
 func FuzzClassReuse(f *testing.F) {
 	f.Add(uint8(0), uint8(1), int64(1), uint16(0))
 	f.Add(uint8(1), uint8(2), int64(7), uint16(0))
@@ -338,7 +368,7 @@ func FuzzClassReuse(f *testing.F) {
 func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options) *memoEntry {
 	t.Helper()
 	setLocal(localOf, comps, nil)
-	_, e, err := solveComponent(sym, csr, &comps[0], localOf, opt, optKeyOf(opt), 0)
+	_, e, err := solveComponent(sym, newArena(csr, &comps[0], localOf), opt, optKeyOf(opt), 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +497,7 @@ func swapUnreadRow(t testing.TB, sym route.Symmetric, read []bool, c, other rout
 		i, _ := slices.BinarySearch(other.Paths, lo+1)
 		for ; i < len(other.Paths) && other.Paths[i] < hi; i++ {
 			q := other.Paths[i]
-			if sym.IsRepresentative(int(q)) == sym.IsRepresentative(int(c.Paths[r])) {
+			if isRep(sym, q) == isRep(sym, c.Paths[r]) {
 				bad := route.Component{Links: c.Links, Paths: slices.Clone(c.Paths)}
 				bad.Paths[r] = q
 				return bad

@@ -22,36 +22,109 @@ func (b bitset) fill() {
 	}
 }
 
-// compArena is one component's candidate paths flattened into a CSR arena
-// of *local* link indices, plus an inverted link→rows index over the rows
-// the running greedy pass scores. Rows are candidate positions
-// (0..len(pathIDs)-1) in ascending global path order, so row order and
-// path-index order agree everywhere. After the arena is built, the greedy
-// loops never call PathSet.AppendLinks, never translate a global link id,
-// and never touch a map: scoring walks links[offsets[r]:offsets[r+1]], and
-// dirty propagation walks invRows[invOff[l]:invOff[l+1]].
+// compArena is one component's candidate paths as rows of *local* link
+// indices, plus an inverted link→rows index over the rows the running
+// greedy pass scores. Rows are candidate positions (0..len(pathIDs)-1) in
+// ascending global path order, so row order and path-index order agree
+// everywhere. A row is loaded — taken through CSR.AppendRow, translated to
+// local links and appended to links — only when the greedy is about to read
+// it: the orbit pass loads its representatives, selectWithOrbit each orbit
+// image it logs, the completion pass every row. Loading never stores a
+// block of the matrix, and on a Fattree(16) component the orbit pass reads
+// 8 458 rows of 130 048. Once loaded, the greedy loops never call
+// PathSet.AppendLinks, never translate a global link id, and never touch a
+// map: scoring walks links[start[r]:end[r]], and dirty propagation walks
+// invRows[invOff[l]:invOff[l+1]].
 //
 // Only rows whose cached score a pass reads need to be reachable through
 // the inverted index — the orbit pass scores images fresh — so index covers
-// the pass's candidates, not the component: on a Fattree that is one row in
-// k, and the scatter over the rest is the part of the build that is skipped.
+// the pass's candidates, not the component.
 type compArena struct {
-	pathIDs  []int32 // row -> global path index (== Component.Paths)
-	offsets  []int32 // len(pathIDs)+1; row r spans [offsets[r], offsets[r+1])
-	links    []int32 // local link indices, concatenated rows
-	linkRows []int32 // local link -> number of component rows through it
-	invOff   []int32 // local link -> start into invRows; len = numLocal+1
-	invRows  []int32 // indexed rows through each link, ascending within a link
+	pathIDs    []int32 // row -> global path index (== Component.Paths)
+	start, end []int32 // a loaded row r spans links[start[r]:end[r]]
+	loaded     bitset
+	links      []int32 // local link indices of the loaded rows, in load order
+	numLocal   int
+	invOff     []int32 // local link -> start into invRows; len = numLocal+1
+	invRows    []int32 // indexed rows through each link, ascending within a link
+	indexed    int     // rows in the inverted index
+
+	// The load context. err is the first row that left its component.
+	csr     *route.CSR
+	comp    *route.Component
+	localOf []int32
+	buf     []topo.LinkID
+	err     error
+}
+
+// newArena starts an arena over comp's rows of csr with none loaded.
+// localOf must translate comp's links.
+func newArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena {
+	n := len(comp.Paths)
+	return &compArena{
+		pathIDs:  comp.Paths,
+		start:    make([]int32, n),
+		end:      make([]int32, n),
+		loaded:   newBitset(n),
+		numLocal: len(comp.Links),
+		csr:      csr,
+		comp:     comp,
+		localOf:  localOf,
+	}
 }
 
 func (a *compArena) numRows() int { return len(a.pathIDs) }
 
 func (a *compArena) row(r int32) []int32 {
-	return a.links[a.offsets[r]:a.offsets[r+1]]
+	return a.links[a.start[r]:a.end[r]]
 }
 
 func (a *compArena) rowsThrough(l int32) []int32 {
 	return a.invRows[a.invOff[l]:a.invOff[l+1]]
+}
+
+// load loads row r unless it is loaded already. A path with a link outside
+// the component means the caller's partition does not match the matrix: it
+// is recorded in err and the row left empty, so the greedy runs on and its
+// caller reports it.
+func (a *compArena) load(r int32) {
+	if a.loaded.get(r) {
+		return
+	}
+	a.loaded.set(r)
+	pid := a.pathIDs[r]
+	a.buf = a.csr.AppendRow(int(pid), a.buf[:0])
+	at := int32(len(a.links))
+	a.start[r], a.end[r] = at, at
+	for _, gl := range a.buf {
+		li := a.localOf[gl]
+		if !owns(a.comp, li, gl) {
+			if a.err == nil {
+				a.err = fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
+			}
+			a.links = a.links[:at]
+			return
+		}
+		a.links = append(a.links, li)
+	}
+	a.end[r] = int32(len(a.links))
+}
+
+// loadRows loads the given rows and reports the first that left the
+// component.
+func (a *compArena) loadRows(rows []int32) error {
+	for _, r := range rows {
+		a.load(r)
+	}
+	return a.err
+}
+
+// loadAll loads every row and reports the first that left the component.
+func (a *compArena) loadAll() error {
+	for r := range a.pathIDs {
+		a.load(int32(r))
+	}
+	return a.err
 }
 
 // rowOf resolves a global path index to its row in a component's ascending
@@ -80,11 +153,18 @@ func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Sy
 	var h route.Hash
 	h.Word(uint64(len(comp.Links)))
 	h.Word(uint64(len(comp.Paths)))
+	var reps []int32
+	if sym != nil {
+		reps = sym.AppendRepresentatives(comp.Paths, nil)
+	}
 	var row []topo.LinkID
-	for _, pid := range comp.Paths {
-		if sym != nil && !sym.IsRepresentative(int(pid)) {
-			h.Word(0)
-			continue
+	for r, pid := range comp.Paths {
+		if sym != nil {
+			if len(reps) == 0 || reps[0] != int32(r) {
+				h.Word(0)
+				continue
+			}
+			reps = reps[1:]
 		}
 		row = csr.AppendRow(int(pid), row[:0])
 		// Each row folds on a chain of its own and enters the stream as
@@ -106,42 +186,11 @@ func owns(comp *route.Component, li int32, gl topo.LinkID) bool {
 	return li >= 0 && int(li) < len(comp.Links) && comp.Links[li] == gl
 }
 
-// buildArena translates the component's rows of the matrix into local link
-// indices; reading them stores the rows' blocks (CSR.Row). A path with a
-// link outside the component means the caller's partition does not match
-// the matrix; it is reported, not trusted.
-func buildArena(csr *route.CSR, comp *route.Component, localOf []int32) (*compArena, error) {
-	n := len(comp.Paths)
-	total := 0
-	for _, pid := range comp.Paths {
-		total += len(csr.Row(int(pid)))
-	}
-	a := &compArena{
-		pathIDs:  comp.Paths,
-		offsets:  make([]int32, n+1),
-		links:    make([]int32, total),
-		linkRows: make([]int32, len(comp.Links)),
-	}
-	pos := int32(0)
-	for r, pid := range comp.Paths {
-		for _, gl := range csr.Row(int(pid)) {
-			li := localOf[gl]
-			if !owns(comp, li, gl) {
-				return nil, fmt.Errorf("pmc: path %d leaves its component (link %d)", pid, gl)
-			}
-			a.links[pos] = li
-			a.linkRows[li]++
-			pos++
-		}
-		a.offsets[r+1] = pos
-	}
-	return a, nil
-}
-
 // index rebuilds the inverted index over rows (ascending) with a counting
 // sort: one pass to size, one prefix sum, one pass to fill.
 func (a *compArena) index(rows []int32) {
-	numLocal := len(a.linkRows)
+	numLocal := a.numLocal
+	a.indexed = len(rows)
 	a.invOff = make([]int32, numLocal+1)
 	for _, r := range rows {
 		for _, li := range a.row(r) {

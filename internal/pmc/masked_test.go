@@ -91,12 +91,7 @@ func TestCompletionIsNoOpOnPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	comps := route.DecomposeCSR(route.MaterializeCSR(ps), f.NumLinks())
-	reps := 0
-	for _, p := range comps[0].Paths {
-		if ps.IsRepresentative(int(p)) {
-			reps++
-		}
-	}
+	reps := len(ps.AppendRepresentatives(comps[0].Paths, nil))
 	if res.Stats.Classes != 1 {
 		t.Fatalf("%d components solved as %d classes, want 1", len(comps), res.Stats.Classes)
 	}

@@ -40,16 +40,18 @@
 // All variants run on a flattened CSR scoring engine. Construct takes the
 // candidate matrix (route.MaterializeCSR) and its pristine decomposition
 // (CSR.Pristine: stated by the family when it can, found over the rows
-// otherwise), and each solved component then re-indexes its rows into an
-// arena of component-local link indices plus an inverted link→paths index
-// (see compArena in csr.go). A family that writes its rows a component at
-// a time (route.RowBlocks: a Fattree) has a component's rows stored only
-// when something reads them: the class leader's solve does, a class
-// follower's exact check reads generated rows and stores none, so a cold
-// Fattree construction stores one component's rows of k/2. The greedy
-// inner loops walk contiguous int32 slices: no AppendLinks calls, no
-// global→local lookups, no map accesses — selections live in a bitset
-// keyed by candidate row.
+// otherwise), and each solved component then loads the rows its greedy
+// reads into an arena of component-local link indices plus an inverted
+// link→paths index over the running pass's candidates (see compArena in
+// csr.go): the orbit pass loads the representatives and each orbit image
+// it logs, the completion pass, when it runs, every row. Rows are read
+// through CSR.AppendRow, which generates a family's rows (route.RowBlocks:
+// a Fattree) without storing them, and so does a class follower's exact
+// check, for its own rows and its leader's. A cold Fattree construction
+// stores no row block, and its leader reads one row in ~15 on a
+// Fattree(16). The greedy inner loops walk contiguous int32 slices: no
+// AppendLinks calls, no global→local lookups, no map accesses — selections
+// live in a bitset keyed by candidate row.
 //
 // On top of the inverted index, scoring is incremental. The invariant is:
 // a candidate's score (Eq. 1) can only change when a selected path shares a
@@ -435,10 +437,12 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 // members are checked against. With a memo it is an exact hit, a remembered
 // class it matches by digest and the exact check, or a solve the memo then
 // remembers. With none it is solved, and no digest is taken: there is no
-// memo to key.
+// memo to key. A foreign head's solve loads every row, so a row of it
+// that leaves it is reported even where its greedy would not read it.
 func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, memo *Memo, pristine *route.Pristine) (*componentResult, *memoEntry, error) {
+	loadAll := foreign(comp, pristine)
 	if memo == nil {
-		return solveComponent(sym, csr, comp, localOf, opt, key, 0)
+		return solveComponent(sym, newArena(csr, comp, localOf), opt, key, 0, loadAll)
 	}
 	if e := memo.holding(key, comp); e != nil {
 		return e.reuse(comp), e, nil
@@ -450,7 +454,7 @@ func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, loca
 			return e.reuse(comp), e, nil
 		}
 	}
-	cr, e, err := solveComponent(sym, csr, comp, localOf, opt, key, d)
+	cr, e, err := solveComponent(sym, newArena(csr, comp, localOf), opt, key, d, loadAll)
 	if err == nil {
 		memo.store(e)
 	}
@@ -667,21 +671,22 @@ func (cs *componentState) sel(r int32) {
 
 // endStep dirties every indexed row whose cached score may have changed:
 // rows sharing an accumulated link, found through the inverted index. When
-// a step saturates the component — the rows through its links outnumber the
-// rows themselves, as happens while refinement groups are still large — a
-// single bitset fill is cheaper than walking the index. The test counts
-// rows of the whole component, not of the index, so which rows a pass
-// indexes never shows in Stats.ScoreEvals. Over-dirtying only costs
-// recomputes that return the cached value; it never changes a selection.
+// a step saturates the index — the indexed rows through its links
+// outnumber the indexed rows themselves, as happens while refinement
+// groups are still large — a single bitset fill is cheaper than walking
+// it. The test counts only indexed rows, the pass's candidates, so which
+// other rows an arena has loaded never shows in Stats.ScoreEvals.
+// Over-dirtying only costs recomputes that return the cached value; it
+// never changes a selection.
 func (cs *componentState) endStep() {
 	if !cs.exact {
 		return
 	}
 	total := 0
 	for _, li := range cs.stepLinks {
-		total += int(cs.ar.linkRows[li])
+		total += int(cs.ar.invOff[li+1] - cs.ar.invOff[li])
 	}
-	if total >= cs.ar.numRows() {
+	if total >= cs.ar.indexed {
 		cs.dirty.fill()
 		return
 	}
@@ -704,9 +709,9 @@ func (cs *componentState) done() bool {
 // present in the component that still has positive marginal gain. An image
 // is absent when the component is not closed under the automorphism (a
 // caller's own partition; masked components are repaired, not solved).
-// Orbit images are scored fresh (not from cache) because earlier selections
-// in the same step change their scores before the step's dirty propagation
-// runs.
+// Each image present is loaded as it is logged. Orbit images are scored
+// fresh (not from cache) because earlier selections in the same step
+// change their scores before the step's dirty propagation runs.
 func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf []int) []int {
 	cs.beginStep()
 	cs.sel(r)
@@ -720,6 +725,7 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 				continue
 			}
 			cs.orbitLog = append(cs.orbitLog, ir)
+			cs.ar.load(ir)
 			if cs.selected.get(ir) {
 				continue
 			}
@@ -749,21 +755,26 @@ func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds i
 
 // solveComponent runs both passes on one component and returns its result
 // together with the memo entry that lets the component's class reuse it.
-func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, digest uint64) (*componentResult, *memoEntry, error) {
-	ar, err := buildArena(csr, comp, localOf)
-	if err != nil {
-		return nil, nil, err
+// ar is a fresh arena over the component; it loads the rows the greedy
+// reads as it reads them. loadAll loads every row up front instead, so
+// that a component whose rows may leave it (one not of the matrix's
+// pristine decomposition) is refused whatever its greedy reads. Either way
+// the greedy makes the same reads and picks.
+func solveComponent(sym route.Symmetric, ar *compArena, opt Options, key memoOptKey, digest uint64, loadAll bool) (*componentResult, *memoEntry, error) {
+	comp := ar.comp
+	if loadAll {
+		if err := ar.loadAll(); err != nil {
+			return nil, nil, err
+		}
 	}
 	cs := newComponentState(ar, len(comp.Links), opt)
 	cr := &componentResult{solved: true}
 
 	var reps []int32
 	if sym != nil {
-		reps = make([]int32, 0, len(comp.Paths)/2)
-		for r, pid := range comp.Paths {
-			if sym.IsRepresentative(int(pid)) {
-				reps = append(reps, int32(r))
-			}
+		reps = sym.AppendRepresentatives(comp.Paths, nil)
+		if err := ar.loadRows(reps); err != nil {
+			return nil, nil, err
 		}
 		cr.candidates += len(reps)
 		cr.reseeds += cs.pass(sym, reps)
@@ -772,15 +783,21 @@ func solveComponent(sym route.Symmetric, csr *route.CSR, comp *route.Component, 
 	// completion reads them.
 	full := sym == nil || !cs.done()
 	if !cs.done() {
+		if err := ar.loadAll(); err != nil {
+			return nil, nil, err
+		}
 		cr.candidates += len(comp.Paths)
 		cr.reseeds += cs.pass(nil, ascending(len(comp.Paths)))
+	}
+	if ar.err != nil { // an orbit image
+		return nil, nil, ar.err
 	}
 
 	cr.evals = cs.evals
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
 	rows := make([]int32, 0, cs.nSelected)
-	for r := range cs.ar.pathIDs {
+	for r := range comp.Paths {
 		if cs.selected.get(int32(r)) {
 			rows = append(rows, int32(r))
 		}

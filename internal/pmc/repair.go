@@ -112,8 +112,8 @@ func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, local
 	for i, r := range rows {
 		paths[i] = comp.Paths[r]
 	}
-	ar, err := buildArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf)
-	if err != nil {
+	ar := newArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf)
+	if err := ar.loadAll(); err != nil {
 		return nil, err
 	}
 	cs := newComponentState(ar, len(comp.Links), opt)

@@ -41,8 +41,8 @@ func seededDown(links []topo.LinkID, n int, seed int64) []topo.LinkID {
 // returns the selection, how many paths were kept, and how many the
 // completion pass added.
 func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf []int32, opt Options) (sel []int, kept, added int) {
-	ar, err := buildArena(csr, comp, localOf)
-	if err != nil {
+	ar := newArena(csr, comp, localOf)
+	if err := ar.loadAll(); err != nil {
 		panic(err)
 	}
 	cs := newComponentState(ar, len(comp.Links), opt)

@@ -24,8 +24,8 @@ import (
 // never enter the memo: they are repaired from their pristine parent's
 // class (repair.go), so churn cannot evict the pristine classes.
 //
-// A memo serves one (PathSet, CSR): it re-reads stored leaders' rows from
-// the matrix it is handed.
+// A memo serves one (PathSet, CSR): it keeps no rows, and reads its
+// leaders' rows, like any other, from the matrix it is handed.
 
 // MemoStats reports memo effectiveness.
 type MemoStats struct {
@@ -99,29 +99,30 @@ func (e *memoEntry) matches(csr *route.CSR, sym route.Symmetric, comp *route.Com
 }
 
 // everyRow reports whether the exact check must compare every row of comp:
-// when the leader's completion pass read them all, or when comp is not one
-// of the matrix's pristine components, whose rows lie inside them by
-// construction. A component from anywhere else — a shard request, a
-// caller's own partition — may have a row with a link outside it, which
-// only a check of every row finds.
+// when the leader's completion pass read them all, or when comp is foreign.
 func (e *memoEntry) everyRow(comp *route.Component, pristine *route.Pristine) bool {
-	return e.full || pristine == nil || !pristine.Is(comp)
+	return e.full || foreign(comp, pristine)
+}
+
+// foreign reports whether comp is not one of the matrix's pristine
+// components, whose rows lie inside them by construction. A component from
+// anywhere else — a shard request, a caller's own partition — may have a
+// row with a link outside it, which only a read of every row finds: its
+// class check compares every row, and its solve loads every row.
+func foreign(comp *route.Component, pristine *route.Pristine) bool {
+	return pristine == nil || !pristine.Is(comp)
 }
 
 // compare is the exact check in one pass over comp's rows and the leader's
 // orbit log; it also returns how many rows' links it compared. The shapes
-// must agree and so must every row's representative flag. A compared row
+// must agree and so must the representative lists. A compared row
 // must cross the same local links: every link of it must be comp's own
 // (false otherwise — comp's partition does not match the matrix, which the
-// solve it falls back to reports), and the leader's link at its local
-// index must be the leader's own link (both Links are sorted, so local
-// indices agree exactly when that holds). It compares every row when every
-// is set, else the rows at the leader's representative ranks and the
-// images in its orbit log. Then the log is replayed on comp. comp's rows
-// are read through CSR.AppendRow, so a check stores none of them: on a
-// family whose rows are generated, a follower's rows are stored only if a
-// churn touch or a repair asks for them. The leader's are stored already,
-// by its solve.
+// solve it falls back to reports), at the local index the leader's row has
+// there. It compares every row when every is set, else the rows at the
+// leader's representative ranks and the images in its orbit log. Then the
+// log is replayed on comp. Both components' rows are read through
+// CSR.AppendRow, so a check stores none of them.
 //
 // Why the rows the leader read suffice: the greedy's state after a step —
 // link weights, refinement groups, selected rows, cached scores — is a
@@ -132,23 +133,24 @@ func (e *memoEntry) everyRow(comp *route.Component, pristine *route.Pristine) bo
 // either. Rows the orbit pass offers are the representatives, and it reads
 // rows beyond them only as orbit images, all in the log; the completion
 // pass, which offers every row, ran on the leader exactly when it runs on
-// comp, and sets full. The one count that sees unread rows is the arena's
-// linkRows, which endStep only uses to choose between a bitset fill and an
-// index walk: over-dirtying returns cached scores unchanged, so it moves
-// score evaluations, never a pick, and a follower reports no evaluations.
-// localOf must map comp's links to their local indices.
+// comp, and sets full. No count the greedy takes sees a row it did not
+// read: its arena loads only the rows read, and endStep counts the indexed
+// ones, the pass's candidates, alike on both. localOf must map comp's
+// links to their local indices.
 func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32, every bool) (ok bool, compared int) {
 	if len(e.links) != len(comp.Links) || len(e.paths) != len(comp.Paths) {
 		return false, 0
 	}
-	var row []topo.LinkID
+	var row, lrow []topo.LinkID
 	sameRow := func(r int32) bool {
 		compared++
 		row = csr.AppendRow(int(comp.Paths[r]), row[:0])
-		lrow := csr.Row(int(e.paths[r]))
+		lrow = csr.AppendRow(int(e.paths[r]), lrow[:0])
 		if len(row) != len(lrow) {
 			return false
 		}
+		// Both Links are sorted, so local indices agree exactly when the
+		// leader's link at comp's local index is the leader's own link.
 		for j, gl := range row {
 			li := localOf[gl]
 			if !owns(comp, li, gl) || e.links[li] != lrow[j] {
@@ -157,17 +159,20 @@ func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Com
 		}
 		return true
 	}
-	next := 0 // into e.reps
-	for r, pid := range comp.Paths {
-		rep := next < len(e.reps) && e.reps[next] == int32(r)
-		if rep {
-			next++
+	if sym != nil && !slices.Equal(sym.AppendRepresentatives(comp.Paths, nil), e.reps) {
+		return false, 0
+	}
+	if every {
+		for r := range comp.Paths {
+			if !sameRow(int32(r)) {
+				return false, compared
+			}
 		}
-		if sym != nil && sym.IsRepresentative(int(pid)) != rep {
-			return false, compared
-		}
-		if (every || rep) && !sameRow(int32(r)) {
-			return false, compared
+	} else {
+		for _, r := range e.reps {
+			if !sameRow(r) {
+				return false, compared
+			}
 		}
 	}
 	var buf []int

@@ -143,9 +143,14 @@ func (p *BCubePaths) shift(label, r int) int {
 	return out
 }
 
-// IsRepresentative implements Symmetric: the canonical orbit member has
-// source digit 0 equal to zero.
-func (p *BCubePaths) IsRepresentative(idx int) bool {
+// AppendRepresentatives implements Symmetric by isRepresentative.
+func (p *BCubePaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+	return AppendWhere(paths, rows, p.isRepresentative)
+}
+
+// isRepresentative reports whether path idx is canonical: the canonical
+// orbit member has source digit 0 equal to zero.
+func (p *BCubePaths) isRepresentative(idx int) bool {
 	src, _, _ := p.Decode(idx)
 	return p.B.Digit(src, 0) == 0
 }

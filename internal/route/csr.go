@@ -19,11 +19,12 @@ import (
 // The rows are stored in blocks. A family that can write one of its
 // pristine components on its own (RowBlocks) gets one block per pristine
 // component, written the first time a Row reads into it: a cold
-// construction reads only its class leader's, so the other components'
-// rows are never stored unless a churn touch, a repair or a whole-matrix
-// pass asks for them. AppendRow, MatrixSignature and the class follower
-// check read rows without storing any. Every other matrix is the one-block
-// case of the same layout, stored whole by MaterializeCSR or NewCSR.
+// construction reads none, so a component's rows are stored only when its
+// churn index is first built (Pristine.RowsThrough: a churn touch, or a
+// repair) or a whole-matrix pass asks for them. AppendRow, MatrixSignature,
+// and the arenas and class checks of package pmc read rows without storing
+// any. Every other matrix is the one-block case of the same layout, stored
+// whole by MaterializeCSR or NewCSR.
 type CSR struct {
 	n int
 	// Path i is row (i/period)*width + i%width of block (i%period)/width;

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -183,15 +184,79 @@ func TestDecomposeCSRMatchesDecompose(t *testing.T) {
 	}
 }
 
-// TestFattreeRepresentativePrefix: the O(1) representative test must agree
-// with the definition (source pod 0) for every path index.
+// TestFattreeRepresentativePrefix: the representatives listed among every
+// path index are the paths whose source is in pod 0, a prefix.
 func TestFattreeRepresentativePrefix(t *testing.T) {
 	ps := NewFattreePaths(topo.MustFattree(4))
-	for i := 0; i < ps.Len(); i++ {
+	all := make([]int32, ps.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	reps := ps.AppendRepresentatives(all, nil)
+	for i := range all {
 		s, _, _ := ps.Decode(i)
-		want := s/ps.F.Half() == 0
-		if got := ps.IsRepresentative(i); got != want {
-			t.Fatalf("path %d: IsRepresentative=%v, source pod %d", i, got, s/ps.F.Half())
+		if listed := i < len(reps) && reps[i] == int32(i); listed != (s/ps.F.Half() == 0) {
+			t.Fatalf("path %d: listed=%v, source pod %d", i, listed, s/ps.F.Half())
+		}
+	}
+}
+
+// TestRepresentativeListingMatchesPredicate: each family lists exactly the
+// positions where its representative predicate holds — over every path,
+// over each pristine component's Paths, over seeded random ascending
+// subsets of those (as a down-link mask leaves a component), and over none
+// — and a Fattree's listing is a prefix.
+func TestRepresentativeListingMatchesPredicate(t *testing.T) {
+	f, v, b := topo.MustFattree(8), topo.MustVL2(8, 4, 2), topo.MustBCube(4, 1)
+	fp, vp, bp := NewFattreePaths(f), NewVL2Paths(v), NewBCubePaths(b)
+	rng := rand.New(rand.NewSource(38))
+	for _, fc := range []struct {
+		name     string
+		sym      Symmetric
+		rep      func(int) bool
+		numLinks int
+	}{
+		{"Fattree(8)", fp, fp.isRepresentative, f.NumLinks()},
+		{"VL2(8,4,2)", vp, vp.isRepresentative, v.NumLinks()},
+		{"BCube(4,1)", bp, bp.isRepresentative, b.NumLinks()},
+	} {
+		all := make([]int32, fc.sym.Len())
+		for i := range all {
+			all[i] = int32(i)
+		}
+		lists := [][]int32{nil, {}, all}
+		for _, c := range MaterializeCSR(fc.sym).Pristine(fc.numLinks).Comps {
+			lists = append(lists, c.Paths)
+			for trial := 0; trial < 4; trial++ {
+				keep := rng.Float64()
+				var sub []int32
+				for _, p := range c.Paths {
+					if rng.Float64() < keep {
+						sub = append(sub, p)
+					}
+				}
+				lists = append(lists, sub)
+			}
+		}
+		for li, paths := range lists {
+			var want []int32
+			for r, p := range paths {
+				if fc.rep(int(p)) {
+					want = append(want, int32(r))
+				}
+			}
+			got := fc.sym.AppendRepresentatives(paths, []int32{-1})
+			if got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("%s list %d (%d paths): listed %d representatives, the predicate holds for %d",
+					fc.name, li, len(paths), len(got)-1, len(want))
+			}
+			if fc.sym == Symmetric(fp) {
+				for i, r := range want {
+					if r != int32(i) {
+						t.Fatalf("%s list %d: representative %d at position %d, not a prefix", fc.name, li, i, r)
+					}
+				}
+			}
 		}
 	}
 }

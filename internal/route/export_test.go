@@ -5,3 +5,10 @@ package route
 func Built() (index, signature, decompose, blocks int64) {
 	return built.index.Load(), built.signature.Load(), built.decompose.Load(), built.blocks.Load()
 }
+
+// isRepresentative is the predicate FattreePaths.AppendRepresentatives
+// lists: the canonical orbit member is the rotation with source pod 0.
+func (p *FattreePaths) isRepresentative(i int) bool {
+	s, _, _ := p.Decode(i)
+	return s/p.h == 0
+}

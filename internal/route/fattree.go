@@ -20,7 +20,8 @@ type FattreePaths struct {
 	nCores int
 	h      int // k/2: ToRs and aggs per pod, cores per group
 	// repBound caches the representative cutoff: source-pod-0 paths form a
-	// contiguous index prefix, so IsRepresentative is one comparison.
+	// contiguous index prefix, so the representatives among any ascending
+	// paths are a prefix of them.
 	repBound int
 	// Every link a path can cross, resolved through the topology's link map
 	// once: torAgg[t*h+g] joins ToR t to its pod's agg g, and
@@ -199,12 +200,17 @@ func (p *FattreePaths) shift(s, d, c, r int) (int, int, int) {
 	return sp*h + se, dp*h + de, g*h + ci
 }
 
-// IsRepresentative implements Symmetric: the canonical orbit member is the
-// unique rotation with source pod 0. Source ToR index is the major axis of
-// the path-index layout, so pod-0 sources are exactly the indices below
-// repBound.
-func (p *FattreePaths) IsRepresentative(i int) bool {
-	return i < p.repBound
+// AppendRepresentatives implements Symmetric: the canonical orbit member
+// is the unique rotation with source pod 0. Source ToR index is the major
+// axis of the path-index layout, so pod-0 sources are exactly the indices
+// below repBound: a prefix of paths, found by binary search.
+func (p *FattreePaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+	n, _ := slices.BinarySearch(paths, int32(p.repBound))
+	rows = slices.Grow(rows, n)
+	for r := range int32(n) {
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // AppendOrbit implements Symmetric: the k-1 non-identity rotations.

@@ -37,12 +37,26 @@ type PathSet interface {
 // selections to their orbit images.
 type Symmetric interface {
 	PathSet
-	// IsRepresentative reports whether path i is the canonical member of
-	// its orbit under the family's shift generator.
-	IsRepresentative(i int) bool
+	// AppendRepresentatives appends to rows, ascending, the positions in
+	// paths (ascending path indices, a component's Paths) of the paths
+	// that are the canonical members of their orbits under the family's
+	// shift generator, and returns the extended slice.
+	AppendRepresentatives(paths []int32, rows []int32) []int32
 	// AppendOrbit appends the non-canonical images of path i's orbit
 	// (every orbit member except i itself) to buf.
 	AppendOrbit(i int, buf []int) []int
+}
+
+// AppendWhere appends to rows the positions in paths of the paths rep holds
+// for: AppendRepresentatives for a family that states its representatives
+// one path at a time.
+func AppendWhere(paths []int32, rows []int32, rep func(i int) bool) []int32 {
+	for r, i := range paths {
+		if rep(int(i)) {
+			rows = append(rows, int32(r))
+		}
+	}
+	return rows
 }
 
 // Decomposer is an optional PathSet capability: a family whose pristine

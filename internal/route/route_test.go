@@ -161,7 +161,7 @@ func TestSymmetryOrbitsPreserveStructure(t *testing.T) {
 	var orbit []int
 	nRep := 0
 	for i := 0; i < ps.Len(); i++ {
-		if !ps.IsRepresentative(i) {
+		if !ps.isRepresentative(i) {
 			continue
 		}
 		nRep++
@@ -191,7 +191,7 @@ func TestVL2SymmetryTiling(t *testing.T) {
 	covered := make([]int, ps.Len())
 	var orbit []int
 	for i := 0; i < ps.Len(); i++ {
-		if !ps.IsRepresentative(i) {
+		if !ps.isRepresentative(i) {
 			continue
 		}
 		covered[i]++
@@ -213,7 +213,7 @@ func TestBCubeSymmetryTiling(t *testing.T) {
 	covered := make([]int, ps.Len())
 	var orbit []int
 	for i := 0; i < ps.Len(); i++ {
-		if !ps.IsRepresentative(i) {
+		if !ps.isRepresentative(i) {
 			continue
 		}
 		covered[i]++

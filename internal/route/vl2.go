@@ -140,10 +140,15 @@ func gcd(a, b int) int {
 	return a
 }
 
-// IsRepresentative implements Symmetric: canonical orbit members have the
-// source ToR in group 0 and the minimal intermediate index within the
-// residue coset reachable by further whole-group rotations.
-func (p *VL2Paths) IsRepresentative(i int) bool {
+// AppendRepresentatives implements Symmetric by isRepresentative.
+func (p *VL2Paths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+	return AppendWhere(paths, rows, p.isRepresentative)
+}
+
+// isRepresentative reports whether path i is canonical: canonical orbit
+// members have the source ToR in group 0 and the minimal intermediate index
+// within the residue coset reachable by further whole-group rotations.
+func (p *VL2Paths) isRepresentative(i int) bool {
 	src, _, _, mid, _ := p.Decode(i)
 	if src/p.groupSize() != 0 {
 		return false

@@ -32,10 +32,11 @@ var (
 	// stageMaterialize is the time the coordinator's matrix spent storing
 	// row blocks (route.CSR.BlockTime), observed after New, a construction
 	// cycle or a churn step that stored one: the whole arena in New for a
-	// family without route.RowBlocks; for a Fattree, each pristine
-	// component's block on its first read. That read is inside a
-	// construction or a churn step's first touch, so the same time also
-	// counts in that cycle's construction and in churn_index.
+	// family without route.RowBlocks; for a Fattree, a pristine
+	// component's block when its churn index is first built
+	// (route.Pristine.RowsThrough). A construction reads generated rows and
+	// stores none, so for a Fattree the same time also counts in the churn
+	// step's churn_index.
 	stageMaterialize = obs.Stages.With("materialize")
 	stageDecompose   = obs.Stages.With("decompose")
 	stageAssign      = obs.Stages.With("assign")

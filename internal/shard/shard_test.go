@@ -381,9 +381,10 @@ func TestMidCycleKillDegradesToReassignment(t *testing.T) {
 
 // TestMaterializeStageObservesOwnBlocks: the materialize stage observes the
 // row blocks the coordinator's own matrix stores, once per step that stored
-// one. A Fattree matrix stores none when it is made, its first cycle stores
-// the class leader's block, and another owner's matrix moves nothing; a
-// VL2 matrix is stored whole when it is made.
+// one. A Fattree matrix stores none when it is made nor in its cycles,
+// whose solves read generated rows; a churn step's first touch of a
+// component stores that component's block, and another owner's matrix
+// moves nothing. A VL2 matrix is stored whole when it is made.
 func TestMaterializeStageObservesOwnBlocks(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
@@ -407,8 +408,17 @@ func TestMaterializeStageObservesOwnBlocks(t *testing.T) {
 		if _, err := c.Construct(); err != nil {
 			t.Fatal(err)
 		}
-		observed("a cycle", 1)
+		observed("a cycle", 0)
 	}
+	down := ps.PristineComponents()[1].Links[0]
+	if _, err := c.ApplyChurn([]topo.LinkID{down}, nil); err != nil {
+		t.Fatal(err)
+	}
+	observed("a churn step", 1)
+	if _, err := c.Construct(); err != nil {
+		t.Fatal(err)
+	}
+	observed("a repaired cycle", 1)
 	v := topo.MustVL2(4, 4, 1)
 	c2, err := New(route.NewVL2Paths(v), v.NumLinks(), opt)
 	if err != nil {

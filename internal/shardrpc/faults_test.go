@@ -608,7 +608,7 @@ func TestForeignRowConstructOverLoopback(t *testing.T) {
 	bad := route.Component{Links: comps[1].Links, Paths: slices.Clone(comps[1].Paths)}
 	last := len(bad.Paths) - 1
 	bad.Paths[last]++
-	if _, ok := slices.BinarySearch(comps[2].Paths, bad.Paths[last]); !ok || ps.IsRepresentative(int(bad.Paths[last])) {
+	if _, ok := slices.BinarySearch(comps[2].Paths, bad.Paths[last]); !ok || len(ps.AppendRepresentatives(bad.Paths[last:], nil)) != 0 {
 		t.Fatalf("path %d is not a non-representative path of component 2", bad.Paths[last])
 	}
 	ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
