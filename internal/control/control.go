@@ -156,6 +156,12 @@ type Controller struct {
 	matrix   *Matrix
 	pmcStats pmc.Stats
 	coord    *shard.Coordinator
+
+	// servers[t*k/2+slot] is the server in slot slot under the ToR of flat
+	// index t (its position in ServersUnder), uplink the same server's
+	// link to that ToR.
+	servers []topo.NodeID
+	uplink  []topo.LinkID
 }
 
 // deltaHistory bounds the per-node pinglist history ring.
@@ -163,12 +169,19 @@ const deltaHistory = 8
 
 // New creates a controller; call RunCycle before serving.
 func New(f *topo.Fattree, cfg Config) *Controller {
-	return &Controller{
+	c := &Controller{
 		F: f, Cfg: cfg,
 		pinglists: make(map[topo.NodeID]*Pinglist),
 		history:   make(map[topo.NodeID][]*Pinglist),
 		tr:        obs.NewTracer("control", 16),
 	}
+	for _, tor := range f.ToRList() {
+		for _, sv := range f.ServersUnder(tor) {
+			c.servers = append(c.servers, sv)
+			c.uplink = append(c.uplink, f.MustLink(sv, tor))
+		}
+	}
+	return c
 }
 
 // Tracer exposes the controller's cycle tracer (the /statusz source).
@@ -297,49 +310,29 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 		stageServe.Observe(time.Since(serveStart))
 	}()
 
-	// Healthy servers per flat ToR index, computed once a cycle: every
-	// selected path reads two of these lists.
+	// Healthy server slots (positions under the ToR) per flat ToR index,
+	// computed once a cycle: every selected path reads two of these lists.
 	torList := c.F.ToRList()
-	healthy := make([][]topo.NodeID, len(torList))
-	for i, tor := range torList {
-		for _, s := range c.F.ServersUnder(tor) {
-			if !unhealthy[s] {
-				healthy[i] = append(healthy[i], s)
+	spr := c.F.Half() // servers per rack
+	healthy := make([][]int32, len(torList))
+	slots := make([]int32, 0, len(c.servers))
+	for t := range healthy {
+		from := len(slots)
+		for slot := 0; slot < spr; slot++ {
+			if !unhealthy[c.servers[t*spr+slot]] {
+				slots = append(slots, int32(slot))
 			}
 		}
+		healthy[t] = slots[from:len(slots):len(slots)]
 	}
 
-	version := 0
 	c.mu.RLock()
-	version = c.version + 1
+	version := c.version + 1
 	c.mu.RUnlock()
 
-	lists := make(map[topo.NodeID]*Pinglist)
-	getList := func(n topo.NodeID) *Pinglist {
-		if pl, ok := lists[n]; ok {
-			return pl
-		}
-		pl := &Pinglist{
-			Version: version, Node: n,
-			RatePPS: c.Cfg.RatePPS, WindowMS: c.Cfg.WindowMS,
-			ReportURL: c.Cfg.ReportURL,
-		}
-		lists[n] = pl
-		return pl
-	}
 	labels := make([]uint32, c.Cfg.FlowLabels)
 	for i := range labels {
 		labels[i] = uint32(33434 + i)
-	}
-
-	matrix := &Matrix{Version: version, NumLinks: c.F.NumLinks()}
-
-	addRoute := func(id uint32, pinger topo.NodeID, hops []topo.NodeID, links []topo.LinkID, dst topo.NodeID) {
-		mp := MatrixPath{PathID: id, Links: links, Src: pinger, Dst: dst}
-		matrix.Paths = append(matrix.Paths, mp)
-		getList(pinger).Entries = append(getList(pinger).Entries, Entry{
-			PathID: id, Route: hops, FlowLabels: labels, DSCP: c.Cfg.DSCP,
-		})
 	}
 
 	// Path IDs are stable across cycles, not dense row indices: a ToR-level
@@ -348,68 +341,111 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	// that survives churn keeps its ID, which is what makes pinglist deltas
 	// (and the pinger's cross-cycle counters) possible. The diagnoser maps
 	// IDs to matrix rows through route.Probes.RowOf.
-	stride := c.Cfg.Redundancy
-	if stride < 1 {
-		stride = 1
-	}
+	stride := max(c.Cfg.Redundancy, 1)
 	intraBase := uint32(ps.Len() * stride)
 
-	// ToR-level matrix paths expanded to server routes: each selected path
-	// is probed by Redundancy pingers under its source ToR, each toward a
-	// responder under the destination ToR.
-	var hopBuf []topo.NodeID
-	for _, idx := range res.Selected {
-		s, d, core := ps.Decode(idx)
-		srcToR, dstToR := torList[s], torList[d]
-		pingers, responders := healthy[s], healthy[d]
-		if len(pingers) == 0 || len(responders) == 0 {
-			continue
+	// eachRoute visits every route in serving order. ToR-level matrix paths
+	// are expanded to server routes first: each selected path idx is probed
+	// by Redundancy pingers under its source ToR s, replica r toward a
+	// responder under the destination ToR d. Intra-rack probing then covers
+	// server-ToR links (§3.1): each rack's first healthy pinger probes every
+	// other healthy server under the same ToR, idx -1 and r the
+	// destination's slot. The pinger is entry j of its rack's healthy list,
+	// the responder the server in slot resp.
+	eachRoute := func(visit func(idx, r, s, d, j int, resp int32)) {
+		for _, idx := range res.Selected {
+			s, d, _ := ps.Decode(idx)
+			pingers, responders := healthy[s], healthy[d]
+			if len(pingers) == 0 || len(responders) == 0 {
+				continue
+			}
+			np := min(c.Cfg.PingersPerRack, len(pingers))
+			for r := 0; r < min(c.Cfg.Redundancy, np); r++ {
+				visit(idx, r, s, d, (idx+r)%np, responders[(idx+r)%len(responders)])
+			}
 		}
-		np := c.Cfg.PingersPerRack
-		if np > len(pingers) {
-			np = len(pingers)
-		}
-		red := c.Cfg.Redundancy
-		if red > np {
-			red = np
-		}
-		for r := 0; r < red; r++ {
-			pinger := pingers[(idx+r)%np]
-			responder := responders[(idx+r)%len(responders)]
-			hopBuf = hopBuf[:0]
-			hopBuf = append(hopBuf, pinger)
-			hopBuf = c.F.PathHops(srcToR, dstToR, core, hopBuf)
-			hopBuf = append(hopBuf, responder)
-			links := make([]topo.LinkID, 0, 8)
-			links = append(links, c.F.MustLink(pinger, srcToR))
-			links = c.F.PathLinks(srcToR, dstToR, core, links)
-			links = append(links, c.F.MustLink(dstToR, responder))
-			addRoute(uint32(idx*stride+r), pinger, append([]topo.NodeID(nil), hopBuf...), links, responder)
+		for t, servers := range healthy {
+			if len(servers) < 2 {
+				continue
+			}
+			for _, dst := range servers[1:] {
+				visit(-1, int(dst), t, t, 0, dst)
+			}
 		}
 	}
 
-	// Intra-rack probing covers server-ToR links (§3.1): each rack's first
-	// healthy pinger probes every other healthy server under the same ToR.
-	// The ID slot is the destination's position in the rack's full server
-	// list, so a server going unhealthy does not renumber its rackmates.
-	spr := c.F.Half()
-	for torIdx, tor := range c.F.ToRs() {
-		servers := healthy[c.F.ToRIndex(tor)]
-		if len(servers) < 2 {
+	// Each pinger's work order is allocated once, exact-size: count its
+	// routes first, then fill its entries from one hop slab and one link
+	// slab of its own. A slab per pinger, not per cycle: a pinglist that
+	// survives the cycle unchanged is dropped with its slab, and one the
+	// history ring keeps holds only its own. Pinger j of rack t is order
+	// t*ppr + j. A route over a via-core path crosses 7 nodes (pinger, the
+	// path's 5 switch hops, responder) and 6 links, 5 when its ToRs share
+	// a pod; an intra-rack route crosses 3 nodes and 2 links.
+	type order struct {
+		routes, hops, links int
+		pl                  *Pinglist
+		route               []topo.NodeID
+		link                []topo.LinkID
+	}
+	ppr := max(c.Cfg.PingersPerRack, 1)
+	orders := make([]order, len(torList)*ppr)
+	total := 0
+	eachRoute(func(idx, _, s, d, j int, _ int32) {
+		o := &orders[s*ppr+j]
+		o.routes++
+		total++
+		hops, links := 7, 6
+		if idx < 0 {
+			hops, links = 3, 2
+		} else if s/spr == d/spr {
+			links = 5
+		}
+		o.hops, o.links = o.hops+hops, o.links+links
+	})
+	lists := make(map[topo.NodeID]*Pinglist)
+	for k := range orders {
+		o := &orders[k]
+		if o.routes == 0 {
 			continue
 		}
-		all := c.F.ServersUnder(tor)
-		slot := make(map[topo.NodeID]int, len(all))
-		for i, sv := range all {
-			slot[sv] = i
+		t, j := k/ppr, k%ppr
+		n := c.servers[t*spr+int(healthy[t][j])]
+		o.pl = &Pinglist{
+			Version: version, Node: n,
+			RatePPS: c.Cfg.RatePPS, WindowMS: c.Cfg.WindowMS,
+			ReportURL: c.Cfg.ReportURL,
+			Entries:   make([]Entry, 0, o.routes),
 		}
-		pinger := servers[0]
-		for _, dst := range servers[1:] {
-			hops := []topo.NodeID{pinger, tor, dst}
-			links := []topo.LinkID{c.F.MustLink(pinger, tor), c.F.MustLink(tor, dst)}
-			addRoute(intraBase+uint32(torIdx*spr+slot[dst]), pinger, hops, links, dst)
-		}
+		o.route, o.link = make([]topo.NodeID, 0, o.hops), make([]topo.LinkID, 0, o.links)
+		lists[n] = o.pl
 	}
+
+	matrix := &Matrix{Version: version, NumLinks: c.F.NumLinks(), Paths: make([]MatrixPath, 0, total)}
+	eachRoute(func(idx, r, s, d, j int, resp int32) {
+		o := &orders[s*ppr+j]
+		src, dst := s*spr+int(healthy[s][j]), d*spr+int(resp)
+		pinger, responder := c.servers[src], c.servers[dst]
+		h0, l0 := len(o.route), len(o.link)
+		o.route = append(o.route, pinger)
+		o.link = append(o.link, c.uplink[src])
+		var id uint32
+		if idx >= 0 {
+			o.route = ps.AppendHops(idx, o.route)
+			o.link = ps.AppendLinks(idx, o.link)
+			id = uint32(idx*stride + r)
+		} else {
+			o.route = append(o.route, torList[s])
+			id = intraBase + uint32(s*spr+r)
+		}
+		o.route = append(o.route, responder)
+		o.link = append(o.link, c.uplink[dst])
+		links := o.link[l0:len(o.link):len(o.link)]
+		matrix.Paths = append(matrix.Paths, MatrixPath{PathID: id, Links: links, Src: pinger, Dst: responder})
+		o.pl.Entries = append(o.pl.Entries, Entry{
+			PathID: id, Route: o.route[h0:len(o.route):len(o.route)], FlowLabels: labels, DSCP: c.Cfg.DSCP,
+		})
+	})
 
 	c.mu.Lock()
 	// A node whose work order did not change keeps its published pinglist

@@ -29,8 +29,8 @@ func (b bitset) fill() {
 // everywhere. A row is loaded — taken through CSR.AppendRow, translated to
 // local links and appended to links — only when the greedy is about to read
 // it: the orbit pass loads its representatives, selectWithOrbit each orbit
-// image it logs, the completion pass every row. Loading never stores a
-// block of the matrix, and on a Fattree(16) component the orbit pass reads
+// image it logs, the completion pass every row. Loading stores nothing in
+// the matrix, and on a Fattree(16) component the orbit pass reads
 // 8 458 rows of 130 048. Once loaded, the greedy loops never call
 // PathSet.AppendLinks, never translate a global link id, and never touch a
 // map: scoring walks links[start[r]:end[r]], and dirty propagation walks

@@ -45,10 +45,10 @@
 // link→paths index over the running pass's candidates (see compArena in
 // csr.go): the orbit pass loads the representatives and each orbit image
 // it logs, the completion pass, when it runs, every row. Rows are read
-// through CSR.AppendRow, which generates a family's rows (route.RowBlocks:
+// through CSR.AppendRow, which generates a family's rows (route.Generator:
 // a Fattree) without storing them, and so does a class follower's exact
-// check, for its own rows and its leader's. A cold Fattree construction
-// stores no row block, and its leader reads one row in ~15 on a
+// check, for its own rows and its leader's. A Fattree's matrix stores no
+// row, and a cold construction's leader reads one row in ~15 on a
 // Fattree(16). The greedy inner loops walk contiguous int32 slices: no
 // AppendLinks calls, no global→local lookups, no map accesses — selections
 // live in a bitset keyed by candidate row.

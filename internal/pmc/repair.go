@@ -45,7 +45,7 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 	}
 	cr := &componentResult{}
 	if !cs.done() {
-		// The rows through a deficient link, from P's inverted index: those
+		// The rows through a deficient link, as P lists them: those
 		// that are M's join the kept ones.
 		deficient := make([]bool, len(comp.Links))
 		for li, w := range cs.w {
@@ -55,9 +55,11 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 			deficient[li] = true
 		}
 		through := newBitset(csr.Len())
+		var rows []int32
 		for li, d := range deficient {
 			if d {
-				for _, pid := range pristine.RowsThrough(comp.Links[li]) {
+				rows = pristine.AppendRowsThrough(comp.Links[li], rows[:0])
+				for _, pid := range rows {
 					through.set(pid)
 				}
 			}

@@ -28,6 +28,7 @@ func DecomposeMasked(csr *CSR, numLinks int, down []topo.LinkID) []Component {
 	uf := newUnionFind(numLinks)
 	touched := make([]bool, numLinks)
 	n := csr.Len()
+	var row []topo.LinkID
 	active := func(row []topo.LinkID) bool {
 		for _, l := range row {
 			if mask[l] {
@@ -37,7 +38,7 @@ func DecomposeMasked(csr *CSR, numLinks int, down []topo.LinkID) []Component {
 		return true
 	}
 	for i := 0; i < n; i++ {
-		row := csr.Row(i)
+		row = csr.AppendRow(i, row[:0])
 		if len(row) == 0 || !active(row) {
 			continue
 		}
@@ -66,7 +67,7 @@ func DecomposeMasked(csr *CSR, numLinks int, down []topo.LinkID) []Component {
 		comps[ci].Links = append(comps[ci].Links, topo.LinkID(l))
 	}
 	for i := 0; i < n; i++ {
-		row := csr.Row(i)
+		row = csr.AppendRow(i, row[:0])
 		if len(row) == 0 || !active(row) {
 			continue
 		}
@@ -95,8 +96,8 @@ type Diff struct {
 	ActivatedRows   []int32
 	// IndexTime is what the step spent readying the pristine components it
 	// was the first to touch (Incremental.touch), inside its own time: their
-	// indexes, and storing their rows when no read had yet; zero when it
-	// touched none for the first time.
+	// links' active-row counts, and their indexes when the family does not
+	// generate its rows; zero when it touched none for the first time.
 	IndexTime time.Duration
 }
 
@@ -109,32 +110,36 @@ func (d *Diff) Empty() bool {
 
 // Incremental maintains the masked decomposition of a pristine CSR under a
 // stream of link down/up events, recomputing only the components a change
-// actually touches. It walks the pristine decomposition's per-component
-// inverted index (Pristine.RowsThrough); each Apply costs O(flipped rows +
-// dirty component size), independent of fabric size, and its union pass
-// stops as soon as the dirty region is proven connected. A pristine
-// component's index and active-row counts are built on the first step that
-// touches it (Diff.IndexTime).
+// actually touches. It reads the rows through each flipped link
+// (Pristine.AppendRowsThrough) and keeps no per-row state: whether a row
+// went down or came back is read off its links and the down mask. Each
+// Apply costs O(flipped rows + dirty component size), independent of
+// fabric size, and its union pass stops as soon as the dirty region is
+// proven connected. A pristine component's active-row counts are built on
+// the first step that touches it (Diff.IndexTime).
 type Incremental struct {
 	csr      *CSR
 	numLinks int
 	pristine *Pristine
 
 	down      []bool  // current down mask, by link
-	downCnt   []int32 // per-row count of down links on the row; nil until a link first goes down
+	flipped   []bool  // per link, during Apply: flipped by the step, so in the other state before it
 	activeCnt []int32 // per-link count of active rows; kept for the links of counted components
 	counted   []bool  // per pristine component: activeCnt holds its links
 
 	kern   *kernel // standing scratch, identity/zero between calls
 	comps  []Component
 	compOf []int32 // link -> index into comps, -1 when in no component
+
+	rows []int32       // scratch: the rows through one link
+	row  []topo.LinkID // scratch: one row's links
 }
 
 // NewIncremental builds the differ over a pristine matrix with an initial
 // down set: the pristine decomposition (csr.Pristine), then one Apply of
 // the set's distinct links. Components() starts bit-identical to
 // DecomposeMasked(csr, numLinks, initialDown); with nothing down that is the
-// pristine decomposition itself, and no index or per-row count is built. An
+// pristine decomposition itself, and no count or index is built. An
 // initial link outside [0, numLinks) is an error.
 func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Incremental, error) {
 	for _, l := range initialDown {
@@ -148,6 +153,7 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Increme
 		numLinks:  numLinks,
 		pristine:  p,
 		down:      make([]bool, numLinks),
+		flipped:   make([]bool, numLinks),
 		activeCnt: make([]int32, numLinks),
 		counted:   make([]bool, len(p.Comps)),
 		kern:      newKernel(numLinks),
@@ -165,9 +171,9 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Increme
 }
 
 // touch readies the pristine component of each link for its first step:
-// its index, and its links' active-row counts. No row of it can be down
-// yet — a down link would have touched it — so every row through a link is
-// active. It returns the time spent.
+// its links' active-row counts. No row of it can be down yet — a down link
+// would have touched it — so every row through a link is active. It
+// returns the time spent.
 func (inc *Incremental) touch(links []topo.LinkID) time.Duration {
 	var spent time.Duration
 	for _, l := range links {
@@ -177,7 +183,8 @@ func (inc *Incremental) touch(links []topo.LinkID) time.Duration {
 		}
 		t0 := time.Now()
 		for _, cl := range inc.pristine.Comps[ci].Links {
-			inc.activeCnt[cl] = int32(len(inc.pristine.RowsThrough(cl)))
+			inc.rows = inc.pristine.AppendRowsThrough(cl, inc.rows[:0])
+			inc.activeCnt[cl] = int32(len(inc.rows))
 		}
 		inc.counted[ci] = true
 		spent += time.Since(t0)
@@ -185,9 +192,44 @@ func (inc *Incremental) touch(links []topo.LinkID) time.Duration {
 	return spent
 }
 
+// readRow reads row r's links into inc.row and returns them.
+func (inc *Incremental) readRow(r int32) []topo.LinkID {
+	inc.row = inc.csr.AppendRow(int(r), inc.row[:0])
+	return inc.row
+}
+
+// activity reports whether a row over links was active before the current
+// step and whether it is after it.
+func (inc *Incremental) activity(links []topo.LinkID) (before, after bool) {
+	before, after = true, true
+	for _, l := range links {
+		before = before && inc.down[l] == inc.flipped[l]
+		after = after && !inc.down[l]
+	}
+	return before, after
+}
+
+// flippedRows returns the rows through links that were active before the
+// step and are not after it (wentDown), or the reverse, ascending and once
+// each.
+func (inc *Incremental) flippedRows(links []topo.LinkID, wentDown bool) []int32 {
+	var out []int32
+	for _, l := range links {
+		inc.rows = inc.pristine.AppendRowsThrough(l, inc.rows[:0])
+		for _, r := range inc.rows {
+			before, after := inc.activity(inc.readRow(r))
+			if before != after && before == wentDown {
+				out = append(out, r)
+			}
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // countActive adds d to the active-row count of every link on row r.
 func (inc *Incremental) countActive(r int32, d int32) {
-	for _, l := range inc.csr.Row(int(r)) {
+	for _, l := range inc.readRow(r) {
 		inc.activeCnt[l] += d
 	}
 }
@@ -280,50 +322,20 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	}
 	// An up link went down in an earlier step or in this one, which touched
 	// its component then.
-	indexTime := inc.touch(down)
-	if inc.downCnt == nil && len(down) > 0 {
-		inc.downCnt = make([]int32, inc.csr.Len())
-	}
+	diff := Diff{IndexTime: inc.touch(down)}
 
-	// Counts only rise through the downs and only fall through the ups, so a
-	// row leaves zero at most once (it was active) and reaches zero at most
-	// once (it is active): went and came hold each such row once.
-	var went, came []int32
-	for _, l := range down {
-		for _, r := range inc.pristine.RowsThrough(l) {
-			if inc.downCnt[r] == 0 {
-				went = append(went, r)
-			}
-			inc.downCnt[r]++
+	// Mark the flipped links for the step, and clear the marks after it. A
+	// link listed in both down and up is marked twice: it flaps within the
+	// step and is up on both sides.
+	mark := func() {
+		for _, l := range slices.Concat(down, up) {
+			inc.flipped[l] = !inc.flipped[l]
 		}
 	}
-	for _, l := range up {
-		for _, r := range inc.pristine.RowsThrough(l) {
-			inc.downCnt[r]--
-			if inc.downCnt[r] == 0 {
-				came = append(came, r)
-			}
-		}
-	}
-	slices.Sort(went)
-	slices.Sort(came)
-	// A row in both flapped within the step: active before, active after.
-	// Both lists are filtered in place.
-	diff := Diff{DeactivatedRows: went[:0], ActivatedRows: came[:0], IndexTime: indexTime}
-	w := 0
-	for _, r := range came {
-		for w < len(went) && went[w] < r {
-			w++
-		}
-		if w == len(went) || went[w] != r {
-			diff.ActivatedRows = append(diff.ActivatedRows, r)
-		}
-	}
-	for _, r := range went {
-		if inc.downCnt[r] > 0 {
-			diff.DeactivatedRows = append(diff.DeactivatedRows, r)
-		}
-	}
+	mark()
+	diff.DeactivatedRows = inc.flippedRows(down, true)
+	diff.ActivatedRows = inc.flippedRows(up, false)
+	mark()
 	if len(diff.DeactivatedRows) == 0 && len(diff.ActivatedRows) == 0 {
 		return diff, nil
 	}
@@ -340,36 +352,33 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	dirty := make([]bool, len(inc.comps))
 	for _, flipped := range [][]int32{diff.DeactivatedRows, diff.ActivatedRows} {
 		for _, r := range flipped {
-			for _, l := range inc.csr.Row(int(r)) {
+			for _, l := range inc.readRow(r) {
 				if ci := inc.compOf[l]; ci >= 0 {
 					dirty[ci] = true
 				}
 			}
 		}
 	}
-	survivors := 0
+	held := 0
 	for ci, d := range dirty {
 		if d {
 			diff.Removed = append(diff.Removed, inc.comps[ci])
-			survivors += len(inc.comps[ci].Paths)
+			held += len(inc.comps[ci].Paths)
 		}
 	}
 
-	// Candidate rows for the local rebuild: the dirty components' paths that
-	// are still active, merged with the newly activated rows (disjoint: an
+	// Candidate rows for the local rebuild. The dirty components hold
+	// exactly the rows active before the step, the deactivated ones among
+	// them: drop those, and merge in the newly activated rows (disjoint: an
 	// activated row was in no component).
-	cand := make([]int32, 0, survivors+len(diff.ActivatedRows))
+	cand := make([]int32, 0, held+len(diff.ActivatedRows))
 	for i := range diff.Removed {
-		for _, p := range diff.Removed[i].Paths {
-			if inc.downCnt[p] == 0 {
-				cand = append(cand, p)
-			}
-		}
+		cand = append(cand, diff.Removed[i].Paths...)
 	}
 	if len(diff.Removed) > 1 {
 		slices.Sort(cand)
 	}
-	cand = mergeAscending(cand, diff.ActivatedRows)
+	cand = mergeAscending(subtractAscending(cand, diff.DeactivatedRows), diff.ActivatedRows)
 
 	// The candidates touch exactly the live links of the dirty region: the
 	// dirty components' links that still carry an active row, plus the links
@@ -386,7 +395,7 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 		}
 	}
 	for _, r := range diff.ActivatedRows {
-		for _, l := range inc.csr.Row(int(r)) {
+		for _, l := range inc.readRow(r) {
 			if inc.compOf[l] < 0 {
 				live = append(live, int32(l))
 			}
@@ -422,6 +431,21 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	}
 	inc.setComps(append(next, diff.Added[a:]...))
 	return diff, nil
+}
+
+// subtractAscending removes from ascending a, in place, every element of
+// ascending b.
+func subtractAscending(a, b []int32) []int32 {
+	out, j := a[:0], 0
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // mergeAscending merges ascending b into ascending a, in a's spare capacity

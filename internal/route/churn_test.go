@@ -3,6 +3,7 @@ package route
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -286,8 +287,9 @@ func assertKernelClean(t *testing.T, k *kernel) {
 func assertActiveCounts(t *testing.T, inc *Incremental, down []topo.LinkID) {
 	t.Helper()
 	want := make([]int32, inc.numLinks)
+	var row []topo.LinkID
 	for i := 0; i < inc.csr.Len(); i++ {
-		row := inc.csr.Row(i)
+		row = inc.csr.AppendRow(i, row[:0])
 		if slices.ContainsFunc(row, func(l topo.LinkID) bool { return slices.Contains(down, l) }) {
 			continue
 		}
@@ -493,13 +495,39 @@ func TestIncrementalFlapExitsEarly(t *testing.T) {
 	}
 }
 
+// TestFlapStoresNothingPerCandidate: one switch link of Fattree(16) going
+// down, over 1 040 384 candidate rows, allocates under 1 MB, its
+// component's first touch included: the differ keeps no per-row state, and
+// the rows through the link are generated, not indexed. A count of 4 B per
+// candidate alone would be 4 MB here; what the step does allocate is the
+// rebuilt component's row list, 4 B per row of the one component.
+func TestFlapStoresNothingPerCandidate(t *testing.T) {
+	f := topo.MustFattree(16)
+	inc := mustIncremental(t, MaterializeCSR(NewFattreePaths(f)), f.NumLinks(), nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	diff, err := inc.Apply([]topo.LinkID{f.SwitchLinks()[0]}, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff.IndexTime == 0 || len(diff.DeactivatedRows) == 0 {
+		t.Fatalf("the flap was not its component's first touch (%v) or deactivated no row", diff.IndexTime)
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("one flap allocated %.2f MB", alloc)
+	if alloc >= 1 {
+		t.Fatalf("one flap allocated %.2f MB, want under 1 MB", alloc)
+	}
+}
+
 // BenchmarkIncrementalApplyFattree16 times the topology diff alone: one
 // switch link down and back up on the 1.04 M-row Fattree(16) matrix, a
 // different link each iteration. down-ms / up-ms are the means per call —
 // the stage a churn convergence pays before any construction starts. A
-// component's first flap also builds its index; every component takes one
-// before the timer starts, so the timed flaps are warm, and first-touch-ms
-// is that build's mean.
+// component's first flap also counts its links' active rows; every
+// component takes one before the timer starts, so the timed flaps are
+// warm, and first-touch-ms is that count's mean.
 func BenchmarkIncrementalApplyFattree16(b *testing.B) {
 	f := topo.MustFattree(16)
 	inc := mustIncremental(b, MaterializeCSR(NewFattreePaths(f)), f.NumLinks(), nil)

@@ -6,37 +6,26 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// CSR is a candidate routing matrix in compressed-sparse-row form: the link
-// sets of its paths, concatenated into arenas that PMC's scoring engine and
-// the decomposition kernel walk as contiguous rows. Row(i) is path i's links
-// in PathSet.AppendLinks order.
-//
-// The rows are stored in blocks. A family that can write one of its
-// pristine components on its own (RowBlocks) gets one block per pristine
-// component, written the first time a Row reads into it: a cold
-// construction reads none, so a component's rows are stored only when its
-// churn index is first built (Pristine.RowsThrough: a churn touch, or a
-// repair) or a whole-matrix pass asks for them. AppendRow, MatrixSignature,
-// and the arenas and class checks of package pmc read rows without storing
-// any. Every other matrix is the one-block case of the same layout, stored
-// whole by MaterializeCSR or NewCSR.
+// CSR is a candidate routing matrix in compressed-sparse-row form: path
+// i's links, in PathSet.AppendLinks order, read by AppendRow. It is one of
+// two things. A family whose rows are arithmetic (Generator) stores no row:
+// AppendRow generates each from the family, and the rows through a link
+// come from it too (Pristine.AppendRowsThrough). Every other matrix is a
+// stored arena, the rows concatenated into one slab that MaterializeCSR or
+// NewCSR writes whole.
 type CSR struct {
 	n int
-	// Path i is row (i/period)*width + i%width of block (i%period)/width;
-	// one block has period = width = 1. Path ids fit in int32, and 32-bit
-	// division is the cheaper instruction.
-	period, width uint32
-	blocks        []derived[rowBlock]
-	// gen writes a block on its first read; nil when every block was
-	// stored up front.
-	gen RowBlocks
-	// blockNS is the time spent storing blocks so far (BlockTime).
-	blockNS atomic.Int64
+	// A stored arena: row i spans links[offsets[i]:offsets[i+1]]. Offsets
+	// are int32, capping the arena at MaxInt32 link entries; writing one
+	// past that panics (checkArenaSize) rather than wrapping.
+	offsets []int32
+	links   []topo.LinkID
+	// gen generates every row; nil for a stored arena.
+	gen Generator
 
 	// family states the pristine decomposition when the PathSet the rows
 	// came from can (Decomposer); nil otherwise.
@@ -46,15 +35,6 @@ type CSR struct {
 	// every holder of the matrix.
 	pristine derived[Pristine]
 	sig      derived[uint64]
-}
-
-// rowBlock is one block's stored rows: row j spans
-// links[offsets[j]:offsets[j+1]]. Offsets are int32, capping a block at
-// MaxInt32 link entries; writing one past that panics (checkArenaSize)
-// rather than wrapping.
-type rowBlock struct {
-	offsets []int32
-	links   []topo.LinkID
 }
 
 // derived is a value computed from a CSR at most once, on first use.
@@ -78,18 +58,19 @@ func (d *derived[T]) get(build func() *T) *T {
 }
 
 // built counts, for this process, the component indexes built, the matrix
-// signatures computed, the kernel decompositions run and the row blocks
-// stored. Tests read it to pin what a cycle does not build.
-var built struct{ index, signature, decompose, blocks atomic.Int64 }
+// signatures computed and the kernel decompositions run. Tests read it to
+// pin what a cycle does not build.
+var built struct{ index, signature, decompose atomic.Int64 }
 
 // Pristine is a matrix's decomposition with no link down, indexed by link.
 // A down link only removes rows, so every component of a masked
 // decomposition lies inside exactly one pristine component: its parent.
 //
-// Every row through a link lies in that link's pristine component, so the
-// inverted link→rows index is kept per component and built the first time
-// one of its links is asked for: a matrix nothing ever goes down on never
-// pays for one.
+// The rows through a link (AppendRowsThrough) come from the family when it
+// generates its rows (Generator). Otherwise every row through a link lies
+// in that link's pristine component, so the inverted link→rows index is
+// kept per component and built the first time one of its links is asked
+// for: a matrix nothing ever goes down on never pays for one.
 type Pristine struct {
 	Comps   []Component
 	csr     *CSR
@@ -172,17 +153,21 @@ func same[T comparable](a, b []T) bool {
 	return slices.Equal(a, b)
 }
 
-// RowsThrough returns the rows through link l, ascending, nil when l is in
-// no component. The first call for a link of a component builds that
-// component's index. The slice aliases the index; callers must not modify
-// it.
-func (p *Pristine) RowsThrough(l topo.LinkID) []int32 {
+// AppendRowsThrough appends the rows through link l to buf, ascending,
+// and returns the extended slice; it appends none when l is in no
+// component. A Generator family answers from its layout and nothing is
+// kept; otherwise the first call for a link of a component builds that
+// component's index.
+func (p *Pristine) AppendRowsThrough(l topo.LinkID, buf []int32) []int32 {
 	ci := p.comp(l)
 	if ci < 0 {
-		return nil
+		return buf
+	}
+	if p.csr.gen != nil {
+		return p.csr.gen.AppendRowsThrough(l, buf)
 	}
 	x, li := p.indexOf(ci), p.localOf[l]
-	return x.rows[x.off[li]:x.off[li+1]]
+	return append(buf, x.rows[x.off[li]:x.off[li+1]]...)
 }
 
 // indexOf returns component ci's index, built on first use by counting
@@ -193,8 +178,10 @@ func (p *Pristine) indexOf(ci int) *compIndex {
 		c := &p.Comps[ci]
 		n := len(c.Links)
 		off := make([]int32, n+1)
+		var row []topo.LinkID
 		for _, r := range c.Paths {
-			for _, l := range p.csr.Row(int(r)) {
+			row = p.csr.AppendRow(int(r), row[:0])
+			for _, l := range row {
 				off[p.localOf[l]+1]++
 			}
 		}
@@ -204,7 +191,8 @@ func (p *Pristine) indexOf(ci int) *compIndex {
 		rows := make([]int32, off[n])
 		fill := slices.Clone(off[:n])
 		for _, r := range c.Paths {
-			for _, l := range p.csr.Row(int(r)) {
+			row = p.csr.AppendRow(int(r), row[:0])
+			for _, l := range row {
 				li := p.localOf[l]
 				rows[fill[li]] = r
 				fill[li]++
@@ -237,52 +225,14 @@ func checkArenaSize(total int) {
 // Len returns the number of rows (paths).
 func (c *CSR) Len() int { return c.n }
 
-// locate returns the block holding path i and the path's row in it.
-func (c *CSR) locate(i int) (b, j int) {
-	u := uint32(i)
-	q, r := u/c.period, u%c.period
-	return int(r / c.width), int(q*c.width + r%c.width)
-}
-
-// Row returns the link set of path i, storing its block first if no read
-// has yet. The slice aliases the block; callers must not modify it.
-func (c *CSR) Row(i int) []topo.LinkID {
-	b, j := c.locate(i)
-	blk := c.blocks[b].v.Load()
-	if blk == nil {
-		blk = c.block(b)
-	}
-	return blk.links[blk.offsets[j]:blk.offsets[j+1]]
-}
-
 // AppendRow appends the link set of path i to buf and returns the extended
-// slice: copied from its block when that is stored, generated by the family
-// otherwise. It never stores a block.
+// slice: copied from the arena, or generated by the family.
 func (c *CSR) AppendRow(i int, buf []topo.LinkID) []topo.LinkID {
-	b, j := c.locate(i)
-	if blk := c.blocks[b].v.Load(); blk != nil {
-		return append(buf, blk.links[blk.offsets[j]:blk.offsets[j+1]]...)
+	if c.gen != nil {
+		return c.gen.AppendLinks(i, buf)
 	}
-	return c.gen.AppendLinks(i, buf)
+	return append(buf, c.links[c.offsets[i]:c.offsets[i+1]]...)
 }
-
-// block returns block b, writing it from the family on first use.
-func (c *CSR) block(b int) *rowBlock {
-	return c.blocks[b].get(func() *rowBlock {
-		t0 := time.Now()
-		rows := c.n / int(c.period) * int(c.width)
-		links, offsets := c.gen.AppendBlock(b, nil, make([]int32, 1, rows+1))
-		built.blocks.Add(1)
-		c.blockNS.Add(int64(time.Since(t0)))
-		return &rowBlock{offsets: offsets, links: links}
-	})
-}
-
-// BlockTime returns the time spent storing c's row blocks so far: the
-// whole arena inside MaterializeCSR for a family without RowBlocks, each
-// pristine component's block on its first read otherwise. The reads that
-// store a block count the same time in their own.
-func (c *CSR) BlockTime() time.Duration { return time.Duration(c.blockNS.Load()) }
 
 // BulkLinker is an optional PathSet fast path for materialization: a single
 // call emits every path's links in index order, avoiding the per-path
@@ -295,34 +245,25 @@ type BulkLinker interface {
 	AppendAllLinks(links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32)
 }
 
-// RowBlocks is an optional Decomposer capability: a family whose pristine
-// components interleave in a fixed arithmetic layout, and which can write
-// any one of them on its own. MaterializeCSR then stores no row up front;
-// each component's rows are written the first time a Row reads into them.
-type RowBlocks interface {
+// Generator is an optional Decomposer capability: a family whose rows,
+// and the rows through any one link, are arithmetic in its index layout.
+// MaterializeCSR stores no row of it.
+type Generator interface {
 	Decomposer
-	// Layout returns the layout: path i is row (i/period)*width + i%width
-	// of PristineComponents()[(i%period)/width]. period is a multiple of
-	// width, and Len() of period.
-	Layout() (period, width int)
-	// AppendBlock appends the rows of PristineComponents()[b], in
-	// ascending path order, to links, and each row's end position to
-	// offsets (one entry per row). It returns the extended slices.
-	AppendBlock(b int, links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32)
+	// AppendRowsThrough appends the paths through link l to buf, ascending,
+	// and returns the extended slice; none for a link no path crosses.
+	AppendRowsThrough(l topo.LinkID, buf []int32) []int32
 }
 
-// MaterializeCSR returns ps's CSR form. A RowBlocks family is recorded and
-// stores nothing yet; any other family is walked once into one stored
-// block, through the bulk fast path when it implements BulkLinker. A
-// Decomposer is recorded for CSR.Pristine, which asks it on first use.
+// MaterializeCSR returns ps's CSR form. A Generator family is recorded and
+// stores nothing; any other family is walked once into a stored arena,
+// through the bulk fast path when it implements BulkLinker. A Decomposer
+// is recorded for CSR.Pristine, which asks it on first use.
 func MaterializeCSR(ps PathSet) *CSR {
 	family, _ := ps.(Decomposer)
-	if gen, ok := ps.(RowBlocks); ok && ps.Len() > 0 {
-		period, width := gen.Layout()
-		return &CSR{n: ps.Len(), period: uint32(period), width: uint32(width),
-			blocks: make([]derived[rowBlock], period/width), gen: gen, family: family}
+	if gen, ok := ps.(Generator); ok {
+		return &CSR{n: ps.Len(), gen: gen, family: family}
 	}
-	t0 := time.Now()
 	n := ps.Len()
 	offsets := make([]int32, 1, n+1)
 	var links []topo.LinkID
@@ -341,13 +282,10 @@ func MaterializeCSR(ps PathSet) *CSR {
 			offsets = append(offsets, int32(len(links)))
 		}
 	}
-	c := stored(offsets, links)
-	c.family = family
-	c.blockNS.Store(int64(time.Since(t0)))
-	return c
+	return &CSR{n: n, offsets: offsets, links: links, family: family}
 }
 
-// NewCSR stores rows as a one-block matrix, copying them into one arena.
+// NewCSR stores rows as one arena, copying them.
 func NewCSR(rows [][]topo.LinkID) *CSR {
 	total := 0
 	for _, r := range rows {
@@ -360,12 +298,5 @@ func NewCSR(rows [][]topo.LinkID) *CSR {
 		links = append(links, r...)
 		offsets = append(offsets, int32(len(links)))
 	}
-	return stored(offsets, links)
-}
-
-// stored wraps one arena as a one-block matrix.
-func stored(offsets []int32, links []topo.LinkID) *CSR {
-	c := &CSR{n: len(offsets) - 1, period: 1, width: 1, blocks: make([]derived[rowBlock], 1)}
-	c.blocks[0].v.Store(&rowBlock{offsets: offsets, links: links})
-	return c
+	return &CSR{n: len(rows), offsets: offsets, links: links}
 }

@@ -96,9 +96,10 @@ func DecomposeCSR(csr *CSR, numLinks int) []Component {
 // churn step its dirty region, not the fabric.
 type kernel struct {
 	uf    *unionFind
-	first []int32 // rows whose first link is l
-	comp  []int32 // 0 untouched, -1 seen, else component index + 1
-	links []int32 // links seen by the current call
+	first []int32       // rows whose first link is l
+	comp  []int32       // 0 untouched, -1 seen, else component index + 1
+	links []int32       // links seen by the current call
+	row   []topo.LinkID // the row being read
 }
 
 func newKernel(numLinks int) *kernel {
@@ -115,12 +116,15 @@ func (k *kernel) decompose(csr *CSR, rows []int32) []Component {
 	if rows == nil {
 		n = csr.Len()
 	}
-	// visit returns the i-th row and its links; no links means skip it.
+	// visit returns the i-th row and its links, read into k.row; no links
+	// means skip it.
 	visit := func(i int) (int32, []topo.LinkID) {
+		r := int32(i)
 		if rows != nil {
-			return rows[i], csr.Row(int(rows[i]))
+			r = rows[i]
 		}
-		return int32(i), csr.Row(i)
+		k.row = csr.AppendRow(int(r), k.row[:0])
+		return r, k.row
 	}
 	uf := k.uf
 	for i := 0; i < n; i++ {
@@ -196,12 +200,12 @@ func (k *kernel) connects(csr *CSR, rows, live []int32) bool {
 	uf := k.uf
 	need := len(live) - 1
 	for i := 0; i < len(rows) && need > 0; i++ {
-		row := csr.Row(int(rows[i]))
-		if len(row) == 0 {
+		k.row = csr.AppendRow(int(rows[i]), k.row[:0])
+		if len(k.row) == 0 {
 			continue
 		}
-		root := uf.find(int32(row[0]))
-		for _, l := range row[1:] {
+		root := uf.find(int32(k.row[0]))
+		for _, l := range k.row[1:] {
 			if r := uf.find(int32(l)); r != root {
 				root = uf.union(root, r)
 				need--
@@ -220,8 +224,10 @@ func SingleComponentCSR(csr *CSR, numLinks int) Component {
 	touched := make([]bool, numLinks)
 	n := csr.Len()
 	c := Component{Paths: make([]int32, 0, n)}
+	var row []topo.LinkID
 	for i := 0; i < n; i++ {
-		for _, l := range csr.Row(i) {
+		row = csr.AppendRow(i, row[:0])
+		for _, l := range row {
 			touched[l] = true
 		}
 		c.Paths = append(c.Paths, int32(i))

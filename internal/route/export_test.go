@@ -1,9 +1,9 @@
 package route
 
-// Built reports how many component indexes, matrix signatures, kernel
-// decompositions and row blocks this process has built so far.
-func Built() (index, signature, decompose, blocks int64) {
-	return built.index.Load(), built.signature.Load(), built.decompose.Load(), built.blocks.Load()
+// Built reports how many component indexes, matrix signatures and kernel
+// decompositions this process has built so far.
+func Built() (index, signature, decompose int64) {
+	return built.index.Load(), built.signature.Load(), built.decompose.Load()
 }
 
 // isRepresentative is the predicate FattreePaths.AppendRepresentatives

@@ -33,13 +33,16 @@ type FattreePaths struct {
 	aggCore []topo.LinkID
 	podBase []int32
 	group   []int32
+	// at inverts the link tables: at[l] is l's index in torAgg, or
+	// len(torAgg) plus its index in aggCore; -1 when no path crosses l.
+	at []int32
 }
 
 var (
 	_ PathSet      = (*FattreePaths)(nil)
 	_ Symmetric    = (*FattreePaths)(nil)
 	_ HopsProvider = (*FattreePaths)(nil)
-	_ RowBlocks    = (*FattreePaths)(nil)
+	_ Generator    = (*FattreePaths)(nil)
 )
 
 // NewFattreePaths enumerates the candidate paths of f.
@@ -66,6 +69,16 @@ func NewFattreePaths(f *topo.Fattree) *FattreePaths {
 	p.group = make([]int32, p.nCores)
 	for c := range p.group {
 		p.group[c] = int32(c / h)
+	}
+	p.at = make([]int32, f.NumLinks())
+	for l := range p.at {
+		p.at[l] = -1
+	}
+	for i, l := range p.torAgg {
+		p.at[l] = int32(i)
+	}
+	for i, l := range p.aggCore {
+		p.at[l] = int32(len(p.torAgg) + i)
 	}
 	return p
 }
@@ -99,36 +112,47 @@ func (p *FattreePaths) AppendLinks(i int, buf []topo.LinkID) []topo.LinkID {
 	return append(buf, p.torAgg[d*p.h+g])
 }
 
-// Layout implements RowBlocks: path pair*nCores + c lies in the component
-// of c's group c/h, at row pair*h + c%h.
-func (p *FattreePaths) Layout() (period, width int) { return p.nCores, p.h }
-
-// AppendBlock implements RowBlocks: the rows of group g's component, with
-// AppendLinks's links, written pair by pair from the link tables.
-func (p *FattreePaths) AppendBlock(g int, links []topo.LinkID, offsets []int32) ([]topo.LinkID, []int32) {
-	h := p.h
-	// Every row has four links but the h per same-pod pair, which have three.
-	size := p.nToR*(p.nToR-1)*h*4 - p.nToR*(h-1)*h
-	checkArenaSize(len(links) + size)
-	links = slices.Grow(links, size)
-	for s := 0; s < p.nToR; s++ {
-		sp, up := int(p.podBase[s]), p.torAgg[s*h+g]
-		for d := 0; d < p.nToR; d++ {
+// AppendRowsThrough implements Generator, read off the index layout:
+//   - ToR t's link to agg g carries every path from or to t via a group-g
+//     core;
+//   - pod p's agg–core link to core c carries every path via c with an end
+//     in pod p.
+//
+// Either way the ends span one range of ToRs (t alone, or p's), so for
+// each source the destinations are every other ToR when the source is in
+// the range, the range otherwise; pair order is source-major, so that
+// lists the rows ascending. A link no path crosses (a server link, an ID
+// outside the fabric) carries none.
+func (p *FattreePaths) AppendRowsThrough(l topo.LinkID, buf []int32) []int32 {
+	if l < 0 || int(l) >= len(p.at) || p.at[l] < 0 {
+		return buf
+	}
+	n, h, nc := p.nToR, p.h, p.nCores
+	// lo, hi: the range of ToRs; cores c0..c0+cn-1.
+	var lo, hi, c0, cn int
+	if at := int(p.at[l]); at < len(p.torAgg) {
+		lo, hi, c0, cn = at/h, at/h+1, at%h*h, h
+	} else {
+		at -= len(p.torAgg)
+		lo, c0, cn = at/nc*h, at%nc, 1
+		hi = lo + h
+	}
+	for s := 0; s < n; s++ {
+		from, to := lo, hi
+		if s >= lo && s < hi {
+			from, to = 0, n
+		}
+		for d := from; d < to; d++ {
 			if d == s {
 				continue
 			}
-			dp, down := int(p.podBase[d]), p.torAgg[d*h+g]
-			for c := g * h; c < (g+1)*h; c++ {
-				links = append(links, up, p.aggCore[sp+c])
-				if dp != sp {
-					links = append(links, p.aggCore[dp+c])
-				}
-				links = append(links, down)
-				offsets = append(offsets, int32(len(links)))
+			base := int32(orderedPair(s, d, n)*nc + c0)
+			for c := base; c < base+int32(cn); c++ {
+				buf = append(buf, c)
 			}
 		}
 	}
-	return links, offsets
+	return buf
 }
 
 // Endpoints implements PathSet.
@@ -154,8 +178,7 @@ func (p *FattreePaths) AppendHops(i int, buf []topo.NodeID) []topo.NodeID {
 // ToR–agg_g link, every agg_g–core link of a group-g core, and every path
 // via a group-g core. They come out in group order, which is smallest-link
 // order: the topology numbers edge–agg links pod by pod, ToR by ToR, agg by
-// agg, so group g's smallest link is ToR 0's link to agg g. AppendBlock's
-// block g is component g.
+// agg, so group g's smallest link is ToR 0's link to agg g.
 func (p *FattreePaths) PristineComponents() []Component {
 	if p.Len() == 0 {
 		return nil

@@ -17,12 +17,12 @@ import (
 // measured cycle repairs the dirty component from its pristine class
 // selection, which the memo holds from the full cycle; a different link
 // of one component churns each iteration, so no iteration repeats an
-// earlier one's mask. A component's first flap also builds its churn index;
-// every component takes one before the timer starts, so the timed flaps are
-// warm. Five metrics come out:
+// earlier one's mask. A component's first flap also counts its links'
+// active rows; every component takes one before the timer starts, so the
+// timed flaps are warm. Five metrics come out:
 //
 //   - full-critical-path-ms: the cold full cycle's critical path;
-//   - first-touch-ms: the mean of those index builds;
+//   - first-touch-ms: the mean of those first touches;
 //   - churn-apply-ms: the topology diff that precedes the cycle, mean of
 //     the last iteration's down and up ApplyChurn;
 //   - churn-critical-path-ms: the single-link cycle's critical path

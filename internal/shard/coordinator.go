@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/detector-net/detector/internal/obs"
@@ -29,21 +28,17 @@ var constructFailovers = obs.NewCounter("shard_construct_failovers",
 // construction pipeline (deTector §5's construct timing, exported per
 // cycle instead of per bench run). Looked up once; Observe is atomic.
 var (
-	// stageMaterialize is the time the coordinator's matrix spent storing
-	// row blocks (route.CSR.BlockTime), observed after New, a construction
-	// cycle or a churn step that stored one: the whole arena in New for a
-	// family without route.RowBlocks; for a Fattree, a pristine
-	// component's block when its churn index is first built
-	// (route.Pristine.RowsThrough). A construction reads generated rows and
-	// stores none, so for a Fattree the same time also counts in the churn
-	// step's churn_index.
+	// stageMaterialize is the coordinator's MaterializeCSR, observed once
+	// in New: the whole arena for a family that stores its rows; for a
+	// Fattree, whose rows are generated on every read, a constructor that
+	// stores none. No cycle, churn step or repair stores a row after it.
 	stageMaterialize = obs.Stages.With("materialize")
 	stageDecompose   = obs.Stages.With("decompose")
 	stageAssign      = obs.Stages.With("assign")
 	stageDispatch    = obs.Stages.With("construct_dispatch")
 	stageMerge       = obs.Stages.With("merge")
 	stageChurnDiff   = obs.Stages.With("churn_diff")  // effective ApplyChurn diffs only, first-touch indexing excluded
-	stageChurnIndex  = obs.Stages.With("churn_index") // a churn step's first touch of a pristine component (route.Diff.IndexTime)
+	stageChurnIndex  = obs.Stages.With("churn_index") // a churn step's first touch of a pristine component: its active-row counts, and a stored matrix's index (route.Diff.IndexTime)
 )
 
 // Fleet gauges: how many shards are in/out of the plane right now.
@@ -150,8 +145,6 @@ type Coordinator struct {
 	numLinks int
 	opt      Options
 	csr      *route.CSR
-	// blockSeen is csr.BlockTime() as of the last materialize observation.
-	blockSeen atomic.Int64
 	// sig is stamped on construction requests: the matrix fingerprint for
 	// an explicit fleet (Options.Clients), which may hold another matrix;
 	// 0 for the default in-process shards, which share csr.
@@ -196,7 +189,9 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 	if opt.HeartbeatEvery <= 0 {
 		opt.HeartbeatEvery = opt.TTL / 4
 	}
+	matStart := time.Now()
 	csr := route.MaterializeCSR(ps)
+	stageMaterialize.Observe(time.Since(matStart))
 	decStart := time.Now()
 	csr.Pristine(numLinks)
 	stageDecompose.Observe(time.Since(decStart))
@@ -214,7 +209,6 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		wd:       watchdog.New(opt.TTL),
 		stop:     make(chan struct{}),
 	}
-	c.observeBlocks()
 	c.assign = make([]int32, len(c.comps))
 	c.selCache = make(map[uint64]compSel)
 	c.assignKey = make(map[uint64]int32)
@@ -468,7 +462,6 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	}
 	diffStart := time.Now()
 	diff, err := c.inc.Apply(down, up)
-	c.observeBlocks()
 	if err != nil {
 		return route.Diff{}, err
 	}
@@ -717,8 +710,7 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 			// Store the fresh per-component selections, then serve the full
 			// merge from the cache: clean components verbatim, dirty ones
 			// from this cycle's results. The split attributes each selected
-			// path to its component through its first link, read without
-			// storing the row's block (CSR.AppendRow).
+			// path to its component through its first link (CSR.AppendRow).
 			c.mu.Lock()
 			if c.churnEpoch != epoch {
 				c.mu.Unlock()
@@ -771,28 +763,11 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 		merged.Stats.Elapsed = time.Since(start)
 		mergeSpan.End()
 		stageMerge.Observe(time.Since(mergeStart))
-		c.observeBlocks()
 		shardsAlive.Set(int64(len(alive)))
 		shardsQuarantined.Set(int64(c.opt.Shards - len(alive)))
 		return merged, nil
 	}
 	return nil, fmt.Errorf("shard: construction failed after %d dispatch rounds: %w", c.opt.Shards+1, lastErr)
-}
-
-// observeBlocks observes under the materialize stage the time csr spent
-// storing row blocks since the last observation, if any.
-func (c *Coordinator) observeBlocks() {
-	now := int64(c.csr.BlockTime())
-	for {
-		seen := c.blockSeen.Load()
-		if now <= seen {
-			return
-		}
-		if c.blockSeen.CompareAndSwap(seen, now) {
-			stageMaterialize.Observe(time.Duration(now - seen))
-			return
-		}
-	}
 }
 
 // ShardInfo is one shard's row in the operator-facing placement view.

@@ -379,15 +379,13 @@ func TestMidCycleKillDegradesToReassignment(t *testing.T) {
 	}
 }
 
-// TestMaterializeStageObservesOwnBlocks: the materialize stage observes the
-// row blocks the coordinator's own matrix stores, once per step that stored
-// one. A Fattree matrix stores none when it is made nor in its cycles,
-// whose solves read generated rows; a churn step's first touch of a
-// component stores that component's block, and another owner's matrix
-// moves nothing. A VL2 matrix is stored whole when it is made.
+// TestMaterializeStageObservesOwnBlocks: the materialize stage observes
+// the coordinator's own MaterializeCSR, once per New, and nothing after it:
+// neither another owner's matrix nor a cycle, a churn step or a repaired
+// cycle, over a Fattree whose rows are generated or a VL2 matrix stored
+// whole when it is made.
 func TestMaterializeStageObservesOwnBlocks(t *testing.T) {
-	f := topo.MustFattree(8)
-	ps := route.NewFattreePaths(f)
+	f, v := topo.MustFattree(8), topo.MustVL2(4, 4, 1)
 	opt := Options{Shards: 1, PMC: pmc.Options{Alpha: 3, Beta: 1}, TTL: time.Minute}
 	before := stageMaterialize.Count()
 	observed := func(step string, want uint64) {
@@ -396,34 +394,37 @@ func TestMaterializeStageObservesOwnBlocks(t *testing.T) {
 			t.Fatalf("after %s: %d materialize observations, want %d", step, n, want)
 		}
 	}
-	c, err := New(ps, f.NumLinks(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	observed("New", 0)
-	route.MaterializeCSR(ps).Row(0)
-	observed("another matrix's block", 0)
-	for i := 0; i < 2; i++ {
+	for i, tc := range []struct {
+		name     string
+		ps       route.PathSet
+		numLinks int
+	}{
+		{"Fattree(8)", route.NewFattreePaths(f), f.NumLinks()},
+		{"VL2(4,4,1)", route.NewVL2Paths(v), v.NumLinks()},
+	} {
+		news := uint64(i + 1)
+		c, err := New(tc.ps, tc.numLinks, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		observed(tc.name+" New", news)
+		comps := route.MaterializeCSR(tc.ps).Pristine(tc.numLinks).Comps
+		observed(tc.name+" another matrix", news)
+		for i := 0; i < 2; i++ {
+			if _, err := c.Construct(); err != nil {
+				t.Fatal(err)
+			}
+			observed(tc.name+" a cycle", news)
+		}
+		down := comps[len(comps)-1].Links[0]
+		if _, err := c.ApplyChurn([]topo.LinkID{down}, nil); err != nil {
+			t.Fatal(err)
+		}
+		observed(tc.name+" a churn step", news)
 		if _, err := c.Construct(); err != nil {
 			t.Fatal(err)
 		}
-		observed("a cycle", 0)
+		observed(tc.name+" a repaired cycle", news)
 	}
-	down := ps.PristineComponents()[1].Links[0]
-	if _, err := c.ApplyChurn([]topo.LinkID{down}, nil); err != nil {
-		t.Fatal(err)
-	}
-	observed("a churn step", 1)
-	if _, err := c.Construct(); err != nil {
-		t.Fatal(err)
-	}
-	observed("a repaired cycle", 1)
-	v := topo.MustVL2(4, 4, 1)
-	c2, err := New(route.NewVL2Paths(v), v.NumLinks(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Stop()
-	observed("New over VL2", 2)
 }
