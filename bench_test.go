@@ -83,7 +83,9 @@ func BenchmarkBeta2PMCStrawman(b *testing.B) {
 // BenchmarkServedCycle is a cold construction cycle as the controller
 // serves it: control.New + RunCycle(nil), everything from path enumeration
 // to built pinglists. Fattree(16) at (1,2) is the case bench/ cannot hold
-// at its parent's 13 s a cycle.
+// at its parent's 13 s a cycle. Fattree(24) is the served path above the
+// fabrics bench/ builds, where a per-candidate copy in the coordinator or
+// the memo (11.9 M candidates) shows in B/op.
 func BenchmarkServedCycle(b *testing.B) {
 	for _, c := range []struct {
 		name           string
@@ -92,6 +94,7 @@ func BenchmarkServedCycle(b *testing.B) {
 		{"Fattree16-a3b1", 16, 3, 1},
 		{"Fattree12-a1b2", 12, 1, 2},
 		{"Fattree16-a1b2", 16, 1, 2},
+		{"Fattree24-a3b1", 24, 3, 1},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			f := topo.MustFattree(c.k)

@@ -104,9 +104,15 @@ var (
 	NewBCubePaths = route.NewBCubePaths
 	// NewProbes materializes selected candidates into a probe matrix.
 	NewProbes = route.NewProbes
-	// DecomposeMatrix splits candidates into independent components.
-	DecomposeMatrix = route.Decompose
 )
+
+// DecomposeMatrix splits candidates into independent components: the
+// matrix's pristine decomposition, stated by the family where it can
+// (a Fattree's k/2 components, whose paths are spans) and found by the
+// union-find kernel otherwise.
+func DecomposeMatrix(ps PathSet, numLinks int) []Component {
+	return route.MaterializeCSR(ps).Pristine(numLinks).Comps
+}
 
 // PMC — the paper's core contribution (§4).
 type (

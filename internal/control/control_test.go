@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"github.com/detector-net/detector/internal/httpx"
@@ -330,5 +331,32 @@ func TestShardsEndpointExposesPlacement(t *testing.T) {
 		if ci.Shard < 0 || ci.Shard >= 2 {
 			t.Errorf("component %d assigned to nonexistent shard %d", ci.Index, ci.Shard)
 		}
+	}
+}
+
+// TestColdCycleStoresNothingPerCandidate: a cold Fattree(16) cycle names
+// each pristine component's 130 048 paths as a span, and neither the
+// coordinator nor the memo lists them, so the whole cycle — enumeration to
+// pinglists — allocates a few MB, not the 8 MB two copies of every
+// component's path list took.
+func TestColdCycleStoresNothingPerCandidate(t *testing.T) {
+	f := topo.MustFattree(16)
+	cfg := DefaultConfig()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(f, cfg)
+	err := c.RunCycle(nil)
+	runtime.ReadMemStats(&after)
+	defer c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.PMCStats(); st.Selected != 2816 {
+		t.Fatalf("the cycle selected %d paths, want 2816", st.Selected)
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("a cold Fattree(16) cycle allocated %.2f MB", alloc)
+	if alloc >= 6 {
+		t.Fatalf("a cold Fattree(16) cycle allocated %.2f MB, want under 6 MB", alloc)
 	}
 }

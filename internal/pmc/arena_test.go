@@ -65,7 +65,7 @@ func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
 				if !reflect.DeepEqual(es.orbit, ed.orbit) || !reflect.DeepEqual(es.reps, ed.reps) || es.full != ed.full {
 					t.Fatal("the two arenas' greedies made other orbit queries or passes")
 				}
-				want := make([]bool, len(comps[0].Paths))
+				want := make([]bool, comps[0].Paths.Len())
 				if es.full {
 					completed++
 					for r := range want {

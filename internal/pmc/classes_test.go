@@ -26,7 +26,7 @@ func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []
 	var sel []int
 	for i := range comps {
 		c := &comps[i]
-		if p := pristine.Parent(c); p >= 0 && len(c.Paths) < len(pristine.Comps[p].Paths) {
+		if p := pristine.Parent(c); p >= 0 && c.Paths.Len() < pristine.Comps[p].Paths.Len() {
 			res, err := ConstructComponents(ps, csr, comps[i:i+1], numLinks, opt, nil)
 			if err != nil {
 				t.Fatalf("component %d alone: %v", i, err)
@@ -193,7 +193,7 @@ func (twinPaths) AppendLinks(i int, buf []topo.LinkID) []topo.LinkID {
 func (twinPaths) Endpoints(i int) (topo.NodeID, topo.NodeID) {
 	return topo.NodeID(i), topo.NodeID(i + 1)
 }
-func (twinPaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+func (twinPaths) AppendRepresentatives(paths route.Paths, rows []int32) []int32 {
 	return route.AppendWhere(paths, rows, func(i int) bool { return i%4 == 0 })
 }
 func (twinPaths) AppendOrbit(i int, buf []int) []int {
@@ -211,14 +211,14 @@ func (twinPaths) AppendOrbit(i int, buf []int) []int {
 // its first row, B's at its second.
 type shiftedReps struct{ twinPaths }
 
-func (shiftedReps) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+func (shiftedReps) AppendRepresentatives(paths route.Paths, rows []int32) []int32 {
 	return route.AppendWhere(paths, rows, func(i int) bool { return i == 0 || i == 5 })
 }
 func (shiftedReps) AppendOrbit(i int, buf []int) []int { return buf }
 
 // isRep reports whether sym lists path as a representative.
 func isRep(sym route.Symmetric, path int32) bool {
-	return len(sym.AppendRepresentatives([]int32{path}, nil)) == 1
+	return len(sym.AppendRepresentatives(route.PathList([]int32{path}), nil)) == 1
 }
 
 // TestClassCheckComparesRepresentatives: components that match row for row
@@ -294,7 +294,7 @@ func TestShapeGroupSplitsClasses(t *testing.T) {
 	opt := Options{Alpha: 1, Beta: 1}
 	want := perComponentOracle(t, ps, csr, comps, numLinks, opt)
 	local := func(c route.Component) (rows []int) {
-		for r, p := range c.Paths {
+		for r, p := range c.Paths.Append(nil) {
 			if _, ok := slices.BinarySearch(want, int(p)); ok {
 				rows = append(rows, r)
 			}
@@ -378,7 +378,7 @@ func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []rout
 // readRows marks the rows a class check compares when the leader's
 // completion pass did not run: its representatives and its orbit images.
 func (e *memoEntry) readRows() []bool {
-	read := make([]bool, len(e.paths))
+	read := make([]bool, e.paths.Len())
 	for _, r := range e.reps {
 		read[r] = true
 	}
@@ -435,7 +435,7 @@ func TestClassCheckComparesWhatTheLeaderRead(t *testing.T) {
 		{"unread-row/no-symmetry", unread, Options{Alpha: 3, Beta: 1, Ablate: NoSymmetry}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			csr := reversedRow(base, comps[1].Paths[tc.row])
+			csr := reversedRow(base, comps[1].Paths.At(int(tc.row)))
 			if st := checkClassReuse(t, ps, csr, csr.Pristine(f.NumLinks()).Comps, f.NumLinks(), tc.opt); st.Classes != tc.classes {
 				t.Fatalf("row %d of component 1 reversed: %d classes solved, want %d", tc.row, st.Classes, tc.classes)
 			}
@@ -483,24 +483,24 @@ func TestClassCheckRefusesForeignRows(t *testing.T) {
 // representative flag.
 func swapUnreadRow(t testing.TB, sym route.Symmetric, read []bool, c, other route.Component) route.Component {
 	t.Helper()
-	for r := len(c.Paths) - 1; r >= 0; r-- {
+	paths, others := c.Paths.Append(nil), other.Paths.Append(nil)
+	for r := len(paths) - 1; r >= 0; r-- {
 		if read[r] {
 			continue
 		}
 		lo, hi := int32(-1), int32(1<<31-1)
 		if r > 0 {
-			lo = c.Paths[r-1]
+			lo = paths[r-1]
 		}
-		if r+1 < len(c.Paths) {
-			hi = c.Paths[r+1]
+		if r+1 < len(paths) {
+			hi = paths[r+1]
 		}
-		i, _ := slices.BinarySearch(other.Paths, lo+1)
-		for ; i < len(other.Paths) && other.Paths[i] < hi; i++ {
-			q := other.Paths[i]
-			if isRep(sym, q) == isRep(sym, c.Paths[r]) {
-				bad := route.Component{Links: c.Links, Paths: slices.Clone(c.Paths)}
-				bad.Paths[r] = q
-				return bad
+		i, _ := slices.BinarySearch(others, lo+1)
+		for ; i < len(others) && others[i] < hi; i++ {
+			q := others[i]
+			if isRep(sym, q) == isRep(sym, paths[r]) {
+				paths[r] = q
+				return route.Component{Links: c.Links, Paths: route.PathList(paths)}
 			}
 		}
 	}

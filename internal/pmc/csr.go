@@ -2,7 +2,6 @@ package pmc
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/topo"
@@ -40,8 +39,8 @@ func (b bitset) fill() {
 // the inverted index — the orbit pass scores images fresh — so index covers
 // the pass's candidates, not the component.
 type compArena struct {
-	pathIDs    []int32 // row -> global path index (== Component.Paths)
-	start, end []int32 // a loaded row r spans links[start[r]:end[r]]
+	pathIDs    route.Paths // row -> global path index (== Component.Paths)
+	start, end []int32     // a loaded row r spans links[start[r]:end[r]]
 	loaded     bitset
 	links      []int32 // local link indices of the loaded rows, in load order
 	numLocal   int
@@ -60,7 +59,7 @@ type compArena struct {
 // newArena starts an arena over comp's rows of csr with none loaded.
 // localOf must translate comp's links.
 func newArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena {
-	n := len(comp.Paths)
+	n := comp.Paths.Len()
 	return &compArena{
 		pathIDs:  comp.Paths,
 		start:    make([]int32, n),
@@ -73,7 +72,7 @@ func newArena(csr *route.CSR, comp *route.Component, localOf []int32) *compArena
 	}
 }
 
-func (a *compArena) numRows() int { return len(a.pathIDs) }
+func (a *compArena) numRows() int { return a.pathIDs.Len() }
 
 func (a *compArena) row(r int32) []int32 {
 	return a.links[a.start[r]:a.end[r]]
@@ -92,7 +91,7 @@ func (a *compArena) load(r int32) {
 		return
 	}
 	a.loaded.set(r)
-	pid := a.pathIDs[r]
+	pid := a.pathIDs.At(int(r))
 	a.buf = a.csr.AppendRow(int(pid), a.buf[:0])
 	at := int32(len(a.links))
 	a.start[r], a.end[r] = at, at
@@ -121,19 +120,10 @@ func (a *compArena) loadRows(rows []int32) error {
 
 // loadAll loads every row and reports the first that left the component.
 func (a *compArena) loadAll() error {
-	for r := range a.pathIDs {
+	for r := range a.pathIDs.Len() {
 		a.load(int32(r))
 	}
 	return a.err
-}
-
-// rowOf resolves a global path index to its row in a component's ascending
-// Paths by binary search, or -1 when the path is outside the component.
-func rowOf(paths []int32, path int32) int32 {
-	if r, ok := slices.BinarySearch(paths, path); ok {
-		return int32(r)
-	}
-	return -1
 }
 
 // digest fingerprints a component's class in component-local terms: its
@@ -152,13 +142,15 @@ func rowOf(paths []int32, path int32) int32 {
 func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) uint64 {
 	var h route.Hash
 	h.Word(uint64(len(comp.Links)))
-	h.Word(uint64(len(comp.Paths)))
+	h.Word(uint64(comp.Paths.Len()))
 	var reps []int32
 	if sym != nil {
 		reps = sym.AppendRepresentatives(comp.Paths, nil)
 	}
 	var row []topo.LinkID
-	for r, pid := range comp.Paths {
+	w := comp.Paths.Walk()
+	for r := range comp.Paths.Len() {
+		pid := w.Next()
 		if sym != nil {
 			if len(reps) == 0 || reps[0] != int32(r) {
 				h.Word(0)

@@ -48,10 +48,12 @@
 // through CSR.AppendRow, which generates a family's rows (route.Generator:
 // a Fattree) without storing them, and so does a class follower's exact
 // check, for its own rows and its leader's. A Fattree's matrix stores no
-// row, and a cold construction's leader reads one row in ~15 on a
-// Fattree(16). The greedy inner loops walk contiguous int32 slices: no
-// AppendLinks calls, no global→local lookups, no map accesses — selections
-// live in a bitset keyed by candidate row.
+// row, its pristine components name their paths as spans (route.Paths)
+// that neither the arena nor the memo lists, and a cold construction's
+// leader reads one row in ~15 on a Fattree(16). The greedy inner loops
+// walk contiguous int32 slices: no AppendLinks calls, no global→local
+// lookups, no map accesses — selections live in a bitset keyed by
+// candidate row.
 //
 // On top of the inverted index, scoring is incremental. The invariant is:
 // a candidate's score (Eq. 1) can only change when a selected path shares a
@@ -313,7 +315,7 @@ func splitMasked(comps []route.Component, pristine *route.Pristine) (solve []rou
 	for ci := range comps {
 		p := pristine.Parent(&comps[ci])
 		parents[ci] = p
-		masked[ci] = p >= 0 && len(comps[ci].Paths) < len(pristine.Comps[p].Paths)
+		masked[ci] = p >= 0 && comps[ci].Paths.Len() < pristine.Comps[p].Paths.Len()
 		cut = cut || masked[ci]
 	}
 	if !cut {
@@ -387,7 +389,7 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 		groupOf := make(map[shape]int)
 		var groups [][]int32 // head first, then members, in pending order
 		for _, ci := range pending {
-			s := shape{len(comps[ci].Links), len(comps[ci].Paths)}
+			s := shape{len(comps[ci].Links), comps[ci].Paths.Len()}
 			g, ok := groupOf[s]
 			if !ok {
 				g = len(groups)
@@ -716,11 +718,11 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 	cs.beginStep()
 	cs.sel(r)
 	if sym != nil {
-		orbitBuf = sym.AppendOrbit(int(cs.ar.pathIDs[r]), orbitBuf[:0])
+		orbitBuf = sym.AppendOrbit(int(cs.ar.pathIDs.At(int(r))), orbitBuf[:0])
 		cs.orbitLog = append(cs.orbitLog, r, 0)
 		head := len(cs.orbitLog)
 		for _, img := range orbitBuf {
-			ir := rowOf(cs.ar.pathIDs, int32(img))
+			ir := cs.ar.pathIDs.Find(int32(img))
 			if ir < 0 {
 				continue
 			}
@@ -786,8 +788,8 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, key memoOpt
 		if err := ar.loadAll(); err != nil {
 			return nil, nil, err
 		}
-		cr.candidates += len(comp.Paths)
-		cr.reseeds += cs.pass(nil, ascending(len(comp.Paths)))
+		cr.candidates += comp.Paths.Len()
+		cr.reseeds += cs.pass(nil, ascending(comp.Paths.Len()))
 	}
 	if ar.err != nil { // an orbit image
 		return nil, nil, ar.err
@@ -797,7 +799,7 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, key memoOpt
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
 	rows := make([]int32, 0, cs.nSelected)
-	for r := range comp.Paths {
+	for r := range comp.Paths.Len() {
 		if cs.selected.get(int32(r)) {
 			rows = append(rows, int32(r))
 		}
@@ -896,7 +898,7 @@ func lazyGreedy(cs *componentState, sym route.Symmetric, candRows []int32) (rese
 			lastWasPush = true
 		}
 	}
-	if lastWasPush && cs.ar.pathIDs[h.row[h.len()-1]] > cs.parkedTail {
+	if lastWasPush && cs.ar.pathIDs.At(int(h.row[h.len()-1])) > cs.parkedTail {
 		// The final seeded pop in the heap formulation compares against
 		// the minimum of the already re-keyed entries, not the seed:
 		// replay that one comparison exactly. A row the arena leaves out

@@ -234,7 +234,7 @@ func TestCrossComponentIdentifiability(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := route.NewProbes(ps, res.Selected, f.NumLinks())
-	comps := route.Decompose(ps, f.NumLinks())
+	comps := route.DecomposeCSR(route.MaterializeCSR(ps), f.NumLinks())
 	compOf := make(map[topo.LinkID]int)
 	for ci, c := range comps {
 		for _, l := range c.Links {

@@ -30,13 +30,9 @@ import "github.com/detector-net/detector/internal/route"
 func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, parentSel []int, localOf []int32, opt Options) (*componentResult, error) {
 	// Kept: the parent's selected paths that M still has, as M's rows.
 	var kept []int32
-	r := 0
 	for _, pid := range parentSel {
-		for r < len(comp.Paths) && int(comp.Paths[r]) < pid {
-			r++
-		}
-		if r < len(comp.Paths) && int(comp.Paths[r]) == pid {
-			kept = append(kept, int32(r))
+		if r := comp.Paths.Find(int32(pid)); r >= 0 {
+			kept = append(kept, r)
 		}
 	}
 	cs, err := repairState(csr, comp, kept, ascending(len(kept)), localOf, opt)
@@ -67,7 +63,9 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 		var sub, subKept []int32 // rows the completion pass is offered; the kept ones among them, as its rows
 		tail := int32(-1)        // the last row it is not offered
 		k := 0
-		for r, pid := range comp.Paths {
+		w := comp.Paths.Walk()
+		for r := range comp.Paths.Len() {
+			pid := w.Next()
 			switch {
 			case k < len(kept) && kept[k] == int32(r):
 				k++
@@ -90,8 +88,9 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
 	cr.selected = make([]int, 0, cs.nSelected)
-	for r, pid := range cs.ar.pathIDs {
-		if cs.selected.get(int32(r)) {
+	w := cs.ar.pathIDs.Walk()
+	for r := range cs.ar.numRows() {
+		if pid := w.Next(); cs.selected.get(int32(r)) {
 			cr.selected = append(cr.selected, int(pid))
 		}
 	}
@@ -112,9 +111,9 @@ func ascending(n int) []int32 {
 func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, localOf []int32, opt Options) (*componentState, error) {
 	paths := make([]int32, len(rows))
 	for i, r := range rows {
-		paths[i] = comp.Paths[r]
+		paths[i] = comp.Paths.At(int(r))
 	}
-	ar := newArena(csr, &route.Component{Links: comp.Links, Paths: paths}, localOf)
+	ar := newArena(csr, &route.Component{Links: comp.Links, Paths: route.PathList(paths)}, localOf)
 	if err := ar.loadAll(); err != nil {
 		return nil, err
 	}

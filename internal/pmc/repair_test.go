@@ -48,7 +48,7 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 	cs := newComponentState(ar, len(comp.Links), opt)
 	cs.beginStep()
 	j := 0
-	for r, pid := range comp.Paths {
+	for r, pid := range comp.Paths.Append(nil) {
 		for j < len(parentSel) && parentSel[j] < int(pid) {
 			j++
 		}
@@ -58,9 +58,9 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 		}
 	}
 	if !cs.done() {
-		cs.pass(nil, ascending(len(comp.Paths)))
+		cs.pass(nil, ascending(comp.Paths.Len()))
 	}
-	for r, pid := range comp.Paths {
+	for r, pid := range comp.Paths.Append(nil) {
 		if cs.selected.get(int32(r)) {
 			sel = append(sel, int(pid))
 		}
@@ -108,7 +108,7 @@ func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options)
 	for ci := range comps {
 		comp := &comps[ci]
 		p := pristine.Parent(comp)
-		if p < 0 || len(comp.Paths) == len(pristine.Comps[p].Paths) {
+		if p < 0 || comp.Paths.Len() == pristine.Comps[p].Paths.Len() {
 			continue
 		}
 		repaired++
@@ -124,7 +124,7 @@ func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options)
 		}
 		if !reflect.DeepEqual(got.selected, want) {
 			t.Fatalf("component %d: restricted completion selects %d paths, completion over all %d rows %d",
-				ci, len(got.selected), len(comp.Paths), len(want))
+				ci, len(got.selected), comp.Paths.Len(), len(want))
 		}
 		if len(got.selected) > kept+added {
 			t.Fatalf("component %d serves %d paths, more than %d kept + %d added", ci, len(got.selected), kept, added)

@@ -25,7 +25,10 @@ import (
 // class (repair.go), so churn cannot evict the pristine classes.
 //
 // A memo serves one (PathSet, CSR): it keeps no rows, and reads its
-// leaders' rows, like any other, from the matrix it is handed.
+// leaders' rows, like any other, from the matrix it is handed. It keeps a
+// component's paths as the component names them: a span (a pristine
+// Fattree component's) by value, a list (a churned or decoded component's)
+// copied.
 
 // MemoStats reports memo effectiveness.
 type MemoStats struct {
@@ -55,7 +58,7 @@ type memoEntry struct {
 	digest uint64
 	key    memoOptKey
 	links  []topo.LinkID // leader's
-	paths  []int32       // leader's
+	paths  route.Paths   // leader's
 	rows   []int32       // selected rows, ascending
 	reps   []int32       // representative rows, ascending
 	orbit  []int32       // componentState.orbitLog
@@ -65,8 +68,9 @@ type memoEntry struct {
 
 	// members are the other components matches has admitted to the class,
 	// so that they, like the leader, are found again by content alone: on
-	// Fattree(16) that is ~0.06 ms against ~2–4 ms for the exact check, and
-	// every up-flap of a churned component is such a return.
+	// Fattree(16) that is a comparison of two spans against ~2–4 ms for
+	// the exact check, and every up-flap of a churned component is such a
+	// return, the differ handing back the pristine component itself.
 	// Guarded by Memo.mu, as is bytes.
 	members []route.Component
 	bytes   int64
@@ -77,7 +81,7 @@ func newMemoEntry(key memoOptKey, digest uint64, comp *route.Component, rows, re
 		digest:      digest,
 		key:         key,
 		links:       slices.Clone(comp.Links),
-		paths:       slices.Clone(comp.Paths),
+		paths:       comp.Paths.Clone(),
 		rows:        rows,
 		reps:        slices.Clone(reps),
 		orbit:       slices.Clone(orbit),
@@ -85,7 +89,7 @@ func newMemoEntry(key memoOptKey, digest uint64, comp *route.Component, rows, re
 		coverageMet: coverageMet,
 		identMet:    identMet,
 	}
-	e.bytes = 4 * int64(len(e.links)+len(e.paths)+len(e.rows)+len(e.reps)+len(e.orbit))
+	e.bytes = 4*int64(len(e.links)+len(e.rows)+len(e.reps)+len(e.orbit)) + e.paths.Bytes()
 	return e
 }
 
@@ -138,14 +142,18 @@ func foreign(comp *route.Component, pristine *route.Pristine) bool {
 // ones, the pass's candidates, alike on both. localOf must map comp's
 // links to their local indices.
 func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Component, localOf []int32, every bool) (ok bool, compared int) {
-	if len(e.links) != len(comp.Links) || len(e.paths) != len(comp.Paths) {
+	if len(e.links) != len(comp.Links) || e.paths.Len() != comp.Paths.Len() {
 		return false, 0
 	}
-	var row, lrow []topo.LinkID
-	sameRow := func(r int32) bool {
+	// samePath compares comp's row with path pid to the leader's with lpid.
+	// The rows are read into buffers that are never reassigned, so a
+	// compared row stores no pointer and pays no write barrier while the
+	// collector marks.
+	var rowBuf, lrowBuf [16]topo.LinkID
+	samePath := func(pid, lpid int32) bool {
 		compared++
-		row = csr.AppendRow(int(comp.Paths[r]), row[:0])
-		lrow = csr.AppendRow(int(e.paths[r]), lrow[:0])
+		row := csr.AppendRow(int(pid), rowBuf[:0])
+		lrow := csr.AppendRow(int(lpid), lrowBuf[:0])
 		if len(row) != len(lrow) {
 			return false
 		}
@@ -159,18 +167,27 @@ func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Com
 		}
 		return true
 	}
+	sameRow := func(r int32) bool { return samePath(comp.Paths.At(int(r)), e.paths.At(int(r))) }
 	if sym != nil && !slices.Equal(sym.AppendRepresentatives(comp.Paths, nil), e.reps) {
 		return false, 0
 	}
+	// Both walks step from one compared row to the next; a gap in the
+	// representatives restarts them.
+	w, lw := comp.Paths.Walk(), e.paths.Walk()
 	if every {
-		for r := range comp.Paths {
-			if !sameRow(int32(r)) {
+		for range comp.Paths.Len() {
+			if !samePath(w.Next(), lw.Next()) {
 				return false, compared
 			}
 		}
 	} else {
+		next := int32(0)
 		for _, r := range e.reps {
-			if !sameRow(r) {
+			if r != next {
+				w, lw = comp.Paths.WalkFrom(int(r)), e.paths.WalkFrom(int(r))
+			}
+			next = r + 1
+			if !samePath(w.Next(), lw.Next()) {
 				return false, compared
 			}
 		}
@@ -180,10 +197,10 @@ func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Com
 		r, n := e.orbit[i], int(e.orbit[i+1])
 		want := e.orbit[i+2 : i+2+n]
 		i += 2 + n
-		buf = sym.AppendOrbit(int(comp.Paths[r]), buf[:0])
+		buf = sym.AppendOrbit(int(comp.Paths.At(int(r))), buf[:0])
 		j := 0
 		for _, img := range buf {
-			ir := rowOf(comp.Paths, int32(img))
+			ir := comp.Paths.Find(int32(img))
 			if ir < 0 {
 				continue
 			}
@@ -211,7 +228,7 @@ func (e *memoEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Com
 func (e *memoEntry) pathsOf(comp *route.Component) []int {
 	sel := make([]int, len(e.rows))
 	for i, r := range e.rows {
-		sel[i] = int(comp.Paths[r])
+		sel[i] = int(comp.Paths.At(int(r)))
 	}
 	return sel
 }
@@ -241,8 +258,12 @@ const DefaultMemoBytes = 256 << 20
 
 // NewMemo returns a memo remembering at most maxEntries components, class
 // leaders and members alike (0 means 64), within a DefaultMemoBytes budget.
-// Each costs about its Paths, so the bound is on content, however the
-// components group into classes.
+// A component is counted as what the memo holds of it: 4 B a link, and its
+// Paths' Bytes — 4 B a path for a list, the header for a span; a leader
+// adds 4 B for each of its selected rows, representative rows and orbit
+// log words. So the bound is on content, however the components group
+// into classes: a pristine Fattree(16) class of eight costs ~44 KB, a
+// churned component its listed paths.
 func NewMemo(maxEntries int) *Memo {
 	if maxEntries <= 0 {
 		maxEntries = 64
@@ -275,8 +296,8 @@ func (m *Memo) holding(key memoOptKey, comp *route.Component) *memoEntry {
 }
 
 func (e *memoEntry) holds(comp *route.Component) bool {
-	same := func(links []topo.LinkID, paths []int32) bool {
-		return slices.Equal(links, comp.Links) && slices.Equal(paths, comp.Paths)
+	same := func(links []topo.LinkID, paths route.Paths) bool {
+		return slices.Equal(links, comp.Links) && paths.Equal(comp.Paths)
 	}
 	if same(e.links, e.paths) {
 		return true
@@ -316,8 +337,8 @@ func (m *Memo) join(e *memoEntry, comp *route.Component) {
 		return
 	}
 	if !e.holds(comp) {
-		e.members = append(e.members, route.Component{Links: slices.Clone(comp.Links), Paths: slices.Clone(comp.Paths)})
-		b := 4 * int64(len(comp.Links)+len(comp.Paths))
+		e.members = append(e.members, route.Component{Links: slices.Clone(comp.Links), Paths: comp.Paths.Clone()})
+		b := 4*int64(len(comp.Links)) + comp.Paths.Bytes()
 		e.bytes += b
 		m.bytes += b
 		m.comps++

@@ -98,14 +98,14 @@ func TestMemoEviction(t *testing.T) {
 	m := NewMemo(2)
 	e := make([]*memoEntry, 3)
 	for i := range e {
-		comp := &route.Component{Links: []topo.LinkID{topo.LinkID(i)}, Paths: []int32{int32(i)}}
+		comp := &route.Component{Links: []topo.LinkID{topo.LinkID(i)}, Paths: route.PathList([]int32{int32(i)})}
 		e[i] = newMemoEntry(key, uint64(i), comp, []int32{0}, nil, nil, true, true, true)
 	}
 	held := func(i int) bool { return len(m.candidates(key, uint64(i))) == 1 }
 
 	m.store(e[0])
 	m.store(e[1])
-	if m.holding(key, &route.Component{Links: []topo.LinkID{0}, Paths: []int32{0}}) != e[0] {
+	if m.holding(key, &route.Component{Links: []topo.LinkID{0}, Paths: route.PathList([]int32{0})}) != e[0] {
 		t.Fatal("entry 0 does not hold its own content")
 	}
 	m.store(e[2])
@@ -208,5 +208,29 @@ func TestMemoBoundsComponentsNotClasses(t *testing.T) {
 	}
 	if res := construct(a); res.Stats.Classes != 1 {
 		t.Fatal("the older class outlived the bound")
+	}
+}
+
+// TestMemoHoldsSpansByValue: a Fattree's pristine components name their
+// paths as spans, and the memo keeps a span as it is. After a cold
+// Fattree(16) (3,1) construction it holds one class — the leader and seven
+// members — in the bytes of their links, the leader's selected and
+// representative rows and its orbit log, not in the 8 × 130 048 paths.
+func TestMemoHoldsSpansByValue(t *testing.T) {
+	f := topo.MustFattree(16)
+	ps := route.NewFattreePaths(f)
+	csr := route.MaterializeCSR(ps)
+	comps := csr.Pristine(f.NumLinks()).Comps
+	memo := NewMemo(0)
+	if _, err := ConstructComponents(ps, csr, comps, f.NumLinks(), Options{Alpha: 3, Beta: 1}, memo); err != nil {
+		t.Fatal(err)
+	}
+	st := memo.Stats()
+	t.Logf("memo holds %d classes of %d components in %d B", st.Entries, len(comps), st.Bytes)
+	if st.Entries != 1 || st.Hits != int64(len(comps)-1) {
+		t.Fatalf("memo holds %d classes after %d hits, want 1 after %d", st.Entries, st.Hits, len(comps)-1)
+	}
+	if st.Bytes >= 100<<10 {
+		t.Fatalf("memo holds %d B, want under 100 KB", st.Bytes)
 	}
 }

@@ -144,7 +144,7 @@ func (p *BCubePaths) shift(label, r int) int {
 }
 
 // AppendRepresentatives implements Symmetric by isRepresentative.
-func (p *BCubePaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+func (p *BCubePaths) AppendRepresentatives(paths Paths, rows []int32) []int32 {
 	return AppendWhere(paths, rows, p.isRepresentative)
 }
 

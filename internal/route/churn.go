@@ -66,13 +66,17 @@ func DecomposeMasked(csr *CSR, numLinks int, down []topo.LinkID) []Component {
 		compOf[l] = int32(ci)
 		comps[ci].Links = append(comps[ci].Links, topo.LinkID(l))
 	}
+	paths := make([][]int32, len(comps))
 	for i := 0; i < n; i++ {
 		row = csr.AppendRow(i, row[:0])
 		if len(row) == 0 || !active(row) {
 			continue
 		}
 		ci := compOf[row[0]]
-		comps[ci].Paths = append(comps[ci].Paths, int32(i))
+		paths[ci] = append(paths[ci], int32(i))
+	}
+	for ci := range comps {
+		comps[ci].Paths = PathList(paths[ci])
 	}
 	sort.Slice(comps, func(a, b int) bool { return comps[a].Links[0] < comps[b].Links[0] })
 	return comps
@@ -363,17 +367,72 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	for ci, d := range dirty {
 		if d {
 			diff.Removed = append(diff.Removed, inc.comps[ci])
-			held += len(inc.comps[ci].Paths)
+			held += inc.comps[ci].Paths.Len()
 		}
 	}
+	if ci := inc.restores(down, up); ci >= 0 {
+		diff.Added = []Component{inc.pristine.Comps[ci]}
+	} else {
+		diff.Added = inc.rebuild(&diff, held)
+	}
 
+	// Splice: clean components and the added ones are both ordered by
+	// smallest link.
+	var next []Component
+	a := 0
+	for ci := range inc.comps {
+		if dirty[ci] {
+			continue
+		}
+		for a < len(diff.Added) && diff.Added[a].Links[0] < inc.comps[ci].Links[0] {
+			next = append(next, diff.Added[a])
+			a++
+		}
+		next = append(next, inc.comps[ci])
+	}
+	inc.setComps(append(next, diff.Added[a:]...))
+	return diff, nil
+}
+
+// restores returns the pristine component a step restores, or -1. A step
+// whose flipped links all lie in one pristine component P, and that
+// leaves none of P's links down, makes every row of P active: the step's
+// dirty components are P's pieces, and P is what they decompose to. The
+// differ then hands P itself on, span and all, listing no row of it —
+// whoever compares the two, the memo's exact hit or Pristine.Is, compares
+// headers.
+func (inc *Incremental) restores(down, up []topo.LinkID) int {
+	ci := -1
+	for _, links := range [][]topo.LinkID{down, up} {
+		for _, l := range links {
+			c := inc.pristine.comp(l)
+			if c < 0 || (ci >= 0 && c != ci) {
+				return -1
+			}
+			ci = c
+		}
+	}
+	if ci < 0 {
+		return -1
+	}
+	for _, l := range inc.pristine.Comps[ci].Links {
+		if inc.down[l] {
+			return -1
+		}
+	}
+	return ci
+}
+
+// rebuild decomposes the region of a step's dirty components, diff.Removed
+// holding held rows between them, over the rows active after it.
+func (inc *Incremental) rebuild(diff *Diff, held int) []Component {
 	// Candidate rows for the local rebuild. The dirty components hold
 	// exactly the rows active before the step, the deactivated ones among
 	// them: drop those, and merge in the newly activated rows (disjoint: an
 	// activated row was in no component).
 	cand := make([]int32, 0, held+len(diff.ActivatedRows))
 	for i := range diff.Removed {
-		cand = append(cand, diff.Removed[i].Paths...)
+		cand = diff.Removed[i].Paths.Append(cand)
 	}
 	if len(diff.Removed) > 1 {
 		slices.Sort(cand)
@@ -405,32 +464,16 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 	live = slices.Compact(live)
 	switch {
 	case len(cand) == 0:
+		return nil
 	case inc.kern.connects(inc.csr, cand, live):
 		links := make([]topo.LinkID, len(live))
 		for i, l := range live {
 			links[i] = topo.LinkID(l)
 		}
-		diff.Added = []Component{{Links: links, Paths: cand}}
+		return []Component{{Links: links, Paths: PathList(cand)}}
 	default:
-		diff.Added = inc.kern.decompose(inc.csr, cand)
+		return inc.kern.decompose(inc.csr, cand)
 	}
-
-	// Splice: clean components and the added ones are both ordered by
-	// smallest link.
-	var next []Component
-	a := 0
-	for ci := range inc.comps {
-		if dirty[ci] {
-			continue
-		}
-		for a < len(diff.Added) && diff.Added[a].Links[0] < inc.comps[ci].Links[0] {
-			next = append(next, diff.Added[a])
-			a++
-		}
-		next = append(next, inc.comps[ci])
-	}
-	inc.setComps(append(next, diff.Added[a:]...))
-	return diff, nil
 }
 
 // subtractAscending removes from ascending a, in place, every element of

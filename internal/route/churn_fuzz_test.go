@@ -1,7 +1,6 @@
 package route
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/detector-net/detector/internal/topo"
@@ -71,7 +70,7 @@ func FuzzIncrementalDecompose(f *testing.F) {
 			if len(got) == 0 && len(want) == 0 {
 				continue
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !equalComps(got, want) {
 				t.Fatalf("after down=%v up=%v: incremental %d components diverge from full recompute %d", dn, up, len(got), len(want))
 			}
 		}

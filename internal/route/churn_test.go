@@ -36,10 +36,10 @@ func TestDecomposeMaskedNoDownMatchesDecompose(t *testing.T) {
 	} {
 		csr := MaterializeCSR(tc.ps)
 		full := DecomposeCSR(csr, tc.numLinks)
-		if masked := DecomposeMasked(csr, tc.numLinks, nil); !reflect.DeepEqual(full, masked) {
+		if masked := DecomposeMasked(csr, tc.numLinks, nil); !equalComps(full, masked) {
 			t.Errorf("%s: DecomposeMasked with empty down set diverges from DecomposeCSR", tc.name)
 		}
-		if inc := mustIncremental(t, csr, tc.numLinks, nil); !reflect.DeepEqual(full, inc.Components()) {
+		if inc := mustIncremental(t, csr, tc.numLinks, nil); !equalComps(full, inc.Components()) {
 			t.Errorf("%s: NewIncremental with empty down set diverges from DecomposeCSR", tc.name)
 		}
 	}
@@ -62,7 +62,7 @@ func TestIncrementalSplit(t *testing.T) {
 		t.Fatalf("split diff: %d removed, %d added, want 1/2", len(diff.Removed), len(diff.Added))
 	}
 	want := DecomposeMasked(csr, 3, []topo.LinkID{2})
-	if !reflect.DeepEqual(inc.Components(), want) {
+	if !equalComps(inc.Components(), want) {
 		t.Fatalf("post-split components %+v, want %+v", inc.Components(), want)
 	}
 	if len(want) != 2 {
@@ -86,11 +86,11 @@ func TestIncrementalMerge(t *testing.T) {
 		t.Fatalf("merge diff: %d removed, %d added, want 2/1", len(diff.Removed), len(diff.Added))
 	}
 	want := DecomposeMasked(csr, 3, nil)
-	if !reflect.DeepEqual(inc.Components(), want) {
+	if !equalComps(inc.Components(), want) {
 		t.Fatalf("post-merge components %+v, want %+v", inc.Components(), want)
 	}
 	fresh := DecomposeCSR(csr, 3)
-	if !reflect.DeepEqual(inc.Components(), fresh) {
+	if !equalComps(inc.Components(), fresh) {
 		t.Fatal("merged decomposition diverges from pristine decomposition")
 	}
 }
@@ -108,7 +108,7 @@ func TestIncrementalFlapNetsOut(t *testing.T) {
 	if !diff.Empty() {
 		t.Fatalf("flap diff not empty: %+v", diff)
 	}
-	if !reflect.DeepEqual(inc.Components(), before) {
+	if !equalComps(inc.Components(), before) {
 		t.Fatal("flap changed the decomposition")
 	}
 }
@@ -244,11 +244,11 @@ func churnDifferential(t *testing.T, csr *CSR, numLinks int, steps int, seed int
 		}
 		assertActiveCounts(t, inc, cur)
 		want := DecomposeMasked(csr, numLinks, cur)
-		if !reflect.DeepEqual(inc.Components(), want) {
+		if !equalComps(inc.Components(), want) {
 			t.Fatalf("step %d (down=%v up=%v): incremental decomposition diverges from full recompute", step, down, up)
 		}
 		mirror = applyDiff(mirror, diff, t)
-		if !reflect.DeepEqual(mirror, want) {
+		if !equalComps(mirror, want) {
 			t.Fatalf("step %d: diff replay diverges from full recompute", step)
 		}
 	}
@@ -407,10 +407,10 @@ func TestIncrementalKernelCases(t *testing.T) {
 			}
 			assertKernelClean(t, inc.kern)
 			cur := inc.Down()
-			if want := DecomposeMasked(csr, tc.numLinks, cur); !reflect.DeepEqual(inc.Components(), want) {
+			if want := DecomposeMasked(csr, tc.numLinks, cur); !equalComps(inc.Components(), want) {
 				t.Fatalf("%s: step %d: differ %+v, oracle %+v", tc.name, i, inc.Components(), want)
 			}
-			if fresh := mustIncremental(t, csr, tc.numLinks, cur); !reflect.DeepEqual(inc.Components(), fresh.Components()) {
+			if fresh := mustIncremental(t, csr, tc.numLinks, cur); !equalComps(inc.Components(), fresh.Components()) {
 				t.Fatalf("%s: step %d: differ %+v, fresh differ %+v", tc.name, i, inc.Components(), fresh.Components())
 			}
 			if got := len(inc.Components()); got != tc.wantLens[i] {
@@ -424,7 +424,7 @@ func TestIncrementalKernelCases(t *testing.T) {
 // live links of the components it added, ascending.
 func addedRegion(d Diff) (rows, live []int32) {
 	for _, c := range d.Added {
-		rows = append(rows, c.Paths...)
+		rows = c.Paths.Append(rows)
 		for _, l := range c.Links {
 			live = append(live, int32(l))
 		}
@@ -456,7 +456,7 @@ func TestIncrementalSplitFallsBack(t *testing.T) {
 			t.Fatalf("link %d down: the region's rows connect it = %v, want %v", step.down, got, !step.split)
 		}
 		assertKernelClean(t, inc.kern)
-		if want := DecomposeMasked(csr, 14, inc.Down()); !reflect.DeepEqual(inc.Components(), want) {
+		if want := DecomposeMasked(csr, 14, inc.Down()); !equalComps(inc.Components(), want) {
 			t.Fatalf("link %d down: differ %+v, oracle %+v", step.down, inc.Components(), want)
 		}
 	}
@@ -489,8 +489,34 @@ func TestIncrementalFlapExitsEarly(t *testing.T) {
 				t.Fatalf("link %d: %d of %d rows connect the region; the early exit saves too little", l, n+1, len(rows))
 			}
 		}
-		if want := DecomposeCSR(csr, f.NumLinks()); !reflect.DeepEqual(inc.Components(), want) {
+		if want := DecomposeCSR(csr, f.NumLinks()); !equalComps(inc.Components(), want) {
 			t.Fatalf("link %d flapped: differ diverges from the pristine decomposition", l)
+		}
+	}
+}
+
+// TestUpFlapRestoresPristineComponent: a link coming back up hands on the
+// pristine component it restores, span and all, not a list of its rows;
+// the down step's component, which lost rows, is a list.
+func TestUpFlapRestoresPristineComponent(t *testing.T) {
+	f := topo.MustFattree(8)
+	inc := mustIncremental(t, MaterializeCSR(NewFattreePaths(f)), f.NumLinks(), nil)
+	for _, l := range f.SwitchLinks()[:8] {
+		down, err := inc.Apply([]topo.LinkID{l}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		up, err := inc.Apply(nil, []topo.LinkID{l})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(down.Added) != 1 || down.Added[0].Paths.span() || len(up.Added) != 1 || !up.Added[0].Paths.span() {
+			t.Fatalf("link %d: the down step added %d components, the up step %d, want one list and one span",
+				l, len(down.Added), len(up.Added))
+		}
+		ci := inc.pristine.comp(l)
+		if p := inc.pristine.Comps[ci]; &up.Added[0].Links[0] != &p.Links[0] || !reflect.DeepEqual(up.Added[0].Paths, p.Paths) {
+			t.Fatalf("link %d: the up step added a copy of pristine component %d, not the component", l, ci)
 		}
 	}
 }

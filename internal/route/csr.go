@@ -140,7 +140,7 @@ func (p *Pristine) Is(c *Component) bool {
 		return false
 	}
 	ci := p.comp(c.Links[0])
-	return ci >= 0 && same(c.Links, p.Comps[ci].Links) && same(c.Paths, p.Comps[ci].Paths)
+	return ci >= 0 && same(c.Links, p.Comps[ci].Links) && c.Paths.Equal(p.Comps[ci].Paths)
 }
 
 // same reports whether a and b hold equal elements, at once when they are
@@ -179,8 +179,9 @@ func (p *Pristine) indexOf(ci int) *compIndex {
 		n := len(c.Links)
 		off := make([]int32, n+1)
 		var row []topo.LinkID
-		for _, r := range c.Paths {
-			row = p.csr.AppendRow(int(r), row[:0])
+		w := c.Paths.Walk()
+		for range c.Paths.Len() {
+			row = p.csr.AppendRow(int(w.Next()), row[:0])
 			for _, l := range row {
 				off[p.localOf[l]+1]++
 			}
@@ -190,7 +191,9 @@ func (p *Pristine) indexOf(ci int) *compIndex {
 		}
 		rows := make([]int32, off[n])
 		fill := slices.Clone(off[:n])
-		for _, r := range c.Paths {
+		w = c.Paths.Walk()
+		for range c.Paths.Len() {
+			r := w.Next()
 			row = p.csr.AppendRow(int(r), row[:0])
 			for _, l := range row {
 				li := p.localOf[l]

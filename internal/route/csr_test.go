@@ -78,33 +78,6 @@ func TestGeneratedRowsMatchStored(t *testing.T) {
 	}
 }
 
-// TestDecomposeCSRMatchesDecompose: the CSR decomposition must produce the
-// same components as the PathSet wrapper.
-func TestDecomposeCSRMatchesDecompose(t *testing.T) {
-	f := topo.MustFattree(4)
-	ps := NewFattreePaths(f)
-	a := Decompose(ps, f.NumLinks())
-	b := DecomposeCSR(MaterializeCSR(ps), f.NumLinks())
-	if len(a) != len(b) {
-		t.Fatalf("component counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if len(a[i].Links) != len(b[i].Links) || len(a[i].Paths) != len(b[i].Paths) {
-			t.Fatalf("component %d shape differs", i)
-		}
-		for j := range a[i].Links {
-			if a[i].Links[j] != b[i].Links[j] {
-				t.Fatalf("component %d link %d differs", i, j)
-			}
-		}
-		for j := range a[i].Paths {
-			if a[i].Paths[j] != b[i].Paths[j] {
-				t.Fatalf("component %d path %d differs", i, j)
-			}
-		}
-	}
-}
-
 // TestFattreeRepresentativePrefix: the representatives listed among every
 // path index are the paths whose source is in pod 0, a prefix.
 func TestFattreeRepresentativePrefix(t *testing.T) {
@@ -113,7 +86,7 @@ func TestFattreeRepresentativePrefix(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	reps := ps.AppendRepresentatives(all, nil)
+	reps := ps.AppendRepresentatives(PathList(all), nil)
 	for i := range all {
 		s, _, _ := ps.Decode(i)
 		if listed := i < len(reps) && reps[i] == int32(i); listed != (s/ps.F.Half() == 0) {
@@ -145,23 +118,24 @@ func TestRepresentativeListingMatchesPredicate(t *testing.T) {
 		for i := range all {
 			all[i] = int32(i)
 		}
-		lists := [][]int32{nil, {}, all}
+		n := fc.sym.Len()
+		lists := []Paths{{}, PathList([]int32{}), PathList(all), PathSpan(0, n, n, n)}
 		for _, c := range MaterializeCSR(fc.sym).Pristine(fc.numLinks).Comps {
-			lists = append(lists, c.Paths)
+			lists = append(lists, c.Paths, PathList(c.Paths.Append(nil)))
 			for trial := 0; trial < 4; trial++ {
 				keep := rng.Float64()
 				var sub []int32
-				for _, p := range c.Paths {
+				for _, p := range c.Paths.Append(nil) {
 					if rng.Float64() < keep {
 						sub = append(sub, p)
 					}
 				}
-				lists = append(lists, sub)
+				lists = append(lists, PathList(sub))
 			}
 		}
 		for li, paths := range lists {
 			var want []int32
-			for r, p := range paths {
+			for r, p := range paths.Append(nil) {
 				if fc.rep(int(p)) {
 					want = append(want, int32(r))
 				}
@@ -169,7 +143,7 @@ func TestRepresentativeListingMatchesPredicate(t *testing.T) {
 			got := fc.sym.AppendRepresentatives(paths, []int32{-1})
 			if got[0] != -1 || !slices.Equal(got[1:], want) {
 				t.Fatalf("%s list %d (%d paths): listed %d representatives, the predicate holds for %d",
-					fc.name, li, len(paths), len(got)-1, len(want))
+					fc.name, li, paths.Len(), len(got)-1, len(want))
 			}
 			if fc.sym == Symmetric(fp) {
 				for i, r := range want {

@@ -12,8 +12,9 @@ import (
 type Component struct {
 	// Links are the global link IDs of this component, sorted.
 	Links []topo.LinkID
-	// Paths are indices into the originating PathSet, ascending.
-	Paths []int32
+	// Paths are indices into the originating PathSet, ascending: a span
+	// for a pristine Fattree component, a list otherwise.
+	Paths Paths
 }
 
 // Key returns a stable identity for the component: its smallest link ID.
@@ -66,7 +67,7 @@ func (u *unionFind) union(a, b int32) int32 {
 	return ra
 }
 
-// Decompose partitions the routing matrix into independent components by
+// DecomposeCSR partitions the routing matrix into independent components by
 // building the path-link bipartite graph implicitly: all links of one path
 // are unioned, then paths are grouped by the component of their first link.
 // Links never touched by any path are omitted. This is the generic
@@ -74,16 +75,10 @@ func (u *unionFind) union(a, b int32) int32 {
 // k/2 aggregation-position subproblems the family also states outright
 // (Decomposer), on VL2 and BCube it returns a single component (and the scan
 // cost is the "extra time to decide whether the matrix is decomposable"
-// visible in Table 2). It always runs the kernel: it is the oracle the
-// family's own decomposition is tested against.
-func Decompose(ps PathSet, numLinks int) []Component {
-	return DecomposeCSR(MaterializeCSR(ps), numLinks)
-}
-
-// DecomposeCSR is Decompose over an already-materialized matrix: one walk of
-// the CSR arena instead of two AppendLinks passes. It always runs the
-// kernel; CSR.Pristine, which PMC and the coordinator use, asks a Decomposer
-// family first.
+// visible in Table 2). It always runs the kernel, and its components are
+// lists: it is the oracle the family's own decomposition is tested
+// against. CSR.Pristine, which PMC and the coordinator use, asks a
+// Decomposer family first.
 func DecomposeCSR(csr *CSR, numLinks int) []Component {
 	return newKernel(numLinks).decompose(csr, nil)
 }
@@ -173,16 +168,20 @@ func (k *kernel) decompose(csr *CSR, rows []int32) []Component {
 		c.Links = append(c.Links, topo.LinkID(l))
 	}
 	if len(comps) == 1 && int(nPaths[0]) == len(rows) {
-		comps[0].Paths = rows
+		comps[0].Paths = PathList(rows)
 	} else {
+		paths := make([][]int32, len(comps))
 		for ci := range comps {
-			comps[ci].Paths = make([]int32, 0, nPaths[ci])
+			paths[ci] = make([]int32, 0, nPaths[ci])
 		}
 		for i := 0; i < n; i++ {
 			if r, row := visit(i); len(row) > 0 {
-				c := &comps[k.comp[row[0]]-1]
-				c.Paths = append(c.Paths, r)
+				ci := k.comp[row[0]] - 1
+				paths[ci] = append(paths[ci], r)
 			}
+		}
+		for ci := range comps {
+			comps[ci].Paths = PathList(paths[ci])
 		}
 	}
 	for _, l := range k.links {
@@ -219,18 +218,18 @@ func (k *kernel) connects(csr *CSR, rows, live []int32) bool {
 }
 
 // SingleComponentCSR wraps the whole matrix as one component (the
-// no-decomposition baseline for Table 2's strawman column).
+// no-decomposition baseline for Table 2's strawman column); its paths are
+// the identity span.
 func SingleComponentCSR(csr *CSR, numLinks int) Component {
 	touched := make([]bool, numLinks)
 	n := csr.Len()
-	c := Component{Paths: make([]int32, 0, n)}
+	c := Component{Paths: PathSpan(0, n, n, n)}
 	var row []topo.LinkID
 	for i := 0; i < n; i++ {
 		row = csr.AppendRow(i, row[:0])
 		for _, l := range row {
 			touched[l] = true
 		}
-		c.Paths = append(c.Paths, int32(i))
 	}
 	for l := 0; l < numLinks; l++ {
 		if touched[l] {

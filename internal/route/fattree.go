@@ -196,15 +196,9 @@ func (p *FattreePaths) PristineComponents() []Component {
 		}
 		slices.Sort(links)
 		// Path index is pair*nCores + core: group g's cores are one
-		// contiguous run of h in every pair's block.
-		paths := make([]int32, 0, nPairs*h)
-		for pair := 0; pair < nPairs; pair++ {
-			base := int32(pair*p.nCores + g*h)
-			for c := base; c < base+int32(h); c++ {
-				paths = append(paths, c)
-			}
-		}
-		comps[g] = Component{Links: links, Paths: paths}
+		// contiguous run of h in every pair's block, so its paths are a
+		// span and none is listed.
+		comps[g] = Component{Links: links, Paths: PathSpan(g*h, h, p.nCores, nPairs*h)}
 	}
 	return comps
 }
@@ -226,9 +220,9 @@ func (p *FattreePaths) shift(s, d, c, r int) (int, int, int) {
 // AppendRepresentatives implements Symmetric: the canonical orbit member
 // is the unique rotation with source pod 0. Source ToR index is the major
 // axis of the path-index layout, so pod-0 sources are exactly the indices
-// below repBound: a prefix of paths, found by binary search.
-func (p *FattreePaths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
-	n, _ := slices.BinarySearch(paths, int32(p.repBound))
+// below repBound: a prefix of paths, found by Paths.Search.
+func (p *FattreePaths) AppendRepresentatives(paths Paths, rows []int32) []int32 {
+	n := paths.Search(int32(p.repBound))
 	rows = slices.Grow(rows, n)
 	for r := range int32(n) {
 		rows = append(rows, r)

@@ -80,8 +80,9 @@ func partition(p *Probes, view func([]topo.LinkID) []topo.LinkID) *Partition {
 	}
 	for c := range comps {
 		pt.Keys[c] = comps[c].Key()
-		for _, r := range comps[c].Paths {
-			pt.PathPart[r] = int32(c)
+		w := comps[c].Paths.Walk()
+		for range comps[c].Paths.Len() {
+			pt.PathPart[w.Next()] = int32(c)
 		}
 	}
 	return pt

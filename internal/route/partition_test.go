@@ -108,7 +108,7 @@ func TestComponentPartitionMatchesDecompose(t *testing.T) {
 			if pt.Keys[c] != comps[c].Key() {
 				t.Fatalf("%s: part %d keyed %d, component keyed %d", name, c, pt.Keys[c], comps[c].Key())
 			}
-			for _, r := range comps[c].Paths {
+			for _, r := range comps[c].Paths.Append(nil) {
 				want[r] = int32(c)
 			}
 		}

@@ -38,10 +38,10 @@ type PathSet interface {
 type Symmetric interface {
 	PathSet
 	// AppendRepresentatives appends to rows, ascending, the positions in
-	// paths (ascending path indices, a component's Paths) of the paths
-	// that are the canonical members of their orbits under the family's
-	// shift generator, and returns the extended slice.
-	AppendRepresentatives(paths []int32, rows []int32) []int32
+	// paths (a component's Paths) of the paths that are the canonical
+	// members of their orbits under the family's shift generator, and
+	// returns the extended slice.
+	AppendRepresentatives(paths Paths, rows []int32) []int32
 	// AppendOrbit appends the non-canonical images of path i's orbit
 	// (every orbit member except i itself) to buf.
 	AppendOrbit(i int, buf []int) []int
@@ -50,9 +50,10 @@ type Symmetric interface {
 // AppendWhere appends to rows the positions in paths of the paths rep holds
 // for: AppendRepresentatives for a family that states its representatives
 // one path at a time.
-func AppendWhere(paths []int32, rows []int32, rep func(i int) bool) []int32 {
-	for r, i := range paths {
-		if rep(int(i)) {
+func AppendWhere(paths Paths, rows []int32, rep func(i int) bool) []int32 {
+	w := paths.Walk()
+	for r := range paths.Len() {
+		if rep(int(w.Next())) {
 			rows = append(rows, int32(r))
 		}
 	}

@@ -141,7 +141,7 @@ func gcd(a, b int) int {
 }
 
 // AppendRepresentatives implements Symmetric by isRepresentative.
-func (p *VL2Paths) AppendRepresentatives(paths []int32, rows []int32) []int32 {
+func (p *VL2Paths) AppendRepresentatives(paths Paths, rows []int32) []int32 {
 	return AppendWhere(paths, rows, p.isRepresentative)
 }
 

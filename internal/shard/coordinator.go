@@ -814,7 +814,7 @@ func (c *Coordinator) Status() Status {
 			Index: ci,
 			Key:   c.comps[ci].Key(),
 			Links: len(c.comps[ci].Links),
-			Paths: len(c.comps[ci].Paths),
+			Paths: c.comps[ci].Paths.Len(),
 			Shard: id,
 		})
 	}

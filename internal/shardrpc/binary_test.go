@@ -308,7 +308,7 @@ func TestBinaryConstructCompression(t *testing.T) {
 		NumLinks: f.NumLinks(), Opt: PMCOptions{Alpha: 2, Beta: 1, CELF: true},
 	}
 	for _, c := range comps {
-		req.Comps = append(req.Comps, Component{Links: c.Links, Paths: c.Paths})
+		req.Comps = append(req.Comps, Component{Links: c.Links, Paths: c.Paths.Append(nil)})
 	}
 	jsonBytes, err := json.Marshal(req)
 	if err != nil {
@@ -353,7 +353,7 @@ func TestBinaryFramesRejected(t *testing.T) {
 		Opt: PMCOptions{Alpha: 1, Beta: 1, CELF: true},
 	}
 	for _, c := range route.DecomposeCSR(srv.csr, srv.numLinks) {
-		valid.Comps = append(valid.Comps, Component{Links: c.Links, Paths: c.Paths})
+		valid.Comps = append(valid.Comps, Component{Links: c.Links, Paths: c.Paths.Append(nil)})
 	}
 	frame := valid.encodeBinary()
 

@@ -101,7 +101,10 @@ type PingResponse struct {
 
 // Component is one independent subproblem on the wire: global link IDs and
 // candidate-path indices, both ascending (the canonical form of
-// route.DecomposeCSR and CSR.Pristine; servers reject anything else).
+// route.DecomposeCSR and CSR.Pristine; servers reject anything else). The
+// paths are always listed: a span (a pristine Fattree component's
+// route.Paths) is expanded on encode, and a server decodes a list, which
+// route.Pristine.Is still recognizes as the pristine component.
 type Component struct {
 	Links []topo.LinkID `json:"links"`
 	Paths []int32       `json:"paths"`
@@ -202,7 +205,8 @@ type LocalizeResponse struct {
 	ElapsedNS        int64     `json:"elapsed_ns"`
 }
 
-// encodeConstruct translates the coordinator's work order to the wire.
+// encodeConstruct translates the coordinator's work order to the wire,
+// listing every component's paths.
 func encodeConstruct(req shard.ConstructRequest) ConstructRequest {
 	out := ConstructRequest{
 		V:         SchemaVersion,
@@ -218,7 +222,7 @@ func encodeConstruct(req shard.ConstructRequest) ConstructRequest {
 		Comps: make([]Component, len(req.Comps)),
 	}
 	for i, c := range req.Comps {
-		out.Comps[i] = Component{Links: c.Links, Paths: c.Paths}
+		out.Comps[i] = Component{Links: c.Links, Paths: c.Paths.Append(nil)}
 	}
 	return out
 }

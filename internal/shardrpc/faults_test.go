@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -605,11 +604,12 @@ func TestForeignRowConstructOverLoopback(t *testing.T) {
 	ps := route.NewFattreePaths(f)
 	csr := route.MaterializeCSR(ps)
 	comps := csr.Pristine(f.NumLinks()).Comps
-	bad := route.Component{Links: comps[1].Links, Paths: slices.Clone(comps[1].Paths)}
-	last := len(bad.Paths) - 1
-	bad.Paths[last]++
-	if _, ok := slices.BinarySearch(comps[2].Paths, bad.Paths[last]); !ok || len(ps.AppendRepresentatives(bad.Paths[last:], nil)) != 0 {
-		t.Fatalf("path %d is not a non-representative path of component 2", bad.Paths[last])
+	paths := comps[1].Paths.Append(nil)
+	last := len(paths) - 1
+	paths[last]++
+	bad := route.Component{Links: comps[1].Links, Paths: route.PathList(paths)}
+	if comps[2].Paths.Find(paths[last]) < 0 || len(ps.AppendRepresentatives(route.PathList(paths[last:]), nil)) != 0 {
+		t.Fatalf("path %d is not a non-representative path of component 2", paths[last])
 	}
 	ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
 	defer ts.Close()

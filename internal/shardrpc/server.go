@@ -264,7 +264,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		comps := make([]route.Component, len(req.Comps))
 		for i, c := range req.Comps {
-			comps[i] = route.Component{Links: c.Links, Paths: c.Paths}
+			comps[i] = route.Component{Links: c.Links, Paths: route.PathList(c.Paths)}
 		}
 		// File the engine run under the coordinator's cycle: the joined
 		// cycle's spans then answer "what did shard N do during cycle C"
