@@ -85,7 +85,7 @@ func BenchmarkBeta2PMCStrawman(b *testing.B) {
 // to built pinglists. Fattree(16) at (1,2) is the case bench/ cannot hold
 // at its parent's 13 s a cycle. Fattree(24) is the served path above the
 // fabrics bench/ builds, where a per-candidate copy in the coordinator or
-// the memo (11.9 M candidates) shows in B/op.
+// a shard (11.9 M candidates) shows in B/op.
 func BenchmarkServedCycle(b *testing.B) {
 	for _, c := range []struct {
 		name           string

@@ -13,6 +13,7 @@ import (
 
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pinger"
+	"github.com/detector-net/detector/internal/topo"
 )
 
 var smokeSampleRe = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$`)
@@ -93,8 +94,8 @@ func hasSpan(sz obs.Statusz, id uint64, name string) bool {
 
 // TestClusterObservabilitySurface is the acceptance drill for the
 // observability plane: one loopback Fattree(8) cluster with remote shards
-// boots, runs one construction cycle and one hand-closed diagnosis window,
-// and then every process answers /metrics with a well-formed Prometheus
+// boots, runs one construction cycle, one hand-closed diagnosis window and
+// one link flap, and then every process answers /metrics with a well-formed Prometheus
 // exposition and /healthz with "ok", every coordinator and diagnoser stage
 // histogram is non-empty, and the shard services' /statusz timelines file
 // their construct and localize spans under the coordinator's and
@@ -131,6 +132,30 @@ func TestClusterObservabilitySurface(t *testing.T) {
 	c.Diagnoser.Ingest(rep)
 	c.Diagnoser.RunWindow()
 
+	// The boot cycle dispatched to both shard services. A link flap then
+	// runs a cycle that dispatches nothing — the coordinator repairs the
+	// masked component from its stored selection — so the boot cycle's ID
+	// is taken first.
+	var ctl obs.Statusz
+	getJSON(t, c.ControllerURL+"/statusz", &ctl)
+	var constructID uint64
+	for _, cy := range ctl.Cycles {
+		if cy.Kind == "construct" {
+			constructID = cy.ID // newest first
+			break
+		}
+	}
+	if constructID == 0 {
+		t.Fatalf("controller /statusz has no construct cycle: %+v", ctl.Cycles)
+	}
+	if _, err := c.Churn([]topo.LinkID{c.F.SwitchLinks()[0]}, nil); err != nil {
+		t.Fatal(err)
+	}
+	getJSON(t, c.ControllerURL+"/statusz", &ctl)
+	if cy := ctl.Cycles[0]; cy.Kind != "construct" || !hasSpan(ctl, cy.ID, "repair") {
+		t.Errorf("the flap's cycle files no repair span: %+v", ctl.Cycles[0])
+	}
+
 	urls := map[string]string{
 		"controller": c.ControllerURL,
 		"diagnoser":  c.DiagnoserURL,
@@ -155,7 +180,7 @@ func TestClusterObservabilitySurface(t *testing.T) {
 	// whole pipeline's stage histograms; each must have fired.
 	samples := scrapeProm(t, c.ControllerURL+"/metrics")
 	for _, stage := range []string{
-		"materialize", "decompose", "assign", "construct_dispatch", "merge",
+		"materialize", "decompose", "assign", "construct_dispatch", "repair", "merge",
 		"serve", "ingest", "window_close", "localize", "classify",
 	} {
 		series := fmt.Sprintf(`detector_stage_duration_seconds_count{stage=%q}`, stage)
@@ -167,19 +192,6 @@ func TestClusterObservabilitySurface(t *testing.T) {
 	// Cycle correlation: the controller minted the construct cycle, the
 	// diagnoser the window cycle; both IDs must reappear verbatim in each
 	// shard service's timeline, tagged with the matching span.
-	var ctl obs.Statusz
-	getJSON(t, c.ControllerURL+"/statusz", &ctl)
-	var constructID uint64
-	for _, cy := range ctl.Cycles {
-		if cy.Kind == "construct" {
-			constructID = cy.ID // newest first
-			break
-		}
-	}
-	if constructID == 0 {
-		t.Fatalf("controller /statusz has no construct cycle: %+v", ctl.Cycles)
-	}
-
 	var dg obs.Statusz
 	getJSON(t, c.DiagnoserURL+"/statusz", &dg)
 	var windowID uint64

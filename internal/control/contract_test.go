@@ -153,8 +153,9 @@ func TestServedContractThroughChurn(t *testing.T) {
 }
 
 // TestFlapIsRepaired: one switch link going down on Fattree(8) is answered
-// by repairing the dirty component from its pristine class, with no class
-// solved, and coming back up restores it from the memo. In both directions
+// by repairing the dirty component from its pristine parent's stored
+// selection, with no class solved, and coming back up restores it from the
+// coordinator's store. In both directions
 // control_pinglists_changed moves by exactly the number of nodes whose
 // pinglist version moved: the pingers the flap reprograms.
 func TestFlapIsRepaired(t *testing.T) {

@@ -209,11 +209,10 @@ func (c *Controller) Close() {
 // coordinator returns the construction coordinator, creating it on first
 // use. Construction always runs through the coordinator — one in-process
 // shard when unsharded, Cfg.Shards in-process shards, or the remote fleet
-// of Cfg.ShardEndpoints — with selection reuse on: a cycle recomputes only
-// components the topology diff dirtied since the last one, so an
-// unhealthy-set change (which only affects the serve phase) costs no
-// construction at all. The merge guarantee means the selection is
-// bit-identical in every configuration.
+// of Cfg.ShardEndpoints — whose selection store answers every component it
+// has answered before, so a cycle after an unhealthy-set change (which
+// only affects the serve phase) costs no construction at all. The merge
+// guarantee means the selection is bit-identical in every configuration.
 func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -224,11 +223,10 @@ func (c *Controller) coordinator(ps route.PathSet) (*shard.Coordinator, error) {
 		ps = route.NewFattreePaths(c.F)
 	}
 	opt := shard.Options{
-		Shards:          c.Cfg.Shards,
-		TTL:             c.Cfg.ShardTTL,
-		PMC:             pmc.Options{Alpha: c.Cfg.Alpha, Beta: c.Cfg.Beta},
-		DownLinks:       c.Cfg.DownLinks,
-		ReuseSelections: true,
+		Shards:    c.Cfg.Shards,
+		TTL:       c.Cfg.ShardTTL,
+		PMC:       pmc.Options{Alpha: c.Cfg.Alpha, Beta: c.Cfg.Beta},
+		DownLinks: c.Cfg.DownLinks,
 	}
 	if opt.Shards < 1 {
 		opt.Shards = 1
@@ -262,13 +260,13 @@ func (c *Controller) construct(ps *route.FattreePaths, cy *obs.Cycle) (*pmc.Resu
 
 // ApplyChurn feeds a topology change (links going down, links coming back)
 // into the construction plane. The diff is computed incrementally: only
-// components touching a changed link are marked dirty, and the next
-// RunCycle constructs exactly those — every clean component's selection is
-// reused verbatim. A dirty component the mask cut into is repaired from its
-// pristine class selection, so a flap reprograms only the pingers whose
-// paths it actually touched; one coming back up takes the pristine class
-// selection again. Safe before the first cycle (the coordinator is created
-// on demand).
+// components touching a changed link change, and the next RunCycle answers
+// exactly those — every other component's selection is reused verbatim.
+// The coordinator repairs a component the mask cut into from its pristine
+// parent's stored selection, so a flap reprograms only the pingers whose
+// paths it actually touched and dispatches nothing to the shards; one
+// coming back up takes the stored pristine selection again. Safe before
+// the first cycle (the coordinator is created on demand).
 func (c *Controller) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	coord, err := c.coordinator(nil)
 	if err != nil {

@@ -336,7 +336,7 @@ func TestShardsEndpointExposesPlacement(t *testing.T) {
 
 // TestColdCycleStoresNothingPerCandidate: a cold Fattree(16) cycle names
 // each pristine component's 130 048 paths as a span, and neither the
-// coordinator nor the memo lists them, so the whole cycle — enumeration to
+// coordinator nor its shard lists them, so the whole cycle — enumeration to
 // pinglists — allocates a few MB, not the 8 MB two copies of every
 // component's path list took.
 func TestColdCycleStoresNothingPerCandidate(t *testing.T) {

@@ -340,8 +340,9 @@ func NewGauge(name, help string) *Gauge {
 // Stages is the cross-service pipeline stage histogram family — the live
 // per-cycle analog of the paper's Table 2/5 per-stage decomposition.
 // Coordinator stages: materialize, decompose, assign, construct_dispatch,
-// merge, serve, churn_diff per effective topology change, and churn_index
-// per change that is the first to touch a pristine component. Diagnoser
+// repair per cycle that repairs a masked component, merge, serve,
+// churn_diff per effective topology change, and churn_index per change
+// that is the first to touch a pristine component. Diagnoser
 // stages: ingest, window_close, localize, classify.
 var Stages = NewHistogramVec("detector_stage_duration_seconds",
 	"Per-cycle pipeline stage latency, one series per stage.", "stage", 32)

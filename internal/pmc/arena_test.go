@@ -38,7 +38,7 @@ func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
 		csr := route.MaterializeCSR(fb.ps)
 		comps := csr.Pristine(fb.numLinks).Comps
 		localOf := make([]int32, fb.numLinks)
-		setLocal(localOf, comps, nil)
+		setLocal(localOf, comps)
 		for _, ab := range [][2]int{{3, 1}, {1, 2}} {
 			opt := Options{Alpha: ab[0], Beta: ab[1]}
 			t.Run(fmt.Sprintf("%s/a%db%d", fb.name, ab[0], ab[1]), func(t *testing.T) {
@@ -46,9 +46,9 @@ func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solve := func(loadAll bool) (*componentResult, *memoEntry, *compArena) {
+				solve := func(loadAll bool) (*componentResult, *classEntry, *compArena) {
 					ar := newArena(csr, &comps[0], localOf)
-					cr, e, err := solveComponent(sym, ar, opt, optKeyOf(opt), 0, loadAll)
+					cr, e, err := solveComponent(sym, ar, opt, loadAll)
 					if err != nil {
 						t.Fatal(err)
 					}

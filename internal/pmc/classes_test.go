@@ -13,8 +13,8 @@ import (
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// perComponentOracle solves every component alone, with no memo, so no
-// component can reuse another's rows, and merges the selections. Its own
+// perComponentOracle solves every component alone, so no component can
+// reuse another's rows, and merges the selections. Its own
 // solves load every row up front, so every check against it is also a
 // differential between that arena and the one construction runs, which
 // loads rows as its greedy reads them. A masked component is repaired, as
@@ -27,7 +27,7 @@ func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []
 	for i := range comps {
 		c := &comps[i]
 		if p := pristine.Parent(c); p >= 0 && c.Paths.Len() < pristine.Comps[p].Paths.Len() {
-			res, err := ConstructComponents(ps, csr, comps[i:i+1], numLinks, opt, nil)
+			res, err := ConstructComponents(ps, csr, comps[i:i+1], numLinks, opt)
 			if err != nil {
 				t.Fatalf("component %d alone: %v", i, err)
 			}
@@ -38,8 +38,8 @@ func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []
 		if err != nil {
 			t.Fatal(err)
 		}
-		setLocal(localOf, comps[i:i+1], nil)
-		cr, _, err := solveComponent(sym, newArena(csr, c, localOf), opt, optKeyOf(opt), 0, true)
+		setLocal(localOf, comps[i:i+1])
+		cr, _, err := solveComponent(sym, newArena(csr, c, localOf), opt, true)
 		if err != nil {
 			t.Fatalf("component %d alone: %v", i, err)
 		}
@@ -49,30 +49,21 @@ func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []
 	return sel
 }
 
-// checkClassReuse constructs comps with class reuse, through a fresh memo
-// and then again through the same memo, and requires the per-component
-// oracle's selection both times. It returns the first run's stats.
+// checkClassReuse constructs comps with class reuse in one call and
+// requires the per-component oracle's selection. It returns the run's
+// stats.
 func checkClassReuse(t testing.TB, ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options) Stats {
 	t.Helper()
 	want := perComponentOracle(t, ps, csr, comps, numLinks, opt)
-	memo := NewMemo(0)
-	var first Stats
-	for run := 0; run < 2; run++ {
-		res, err := ConstructComponents(ps, csr, comps, numLinks, opt, memo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(res.Selected, want) {
-			t.Fatalf("run %d: class reuse selected %d paths (hash %#016x), per-component oracle %d (hash %#016x)",
-				run, len(res.Selected), hashSelection(res.Selected), len(want), hashSelection(want))
-		}
-		if run == 0 {
-			first = res.Stats
-		} else if res.Stats.Classes != 0 {
-			t.Fatalf("second run through the memo solved %d classes, want 0", res.Stats.Classes)
-		}
+	res, err := ConstructComponents(ps, csr, comps, numLinks, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return first
+	if !reflect.DeepEqual(res.Selected, want) {
+		t.Fatalf("class reuse selected %d paths (hash %#016x), per-component oracle %d (hash %#016x)",
+			len(res.Selected), hashSelection(res.Selected), len(want), hashSelection(want))
+	}
+	return res.Stats
 }
 
 // TestClassReuseMatchesPerComponentSolve: reusing a class leader's rows
@@ -148,31 +139,6 @@ func TestClassReuseMatchesPerComponentSolve(t *testing.T) {
 	}
 }
 
-// TestClassReuseAcrossCalls: a memo entry solved on one component answers a
-// later call for another component of its class, with no solve.
-func TestClassReuseAcrossCalls(t *testing.T) {
-	f := topo.MustFattree(8)
-	ps := route.NewFattreePaths(f)
-	csr := route.MaterializeCSR(ps)
-	comps := route.DecomposeCSR(csr, f.NumLinks())
-	opt := Options{Alpha: 3, Beta: 1}
-	memo := NewMemo(0)
-	if _, err := ConstructComponents(ps, csr, comps[:1], f.NumLinks(), opt, memo); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ConstructComponents(ps, csr, comps[2:3], f.NumLinks(), opt, memo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := perComponentOracle(t, ps, csr, comps[2:3], f.NumLinks(), opt); !reflect.DeepEqual(res.Selected, want) {
-		t.Fatal("component 2 reusing component 0's rows diverges from solving it")
-	}
-	if st := memo.Stats(); res.Stats.Classes != 0 || res.Stats.ScoreEvals != 0 || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("classes %d, evals %d, memo hits/misses %d/%d; want 0, 0, 1/1",
-			res.Stats.Classes, res.Stats.ScoreEvals, st.Hits, st.Misses)
-	}
-}
-
 // twinPaths is a hand-built Symmetric: two components with identical
 // component-local arenas whose orbit images differ. Component A is paths
 // 0..3 over links 0..2, component B paths 4..7 over links 3..5, row for
@@ -238,8 +204,8 @@ func TestClassCheckComparesRepresentatives(t *testing.T) {
 	}
 }
 
-// TestOrbitReplayRejectsFalseTwins: components that digest alike but answer
-// an orbit query differently are not one class. The replay must refuse the
+// TestOrbitReplayRejectsFalseTwins: components whose rows read alike but
+// answer an orbit query differently are not one class. The replay must refuse the
 // reuse and both must be solved, each to its own per-component answer.
 func TestOrbitReplayRejectsFalseTwins(t *testing.T) {
 	ps := twinPaths{}
@@ -251,8 +217,12 @@ func TestOrbitReplayRejectsFalseTwins(t *testing.T) {
 	}
 	opt := Options{Alpha: 1, Beta: 1}
 	localOf := []int32{0, 1, 2, 0, 1, 2}
-	if digest(csr, &comps[0], localOf, ps) != digest(csr, &comps[1], localOf, ps) {
-		t.Fatal("the twins must digest alike for the test to reach the replay")
+	for r := range comps[0].Paths.Len() {
+		a := csr.AppendRow(int(comps[0].Paths.At(r)), nil)
+		b := csr.AppendRow(int(comps[1].Paths.At(r)), nil)
+		if !slices.EqualFunc(a, b, func(x, y topo.LinkID) bool { return localOf[x] == localOf[y] }) {
+			t.Fatal("the twins' rows must read alike for the test to reach the replay")
+		}
 	}
 	st := checkClassReuse(t, ps, csr, comps, numLinks, opt)
 	if st.Classes != 2 {
@@ -282,7 +252,7 @@ var shapeRows = [][]topo.LinkID{
 // TestShapeGroupSplitsClasses: the shape group's head solves A, B fails its
 // one exact pass against A's entry and heads the next round, and the second
 // A reuses the head's rows — two solves, and the selection of solving each
-// component alone, with a memo and without.
+// component alone.
 func TestShapeGroupSplitsClasses(t *testing.T) {
 	ps := route.NewSlicePathSet(shapeRows, nil)
 	csr := route.MaterializeCSR(ps)
@@ -305,15 +275,7 @@ func TestShapeGroupSplitsClasses(t *testing.T) {
 		t.Fatal("A and B select the same rows; the test cannot tell a wrong reuse from a right one")
 	}
 	if st := checkClassReuse(t, ps, csr, comps, numLinks, opt); st.Classes != 2 {
-		t.Fatalf("three components of two classes solved as %d classes through a memo, want 2", st.Classes)
-	}
-	res, err := ConstructComponents(ps, csr, comps, numLinks, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Selected, want) || res.Stats.Classes != 2 {
-		t.Fatalf("without a memo: %d classes, selection equal to the per-component one: %v; want 2, true",
-			res.Stats.Classes, reflect.DeepEqual(res.Selected, want))
+		t.Fatalf("three components of two classes solved as %d classes, want 2", st.Classes)
 	}
 }
 
@@ -363,12 +325,12 @@ func FuzzClassReuse(f *testing.F) {
 	})
 }
 
-// leaderEntry solves comps[0] alone and returns its memo entry, with
+// leaderEntry solves comps[0] alone and returns its class entry, with
 // localOf translating comps' links.
-func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options) *memoEntry {
+func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options) *classEntry {
 	t.Helper()
-	setLocal(localOf, comps, nil)
-	_, e, err := solveComponent(sym, newArena(csr, &comps[0], localOf), opt, optKeyOf(opt), 0, false)
+	setLocal(localOf, comps)
+	_, e, err := solveComponent(sym, newArena(csr, &comps[0], localOf), opt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +339,7 @@ func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []rout
 
 // readRows marks the rows a class check compares when the leader's
 // completion pass did not run: its representatives and its orbit images.
-func (e *memoEntry) readRows() []bool {
+func (e *classEntry) readRows() []bool {
 	read := make([]bool, e.paths.Len())
 	for _, r := range e.reps {
 		read[r] = true
@@ -460,21 +422,16 @@ func TestClassCheckRefusesForeignRows(t *testing.T) {
 	bad := swapUnreadRow(t, ps, e.readRows(), comps[1], comps[2])
 
 	two := []route.Component{comps[0], bad}
-	setLocal(localOf, two, nil)
+	setLocal(localOf, two)
 	if ok, _ := e.compare(csr, ps, &bad, localOf, false); !ok {
 		t.Fatal("the swapped row is read by the leader; the test cannot tell the every-row check from the other")
 	}
 	if !e.everyRow(&bad, pristine) || e.matches(csr, ps, &bad, localOf, pristine) {
 		t.Fatal("a component that is not pristine was checked on the leader's reads only")
 	}
-	for _, memo := range []*Memo{nil, NewMemo(0)} {
-		_, err := ConstructComponents(ps, csr, two, f.NumLinks(), opt, memo)
-		if err == nil || !strings.Contains(err.Error(), "leaves its component") {
-			t.Fatalf("memo %v: construct err = %v, want a path leaving its component", memo != nil, err)
-		}
-		if memo != nil && memo.Stats().Hits != 0 {
-			t.Fatalf("the foreign member was reused: %d memo hits", memo.Stats().Hits)
-		}
+	_, err := ConstructComponents(ps, csr, two, f.NumLinks(), opt)
+	if err == nil || !strings.Contains(err.Error(), "leaves its component") {
+		t.Fatalf("construct err = %v, want a path leaving its component", err)
 	}
 }
 

@@ -126,51 +126,6 @@ func (a *compArena) loadAll() error {
 	return a.err
 }
 
-// digest fingerprints a component's class in component-local terms: its
-// shape, which rows are orbit representatives, and the local links of the
-// rows the orbit pass offers — the representatives, or every row when
-// there is no shift generator and the completion pass offers them all. Two
-// components of one class digest alike wherever they sit in the fabric.
-// What else a solve reads, the orbit images and, when completion ran, the
-// rest of the rows, is left to memoEntry.matches, which checks only what
-// the leader read. It keys the memo only: a weaker key costs at most a
-// failed exact check, and a component whose paths leave it digests to some
-// value, which the exact check or the arena build that follows refuses.
-//
-// It reads rows through CSR.AppendRow, so digesting a component whose rows
-// are generated stores none of them.
-func digest(csr *route.CSR, comp *route.Component, localOf []int32, sym route.Symmetric) uint64 {
-	var h route.Hash
-	h.Word(uint64(len(comp.Links)))
-	h.Word(uint64(comp.Paths.Len()))
-	var reps []int32
-	if sym != nil {
-		reps = sym.AppendRepresentatives(comp.Paths, nil)
-	}
-	var row []topo.LinkID
-	w := comp.Paths.Walk()
-	for r := range comp.Paths.Len() {
-		pid := w.Next()
-		if sym != nil {
-			if len(reps) == 0 || reps[0] != int32(r) {
-				h.Word(0)
-				continue
-			}
-			reps = reps[1:]
-		}
-		row = csr.AppendRow(int(pid), row[:0])
-		// Each row folds on a chain of its own and enters the stream as
-		// one word, so consecutive rows overlap in the pipeline. A weak
-		// chain costs at most a failed exact check, never a wrong reuse.
-		w := uint64(len(row))<<1 | 1
-		for _, gl := range row {
-			w = w*0x9e3779b97f4a7c15 + uint64(localOf[gl])
-		}
-		h.Word(w)
-	}
-	return h.Sum64()
-}
-
 // owns reports whether global link gl is comp's own, at local index li.
 // localOf is shared by every component of a request: an index that is not
 // this component's is another one's.

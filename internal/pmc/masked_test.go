@@ -48,7 +48,7 @@ func TestMaskedComponentMeetsContract(t *testing.T) {
 		}
 		for _, down := range links {
 			comps := route.DecomposeMasked(csr, f.NumLinks(), []topo.LinkID{down})
-			res, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, nil)
+			res, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt)
 			if err != nil {
 				t.Fatalf("Fattree(%d) link %d down: %v", c.k, down, err)
 			}
@@ -68,7 +68,7 @@ func TestMaskedComponentMeetsContract(t *testing.T) {
 			if !res.Stats.CoverageMet || !res.Stats.IdentMet {
 				t.Fatalf("Fattree(%d) link %d down: stats report unmet targets: %+v", c.k, down, res.Stats)
 			}
-			again, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt, nil)
+			again, err := ConstructComponents(ps, csr, comps, f.NumLinks(), opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestForeignComponentIsAnError(t *testing.T) {
 		"unlisted link":           {{Links: comps[0].Links[1:], Paths: comps[0].Paths}},
 		"other component's paths": {{Links: comps[0].Links, Paths: comps[1].Paths}, {Links: comps[1].Links, Paths: comps[0].Paths}},
 	} {
-		_, err := ConstructComponents(ps, csr, bad, f.NumLinks(), Options{Alpha: 1, Beta: 1}, nil)
+		_, err := ConstructComponents(ps, csr, bad, f.NumLinks(), Options{Alpha: 1, Beta: 1})
 		if err == nil || !strings.Contains(err.Error(), "leaves its component") {
 			t.Errorf("%s: err = %v, want a leaves-its-component error", name, err)
 		}

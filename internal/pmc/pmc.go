@@ -49,7 +49,7 @@
 // a Fattree) without storing them, and so does a class follower's exact
 // check, for its own rows and its leader's. A Fattree's matrix stores no
 // row, its pristine components name their paths as spans (route.Paths)
-// that neither the arena nor the memo lists, and a cold construction's
+// that the arena does not list, and a cold construction's
 // leader reads one row in ~15 on a Fattree(16). The greedy inner loops
 // walk contiguous int32 slices: no AppendLinks calls, no global→local
 // lookups, no map accesses — selections live in a bitset keyed by
@@ -129,12 +129,12 @@ const DefaultMaxElements = 48 << 20
 
 // Stats reports how the construction went.
 //
-// Components that share a class with a component solved before them, in
-// the same call or (through a Memo) an earlier one, reuse its rows: they
-// count in Components and Selected but not in Classes, Candidates,
-// ScoreEvals or Reseeds. A repaired component counts in Repaired, and its
-// completion pass, if it ran one, in Candidates, ScoreEvals and Reseeds; a
-// class solved only to give it its parent's selection counts in Classes.
+// Components that share a class with a component solved before them in
+// the same call reuse its rows: they count in Components and Selected but
+// not in Classes, Candidates, ScoreEvals or Reseeds. A repaired component
+// counts in Repaired, and its completion pass, if it ran one, in
+// Candidates, ScoreEvals and Reseeds; a class solved only to give it its
+// parent's selection counts in Classes.
 type Stats struct {
 	Components  int
 	Classes     int   // greedy solves run: one per component class not reused
@@ -146,6 +146,16 @@ type Stats struct {
 	Elapsed     time.Duration
 	CoverageMet bool // every component link reached Alpha coverage
 	IdentMet    bool // every component partition fully refined (Beta >= 1)
+}
+
+// AddWork adds o's work — Classes, Repaired, Candidates, ScoreEvals and
+// Reseeds — to s.
+func (s *Stats) AddWork(o Stats) {
+	s.Classes += o.Classes
+	s.Repaired += o.Repaired
+	s.Candidates += o.Candidates
+	s.ScoreEvals += o.ScoreEvals
+	s.Reseeds += o.Reseeds
 }
 
 // Result is a constructed probe matrix: indices into the candidate PathSet.
@@ -162,11 +172,11 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 	csr := route.MaterializeCSR(ps)
 	if opt.Ablate&NoDecompose != 0 {
 		comps := []route.Component{route.SingleComponentCSR(csr, numLinks)}
-		return constructComponents(ps, csr, comps, numLinks, opt, nil, nil, start)
+		return constructComponents(ps, csr, comps, numLinks, opt, nil, start)
 	}
 	// Nothing is down: the components are the pristine decomposition.
 	pristine := csr.Pristine(numLinks)
-	return constructComponents(ps, csr, pristine.Comps, numLinks, opt, nil, pristine, start)
+	return constructComponents(ps, csr, pristine.Comps, numLinks, opt, pristine, start)
 }
 
 // ConstructComponents runs the PMC greedy over an explicit subset of
@@ -178,30 +188,36 @@ func Construct(ps route.PathSet, numLinks int, opt Options) (*Result, error) {
 // is sorted, concatenating the selections of any partition of the component
 // set and re-sorting reproduces Construct's output bit for bit.
 //
-// Components of one class (equal component-local content, see Memo) are
-// solved once per call and the leader's rows reused for the rest. A non-nil
-// memo also answers components of a class it has solved before — bit-
-// identical, because a selection is a function of that content and the
-// options — and remembers the classes solved here.
+// Components of one class (equal component-local content, see classEntry)
+// are solved once per call and the leader's rows reused for the rest,
+// bit-identical, because a selection is a function of that content and
+// the options. Nothing is remembered across calls.
 //
 // A component a down-link mask cut out of one pristine component P (every
-// link inside P, fewer paths) is repaired instead: see repair. P's
-// selection comes from the memo or a class solve in this call, so the
-// answer is the same with or without a memo; repaired components are never
-// remembered. The pristine decomposition is csr.Pristine(numLinks).
-func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo) (*Result, error) {
+// link inside P, fewer paths) is repaired instead (Repair) from P's
+// selection, which a class solve in this call supplies. The pristine
+// decomposition is csr.Pristine(numLinks).
+func ConstructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options) (*Result, error) {
 	start := time.Now()
-	return constructComponents(ps, csr, comps, numLinks, opt, memo, csr.Pristine(numLinks), start)
+	return constructComponents(ps, csr, comps, numLinks, opt, csr.Pristine(numLinks), start)
+}
+
+// checkTargets validates the (alpha, beta) targets.
+func checkTargets(opt Options) error {
+	if opt.Alpha < 0 || opt.Beta < 0 || opt.Beta > refine.MaxBeta {
+		return fmt.Errorf("pmc: invalid (alpha,beta) = (%d,%d)", opt.Alpha, opt.Beta)
+	}
+	if opt.Alpha == 0 && opt.Beta == 0 {
+		return fmt.Errorf("pmc: alpha and beta cannot both be zero")
+	}
+	return nil
 }
 
 // prepareComponents validates options against the component set and
 // resolves the shift generator the orbit pass uses, nil when there is none.
 func prepareComponents(ps route.PathSet, comps []route.Component, opt Options) (route.Symmetric, error) {
-	if opt.Alpha < 0 || opt.Beta < 0 || opt.Beta > refine.MaxBeta {
-		return nil, fmt.Errorf("pmc: invalid (alpha,beta) = (%d,%d)", opt.Alpha, opt.Beta)
-	}
-	if opt.Alpha == 0 && opt.Beta == 0 {
-		return nil, fmt.Errorf("pmc: alpha and beta cannot both be zero")
+	if err := checkTargets(opt); err != nil {
+		return nil, err
 	}
 	maxElems := opt.MaxElements
 	if maxElems == 0 {
@@ -228,7 +244,7 @@ func prepareComponents(ps route.PathSet, comps []route.Component, opt Options) (
 	return sym, nil
 }
 
-func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, memo *Memo, pristine *route.Pristine, start time.Time) (*Result, error) {
+func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options, pristine *route.Pristine, start time.Time) (*Result, error) {
 	// A component the down-link mask cut out of one pristine component is
 	// repaired from that parent's class selection. Every other component,
 	// and each such parent once, is answered by class.
@@ -240,12 +256,8 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 	if err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	localOf := make([]int32, numLinks)
-	solved, err := solveClasses(sym, csr, solve, localOf, opt, memo, pristine, workers)
+	solved, err := solveClasses(sym, csr, solve, localOf, opt, pristine, workersOf(opt))
 	if err != nil {
 		return nil, err
 	}
@@ -255,40 +267,38 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 		CoverageMet: true,
 		IdentMet:    opt.Beta >= 1,
 	}}
-	work := func(cr *componentResult) {
+	for _, cr := range solved {
 		res.Stats.Candidates += cr.candidates
 		res.Stats.ScoreEvals += cr.evals
 		res.Stats.Reseeds += cr.reseeds
-	}
-	for _, cr := range solved {
-		work(cr)
 		if cr.solved {
 			res.Stats.Classes++
 		}
 	}
 	results := solved
 	if masked != nil {
-		// The masked components overlap their parents' links, so they get
-		// the translation array to themselves once the classes are done.
-		setLocal(localOf, comps, masked)
-		results = make([]*componentResult, len(comps))
-		err = parallel(len(comps), workers, func(ci int) error {
-			if !masked[ci] {
-				results[ci] = solved[slot[ci]]
-				return nil
+		var cut []route.Component
+		var parents [][]int
+		for ci := range comps {
+			if masked[ci] {
+				cut = append(cut, comps[ci])
+				parents = append(parents, solved[slot[ci]].selected)
 			}
-			cr, err := repair(csr, pristine, &comps[ci], solved[slot[ci]].selected, localOf, opt)
-			results[ci] = cr
-			return err
-		})
+		}
+		repaired, st, err := Repair(csr, cut, parents, numLinks, opt)
 		if err != nil {
 			return nil, err
 		}
-		for ci, cr := range results {
-			if masked[ci] {
-				work(cr)
-				res.Stats.Repaired++
+		res.Stats.AddWork(st)
+		results = make([]*componentResult, len(comps))
+		for ci := range comps {
+			if !masked[ci] {
+				results[ci] = solved[slot[ci]]
+				continue
 			}
+			r := repaired[0]
+			repaired = repaired[1:]
+			results[ci] = &componentResult{selected: r.Selected, coverageMet: r.CoverageMet, identMet: r.IdentMet}
 		}
 	}
 	for _, cr := range results {
@@ -300,6 +310,14 @@ func constructComponents(ps route.PathSet, csr *route.CSR, comps []route.Compone
 	res.Stats.Selected = len(res.Selected)
 	res.Stats.Elapsed = time.Since(start)
 	return res, nil
+}
+
+// workersOf is the component-level parallelism opt asks for.
+func workersOf(opt Options) int {
+	if opt.Workers > 0 {
+		return opt.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // splitMasked picks out the components a down-link mask cut out of one
@@ -349,39 +367,37 @@ func splitMasked(comps []route.Component, pristine *route.Pristine) (solve []rou
 	return solve, slot, masked
 }
 
-// setLocal points localOf at the local index of every link of the chosen
-// components (all of them when which is nil) and every other link at -1.
-func setLocal(localOf []int32, comps []route.Component, which []bool) {
+// setLocal points localOf at the local index of every link of comps and
+// every other link at -1.
+func setLocal(localOf []int32, comps []route.Component) {
 	for i := range localOf {
 		localOf[i] = -1
 	}
 	for ci := range comps {
-		if which != nil && !which[ci] {
-			continue
-		}
 		for li, l := range comps[ci].Links {
 			localOf[l] = int32(li)
 		}
 	}
 }
 
-// solveClasses answers every component by class: from the memo, from the
-// head of its shape group in this call, or by solving it. comps must not
-// share links; localOf (numLinks long) is left translating their links.
-// pristine, when not nil, is the matrix's pristine decomposition: a
-// component that is one of its components is checked on the rows its
-// class leader read, any other on every row (memoEntry.everyRow).
+// solveClasses answers every component by class: from the head of its
+// shape group in this call, or by solving it. comps must not share links;
+// localOf (numLinks long) is left translating their links. pristine, when
+// not nil, is the matrix's pristine decomposition: a component that is one
+// of its components is checked on the rows its class leader read, any
+// other on every row (classEntry.everyRow).
 //
 // Every member of a class has its link and path counts, so components are
-// grouped by that shape. A group's head is answered by answerHead; every
-// other member takes one exact check against the head's entry
-// (memoEntry.matches) and reuses its rows. Members that fail it form the
-// next round's groups, so several classes of one shape still share solves.
-func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, memo *Memo, pristine *route.Pristine, workers int) ([]*componentResult, error) {
+// grouped by that shape. A group's head is solved; every other member
+// takes one exact check against the head's entry (classEntry.matches) and
+// reuses its rows. Members that fail it form the next round's groups, so
+// several classes of one shape still share solves. A foreign head's solve
+// loads every row, so a row of it that leaves it is reported even where
+// its greedy would not read it.
+func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, pristine *route.Pristine, workers int) ([]*componentResult, error) {
 	// Every link belongs to at most one component, so one shared
 	// global→local translation array serves all workers read-only.
-	setLocal(localOf, comps, nil)
-	key := optKeyOf(opt)
+	setLocal(localOf, comps)
 	results := make([]*componentResult, len(comps))
 	pending := ascending(len(comps))
 	for len(pending) > 0 {
@@ -398,11 +414,11 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 			}
 			groups[g] = append(groups[g], ci)
 		}
-		entries := make([]*memoEntry, len(groups))
+		entries := make([]*classEntry, len(groups))
 		err := parallel(len(groups), workers, func(g int) error {
-			ci := groups[g][0]
-			cr, e, err := answerHead(sym, csr, &comps[ci], localOf, opt, key, memo, pristine)
-			results[ci], entries[g] = cr, e
+			comp := &comps[groups[g][0]]
+			cr, e, err := solveComponent(sym, newArena(csr, comp, localOf), opt, foreign(comp, pristine))
+			results[groups[g][0]], entries[g] = cr, e
 			return err
 		})
 		if err != nil {
@@ -418,9 +434,6 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 		parallel(len(members), workers, func(i int) error {
 			comp, e := &comps[members[i]], entries[headOf[i]]
 			if e.matches(csr, sym, comp, localOf, pristine) {
-				if memo != nil {
-					memo.join(e, comp)
-				}
 				results[members[i]] = e.reuse(comp)
 			}
 			return nil
@@ -433,34 +446,6 @@ func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, 
 		}
 	}
 	return results, nil
-}
-
-// answerHead answers a group head and returns the entry the group's other
-// members are checked against. With a memo it is an exact hit, a remembered
-// class it matches by digest and the exact check, or a solve the memo then
-// remembers. With none it is solved, and no digest is taken: there is no
-// memo to key. A foreign head's solve loads every row, so a row of it
-// that leaves it is reported even where its greedy would not read it.
-func answerHead(sym route.Symmetric, csr *route.CSR, comp *route.Component, localOf []int32, opt Options, key memoOptKey, memo *Memo, pristine *route.Pristine) (*componentResult, *memoEntry, error) {
-	loadAll := foreign(comp, pristine)
-	if memo == nil {
-		return solveComponent(sym, newArena(csr, comp, localOf), opt, key, 0, loadAll)
-	}
-	if e := memo.holding(key, comp); e != nil {
-		return e.reuse(comp), e, nil
-	}
-	d := digest(csr, comp, localOf, sym)
-	for _, e := range memo.candidates(key, d) {
-		if e.matches(csr, sym, comp, localOf, pristine) {
-			memo.join(e, comp)
-			return e.reuse(comp), e, nil
-		}
-	}
-	cr, e, err := solveComponent(sym, newArena(csr, comp, localOf), opt, key, d, loadAll)
-	if err == nil {
-		memo.store(e)
-	}
-	return cr, e, err
 }
 
 // parallel runs f(0..n-1) on at most workers goroutines and returns the
@@ -546,7 +531,7 @@ type componentState struct {
 	// orbitLog records every orbit query the orbit pass made: row, image
 	// count, then the images present in the component as rows, in
 	// AppendOrbit order. With the arena and the representative rows, it is
-	// everything the greedy reads from the PathSet (see memoEntry.matches).
+	// everything the greedy reads from the PathSet (see classEntry.matches).
 	orbitLog []int32
 
 	// parkedTail is the largest path id among the component's rows that an
@@ -756,13 +741,13 @@ func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds i
 }
 
 // solveComponent runs both passes on one component and returns its result
-// together with the memo entry that lets the component's class reuse it.
+// together with the class entry the component's class in this call reuses.
 // ar is a fresh arena over the component; it loads the rows the greedy
 // reads as it reads them. loadAll loads every row up front instead, so
 // that a component whose rows may leave it (one not of the matrix's
 // pristine decomposition) is refused whatever its greedy reads. Either way
 // the greedy makes the same reads and picks.
-func solveComponent(sym route.Symmetric, ar *compArena, opt Options, key memoOptKey, digest uint64, loadAll bool) (*componentResult, *memoEntry, error) {
+func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll bool) (*componentResult, *classEntry, error) {
 	comp := ar.comp
 	if loadAll {
 		if err := ar.loadAll(); err != nil {
@@ -804,7 +789,16 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, key memoOpt
 			rows = append(rows, int32(r))
 		}
 	}
-	e := newMemoEntry(key, digest, comp, rows, reps, cs.orbitLog, full, cr.coverageMet, cr.identMet)
+	e := &classEntry{
+		links:       comp.Links,
+		paths:       comp.Paths,
+		rows:        rows,
+		reps:        reps,
+		orbit:       cs.orbitLog,
+		full:        full,
+		coverageMet: cr.coverageMet,
+		identMet:    cr.identMet,
+	}
 	cr.selected = e.pathsOf(comp)
 	return cr, e, nil
 }

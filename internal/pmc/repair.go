@@ -1,6 +1,56 @@
 package pmc
 
-import "github.com/detector-net/detector/internal/route"
+import (
+	"time"
+
+	"github.com/detector-net/detector/internal/route"
+)
+
+// Repaired is one masked component's answer: its selected paths, ascending,
+// and whether they meet α and β on it.
+type Repaired struct {
+	Selected              []int
+	CoverageMet, IdentMet bool
+}
+
+// Repair answers masked components from their parents' selections (see
+// repair): comps[i] must lie inside one component of the pristine
+// decomposition csr.Pristine(numLinks), parents[i] must be that pristine
+// component's selection under opt, ascending, and no two of comps may
+// share a link. It repairs them on opt.Workers goroutines and solves no
+// class. Stats counts the components in Components, Repaired and Selected,
+// and their completion passes in Candidates, ScoreEvals and Reseeds.
+func Repair(csr *route.CSR, comps []route.Component, parents [][]int, numLinks int, opt Options) ([]Repaired, Stats, error) {
+	start := time.Now()
+	if err := checkTargets(opt); err != nil {
+		return nil, Stats{}, err
+	}
+	pristine := csr.Pristine(numLinks)
+	localOf := make([]int32, numLinks)
+	setLocal(localOf, comps)
+	crs := make([]*componentResult, len(comps))
+	err := parallel(len(comps), workersOf(opt), func(i int) error {
+		cr, err := repair(csr, pristine, &comps[i], parents[i], localOf, opt)
+		crs[i] = cr
+		return err
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out := make([]Repaired, len(comps))
+	st := Stats{Components: len(comps), Repaired: len(comps), CoverageMet: true, IdentMet: opt.Beta >= 1}
+	for i, cr := range crs {
+		out[i] = Repaired{Selected: cr.selected, CoverageMet: cr.coverageMet, IdentMet: cr.identMet}
+		st.Candidates += cr.candidates
+		st.ScoreEvals += cr.evals
+		st.Reseeds += cr.reseeds
+		st.Selected += len(cr.selected)
+		st.CoverageMet = st.CoverageMet && cr.coverageMet
+		st.IdentMet = st.IdentMet && cr.identMet
+	}
+	st.Elapsed = time.Since(start)
+	return out, st, nil
+}
 
 // repair answers a masked component M — one a down-link mask cut out of a
 // pristine component P — from P's selection: the selected paths M still
@@ -41,42 +91,7 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 	}
 	cr := &componentResult{}
 	if !cs.done() {
-		// The rows through a deficient link, as P lists them: those
-		// that are M's join the kept ones.
-		deficient := make([]bool, len(comp.Links))
-		for li, w := range cs.w {
-			deficient[li] = int(w) < opt.Alpha
-		}
-		for _, li := range cs.part.AppendUnrefined(nil) {
-			deficient[li] = true
-		}
-		through := newBitset(csr.Len())
-		var rows []int32
-		for li, d := range deficient {
-			if d {
-				rows = pristine.AppendRowsThrough(comp.Links[li], rows[:0])
-				for _, pid := range rows {
-					through.set(pid)
-				}
-			}
-		}
-		var sub, subKept []int32 // rows the completion pass is offered; the kept ones among them, as its rows
-		tail := int32(-1)        // the last row it is not offered
-		k := 0
-		w := comp.Paths.Walk()
-		for r := range comp.Paths.Len() {
-			pid := w.Next()
-			switch {
-			case k < len(kept) && kept[k] == int32(r):
-				k++
-				subKept = append(subKept, int32(len(sub)))
-			case through.get(pid):
-			default:
-				tail = pid
-				continue
-			}
-			sub = append(sub, int32(r))
-		}
+		sub, subKept, tail := offered(pristine, comp, kept, cs.deficient())
 		if cs, err = repairState(csr, comp, sub, subKept, localOf, opt); err != nil {
 			return nil, err
 		}
@@ -95,6 +110,89 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 		}
 	}
 	return cr, nil
+}
+
+// deficient marks the local links a completion pass can still make
+// progress on: a link under α, or a constituent of an element that still
+// shares its refinement group.
+func (cs *componentState) deficient() []bool {
+	d := make([]bool, len(cs.w))
+	for li, w := range cs.w {
+		d[li] = int(w) < cs.opt.Alpha
+	}
+	for _, li := range cs.part.AppendUnrefined(nil) {
+		d[li] = true
+	}
+	return d
+}
+
+// offered picks the rows of M (comp) a repair's completion pass is offered:
+// the kept rows and the rows through a deficient link. It walks M's paths
+// against the rows through those links, as P lists them, ascending and
+// once each, so it marks nothing over the matrix. It returns the offered
+// rows, ascending, the kept ones' positions among them, and the largest
+// path id of M it leaves out, -1 when none.
+func offered(pristine *route.Pristine, comp *route.Component, kept []int32, deficient []bool) (sub, subKept []int32, tail int32) {
+	// Each list ascends, so they merge into the union one at a time. They
+	// are read twice, first to size the two merge buffers: a list costs
+	// far less to read again than the buffers' regrowth.
+	var rows []int32
+	n := 0
+	for li, d := range deficient {
+		if d {
+			rows = pristine.AppendRowsThrough(comp.Links[li], rows[:0])
+			n += len(rows)
+		}
+	}
+	through, spare := make([]int32, 0, n), make([]int32, 0, n)
+	for li, d := range deficient {
+		if d {
+			rows = pristine.AppendRowsThrough(comp.Links[li], rows[:0])
+			through, spare = mergeUnion(spare[:0], through, rows), through
+		}
+	}
+	sub = make([]int32, 0, len(kept)+len(through))
+	subKept = make([]int32, 0, len(kept))
+	tail = -1
+	k, t := 0, 0
+	w := comp.Paths.Walk()
+	for r := range comp.Paths.Len() {
+		pid := w.Next()
+		for t < len(through) && through[t] < pid {
+			t++
+		}
+		switch {
+		case k < len(kept) && kept[k] == int32(r):
+			k++
+			subKept = append(subKept, int32(len(sub)))
+		case t < len(through) && through[t] == pid:
+		default:
+			tail = pid
+			continue
+		}
+		sub = append(sub, int32(r))
+	}
+	return sub, subKept, tail
+}
+
+// mergeUnion appends to dst the values of a and b, both ascending, in
+// ascending order and once each.
+func mergeUnion(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case b[j] < a[i]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i, j = i+1, j+1
+		}
+	}
+	return append(append(dst, a[i:]...), b[j:]...)
 }
 
 // ascending returns the rows 0..n-1.

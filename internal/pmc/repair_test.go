@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -71,7 +72,8 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 // checkRepair masks down out of fb and checks the construction:
 //   - every masked component's repair equals completeAll, and serves its
 //     kept paths plus the completion pass's additions, nothing more;
-//   - construction with a memo (cold, then warm) equals it without;
+//   - the batch entry Repair, handed the parents' selections, answers each
+//     masked component as construction does, and counts every repair;
 //   - the flap from the pristine selection and back changes at most the
 //     pristine paths through a down link plus those additions;
 //   - Verify on the live links agrees with the reported targets.
@@ -80,31 +82,20 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options) []int {
 	t.Helper()
 	pristine := fb.csr.Pristine(fb.numLinks)
-	base, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps, fb.numLinks, opt, nil)
+	base, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps, fb.numLinks, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	comps := route.DecomposeMasked(fb.csr, fb.numLinks, down)
-	res, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, nil)
+	res, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	memo := NewMemo(0)
-	for run := 0; run < 2; run++ {
-		warm, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, memo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(warm.Selected, res.Selected) {
-			t.Fatalf("run %d through a memo selects %d paths, without one %d", run, len(warm.Selected), len(res.Selected))
-		}
-		if run == 1 && warm.Stats.Classes != 0 {
-			t.Fatalf("second run through the memo solved %d classes, want 0", warm.Stats.Classes)
-		}
 	}
 
 	localOf := make([]int32, fb.numLinks)
 	repaired, additions := 0, 0
+	var cut []route.Component
+	var parents, wants [][]int
 	for ci := range comps {
 		comp := &comps[ci]
 		p := pristine.Parent(comp)
@@ -112,11 +103,11 @@ func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options)
 			continue
 		}
 		repaired++
-		parent, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps[p:p+1], fb.numLinks, opt, nil)
+		parent, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps[p:p+1], fb.numLinks, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		setLocal(localOf, comps[ci:ci+1], nil)
+		setLocal(localOf, comps[ci:ci+1])
 		want, kept, added := completeAll(fb.csr, comp, parent.Selected, localOf, opt)
 		got, err := repair(fb.csr, pristine, comp, parent.Selected, localOf, opt)
 		if err != nil {
@@ -130,9 +121,24 @@ func checkRepair(t testing.TB, fb repairFabric, down []topo.LinkID, opt Options)
 			t.Fatalf("component %d serves %d paths, more than %d kept + %d added", ci, len(got.selected), kept, added)
 		}
 		additions += added
+		cut = append(cut, *comp)
+		parents = append(parents, parent.Selected)
+		wants = append(wants, want)
 	}
 	if res.Stats.Repaired != repaired {
 		t.Fatalf("stats report %d repaired components, want %d", res.Stats.Repaired, repaired)
+	}
+	batch, st, err := Repair(fb.csr, cut, parents, fb.numLinks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range batch {
+		if !reflect.DeepEqual(r.Selected, wants[i]) {
+			t.Fatalf("masked component %d: Repair selects %d paths, completion over all rows %d", i, len(r.Selected), len(wants[i]))
+		}
+	}
+	if st.Repaired != repaired || st.Classes != 0 {
+		t.Fatalf("Repair stats %+v, want %d repaired and no class solved", st, repaired)
 	}
 
 	through := 0
@@ -222,23 +228,31 @@ func TestRepairPinned(t *testing.T) {
 func TestRepairFromKeptRowsAlone(t *testing.T) {
 	fb := newRepairFabric(8)
 	opt := Options{Alpha: 3, Beta: 1}
-	memo := NewMemo(0)
-	if _, err := ConstructComponents(fb.ps, fb.csr, fb.csr.Pristine(fb.numLinks).Comps, fb.numLinks, opt, memo); err != nil {
+	pristine := fb.csr.Pristine(fb.numLinks)
+	base, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps, fb.numLinks, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
 	alone, completed := 0, 0
 	for _, l := range fb.links {
-		comps := route.DecomposeMasked(fb.csr, fb.numLinks, []topo.LinkID{l})
-		res, err := ConstructComponents(fb.ps, fb.csr, comps, fb.numLinks, opt, memo)
+		var cut []route.Component
+		var parents [][]int
+		for _, c := range route.DecomposeMasked(fb.csr, fb.numLinks, []topo.LinkID{l}) {
+			if p := pristine.Parent(&c); c.Paths.Len() < pristine.Comps[p].Paths.Len() {
+				cut = append(cut, c)
+				parents = append(parents, selectionIn(base.Selected, pristine.Comps[p]))
+			}
+		}
+		_, st, err := Repair(fb.csr, cut, parents, fb.numLinks, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Repaired != 1 || res.Stats.Classes != 0 {
-			t.Fatalf("link %d down: %d repaired, %d classes solved; want 1 and 0 (the parent is in the memo)", l, res.Stats.Repaired, res.Stats.Classes)
+		if st.Repaired != 1 {
+			t.Fatalf("link %d down: %d components repaired, want 1", l, st.Repaired)
 		}
-		if res.Stats.Candidates == 0 {
-			if res.Stats.ScoreEvals != 0 {
-				t.Fatalf("link %d down: no row offered, yet %d scores evaluated", l, res.Stats.ScoreEvals)
+		if st.Candidates == 0 {
+			if st.ScoreEvals != 0 {
+				t.Fatalf("link %d down: no row offered, yet %d scores evaluated", l, st.ScoreEvals)
 			}
 			alone++
 		} else {
@@ -250,9 +264,20 @@ func TestRepairFromKeptRowsAlone(t *testing.T) {
 	}
 }
 
+// selectionIn is the part of sel, ascending path indices, that is comp's.
+func selectionIn(sel []int, comp route.Component) []int {
+	var out []int
+	for _, p := range sel {
+		if comp.Paths.Find(int32(p)) >= 0 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // FuzzRepair: on seeded Fattree(4/6/8) down-masks, repair equals the
-// completion pass over every row of the masked component, with and without
-// a memo, within its bounds and under Verify.
+// completion pass over every row of the masked component, through
+// construction and through Repair, within its bounds and under Verify.
 func FuzzRepair(f *testing.F) {
 	f.Add(uint8(0), uint8(0), int64(1), false)
 	f.Add(uint8(1), uint8(1), int64(7), true)
@@ -271,4 +296,71 @@ func FuzzRepair(f *testing.F) {
 		}
 		checkRepair(t, fb, seededDown(fb.links, 1+int(nDown)%4, seed), opt)
 	})
+}
+
+// TestRepairOffersRowsWithoutABitset: choosing the rows a Fattree(24)
+// single-link repair offers its completion pass allocates less than one
+// bit per candidate path of the matrix (csr.Len()/8 bytes), the size of
+// the bitset the choice once marked: it walks the sorted rows through the
+// deficient links against the masked component's paths. The whole repair,
+// logged, allocates more: its completion pass's arena over the offered
+// rows.
+func TestRepairOffersRowsWithoutABitset(t *testing.T) {
+	fb := newRepairFabric(24)
+	opt := Options{Alpha: 3, Beta: 1, Workers: 1}
+	pristine := fb.csr.Pristine(fb.numLinks)
+	parent, err := ConstructComponents(fb.ps, fb.csr, pristine.Comps[:1], fb.numLinks, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := route.NewIncremental(fb.csr, fb.numLinks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := pristine.Comps[0].Links[0]
+	diff, err := inc.Apply([]topo.LinkID{l}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diff.Added) != 1 {
+		t.Fatalf("link %d down cut component 0 into %d pieces, want 1", l, len(diff.Added))
+	}
+	comp := &diff.Added[0]
+	localOf := make([]int32, fb.numLinks)
+	setLocal(localOf, diff.Added)
+	var kept []int32
+	for _, pid := range parent.Selected {
+		if r := comp.Paths.Find(int32(pid)); r >= 0 {
+			kept = append(kept, r)
+		}
+	}
+	cs, err := repairState(fb.csr, comp, kept, ascending(len(kept)), localOf, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.done() {
+		t.Fatalf("link %d down: the kept rows meet the targets; no row is offered", l)
+	}
+	deficient := cs.deficient()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sub, _, _ := offered(pristine, comp, kept, deficient)
+	runtime.ReadMemStats(&after)
+	alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(fb.csr.Len()/8)
+
+	runtime.ReadMemStats(&before)
+	_, st, err := Repair(fb.csr, diff.Added, [][]int{parent.Selected}, fb.numLinks, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Candidates != len(sub) {
+		t.Fatalf("Repair offered %d rows, the choice %d", st.Candidates, len(sub))
+	}
+	t.Logf("link %d down: %d of %d rows offered; choosing them allocated %d B (bound %d B), the whole repair %d B",
+		l, len(sub), comp.Paths.Len(), alloc, bound, after.TotalAlloc-before.TotalAlloc)
+	if alloc >= bound {
+		t.Fatalf("choosing the offered rows allocated %d B, not under %d B", alloc, bound)
+	}
 }

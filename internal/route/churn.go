@@ -181,7 +181,7 @@ func NewIncremental(csr *CSR, numLinks int, initialDown []topo.LinkID) (*Increme
 func (inc *Incremental) touch(links []topo.LinkID) time.Duration {
 	var spent time.Duration
 	for _, l := range links {
-		ci := inc.pristine.comp(l)
+		ci := inc.pristine.CompOf(l)
 		if ci < 0 || inc.counted[ci] {
 			continue
 		}
@@ -268,14 +268,6 @@ func (inc *Incremental) Down() []topo.LinkID {
 		}
 	}
 	return out
-}
-
-// CompIndexOf returns the index of the component containing link, or -1.
-func (inc *Incremental) CompIndexOf(l topo.LinkID) int {
-	if !inc.has(l) {
-		return -1
-	}
-	return int(inc.compOf[l])
 }
 
 // flip moves links to state to in the down mask, strictly: a link outside
@@ -399,13 +391,13 @@ func (inc *Incremental) Apply(down, up []topo.LinkID) (Diff, error) {
 // leaves none of P's links down, makes every row of P active: the step's
 // dirty components are P's pieces, and P is what they decompose to. The
 // differ then hands P itself on, span and all, listing no row of it —
-// whoever compares the two, the memo's exact hit or Pristine.Is, compares
-// headers.
+// whoever compares the two, Pristine.Is or the coordinator's store lookup
+// through Pristine.Parent, reads headers and links.
 func (inc *Incremental) restores(down, up []topo.LinkID) int {
 	ci := -1
 	for _, links := range [][]topo.LinkID{down, up} {
 		for _, l := range links {
-			c := inc.pristine.comp(l)
+			c := inc.pristine.CompOf(l)
 			if c < 0 || (ci >= 0 && c != ci) {
 				return -1
 			}

@@ -158,9 +158,6 @@ func TestIncrementalStrictErrors(t *testing.T) {
 	if _, err := NewIncremental(csr, 2, []topo.LinkID{-1}); err == nil {
 		t.Error("negative initial down link: want error")
 	}
-	if got := inc.CompIndexOf(-1); got != -1 {
-		t.Errorf("CompIndexOf(-1) = %d, want -1", got)
-	}
 	if _, err := inc.Apply([]topo.LinkID{0, 0}, nil); err == nil {
 		t.Error("duplicate down link: want error")
 	}
@@ -308,7 +305,7 @@ func assertActiveCounts(t *testing.T, inc *Incremental, down []topo.LinkID) {
 		}
 	}
 	for _, l := range down {
-		if ci := inc.pristine.comp(l); ci >= 0 && !inc.counted[ci] {
+		if ci := inc.pristine.CompOf(l); ci >= 0 && !inc.counted[ci] {
 			t.Fatalf("link %d is down but its pristine component %d was never touched", l, ci)
 		}
 	}
@@ -514,7 +511,7 @@ func TestUpFlapRestoresPristineComponent(t *testing.T) {
 			t.Fatalf("link %d: the down step added %d components, the up step %d, want one list and one span",
 				l, len(down.Added), len(up.Added))
 		}
-		ci := inc.pristine.comp(l)
+		ci := inc.pristine.CompOf(l)
 		if p := inc.pristine.Comps[ci]; &up.Added[0].Links[0] != &p.Links[0] || !reflect.DeepEqual(up.Added[0].Paths, p.Paths) {
 			t.Fatalf("link %d: the up step added a copy of pristine component %d, not the component", l, ci)
 		}

@@ -108,8 +108,9 @@ func newPristine(csr *CSR, comps []Component) *Pristine {
 	return p
 }
 
-// comp returns the index of the component holding link l, or -1.
-func (p *Pristine) comp(l topo.LinkID) int {
+// CompOf returns the index into Comps of the component holding link l, or
+// -1 when l is in none.
+func (p *Pristine) CompOf(l topo.LinkID) int {
 	if l < 0 || int(l) >= len(p.compOf) {
 		return -1
 	}
@@ -121,7 +122,7 @@ func (p *Pristine) comp(l topo.LinkID) int {
 func (p *Pristine) Parent(c *Component) int {
 	parent := -1
 	for i, l := range c.Links {
-		ci := p.comp(l)
+		ci := p.CompOf(l)
 		if i == 0 {
 			parent = ci
 		}
@@ -139,7 +140,7 @@ func (p *Pristine) Is(c *Component) bool {
 	if len(c.Links) == 0 {
 		return false
 	}
-	ci := p.comp(c.Links[0])
+	ci := p.CompOf(c.Links[0])
 	return ci >= 0 && same(c.Links, p.Comps[ci].Links) && c.Paths.Equal(p.Comps[ci].Paths)
 }
 
@@ -159,7 +160,7 @@ func same[T comparable](a, b []T) bool {
 // kept; otherwise the first call for a link of a component builds that
 // component's index.
 func (p *Pristine) AppendRowsThrough(l topo.LinkID, buf []int32) []int32 {
-	ci := p.comp(l)
+	ci := p.CompOf(l)
 	if ci < 0 {
 		return buf
 	}

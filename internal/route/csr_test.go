@@ -233,7 +233,7 @@ func TestPristineRowsThroughMatchesScan(t *testing.T) {
 			if l >= 0 {
 				want = scan[l]
 			}
-			if l >= 0 && l < s.numLinks && len(scan[l]) > 0 && p.comp(topo.LinkID(l)) < 0 {
+			if l >= 0 && l < s.numLinks && len(scan[l]) > 0 && p.CompOf(topo.LinkID(l)) < 0 {
 				t.Fatalf("%s: link %d carries rows but is in no component", s.name, l)
 			}
 			got := p.AppendRowsThrough(topo.LinkID(l), []int32{-7})
@@ -295,7 +295,7 @@ func TestFlapIndexesTouchedComponentOnly(t *testing.T) {
 		index0, _, _ := Built()
 		var touched []int
 		for i, l := range s.links {
-			ci := p.comp(l)
+			ci := p.CompOf(l)
 			if ci < 0 {
 				continue
 			}

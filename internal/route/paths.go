@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"unsafe"
 )
 
 // Paths is a component's candidate paths: global path indices, ascending,
@@ -145,24 +144,6 @@ func (p Paths) Equal(q Paths) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns p with a list copied; a span is returned as it is, having
-// nothing to copy.
-func (p Paths) Clone() Paths {
-	if p.span() {
-		return p
-	}
-	return PathList(slices.Clone(p.list))
-}
-
-// Bytes returns what holding p is counted as: 4 B a path for a list, and
-// its header for a span, which holds no path.
-func (p Paths) Bytes() int64 {
-	if p.span() {
-		return int64(unsafe.Sizeof(p))
-	}
-	return 4 * int64(len(p.list))
 }
 
 // Walk returns a reader of p's path indices in row order.

@@ -97,7 +97,7 @@ func checkPathsForms(t *testing.T, name string, p Paths, numPaths int) {
 		if got := q.Append(slices.Clone(prefix)); !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], ids) {
 			t.Fatalf("%s: Append onto a non-empty buffer lost its prefix or its paths", name)
 		}
-		if !q.Equal(p) || !p.Equal(q) || !q.Equal(q.Clone()) {
+		if !q.Equal(p) || !p.Equal(q) {
 			t.Fatalf("%s: the forms are not equal", name)
 		}
 		if len(ids) > 0 && (q.Equal(PathList(ids[1:])) || PathList(ids[:len(ids)-1]).Equal(q)) {

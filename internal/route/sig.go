@@ -2,9 +2,9 @@ package route
 
 import "github.com/detector-net/detector/internal/topo"
 
-// Hash is the fingerprint stream the matrix signatures and PMC's memo key
-// share: one 64-bit word per step through a fixed multiply-xorshift mix, so
-// a value is the same in every process and on every platform. The zero
+// Hash is the fingerprint stream the matrix signatures are built on: one
+// 64-bit word per step through a fixed multiply-xorshift mix, so a value
+// is the same in every process and on every platform. The zero
 // Hash is ready to use. It is a content address, not a defence against an
 // adversary choosing matrices.
 type Hash struct{ h uint64 }

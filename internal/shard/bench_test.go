@@ -13,8 +13,10 @@ import (
 // benchSharded measures distributed construction. Each shard models one
 // controller process with a fixed compute budget (Workers: 1), and
 // Sequential mode times the shards one at a time so that per-shard elapsed
-// is an uncontended measurement even on a small benchmark box. Two numbers
-// come out:
+// is an uncontended measurement even on a small benchmark box. Every
+// iteration builds a fresh coordinator, whose store holds nothing, and
+// times its first cycle: a later cycle on one coordinator dispatches
+// nothing. Two numbers come out:
 //
 //   - ns/op: the cost of emulating the whole cycle on one box (every
 //     shard's work plus merge, run back to back);
@@ -24,24 +26,28 @@ import (
 func benchSharded(b *testing.B, k int, shards int) {
 	f := topo.MustFattree(k)
 	ps := route.NewFattreePaths(f)
-	c, err := New(ps, f.NumLinks(), Options{
+	opt := Options{
 		Shards:     shards,
 		Sequential: true,
 		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
 		TTL:        time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
-	defer c.Stop()
-	b.ResetTimer()
 	var crit time.Duration
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := New(ps, f.NumLinks(), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		res, err := c.Construct()
+		b.StopTimer()
+		c.Stop()
 		if err != nil {
 			b.Fatal(err)
 		}
 		crit = res.CriticalPath
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(crit.Microseconds())/1000.0, "critical-path-ms")
 }

@@ -13,32 +13,30 @@ import (
 
 // benchChurnSingleLink measures the incremental recompute path: one full
 // construction up front, then per iteration a single-link down-churn, the
-// dirty-only reconstruction (the measured cycle), and a restore. The
-// measured cycle repairs the dirty component from its pristine class
-// selection, which the memo holds from the full cycle; a different link
-// of one component churns each iteration, so no iteration repeats an
-// earlier one's mask. A component's first flap also counts its links'
-// active rows; every component takes one before the timer starts, so the
-// timed flaps are warm. Five metrics come out:
+// reconstruction (the measured cycle), and a restore. The measured cycle
+// dispatches nothing: the coordinator repairs the dirty component from its
+// stored pristine selection. A different link of one component churns
+// each iteration, so no iteration repeats an earlier one's mask. A
+// component's first flap also counts its links' active rows; every
+// component takes one before the timer starts, so the timed flaps are
+// warm. Five metrics come out:
 //
 //   - full-critical-path-ms: the cold full cycle's critical path;
 //   - first-touch-ms: the mean of those first touches;
 //   - churn-apply-ms: the topology diff that precedes the cycle, mean of
 //     the last iteration's down and up ApplyChurn;
-//   - churn-critical-path-ms: the single-link cycle's critical path
-//     (slowest dispatched shard; clean components cost nothing);
-//   - churn-vs-full-ratio: (apply + critical path) / full — the ISSUE 9
-//     target is ≤ 0.1 on Fattree(24), where a single link dirties 1 of 12
-//     components.
+//   - churn-repair-ms: the single-link cycle's repair in the coordinator
+//     (clean components cost nothing);
+//   - churn-vs-full-ratio: (apply + repair) / full — the target is ≤ 0.1
+//     on Fattree(24), where a single link dirties 1 of 12 components.
 func benchChurnSingleLink(b *testing.B, k, shards int) {
 	f := topo.MustFattree(k)
 	ps := route.NewFattreePaths(f)
 	c, err := New(ps, f.NumLinks(), Options{
-		Shards:          shards,
-		Sequential:      true,
-		PMC:             pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
-		TTL:             time.Hour,
-		ReuseSelections: true,
+		Shards:     shards,
+		Sequential: true,
+		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
+		TTL:        time.Hour,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -66,7 +64,7 @@ func benchChurnSingleLink(b *testing.B, k, shards int) {
 	}
 	links := slices.Clone(c.comps[0].Links)
 	b.ResetTimer()
-	var churnCrit, apply time.Duration
+	var repair, apply time.Duration
 	for i := 0; i < b.N; i++ {
 		l := links[i%len(links)]
 		downStart := time.Now()
@@ -78,7 +76,7 @@ func benchChurnSingleLink(b *testing.B, k, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		churnCrit = res.CriticalPath
+		repair = res.Repair
 		upStart := time.Now()
 		if _, err := c.ApplyChurn(nil, []topo.LinkID{l}); err != nil {
 			b.Fatal(err)
@@ -92,23 +90,23 @@ func benchChurnSingleLink(b *testing.B, k, shards int) {
 	b.ReportMetric(float64(fullCrit.Microseconds())/1000.0, "full-critical-path-ms")
 	b.ReportMetric(float64(first.Microseconds())/1000.0/float64(len(c.comps)), "first-touch-ms")
 	b.ReportMetric(float64(apply.Microseconds())/1000.0, "churn-apply-ms")
-	b.ReportMetric(float64(churnCrit.Microseconds())/1000.0, "churn-critical-path-ms")
+	b.ReportMetric(float64(repair.Microseconds())/1000.0, "churn-repair-ms")
 	if fullCrit > 0 {
-		b.ReportMetric(float64(apply+churnCrit)/float64(fullCrit), "churn-vs-full-ratio")
+		b.ReportMetric(float64(apply+repair)/float64(fullCrit), "churn-vs-full-ratio")
 	}
 }
 
 // BenchmarkChurnSingleLinkFattree16 is the CI churn smoke: single-link
 // churn against a full recompute on Fattree(16). A re-solve of the one
 // dirty component of 8 put the ratio near 1/8, and once the full cycle
-// solved one class instead of 8, near 1/3; a repair puts it under 1/10.
+// solved one class instead of 8, near 1/3; a repair brings it down.
 func BenchmarkChurnSingleLinkFattree16(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) { benchChurnSingleLink(b, 16, n) })
 	}
 }
 
-// BenchmarkChurnSingleLinkFattree24 is the ISSUE 9 scale target: a
+// BenchmarkChurnSingleLinkFattree24 is the scale target: a
 // single-link change on Fattree(24) (11.9M candidates, 12 components) must
 // complete in ≤ 1/10 of the full-cycle critical path. Not part of the CI
 // smoke; run with -benchtime=1x like the Fattree(24) construction bench.

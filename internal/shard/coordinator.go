@@ -1,8 +1,8 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -36,6 +36,7 @@ var (
 	stageDecompose   = obs.Stages.With("decompose")
 	stageAssign      = obs.Stages.With("assign")
 	stageDispatch    = obs.Stages.With("construct_dispatch")
+	stageRepair      = obs.Stages.With("repair") // masked components repaired in the coordinator, cycles with any only
 	stageMerge       = obs.Stages.With("merge")
 	stageChurnDiff   = obs.Stages.With("churn_diff")  // effective ApplyChurn diffs only, first-touch indexing excluded
 	stageChurnIndex  = obs.Stages.With("churn_index") // a churn step's first touch of a pristine component: its active-row counts, and a stored matrix's index (route.Diff.IndexTime)
@@ -57,8 +58,9 @@ type Options struct {
 	// (internal/shardrpc) join the plane. The coordinator takes
 	// ownership and closes them on Stop.
 	Clients []ShardClient
-	// PMC configures per-shard construction. The coordinator always
-	// decomposes the matrix (sharding is meaningless without it), so the
+	// PMC configures construction, on the shards and in the
+	// coordinator's repairs. The coordinator always decomposes the matrix
+	// (sharding is meaningless without it), so with no link down the
 	// merged result equals pmc.Construct's.
 	PMC pmc.Options
 	// TTL marks a shard dead after this many heartbeat-probe failures'
@@ -77,38 +79,18 @@ type Options struct {
 	// are excluded from decomposition and construction; ApplyChurn moves
 	// links in and out of this set at runtime.
 	DownLinks []topo.LinkID
-	// ReuseSelections keeps per-component selections across Construct
-	// cycles and dispatches only components invalidated by churn
-	// (ApplyChurn) since the last cycle. Clean components' prior
-	// selections are reused verbatim, so the merge stays bit-identical to
-	// a full recompute while dispatch cost and wire bytes scale with the
-	// dirty set. A dirty component then costs its shard a repair — its
-	// pristine parent's selection from the memo, the paths it still has,
-	// and a completion pass over only the rows through a deficient link,
-	// never a class solve — or, coming back up, a memo hit. Off by
-	// default: benchmarks and tests that measure full cycles rely on every
-	// Construct doing the full work.
-	ReuseSelections bool
-}
-
-// ShardStats describes one shard's share of a construction cycle.
-type ShardStats struct {
-	ID         int
-	Components int
-	Selected   int
-	Elapsed    time.Duration
 }
 
 // Result is one merged construction cycle.
 type Result struct {
 	// Result is the merged PMC outcome, bit-identical to the
-	// single-controller engine: Selected is the sorted union of the
-	// per-shard selections and Stats sums the per-shard stats.
+	// single-controller engine: Selected is the sorted union of every live
+	// component's stored selection, and Stats counts the work this cycle
+	// dispatched and repaired.
 	*pmc.Result
-	// PerShard lists each participating shard's share, ascending by ID.
-	PerShard []ShardStats
-	// CriticalPath is the slowest shard's construction time — the modeled
-	// wall clock of the distributed construction (exact when Sequential).
+	// CriticalPath is the slowest shard's construction time this cycle —
+	// the modeled wall clock of the distributed construction (exact when
+	// Sequential), 0 when nothing was dispatched.
 	CriticalPath time.Duration
 	// Moved counts components reassigned during this cycle (nonzero after
 	// a shard died, rejoined, or failed mid-cycle).
@@ -119,29 +101,35 @@ type Result struct {
 	// because a shard failed after passing liveness (transport error or
 	// construction error). 0 on a clean cycle.
 	Retries int
-	// DirtyComponents is how many components were actually dispatched this
-	// cycle; ReusedComponents is how many were served from the selection
-	// cache (always 0 unless Options.ReuseSelections).
+	// Repair is how long the coordinator spent repairing masked
+	// components this cycle, 0 when it repaired none.
+	Repair time.Duration
+	// DirtyComponents is how many live components the selection store
+	// lacked when the cycle began, each answered by a dispatch, a repair
+	// or both; ReusedComponents is how many it held.
 	DirtyComponents, ReusedComponents int
 }
 
-// compSel is one component's cached construction outcome, keyed by
-// Component.Key() in the selection cache. The flags are the owning shard's
-// merged flags at solve time (conservative when a shard solved several
-// components at once — exactly as conservative as the full merge they came
-// from).
-type compSel struct {
-	selected    []int
-	coverageMet bool
-	identMet    bool
+// selection is one component's stored answer. A dispatched component's
+// flags are its shard's merged flags, as conservative as the full merge
+// they came from; a repaired component's are its own.
+type selection struct {
+	paths                 []int // ascending path indices
+	coverageMet, identMet bool
 }
 
 // Coordinator is the front-end of the sharded controller plane. It owns the
 // materialized candidate matrix and its decomposition, assigns components
 // to shards, dispatches construction over the ShardClient transport, and
 // merges results.
+//
+// It holds the plane's only selection store. A selection is a function of
+// content and options, never of history: the store keeps each pristine
+// component's selection from the first cycle that needs it, never evicted,
+// and each live masked component's — its parent's repaired for the mask
+// (pmc.Repair), in the coordinator — until ApplyChurn removes it. Only the
+// pristine components the store lacks are dispatched to shards.
 type Coordinator struct {
-	ps       route.PathSet
 	numLinks int
 	opt      Options
 	csr      *route.CSR
@@ -153,13 +141,14 @@ type Coordinator struct {
 	clients []ShardClient // immutable after New
 
 	mu          sync.Mutex
-	inc         *route.Incremental // owns the masked decomposition
-	comps       []route.Component  // current snapshot of inc.Components()
-	churnEpoch  uint64             // bumped by every effective ApplyChurn
-	selCache    map[uint64]compSel // Component.Key() -> last selection
-	assignKey   map[uint64]int32   // Component.Key() -> owning shard id
-	quarantined []bool             // construct failed while pings still pass
-	assign      []int32            // component index -> owning shard id
+	inc         *route.Incremental    // owns the masked decomposition
+	comps       []route.Component     // current snapshot of inc.Components()
+	churnEpoch  uint64                // bumped by every effective ApplyChurn
+	pristine    []*selection          // by index into csr.Pristine(numLinks).Comps; nil until dispatched
+	masked      map[uint64]*selection // live masked components by Component.Key()
+	assignKey   map[uint64]int32      // Component.Key() -> owning shard id
+	quarantined []bool                // construct failed while pings still pass
+	assign      []int32               // component index -> owning shard id
 	stopped     bool
 	stop        chan struct{}
 	probers     sync.WaitGroup
@@ -200,7 +189,6 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		ps:       ps,
 		numLinks: numLinks,
 		opt:      opt,
 		csr:      csr,
@@ -210,7 +198,8 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 		stop:     make(chan struct{}),
 	}
 	c.assign = make([]int32, len(c.comps))
-	c.selCache = make(map[uint64]compSel)
+	c.pristine = make([]*selection, len(csr.Pristine(numLinks).Comps))
+	c.masked = make(map[uint64]*selection)
 	c.assignKey = make(map[uint64]int32)
 	c.quarantined = make([]bool, opt.Shards)
 	if opt.Clients != nil {
@@ -226,12 +215,9 @@ func New(ps route.PathSet, numLinks int, opt Options) (*Coordinator, error) {
 			}
 		}
 	} else {
-		// In-process shards share the matrix and one engine memo:
-		// components that move between shards (failover, churn-driven
-		// reassignment) still hit their cached selections.
-		memo := pmc.NewMemo(0)
+		// In-process shards share the coordinator's matrix.
 		for i := 0; i < opt.Shards; i++ {
-			c.clients = append(c.clients, &Shard{id: i, ps: ps, csr: csr, numLinks: numLinks, memo: memo})
+			c.clients = append(c.clients, &Shard{id: i, ps: ps, csr: csr, numLinks: numLinks})
 		}
 	}
 	alive := make([]int, opt.Shards)
@@ -444,12 +430,10 @@ func (c *Coordinator) reassignLocked(alive []int) int {
 }
 
 // ApplyChurn transitions links down/up in the masked candidate matrix and
-// invalidates exactly the components the change touches. The next Construct
-// dispatches only those (under Options.ReuseSelections; without it the next
-// cycle constructs every component of the new decomposition — still
-// bit-identical, just not incremental), and a shard repairs each masked
-// one from its pristine class selection (see pmc.ConstructComponents).
-// Returns the component diff.
+// drops the stored selections of exactly the masked components the change
+// removes. The next Construct answers the components it adds from the
+// store: a pristine one coming back by lookup, a masked one by repairing
+// its parent's stored selection. Returns the component diff.
 //
 // ApplyChurn must not race a Construct in flight: the coordinator detects
 // the overlap and the Construct returns an error asking to be re-run. The
@@ -474,14 +458,11 @@ func (c *Coordinator) ApplyChurn(down, up []topo.LinkID) (route.Diff, error) {
 	stageChurnDiff.Observe(time.Since(diffStart) - diff.IndexTime)
 	c.churnEpoch++
 	c.comps = c.inc.Components()
-	for i := range diff.Removed {
-		delete(c.selCache, diff.Removed[i].Key())
-		delete(c.assignKey, diff.Removed[i].Key())
-	}
 	// An added component sharing a removed key (splits keep the smallest
-	// link) must not inherit the stale selection either.
-	for i := range diff.Added {
-		delete(c.selCache, diff.Added[i].Key())
+	// link) finds no selection under it.
+	for i := range diff.Removed {
+		delete(c.masked, diff.Removed[i].Key())
+		delete(c.assignKey, diff.Removed[i].Key())
 	}
 	c.assign = make([]int32, len(c.comps))
 	for ci := range c.comps {
@@ -507,101 +488,165 @@ func (c *Coordinator) Assignment() []int32 {
 }
 
 // Construct runs one distributed construction cycle: observe liveness,
-// reassign dead shards' components, dispatch PMC over the transport to
-// every live shard, and merge. A shard that fails its dispatch — transport
-// error or engine error — is quarantined and the cycle retries over the
-// survivors, so the result is always a complete merge: bit-identical to
-// pmc.Construct(ps, numLinks, opt.PMC) regardless of the shard count, the transport, or which shards die mid-cycle.
+// reassign dead shards' components, dispatch PMC over the transport for
+// the pristine components the store lacks, repair the masked ones, and
+// merge. A shard that fails its dispatch — transport error or engine
+// error — is quarantined and the cycle retries over the survivors, so the
+// result is always a complete merge: bit-identical to a fresh
+// coordinator's first cycle with the same links down (with none down, to
+// pmc.Construct(ps, numLinks, opt.PMC)) regardless of the shard count,
+// the transport, or which shards die mid-cycle.
 func (c *Coordinator) Construct() (*Result, error) {
 	return c.ConstructCycle(nil)
 }
 
 // ConstructCycle is Construct under an observability cycle: the assign,
-// per-shard dispatch and merge phases get spans on cy (per-shard spans are
-// tagged with the shard id), the stage histograms fill regardless, and the
-// cycle ID is stamped on every ConstructRequest so remote shards' server
-// spans file under the caller's timeline. A nil cy traces nothing and
-// stamps cycle ID 0 — the construction itself is identical either way.
+// per-shard dispatch, repair and merge phases get spans on cy (per-shard
+// spans are tagged with the shard id), the stage histograms fill
+// regardless, and the cycle ID is stamped on every ConstructRequest so
+// remote shards' server spans file under the caller's timeline. A nil cy
+// traces nothing and stamps cycle ID 0 — the construction itself is
+// identical either way.
 func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 	start := time.Now()
 	c.reprobeQuarantined()
-	totalMoved := 0
-	var lastErr error
-	// Completed per-shard runs, kept across retry rounds: when a shard
-	// fails mid-cycle, survivors whose component slice is unchanged by the
-	// reassignment (rendezvous moves only the failed shard's components
-	// plus cap displacements) reuse their finished construction instead of
-	// recomputing it — a failover round costs roughly the failed shard's
-	// work, not the whole cycle's. Keyed by shard id; valid only while the
-	// slice (component indices) matches.
-	type doneRun struct {
-		compIdx []int32
-		res     *pmc.Result
+	pristine := c.csr.Pristine(c.numLinks)
+	merged := &Result{Result: &pmc.Result{Stats: pmc.Stats{CoverageMet: true, IdentMet: c.opt.PMC.Beta >= 1}}}
+	if err := c.dispatch(cy, pristine, merged); err != nil {
+		return nil, err
 	}
-	cache := make(map[int]doneRun)
+
+	// Every live component's selection is in the store now but for the
+	// masked ones it lacks, which are repaired here from their parents'.
+	// A selection still missing means ApplyChurn ran since the dispatch.
+	c.mu.Lock()
+	comps, epoch := c.comps, c.churnEpoch
+	sels := make([]*selection, len(comps))
+	var cut []route.Component
+	var cutAt []int
+	var parents [][]int
+	for ci := range comps {
+		p, masked := parentOf(pristine, &comps[ci])
+		switch {
+		case !masked:
+			sels[ci] = c.pristine[p]
+		case c.masked[comps[ci].Key()] != nil:
+			sels[ci] = c.masked[comps[ci].Key()]
+		case c.pristine[p] != nil:
+			cut = append(cut, comps[ci])
+			cutAt = append(cutAt, ci)
+			parents = append(parents, c.pristine[p].paths)
+		}
+	}
+	c.mu.Unlock()
+	if len(cut) > 0 {
+		repairStart := time.Now()
+		sp := cy.Span("repair")
+		repaired, st, err := pmc.Repair(c.csr, cut, parents, c.numLinks, c.opt.PMC)
+		sp.EndErr(err)
+		if err != nil {
+			return nil, err
+		}
+		merged.Repair = time.Since(repairStart)
+		stageRepair.Observe(merged.Repair)
+		merged.Stats.AddWork(st)
+		for i, r := range repaired {
+			sels[cutAt[i]] = &selection{paths: r.Selected, coverageMet: r.CoverageMet, identMet: r.IdentMet}
+		}
+	}
+
+	mergeStart := time.Now()
+	mergeSpan := cy.Span("merge")
+	c.mu.Lock()
+	if c.churnEpoch != epoch {
+		c.mu.Unlock()
+		return nil, errChurned
+	}
+	for _, ci := range cutAt {
+		c.masked[comps[ci].Key()] = sels[ci]
+	}
+	c.mu.Unlock()
+	for _, sel := range sels {
+		if sel == nil {
+			return nil, errChurned
+		}
+		merged.Selected = append(merged.Selected, sel.paths...)
+		merged.Stats.CoverageMet = merged.Stats.CoverageMet && sel.coverageMet
+		merged.Stats.IdentMet = merged.Stats.IdentMet && sel.identMet
+	}
+	merged.Stats.Components = len(comps)
+	merged.ReusedComponents = len(comps) - merged.DirtyComponents
+	sort.Ints(merged.Selected)
+	merged.Stats.Selected = len(merged.Selected)
+	merged.Stats.Elapsed = time.Since(start)
+	mergeSpan.End()
+	stageMerge.Observe(time.Since(mergeStart))
+	shardsAlive.Set(int64(merged.Alive))
+	shardsQuarantined.Set(int64(c.opt.Shards - merged.Alive))
+	return merged, nil
+}
+
+// errChurned is a cycle's answer when ApplyChurn ran while it was in
+// flight.
+var errChurned = errors.New("shard: topology churned during construction; re-run Construct")
+
+// parentOf returns the index of c's pristine parent, which every component
+// of the coordinator's decomposition has, and whether c is masked: cut out
+// of that parent, with fewer paths.
+func parentOf(pristine *route.Pristine, c *route.Component) (p int, masked bool) {
+	p = pristine.Parent(c)
+	return p, c.Paths.Len() < pristine.Comps[p].Paths.Len()
+}
+
+// dispatch sends each live shard the pristine components the store lacks
+// that it owns (missingLocked), pings the shards it sends nothing, and
+// stores what comes back. A failed shard is quarantined and the round
+// repeated over the survivors, re-dispatching only what the store still
+// lacks; each retry quarantines a shard, so at most opt.Shards+1 rounds
+// run. It fills merged's dispatch fields and stats.
+func (c *Coordinator) dispatch(cy *obs.Cycle, pristine *route.Pristine, merged *Result) error {
+	var lastErr error
+	elapsed := make(map[int]time.Duration) // shard id -> its constructions' time, over the rounds
 	for attempt := 0; attempt <= c.opt.Shards; attempt++ {
 		c.mu.Lock()
 		alive := c.aliveLocked()
 		if len(alive) == 0 {
 			c.mu.Unlock()
 			if lastErr != nil {
-				return nil, fmt.Errorf("shard: all %d shards dead or quarantined; last dispatch error: %w",
+				return fmt.Errorf("shard: all %d shards dead or quarantined; last dispatch error: %w",
 					c.opt.Shards, lastErr)
 			}
-			return nil, fmt.Errorf("shard: all %d shards dead; cannot construct", c.opt.Shards)
+			return fmt.Errorf("shard: all %d shards dead; cannot construct", c.opt.Shards)
 		}
 		assignStart := time.Now()
 		assignSpan := cy.Span("assign")
-		totalMoved += c.reassignLocked(alive)
-		assign := append([]int32(nil), c.assign...)
-		comps := c.comps // replaced wholesale by ApplyChurn; safe to hold
-		epoch := c.churnEpoch
-		reuse := c.opt.ReuseSelections
-		// Dirty components: not yet in the selection cache. Without reuse,
-		// everything is dirty every cycle.
-		dirty := make([]int32, 0, len(comps))
-		for ci := range comps {
-			if reuse {
-				if _, ok := c.selCache[comps[ci].Key()]; ok {
-					continue
-				}
-			}
-			dirty = append(dirty, int32(ci))
-		}
+		merged.Moved += c.reassignLocked(alive)
+		perShard, dirty := c.missingLocked(pristine)
 		c.mu.Unlock()
-
-		perShard := make([][]int32, c.opt.Shards)
-		for _, ci := range dirty {
-			id := assign[ci]
-			perShard[id] = append(perShard[id], ci)
-		}
 		assignSpan.End()
 		stageAssign.Observe(time.Since(assignStart))
+		if attempt == 0 {
+			merged.DirtyComponents = dirty
+		}
 
 		results := make([]*pmc.Result, len(alive))
 		errs := make([]error, len(alive))
-		var toRun, idle []int
-		for k, id := range alive {
-			if reuse && len(perShard[id]) == 0 {
-				// Nothing dirty here — but dispatch is also how the
-				// coordinator discovers a dead shard before the watchdog TTL
-				// fires, so an undispatched shard gets a synchronous ping
-				// below instead of a free pass.
-				idle = append(idle, k)
-				continue
-			}
-			if d, ok := cache[id]; ok && slices.Equal(d.compIdx, perShard[id]) {
-				results[k] = d.res
-				continue
-			}
-			toRun = append(toRun, k)
-		}
 		dispatchStart := time.Now()
 		run := func(k int) {
 			id := alive[k]
+			if len(perShard[id]) == 0 {
+				// Nothing to construct here — but dispatch is also how the
+				// coordinator discovers a dead shard before the watchdog
+				// TTL fires, so an idle shard gets a synchronous ping
+				// instead of a free pass.
+				if err := c.clients[id].Ping(); err != nil {
+					errs[k] = fmt.Errorf("shard: idle liveness ping: %w", err)
+				}
+				return
+			}
 			sub := make([]route.Component, len(perShard[id]))
-			for i, ci := range perShard[id] {
-				sub[i] = comps[ci]
+			for i, p := range perShard[id] {
+				sub[i] = pristine.Comps[p]
 			}
 			sp := cy.ShardSpan("construct", id)
 			results[k], errs[k] = c.clients[id].Construct(ConstructRequest{
@@ -613,32 +658,17 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 			})
 			sp.EndErr(errs[k])
 		}
-		ping := func(k int) {
-			if err := c.clients[alive[k]].Ping(); err != nil {
-				errs[k] = fmt.Errorf("shard: idle liveness ping: %w", err)
-			}
-		}
 		if c.opt.Sequential {
-			for _, k := range toRun {
+			for k := range alive {
 				run(k)
-			}
-			for _, k := range idle {
-				ping(k)
 			}
 		} else {
 			var wg sync.WaitGroup
-			for _, k := range toRun {
+			for k := range alive {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
 					run(k)
-				}(k)
-			}
-			for _, k := range idle {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					ping(k)
 				}(k)
 			}
 			wg.Wait()
@@ -648,126 +678,80 @@ func (c *Coordinator) ConstructCycle(cy *obs.Cycle) (*Result, error) {
 		failed := false
 		for k, err := range errs {
 			id := alive[k]
-			if err == nil {
-				if results[k] != nil {
-					cache[id] = doneRun{compIdx: perShard[id], res: results[k]}
-				}
+			if err != nil {
+				failed = true
+				lastErr = err
+				constructFailovers.Inc()
+				obs.Logger().Warn("shard quarantined after failed construct dispatch",
+					"shard", id, "cycle", cy.ID(), "err", err)
+				c.mu.Lock()
+				c.quarantined[id] = true
+				c.mu.Unlock()
 				continue
 			}
-			failed = true
-			lastErr = err
-			constructFailovers.Inc()
-			obs.Logger().Warn("shard quarantined after failed construct dispatch",
-				"shard", id, "cycle", cy.ID(), "err", err)
-			delete(cache, id)
-			c.mu.Lock()
-			c.quarantined[id] = true
-			c.mu.Unlock()
+			r := results[k]
+			if r == nil {
+				continue // idle
+			}
+			c.storeDispatched(pristine, perShard[id], r)
+			merged.Stats.AddWork(r.Stats)
+			elapsed[id] += r.Stats.Elapsed
 		}
 		if failed {
-			// Never serve a partial merge: requeue the cycle over the
-			// survivors (cached runs carry over). Each retry quarantines
-			// at least one shard, so the loop terminates within opt.Shards
-			// rounds.
+			// Never serve a partial merge: requeue over the survivors.
 			continue
 		}
-
-		mergeStart := time.Now()
-		mergeSpan := cy.Span("merge")
-		merged := &Result{
-			Result:          &pmc.Result{Stats: pmc.Stats{CoverageMet: true, IdentMet: c.opt.PMC.Beta >= 1}},
-			Moved:           totalMoved,
-			Alive:           len(alive),
-			Retries:         attempt,
-			DirtyComponents: len(dirty),
+		merged.Alive = len(alive)
+		merged.Retries = attempt
+		for _, d := range elapsed {
+			merged.CriticalPath = max(merged.CriticalPath, d)
 		}
-		for k, r := range results {
-			if r == nil {
-				continue // reuse mode: shard had no dirty components
-			}
-			merged.Stats.Components += r.Stats.Components
-			merged.Stats.Classes += r.Stats.Classes
-			merged.Stats.Repaired += r.Stats.Repaired
-			merged.Stats.Candidates += r.Stats.Candidates
-			merged.Stats.ScoreEvals += r.Stats.ScoreEvals
-			merged.Stats.Reseeds += r.Stats.Reseeds
-			merged.Stats.CoverageMet = merged.Stats.CoverageMet && r.Stats.CoverageMet
-			merged.Stats.IdentMet = merged.Stats.IdentMet && r.Stats.IdentMet
-			merged.PerShard = append(merged.PerShard, ShardStats{
-				ID:         alive[k],
-				Components: len(perShard[alive[k]]),
-				Selected:   len(r.Selected),
-				Elapsed:    r.Stats.Elapsed,
-			})
-			if !reuse {
-				merged.Selected = append(merged.Selected, r.Selected...)
-			}
-			if r.Stats.Elapsed > merged.CriticalPath {
-				merged.CriticalPath = r.Stats.Elapsed
-			}
-		}
-		if reuse {
-			// Store the fresh per-component selections, then serve the full
-			// merge from the cache: clean components verbatim, dirty ones
-			// from this cycle's results. The split attributes each selected
-			// path to its component through its first link (CSR.AppendRow).
-			c.mu.Lock()
-			if c.churnEpoch != epoch {
-				c.mu.Unlock()
-				return nil, fmt.Errorf("shard: topology churned during construction; re-run Construct")
-			}
-			for k, r := range results {
-				if r == nil {
-					continue
-				}
-				idxs := perShard[alive[k]]
-				if len(idxs) == 1 {
-					c.selCache[comps[idxs[0]].Key()] = compSel{
-						selected:    r.Selected,
-						coverageMet: r.Stats.CoverageMet,
-						identMet:    r.Stats.IdentMet,
-					}
-					continue
-				}
-				parts := make(map[int32][]int, len(idxs))
-				var row []topo.LinkID
-				for _, pid := range r.Selected {
-					row = c.csr.AppendRow(pid, row[:0])
-					ci := int32(c.inc.CompIndexOf(row[0]))
-					parts[ci] = append(parts[ci], pid)
-				}
-				for _, ci := range idxs {
-					c.selCache[comps[ci].Key()] = compSel{
-						selected:    parts[ci],
-						coverageMet: r.Stats.CoverageMet,
-						identMet:    r.Stats.IdentMet,
-					}
-				}
-			}
-			merged.Stats.Components = len(comps)
-			for ci := range comps {
-				sel, ok := c.selCache[comps[ci].Key()]
-				if !ok {
-					c.mu.Unlock()
-					return nil, fmt.Errorf("shard: component %d missing from selection cache after merge", ci)
-				}
-				merged.Selected = append(merged.Selected, sel.selected...)
-				merged.Stats.CoverageMet = merged.Stats.CoverageMet && sel.coverageMet
-				merged.Stats.IdentMet = merged.Stats.IdentMet && sel.identMet
-			}
-			c.mu.Unlock()
-			merged.ReusedComponents = len(comps) - len(dirty)
-		}
-		sort.Ints(merged.Selected)
-		merged.Stats.Selected = len(merged.Selected)
-		merged.Stats.Elapsed = time.Since(start)
-		mergeSpan.End()
-		stageMerge.Observe(time.Since(mergeStart))
-		shardsAlive.Set(int64(len(alive)))
-		shardsQuarantined.Set(int64(c.opt.Shards - len(alive)))
-		return merged, nil
+		return nil
 	}
-	return nil, fmt.Errorf("shard: construction failed after %d dispatch rounds: %w", c.opt.Shards+1, lastErr)
+	return fmt.Errorf("shard: construction failed after %d dispatch rounds: %w", c.opt.Shards+1, lastErr)
+}
+
+// missingLocked lists per shard id the pristine components (indices into
+// pristine.Comps) the store lacks that a live component needs — itself, or
+// as a masked component's parent — each for the first such component's
+// shard. dirty counts the live components the store lacks. Requires c.mu.
+func (c *Coordinator) missingLocked(pristine *route.Pristine) (perShard [][]int32, dirty int) {
+	perShard = make([][]int32, c.opt.Shards)
+	asked := make(map[int]bool)
+	for ci := range c.comps {
+		p, masked := parentOf(pristine, &c.comps[ci])
+		if masked && c.masked[c.comps[ci].Key()] != nil {
+			continue
+		}
+		if masked || c.pristine[p] == nil {
+			dirty++
+		}
+		if c.pristine[p] != nil || asked[p] {
+			continue
+		}
+		asked[p] = true
+		id := c.assign[ci]
+		perShard[id] = append(perShard[id], int32(p))
+	}
+	return perShard, dirty
+}
+
+// storeDispatched stores a shard's answer for pristine components ps,
+// split by each selected path's first link. A pristine selection is a
+// function of content alone, so it is stored even if the topology churned.
+func (c *Coordinator) storeDispatched(pristine *route.Pristine, ps []int32, r *pmc.Result) {
+	parts := make(map[int][]int, len(ps))
+	var row []topo.LinkID
+	for _, pid := range r.Selected {
+		row = c.csr.AppendRow(pid, row[:0])
+		p := pristine.CompOf(row[0])
+		parts[p] = append(parts[p], pid)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range ps {
+		c.pristine[p] = &selection{paths: parts[int(p)], coverageMet: r.Stats.CoverageMet, identMet: r.Stats.IdentMet}
+	}
 }
 
 // ShardInfo is one shard's row in the operator-facing placement view.

@@ -18,11 +18,13 @@ import (
 type countingClient struct {
 	*Shard
 	constructs    atomic.Int64
+	comps         atomic.Int64 // components over every construct request
 	failConstruct atomic.Bool
 }
 
 func (c *countingClient) Construct(req ConstructRequest) (*pmc.Result, error) {
 	c.constructs.Add(1)
+	c.comps.Add(int64(len(req.Comps)))
 	if c.failConstruct.Load() {
 		return nil, fmt.Errorf("injected construct fault on shard %d", c.ID())
 	}
@@ -89,6 +91,48 @@ func TestRetryReusesSurvivorsResults(t *testing.T) {
 	// 3 first-round dispatches + only the slices the reassignment changed.
 	if total > 5 {
 		t.Errorf("cycle cost %d dispatches — retry recomputed unchanged survivor slices", total)
+	}
+}
+
+// TestRetryDispatchesOnlyWhatTheStoreLacks: the survivors' answers from a
+// failed round are stored, so the retry sends exactly the failed shard's
+// components, once — over the cycle the shards receive every component
+// once plus the victim's again.
+func TestRetryDispatchesOnlyWhatTheStoreLacks(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	opt := pmc.Options{Alpha: 2, Beta: 1}
+	counters := make([]*countingClient, 3)
+	clients := make([]ShardClient, len(counters))
+	for i := range counters {
+		counters[i] = &countingClient{Shard: NewInProcess(i, ps, f.NumLinks())}
+		clients[i] = counters[i]
+	}
+	c, err := New(ps, f.NumLinks(), Options{Clients: clients, PMC: opt, TTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	victim, victimComps := int(c.Assignment()[0]), 0
+	for _, s := range c.Assignment() {
+		if int(s) == victim {
+			victimComps++
+		}
+	}
+	counters[victim].failConstruct.Store(true)
+	res, err := c.Construct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries != 1 {
+		t.Fatalf("%d retries, want 1", res.Retries)
+	}
+	sent := int64(0)
+	for _, cc := range counters {
+		sent += cc.comps.Load()
+	}
+	if want := int64(c.Components() + victimComps); sent != want {
+		t.Fatalf("the cycle sent %d components, want %d: each once and the victim's %d again", sent, want, victimComps)
 	}
 }
 

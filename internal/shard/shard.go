@@ -66,12 +66,6 @@ type Shard struct {
 	// a request must name its matrix by fingerprint. The coordinator's
 	// default shards share its CSR, so no request can name another matrix.
 	own bool
-	// memo is the engine-local PMC class memo: a component of a class
-	// solved before (a sibling Fattree pod, a flap coming back up, a
-	// reassigned component) reuses the class's rows, and a masked
-	// component is repaired from its pristine parent's. Selections are a
-	// function of content and options, so the memo never changes an answer.
-	memo *pmc.Memo
 
 	mu     sync.Mutex
 	killed bool
@@ -82,7 +76,7 @@ type Shard struct {
 // its default shards instead; this entry point is for tests and embedders
 // that assemble a mixed client set by hand.
 func NewInProcess(id int, ps route.PathSet, numLinks int) *Shard {
-	return &Shard{id: id, ps: ps, csr: route.MaterializeCSR(ps), numLinks: numLinks, own: true, memo: pmc.NewMemo(0)}
+	return &Shard{id: id, ps: ps, csr: route.MaterializeCSR(ps), numLinks: numLinks, own: true}
 }
 
 // ID returns the shard's coordinator slot.
@@ -116,11 +110,8 @@ func (s *Shard) Construct(req ConstructRequest) (*pmc.Result, error) {
 		return nil, fmt.Errorf("shard %d: numLinks %d does not match engine %d",
 			s.id, req.NumLinks, s.numLinks)
 	}
-	return pmc.ConstructComponents(s.ps, s.csr, req.Comps, s.numLinks, req.Opt, s.memo)
+	return pmc.ConstructComponents(s.ps, s.csr, req.Comps, s.numLinks, req.Opt)
 }
-
-// MemoStats exposes the shard's selection cache counters.
-func (s *Shard) MemoStats() pmc.MemoStats { return s.memo.Stats() }
 
 // Localize runs the part's engine over the window. The cycle ID is unused
 // in-process: the caller's own span already covers this call.

@@ -14,8 +14,10 @@ import (
 // benchTransport measures one full distributed construction cycle on
 // Fattree(16) — 8 components over 4 shards, Workers 1 per shard,
 // Sequential so per-shard elapsed is uncontended — with the shard fleet
-// in-process or behind real loopback HTTP services. The delta between
-// sub-benchmarks is the transport's
+// in-process or behind real loopback HTTP services. Every iteration
+// builds a fresh coordinator, whose store holds nothing, and times its
+// first cycle; the shard services keep no selections, so they serve each
+// iteration alike. The delta between sub-benchmarks is the transport's
 // whole cost: encode of the component slices, the HTTP round trips, and
 // decode of the selections. critical-path-ms is the modeled N-machine
 // wall clock; wire-MB-out-per-cycle is what the coordinator ships per
@@ -25,48 +27,58 @@ func benchTransport(b *testing.B, loopback bool) {
 	f := topo.MustFattree(16)
 	ps := route.NewFattreePaths(f)
 	const shards = 4
-	opt := shard.Options{
-		Shards:     shards,
-		Sequential: true,
-		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
-		TTL:        time.Hour,
-	}
-	var rpcClients []*Client
+	var urls []string
 	if loopback {
-		opt.Shards = 0
 		for i := 0; i < shards; i++ {
-			srv := NewServer(ps, f.NumLinks())
-			ts := httptest.NewServer(srv.Handler())
+			ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
 			b.Cleanup(ts.Close)
-			cl := Dial(i, ts.URL, ClientOptions{})
+			urls = append(urls, ts.URL)
+		}
+	}
+	var crit time.Duration
+	var out int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		opt := shard.Options{
+			Shards:     shards,
+			Sequential: true,
+			PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
+			TTL:        time.Hour,
+		}
+		var rpcClients []*Client
+		for i, u := range urls {
+			cl := Dial(i, u, ClientOptions{})
 			rpcClients = append(rpcClients, cl)
 			opt.Clients = append(opt.Clients, cl)
 		}
-	}
-	c, err := shard.New(ps, f.NumLinks(), opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Stop()
-	sumOut := func() (total int64) {
-		for _, cl := range rpcClients {
-			total += cl.bytesOut.Value()
+		if loopback {
+			opt.Shards = 0
 		}
-		return total
-	}
-	b.ResetTimer()
-	outBefore := sumOut()
-	var crit time.Duration
-	for i := 0; i < b.N; i++ {
+		sumOut := func() (total int64) {
+			for _, cl := range rpcClients {
+				total += cl.bytesOut.Value()
+			}
+			return total
+		}
+		c, err := shard.New(ps, f.NumLinks(), opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		before := sumOut()
+		b.StartTimer()
 		res, err := c.Construct()
+		b.StopTimer()
+		out += sumOut() - before
+		c.Stop()
 		if err != nil {
 			b.Fatal(err)
 		}
 		crit = res.CriticalPath
+		b.StartTimer()
 	}
 	b.ReportMetric(float64(crit.Microseconds())/1000.0, "critical-path-ms")
 	if loopback && b.N > 0 {
-		b.ReportMetric(float64(sumOut()-outBefore)/1e6/float64(b.N), "wire-MB-out-per-cycle")
+		b.ReportMetric(float64(out)/1e6/float64(b.N), "wire-MB-out-per-cycle")
 	}
 }
 

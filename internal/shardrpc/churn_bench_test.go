@@ -13,21 +13,19 @@ import (
 
 // benchChurnWire measures what the coordinator ships over the transport
 // for a single-link churn cycle against a full construction cycle, on a
-// loopback shard fleet. With selection reuse on,
-// a churn cycle dispatches only the dirty component — so the wire bytes
-// out must drop in proportion to the dirty share of the matrix (1 of 8
-// components on Fattree(16)), not just the compute. A different link
-// churns each iteration so the shard-side memo cannot short-circuit the
-// dispatched construction.
+// loopback shard fleet. The full cycle dispatches every component; a
+// churn cycle dispatches none — the coordinator repairs the dirty
+// component from its stored pristine selection and answers a restored
+// one by lookup — so it ships nothing, and churn-wire-MB-out reads 0. A
+// different link churns each iteration.
 func benchChurnWire(b *testing.B) {
 	f := topo.MustFattree(16)
 	ps := route.NewFattreePaths(f)
 	const shards = 4
 	opt := shard.Options{
-		Sequential:      true,
-		PMC:             pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
-		TTL:             time.Hour,
-		ReuseSelections: true,
+		Sequential: true,
+		PMC:        pmc.Options{Alpha: 2, Beta: 1, Workers: 1},
+		TTL:        time.Hour,
 	}
 	var rpcClients []*Client
 	for i := 0; i < shards; i++ {
@@ -86,9 +84,8 @@ func benchChurnWire(b *testing.B) {
 }
 
 // BenchmarkChurnWireFattree16 reports the wire cost of a single-link churn
-// cycle next to a full cycle. The ratio is the delta
-// pipeline's transport win: near 1/8 on Fattree(16) (one dirty component
-// of eight, plus fixed per-request overhead).
+// cycle next to a full cycle: 0 against ~1 MB on Fattree(16), since the
+// coordinator repairs a flap itself.
 func BenchmarkChurnWireFattree16(b *testing.B) {
 	b.Run("loopback-binary", benchChurnWire)
 }

@@ -564,7 +564,7 @@ func TestMaskedConstructOverLoopback(t *testing.T) {
 				Comps:     route.DecomposeMasked(csr, f.NumLinks(), []topo.LinkID{down}),
 				Opt:       pmc.Options{Alpha: c.alpha, Beta: c.beta},
 			}
-			ref, err := pmc.ConstructComponents(ps, csr, req.Comps, f.NumLinks(), req.Opt, nil)
+			ref, err := pmc.ConstructComponents(ps, csr, req.Comps, f.NumLinks(), req.Opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -231,3 +231,59 @@ func TestPingReportsEngineFingerprint(t *testing.T) {
 			srv.MatrixSig(), coord.MatrixSig())
 	}
 }
+
+// TestFlapsSendNoConstructOverLoopback: once the first cycle has filled
+// the coordinator's selection store, flapping links down and back up sends
+// the loopback shard services no /construct request — the services' own
+// construct-op count stays where the boot left it. Each down-flap is
+// repaired in the coordinator, each up-flap answered by lookup, and every
+// up-flap serves the first cycle's selection again.
+func TestFlapsSendNoConstructOverLoopback(t *testing.T) {
+	f := topo.MustFattree(8)
+	ps := route.NewFattreePaths(f)
+	var clients []shard.ShardClient
+	for i := 0; i < 2; i++ {
+		ts := httptest.NewServer(NewServer(ps, f.NumLinks()).Handler())
+		t.Cleanup(ts.Close)
+		clients = append(clients, Dial(i, ts.URL, ClientOptions{}))
+	}
+	constructs := serverOps.With("construct")
+	before := constructs.Count()
+	c, err := shard.New(ps, f.NumLinks(), shard.Options{Clients: clients, PMC: pmc.Options{Alpha: 3, Beta: 1}, TTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	first, err := c.Construct()
+	if err != nil {
+		t.Fatal(err)
+	}
+	booted := constructs.Count()
+	if booted == before {
+		t.Fatal("the first cycle sent the shard services no construct")
+	}
+	const pairs = 12
+	for _, l := range f.SwitchLinks()[:pairs] {
+		for _, down := range []bool{true, false} {
+			var err error
+			if down {
+				_, err = c.ApplyChurn([]topo.LinkID{l}, nil)
+			} else {
+				_, err = c.ApplyChurn(nil, []topo.LinkID{l})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Construct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !down && !reflect.DeepEqual(res.Selected, first.Selected) {
+				t.Fatalf("link %d back up: the selection differs from the first cycle's", l)
+			}
+		}
+	}
+	if n := constructs.Count() - booted; n != 0 {
+		t.Fatalf("%d flap pairs sent the shard services %d constructs after boot, want 0", pairs, n)
+	}
+}

@@ -82,12 +82,6 @@ type Server struct {
 	sig      uint64
 	lim      Limits
 	tr       *obs.Tracer
-	// memo is the engine-local PMC selection cache: a component of a
-	// class constructed before (a sibling Fattree pod, topology flap-back,
-	// component reassignment back to this shard) reuses the cached rows.
-	// Selections are deterministic per class, so the memo never changes a
-	// response.
-	memo *pmc.Memo
 	// engines holds the localization engines clients installed.
 	engines *engineCache
 }
@@ -110,7 +104,6 @@ func NewServerLimits(ps route.PathSet, numLinks int, lim Limits) *Server {
 		sig:      csr.Signature(numLinks),
 		lim:      lim,
 		tr:       obs.NewTracer("shard", 32),
-		memo:     pmc.NewMemo(0),
 		engines:  &engineCache{maxEntries: lim.MaxEngines, maxBytes: lim.MaxEngineBytes},
 	}
 }
@@ -270,7 +263,7 @@ func (s *Server) Handler() http.Handler {
 		// cycle's spans then answer "what did shard N do during cycle C"
 		// from the shard's own /statusz.
 		sp := s.tr.Join(requestCycle(r), "remote").Span("construct")
-		res, err := pmc.ConstructComponents(s.ps, s.csr, comps, s.numLinks, req.Opt.decode(), s.memo)
+		res, err := pmc.ConstructComponents(s.ps, s.csr, comps, s.numLinks, req.Opt.decode())
 		sp.EndErr(err)
 		if err != nil {
 			serverRejected.Inc()
