@@ -166,9 +166,9 @@ func TestFlapIsRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	versions := func() map[topo.NodeID]int {
-		out := make(map[topo.NodeID]int, len(c.pinglists))
-		for n, pl := range c.pinglists {
-			out[n] = pl.Version
+		out := make(map[topo.NodeID]int)
+		for _, n := range c.PingerNodes() {
+			out[n] = c.PinglistFor(n).Version
 		}
 		return out
 	}

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -145,23 +146,70 @@ type Controller struct {
 
 	tr *obs.Tracer
 
-	mu        sync.RWMutex
-	version   int
-	pinglists map[topo.NodeID]*Pinglist
-	// history keeps, per node, the last deltaHistory distinct published
-	// pinglists (newest last) — the bases the delta endpoint can diff
-	// against. A since= version that has aged out falls back to a full
-	// snapshot.
-	history  map[topo.NodeID][]*Pinglist
+	// cycle serializes RunCycle: each cycle's serve stage starts from the
+	// last one's orders.
+	cycle sync.Mutex
+
+	mu      sync.RWMutex
+	version int
+	// nodes holds every node that has ever held a pinglist: its work order,
+	// the birth of each entry and its delta history ring.
+	nodes    map[topo.NodeID]*nodeState
 	matrix   *Matrix
 	pmcStats pmc.Stats
 	coord    *shard.Coordinator
+	// served is the last cycle's serve input and output, the base the next
+	// cycle's serve stage rebuilds from.
+	served serveState
 
 	// servers[t*k/2+slot] is the server in slot slot under the ToR of flat
 	// index t (its position in ServersUnder), uplink the same server's
 	// link to that ToR.
 	servers []topo.NodeID
 	uplink  []topo.LinkID
+}
+
+// nodeState is what the controller keeps for one node.
+type nodeState struct {
+	// pl is the node's published pinglist, and at the version of the last
+	// cycle that made the node a pinger. While at lags the controller's
+	// version the node is not a pinger, and pl is the last pinglist it
+	// held, kept to compare its next one against.
+	pl *Pinglist
+	at int
+	// etag is pl's entity tag, formatted once when pl was published.
+	etag string
+	// births[i] is pl.Entries[i]'s birth: the first version of the run of
+	// the node's consecutive published versions in which the entry with
+	// that path ID had its current definition.
+	births []int32
+	// ring holds the node's last deltaHistory published versions, each as
+	// its ascending path IDs; next is the slot the next version overwrites.
+	ring [deltaHistory]published
+	next int
+}
+
+// published is one version of a node's pinglist as the delta history
+// keeps it.
+type published struct {
+	version int
+	ids     []uint32
+}
+
+// serveState is one cycle's serve stage: the selection and healthy server
+// slots it read, and the work orders it built. Pinger j of rack t is order
+// t*ppr + j.
+type serveState struct {
+	selected []int
+	healthy  [][]int32
+	orders   []order
+}
+
+// order is one pinger's work order: its pinglist and the link slab its
+// matrix rows point into. A rack slot with no routes has a nil pl.
+type order struct {
+	pl   *Pinglist
+	link []topo.LinkID
 }
 
 // deltaHistory bounds the per-node pinglist history ring.
@@ -171,9 +219,8 @@ const deltaHistory = 8
 func New(f *topo.Fattree, cfg Config) *Controller {
 	c := &Controller{
 		F: f, Cfg: cfg,
-		pinglists: make(map[topo.NodeID]*Pinglist),
-		history:   make(map[topo.NodeID][]*Pinglist),
-		tr:        obs.NewTracer("control", 16),
+		nodes: make(map[topo.NodeID]*nodeState),
+		tr:    obs.NewTracer("control", 16),
 	}
 	for _, tor := range f.ToRList() {
 		for _, sv := range f.ServersUnder(tor) {
@@ -290,6 +337,8 @@ func (c *Controller) DownLinks() []topo.LinkID {
 // minutes). unhealthy servers are skipped when selecting pingers and
 // responders.
 func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
+	c.cycle.Lock()
+	defer c.cycle.Unlock()
 	cy := c.tr.StartCycle("construct")
 	defer cy.End()
 	sp := cy.Span("paths")
@@ -326,6 +375,7 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 
 	c.mu.RLock()
 	version := c.version + 1
+	last := c.served
 	c.mu.RUnlock()
 
 	labels := make([]uint32, c.Cfg.FlowLabels)
@@ -371,110 +421,226 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 			}
 		}
 	}
-
-	// Each pinger's work order is allocated once, exact-size: count its
-	// routes first, then fill its entries from one hop slab and one link
-	// slab of its own. A slab per pinger, not per cycle: a pinglist that
-	// survives the cycle unchanged is dropped with its slab, and one the
-	// history ring keeps holds only its own. Pinger j of rack t is order
-	// t*ppr + j. A route over a via-core path crosses 7 nodes (pinger, the
-	// path's 5 switch hops, responder) and 6 links, 5 when its ToRs share
-	// a pod; an intra-rack route crosses 3 nodes and 2 links.
-	type order struct {
-		routes, hops, links int
-		pl                  *Pinglist
-		route               []topo.NodeID
-		link                []topo.LinkID
+	// size is a route's node and link count. A route over a via-core path
+	// crosses 7 nodes (pinger, the path's 5 switch hops, responder) and 6
+	// links, 5 when its ToRs share a pod; an intra-rack route crosses 3
+	// nodes and 2 links.
+	size := func(idx, s, d int) (hops, links int) {
+		switch {
+		case idx < 0:
+			return 3, 2
+		case s/spr == d/spr:
+			return 7, 5
+		}
+		return 7, 6
 	}
+
+	// Pinger j of rack t owns order t*ppr + j. An order is a function of
+	// the selected paths it owns, the healthy slots and the configuration,
+	// so a cycle whose healthy slots are the last cycle's rebuilds only the
+	// orders owning a path that one of the two selections holds and the
+	// other does not. Every other order is the last cycle's, pinglist and
+	// link slab alike. The first cycle, and one whose healthy slots moved,
+	// rebuilds every order.
 	ppr := max(c.Cfg.PingersPerRack, 1)
 	orders := make([]order, len(torList)*ppr)
-	total := 0
-	eachRoute(func(idx, _, s, d, j int, _ int32) {
-		o := &orders[s*ppr+j]
-		o.routes++
-		total++
-		hops, links := 7, 6
-		if idx < 0 {
-			hops, links = 3, 2
-		} else if s/spr == d/spr {
-			links = 5
+	rebuild := make([]bool, len(orders))
+	if last.orders != nil && sameSlots(last.healthy, healthy) {
+		copy(orders, last.orders)
+		eachChanged(last.selected, res.Selected, func(idx int) {
+			s, _, _ := ps.Decode(idx)
+			np := min(c.Cfg.PingersPerRack, len(healthy[s]))
+			for r := 0; r < min(c.Cfg.Redundancy, np); r++ {
+				rebuild[s*ppr+(idx+r)%np] = true
+			}
+		})
+	} else {
+		for k := range rebuild {
+			rebuild[k] = true
 		}
-		o.hops, o.links = o.hops+hops, o.links+links
+	}
+
+	// A rebuilt order is allocated once, exact-size: count its routes
+	// first, then fill its entries from one hop slab and one link slab of
+	// its own. A slab per pinger, not per cycle: a pinglist kept from the
+	// last cycle keeps only its own slabs alive.
+	type build struct {
+		routes, hops, links int
+		route               []topo.NodeID
+		entry, link         int // the matrix walk's cursors into the order
+	}
+	builds := make([]build, len(orders))
+	eachRoute(func(idx, _, s, d, j int, _ int32) {
+		k := s*ppr + j
+		if !rebuild[k] {
+			return
+		}
+		hops, links := size(idx, s, d)
+		b := &builds[k]
+		b.routes, b.hops, b.links = b.routes+1, b.hops+hops, b.links+links
 	})
-	lists := make(map[topo.NodeID]*Pinglist)
 	for k := range orders {
-		o := &orders[k]
-		if o.routes == 0 {
+		if !rebuild[k] {
+			continue
+		}
+		b := &builds[k]
+		if b.routes == 0 {
+			orders[k] = order{}
 			continue
 		}
 		t, j := k/ppr, k%ppr
-		n := c.servers[t*spr+int(healthy[t][j])]
-		o.pl = &Pinglist{
-			Version: version, Node: n,
-			RatePPS: c.Cfg.RatePPS, WindowMS: c.Cfg.WindowMS,
-			ReportURL: c.Cfg.ReportURL,
-			Entries:   make([]Entry, 0, o.routes),
+		orders[k] = order{
+			pl: &Pinglist{
+				Version: version, Node: c.servers[t*spr+int(healthy[t][j])],
+				RatePPS: c.Cfg.RatePPS, WindowMS: c.Cfg.WindowMS,
+				ReportURL: c.Cfg.ReportURL,
+				Entries:   make([]Entry, 0, b.routes),
+			},
+			link: make([]topo.LinkID, 0, b.links),
 		}
-		o.route, o.link = make([]topo.NodeID, 0, o.hops), make([]topo.LinkID, 0, o.links)
-		lists[n] = o.pl
+		b.route = make([]topo.NodeID, 0, b.hops)
 	}
-
-	matrix := &Matrix{Version: version, NumLinks: c.F.NumLinks(), Paths: make([]MatrixPath, 0, total)}
 	eachRoute(func(idx, r, s, d, j int, resp int32) {
-		o := &orders[s*ppr+j]
+		k := s*ppr + j
+		if !rebuild[k] {
+			return
+		}
+		o, b := &orders[k], &builds[k]
 		src, dst := s*spr+int(healthy[s][j]), d*spr+int(resp)
-		pinger, responder := c.servers[src], c.servers[dst]
-		h0, l0 := len(o.route), len(o.link)
-		o.route = append(o.route, pinger)
+		h0 := len(b.route)
+		b.route = append(b.route, c.servers[src])
 		o.link = append(o.link, c.uplink[src])
 		var id uint32
 		if idx >= 0 {
-			o.route = ps.AppendHops(idx, o.route)
+			b.route = ps.AppendHops(idx, b.route)
 			o.link = ps.AppendLinks(idx, o.link)
 			id = uint32(idx*stride + r)
 		} else {
-			o.route = append(o.route, torList[s])
+			b.route = append(b.route, torList[s])
 			id = intraBase + uint32(s*spr+r)
 		}
-		o.route = append(o.route, responder)
+		b.route = append(b.route, c.servers[dst])
 		o.link = append(o.link, c.uplink[dst])
-		links := o.link[l0:len(o.link):len(o.link)]
-		matrix.Paths = append(matrix.Paths, MatrixPath{PathID: id, Links: links, Src: pinger, Dst: responder})
 		o.pl.Entries = append(o.pl.Entries, Entry{
-			PathID: id, Route: o.route[h0:len(o.route):len(o.route)], FlowLabels: labels, DSCP: c.Cfg.DSCP,
+			PathID: id, Route: b.route[h0:len(b.route):len(b.route)], FlowLabels: labels, DSCP: c.Cfg.DSCP,
 		})
+	})
+
+	// The matrix lists every route in serving order, its links a window of
+	// its order's link slab: each order's entries come in the same order.
+	total := 0
+	for k := range orders {
+		if pl := orders[k].pl; pl != nil {
+			total += len(pl.Entries)
+		}
+	}
+	matrix := &Matrix{Version: version, NumLinks: c.F.NumLinks(), Paths: make([]MatrixPath, 0, total)}
+	eachRoute(func(idx, _, s, d, j int, _ int32) {
+		o, b := &orders[s*ppr+j], &builds[s*ppr+j]
+		e := &o.pl.Entries[b.entry]
+		_, n := size(idx, s, d)
+		matrix.Paths = append(matrix.Paths, MatrixPath{
+			PathID: e.PathID, Links: o.link[b.link : b.link+n : b.link+n],
+			Src: e.Route[0], Dst: e.Route[len(e.Route)-1],
+		})
+		b.entry, b.link = b.entry+1, b.link+n
 	})
 
 	c.mu.Lock()
 	// A node whose work order did not change keeps its published pinglist
 	// (same Version pointer): its ETag stays valid, so steady-state polls
 	// answer 304 and deltas stay empty even as the cycle counter advances.
-	// Changed pinglists enter the node's delta history ring.
+	// A changed one is published: it enters the node's delta history ring.
 	changed := 0
-	for n, pl := range lists {
-		if prev := c.pinglists[n]; prev != nil && pinglistEqual(prev, pl) {
-			lists[n] = prev
+	for k := range orders {
+		pl := orders[k].pl
+		if pl == nil {
 			continue
 		}
-		changed++
-		h := append(c.history[n], pl)
-		if len(h) > deltaHistory {
-			h = h[len(h)-deltaHistory:]
+		st := c.nodes[pl.Node]
+		if st == nil {
+			st = new(nodeState)
+			c.nodes[pl.Node] = st
 		}
-		c.history[n] = h
+		if rebuild[k] {
+			if st.pl != nil && st.at == c.version && pinglistEqual(st.pl, pl) {
+				orders[k].pl = st.pl
+			} else {
+				st.publish(pl)
+				changed++
+			}
+		}
+		st.at = version
 	}
-	for n := range c.pinglists {
-		if lists[n] == nil {
-			changed++
+	for _, o := range last.orders {
+		if o.pl != nil && c.nodes[o.pl.Node].at != version {
+			changed++ // withdrawn
 		}
 	}
 	pinglistsChanged.Add(int64(changed))
 	c.version = version
-	c.pinglists = lists
+	c.served = serveState{selected: res.Selected, healthy: healthy, orders: orders}
 	c.matrix = matrix
 	c.pmcStats = res.Stats
 	c.mu.Unlock()
 	return nil
+}
+
+// sameSlots reports whether two cycles read the same healthy slots.
+func sameSlots(a, b [][]int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for t := range a {
+		if !slices.Equal(a[t], b[t]) {
+			return false
+		}
+	}
+	return true
+}
+
+// eachChanged visits every path that exactly one of two ascending
+// selections holds.
+func eachChanged(a, b []int, visit func(idx int)) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || i < len(a) && a[i] < b[j]:
+			visit(a[i])
+			i++
+		case i == len(a) || b[j] < a[i]:
+			visit(b[j])
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+}
+
+// publish makes pl the node's pinglist. An entry equal to the one with its
+// path ID in the node's last pinglist keeps that entry's birth, any other
+// is born at pl.Version, and pl's path IDs overwrite the ring's oldest
+// version.
+func (st *nodeState) publish(pl *Pinglist) {
+	births := make([]int32, len(pl.Entries))
+	ids := make([]uint32, len(pl.Entries))
+	i := 0
+	for j := range pl.Entries {
+		e := &pl.Entries[j]
+		ids[j], births[j] = e.PathID, int32(pl.Version)
+		if st.pl == nil {
+			continue
+		}
+		for i < len(st.pl.Entries) && st.pl.Entries[i].PathID < e.PathID {
+			i++
+		}
+		if i < len(st.pl.Entries) && entryEqual(&st.pl.Entries[i], e) {
+			births[j] = st.births[i]
+		}
+	}
+	st.pl, st.births, st.etag = pl, births, pinglistETag(pl.Version)
+	st.ring[st.next] = published{version: pl.Version, ids: ids}
+	st.next = (st.next + 1) % deltaHistory
 }
 
 // pinglistEqual reports whether two pinglists describe the same work order
@@ -527,18 +693,39 @@ func (c *Controller) PMCStats() pmc.Stats {
 // PinglistFor returns the pinglist of a node (nil when the node is not a
 // pinger this cycle).
 func (c *Controller) PinglistFor(n topo.NodeID) *Pinglist {
+	pl, _ := c.pinglist(n)
+	return pl
+}
+
+// pinglist returns a node's pinglist and its ETag, or nil when the node is
+// not a pinger this cycle.
+func (c *Controller) pinglist(n topo.NodeID) (*Pinglist, string) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.pinglists[n]
+	if st := c.pinger(n); st != nil {
+		return st.pl, st.etag
+	}
+	return nil, ""
+}
+
+// pinger returns a node's state when it is a pinger this cycle. Callers
+// hold c.mu.
+func (c *Controller) pinger(n topo.NodeID) *nodeState {
+	if st := c.nodes[n]; st != nil && st.at == c.version {
+		return st
+	}
+	return nil
 }
 
 // PingerNodes lists the nodes with non-empty pinglists this cycle.
 func (c *Controller) PingerNodes() []topo.NodeID {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]topo.NodeID, 0, len(c.pinglists))
-	for n := range c.pinglists {
-		out = append(out, n)
+	out := make([]topo.NodeID, 0, len(c.nodes))
+	for n, st := range c.nodes {
+		if st.at == c.version {
+			out = append(out, n)
+		}
 	}
 	return out
 }

@@ -3,12 +3,13 @@ package control
 // Pinglist delta serving: the churn pipeline's last hop. Construction
 // reuses clean components, so after a topology change most pinglists are
 // unchanged and the changed ones differ in a handful of entries. The
-// controller keeps a short per-node history of published pinglists and
-// serves GET /pinglist?node=N&since=V as the difference between version V
-// and the current work order — path IDs to stop probing plus full entries
-// to start — as the shardrpc kind-7 binary frame. A base
-// version that has aged out of the history ring degrades to a full
-// snapshot (FromVersion 0), never an error.
+// controller keeps, per node, the path IDs of its last deltaHistory
+// published pinglists and the birth of each current entry, and serves
+// GET /pinglist?node=N&since=V as the difference between version V and
+// the current work order — path IDs to stop probing plus full entries to
+// start — as the shardrpc kind-7 binary frame. A base version that has
+// aged out of the history ring degrades to a full snapshot (FromVersion
+// 0), never an error.
 
 import (
 	"fmt"
@@ -25,13 +26,30 @@ import (
 // not present in the history ring yield a full snapshot (FromVersion 0) —
 // callers wanting "no change" short-circuiting should compare versions (or
 // use the ETag) first.
+//
+// The ring keeps only version since's path IDs, so one merge walk of those
+// against the current entries classifies every path: an ID only since
+// held is Removed, and a current entry is Added when since lacked its ID
+// or its birth is later than since. That is exact. An entry's birth b
+// starts the run of the node's consecutive published versions in which
+// its path had its current definition, and since is one of the node's
+// published versions (the ring holds nothing else). So since ≥ b puts
+// since inside the run, and the entry since held is the current one. An
+// entry omitted from Added is therefore unchanged, and an upsert of one
+// born after since is at worst redundant. When since is the node's
+// previous version, the run of a path since held can start after since
+// only at the current version, and only because the current version
+// redefined it. Added then lists exactly the new and the redefined
+// entries, the same delta an entry-by-entry comparison of the two
+// pinglists gives.
 func (c *Controller) DeltaFor(n topo.NodeID, since int) *shardrpc.PinglistDelta {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	cur := c.pinglists[n]
-	if cur == nil {
+	st := c.pinger(n)
+	if st == nil {
 		return nil
 	}
+	cur := st.pl
 	d := &shardrpc.PinglistDelta{
 		Node:      n,
 		Version:   cur.Version,
@@ -39,16 +57,17 @@ func (c *Controller) DeltaFor(n topo.NodeID, since int) *shardrpc.PinglistDelta 
 		WindowMS:  cur.WindowMS,
 		ReportURL: cur.ReportURL,
 	}
-	var base *Pinglist
+	var base []uint32
+	found := false
 	if since > 0 && since < cur.Version {
-		for _, h := range c.history[n] {
-			if h.Version == since {
-				base = h
+		for _, p := range st.ring {
+			if p.version == since {
+				base, found = p.ids, true
 				break
 			}
 		}
 	}
-	if base == nil {
+	if !found {
 		// Full snapshot: no usable base.
 		for i := range cur.Entries {
 			d.Added = append(d.Added, toPingEntry(&cur.Entries[i]))
@@ -56,29 +75,25 @@ func (c *Controller) DeltaFor(n topo.NodeID, since int) *shardrpc.PinglistDelta 
 		return d
 	}
 	d.FromVersion = since
-	// Both entry lists are ascending by path ID; one merge walk classifies
-	// every entry. A path present in both with a changed definition rides
-	// as an upsert in Added.
+	// Both lists are ascending by path ID.
 	i, j := 0, 0
-	for i < len(base.Entries) && j < len(cur.Entries) {
-		a, b := &base.Entries[i], &cur.Entries[j]
+	for i < len(base) && j < len(cur.Entries) {
+		a, b := base[i], &cur.Entries[j]
 		switch {
-		case a.PathID < b.PathID:
-			d.Removed = append(d.Removed, a.PathID)
+		case a < b.PathID:
+			d.Removed = append(d.Removed, a)
 			i++
-		case a.PathID > b.PathID:
+		case a > b.PathID:
 			d.Added = append(d.Added, toPingEntry(b))
 			j++
 		default:
-			if !entryEqual(a, b) {
+			if int(st.births[j]) > since {
 				d.Added = append(d.Added, toPingEntry(b))
 			}
 			i, j = i+1, j+1
 		}
 	}
-	for ; i < len(base.Entries); i++ {
-		d.Removed = append(d.Removed, base.Entries[i].PathID)
-	}
+	d.Removed = append(d.Removed, base[i:]...)
 	for ; j < len(cur.Entries); j++ {
 		d.Added = append(d.Added, toPingEntry(&cur.Entries[j]))
 	}
