@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,table5,fig4,fig5,fig6,scenarios,serverlevel or 'all'")
+		run      = flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,table5,fig4,fig5,fig6,scenarios or 'all'")
 		trials   = flag.Int("trials", 10, "random scenarios per cell")
 		seed     = flag.Int64("seed", 1, "RNG seed")
 		big      = flag.Bool("big", false, "paper-adjacent instance sizes (minutes of runtime)")
@@ -48,7 +48,6 @@ func main() {
 		{"fig5", func() error { _, err := expt.Fig5(os.Stdout, p); return err }},
 		{"fig6", func() error { _, err := expt.Fig6(os.Stdout, p); return err }},
 		{"scenarios", func() error { _, err := expt.ScenarioSweep(os.Stdout, p); return err }},
-		{"serverlevel", func() error { _, err := expt.ServerLevel(os.Stdout, p); return err }},
 	}
 
 	want := map[string]bool{}

@@ -46,18 +46,19 @@ type Options struct {
 	// RuleSeed fixes probabilistic-drop randomness.
 	RuleSeed int64
 	// Shards, when > 1, boots that many controller shards in-process: the
-	// controller constructs through the shard coordinator and the
-	// diagnoser localizes through the shard plane. The served pinglists,
+	// controller constructs through the shard coordinator; the diagnoser
+	// localizes on its one engine either way. The served pinglists,
 	// matrix and alerts are identical to a single-controller boot; what
 	// changes is that construction distributes and survives shard death
 	// (see Controller.Coordinator for the failover hooks).
 	Shards int
 	// RemoteShards runs the Shards controller shards as real loopback
 	// HTTP services (internal/shardrpc) instead of in-process: the
-	// coordinator and diagnoser drive them over the wire — the
-	// single-machine stand-in for a real multi-controller deployment,
-	// with identical served output (the transport moves component slices,
-	// selections and verdicts; the matrix never moves).
+	// coordinator drives them over the wire and the diagnoser sends each
+	// window to one of them — the single-machine stand-in for a real
+	// multi-controller deployment, with identical served output (the
+	// transport moves component slices, selections, window exceptions and
+	// verdicts; the candidate matrix never moves).
 	RemoteShards bool
 	// ShardEndpoints connects the control plane to an already-running
 	// external shard fleet (detectord -shard-serve processes) instead of
@@ -215,7 +216,6 @@ func Start(opts Options) (*Cluster, error) {
 		Window:         opts.Window,
 		PLL:            pllCfg,
 		Topo:           f.Topology,
-		Shards:         opts.Shards,
 		ShardEndpoints: c.ShardURLs,
 		LinkCounters:   counters,
 		Unhealthy:      c.Watchdog.UnhealthySet,

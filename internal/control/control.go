@@ -7,6 +7,7 @@ package control
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
@@ -390,6 +391,9 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	// (and the pinger's cross-cycle counters) possible. The diagnoser maps
 	// IDs to matrix rows through route.Probes.RowOf.
 	stride := max(c.Cfg.Redundancy, 1)
+	if err := checkPathIDs(ps.Len(), stride, len(c.servers)); err != nil {
+		return err
+	}
 	intraBase := uint32(ps.Len() * stride)
 
 	// eachRoute visits every route in serving order. ToR-level matrix paths
@@ -546,7 +550,19 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 		b.entry, b.link = b.entry+1, b.link+n
 	})
 
+	c.commit(version, serveState{selected: res.Selected, healthy: healthy, orders: orders}, rebuild, last, matrix, res.Stats)
+	return nil
+}
+
+// commit publishes one cycle under c.mu: every rebuilt order of next whose
+// pinglist changed enters its node's delta history, the orders withdrawn
+// since last are counted, and next becomes the served state. The deferred
+// unlock lets a panic here propagate without leaving c.mu held, which would
+// wedge every reader and Close behind it.
+func (c *Controller) commit(version int, next serveState, rebuild []bool, last serveState, matrix *Matrix, stats pmc.Stats) {
+	orders := next.orders
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	// A node whose work order did not change keeps its published pinglist
 	// (same Version pointer): its ETag stays valid, so steady-state polls
 	// answer 304 and deltas stay empty even as the cycle counter advances.
@@ -579,10 +595,19 @@ func (c *Controller) RunCycle(unhealthy map[topo.NodeID]bool) error {
 	}
 	pinglistsChanged.Add(int64(changed))
 	c.version = version
-	c.served = serveState{selected: res.Selected, healthy: healthy, orders: orders}
+	c.served = next
 	c.matrix = matrix
-	c.pmcStats = res.Stats
-	c.mu.Unlock()
+	c.pmcStats = stats
+}
+
+// checkPathIDs fails a cycle whose path IDs would not fit the 32-bit wire
+// ID: stride IDs per candidate path, then one per server slot for the
+// intra-rack routes.
+func checkPathIDs(candidates, stride, servers int) error {
+	if n := uint64(candidates)*uint64(stride) + uint64(servers); n > math.MaxUint32+1 {
+		return fmt.Errorf("control: %d candidate paths × %d replicas + %d intra-rack IDs = %d path IDs, past the 32-bit ID space",
+			candidates, stride, servers, n)
+	}
 	return nil
 }
 

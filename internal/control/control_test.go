@@ -360,3 +360,50 @@ func TestColdCycleStoresNothingPerCandidate(t *testing.T) {
 		t.Fatalf("a cold Fattree(16) cycle allocated %.2f MB, want under 6 MB", alloc)
 	}
 }
+
+// TestCommitReleasesLockOnPanic: a panic inside the commit block leaves
+// c.mu free, so the readers and Close behind it do not hang.
+func TestCommitReleasesLockOnPanic(t *testing.T) {
+	c := New(topo.MustFattree(4), DefaultConfig())
+	c.nodes = nil // the commit's first node-state write panics
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("commit did not panic")
+			}
+		}()
+		next := serveState{orders: []order{{pl: &Pinglist{Node: 1}}}}
+		c.commit(1, next, []bool{true}, serveState{}, nil, pmc.Stats{})
+	}()
+	if !c.mu.TryLock() {
+		t.Fatal("a panicking commit left c.mu held")
+	}
+	c.mu.Unlock()
+}
+
+// TestCheckPathIDs pins the path-ID bound: stride IDs per candidate path
+// plus one per server must fit 32 bits. A Fattree(56)'s ~1.93 G candidate
+// paths fit once each, not three times over; exactly 2^32 IDs
+// (0 .. MaxUint32) fit, and one more does not.
+func TestCheckPathIDs(t *testing.T) {
+	const fattree56Candidates, fattree56Servers = 1_930_000_000, 56 * 56 * 56 / 4
+	cases := []struct {
+		name                        string
+		candidates, stride, servers int
+		fits                        bool
+	}{
+		{"fattree56-redundancy1", fattree56Candidates, 1, fattree56Servers, true},
+		{"fattree56-redundancy3", fattree56Candidates, 3, fattree56Servers, false},
+		{"exactly2^32", 1 << 31, 2, 0, true},
+		{"2^32+1", 1 << 31, 2, 1, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkPathIDs(tc.candidates, tc.stride, tc.servers)
+			if (err == nil) != tc.fits {
+				t.Fatalf("checkPathIDs(%d, %d, %d) = %v, want fits = %v",
+					tc.candidates, tc.stride, tc.servers, err, tc.fits)
+			}
+		})
+	}
+}

@@ -50,6 +50,14 @@ type rowCounters struct {
 type windowState struct {
 	matrix  *route.Probes
 	version int
+	// engine is PLL bound to matrix: every window of this version is
+	// localized on it.
+	engine *pll.Engine
+	// matrixSig (route.RowsSignature of matrix) names the matrix to the
+	// shard endpoint its windows go to, d.clients[endpoint]; both are zero
+	// on a diagnoser without endpoints.
+	matrixSig uint64
+	endpoint  int
 
 	locks []sync.Mutex
 	win   []rowCounters
@@ -88,9 +96,10 @@ func newWindowState(m *route.Probes, version int, opts *Options, straddled bool)
 	}
 	s := &windowState{
 		matrix: m, version: version, straddled: straddled,
-		locks: make([]sync.Mutex, (rows>>stripeShift)+1),
-		win:   make([]rowCounters, rows),
-		obs:   make([]pll.Observation, rows),
+		engine: pll.NewEngine(m),
+		locks:  make([]sync.Mutex, (rows>>stripeShift)+1),
+		win:    make([]rowCounters, rows),
+		obs:    make([]pll.Observation, rows),
 		sig: pll.Signals{
 			History:   pll.NewHistory(rows, horizon),
 			BaseRTTNS: make([]int64, rows),

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sync"
@@ -18,7 +19,6 @@ import (
 	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/route"
-	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
 )
@@ -36,20 +36,45 @@ var malformedReports = obs.NewCounter("diag_malformed_reports",
 var unknownPathResults = obs.NewCounter("diag_unknown_path_results",
 	"Results dropped at ingest because the bound matrix has no such path ID.")
 
-// localizeErrors counts windows the diagnosis plane failed to localize.
-// Such a window raises no alert; /statusz keeps the last error so it is
-// not mistaken for a quiet one.
+// localizeErrors counts windows the diagnoser failed to localize. Such a
+// window raises no alert; /statusz keeps the last error so it is not
+// mistaken for a quiet one.
 var localizeErrors = obs.NewCounter("diag_localize_errors",
-	"Windows the diagnosis plane failed to localize.")
+	"Windows the diagnoser failed to localize.")
+
+// localFallbacks counts windows localized locally after the shard
+// endpoint's localize request failed. The verdicts stay exact (same engine,
+// same window); the counter makes a flapping shard service visible.
+var localFallbacks = obs.NewCounter("shard_plane_local_fallbacks",
+	"Windows localized locally after the shard endpoint's localize request failed.")
 
 // Diagnoser stage histograms: the window pipeline's per-cycle timing
-// (report ingest, window close-out, verdict classification; the localize
-// stage is observed by the shard plane it runs on).
+// (report ingest, window close-out, localization from sparsify to
+// verdicts, verdict classification).
 var (
 	stageIngest      = obs.Stages.With("ingest")
 	stageWindowClose = obs.Stages.With("window_close")
+	stageLocalize    = obs.Stages.With("localize")
 	stageClassify    = obs.Stages.With("classify")
 )
+
+// localizeClient is a remote localization endpoint: it returns exactly
+// engine.Localize(w, cfg), naming engine's matrix by sig (its
+// route.RowsSignature) so the rows travel only when the endpoint does not
+// hold them. shardrpc.Client implements it.
+type localizeClient interface {
+	Localize(cycle, sig uint64, engine *pll.Engine, w pll.Window, cfg pll.Config) (*pll.Result, error)
+	Close() error
+}
+
+// remoteError is the last failure of a shard endpoint's localize request,
+// as served at the diagnoser's /statusz: the window itself was localized by
+// the local fallback, so without this an endpoint that rejects every
+// request is visible only as a ticking fallback counter.
+type remoteError struct {
+	Time  time.Time `json:"time"`
+	Error string    `json:"error"`
+}
 
 // LinkVerdict is one suspected link in an alert.
 type LinkVerdict struct {
@@ -109,17 +134,14 @@ type Options struct {
 	// suggests 10-minute windows against 30-second fast windows, i.e.
 	// SlowEvery = 20).
 	SlowEvery int
-	// Shards is how many shards the diagnosis plane (shard.Plane) spreads
-	// the matrix over; 0 and 1 are the plane with one shard, whose part is
-	// the matrix itself. With more, observations route to per-shard PLL
-	// engines by path owner (connected component of the probe matrix) and
-	// the verdicts merge — bit-identical to one global pll.Localize.
+	// Shards is read by nothing: the diagnoser localizes every window on
+	// one engine. It is kept only so existing callers compile.
 	Shards int
 	// ShardEndpoints lists remote shard service URLs (internal/shardrpc).
-	// When set, each shard's localization pass dispatches over the
-	// transport instead of running locally (falling back to local
-	// execution — same engine, same verdicts — when a service fails
-	// mid-window); Shards is implied (= len(ShardEndpoints)).
+	// When set, each window's PLL pass is one request to one of them,
+	// chosen once per matrix version, instead of running locally (falling
+	// back to local execution — same engine, same verdicts — when the
+	// request fails).
 	ShardEndpoints []string
 	// Topo, when set, lets alerts name link endpoints.
 	Topo *topo.Topology
@@ -147,8 +169,7 @@ type Options struct {
 // Diagnoser aggregates reports and localizes per window.
 type Diagnoser struct {
 	opts    Options
-	shards  int // effective shard count (Shards or len(ShardEndpoints), at least 1)
-	clients map[int]shard.ShardClient
+	clients []localizeClient // one per ShardEndpoints entry
 	tr      *obs.Tracer
 
 	// state is the window state of the served matrix (nil before the first
@@ -169,13 +190,13 @@ type Diagnoser struct {
 	closeMu     sync.Mutex
 	slowWindows int // fast windows since last slow pass
 
-	mu         sync.Mutex
-	planeCache shard.PlaneCache // the diagnosis plane, built once per served matrix
+	mu sync.Mutex
 	// alerts is a ring once MaxAlerts are held: alertHead indexes the oldest.
 	alerts          []Alert
 	alertHead       int
 	lastLocalizeErr string
-	lastClose       closeInfo // the window clock's last close
+	shardErrs       map[int]remoteError // last localize failure per endpoint
+	lastClose       closeInfo           // the window clock's last close
 	stopped         bool
 	stopChan        chan struct{}
 	done            sync.WaitGroup
@@ -195,35 +216,38 @@ func New(opts Options) *Diagnoser {
 		maxBody = shardrpc.DefaultLimits().MaxBodyBytes
 	}
 	d := &Diagnoser{
-		opts:     opts,
-		shards:   max(opts.Shards, 1),
-		tr:       obs.NewTracer("diag", 16),
-		maxBody:  maxBody,
-		wake:     make(chan struct{}, 1),
-		stopChan: make(chan struct{}),
+		opts:      opts,
+		tr:        obs.NewTracer("diag", 16),
+		maxBody:   maxBody,
+		wake:      make(chan struct{}, 1),
+		stopChan:  make(chan struct{}),
+		shardErrs: make(map[int]remoteError),
 	}
-	if len(opts.ShardEndpoints) > 0 {
-		d.shards = len(opts.ShardEndpoints)
-		d.clients = make(map[int]shard.ShardClient, d.shards)
-		for i, ep := range opts.ShardEndpoints {
-			d.clients[i] = shardrpc.Dial(i, ep, shardrpc.ClientOptions{})
-		}
+	for i, ep := range opts.ShardEndpoints {
+		d.clients = append(d.clients, shardrpc.Dial(i, ep, shardrpc.ClientOptions{}))
 	}
 	return d
 }
 
 // SetMatrix binds the probe matrix the controller serves. A new version
 // swaps in a fresh window state — path IDs now index a different matrix, and
-// the pingers it expects have reported nothing yet — and the window that
-// straddles the change is discarded. The same version again is the same
-// matrix and changes nothing.
+// the pingers it expects have reported nothing yet — with its own PLL engine
+// and, when shard endpoints are configured, the one endpoint its windows go
+// to; the window that straddles the change is discarded. The same version
+// again is the same matrix and changes nothing.
 func (d *Diagnoser) SetMatrix(m *route.Probes, version int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	old := d.state.Load()
-	if old == nil || old.version != version {
-		d.state.Store(newWindowState(m, version, &d.opts, old != nil))
+	if old != nil && old.version == version {
+		return
 	}
+	st := newWindowState(m, version, &d.opts, old != nil)
+	if len(d.clients) > 0 {
+		st.matrixSig = route.RowsSignature(m)
+		st.endpoint = int(st.matrixSig % uint64(len(d.clients)))
+	}
+	d.state.Store(st)
 }
 
 // MatrixVersion reports the controller cycle version of the matrix the
@@ -357,7 +381,7 @@ func (d *Diagnoser) Handler() http.Handler {
 			"reports": d.reports.Load(),
 			"alerts":  len(d.alerts),
 			"paths":   0,
-			"shards":  d.shards,
+			"shards":  len(d.clients),
 			// Results dropped at ingest: no such path in the bound matrix.
 			"unknown_path_results": unknownPathResults.Value(),
 		}
@@ -373,10 +397,10 @@ func (d *Diagnoser) Handler() http.Handler {
 		if d.lastLocalizeErr != "" {
 			st["last_localize_error"] = d.lastLocalizeErr
 		}
-		if pl := d.planeCache.Cached(); pl != nil {
-			// The last transport failure per shard: those windows were
+		if len(d.clients) > 0 {
+			// The last transport failure per endpoint: those windows were
 			// localized by the local fallback, so nothing else says why.
-			st["shard_errors"] = pl.RemoteErrors()
+			st["shard_errors"] = maps.Clone(d.shardErrs)
 		}
 		return st
 	}))
@@ -458,34 +482,55 @@ func (d *Diagnoser) runWindow(epoch int64) *Alert {
 	return alert
 }
 
-// shardPlane returns the diagnosis plane for matrix, rebuilding it when
-// the served matrix changes (one partition, and one engine per part, per
-// construction cycle). A matrix handed over by SetMatrix hits the cache on
-// pointer identity; a fresh Probes with the same content is compared by
-// content, so an unchanged served matrix rebuilds nothing. The plane is
-// derived from the matrix alone, over all configured shard slots rather
-// than the coordinator's live set: the diagnoser is a separate service
-// that only sees the controller's HTTP surface, and since it can execute
-// every slot's engine locally, a dead controller shard costs nothing here
-// — construction failover is the coordinator's job.
-func (d *Diagnoser) shardPlane(matrix *route.Probes) *shard.Plane {
-	alive := make([]int, d.shards)
-	for i := range alive {
-		alive[i] = i
+// localize runs one window's PLL pass on st's engine: Sparsify here, then
+// Localize through st's shard endpoint when one is configured and locally
+// otherwise — and locally as a fallback when the endpoint fails, so a
+// flapping shard service degrades a window to local compute instead of
+// losing it. The remote failure is not lost with it: it ends the localize
+// span and is kept for /statusz. The result's Elapsed times sparsify to
+// verdicts, whichever side ran the pass.
+func (d *Diagnoser) localize(cy *obs.Cycle, st *windowState, observations []pll.Observation, cfg pll.Config) (*pll.Result, error) {
+	start := time.Now()
+	sp := cy.Span("localize")
+	defer func() { stageLocalize.Observe(time.Since(start)) }()
+	w, err := st.engine.Sparsify(observations, cfg)
+	if err != nil {
+		sp.EndErr(err)
+		return nil, err
 	}
-	pl, _ := d.planeCache.Get(matrix, alive)
-	return pl.UseClients(d.clients)
+	var remoteErr error
+	if len(d.clients) > 0 {
+		res, err := d.clients[st.endpoint].Localize(cy.ID(), st.matrixSig, st.engine, w, cfg)
+		if err == nil {
+			sp.End()
+			res.Elapsed = time.Since(start)
+			return res, nil
+		}
+		remoteErr = err
+		localFallbacks.Inc()
+		d.mu.Lock()
+		d.shardErrs[st.endpoint] = remoteError{Time: time.Now(), Error: err.Error()}
+		d.mu.Unlock()
+	}
+	res, err := st.engine.Localize(w, cfg)
+	if err != nil {
+		sp.EndErr(err)
+		return nil, err
+	}
+	sp.EndErr(remoteErr)
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
-// localizeAlert runs one PLL pass on the diagnosis plane over a row-indexed
-// window of st's matrix and records the alert. The fast pass (sig non-nil)
-// places every localized link in the verdict lattice: congestion and delay
-// verdicts become Soft advisories instead of Bad alerts, and the
-// signal-localization pass adds soft links whose faults lose nothing. The
-// slow pass (sig nil) marks its alert Slow.
+// localizeAlert runs one PLL pass over a row-indexed window of st's matrix
+// and records the alert. The fast pass (sig non-nil) places every localized
+// link in the verdict lattice: congestion and delay verdicts become Soft
+// advisories instead of Bad alerts, and the signal-localization pass adds
+// soft links whose faults lose nothing. The slow pass (sig nil) marks its
+// alert Slow.
 func (d *Diagnoser) localizeAlert(cy *obs.Cycle, st *windowState, epoch int64, observations []pll.Observation, cfg pll.Config, sig *pll.Signals) *Alert {
 	matrix := st.matrix
-	res, _, err := d.shardPlane(matrix).LocalizeCycleStats(cy, observations, cfg)
+	res, err := d.localize(cy, st, observations, cfg)
 	if err != nil {
 		localizeErrors.Inc()
 		d.mu.Lock()

@@ -295,10 +295,12 @@ func TestReportHandlerRejectsMalformed(t *testing.T) {
 }
 
 // TestShardedWindowMatchesUnsharded runs the same reports through an
-// unsharded diagnoser and one on a 3-shard plane; the alerts must agree
+// unsharded diagnoser, one behind two loopback shard endpoints, and one
+// with Options.Shards set (a field nothing reads); the alerts must agree
 // verdict for verdict.
 func TestShardedWindowMatchesUnsharded(t *testing.T) {
 	feed := func(d *Diagnoser) *Alert {
+		defer d.Stop()
 		d.SetMatrix(testMatrix(), 1)
 		d.Ingest(&pinger.Report{Node: 9, Version: 1, Results: []pinger.PathReport{
 			{PathID: 0, Sent: 100, Lost: 90},
@@ -308,18 +310,33 @@ func TestShardedWindowMatchesUnsharded(t *testing.T) {
 		return d.RunWindow()
 	}
 	plain := feed(New(Options{Window: time.Hour}))
-	sharded := feed(New(Options{Window: time.Hour, Shards: 3}))
-	if plain == nil || sharded == nil {
-		t.Fatal("missing alert")
+	if plain == nil {
+		t.Fatal("missing unsharded alert")
 	}
-	if len(plain.Bad) != len(sharded.Bad) ||
-		plain.LossyPaths != sharded.LossyPaths ||
-		plain.Unexplained != sharded.Unexplained {
-		t.Fatalf("sharded alert differs: %+v vs %+v", sharded, plain)
-	}
-	for i := range plain.Bad {
-		if plain.Bad[i].Link != sharded.Bad[i].Link || plain.Bad[i].Rate != sharded.Bad[i].Rate {
-			t.Fatalf("verdict %d differs: %+v vs %+v", i, sharded.Bad[i], plain.Bad[i])
-		}
+	urls, _ := loopbackShards(t, route.NewSlicePathSet(testMatrix().PathLinks, nil), 3, 2, nil)
+	for name, opts := range map[string]Options{
+		"endpoints":    {Window: time.Hour, ShardEndpoints: urls},
+		"shardsOption": {Window: time.Hour, Shards: 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fallbacks := localFallbacks.Value()
+			sharded := feed(New(opts))
+			if sharded == nil {
+				t.Fatal("missing alert")
+			}
+			if n := localFallbacks.Value() - fallbacks; n != 0 {
+				t.Fatalf("%d local fallbacks", n)
+			}
+			if len(plain.Bad) != len(sharded.Bad) ||
+				plain.LossyPaths != sharded.LossyPaths ||
+				plain.Unexplained != sharded.Unexplained {
+				t.Fatalf("sharded alert differs: %+v vs %+v", sharded, plain)
+			}
+			for i := range plain.Bad {
+				if plain.Bad[i].Link != sharded.Bad[i].Link || plain.Bad[i].Rate != sharded.Bad[i].Rate {
+					t.Fatalf("verdict %d differs: %+v vs %+v", i, sharded.Bad[i], plain.Bad[i])
+				}
+			}
+		})
 	}
 }

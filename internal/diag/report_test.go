@@ -386,12 +386,14 @@ func mustMatchOracle(t *testing.T, what string, a *Alert, m *route.Probes, obs [
 }
 
 // TestDiagnoserMatchesFullRecompute pins the tentpole invariant on served
-// matrices: the diagnoser, which localizes every window on the plane's
+// matrices: the diagnoser, which localizes every window on its matrix's
 // sparse engine, raises exactly the alerts of a full pll.Localize over the
 // same window — across windows with fault churn and vanishing pingers, for
-// the fast pass and the pooled slow pass, on Fattree(8) and BCube(4,1).
-// The alert hashes are the ones the incremental-vs-full pin printed before
-// the engines were unified.
+// the fast pass and the pooled slow pass, on Fattree(8) (four components)
+// and BCube(4,1), in process and behind two loopback shard services, which
+// install the matrix once and fall back never. The alert hashes are the
+// ones the incremental-vs-full pin printed before the engines were
+// unified.
 func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 	if testing.Short() {
 		t.Skip("served-matrix differential is not -short")
@@ -413,8 +415,13 @@ func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 			m := servedMatrix(t, c.ps, c.numLinks)
 			d := New(Options{Window: time.Hour})
 			dSlow := New(Options{Window: time.Hour, SlowEvery: 2})
+			urls, _ := loopbackShards(t, c.ps, c.numLinks, 2, nil)
+			dRemote := New(Options{Window: time.Hour, ShardEndpoints: urls})
+			defer dRemote.Stop()
+			installs, fallbacks := matrixInstalls.Value(), localFallbacks.Value()
 			d.SetMatrix(m, 1)
 			dSlow.SetMatrix(m, 1)
+			dRemote.SetMatrix(m, 1)
 
 			pooled := make(map[int]pll.Observation)
 			slowAlerts := 0
@@ -423,9 +430,11 @@ func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 				for i := range reps {
 					d.Ingest(&reps[i])
 					dSlow.Ingest(&reps[i])
+					dRemote.Ingest(&reps[i])
 				}
 				obs := windowObservations(reps, pooled)
 				mustMatchOracle(t, fmt.Sprintf("window %d", w), d.RunWindow(), m, obs)
+				mustMatchOracle(t, fmt.Sprintf("remote window %d", w), dRemote.RunWindow(), m, obs)
 				dSlow.RunWindow()
 				if w%2 == 1 {
 					slow := dSlow.Alerts()
@@ -447,6 +456,15 @@ func TestDiagnoserMatchesFullRecompute(t *testing.T) {
 			}
 			if h := alertsHash(t, d.Alerts()); h != c.wantHash {
 				t.Fatalf("alert hash %x, pinned %x: %+v", h, c.wantHash, strippedAlerts(d.Alerts()))
+			}
+			if h := alertsHash(t, dRemote.Alerts()); h != c.wantHash {
+				t.Fatalf("remote alert hash %x, pinned %x: %+v", h, c.wantHash, strippedAlerts(dRemote.Alerts()))
+			}
+			if n := matrixInstalls.Value() - installs; n != 1 {
+				t.Fatalf("%d matrix installs for one matrix version, want 1", n)
+			}
+			if n := localFallbacks.Value() - fallbacks; n != 0 {
+				t.Fatalf("%d local fallbacks on a healthy pair of shard services", n)
 			}
 		})
 	}
@@ -603,7 +621,7 @@ func BenchmarkWindowClose(b *testing.B) {
 		}
 	}
 	refill()
-	d.RunWindow() // builds the plane: paid once per served matrix, not per window
+	d.RunWindow()
 	b.ResetTimer()
 	var total time.Duration
 	for i := 0; i < b.N; i++ {

@@ -57,7 +57,7 @@ func TestUnknownPathResultsCounted(t *testing.T) {
 	}
 }
 
-// TestLocalizeErrorIsCounted: a window the plane refuses (here a row
+// TestLocalizeErrorIsCounted: a window the engine refuses (here a row
 // observed twice, which the window state itself can never emit) raises no
 // alert, but is told apart from a quiet window by diag_localize_errors and
 // the last error at /statusz.
@@ -198,7 +198,7 @@ func TestWindowAllocsIndependentOfMatrixSize(t *testing.T) {
 				t.Fatalf("%s: window raised %+v", c.name, alert)
 			}
 		}
-		window() // builds the plane and fills the alert log's first slots
+		window() // fills the alert log's first slots
 		allocs := testing.AllocsPerRun(50, window)
 		t.Logf("%s: %d rows, %.0f allocations per window", c.name, m.NumPaths(), allocs)
 		if allocs > bound {

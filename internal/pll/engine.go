@@ -10,7 +10,7 @@ package pll
 // is bit-identical to Localize over the same observations (localizeCore is
 // the shared code path; engine_test.go holds the differential), which is
 // why Localize stays as the test oracle and the engine is what the
-// diagnosis plane runs, in process and on shard services alike.
+// diagnoser runs, in process and on shard services alike.
 
 import (
 	"errors"

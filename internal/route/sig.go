@@ -74,8 +74,8 @@ func (c *CSR) Signature(numLinks int) uint64 {
 // RowsSignature fingerprints exactly what a PLL engine reads from a probe
 // matrix: the link-ID space and every row's link set, in row order —
 // neither the endpoints (only the caller's unhealthy-server filter reads
-// them) nor the wire path IDs. It is the content address of a diagnosis
-// plane part on the localize wire: a shard service that rebuilds the rows
+// them) nor the wire path IDs. It is the content address of a served
+// matrix on the localize wire: a shard service that rebuilds the rows
 // from an install frame can recompute it, which it could not for a
 // fingerprint over fields that never travel.
 func RowsSignature(p *Probes) uint64 {
@@ -92,9 +92,7 @@ func RowsSignature(p *Probes) uint64 {
 // space, every row's link set and endpoints, and the wire path IDs when
 // sparse. A matrix decoded afresh from /matrix is a new allocation every
 // time, so pointer identity cannot tell "same matrix" from "new
-// construction cycle" on that path — this signature can, which is what
-// lets the diagnosis plane keep its partition and engines across windows
-// instead of rebuilding them for an unchanged matrix.
+// construction cycle" on that path — this signature can.
 func ProbesSignature(p *Probes) uint64 {
 	var s Hash
 	s.Word(uint64(p.NumLinks))

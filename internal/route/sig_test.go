@@ -68,3 +68,27 @@ func BenchmarkMatrixSignatureFattree16(b *testing.B) {
 		sigSink = MatrixSignature(csr, f.NumLinks())
 	}
 }
+
+// TestProbesSignatureContentKeyed: identical content in distinct
+// allocations hashes the same; dropping a row or making the path IDs
+// sparse changes the signature.
+func TestProbesSignatureContentKeyed(t *testing.T) {
+	fixture := func() *Probes {
+		return NewProbesFromLinks([][]topo.LinkID{
+			{0, 4, 5, 2}, {1, 4, 5, 2}, {0, 6, 7, 3}, {0, 8},
+		}, 9)
+	}
+	a, b := fixture(), fixture()
+	if ProbesSignature(a) != ProbesSignature(b) {
+		t.Fatal("identical content in distinct allocations hashes differently")
+	}
+	c := NewProbesFromLinks([][]topo.LinkID{{0, 4, 5, 2}, {1, 4, 5, 2}, {0, 6, 7, 3}}, 9)
+	if ProbesSignature(a) == ProbesSignature(c) {
+		t.Fatal("dropping a row did not change the signature")
+	}
+	d := fixture()
+	d.SetIDs([]uint32{9, 8, 7, 6})
+	if ProbesSignature(a) == ProbesSignature(d) {
+		t.Fatal("sparse path IDs did not change the signature")
+	}
+}

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 )
@@ -14,7 +13,7 @@ import (
 // is therefore a property of the protocol, not of shared memory.
 //
 // Implementations must be safe for concurrent use: the coordinator's
-// heartbeat prober calls Ping while Construct or Localize is in flight.
+// heartbeat prober calls Ping while Construct is in flight.
 type ShardClient interface {
 	// ID is the shard's slot in the coordinator, 0..N-1.
 	ID() int
@@ -30,15 +29,6 @@ type ShardClient interface {
 	// returns for the same slice on the same matrix — the coordinator
 	// verifies intent via req.MatrixSig and merges by sorted union.
 	Construct(req ConstructRequest) (*pmc.Result, error)
-	// Localize runs one PLL pass over a plane part and one window of its
-	// exceptions; the verdicts must be exactly part.Engine.Localize(w, cfg)
-	// (link IDs stay in the global space, so they need no translation).
-	// Transport clients name the part's matrix by part.Sig and ship it only
-	// when the shard service does not hold it. cycle is the caller's
-	// observability cycle ID (0 when untraced); transport clients
-	// propagate it to the shard service in the X-Detector-Cycle header so
-	// server-side spans file under the caller's timeline.
-	Localize(cycle uint64, part *Part, w pll.Window, cfg pll.Config) (*pll.Result, error)
 	// Close releases transport resources. The coordinator owns its
 	// clients and closes them on Stop.
 	Close() error

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 	"github.com/detector-net/detector/internal/topo"
@@ -133,35 +132,5 @@ func TestRetryDispatchesOnlyWhatTheStoreLacks(t *testing.T) {
 	}
 	if want := int64(c.Components() + victimComps); sent != want {
 		t.Fatalf("the cycle sent %d components, want %d: each once and the victim's %d again", sent, want, victimComps)
-	}
-}
-
-// TestPlaneClientFallbackIsExact detaches a plane shard's client mid-window
-// and checks the local fallback reproduces the transport verdicts exactly.
-func TestPlaneClientFallbackIsExact(t *testing.T) {
-	f := topo.MustFattree(8)
-	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := route.NewProbes(ps, res.Selected, f.NumLinks())
-	obs := syntheticWindow(probes, 3)
-	ref, err := pll.Localize(probes, obs, pll.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sh := NewInProcess(0, ps, f.NumLinks())
-	plane := NewPlane(probes, []int{0}).UseClients(map[int]ShardClient{0: sh})
-	sh.Kill() // every client Localize now fails; the plane must fall back
-
-	got, err := plane.Localize(obs, pll.DefaultConfig())
-	if err != nil {
-		t.Fatalf("plane localize with dead client: %v", err)
-	}
-	if !reflect.DeepEqual(got.Bad, ref.Bad) ||
-		got.LossyPaths != ref.LossyPaths || got.UnexplainedPaths != ref.UnexplainedPaths {
-		t.Error("fallback verdicts differ from the direct localizer")
 	}
 }

@@ -1,35 +1,25 @@
-// Package shard implements deTector's sharded controller plane: the probe
-// matrix decomposes into independent path components (paper §4.3,
-// Observation 1), so construction and diagnosis distribute naturally — a
-// thin coordinator assigns components to N controller shards by rendezvous
-// hashing, each shard runs one PMC construction and one PLL diagnoser over
-// its component slice, and the coordinator merges per-shard selections and
-// localization verdicts into one cluster-wide result.
+// Package shard implements deTector's sharded construction plane: the
+// candidate matrix decomposes into independent path components (paper §4.3,
+// Observation 1), so construction distributes naturally — a thin
+// coordinator assigns components to N controller shards by rendezvous
+// hashing, each shard runs one PMC construction over its component slice,
+// and the coordinator merges the per-shard selections into one cluster-wide
+// selection. Diagnosis does not shard: the diagnoser localizes every window
+// on one PLL engine (internal/diag).
 //
 // The coordinator talks to shards only through the ShardClient transport
 // interface. Two implementations exist: the in-process Shard below (a
-// direct call into the local engines) and internal/shardrpc's HTTP client,
+// direct call into the local engine) and internal/shardrpc's HTTP client,
 // which drives a shard running as a standalone service on another
 // machine. The coordinator cannot tell them apart — liveness, dispatch and
 // failover all run through the same interface.
 //
 // The merge carries a hard guarantee, pinned by test: for any shard count,
-// any assignment and either transport, the merged selection and the merged
-// localization are bit-identical to the single-controller engine. This
-// holds because components are independent subproblems (no candidate path
-// and no probe path crosses two components), PMC solves each component in
-// isolation and sorts the merged selection, and PLL's hit ratios and
-// greedy cover only ever read paths within one component.
-//
-// The guarantee is scoped to construction and to the diagnosis plane's
-// component partition (NewPlane). Server-level probe matrices entangle
-// every component through shared pinger uplinks, collapsing that
-// partition to one shard; for those, a plane over
-// route.InteriorPartition (NewPlaneFrom) deliberately cuts the
-// server-edge links and merges with a reconciliation pass — verdicts stay
-// empirically equivalent (differential-tested bound) rather than
-// bit-identical, and the cut-link replication counts quantify exactly
-// what was traded.
+// any assignment and either transport, the merged selection is
+// bit-identical to the single-controller engine. This holds because
+// components are independent subproblems (no candidate path crosses two
+// components) and PMC solves each component in isolation and sorts the
+// merged selection.
 //
 // Shard liveness runs through a dedicated watchdog fed by transport pings:
 // the coordinator probes every shard each heartbeat period, and when a
@@ -46,17 +36,15 @@ import (
 	"fmt"
 	"sync"
 
-	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
 )
 
 // Shard is the in-process ShardClient: one emulated controller process
-// holding its own handle on the candidate matrix. Construction and
-// diagnosis run as direct calls into the local engines; Kill simulates a
-// crash (pings and dispatches fail until Revive), which the coordinator
-// observes through ping failures exactly as it would a remote shard's
-// dead TCP endpoint.
+// holding its own handle on the candidate matrix. Construction runs as a
+// direct call into the local engine; Kill simulates a crash (pings and
+// dispatches fail until Revive), which the coordinator observes through
+// ping failures exactly as it would a remote shard's dead TCP endpoint.
 type Shard struct {
 	id       int
 	ps       route.PathSet
@@ -113,19 +101,10 @@ func (s *Shard) Construct(req ConstructRequest) (*pmc.Result, error) {
 	return pmc.ConstructComponents(s.ps, s.csr, req.Comps, s.numLinks, req.Opt)
 }
 
-// Localize runs the part's engine over the window. The cycle ID is unused
-// in-process: the caller's own span already covers this call.
-func (s *Shard) Localize(_ uint64, part *Part, w pll.Window, cfg pll.Config) (*pll.Result, error) {
-	if err := s.Ping(); err != nil {
-		return nil, err
-	}
-	return part.Engine.Localize(w, cfg)
-}
-
-// Kill simulates a crash: every subsequent Ping, Construct and Localize
-// fails until Revive. The coordinator notices once the watchdog TTL
-// expires (or immediately, if a dispatch hits the dead shard first) and
-// reassigns the shard's components. Idempotent.
+// Kill simulates a crash: every subsequent Ping and Construct fails until
+// Revive. The coordinator notices once the watchdog TTL expires (or
+// immediately, if a dispatch hits the dead shard first) and reassigns the
+// shard's components. Idempotent.
 func (s *Shard) Kill() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

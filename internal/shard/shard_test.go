@@ -88,11 +88,12 @@ func newTestCoordinator(t *testing.T, ps route.PathSet, numLinks int, n int, opt
 }
 
 // TestShardedMatchesSingleController is the subsystem's core guarantee,
-// pinned two ways: the merged selection and merged localization must equal
-// the single-controller engines exactly (structural comparison), and must
-// match recorded fingerprints (regression pin — the selection hashes are
-// the same constants pmc's incremental_test.go pins, since the sharded
-// plane must reproduce that exact output).
+// pinned two ways: the merged selection must equal the single-controller
+// engine exactly (structural comparison), and must match recorded
+// fingerprints (regression pin — the selection hashes are the same
+// constants pmc's incremental_test.go pins, since the sharded plane must
+// reproduce that exact output). The localization hash pins what one PLL
+// pass over the selected matrix gives on a synthetic window.
 func TestShardedMatchesSingleController(t *testing.T) {
 	f8 := topo.MustFattree(8)
 	b41 := topo.MustBCube(4, 1)
@@ -164,60 +165,7 @@ func TestShardedMatchesSingleController(t *testing.T) {
 				t.Errorf("%s/shards=%d: merged targets not met: coverage=%v ident=%v",
 					tc.name, n, res.Stats.CoverageMet, res.Stats.IdentMet)
 			}
-
-			alive := make([]int, n)
-			clients := make(map[int]ShardClient, n)
-			for i := range alive {
-				alive[i], clients[i] = i, c.Client(i)
-			}
-			plane := NewPlane(probes, alive).UseClients(clients)
-			got, err := plane.Localize(obs, pll.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s/shards=%d: plane localize: %v", tc.name, n, err)
-			}
-			if !reflect.DeepEqual(got.Bad, refLoc.Bad) ||
-				got.LossyPaths != refLoc.LossyPaths ||
-				got.UnexplainedPaths != refLoc.UnexplainedPaths {
-				t.Errorf("%s/shards=%d: merged localization differs: hash %#016x vs %#016x",
-					tc.name, n, hashVerdicts(got), hashVerdicts(refLoc))
-			}
 		}
-	}
-}
-
-// TestPlaneRoutesEveryPathToItsComponentOwner checks the routing invariant
-// the exactness argument rests on: all paths sharing a link share an owner,
-// and out-of-range path ids are dropped.
-func TestPlaneRoutesEveryPathToItsComponentOwner(t *testing.T) {
-	f := topo.MustFattree(8)
-	ps := route.NewFattreePaths(f)
-	res, err := pmc.Construct(ps, f.NumLinks(), pmc.Options{Alpha: 2, Beta: 1, Ablate: pmc.NoSymmetry})
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := route.NewProbes(ps, res.Selected, f.NumLinks())
-	plane := NewPlane(probes, []int{0, 1, 2})
-	for l := 0; l < probes.NumLinks; l++ {
-		rows := probes.PathsThrough(topo.LinkID(l))
-		if len(rows) == 0 {
-			continue
-		}
-		for _, r := range rows[1:] {
-			if plane.Owner(int(rows[0])) != plane.Owner(int(r)) {
-				t.Fatalf("link %d split across shards %d and %d", l,
-					plane.Owner(int(rows[0])), plane.Owner(int(r)))
-			}
-		}
-	}
-	if got := plane.Owner(-1); got != -1 {
-		t.Fatalf("Owner(-1) = %d, want -1", got)
-	}
-	routed := plane.Route([]pll.Observation{{Path: probes.NumPaths() + 5, Sent: 10}})
-	if len(routed) != 0 {
-		t.Fatalf("out-of-range observation was routed: %v", routed)
-	}
-	if len(plane.Shards()) < 2 {
-		t.Fatalf("Fattree(8) matrix (4 components) should spread over >= 2 of 3 shards, got %v", plane.Shards())
 	}
 }
 

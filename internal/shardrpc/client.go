@@ -44,7 +44,7 @@ var (
 // matrix attached after a server answered CodeUnknownMatrix — once per
 // matrix version and server in steady state, more when a server restarts
 // or evicts; it is the expected extra round trip, kept apart from the
-// plane's fallback counter so it is not mistaken for a fault.
+// diagnoser's fallback counter so it is not mistaken for a fault.
 var (
 	localizeWireBytes = obs.NewCounter("shardrpc_localize_wire_bytes",
 		"Bytes of localize request bodies sent to shard services.")
@@ -74,7 +74,8 @@ type ClientOptions struct {
 }
 
 // Client drives one remote shard service and implements shard.ShardClient,
-// so a coordinator treats it exactly like an in-process shard. Per-shard
+// so a coordinator treats it exactly like an in-process shard; its Localize
+// serves the diagnoser's remote localization. Per-shard
 // operational counters (requests, bytes in/out, retries, connections
 // opened/reused) register in internal/obs and surface at every service's
 // GET /metrics.
@@ -382,19 +383,20 @@ func (c *Client) Construct(req shard.ConstructRequest) (*pmc.Result, error) {
 	}, nil
 }
 
-// Localize ships one part's window to the shard and decodes the verdicts.
-// The request names the part's matrix by signature; a shard that does not
+// Localize ships one window's exceptions to the shard service and decodes
+// the verdicts, which are exactly engine.Localize(w, cfg). The request names
+// engine's matrix by sig (its route.RowsSignature); a service that does not
 // hold it (first window of a matrix version, a restarted or evicting
 // server) says so, and the same request goes again with the matrix
 // attached — one extra round trip, no session to resynchronize. The
 // caller's cycle ID travels as a header, not payload.
-func (c *Client) Localize(cycle uint64, part *shard.Part, w pll.Window, cfg pll.Config) (*pll.Result, error) {
-	req := encodeLocalize(part.Sig, w, cfg)
+func (c *Client) Localize(cycle, sig uint64, engine *pll.Engine, w pll.Window, cfg pll.Config) (*pll.Result, error) {
+	req := encodeLocalize(sig, w, cfg)
 	body, err := c.post("/v1/localize", cycle, req.encodeBinary(), localizeWireBytes)
 	var se *statusError
 	if errors.As(err, &se) && se.status == http.StatusConflict && se.code == CodeUnknownMatrix {
 		matrixInstalls.Inc()
-		m := part.Engine.Matrix()
+		m := engine.Matrix()
 		req.Matrix = &Matrix{NumLinks: m.NumLinks, Paths: m.PathLinks}
 		body, err = c.post("/v1/localize", cycle, req.encodeBinary(), localizeWireBytes)
 	}

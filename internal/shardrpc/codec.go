@@ -14,8 +14,8 @@
 // the only traffic — the candidate matrix itself never moves. Both ends
 // derive it independently from the topology and agree via
 // route.MatrixSignature, which every construction request carries.
-// Localization is content-addressed the same way: a request names its
-// plane part's sub-matrix by route.RowsSignature and carries only the
+// Localization is content-addressed the same way: a request names the
+// served probe matrix by route.RowsSignature and carries only the
 // window's exceptions (the rows that did not report, the rows that lost);
 // the rows themselves ship once per matrix, when the service answers that
 // it does not hold them.
@@ -152,8 +152,8 @@ type ConstructResponse struct {
 	Stats    Stats `json:"stats"`
 }
 
-// LossyRow is one lossy row of a localize window: the row of the part's
-// sub-matrix and its window counters.
+// LossyRow is one lossy row of a localize window: the row of the served
+// matrix and its window counters.
 type LossyRow struct {
 	Row  int `json:"row"`
 	Sent int `json:"sent"`
@@ -161,7 +161,7 @@ type LossyRow struct {
 }
 
 // Matrix is the install section of a localize request: the rows of the
-// part's sub-matrix as global link IDs. It is what route.RowsSignature
+// served matrix as link IDs. It is what route.RowsSignature
 // covers, so the server can check it against the signature it was sent
 // under.
 type Matrix struct {
@@ -169,10 +169,10 @@ type Matrix struct {
 	Paths    [][]topo.LinkID `json:"paths"`
 }
 
-// LocalizeRequest is one plane part's window as its exceptions against the
+// LocalizeRequest is one diagnoser window as its exceptions against the
 // all-clean baseline (see pll.Window): the rows that did not report and
 // the rows that classified lossy, both strictly ascending. Sig names the
-// sub-matrix the rows index. Matrix is present only on the repeat of a
+// matrix the rows index. Matrix is present only on the repeat of a
 // request the server answered with CodeUnknownMatrix.
 type LocalizeRequest struct {
 	V        int        `json:"v"`
@@ -332,7 +332,7 @@ func (m *Matrix) engineBytes() int64 {
 	return total
 }
 
-// encodeLocalize translates one part's window to the wire, without the
+// encodeLocalize translates one window to the wire, without the
 // matrix.
 func encodeLocalize(sig uint64, w pll.Window, cfg pll.Config) LocalizeRequest {
 	req := LocalizeRequest{

@@ -9,7 +9,7 @@ import (
 // engineCache is the server's bounded, least-recently-used set of
 // localization engines, keyed by the content signature of the matrix each
 // is bound to. It is deliberately small: a shard service localizes for a
-// handful of diagnosers' parts, and an evicted or never-seen signature
+// handful of diagnosers' matrices, and an evicted or never-seen signature
 // costs its client one install round trip, nothing more.
 type engineCache struct {
 	maxEntries int

@@ -254,7 +254,7 @@ func TestConstructFaultDegradesToReassignment(t *testing.T) {
 
 // TestMidCycleDisconnect kills a shard service outright — connection
 // refused, the remote analog of a crashed controller — and checks the same
-// degradation path, construction and localization both.
+// construction degradation path.
 func TestMidCycleDisconnect(t *testing.T) {
 	f := topo.MustFattree(8)
 	ps := route.NewFattreePaths(f)
@@ -278,15 +278,6 @@ func TestMidCycleDisconnect(t *testing.T) {
 	}
 	defer c.Stop()
 
-	// Build the plane before the disconnect so shard 1 owns live routes.
-	probes := route.NewProbes(ps, ref.Selected, f.NumLinks())
-	obs := syntheticWindow(probes, 3)
-	refLoc, err := pll.Localize(probes, obs, pll.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := planeOver(c, probes)
-
 	servers[1].Close() // mid-window crash: TTL has not expired
 
 	res, err := c.Construct()
@@ -298,18 +289,6 @@ func TestMidCycleDisconnect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Selected, ref.Selected) {
 		t.Errorf("post-disconnect merge differs from single controller")
-	}
-
-	// The already-built plane falls back to local execution for the dead
-	// shard's slice: the window is not lost and the verdicts are exact.
-	got, err := plane.Localize(obs, pll.DefaultConfig())
-	if err != nil {
-		t.Fatalf("plane localize across disconnect: %v", err)
-	}
-	if !reflect.DeepEqual(got.Bad, refLoc.Bad) ||
-		got.LossyPaths != refLoc.LossyPaths ||
-		got.UnexplainedPaths != refLoc.UnexplainedPaths {
-		t.Errorf("fallback localization differs from single controller")
 	}
 }
 
@@ -433,7 +412,7 @@ func TestClientRejectsNonBinaryReply(t *testing.T) {
 			return err
 		},
 		"localize": func() error {
-			_, err := cl.Localize(0, partOf(probes), window, pll.DefaultConfig())
+			_, err := cl.Localize(0, route.RowsSignature(probes), pll.NewEngine(probes), window, pll.DefaultConfig())
 			return err
 		},
 	} {

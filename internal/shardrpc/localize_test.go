@@ -9,16 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/detector-net/detector/internal/obs"
 	"github.com/detector-net/detector/internal/pll"
 	"github.com/detector-net/detector/internal/pmc"
 	"github.com/detector-net/detector/internal/route"
-	"github.com/detector-net/detector/internal/shard"
 	"github.com/detector-net/detector/internal/topo"
 )
 
-// servedFattree8 is the pmc-selected probe matrix of Fattree(8): four
-// components, so a plane over it has real multi-part structure.
+// servedFattree8 is the pmc-selected probe matrix of Fattree(8).
 func servedFattree8(t testing.TB) (route.PathSet, *route.Probes) {
 	t.Helper()
 	f := topo.MustFattree(8)
@@ -30,9 +27,21 @@ func servedFattree8(t testing.TB) (route.PathSet, *route.Probes) {
 	return ps, route.NewProbes(ps, res.Selected, f.NumLinks())
 }
 
-// partOf wraps a matrix as the plane part a client addresses.
-func partOf(m *route.Probes) *shard.Part {
-	return &shard.Part{Engine: pll.NewEngine(m), Sig: route.RowsSignature(m)}
+// remoteLocalize runs one window of m's observations through cl, as the
+// diagnoser does: sparsify on the local engine, name the matrix by its
+// rows' signature.
+func remoteLocalize(t testing.TB, cl *Client, m *route.Probes, obs []pll.Observation, cfg pll.Config) *pll.Result {
+	t.Helper()
+	engine := pll.NewEngine(m)
+	w, err := engine.Sparsify(obs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Localize(0, route.RowsSignature(m), engine, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // swapHandler serves whichever handler it currently holds, so a test can
@@ -50,29 +59,19 @@ func sameVerdicts(a, b *pll.Result) bool {
 		a.UnexplainedPaths == b.UnexplainedPaths
 }
 
-// TestLocalizeShipsExceptionsNotTheMatrix drives a two-shard plane over
-// loopback services: the first window installs each part's
-// matrix once, every later window travels as a few hundred bytes of
-// exceptions against it, a restarted server costs exactly one reinstall
-// per part — and no window ever differs from the full recompute or falls
-// back to local compute.
+// TestLocalizeShipsExceptionsNotTheMatrix drives a loopback service: the
+// first window installs the matrix once, every later window travels as a
+// few hundred bytes of exceptions against it, a restarted server costs
+// exactly one reinstall — and no window ever differs from the full
+// recompute.
 func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 	ps, probes := servedFattree8(t)
-	numLinks := probes.NumLinks
-	fallbacks := obs.NewCounter("shard_plane_local_fallbacks", "")
-	handlers := []*swapHandler{{}, {}}
-	clients := map[int]shard.ShardClient{}
-	for i, h := range handlers {
-		h.set(NewServer(ps, numLinks).Handler())
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		clients[i] = Dial(i, ts.URL, ClientOptions{})
-	}
-	plane := shard.NewPlane(probes, []int{0, 1}).UseClients(clients)
-	parts := int64(len(plane.Shards()))
-	if parts != 2 {
-		t.Fatalf("plane spread over %d shards, want 2", parts)
-	}
+	h := &swapHandler{}
+	h.set(NewServer(ps, probes.NumLinks).Handler())
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	cl := Dial(0, ts.URL, ClientOptions{})
+	defer cl.Close()
 
 	window := func(nBad int) (installs, wireBytes int64) {
 		t.Helper()
@@ -82,23 +81,17 @@ func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i0, b0, f0 := matrixInstalls.Value(), localizeWireBytes.Value(), fallbacks.Value()
-		got, err := plane.Localize(obs, pll.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		i0, b0 := matrixInstalls.Value(), localizeWireBytes.Value()
+		got := remoteLocalize(t, cl, probes, obs, pll.DefaultConfig())
 		if !sameVerdicts(got, want) || len(got.Bad) == 0 {
 			t.Fatalf("remote verdicts %+v, full recompute %+v", got.Bad, want.Bad)
-		}
-		if fb := fallbacks.Value() - f0; fb != 0 {
-			t.Fatalf("%d local fallbacks on a healthy fleet: %v", fb, plane.RemoteErrors())
 		}
 		return matrixInstalls.Value() - i0, localizeWireBytes.Value() - b0
 	}
 
 	installs, installBytes := window(3)
-	if installs != parts {
-		t.Fatalf("first window: %d installs, want one per part (%d)", installs, parts)
+	if installs != 1 {
+		t.Fatalf("first window: %d installs, want 1", installs)
 	}
 	for nBad := 1; nBad <= 4; nBad++ {
 		installs, steadyBytes := window(nBad)
@@ -112,8 +105,8 @@ func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 		}
 	}
 
-	// Restart shard 1: fresh server, empty cache, same URL.
-	handlers[1].set(NewServer(ps, numLinks).Handler())
+	// Restart the service: fresh server, empty cache, same URL.
+	h.set(NewServer(ps, probes.NumLinks).Handler())
 	if installs, _ := window(2); installs != 1 {
 		t.Fatalf("window after a restart: %d installs, want exactly 1", installs)
 	}
@@ -123,8 +116,8 @@ func TestLocalizeShipsExceptionsNotTheMatrix(t *testing.T) {
 }
 
 // TestEngineCacheEvictionCostsOneReinstall bounds the server's engine
-// cache at one entry and alternates two parts through it: the evicted part
-// pays one install round trip when it returns, and verdicts never change.
+// cache at one entry and alternates two matrices through it: the evicted
+// one pays one install round trip when it returns, and verdicts never change.
 func TestEngineCacheEvictionCostsOneReinstall(t *testing.T) {
 	lim := DefaultLimits()
 	lim.MaxEngines = 1
@@ -137,22 +130,13 @@ func TestEngineCacheEvictionCostsOneReinstall(t *testing.T) {
 	cfg := pll.DefaultConfig()
 	localize := func(m *route.Probes) int64 {
 		t.Helper()
-		part := partOf(m)
 		obs := []pll.Observation{{Path: 0, Sent: 100, Lost: 60}, {Path: 1, Sent: 100}}
-		w, err := part.Engine.Sparsify(obs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := pll.Localize(m, obs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := matrixInstalls.Value()
-		got, err := cl.Localize(0, part, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameVerdicts(got, want) {
+		if got := remoteLocalize(t, cl, m, obs, cfg); !sameVerdicts(got, want) {
 			t.Fatalf("verdicts %+v, full recompute %+v", got.Bad, want.Bad)
 		}
 		return matrixInstalls.Value() - before
@@ -208,6 +192,7 @@ func TestLocalizeRejectsMalformedWindows(t *testing.T) {
 		{"absentAndLossy", LocalizeRequest{Sig: sig, Absent: []int32{1}, Lossy: lossy(1)}, 400},
 		{"absentOutOfRange", LocalizeRequest{Sig: sig, Absent: []int32{4}, Lossy: lossy(0)}, 400},
 		{"lossyUnsorted", LocalizeRequest{Sig: sig, Lossy: lossy(1, 0)}, 400},
+		{"lossyDuplicate", LocalizeRequest{Sig: sig, Lossy: lossy(0, 0)}, 400},
 		{"lossyOutOfRange", LocalizeRequest{Sig: sig, Lossy: lossy(9)}, 400},
 		{"lostExceedsSent", LocalizeRequest{Sig: sig, Lossy: []LossyRow{{Row: 0, Sent: 3, Lost: 4}}}, 400},
 	}
@@ -236,38 +221,44 @@ func TestLocalizeRejectsMalformedWindows(t *testing.T) {
 	}
 }
 
-// TestRejectingShardIsVisible pins what a shard that refuses every window
-// looks like from the diagnoser's side: the plane still localizes (local
-// fallback, exact verdicts) and the refusal itself — not just a ticking
-// fallback counter — is kept per shard.
+// TestRejectingShardIsVisible pins what a shard service that refuses every
+// window looks like from the client: the refusal comes back as the
+// client's error, with its status and the service's reason — never as an
+// empty result — and the caller's own engine still has the window's
+// verdicts.
 func TestRejectingShardIsVisible(t *testing.T) {
 	ps, probes := servedFattree8(t)
 	lim := DefaultLimits()
-	lim.MaxObservations = 0 // every non-empty window exceeds it
+	lim.MaxObservations = 0 // every window with a lossy row exceeds it
 	ts := httptest.NewServer(NewServerLimits(ps, probes.NumLinks, lim).Handler())
 	defer ts.Close()
 	cl := Dial(0, ts.URL, ClientOptions{})
 	defer cl.Close()
 
+	cfg := pll.DefaultConfig()
 	obs := syntheticWindow(probes, 3)
-	want, err := pll.Localize(probes, obs, pll.DefaultConfig())
+	want, err := pll.Localize(probes, obs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane := shard.NewPlane(probes, []int{0}).UseClients(map[int]shard.ShardClient{0: cl})
-	if errs := plane.RemoteErrors(); len(errs) != 0 {
-		t.Fatalf("fresh plane reports errors: %v", errs)
+	engine := pll.NewEngine(probes)
+	w, err := engine.Sparsify(obs, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := plane.Localize(obs, pll.DefaultConfig())
+	res, err := cl.Localize(0, route.RowsSignature(probes), engine, w, cfg)
+	if err == nil || res != nil {
+		t.Fatalf("refused window: result %+v, err %v", res, err)
+	}
+	if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "exceed limit") {
+		t.Fatalf("refusal error %q does not name the status and the reason", err)
+	}
+	got, err := engine.Localize(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameVerdicts(got, want) {
-		t.Fatal("fallback verdicts differ from the full recompute")
-	}
-	last, ok := plane.RemoteErrors()[0]
-	if !ok || !strings.Contains(last.Error, "400") || !strings.Contains(last.Error, "exceed limit") {
-		t.Fatalf("remote refusal not kept for shard 0: %+v", plane.RemoteErrors())
+		t.Fatal("local verdicts after the refusal differ from the full recompute")
 	}
 }
 

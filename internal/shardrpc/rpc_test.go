@@ -80,17 +80,6 @@ func syntheticWindow(p *route.Probes, nBad int) []pll.Observation {
 	return obs
 }
 
-// planeOver partitions probes across every shard of c, each shard's
-// localization dispatched through c's client for it.
-func planeOver(c *shard.Coordinator, probes *route.Probes) *shard.Plane {
-	alive := make([]int, c.NumShards())
-	clients := make(map[int]shard.ShardClient, len(alive))
-	for i := range alive {
-		alive[i], clients[i] = i, c.Client(i)
-	}
-	return shard.NewPlane(probes, alive).UseClients(clients)
-}
-
 // startLoopbackShards boots n real HTTP shard services over their own
 // materializations of ps and dials a transport client at each.
 func startLoopbackShards(t testing.TB, ps route.PathSet, numLinks, n int) []shard.ShardClient {
@@ -107,8 +96,9 @@ func startLoopbackShards(t testing.TB, ps route.PathSet, numLinks, n int) []shar
 
 // TestLoopbackMatchesInProcess is the transport's core guarantee, pinned
 // the same two ways as the in-process plane: a coordinator whose shards
-// are real loopback HTTP services must produce construction selections and
-// merged localizations bit-identical to the single-controller engines —
+// are real loopback HTTP services must produce construction selections
+// bit-identical to the single-controller engine, and a window localized
+// over the wire must equal the local PLL pass —
 // and to the recorded fingerprints, which are the same constants
 // internal/shard and internal/pmc pin. Nothing about the transport may
 // perturb a single bit of output.
@@ -190,14 +180,8 @@ func TestLoopbackMatchesInProcess(t *testing.T) {
 				t.Errorf("%s/shards=%d: merged targets not met over the wire", tc.name, n)
 			}
 
-			plane := planeOver(c, probes)
-			got, err := plane.Localize(obs, pll.DefaultConfig())
-			if err != nil {
-				t.Fatalf("%s/shards=%d: loopback localize: %v", tc.name, n, err)
-			}
-			if !reflect.DeepEqual(got.Bad, refLoc.Bad) ||
-				got.LossyPaths != refLoc.LossyPaths ||
-				got.UnexplainedPaths != refLoc.UnexplainedPaths {
+			got := remoteLocalize(t, clients[0].(*Client), probes, obs, pll.DefaultConfig())
+			if !sameVerdicts(got, refLoc) {
 				t.Errorf("%s/shards=%d: loopback localization differs: hash %#016x vs pinned %#016x",
 					tc.name, n, hashVerdicts(got), tc.wantLocal)
 			}

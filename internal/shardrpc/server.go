@@ -60,8 +60,8 @@ func requestCycle(r *http.Request) uint64 {
 // Server is one controller shard as a network service: it owns a full
 // materialization of the candidate matrix (derived locally from the
 // topology, never shipped) and executes construction work orders against
-// it; localization runs on engines over the served sub-matrices its
-// clients install, held in a small cache keyed by content signature.
+// it; localization runs on engines over the served matrices its clients
+// install, held in a small cache keyed by content signature.
 //
 //	GET  /v1/ping       → PingResponse (liveness + engine fingerprint)
 //	POST /v1/construct  → ConstructResponse
