@@ -800,16 +800,16 @@ func (c *Controller) Handler() http.Handler {
 			httpx.Error(w, http.StatusBadRequest, "bad node id %q: %v", node, err)
 			return
 		}
-		pl := c.PinglistFor(topo.NodeID(id))
+		pl, etag := c.pinglist(topo.NodeID(id))
 		if pl == nil {
 			httpx.Error(w, http.StatusNotFound, "node %d is not a pinger this cycle", id)
 			return
 		}
 		// The ETag is the pinglist's version (stable across cycles that do
-		// not change this node's work order), so steady-state polls answer
-		// 304 with no body — independent of whether the client asked for
-		// the delta form.
-		etag := pinglistETag(pl.Version)
+		// not change this node's work order), formatted when the version
+		// was published, so steady-state polls answer 304 with no body and
+		// format nothing — independent of whether the client asked for the
+		// delta form.
 		w.Header().Set("ETag", etag)
 		if r.Header.Get("If-None-Match") == etag {
 			pinglistNotModified.Inc()

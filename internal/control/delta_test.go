@@ -71,6 +71,38 @@ func TestPinglistETagNotModified(t *testing.T) {
 	}
 }
 
+// TestPinglistServesStoredETag: /pinglist answers with the ETag stored
+// when the node's pinglist was published, and matches If-None-Match
+// against it; it formats none per request.
+func TestPinglistServesStoredETag(t *testing.T) {
+	c, _ := newController(t)
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	node := c.PingerNodes()[0]
+	const stored = `"stored"`
+	c.mu.Lock()
+	c.nodes[node].etag = stored
+	c.mu.Unlock()
+
+	for _, tc := range []struct {
+		inm  string
+		want int
+	}{{"", http.StatusOK}, {stored, http.StatusNotModified}} {
+		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/pinglist?node=%d", srv.URL, node), nil)
+		if tc.inm != "" {
+			req.Header.Set("If-None-Match", tc.inm)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want || resp.Header.Get("ETag") != stored {
+			t.Fatalf("If-None-Match %q: status %d, ETag %q; want %d, %q", tc.inm, resp.StatusCode, resp.Header.Get("ETag"), tc.want, stored)
+		}
+	}
+}
+
 // TestPinglistDeltaIsAFrame: GET /pinglist?since= answers the kind-7
 // frame whatever the request asks for (here: no Accept header at all), and
 // since=0 is a full snapshot of the served pinglist.

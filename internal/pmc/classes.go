@@ -35,7 +35,45 @@ type classEntry struct {
 	orbit []int32       // componentState.orbitLog
 	full  bool          // the completion pass ran: the greedy read every row
 
+	// The leader's answers to the reads a class check replays, copied from
+	// its arena's loaded rows: the local links of each representative row,
+	// then of each orbit image in log order. Read k spans
+	// readLinks[readEnd[k]:readEnd[k+1]]. Both are sized by the rows the
+	// greedy read, never by the component's rows.
+	readLinks, readEnd []int32
+
 	coverageMet, identMet bool
+}
+
+// keepReads copies from the leader's arena the rows a class check compares
+// when it does not compare every row, in the order compare reads them.
+// Every one of them is loaded: the representatives before the orbit pass,
+// each orbit image as it is logged.
+func (e *classEntry) keepReads(ar *compArena) {
+	reads, total := 0, 0
+	e.eachRead(func(r int32) {
+		reads++
+		total += len(ar.row(r))
+	})
+	e.readEnd = make([]int32, 1, reads+1)
+	e.readLinks = make([]int32, 0, total)
+	e.eachRead(func(r int32) {
+		e.readLinks = append(e.readLinks, ar.row(r)...)
+		e.readEnd = append(e.readEnd, int32(len(e.readLinks)))
+	})
+}
+
+// eachRead calls f on the representative rows, then on the orbit images
+// in log order.
+func (e *classEntry) eachRead(f func(r int32)) {
+	for _, r := range e.reps {
+		f(r)
+	}
+	for i := 0; i < len(e.orbit); i += 2 + int(e.orbit[i+1]) {
+		for _, ir := range e.orbit[i+2 : i+2+int(e.orbit[i+1])] {
+			f(ir)
+		}
+	}
 }
 
 // matches reports whether comp's greedy would run the leader's step for
@@ -70,8 +108,12 @@ func foreign(comp *route.Component, pristine *route.Pristine) bool {
 // solve it falls back to reports), at the local index the leader's row has
 // there. It compares every row when every is set, else the rows at the
 // leader's representative ranks and the images in its orbit log. Then the
-// log is replayed on comp. Both components' rows are read through
-// CSR.AppendRow, so a check stores none of them.
+// log is replayed on comp. comp's rows are read through CSR.AppendRow, so
+// a check stores none of them. The leader's rows at the compared ranks are
+// its kept reads (keepReads); an every-row check, which compares rows the
+// entry did not keep, generates the leader's rows too. No served Fattree
+// leader runs its completion pass, and the served components are all
+// pristine, so every-row checks are off the served path.
 //
 // Why the rows the leader read suffice: the greedy's state after a step —
 // link weights, refinement groups, selected rows, cached scores — is a
@@ -90,11 +132,30 @@ func (e *classEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Co
 	if len(e.links) != len(comp.Links) || e.paths.Len() != comp.Paths.Len() {
 		return false, 0
 	}
-	// samePath compares comp's row with path pid to the leader's with lpid.
 	// The rows are read into buffers that are never reassigned, so a
 	// compared row stores no pointer and pays no write barrier while the
 	// collector marks.
 	var rowBuf, lrowBuf [16]topo.LinkID
+	// sameRead compares comp's row with path pid to the leader's read k.
+	// comp's links sit at the leader's local indices exactly when their
+	// local indices are the leader's row's.
+	sameRead := func(pid int32, k int) bool {
+		compared++
+		row := csr.AppendRow(int(pid), rowBuf[:0])
+		want := e.readLinks[e.readEnd[k]:e.readEnd[k+1]]
+		if len(row) != len(want) {
+			return false
+		}
+		for j, gl := range row {
+			li := localOf[gl]
+			if !owns(comp, li, gl) || li != want[j] {
+				return false
+			}
+		}
+		return true
+	}
+	// samePath compares comp's row with path pid to the leader's with lpid,
+	// generating both.
 	samePath := func(pid, lpid int32) bool {
 		compared++
 		row := csr.AppendRow(int(pid), rowBuf[:0])
@@ -112,14 +173,14 @@ func (e *classEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Co
 		}
 		return true
 	}
-	sameRow := func(r int32) bool { return samePath(comp.Paths.At(int(r)), e.paths.At(int(r))) }
 	if sym != nil && !slices.Equal(sym.AppendRepresentatives(comp.Paths, nil), e.reps) {
 		return false, 0
 	}
-	// Both walks step from one compared row to the next; a gap in the
-	// representatives restarts them.
-	w, lw := comp.Paths.Walk(), e.paths.Walk()
+	// The walks step from one compared row to the next; a gap in the
+	// representatives restarts comp's.
+	w := comp.Paths.Walk()
 	if every {
+		lw := e.paths.Walk()
 		for range comp.Paths.Len() {
 			if !samePath(w.Next(), lw.Next()) {
 				return false, compared
@@ -127,17 +188,18 @@ func (e *classEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Co
 		}
 	} else {
 		next := int32(0)
-		for _, r := range e.reps {
+		for k, r := range e.reps {
 			if r != next {
-				w, lw = comp.Paths.WalkFrom(int(r)), e.paths.WalkFrom(int(r))
+				w = comp.Paths.WalkFrom(int(r))
 			}
 			next = r + 1
-			if !samePath(w.Next(), lw.Next()) {
+			if !sameRead(w.Next(), k) {
 				return false, compared
 			}
 		}
 	}
 	var buf []int
+	k := len(e.reps) // the next kept read: the orbit images, in log order
 	for i := 0; i < len(e.orbit); {
 		r, n := e.orbit[i], int(e.orbit[i+1])
 		want := e.orbit[i+2 : i+2+n]
@@ -159,9 +221,10 @@ func (e *classEntry) compare(csr *route.CSR, sym route.Symmetric, comp *route.Co
 		}
 		if !every {
 			for _, ir := range want {
-				if !sameRow(ir) {
+				if !sameRead(comp.Paths.At(int(ir)), k) {
 					return false, compared
 				}
+				k++
 			}
 		}
 	}

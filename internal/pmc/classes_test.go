@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/detector-net/detector/internal/route"
@@ -341,16 +342,7 @@ func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []rout
 // completion pass did not run: its representatives and its orbit images.
 func (e *classEntry) readRows() []bool {
 	read := make([]bool, e.paths.Len())
-	for _, r := range e.reps {
-		read[r] = true
-	}
-	for i := 0; i < len(e.orbit); {
-		n := int(e.orbit[i+1])
-		for _, ir := range e.orbit[i+2 : i+2+n] {
-			read[ir] = true
-		}
-		i += 2 + n
-	}
+	e.eachRead(func(r int32) { read[r] = true })
 	return read
 }
 
@@ -465,16 +457,80 @@ func swapUnreadRow(t testing.TB, sym route.Symmetric, read []bool, c, other rout
 	return route.Component{}
 }
 
+// countingFattree is a Fattree family that counts the rows its matrix
+// generates.
+type countingFattree struct {
+	*route.FattreePaths
+	rows *atomic.Int64
+}
+
+func (c countingFattree) AppendLinks(i int, buf []topo.LinkID) []topo.LinkID {
+	c.rows.Add(1)
+	return c.FattreePaths.AppendLinks(i, buf)
+}
+
+// TestClassCheckGeneratesOnlyFollowerRows: a pristine follower's class
+// check generates one row per row it compares — the follower's; the
+// leader's come from what its entry kept — and the leader's reads the
+// entry keeps are sized by the rows the leader loaded, not by its
+// component's rows.
+func TestClassCheckGeneratesOnlyFollowerRows(t *testing.T) {
+	f := topo.MustFattree(16)
+	var generated atomic.Int64
+	ps := countingFattree{route.NewFattreePaths(f), &generated}
+	csr := route.MaterializeCSR(ps)
+	pristine := csr.Pristine(f.NumLinks())
+	comps := pristine.Comps
+	localOf := make([]int32, f.NumLinks())
+	setLocal(localOf, comps)
+	ar := newArena(csr, &comps[0], localOf)
+	_, e, err := solveComponent(ps, ar, Options{Alpha: 3, Beta: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, longest := 0, 0
+	for r := range int32(comps[0].Paths.Len()) {
+		if ar.loaded.get(r) {
+			loaded++
+			longest = max(longest, len(ar.row(r)))
+		}
+	}
+	kept := 4 * (cap(e.readLinks) + cap(e.readEnd))
+	if bound := 4 * loaded * (longest + 2); kept >= bound {
+		t.Fatalf("the entry keeps %d bytes of the leader's reads, want < %d (%d rows loaded, longest %d links)", kept, bound, loaded, longest)
+	}
+	t.Logf("the entry keeps %d bytes of the leader's reads: %d rows loaded of %d", kept, loaded, comps[0].Paths.Len())
+	for ci := 1; ci < len(comps); ci++ {
+		c := &comps[ci]
+		if e.everyRow(c, pristine) {
+			t.Fatalf("follower %d is checked on every row", ci)
+		}
+		generated.Store(0)
+		ok, compared := e.compare(csr, ps, c, localOf, false)
+		if !ok {
+			t.Fatalf("follower %d fails its class check", ci)
+		}
+		if g := generated.Load(); g != int64(compared) {
+			t.Fatalf("follower %d: %d rows generated for %d compared", ci, g, compared)
+		}
+	}
+}
+
 // BenchmarkClassCheckFattree16 checks the 7 class followers of a pristine
 // Fattree(16) (3,1) against their leader's entry, as solveClasses does, and
-// reports the rows whose links the checks compared: the leader's
-// representatives and orbit images for a pristine member, every row when
-// the check is forced to read them all, as for a component from outside
-// the matrix's pristine decomposition.
+// reports the rows whose links the checks compared and the rows they
+// generated: the leader's representatives and orbit images for a pristine
+// member, each generated once, the follower's; every row when the check is
+// forced to read them all, as for a component from outside the matrix's
+// pristine decomposition, where the leader's rows are generated too. The
+// rows are counted in one pass before the timer, so the timed checks run
+// on the uncounted family.
 func BenchmarkClassCheckFattree16(b *testing.B) {
 	f := topo.MustFattree(16)
 	ps := route.NewFattreePaths(f)
 	csr := route.MaterializeCSR(ps)
+	var generated atomic.Int64
+	counted := route.MaterializeCSR(countingFattree{ps, &generated})
 	pristine := csr.Pristine(f.NumLinks())
 	comps := pristine.Comps
 	localOf := make([]int32, f.NumLinks())
@@ -487,9 +543,7 @@ func BenchmarkClassCheckFattree16(b *testing.B) {
 		{"every-row", func(*route.Component) bool { return true }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			rows := 0
-			for i := 0; i < b.N; i++ {
-				rows = 0
+			checkAll := func(csr *route.CSR) (rows int) {
 				for ci := 1; ci < len(comps); ci++ {
 					ok, n := e.compare(csr, ps, &comps[ci], localOf, bc.every(&comps[ci]))
 					if !ok {
@@ -497,8 +551,16 @@ func BenchmarkClassCheckFattree16(b *testing.B) {
 					}
 					rows += n
 				}
+				return rows
+			}
+			generated.Store(0)
+			rows := checkAll(counted)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				checkAll(csr)
 			}
 			b.ReportMetric(float64(rows), "rows-compared")
+			b.ReportMetric(float64(generated.Load()), "rows-generated")
 		})
 	}
 }

@@ -1,54 +1,67 @@
 package pmc
 
-// minHeap is a hand-rolled 4-ary min-heap over parallel (score, row)
-// slices, ordered by score with deterministic row tie-breaking. It replaces
-// container/heap for the lazy greedy: Push/Pop there box every element
-// through `any`, which costs one allocation per operation — on a Fattree(8)
-// run that was ~88k allocations per construction. push and pop here touch
-// only the two int32 slices and allocate nothing once the backing arrays
-// are at capacity (the lazy greedy seeds the heap with every candidate, so
-// the initial capacity is also the high-water mark). The 4-ary layout
-// halves the sift depth versus a binary heap; pops still return the exact
-// (score, row) minimum, so the greedy's decisions don't depend on the
-// arity.
+// minHeap is a hand-rolled 4-ary min-heap of (score, row) entries, ordered
+// by score with deterministic row tie-breaking. It replaces container/heap
+// for the lazy greedy: Push/Pop there box every element through `any`,
+// which costs one allocation per operation — on a Fattree(8) run that was
+// ~88k allocations per construction. push and pop here touch one int64
+// slice and allocate nothing once its backing array is at capacity (the
+// lazy greedy seeds the heap with every candidate, so the initial capacity
+// is also the high-water mark). The 4-ary layout halves the sift depth
+// versus a binary heap; pops still return the exact (score, row) minimum,
+// so the greedy's decisions don't depend on the arity or the layout.
+//
+// Each entry is one packed key, int64(score)<<32 | int64(uint32(row)):
+// the key is score·2³² + row. Rows are non-negative int32, so 0 ≤ row <
+// 2³², and for s1 < s2 every key of score s1 is at most s1·2³² + 2³² − 1 <
+// s2·2³² ≤ every key of score s2; within one score the keys order as the
+// rows do. So the integer order of the keys is exactly the (score, row)
+// order, and one compare replaces the score-then-row branch. Sifts move a
+// hole and write the moving key once, instead of swapping at every level.
 type minHeap struct {
-	score []int32
-	row   []int32
+	keys []int64
 }
 
 func newMinHeap(capacity int) *minHeap {
-	return &minHeap{
-		score: make([]int32, 0, capacity),
-		row:   make([]int32, 0, capacity),
-	}
+	return &minHeap{keys: make([]int64, 0, capacity)}
 }
 
-func (h *minHeap) len() int { return len(h.row) }
+func pack(s, r int32) int64 { return int64(s)<<32 | int64(uint32(r)) }
 
-// init establishes the heap property over entries appended directly to the
-// backing slices — one O(n) heapify instead of n sifted pushes.
+func unpack(k int64) (s, r int32) { return int32(k >> 32), int32(uint32(k)) }
+
+func (h *minHeap) len() int { return len(h.keys) }
+
+// minScore is the score of the minimum entry. The heap must be non-empty.
+func (h *minHeap) minScore() int32 { return int32(h.keys[0] >> 32) }
+
+// lastRow is the row of the most recently appended entry, before any sift
+// moved it. The heap must be non-empty.
+func (h *minHeap) lastRow() int32 { return int32(uint32(h.keys[len(h.keys)-1])) }
+
+// popLast removes and returns the most recently appended entry; like
+// appendUnordered it leaves the heap property to init.
+func (h *minHeap) popLast() (s, r int32) {
+	n := len(h.keys) - 1
+	k := h.keys[n]
+	h.keys = h.keys[:n]
+	return unpack(k)
+}
+
+// init establishes the heap property over entries appended with
+// appendUnordered — one O(n) heapify instead of n sifted pushes.
 func (h *minHeap) init() {
-	for i := (len(h.row) - 2) / 4; i >= 0; i-- {
-		h.siftDown(i)
+	if len(h.keys) < 2 {
+		return
 	}
-}
-
-func (h *minHeap) less(i, j int) bool {
-	if h.score[i] != h.score[j] {
-		return h.score[i] < h.score[j]
+	for i := (len(h.keys) - 2) / 4; i >= 0; i-- {
+		h.siftDown(i, h.keys[i])
 	}
-	return h.row[i] < h.row[j]
-}
-
-func (h *minHeap) swap(i, j int) {
-	h.score[i], h.score[j] = h.score[j], h.score[i]
-	h.row[i], h.row[j] = h.row[j], h.row[i]
 }
 
 func (h *minHeap) push(s, r int32) {
-	h.score = append(h.score, s)
-	h.row = append(h.row, r)
-	h.siftUp(len(h.row) - 1)
+	h.keys = append(h.keys, 0)
+	h.siftUp(len(h.keys)-1, pack(s, r))
 }
 
 // appendUnordered appends an entry without restoring the heap property;
@@ -57,54 +70,56 @@ func (h *minHeap) push(s, r int32) {
 // ordering of pops is unaffected, because pop always returns the exact
 // (score, row) minimum regardless of insertion order.
 func (h *minHeap) appendUnordered(s, r int32) {
-	h.score = append(h.score, s)
-	h.row = append(h.row, r)
+	h.keys = append(h.keys, pack(s, r))
 }
 
 // pop removes and returns the minimum element. The heap must be non-empty.
 func (h *minHeap) pop() (s, r int32) {
-	s, r = h.score[0], h.row[0]
-	n := len(h.row) - 1
-	h.score[0], h.row[0] = h.score[n], h.row[n]
-	h.score, h.row = h.score[:n], h.row[:n]
-	if n > 1 {
-		h.siftDown(0)
+	top := h.keys[0]
+	n := len(h.keys) - 1
+	last := h.keys[n]
+	h.keys = h.keys[:n]
+	if n > 0 {
+		h.siftDown(0, last)
 	}
-	return s, r
+	return unpack(top)
 }
 
-func (h *minHeap) siftUp(i int) {
+// siftUp places key k from the hole at i toward the root.
+func (h *minHeap) siftUp(i int, k int64) {
+	keys := h.keys
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !h.less(i, parent) {
-			return
+		if keys[parent] <= k {
+			break
 		}
-		h.swap(i, parent)
+		keys[i] = keys[parent]
 		i = parent
 	}
+	keys[i] = k
 }
 
-func (h *minHeap) siftDown(i int) {
-	n := len(h.row)
+// siftDown places key k from the hole at i toward the leaves.
+func (h *minHeap) siftDown(i int, k int64) {
+	keys := h.keys
+	n := len(keys)
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		m := first
+		last := min(first+4, n)
+		m, mk := first, keys[first]
 		for c := first + 1; c < last; c++ {
-			if h.less(c, m) {
-				m = c
+			if keys[c] < mk {
+				m, mk = c, keys[c]
 			}
 		}
-		if !h.less(m, i) {
-			return
+		if mk >= k {
+			break
 		}
-		h.swap(i, m)
+		keys[i] = mk
 		i = m
 	}
+	keys[i] = k
 }

@@ -47,9 +47,10 @@
 // it logs, the completion pass, when it runs, every row. Rows are read
 // through CSR.AppendRow, which generates a family's rows (route.Generator:
 // a Fattree) without storing them, and so does a class follower's exact
-// check, for its own rows and its leader's. A Fattree's matrix stores no
-// row, its pristine components name their paths as spans (route.Paths)
-// that the arena does not list, and a cold construction's
+// check for its own rows; the leader's rows it compares them with are
+// copied from the leader's arena into the class entry. A Fattree's matrix
+// stores no row, its pristine components name their paths as spans
+// (route.Paths) that the arena does not list, and a cold construction's
 // leader reads one row in ~15 on a Fattree(16). The greedy inner loops
 // walk contiguous int32 slices: no AppendLinks calls, no global→local
 // lookups, no map accesses — selections live in a bitset keyed by
@@ -799,6 +800,7 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll boo
 		coverageMet: cr.coverageMet,
 		identMet:    cr.identMet,
 	}
+	e.keepReads(ar)
 	cr.selected = e.pathsOf(comp)
 	return cr, e, nil
 }
@@ -892,16 +894,14 @@ func lazyGreedy(cs *componentState, sym route.Symmetric, candRows []int32) (rese
 			lastWasPush = true
 		}
 	}
-	if lastWasPush && cs.ar.pathIDs.At(int(h.row[h.len()-1])) > cs.parkedTail {
+	if lastWasPush && cs.ar.pathIDs.At(int(h.lastRow())) > cs.parkedTail {
 		// The final seeded pop in the heap formulation compares against
 		// the minimum of the already re-keyed entries, not the seed:
 		// replay that one comparison exactly. A row the arena leaves out
 		// after it would have been parked last, with no such pop.
-		n := h.len() - 1
-		s, r := h.score[n], h.row[n]
-		h.score, h.row = h.score[:n], h.row[:n]
+		s, r := h.popLast()
 		h.init()
-		if h.len() == 0 || s <= h.score[0] {
+		if h.len() == 0 || s <= h.minScore() {
 			orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
 		} else {
 			h.push(s, r)
@@ -962,7 +962,7 @@ func lazyGreedy(cs *componentState, sym route.Symmetric, candRows []int32) (rese
 			parked = append(parked, r)
 			continue
 		}
-		if h.len() == 0 || s <= h.score[0] {
+		if h.len() == 0 || s <= h.minScore() {
 			orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
 			continue
 		}
