@@ -793,7 +793,8 @@ func (c *Controller) Handler() http.Handler {
 			badRequests.Inc()
 			return
 		}
-		node := r.URL.Query().Get("node")
+		query := r.URL.Query()
+		node := query.Get("node")
 		id, err := strconv.Atoi(node)
 		if err != nil {
 			badRequests.Inc()
@@ -817,7 +818,7 @@ func (c *Controller) Handler() http.Handler {
 			return
 		}
 		since := 0
-		if s := r.URL.Query().Get("since"); s != "" {
+		if s := query.Get("since"); s != "" {
 			since, err = strconv.Atoi(s)
 			if err != nil || since < 0 {
 				badRequests.Inc()

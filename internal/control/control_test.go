@@ -361,6 +361,35 @@ func TestColdCycleStoresNothingPerCandidate(t *testing.T) {
 	}
 }
 
+// TestColdCycleCounts pins what a cold cycle's greedy does on the two
+// served scales the construction workloads run: its score evaluations and
+// selected paths. Any change to the lazy greedy's pop order, its caches or
+// its dirty tracking moves them.
+func TestColdCycleCounts(t *testing.T) {
+	for _, c := range []struct {
+		k, alpha, beta int
+		evals          int64
+		selected       int
+	}{
+		{16, 3, 1, 31430, 2816},
+		{12, 1, 2, 4195, 1080},
+	} {
+		cfg := DefaultConfig()
+		cfg.Alpha, cfg.Beta = c.alpha, c.beta
+		ctl := New(topo.MustFattree(c.k), cfg)
+		err := ctl.RunCycle(nil)
+		st := ctl.PMCStats()
+		ctl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ScoreEvals != c.evals || st.Selected != c.selected {
+			t.Errorf("Fattree(%d) (%d,%d): %d score evaluations, %d paths selected; want %d, %d",
+				c.k, c.alpha, c.beta, st.ScoreEvals, st.Selected, c.evals, c.selected)
+		}
+	}
+}
+
 // TestCommitReleasesLockOnPanic: a panic inside the commit block leaves
 // c.mu free, so the readers and Close behind it do not hang.
 func TestCommitReleasesLockOnPanic(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"github.com/detector-net/detector/internal/shardrpc"
 	"github.com/detector-net/detector/internal/topo"
@@ -221,4 +222,4 @@ func readBodyLimited(r io.Reader, limit int64) ([]byte, error) {
 
 // pinglistETag is the version-derived entity tag served (and matched) on
 // GET /pinglist.
-func pinglistETag(version int) string { return fmt.Sprintf("%q", fmt.Sprintf("v%d", version)) }
+func pinglistETag(version int) string { return `"v` + strconv.Itoa(version) + `"` }

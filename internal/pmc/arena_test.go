@@ -2,7 +2,7 @@ package pmc
 
 import (
 	"fmt"
-	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/detector-net/detector/internal/route"
@@ -10,11 +10,14 @@ import (
 )
 
 // TestLeaderReadsOnlyWhatItScores: a class leader's solve over an arena
-// that loads rows as its greedy reads them makes the picks, score
-// evaluations, reseeds and orbit queries of one over an arena of every
-// row, and holds exactly the rows its greedy read: the representatives and
-// the logged orbit images, or every row where the completion pass ran.
+// that loads rows as its greedy reads them makes the picks, reseeds and
+// orbit queries of refSolve, which keeps no arena, and its arena holds
+// exactly the rows its greedy read: the representatives and the logged
+// orbit images, or every row where the completion pass ran. No array of
+// the solve is sized by the component's rows but the selected-row bitset:
+// a Fattree(16) (3,1) leader solve allocates under leaderSolveBound.
 func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
+	const leaderSolveBound = 1 << 20 // measured ≈ 0.81 MB
 	type fabric struct {
 		name     string
 		ps       route.PathSet
@@ -46,25 +49,16 @@ func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				solve := func(loadAll bool) (*componentResult, *classEntry, *compArena) {
-					ar := newArena(csr, &comps[0], localOf)
-					cr, e, err := solveComponent(sym, ar, opt, loadAll)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return cr, e, ar
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				ar := newArena(csr, &comps[0], localOf)
+				cr, es, err := solveComponent(sym, ar, opt, false)
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
 				}
-				sparse, es, ar := solve(false)
-				dense, ed, _ := solve(true)
-				if !reflect.DeepEqual(sparse.selected, dense.selected) || sparse.evals != dense.evals ||
-					sparse.reseeds != dense.reseeds || sparse.candidates != dense.candidates {
-					t.Fatalf("on demand: %d paths, %d evals, %d reseeds, %d candidates; every row up front: %d, %d, %d, %d",
-						len(sparse.selected), sparse.evals, sparse.reseeds, sparse.candidates,
-						len(dense.selected), dense.evals, dense.reseeds, dense.candidates)
-				}
-				if !reflect.DeepEqual(es.orbit, ed.orbit) || !reflect.DeepEqual(es.reps, ed.reps) || es.full != ed.full {
-					t.Fatal("the two arenas' greedies made other orbit queries or passes")
-				}
+				alloc := after.TotalAlloc - before.TotalAlloc
+				checkAgainstReference(t, sym, csr, &comps[0], localOf, opt, cr, es)
 				want := make([]bool, comps[0].Paths.Len())
 				if es.full {
 					completed++
@@ -76,14 +70,17 @@ func TestLeaderReadsOnlyWhatItScores(t *testing.T) {
 				}
 				held := 0
 				for r, w := range want {
-					if got := ar.loaded.get(int32(r)); got != w {
+					if got := ar.slot(int32(r)) >= 0; got != w {
 						t.Fatalf("row %d: loaded %v, read by the greedy %v", r, got, w)
 					}
 					if w {
 						held++
 					}
 				}
-				t.Logf("%d of %d rows loaded, completion ran: %v", held, len(want), es.full)
+				t.Logf("%d of %d rows loaded, completion ran: %v; the solve allocated %d B", held, len(want), es.full, alloc)
+				if fb.name == "Fattree(16)" && opt.Alpha == 3 && alloc >= leaderSolveBound {
+					t.Fatalf("the leader solve allocated %d B, want under %d B", alloc, leaderSolveBound)
+				}
 			})
 		}
 	}

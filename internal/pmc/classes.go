@@ -47,28 +47,31 @@ type classEntry struct {
 
 // keepReads copies from the leader's arena the rows a class check compares
 // when it does not compare every row, in the order compare reads them.
-// Every one of them is loaded: the representatives before the orbit pass,
-// each orbit image as it is logged.
+// Every one of them is loaded: the representatives are the orbit pass's
+// candidates, at slots 0..len(reps)-1, and each orbit image was loaded as
+// it was logged. The completion pass, which lays the arena out anew, must
+// not have run.
 func (e *classEntry) keepReads(ar *compArena) {
-	reads, total := 0, 0
-	e.eachRead(func(r int32) {
-		reads++
-		total += len(ar.row(r))
-	})
-	e.readEnd = make([]int32, 1, reads+1)
-	e.readLinks = make([]int32, 0, total)
-	e.eachRead(func(r int32) {
-		e.readLinks = append(e.readLinks, ar.row(r)...)
-		e.readEnd = append(e.readEnd, int32(len(e.readLinks)))
-	})
+	slots := make([]int32, len(e.reps), len(e.reps)+len(e.orbit))
+	for k := range slots {
+		slots[k] = int32(k)
+	}
+	e.eachImage(func(r int32) { slots = append(slots, ar.slot(r)) })
+	total := 0
+	for _, p := range slots {
+		total += len(ar.row(p))
+	}
+	readEnd := make([]int32, 1, len(slots)+1)
+	readLinks := make([]int32, 0, total)
+	for _, p := range slots {
+		readLinks = append(readLinks, ar.row(p)...)
+		readEnd = append(readEnd, int32(len(readLinks)))
+	}
+	e.readLinks, e.readEnd = readLinks, readEnd
 }
 
-// eachRead calls f on the representative rows, then on the orbit images
-// in log order.
-func (e *classEntry) eachRead(f func(r int32)) {
-	for _, r := range e.reps {
-		f(r)
-	}
+// eachImage calls f on the orbit images in log order.
+func (e *classEntry) eachImage(f func(r int32)) {
 	for i := 0; i < len(e.orbit); i += 2 + int(e.orbit[i+1]) {
 		for _, ir := range e.orbit[i+2 : i+2+int(e.orbit[i+1])] {
 			f(ir)

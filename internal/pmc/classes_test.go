@@ -15,10 +15,10 @@ import (
 )
 
 // perComponentOracle solves every component alone, so no component can
-// reuse another's rows, and merges the selections. Its own
-// solves load every row up front, so every check against it is also a
-// differential between that arena and the one construction runs, which
-// loads rows as its greedy reads them. A masked component is repaired, as
+// reuse another's rows, and merges the selections. It solves with
+// refSolve, which keeps no arena, score cache or bucket queue, so every
+// check against it is also a differential between that reference and the
+// engine construction runs. A masked component is repaired, as
 // construction does, over arenas that hold every row they are offered.
 func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []route.Component, numLinks int, opt Options) []int {
 	t.Helper()
@@ -40,11 +40,7 @@ func perComponentOracle(t testing.TB, ps route.PathSet, csr *route.CSR, comps []
 			t.Fatal(err)
 		}
 		setLocal(localOf, comps[i:i+1])
-		cr, _, err := solveComponent(sym, newArena(csr, c, localOf), opt, true)
-		if err != nil {
-			t.Fatalf("component %d alone: %v", i, err)
-		}
-		sel = append(sel, cr.selected...)
+		sel = append(sel, refSolve(t, sym, csr, c, localOf, opt).selected...)
 	}
 	sort.Ints(sel)
 	return sel
@@ -342,7 +338,10 @@ func leaderEntry(t testing.TB, sym route.Symmetric, csr *route.CSR, comps []rout
 // completion pass did not run: its representatives and its orbit images.
 func (e *classEntry) readRows() []bool {
 	read := make([]bool, e.paths.Len())
-	e.eachRead(func(r int32) { read[r] = true })
+	for _, r := range e.reps {
+		read[r] = true
+	}
+	e.eachImage(func(r int32) { read[r] = true })
 	return read
 }
 
@@ -490,9 +489,9 @@ func TestClassCheckGeneratesOnlyFollowerRows(t *testing.T) {
 	}
 	loaded, longest := 0, 0
 	for r := range int32(comps[0].Paths.Len()) {
-		if ar.loaded.get(r) {
+		if p := ar.slot(r); p >= 0 {
 			loaded++
-			longest = max(longest, len(ar.row(r)))
+			longest = max(longest, len(ar.row(p)))
 		}
 	}
 	kept := 4 * (cap(e.readLinks) + cap(e.readEnd))

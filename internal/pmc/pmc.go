@@ -51,10 +51,13 @@
 // copied from the leader's arena into the class entry. A Fattree's matrix
 // stores no row, its pristine components name their paths as spans
 // (route.Paths) that the arena does not list, and a cold construction's
-// leader reads one row in ~15 on a Fattree(16). The greedy inner loops
-// walk contiguous int32 slices: no AppendLinks calls, no global→local
-// lookups, no map accesses — selections live in a bitset keyed by
-// candidate row.
+// leader reads one row in ~15 on a Fattree(16). A pass's arrays are
+// sized by what it reads: the arena by the rows loaded, the score caches,
+// the inverted index and the lazy greedy's bucket queue by the pass's
+// candidates, indexed by candidate position; only the selected-row bitset
+// has a bit per row of the component. The greedy inner loops walk
+// contiguous int32 slices: no AppendLinks calls, no global→local lookups,
+// no map accesses.
 //
 // On top of the inverted index, scoring is incremental. The invariant is:
 // a candidate's score (Eq. 1) can only change when a selected path shares a
@@ -113,7 +116,7 @@ const (
 	// handed its partition.
 	NoDecompose Ablation = 1 << iota
 	// NoLazy rescans the candidates on every pick instead of deferring
-	// score updates on a heap (without Observation 2).
+	// score updates on a priority queue (without Observation 2).
 	NoLazy
 	// NoSymmetry skips the orbit pass, so every row is scored (without
 	// Observation 3).
@@ -393,7 +396,7 @@ func setLocal(localOf []int32, comps []route.Component) {
 // takes one exact check against the head's entry (classEntry.matches) and
 // reuses its rows. Members that fail it form the next round's groups, so
 // several classes of one shape still share solves. A foreign head's solve
-// loads every row, so a row of it that leaves it is reported even where
+// checks every row, so a row of it that leaves it is reported even where
 // its greedy would not read it.
 func solveClasses(sym route.Symmetric, csr *route.CSR, comps []route.Component, localOf []int32, opt Options, pristine *route.Pristine, workers int) ([]*componentResult, error) {
 	// Every link belongs to at most one component, so one shared
@@ -500,8 +503,13 @@ type componentResult struct {
 	identMet    bool
 }
 
-// componentState holds the greedy's mutable view of one subproblem: the CSR
-// arena plus per-row score caches and the incremental dirty tracking.
+// componentState holds the greedy's mutable view of one subproblem: the
+// link weights and refinement partition of what it selected, the rows it
+// selected, and, for the running pass, the arena with per-candidate score
+// caches and incremental dirty tracking. score, marginal and dirty are
+// indexed by candidate position, which is the candidate's arena slot, and
+// sized by the pass's candidates; selected alone has a bit per row of the
+// component.
 type componentState struct {
 	opt Options
 	ar  *compArena
@@ -510,17 +518,17 @@ type componentState struct {
 	part      *refine.Partition
 	uncovered int
 
-	selected  bitset
+	selected  bitset // by row
 	nSelected int
 
 	// exact is true while refine.SplitAffected reports affected links
 	// precisely — every supported beta today. Should refine ever declare
-	// a split conservative, the flag degrades (sticky) and every row is
-	// treated as dirty from then on, bypassing the caches below.
+	// a split conservative, the flag degrades (sticky) and every candidate
+	// is treated as dirty from then on, bypassing the caches below.
 	exact    bool
-	score    []int32 // cached Eq. 1 score per row
-	marginal bitset  // cached positive-marginal flag per row
-	dirty    bitset  // rows whose cache is stale
+	score    []int32 // cached Eq. 1 score per candidate
+	marginal bitset  // cached positive-marginal flag per candidate
+	dirty    bitset  // candidates whose cache is stale
 
 	// Per-step scratch for dirty propagation: the unique local links whose
 	// weight or group context changed during the current selection step.
@@ -546,21 +554,19 @@ type componentState struct {
 }
 
 // newComponentState starts the greedy on an arena over a component with
-// numLinks local links, nothing selected.
+// numLinks local links, nothing selected. ar may be nil while the greedy
+// only takes rows (see repair); it must be set before a pass.
 func newComponentState(ar *compArena, numLinks int, opt Options) *componentState {
-	n := ar.numRows()
 	cs := &componentState{
 		opt:        opt,
-		ar:         ar,
 		w:          make([]int32, numLinks),
 		part:       refine.MustPartition(numLinks, opt.Beta),
-		selected:   newBitset(n),
 		exact:      true,
-		score:      make([]int32, n),
-		marginal:   newBitset(n),
-		dirty:      newBitset(n),
 		linkMark:   make([]int32, numLinks),
 		parkedTail: -1,
+	}
+	if ar != nil {
+		cs.attach(ar)
 	}
 	if opt.Alpha > 0 {
 		cs.uncovered = numLinks
@@ -568,30 +574,37 @@ func newComponentState(ar *compArena, numLinks int, opt Options) *componentState
 	return cs
 }
 
-// isDirty reports whether row r must be rescored before its cache is used.
-func (cs *componentState) isDirty(r int32) bool {
-	return !cs.exact || cs.dirty.get(r)
+// attach gives the greedy the arena ar, with none of its rows selected.
+func (cs *componentState) attach(ar *compArena) {
+	cs.ar = ar
+	cs.selected = newBitset(ar.numRows())
 }
 
-// cache stores a freshly computed (score, marginal) for row r.
-func (cs *componentState) cache(r, s int32, m bool) {
-	cs.score[r] = s
+// isDirty reports whether candidate p must be rescored before its cache is
+// used.
+func (cs *componentState) isDirty(p int32) bool {
+	return !cs.exact || cs.dirty.get(p)
+}
+
+// cache stores a freshly computed (score, marginal) for candidate p.
+func (cs *componentState) cache(p, s int32, m bool) {
+	cs.score[p] = s
 	if m {
-		cs.marginal.set(r)
+		cs.marginal.set(p)
 	} else {
-		cs.marginal.clear(r)
+		cs.marginal.clear(p)
 	}
 	if cs.exact {
-		cs.dirty.clear(r)
+		cs.dirty.clear(p)
 	}
 }
 
-// rowWeight computes the Σw term of Eq. 1 for row r and whether the row
+// rowWeight computes the Σw term of Eq. 1 for slot p and whether the row
 // still covers an under-target link (NoEvenness zeroes the sum but not the
 // coverage marginal).
-func (cs *componentState) rowWeight(r int32) (sum int32, covers bool) {
+func (cs *componentState) rowWeight(p int32) (sum int32, covers bool) {
 	alpha := int32(cs.opt.Alpha)
-	for _, li := range cs.ar.row(r) {
+	for _, li := range cs.ar.row(p) {
 		wl := cs.w[li]
 		sum += wl
 		if wl < alpha {
@@ -604,14 +617,14 @@ func (cs *componentState) rowWeight(r int32) (sum int32, covers bool) {
 	return sum, covers
 }
 
-// scoreRow computes the PMC score (Eq. 1) of row r and whether selecting it
-// makes progress (positive marginal).
-func (cs *componentState) scoreRow(r int32) (score int32, marginalGain bool) {
+// scoreRow computes the PMC score (Eq. 1) of the row at slot p and whether
+// selecting it makes progress (positive marginal).
+func (cs *componentState) scoreRow(p int32) (score int32, marginalGain bool) {
 	cs.evals++
-	sum, covers := cs.rowWeight(r)
+	sum, covers := cs.rowWeight(p)
 	gain := int32(0)
 	if cs.opt.Beta >= 1 {
-		gain = int32(cs.part.CountSplittable(cs.ar.row(r)))
+		gain = int32(cs.part.CountSplittable(cs.ar.row(p)))
 	}
 	return sum - gain, covers || gain > 0
 }
@@ -630,10 +643,17 @@ func (cs *componentState) noteLink(li int32) {
 	}
 }
 
-// sel commits row r: bumps link weights, refines the partition, records the
-// selection, and accumulates the links whose context changed.
-func (cs *componentState) sel(r int32) {
-	row := cs.ar.row(r)
+// sel commits the row at slot p: takes its links and records the
+// selection.
+func (cs *componentState) sel(p int32) {
+	cs.take(cs.ar.row(p))
+	cs.selected.set(cs.ar.rowOf[p])
+	cs.nSelected++
+}
+
+// take bumps the link weights of a selected row's local links, refines the
+// partition by them, and accumulates the links whose context changed.
+func (cs *componentState) take(row []int32) {
 	for _, li := range row {
 		cs.w[li]++
 		if int(cs.w[li]) == cs.opt.Alpha {
@@ -653,19 +673,16 @@ func (cs *componentState) sel(r int32) {
 	for _, li := range row {
 		cs.noteLink(li)
 	}
-	cs.selected.set(r)
-	cs.nSelected++
 }
 
-// endStep dirties every indexed row whose cached score may have changed:
-// rows sharing an accumulated link, found through the inverted index. When
-// a step saturates the index — the indexed rows through its links
-// outnumber the indexed rows themselves, as happens while refinement
-// groups are still large — a single bitset fill is cheaper than walking
-// it. The test counts only indexed rows, the pass's candidates, so which
-// other rows an arena has loaded never shows in Stats.ScoreEvals.
-// Over-dirtying only costs recomputes that return the cached value; it
-// never changes a selection.
+// endStep dirties every candidate whose cached score may have changed:
+// candidates sharing an accumulated link, found through the inverted index.
+// When a step saturates the index — the candidates through its links
+// outnumber the candidates themselves, as happens while refinement groups
+// are still large — a single bitset fill is cheaper than walking it. The
+// test counts only the pass's candidates, so which other rows an arena has
+// loaded never shows in Stats.ScoreEvals. Over-dirtying only costs
+// recomputes that return the cached value; it never changes a selection.
 func (cs *componentState) endStep() {
 	if !cs.exact {
 		return
@@ -674,13 +691,13 @@ func (cs *componentState) endStep() {
 	for _, li := range cs.stepLinks {
 		total += int(cs.ar.invOff[li+1] - cs.ar.invOff[li])
 	}
-	if total >= cs.ar.indexed {
+	if total >= cs.ar.ncand {
 		cs.dirty.fill()
 		return
 	}
 	for _, li := range cs.stepLinks {
-		for _, r := range cs.ar.rowsThrough(li) {
-			cs.dirty.set(r)
+		for _, p := range cs.ar.posThrough(li) {
+			cs.dirty.set(p)
 		}
 	}
 }
@@ -693,32 +710,34 @@ func (cs *componentState) done() bool {
 	return cs.opt.Beta == 0 || cs.part.Done()
 }
 
-// selectWithOrbit commits row r and, in the orbit pass, every orbit image
-// present in the component that still has positive marginal gain. An image
-// is absent when the component is not closed under the automorphism (a
-// caller's own partition; masked components are repaired, not solved).
-// Each image present is loaded as it is logged. Orbit images are scored
-// fresh (not from cache) because earlier selections in the same step
-// change their scores before the step's dirty propagation runs.
-func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf []int) []int {
+// selectWithOrbit commits the row at slot p and, in the orbit pass, every
+// orbit image present in the component that still has positive marginal
+// gain. An image is absent when the component is not closed under the
+// automorphism (a caller's own partition; masked components are repaired,
+// not solved). Each image present is loaded as it is logged. Orbit images
+// are scored fresh (not from cache) because earlier selections in the same
+// step change their scores before the step's dirty propagation runs.
+func (cs *componentState) selectWithOrbit(p int32, sym route.Symmetric, orbitBuf []int) []int {
 	cs.beginStep()
-	cs.sel(r)
+	cs.sel(p)
 	if sym != nil {
-		orbitBuf = sym.AppendOrbit(int(cs.ar.pathIDs.At(int(r))), orbitBuf[:0])
+		ar := cs.ar
+		r := ar.rowOf[p]
+		orbitBuf = sym.AppendOrbit(int(ar.pathIDs.At(int(r))), orbitBuf[:0])
 		cs.orbitLog = append(cs.orbitLog, r, 0)
 		head := len(cs.orbitLog)
 		for _, img := range orbitBuf {
-			ir := cs.ar.pathIDs.Find(int32(img))
+			ir := ar.pathIDs.Find(int32(img))
 			if ir < 0 {
 				continue
 			}
 			cs.orbitLog = append(cs.orbitLog, ir)
-			cs.ar.load(ir)
+			ip := ar.load(ir)
 			if cs.selected.get(ir) {
 				continue
 			}
-			if _, marginalGain := cs.scoreRow(ir); marginalGain {
-				cs.sel(ir)
+			if _, marginalGain := cs.scoreRow(ip); marginalGain {
+				cs.sel(ip)
 			}
 		}
 		cs.orbitLog[head-1] = int32(len(cs.orbitLog) - head)
@@ -727,31 +746,34 @@ func (cs *componentState) selectWithOrbit(r int32, sym route.Symmetric, orbitBuf
 	return orbitBuf
 }
 
-// pass runs one greedy over candRows, ascending rows of the component: it
-// indexes them, forgets any cached score (rows outside an earlier pass's
-// index were never kept current) and selects until the targets are met or
-// no candidate makes progress.
-func (cs *componentState) pass(sym route.Symmetric, candRows []int32) (reseeds int) {
-	cs.ar.index(candRows)
+// pass runs one greedy over the arena's candidates: it indexes them, starts
+// their score caches all dirty (a cache of an earlier pass indexed other
+// positions) and selects until the targets are met or no candidate makes
+// progress.
+func (cs *componentState) pass(sym route.Symmetric) (reseeds int) {
+	n := cs.ar.ncand
+	cs.ar.index()
+	cs.score = make([]int32, n)
+	cs.marginal, cs.dirty = newBitset(n), newBitset(n)
 	cs.dirty.fill()
 	if cs.opt.Ablate&NoLazy != 0 {
-		strawmanGreedy(cs, sym, candRows)
+		strawmanGreedy(cs, sym)
 		return 0
 	}
-	return lazyGreedy(cs, sym, candRows)
+	return lazyGreedy(cs, sym)
 }
 
 // solveComponent runs both passes on one component and returns its result
 // together with the class entry the component's class in this call reuses.
 // ar is a fresh arena over the component; it loads the rows the greedy
-// reads as it reads them. loadAll loads every row up front instead, so
-// that a component whose rows may leave it (one not of the matrix's
-// pristine decomposition) is refused whatever its greedy reads. Either way
-// the greedy makes the same reads and picks.
-func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll bool) (*componentResult, *classEntry, error) {
+// reads as it reads them. checkAll first generates every row, storing
+// none, so that a component whose rows may leave it (one not of the
+// matrix's pristine decomposition) is refused whatever its greedy reads.
+// Either way the greedy makes the same reads and picks.
+func solveComponent(sym route.Symmetric, ar *compArena, opt Options, checkAll bool) (*componentResult, *classEntry, error) {
 	comp := ar.comp
-	if loadAll {
-		if err := ar.loadAll(); err != nil {
+	if checkAll {
+		if err := ar.checkAll(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -761,11 +783,11 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll boo
 	var reps []int32
 	if sym != nil {
 		reps = sym.AppendRepresentatives(comp.Paths, nil)
-		if err := ar.loadRows(reps); err != nil {
+		if err := ar.loadCands(reps); err != nil {
 			return nil, nil, err
 		}
 		cr.candidates += len(reps)
-		cr.reseeds += cs.pass(sym, reps)
+		cr.reseeds += cs.pass(sym)
 	}
 	// Completion reads every row; with no shift generator nothing but
 	// completion reads them.
@@ -775,7 +797,7 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll boo
 			return nil, nil, err
 		}
 		cr.candidates += comp.Paths.Len()
-		cr.reseeds += cs.pass(nil, ascending(comp.Paths.Len()))
+		cr.reseeds += cs.pass(nil)
 	}
 	if ar.err != nil { // an orbit image
 		return nil, nil, ar.err
@@ -784,23 +806,19 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll boo
 	cr.evals = cs.evals
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
-	rows := make([]int32, 0, cs.nSelected)
-	for r := range comp.Paths.Len() {
-		if cs.selected.get(int32(r)) {
-			rows = append(rows, int32(r))
-		}
-	}
 	e := &classEntry{
 		links:       comp.Links,
 		paths:       comp.Paths,
-		rows:        rows,
+		rows:        cs.selected.appendSet(make([]int32, 0, cs.nSelected)),
 		reps:        reps,
 		orbit:       cs.orbitLog,
 		full:        full,
 		coverageMet: cr.coverageMet,
 		identMet:    cr.identMet,
 	}
-	e.keepReads(ar)
+	if !full {
+		e.keepReads(ar)
+	}
 	cr.selected = e.pathsOf(comp)
 	return cr, e, nil
 }
@@ -820,28 +838,29 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, loadAll boo
 // full-rescan implementation decision for decision (pinned in
 // incremental_test.go). Absolute strawman times are therefore lower than a
 // faithful reimplementation of the paper's unoptimized loop would be.
-func strawmanGreedy(cs *componentState, sym route.Symmetric, candRows []int32) {
+func strawmanGreedy(cs *componentState, sym route.Symmetric) {
 	var orbitBuf []int
+	rowOf := cs.ar.rowOf
 	for !cs.done() {
 		best := int32(-1)
 		bestScore := int32(0)
-		for _, r := range candRows {
-			if cs.selected.get(r) {
+		for p := range int32(cs.ar.ncand) {
+			if cs.selected.get(rowOf[p]) {
 				continue
 			}
 			var s int32
 			var m bool
-			if cs.isDirty(r) {
-				s, m = cs.scoreRow(r)
-				cs.cache(r, s, m)
+			if cs.isDirty(p) {
+				s, m = cs.scoreRow(p)
+				cs.cache(p, s, m)
 			} else {
-				s, m = cs.score[r], cs.marginal.get(r)
+				s, m = cs.score[p], cs.marginal.get(p)
 			}
 			if !m {
 				continue
 			}
 			if best < 0 || s < bestScore {
-				best, bestScore = r, s
+				best, bestScore = p, s
 			}
 		}
 		if best < 0 {
@@ -855,118 +874,116 @@ func strawmanGreedy(cs *componentState, sym route.Symmetric, candRows []int32) {
 // (the exact initial score when every element shares one group; on a
 // completion pass, where selections already stand, merely a key no row
 // undercuts without a gain larger than its weight) and marked dirty, and a
-// popped candidate is rescored only when dirty — a clean pop's
-// cached key is exact and, being the heap minimum, wins immediately. Dirty
-// pops are re-pushed when their fresh score falls behind the next key.
-// Zero-marginal candidates are parked; if the heap drains before the
+// popped candidate is rescored only when dirty — a clean pop's cached
+// score is exact and, being the queue's minimum, wins immediately. Dirty
+// pops are pushed back when their fresh score falls behind the next one.
+// Zero-marginal candidates are parked; if the queue drains before the
 // targets are met, parked candidates are reseeded, rescoring only the dirty
 // ones (this covers the non-monotone cases Observation 2 misses).
-func lazyGreedy(cs *componentState, sym route.Symmetric, candRows []int32) (reseeds int) {
-	h := newMinHeap(len(candRows))
+//
+// The queue is a bucketQueue over candidate positions. It pops by
+// (score, position), and positions ascend with rows, so it pops what a
+// heap keyed on (score, row) would, and the picks do not depend on it.
+func lazyGreedy(cs *componentState, sym route.Symmetric) (reseeds int) {
+	ar := cs.ar
+	q := newBucketQueue(ar.ncand)
 	var parked []int32
 	var orbitBuf []int
 
-	// Initial drain. While any -1 seed remains, the heap pops rows in
-	// ascending row order and every pop rescores (the caches start dirty),
-	// so the seeded heap is equivalent to this linear scan: rows scoring at
-	// or below the seed are selected on the spot, the rest collect their
-	// fresh keys for a single O(n) heapify. This skips ~n full-height sift
-	// operations over all-equal keys without changing a single decision.
+	// Initial drain. While any -1 seed remains, the seeded queue pops
+	// candidates in ascending position order and every pop rescores (the
+	// caches start dirty), so it is equivalent to this linear scan:
+	// candidates scoring at or below the seed are selected on the spot, the
+	// rest are pushed at their fresh scores.
 	lastWasPush := false
-	for _, r := range candRows {
+	var lastS, lastP int32
+	for p := range int32(ar.ncand) {
 		if cs.done() {
 			return reseeds
 		}
-		if cs.selected.get(r) {
+		if cs.selected.get(ar.rowOf[p]) {
 			continue
 		}
-		s, m := cs.scoreRow(r)
-		cs.cache(r, s, m)
+		s, m := cs.scoreRow(p)
+		cs.cache(p, s, m)
 		switch {
 		case !m:
-			parked = append(parked, r)
+			parked = append(parked, p)
 			lastWasPush = false
 		case s <= -1:
-			orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
+			orbitBuf = cs.selectWithOrbit(p, sym, orbitBuf)
 			lastWasPush = false
 		default:
-			h.appendUnordered(s, r)
-			lastWasPush = true
+			q.push(s, p)
+			lastS, lastP, lastWasPush = s, p, true
 		}
 	}
-	if lastWasPush && cs.ar.pathIDs.At(int(h.lastRow())) > cs.parkedTail {
-		// The final seeded pop in the heap formulation compares against
-		// the minimum of the already re-keyed entries, not the seed:
-		// replay that one comparison exactly. A row the arena leaves out
-		// after it would have been parked last, with no such pop.
-		s, r := h.popLast()
-		h.init()
-		if h.len() == 0 || s <= h.minScore() {
-			orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
-		} else {
-			h.push(s, r)
-		}
-	} else {
-		h.init()
+	// The final seeded pop compares against the minimum of the already
+	// re-keyed entries, not the seed: replay that one comparison exactly.
+	// lastS is at most the others' minimum exactly when it is the queue's.
+	// A row the arena leaves out after it would have been parked last,
+	// with no such pop.
+	if lastWasPush && ar.pathIDs.At(int(ar.rowOf[lastP])) > cs.parkedTail && q.minScore() == lastS {
+		q.remove(lastS, lastP)
+		orbitBuf = cs.selectWithOrbit(lastP, sym, orbitBuf)
 	}
 	for !cs.done() {
-		if h.len() == 0 {
+		if q.len() == 0 {
 			// Reseed from the park list: gains can reappear after other
-			// selections refine the partition differently. Parked rows
-			// whose cache is still clean are still zero-marginal and are
-			// kept without rescoring; rows that regained a margin are
-			// appended unordered and heapified once.
+			// selections refine the partition differently. Parked
+			// candidates whose cache is still clean are still
+			// zero-marginal and are kept without rescoring; those that
+			// regained a margin are pushed.
 			keep := parked[:0]
-			for _, r := range parked {
-				if cs.selected.get(r) {
+			for _, p := range parked {
+				if cs.selected.get(ar.rowOf[p]) {
 					continue
 				}
-				if !cs.isDirty(r) {
-					keep = append(keep, r)
+				if !cs.isDirty(p) {
+					keep = append(keep, p)
 					continue
 				}
-				s, m := cs.scoreRow(r)
-				cs.cache(r, s, m)
+				s, m := cs.scoreRow(p)
+				cs.cache(p, s, m)
 				if m {
-					h.appendUnordered(s, r)
+					q.push(s, p)
 				} else {
-					keep = append(keep, r)
+					keep = append(keep, p)
 				}
 			}
 			parked = keep
-			if h.len() == 0 {
+			if q.len() == 0 {
 				return reseeds // nothing can make progress
 			}
-			h.init()
 			reseeds++
 			continue
 		}
-		_, r := h.pop()
-		if cs.selected.get(r) {
+		_, p := q.pop()
+		if cs.selected.get(ar.rowOf[p]) {
 			continue
 		}
-		if !cs.isDirty(r) {
-			// The cached score is exact and was the heap minimum, so a
+		if !cs.isDirty(p) {
+			// The cached score is exact and was the queue's minimum, so a
 			// rescan could not find anything better: select or park
 			// without recomputing.
-			if cs.marginal.get(r) {
-				orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
+			if cs.marginal.get(p) {
+				orbitBuf = cs.selectWithOrbit(p, sym, orbitBuf)
 			} else {
-				parked = append(parked, r)
+				parked = append(parked, p)
 			}
 			continue
 		}
-		s, m := cs.scoreRow(r)
-		cs.cache(r, s, m)
+		s, m := cs.scoreRow(p)
+		cs.cache(p, s, m)
 		if !m {
-			parked = append(parked, r)
+			parked = append(parked, p)
 			continue
 		}
-		if h.len() == 0 || s <= h.minScore() {
-			orbitBuf = cs.selectWithOrbit(r, sym, orbitBuf)
+		if q.len() == 0 || s <= q.minScore() {
+			orbitBuf = cs.selectWithOrbit(p, sym, orbitBuf)
 			continue
 		}
-		h.push(s, r)
+		q.push(s, p)
 	}
 	return reseeds
 }

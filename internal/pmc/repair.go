@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"github.com/detector-net/detector/internal/route"
+	"github.com/detector-net/detector/internal/topo"
 )
 
 // Repaired is one masked component's answer: its selected paths, ascending,
@@ -59,18 +60,21 @@ func Repair(csr *route.CSR, comps []route.Component, parents [][]int, numLinks i
 // incremental cycle and a from-scratch boot with the same links down agree,
 // and a link coming back up restores P's selection exactly.
 //
-// Kept rows alone often meet α and β (the paper keeps α-coverage so the
-// matrix survives failures between recomputations); then no arena over M
-// is built. Otherwise the completion pass runs over the kept rows plus the
-// rows through a deficient link: a link still under α, or a constituent of
-// an element that still shares its refinement group. That is decision for
-// decision the pass over all of M's rows after the same kept rows:
+// The kept rows' links are taken without an arena (keptState). Kept rows
+// alone often meet α and β (the paper keeps α-coverage so the matrix
+// survives failures between recomputations); then no arena over M is
+// built. Otherwise one arena is built, and the completion pass runs over
+// the kept rows plus the rows through a deficient link: a link still under
+// α, or a constituent of an element that still shares its refinement
+// group. That is decision for decision the pass over all of M's rows after
+// the same kept rows:
 //   - A row through no deficient link has no marginal gain, and never
 //     regains one: weights only rise, and a row that splits no group
 //     splits none of that group's refinements. The full pass parks it and
 //     never picks it.
-//   - The heap breaks ties by row, and the restricted arena keeps M's row
-//     order; the one place the parked rows show — whether the pass's
+//   - The lazy greedy's queue breaks ties by candidate position, and the
+//     restricted arena keeps M's row order, so positions order as M's
+//     rows do; the one place the parked rows show — whether the pass's
 //     first sweep ends on a push — is replayed through parkedTail.
 //   - Over-dirtying only rescores a row to its cached value.
 //
@@ -85,31 +89,66 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 			kept = append(kept, r)
 		}
 	}
-	cs, err := repairState(csr, comp, kept, ascending(len(kept)), localOf, opt)
+	cs, err := keptState(csr, comp, kept, localOf, opt)
 	if err != nil {
 		return nil, err
 	}
 	cr := &componentResult{}
-	if !cs.done() {
+	if cs.done() {
+		cr.selected = make([]int, 0, len(kept))
+		for _, r := range kept {
+			cr.selected = append(cr.selected, int(comp.Paths.At(int(r))))
+		}
+	} else {
 		sub, subKept, tail := offered(pristine, comp, kept, cs.deficient())
-		if cs, err = repairState(csr, comp, sub, subKept, localOf, opt); err != nil {
+		paths := make([]int32, len(sub))
+		for i, r := range sub {
+			paths[i] = comp.Paths.At(int(r))
+		}
+		ar := newArena(csr, &route.Component{Links: comp.Links, Paths: route.PathList(paths)}, localOf)
+		if err := ar.loadAll(); err != nil {
 			return nil, err
+		}
+		cs.attach(ar)
+		for _, p := range subKept {
+			cs.selected.set(p)
 		}
 		cs.parkedTail = tail
 		cr.candidates = len(sub)
-		cr.reseeds = cs.pass(nil, ascending(len(sub)))
+		cr.reseeds = cs.pass(nil)
 		cr.evals = cs.evals
+		cr.selected = make([]int, 0, cs.nSelected)
+		for p, pid := range paths {
+			if cs.selected.get(int32(p)) {
+				cr.selected = append(cr.selected, int(pid))
+			}
+		}
 	}
 	cr.coverageMet = cs.uncovered == 0
 	cr.identMet = opt.Beta == 0 || cs.part.Done()
-	cr.selected = make([]int, 0, cs.nSelected)
-	w := cs.ar.pathIDs.Walk()
-	for r := range cs.ar.numRows() {
-		if pid := w.Next(); cs.selected.get(int32(r)) {
-			cr.selected = append(cr.selected, int(pid))
-		}
-	}
 	return cr, nil
+}
+
+// keptState starts the greedy with the kept rows of comp (ascending)
+// selected. It takes their links without an arena: it holds their link
+// weights and refinement partition, and no candidate until a pass's arena
+// is attached.
+func keptState(csr *route.CSR, comp *route.Component, kept []int32, localOf []int32, opt Options) (*componentState, error) {
+	cs := newComponentState(nil, len(comp.Links), opt)
+	cs.beginStep()
+	var buf []topo.LinkID
+	var row []int32
+	for _, r := range kept {
+		pid := comp.Paths.At(int(r))
+		buf = csr.AppendRow(int(pid), buf[:0])
+		var err error
+		if row, err = appendLocal(row[:0], comp, localOf, pid, buf); err != nil {
+			return nil, err
+		}
+		cs.take(row)
+	}
+	cs.nSelected = len(kept)
+	return cs, nil
 }
 
 // deficient marks the local links a completion pass can still make
@@ -202,23 +241,4 @@ func ascending(n int) []int32 {
 		rows[i] = int32(i)
 	}
 	return rows
-}
-
-// repairState starts the greedy on an arena over the given rows of comp
-// (ascending) and selects sel, rows of that arena, in order.
-func repairState(csr *route.CSR, comp *route.Component, rows, sel []int32, localOf []int32, opt Options) (*componentState, error) {
-	paths := make([]int32, len(rows))
-	for i, r := range rows {
-		paths[i] = comp.Paths.At(int(r))
-	}
-	ar := newArena(csr, &route.Component{Links: comp.Links, Paths: route.PathList(paths)}, localOf)
-	if err := ar.loadAll(); err != nil {
-		return nil, err
-	}
-	cs := newComponentState(ar, len(comp.Links), opt)
-	cs.beginStep()
-	for _, r := range sel {
-		cs.sel(r)
-	}
-	return cs, nil
 }

@@ -59,7 +59,7 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 		}
 	}
 	if !cs.done() {
-		cs.pass(nil, ascending(comp.Paths.Len()))
+		cs.pass(nil)
 	}
 	for r, pid := range comp.Paths.Append(nil) {
 		if cs.selected.get(int32(r)) {
@@ -302,10 +302,11 @@ func FuzzRepair(f *testing.F) {
 // single-link repair offers its completion pass allocates less than one
 // bit per candidate path of the matrix (csr.Len()/8 bytes), the size of
 // the bitset the choice once marked: it walks the sorted rows through the
-// deficient links against the masked component's paths. The whole repair,
-// logged, allocates more: its completion pass's arena over the offered
-// rows.
+// deficient links against the masked component's paths. The whole repair
+// allocates more, its completion pass's one arena over the offered rows,
+// but under wholeRepairBound.
 func TestRepairOffersRowsWithoutABitset(t *testing.T) {
+	const wholeRepairBound = 4 << 20 // measured ≈ 2.8 MB
 	fb := newRepairFabric(24)
 	opt := Options{Alpha: 3, Beta: 1, Workers: 1}
 	pristine := fb.csr.Pristine(fb.numLinks)
@@ -334,7 +335,7 @@ func TestRepairOffersRowsWithoutABitset(t *testing.T) {
 			kept = append(kept, r)
 		}
 	}
-	cs, err := repairState(fb.csr, comp, kept, ascending(len(kept)), localOf, opt)
+	cs, err := keptState(fb.csr, comp, kept, localOf, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,9 +359,13 @@ func TestRepairOffersRowsWithoutABitset(t *testing.T) {
 	if st.Candidates != len(sub) {
 		t.Fatalf("Repair offered %d rows, the choice %d", st.Candidates, len(sub))
 	}
-	t.Logf("link %d down: %d of %d rows offered; choosing them allocated %d B (bound %d B), the whole repair %d B",
-		l, len(sub), comp.Paths.Len(), alloc, bound, after.TotalAlloc-before.TotalAlloc)
+	whole := after.TotalAlloc - before.TotalAlloc
+	t.Logf("link %d down: %d of %d rows offered; choosing them allocated %d B (bound %d B), the whole repair %d B (bound %d B)",
+		l, len(sub), comp.Paths.Len(), alloc, bound, whole, wholeRepairBound)
 	if alloc >= bound {
 		t.Fatalf("choosing the offered rows allocated %d B, not under %d B", alloc, bound)
+	}
+	if whole >= wholeRepairBound {
+		t.Fatalf("the whole repair allocated %d B, not under %d B", whole, wholeRepairBound)
 	}
 }
