@@ -82,10 +82,13 @@ func BenchmarkBeta2PMCStrawman(b *testing.B) {
 
 // BenchmarkServedCycle is a cold construction cycle as the controller
 // serves it: control.New + RunCycle(nil), everything from path enumeration
-// to built pinglists. Fattree(16) at (1,2) is the case bench/ cannot hold
-// at its parent's 13 s a cycle. Fattree(24) is the served path above the
-// fabrics bench/ builds, where a per-candidate copy in the coordinator or
-// a shard (11.9 M candidates) shows in B/op.
+// to built pinglists. Fattree(12) at (1,2) is the cycle bench/'s
+// control-f12-b2 repeats; Fattree(16) at (1,2) is the β=2 cycle one radix
+// up, whose time is mostly refinement: ~11-14 ms at GOMAXPROCS=1, ~34-60
+// ms while each selection step walked its whole affected-link report.
+// Fattree(24) is the served path above the fabrics bench/ builds, where a
+// per-candidate copy in the coordinator or a shard (11.9 M candidates)
+// shows in B/op.
 func BenchmarkServedCycle(b *testing.B) {
 	for _, c := range []struct {
 		name           string

@@ -362,9 +362,13 @@ func TestColdCycleStoresNothingPerCandidate(t *testing.T) {
 }
 
 // TestColdCycleCounts pins what a cold cycle's greedy does on the two
-// served scales the construction workloads run: its score evaluations and
-// selected paths. Any change to the lazy greedy's pop order, its caches or
-// its dirty tracking moves them.
+// served scales the construction workloads run, and on two larger β=2
+// ones: its score evaluations and selected paths. Any change to the lazy
+// greedy's pop order, its caches or its dirty tracking moves them. The
+// evaluations are a function of every step's dirty set, so the β=2 rows
+// pin that a step's affected-link walk, stopped once its links reach every
+// candidate, still dirties what the whole walk would, wherever in the
+// step it stops.
 func TestColdCycleCounts(t *testing.T) {
 	for _, c := range []struct {
 		k, alpha, beta int
@@ -373,6 +377,8 @@ func TestColdCycleCounts(t *testing.T) {
 	}{
 		{16, 3, 1, 31430, 2816},
 		{12, 1, 2, 4195, 1080},
+		{16, 1, 2, 13645, 2680},
+		{24, 1, 2, 74163, 9216},
 	} {
 		cfg := DefaultConfig()
 		cfg.Alpha, cfg.Beta = c.alpha, c.beta

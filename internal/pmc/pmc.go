@@ -68,11 +68,16 @@
 // exactly at every supported β, decoding virtual pair/triple members back
 // to their constituent physical links). After each selection step the
 // engine dirties only the rows reachable from the affected links through
-// the inverted index; cached scores of clean rows are reused verbatim. The
+// the inverted index, or every candidate once the candidates through the
+// step's links add up to the candidates themselves; cached scores of clean
+// rows are reused verbatim. A step keeps that sum running as it notes links
+// and stops refine's affected-link walk the moment the sum decides the
+// fill, which early in a β ≥ 2 construction is almost at once: the links
+// the walk would still report could not change the dirty set. The
 // selection sequence is identical to a full-rescan engine for fixed
 // options: clean candidates return exactly the score a rescan would
 // (hash-pinned for β ∈ {1,2} in incremental_test.go, differentially proven
-// in refine's oracle tests).
+// in refine's oracle tests, and step by step in step_test.go).
 package pmc
 
 import (
@@ -521,21 +526,19 @@ type componentState struct {
 	selected  bitset // by row
 	nSelected int
 
-	// exact is true while refine.SplitAffected reports affected links
-	// precisely — every supported beta today. Should refine ever declare
-	// a split conservative, the flag degrades (sticky) and every candidate
-	// is treated as dirty from then on, bypassing the caches below.
-	exact    bool
 	score    []int32 // cached Eq. 1 score per candidate
 	marginal bitset  // cached positive-marginal flag per candidate
 	dirty    bitset  // candidates whose cache is stale
 
 	// Per-step scratch for dirty propagation: the unique local links whose
-	// weight or group context changed during the current selection step.
+	// weight or group context changed during the current selection step,
+	// and stepMass, the candidates through them counted once per link. Once
+	// stepMass reaches the pass's candidates the step dirties them all, and
+	// the step notes no more links (see endStep).
 	stepLinks []int32
 	linkMark  []int32
 	stepEpoch int32
-	affBuf    []int32
+	stepMass  int
 
 	// orbitLog records every orbit query the orbit pass made: row, image
 	// count, then the images present in the component as rows, in
@@ -561,7 +564,6 @@ func newComponentState(ar *compArena, numLinks int, opt Options) *componentState
 		opt:        opt,
 		w:          make([]int32, numLinks),
 		part:       refine.MustPartition(numLinks, opt.Beta),
-		exact:      true,
 		linkMark:   make([]int32, numLinks),
 		parkedTail: -1,
 	}
@@ -580,12 +582,6 @@ func (cs *componentState) attach(ar *compArena) {
 	cs.selected = newBitset(ar.numRows())
 }
 
-// isDirty reports whether candidate p must be rescored before its cache is
-// used.
-func (cs *componentState) isDirty(p int32) bool {
-	return !cs.exact || cs.dirty.get(p)
-}
-
 // cache stores a freshly computed (score, marginal) for candidate p.
 func (cs *componentState) cache(p, s int32, m bool) {
 	cs.score[p] = s
@@ -594,9 +590,7 @@ func (cs *componentState) cache(p, s int32, m bool) {
 	} else {
 		cs.marginal.clear(p)
 	}
-	if cs.exact {
-		cs.dirty.clear(p)
-	}
+	cs.dirty.clear(p)
 }
 
 // rowWeight computes the Σw term of Eq. 1 for slot p and whether the row
@@ -634,13 +628,26 @@ func (cs *componentState) scoreRow(p int32) (score int32, marginalGain bool) {
 func (cs *componentState) beginStep() {
 	cs.stepEpoch++
 	cs.stepLinks = cs.stepLinks[:0]
+	cs.stepMass = 0
 }
 
-func (cs *componentState) noteLink(li int32) {
+// noteLink adds li to the step's links, and the candidates through it to
+// stepMass, unless the step noted li already. It reports whether the step
+// still dirties fewer than every candidate, that is, whether noting more
+// links can still change what endStep dirties.
+func (cs *componentState) noteLink(li int32) bool {
 	if cs.linkMark[li] != cs.stepEpoch {
 		cs.linkMark[li] = cs.stepEpoch
 		cs.stepLinks = append(cs.stepLinks, li)
+		cs.stepMass += int(cs.ar.invOff[li+1] - cs.ar.invOff[li])
 	}
+	return cs.stepMass < cs.ar.ncand
+}
+
+// saturated reports whether the running step already dirties every
+// candidate.
+func (cs *componentState) saturated() bool {
+	return cs.stepMass >= cs.ar.ncand
 }
 
 // sel commits the row at slot p: takes its links and records the
@@ -652,7 +659,11 @@ func (cs *componentState) sel(p int32) {
 }
 
 // take bumps the link weights of a selected row's local links, refines the
-// partition by them, and accumulates the links whose context changed.
+// partition by them, and notes the links whose context changed: the row's
+// own, then those refine reports, until the step is saturated. A take in a
+// saturated step, and one with no arena (whose pass starts with every
+// candidate dirty), only splits the partition: no endStep reads what it
+// would note.
 func (cs *componentState) take(row []int32) {
 	for _, li := range row {
 		cs.w[li]++
@@ -660,19 +671,14 @@ func (cs *componentState) take(row []int32) {
 			cs.uncovered--
 		}
 	}
-	if cs.opt.Beta >= 1 {
-		_, aff, exact := cs.part.SplitAffected(row, cs.affBuf[:0])
-		cs.affBuf = aff
-		if !exact {
-			cs.exact = false
-		}
-		for _, li := range aff {
-			cs.noteLink(li)
-		}
+	if cs.ar == nil || cs.saturated() {
+		cs.part.Split(row)
+		return
 	}
 	for _, li := range row {
 		cs.noteLink(li)
 	}
+	cs.part.SplitAffected(row, cs.noteLink)
 }
 
 // endStep dirties every candidate whose cached score may have changed:
@@ -683,15 +689,13 @@ func (cs *componentState) take(row []int32) {
 // test counts only the pass's candidates, so which other rows an arena has
 // loaded never shows in Stats.ScoreEvals. Over-dirtying only costs
 // recomputes that return the cached value; it never changes a selection.
+//
+// stepMass only grows, so the fill is decided the moment it reaches the
+// candidates, and the links a step would note after that cannot change the
+// bitset: take stops noting them there, and the fill is the one the full
+// affected set gives.
 func (cs *componentState) endStep() {
-	if !cs.exact {
-		return
-	}
-	total := 0
-	for _, li := range cs.stepLinks {
-		total += int(cs.ar.invOff[li+1] - cs.ar.invOff[li])
-	}
-	if total >= cs.ar.ncand {
+	if cs.saturated() {
 		cs.dirty.fill()
 		return
 	}
@@ -827,8 +831,6 @@ func solveComponent(sym route.Symmetric, ar *compArena, opt Options, checkAll bo
 // baseline greedy policy of Table 2's "Strawman" column. Exact dirty
 // tracking (every supported beta) means only stale rows are rescored; the
 // scan over cached scores is otherwise branch-predictable slice walking.
-// Should the exact flag ever degrade, isDirty turns every row stale and the
-// loop becomes a literal full rescan with unchanged decisions.
 //
 // Note on what the column measures: the original paper's strawman re-derives
 // every candidate's score from scratch each iteration. Here every variant
@@ -850,7 +852,7 @@ func strawmanGreedy(cs *componentState, sym route.Symmetric) {
 			}
 			var s int32
 			var m bool
-			if cs.isDirty(p) {
+			if cs.dirty.get(p) {
 				s, m = cs.scoreRow(p)
 				cs.cache(p, s, m)
 			} else {
@@ -939,7 +941,7 @@ func lazyGreedy(cs *componentState, sym route.Symmetric) (reseeds int) {
 				if cs.selected.get(ar.rowOf[p]) {
 					continue
 				}
-				if !cs.isDirty(p) {
+				if !cs.dirty.get(p) {
 					keep = append(keep, p)
 					continue
 				}
@@ -962,7 +964,7 @@ func lazyGreedy(cs *componentState, sym route.Symmetric) (reseeds int) {
 		if cs.selected.get(ar.rowOf[p]) {
 			continue
 		}
-		if !cs.isDirty(p) {
+		if !cs.dirty.get(p) {
 			// The cached score is exact and was the queue's minimum, so a
 			// rescan could not find anything better: select or park
 			// without recomputing.

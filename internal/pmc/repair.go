@@ -135,7 +135,6 @@ func repair(csr *route.CSR, pristine *route.Pristine, comp *route.Component, par
 // is attached.
 func keptState(csr *route.CSR, comp *route.Component, kept []int32, localOf []int32, opt Options) (*componentState, error) {
 	cs := newComponentState(nil, len(comp.Links), opt)
-	cs.beginStep()
 	var buf []topo.LinkID
 	var row []int32
 	for _, r := range kept {

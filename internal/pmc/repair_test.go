@@ -46,6 +46,7 @@ func completeAll(csr *route.CSR, comp *route.Component, parentSel []int, localOf
 	if err := ar.loadAll(); err != nil {
 		panic(err)
 	}
+	ar.index() // sel notes a step's links through the inverted index
 	cs := newComponentState(ar, len(comp.Links), opt)
 	cs.beginStep()
 	j := 0

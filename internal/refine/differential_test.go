@@ -2,6 +2,7 @@ package refine
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -117,20 +118,24 @@ func (o *sigOracle) groupsSingles() (groups, singles int) {
 
 // checkSplitAffected drives one split through both engines and fails the
 // test on any divergence: the count CountSplittable predicts before the
-// split, split count, exact flag, affected set (compared as sorted sets —
-// and the incremental list must already be duplicate-free), group/singleton
+// split, split count, affected set (compared as sorted sets — and the
+// incremental report must already be duplicate-free), group/singleton
 // counts, and the shared-pair lists after it.
-func checkSplitAffected(t *testing.T, p *Partition, o *sigOracle, path []int32, tag string) {
+//
+// twin mirrors p and takes the same split with a note that stops the
+// report after stop(n) links, n being the full report's length; at 0 it
+// takes a plain Split, as a caller that needs no report does. Its report
+// must be the first links of p's, in order, and the two partitions must
+// stay identical.
+func checkSplitAffected(t *testing.T, p, twin *Partition, o *sigOracle, path []int32, stop func(n int) int, tag string) {
 	t.Helper()
 	count := p.CountSplittable(path)
+	twin.CountSplittable(path)
 	wantSplit, wantAff := o.apply(path)
 	if count != wantSplit {
 		t.Fatalf("%s: CountSplittable(%v) = %d at beta=%d, oracle splits %d", tag, path, count, o.beta, wantSplit)
 	}
-	split, aff, exact := p.SplitAffected(path, nil)
-	if !exact {
-		t.Fatalf("%s: SplitAffected(%v) not exact at beta=%d", tag, path, o.beta)
-	}
+	split, aff := splitAffectedAll(p, path)
 	if split != wantSplit {
 		t.Fatalf("%s: SplitAffected(%v) split %d groups, oracle %d", tag, path, split, wantSplit)
 	}
@@ -156,6 +161,54 @@ func checkSplitAffected(t *testing.T, p *Partition, o *sigOracle, path []int32, 
 		t.Fatalf("%s: groups=%d singles=%d, oracle %d/%d", tag, p.Groups(), p.Singletons(), wantGroups, wantSingles)
 	}
 	checkSharedPairLists(t, p, tag)
+
+	n := stop(len(aff))
+	var got []int32
+	var twinSplit int
+	if n == 0 {
+		twinSplit = twin.Split(path)
+	} else {
+		twinSplit = twin.SplitAffected(path, func(li int32) bool {
+			got = append(got, li)
+			return len(got) < n
+		})
+	}
+	want := aff[:min(n, len(aff))]
+	if twinSplit != split || !slices.Equal(got, want) {
+		t.Fatalf("%s: SplitAffected(%v) stopping after %d links split %d and reported %v; full report split %d, began %v",
+			tag, path, n, twinSplit, got, split, want)
+	}
+	checkSamePartition(t, p, twin, tag)
+}
+
+// splitAffectedAll splits p by path and returns the split count and the
+// whole affected-link report, in report order.
+func splitAffectedAll(p *Partition, path []int32) (int, []int32) {
+	var aff []int32
+	split := p.SplitAffected(path, func(li int32) bool {
+		aff = append(aff, li)
+		return true
+	})
+	return split, aff
+}
+
+// checkSamePartition fails the test unless a and b hold the same
+// refinement: group ids, group sizes and counts, membership lists and
+// shared-pair lists.
+func checkSamePartition(t *testing.T, a, b *Partition, tag string) {
+	t.Helper()
+	if a.numGroups != b.numGroups || a.numSingle != b.numSingle ||
+		!slices.Equal(a.gid, b.gid) || !slices.Equal(a.groupSize, b.groupSize) ||
+		!slices.Equal(a.memberHead, b.memberHead) || !slices.Equal(a.memberNext, b.memberNext) ||
+		!slices.Equal(a.memberPrev, b.memberPrev) || !slices.Equal(a.sharedLen, b.sharedLen) {
+		t.Fatalf("%s: a split that stopped its report early left a different partition", tag)
+	}
+	for i, n := range a.sharedLen {
+		at := i * (a.l - 1)
+		if !slices.Equal(a.shared[at:at+int(n)], b.shared[at:at+int(n)]) {
+			t.Fatalf("%s: a split that stopped its report early left link %d a different shared-pair list", tag, i)
+		}
+	}
 }
 
 // checkSharedPairLists fails the test unless every pair whose group has
@@ -222,9 +275,24 @@ func TestSharedPairListsKeepSharedPairs(t *testing.T) {
 // every supported beta, >= 120 random (topology size, split sequence) cases
 // are driven through Partition.SplitAffected and the signature oracle in
 // lockstep. Paths deliberately include duplicate link ids about a third of
-// the time, pinning the dedup contract alongside exactness.
+// the time, pinning the dedup contract alongside exactness. Each split's
+// twin stops its report after a random number of links, from none to past
+// the whole report.
 func TestSplitAffectedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
+	var stops [3]int // reports stopped at none, partway, and at their end
+	stop := func(n int) int {
+		k := rng.Intn(n + 2)
+		switch {
+		case k == 0:
+			stops[0]++
+		case k < n:
+			stops[1]++
+		default:
+			stops[2]++
+		}
+		return k
+	}
 	for _, beta := range []int{0, 1, 2, 3} {
 		maxL := 12
 		if beta == 3 {
@@ -232,7 +300,7 @@ func TestSplitAffectedDifferential(t *testing.T) {
 		}
 		for trial := 0; trial < 120; trial++ {
 			l := 2 + rng.Intn(maxL-1)
-			p := MustPartition(l, beta)
+			p, twin := MustPartition(l, beta), MustPartition(l, beta)
 			o := newSigOracle(l, beta)
 			nPaths := 1 + rng.Intn(10)
 			for pi := 0; pi < nPaths; pi++ {
@@ -247,28 +315,36 @@ func TestSplitAffectedDifferential(t *testing.T) {
 					// under set semantics.
 					path = append(path, path[rng.Intn(len(path))], path[0])
 				}
-				checkSplitAffected(t, p, o, path, "trial")
+				checkSplitAffected(t, p, twin, o, path, stop, "trial")
 			}
+		}
+	}
+	for i, n := range stops {
+		if n == 0 {
+			t.Errorf("no twin report stopped %s", [3]string{"before its first link", "partway", "at or past its end"}[i])
 		}
 	}
 }
 
 // FuzzSplitAffected feeds arbitrary byte strings through the differential
-// harness: the first two bytes pick (l, beta), 0xFF bytes delimit paths, and
-// every other byte contributes the link id b % l — so the fuzzer freely
-// explores duplicate ids, repeated paths, single-link paths and long
-// sequences. Run with `go test -fuzz FuzzSplitAffected ./internal/refine`.
+// harness: the first two bytes pick (l, beta), the third how many links
+// the twin's reports stop after (modulo one more than each report's
+// length), 0xFF bytes delimit paths, and every other byte contributes the
+// link id b % l — so the fuzzer freely explores duplicate ids, repeated
+// paths, single-link paths and long sequences. Run with
+// `go test -fuzz FuzzSplitAffected ./internal/refine`.
 func FuzzSplitAffected(f *testing.F) {
-	f.Add([]byte{4, 2, 0, 1, 0xFF, 2, 3, 0xFF, 0, 2})
-	f.Add([]byte{7, 3, 0, 1, 2, 3, 4, 5, 6, 0xFF, 1, 1, 1})
-	f.Add([]byte{2, 1, 0, 0xFF, 1})
+	f.Add([]byte{4, 2, 3, 0, 1, 0xFF, 2, 3, 0xFF, 0, 2})
+	f.Add([]byte{7, 3, 0, 0, 1, 2, 3, 4, 5, 6, 0xFF, 1, 1, 1})
+	f.Add([]byte{2, 1, 9, 0, 0xFF, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 3 {
+		if len(data) < 4 {
 			return
 		}
 		l := 2 + int(data[0])%8
 		beta := int(data[1]) % 4
-		p := MustPartition(l, beta)
+		stop := func(n int) int { return int(data[2]) % (n + 1) }
+		p, twin := MustPartition(l, beta), MustPartition(l, beta)
 		o := newSigOracle(l, beta)
 		var path []int32
 		paths := 0
@@ -276,11 +352,11 @@ func FuzzSplitAffected(f *testing.F) {
 			if len(path) == 0 || paths >= 16 {
 				return
 			}
-			checkSplitAffected(t, p, o, path, "fuzz")
+			checkSplitAffected(t, p, twin, o, path, stop, "fuzz")
 			paths++
 			path = path[:0]
 		}
-		for _, b := range data[2:] {
+		for _, b := range data[3:] {
 			if b == 0xFF {
 				flush()
 				continue

@@ -24,7 +24,8 @@
 // tripleIndex). A compact int16 decode table maps each rank back to its
 // constituent physical links, with arithmetic inverses (decodePair,
 // decodeTriple) as the tested ground truth, so SplitAffected reports the
-// exact affected-link set at every supported β.
+// exact affected-link set at every supported β, and stops the report
+// wherever its caller has seen enough.
 package refine
 
 import (
@@ -321,54 +322,35 @@ func (p *Partition) decodeTriple(idx int) (int, int, int) {
 	return i, j, k
 }
 
-// appendConstituents decodes element elem to its constituent physical links
-// through the decode tables and appends each to aff unless already reported
-// this affEpoch. It returns the extended slice and the number of links
-// appended.
-func (p *Partition) appendConstituents(elem int32, aff []int32) ([]int32, int) {
-	added := 0
-	e := p.affEpoch
-	mark := p.affMark
+// noteConstituents reports to note each constituent physical link of elem
+// that this affEpoch has not reported yet, marking it reported. It returns
+// how many links it reported, and false as soon as note returns false.
+func (p *Partition) noteConstituents(elem int32, note func(li int32) bool) (int, bool) {
+	var c [3]int32
+	n := 1
 	switch {
 	case int(elem) < p.l:
-		if mark[elem] != e {
-			mark[elem] = e
-			aff = append(aff, elem)
-			added++
-		}
+		c[0] = elem
 	case int(elem) < p.l+len(p.pairA):
 		r := int(elem) - p.l
-		i, j := int32(p.pairA[r]), int32(p.pairB[r])
-		if mark[i] != e {
-			mark[i] = e
-			aff = append(aff, i)
-			added++
-		}
-		if mark[j] != e {
-			mark[j] = e
-			aff = append(aff, j)
-			added++
-		}
+		c[0], c[1], n = int32(p.pairA[r]), int32(p.pairB[r]), 2
 	default:
 		r := int(elem) - p.l - len(p.pairA)
-		i, j, k := int32(p.tripA[r]), int32(p.tripB[r]), int32(p.tripC[r])
-		if mark[i] != e {
-			mark[i] = e
-			aff = append(aff, i)
-			added++
+		c[0], c[1], c[2], n = int32(p.tripA[r]), int32(p.tripB[r]), int32(p.tripC[r]), 3
+	}
+	e, mark := p.affEpoch, p.affMark
+	added := 0
+	for _, li := range c[:n] {
+		if mark[li] == e {
+			continue
 		}
-		if mark[j] != e {
-			mark[j] = e
-			aff = append(aff, j)
-			added++
-		}
-		if mark[k] != e {
-			mark[k] = e
-			aff = append(aff, k)
-			added++
+		mark[li] = e
+		added++
+		if !note(li) {
+			return added, false
 		}
 	}
-	return aff, added
+	return added, true
 }
 
 // visitPath visits every element (physical, pair, triple) that intersects
@@ -553,7 +535,12 @@ func (p *Partition) countSplittableLinks(links []int32) int {
 			n++
 		}
 	}
-	p.scratch = groups[:0]
+	if cap(groups) > cap(p.scratch) {
+		// Only a grown slice is stored: the store is a pointer write, which
+		// pays a write barrier on every score evaluation while the
+		// collector marks.
+		p.scratch = groups[:0]
+	}
 	return n
 }
 
@@ -624,27 +611,28 @@ func (p *Partition) moveMember(e, g, ng int32) {
 	p.memberHead[ng] = e
 }
 
-// SplitAffected refines the partition like Split and additionally reports
-// which physical links may have had their splittability context changed —
-// the constituent links of every member of every group that was properly
-// split (both halves). This is the incremental-scoring contract PMC relies
-// on: a candidate path's CountSplittable term can only change when one of
-// its links constitutes an element of a group the selected path split, so
-// rescoring can be confined to paths touching the returned links (plus, for
-// the Σw term, the selected path's own links).
+// SplitAffected refines the partition like Split and reports to note which
+// physical links may have had their splittability context changed: the
+// constituent links of every member of every group that was properly split
+// (both halves), each link once. This is the incremental-scoring contract
+// PMC relies on: a candidate path's CountSplittable term can only change
+// when one of its links constitutes an element of a group the selected path
+// split, so rescoring can be confined to paths touching the reported links
+// (plus, for the Σw term, the selected path's own links). It returns the
+// number of groups properly split.
 //
-// Affected links are appended to aff — each link at most once — and the
-// extended slice is returned. exact is true at every supported beta: the
-// membership lists cover the whole virtual element universe, and pair/
-// triple members decode back to physical links arithmetically. The walk
-// stops early once every physical link has been reported, because at that
-// point the affected set has provably converged to its maximum — further
-// members can only repeat links — so the report stays exactly the
-// brute-force set even on the huge early-construction groups.
-func (p *Partition) SplitAffected(links []int32, aff []int32) (split int, out []int32, exact bool) {
-	split = p.Split(links)
+// The report is exact at every supported beta: the membership lists cover
+// the whole virtual element universe, and pair/triple members decode back
+// to physical links through the decode tables. Split runs in full before
+// the walk, so where the walk stops never changes the partition. The walk
+// stops as soon as note returns false, having reported exactly the first
+// links of the full report, in order; and it stops once every physical link
+// has been reported, because further members can only repeat links, which
+// keeps the full report cheap even on the huge early-construction groups.
+func (p *Partition) SplitAffected(links []int32, note func(li int32) bool) int {
+	split := p.Split(links)
 	if p.beta == 0 || split == 0 {
-		return split, aff, true
+		return split
 	}
 	p.affEpoch++
 	remaining := p.l
@@ -657,16 +645,14 @@ func (p *Partition) SplitAffected(links []int32, aff []int32) (split int, out []
 		}
 		for _, h := range [2]int32{g, ng} {
 			for e := p.memberHead[h]; e >= 0; e = p.memberNext[e] {
-				var n int
-				aff, n = p.appendConstituents(e, aff)
-				remaining -= n
-				if remaining == 0 {
-					return split, aff, true
+				n, more := p.noteConstituents(e, note)
+				if remaining -= n; !more || remaining == 0 {
+					return split
 				}
 			}
 		}
 	}
-	return split, aff, true
+	return split
 }
 
 // AppendUnrefined appends to links, each once, the constituent physical
@@ -680,13 +666,16 @@ func (p *Partition) AppendUnrefined(links []int32) []int32 {
 	}
 	p.affEpoch++
 	remaining := p.l
+	note := func(li int32) bool {
+		links = append(links, li)
+		return true
+	}
 	for g, size := range p.groupSize {
 		if size < 2 {
 			continue
 		}
 		for e := p.memberHead[g]; e >= 0; e = p.memberNext[e] {
-			var n int
-			links, n = p.appendConstituents(e, links)
+			n, _ := p.noteConstituents(e, note)
 			if remaining -= n; remaining == 0 {
 				return links
 			}

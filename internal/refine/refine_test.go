@@ -357,8 +357,8 @@ func TestDuplicateLinkInputs(t *testing.T) {
 		if ca, cb := a.CountSplittable(clean), b.CountSplittable(dup); ca != cb {
 			t.Errorf("beta=%d: CountSplittable %d with clean input, %d with duplicates", beta, ca, cb)
 		}
-		sa, affA, _ := a.SplitAffected(clean, nil)
-		sb, affB, _ := b.SplitAffected(dup, nil)
+		sa, affA := splitAffectedAll(a, clean)
+		sb, affB := splitAffectedAll(b, dup)
 		if sa != sb {
 			t.Errorf("beta=%d: split %d with clean input, %d with duplicates", beta, sa, sb)
 		}
@@ -424,9 +424,8 @@ func BenchmarkSplitAffectedBeta2(b *testing.B) {
 		b.StopTimer()
 		p := MustPartition(l, 2)
 		b.StartTimer()
-		var aff []int32
 		for _, path := range paths {
-			_, aff, _ = p.SplitAffected(path, aff[:0])
+			p.SplitAffected(path, func(int32) bool { return true })
 		}
 	}
 }
@@ -501,10 +500,7 @@ func TestSplitAffectedSoundness(t *testing.T) {
 			for i, q := range probes {
 				before[i] = p.CountSplittable(q)
 			}
-			_, aff, exact := p.SplitAffected(sp, nil)
-			if !exact {
-				t.Fatal("beta=1 SplitAffected must be exact")
-			}
+			_, aff := splitAffectedAll(p, sp)
 			touched := make([]bool, l)
 			for _, li := range sp {
 				touched[li] = true
@@ -533,21 +529,21 @@ func TestSplitAffectedSoundness(t *testing.T) {
 	}
 }
 
-// TestSplitAffectedExactness checks the advertised exactness per beta:
-// beta=0 splits nothing and is exact, and every beta >= 1 reports the exact
+// TestSplitAffectedExactness checks the report per beta: beta=0 splits
+// nothing and reports no link, and every beta >= 1 reports the exact
 // affected-link set through the full-universe membership lists.
 func TestSplitAffectedExactness(t *testing.T) {
 	links := []int32{0, 2}
 	p0 := MustPartition(5, 0)
-	if _, aff, exact := p0.SplitAffected(links, nil); !exact || len(aff) != 0 {
-		t.Errorf("beta=0: exact=%v aff=%v, want exact with no affected links", exact, aff)
+	if _, aff := splitAffectedAll(p0, links); len(aff) != 0 {
+		t.Errorf("beta=0: aff=%v, want no affected links", aff)
 	}
 	for beta := 1; beta <= 3; beta++ {
 		p := MustPartition(5, beta)
 		// The single initial group splits into on-path and off-path
 		// halves: every link constitutes a member of a split half.
-		if _, aff, exact := p.SplitAffected(links, nil); !exact || len(aff) != 5 {
-			t.Errorf("beta=%d: exact=%v aff=%v, want exact with all 5 links affected", beta, exact, aff)
+		if _, aff := splitAffectedAll(p, links); len(aff) != 5 {
+			t.Errorf("beta=%d: aff=%v, want all 5 links affected", beta, aff)
 		}
 	}
 	// Once refinement localizes, the report shrinks below "everything":
@@ -558,10 +554,7 @@ func TestSplitAffectedExactness(t *testing.T) {
 	p := MustPartition(5, 2)
 	p.Split([]int32{0, 1})
 	p.Split([]int32{2, 3})
-	_, aff, exact := p.SplitAffected([]int32{4}, nil)
-	if !exact {
-		t.Fatal("beta=2 SplitAffected must be exact")
-	}
+	_, aff := splitAffectedAll(p, []int32{4})
 	seen := map[int32]bool{}
 	for _, l := range aff {
 		if seen[l] {
@@ -577,7 +570,7 @@ func TestSplitAffectedExactness(t *testing.T) {
 func TestSplitAffectedTotalMoveSkipped(t *testing.T) {
 	p := MustPartition(4, 1)
 	p.Split([]int32{0, 1}) // groups {0,1} and {2,3}
-	if _, aff, _ := p.SplitAffected([]int32{2, 3}, nil); len(aff) != 0 {
+	if _, aff := splitAffectedAll(p, []int32{2, 3}); len(aff) != 0 {
 		t.Errorf("total move of {2,3} reported affected links %v, want none", aff)
 	}
 }
@@ -591,7 +584,7 @@ func TestSplitMaintainsMembershipLists(t *testing.T) {
 	p := MustPartition(l, 1)
 	for step := 0; step < 60; step++ {
 		path := randomPaths(rng, l, 1, 4)[0]
-		_, aff, _ := p.SplitAffected(path, nil)
+		_, aff := splitAffectedAll(p, path)
 		// Every affected link must share its group with at least one other
 		// affected link or have just left one — weak check; the strong
 		// check is list/gid agreement:
